@@ -148,14 +148,13 @@ def cmd_check(args) -> int:
                        is Verdict.SEMISTABLE)]
         else:
             mc = serialize.monad_from_json(obj)
-            checks = [
-                ("compose", lambda: (
-                    max_residual(compose_residual(mc)) <= (tol or 1e-9),
-                    max_residual(compose_residual(mc)))),
-                ("framing", lambda: (
-                    max_residual(framing_residual(mc)) <= (tol or 1e-9),
-                    max_residual(framing_residual(mc)))),
-            ]
+
+            def within(residuals):
+                worst = max_residual(residuals)
+                return worst <= (tol or 1e-9), worst
+
+            checks = [("compose", lambda: within(compose_residual(mc))),
+                      ("framing", lambda: within(framing_residual(mc)))]
         results, worst = _check_report(checks, tol)
     except (XnAdhmError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,10 @@ Matrices carry one of three scalar backends:
 * ``RATIONAL`` -- exact ``fractions.Fraction`` arithmetic,
 * ``GF(p)`` -- residues modulo a prime, used as an exhaustive test oracle.
 
+A complex matrix stores its entries as one read-only ``(rows, cols)``
+complex ndarray, so its arithmetic is a single numpy operation; the exact
+backends store a row-major tuple of Python scalars and eliminate by hand.
+
 Exact backends never take a tolerance: equality is literal.  On top of the
 basic rank/nullspace/determinant kit this module computes homogeneous
 determinant polynomials of matrix pencils and their projective roots.
@@ -53,9 +57,7 @@ class ComplexField:
     exact = False
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return complex(float(x))
-        return complex(x)
+        return complex(x)       # a Fraction converts through its __float__
 
     zero = 0j
     one = 1 + 0j
@@ -232,7 +234,12 @@ def backend_from_name(name: str):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix with row-major entries over a fixed backend."""
+    """Immutable dense matrix over a fixed backend.
+
+    Complex matrices store their entries as one read-only ``(rows, cols)``
+    complex ndarray; the exact backends (rationals, GF(p)) store a row-major
+    tuple of Python scalars.
+    """
 
     __slots__ = ("rows", "cols", "backend", "entries")
 
@@ -243,6 +250,9 @@ class Matrix:
         if len(entries) != rows * cols:
             raise ShapeMismatch(
                 f"expected {rows * cols} entries, got {len(entries)}")
+        if not backend.exact:
+            entries = np.array(entries, dtype=complex).reshape(rows, cols)
+            entries.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "backend", backend)
@@ -263,10 +273,14 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols, backend=COMPLEX):
+        if not backend.exact:
+            return _wrap(np.zeros((rows, cols), dtype=complex))
         return cls(rows, cols, [backend.zero] * (rows * cols), backend)
 
     @classmethod
     def identity(cls, n, backend=COMPLEX):
+        if not backend.exact:
+            return _wrap(np.eye(n, dtype=complex))
         ent = [backend.zero] * (n * n)
         for i in range(n):
             ent[i * n + i] = backend.one
@@ -290,44 +304,55 @@ class Matrix:
 
     @classmethod
     def from_numpy(cls, arr):
-        arr = np.asarray(arr, dtype=complex)
+        """Complex matrix holding a copy of a 2-d array."""
+        arr = np.array(arr, dtype=complex)
         if arr.ndim != 2:
             raise ShapeMismatch("expected a 2-d array")
-        return cls(arr.shape[0], arr.shape[1], arr.reshape(-1).tolist(), COMPLEX)
+        return _wrap(arr)
 
     # -- access --------------------------------------------------------------
 
     def at(self, i, j):
-        return self.entries[i * self.cols + j]
+        if self.backend.exact:
+            return self.entries[i * self.cols + j]
+        return self.entries.item(i, j)
 
     def __getitem__(self, ij):
         i, j = ij
         return self.at(i, j)
 
     def row_list(self):
+        if not self.backend.exact:
+            return self.entries.tolist()
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def column(self, j):
+        if not self.backend.exact:
+            return _wrap(self.entries[:, [j]])
         return Matrix(self.rows, 1, [self.at(i, j) for i in range(self.rows)],
                       self.backend)
 
     def submatrix(self, row_range, col_range):
         rows = list(row_range)
         cols = list(col_range)
+        if not self.backend.exact:
+            return _wrap(self.entries[rows][:, cols])
         ent = [self.at(i, j) for i in rows for j in cols]
         return Matrix(len(rows), len(cols), ent, self.backend)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same(self, other):
-        if self.backend != other.backend:
+        if self.backend is not other.backend and self.backend != other.backend:
             raise BackendMismatch(f"{self.backend} vs {other.backend}")
 
     def __add__(self, other):
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
+        if not self.backend.exact:
+            return _wrap(self.entries + other.entries)
         add = self.backend.add
         return Matrix(self.rows, self.cols,
                       [add(a, b) for a, b in zip(self.entries, other.entries)],
@@ -337,18 +362,24 @@ class Matrix:
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("subtraction shape mismatch")
+        if not self.backend.exact:
+            return _wrap(self.entries - other.entries)
         sub = self.backend.sub
         return Matrix(self.rows, self.cols,
                       [sub(a, b) for a, b in zip(self.entries, other.entries)],
                       self.backend)
 
     def __neg__(self):
+        if not self.backend.exact:
+            return _wrap(-self.entries)
         neg = self.backend.neg
         return Matrix(self.rows, self.cols, [neg(a) for a in self.entries],
                       self.backend)
 
     def scale(self, s):
         s = self.backend.coerce(s)
+        if not self.backend.exact:
+            return _wrap(s * self.entries)
         mul = self.backend.mul
         return Matrix(self.rows, self.cols, [mul(s, a) for a in self.entries],
                       self.backend)
@@ -359,11 +390,8 @@ class Matrix:
             raise ShapeMismatch(
                 f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         bk = self.backend
-        if bk.kind == "complex":
-            a = self.to_numpy()
-            b = other.to_numpy()
-            return Matrix.from_numpy(a @ b) if self.cols else Matrix.zeros(
-                self.rows, other.cols)
+        if not bk.exact:
+            return _wrap(self.entries @ other.entries)
         n, k, m = self.rows, self.cols, other.cols
         out = [bk.zero] * (n * m)
         for i in range(n):
@@ -377,6 +405,8 @@ class Matrix:
         return Matrix(n, m, out, bk)
 
     def transpose(self):
+        if not self.backend.exact:
+            return _wrap(self.entries.T)
         ent = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
         return Matrix(self.cols, self.rows, ent, self.backend)
 
@@ -391,25 +421,27 @@ class Matrix:
     # -- conversions / norms -------------------------------------------------
 
     def to_numpy(self):
+        """Complex ndarray of the entries; for a complex matrix this is the
+        stored read-only array itself."""
+        if not self.backend.exact:
+            return self.entries
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field matrices have no float image")
-        data = [complex(x) if not isinstance(x, Fraction) else complex(float(x))
-                for x in self.entries]
+        data = [complex(float(x)) for x in self.entries]
         return np.array(data, dtype=complex).reshape(self.rows, self.cols)
 
     def maxnorm(self):
+        if not self.backend.exact:
+            return float(np.abs(self.entries).max()) if self.entries.size else 0.0
         if not self.entries:
             return 0.0
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field matrices have no norm")
-        return max(abs(complex(x) if not isinstance(x, Fraction) else float(x))
-                   for x in self.entries)
+        return max(abs(float(x)) for x in self.entries)
 
     def is_zero(self, tol=None):
         if self.backend.exact:
             return all(self.backend.is_zero(x) for x in self.entries)
-        if not self.entries:
-            return True
         return self.maxnorm() <= _tol(tol)
 
     def cast(self, backend):
@@ -420,18 +452,39 @@ class Matrix:
             return self
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field residues cannot be lifted")
-        return Matrix(self.rows, self.cols, self.entries, backend)
+        entries = self.entries
+        if not self.backend.exact:
+            entries = entries.ravel().tolist()
+        return Matrix(self.rows, self.cols, entries, backend)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.backend == other.backend
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        if not (isinstance(other, Matrix) and self.backend == other.backend
+                and self.rows == other.rows and self.cols == other.cols):
+            return False
+        if not self.backend.exact:
+            return bool(np.array_equal(self.entries, other.entries))
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        entries = self.entries
+        if not self.backend.exact:
+            entries = tuple(entries.ravel().tolist())
+        return hash((self.rows, self.cols, entries))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.backend})"
+
+
+def _wrap(arr) -> Matrix:
+    """Complex Matrix that takes ownership of a 2-d complex128 array: the
+    array is frozen in place, neither copied nor coerced entry by entry."""
+    arr.flags.writeable = False
+    M = object.__new__(Matrix)
+    object.__setattr__(M, "rows", arr.shape[0])
+    object.__setattr__(M, "cols", arr.shape[1])
+    object.__setattr__(M, "backend", COMPLEX)
+    object.__setattr__(M, "entries", arr)
+    return M
 
 
 def hstack(*mats):
@@ -440,6 +493,8 @@ def hstack(*mats):
     bk = mats[0].backend
     if any(m.rows != rows or m.backend != bk for m in mats):
         raise ShapeMismatch("hstack mismatch")
+    if not bk.exact:
+        return _wrap(np.hstack([m.entries for m in mats]))
     out_rows = []
     for i in range(rows):
         row = []
@@ -455,6 +510,8 @@ def vstack(*mats):
     bk = mats[0].backend
     if any(m.cols != cols or m.backend != bk for m in mats):
         raise ShapeMismatch("vstack mismatch")
+    if not bk.exact:
+        return _wrap(np.vstack([m.entries for m in mats]))
     ent = []
     for m in mats:
         ent.extend(m.entries)
@@ -470,8 +527,7 @@ def scale_of(*mats) -> float:
     """max(1, largest max-norm); the reference scale for relative tolerances."""
     best = 1.0
     for m in mats:
-        if m.entries:
-            best = max(best, m.maxnorm())
+        best = max(best, m.maxnorm())
     return best
 
 
@@ -553,8 +609,7 @@ def nullspace(M: Matrix, tol=None) -> Matrix:
     _, s, vh = np.linalg.svd(a)
     thr = _tol(tol) * max(1.0, M.maxnorm())
     r = int(np.sum(s > thr))
-    basis = vh[r:].conj().T
-    return Matrix.from_numpy(basis)
+    return _wrap(vh[r:].conj().T)
 
 
 def det(M: Matrix):
@@ -595,7 +650,7 @@ def inverse(M: Matrix) -> Matrix:
     bk = M.backend
     if not bk.exact:
         try:
-            return Matrix.from_numpy(np.linalg.inv(M.to_numpy()))
+            return _wrap(np.linalg.inv(M.to_numpy()))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from None
     aug = hstack(M, Matrix.identity(M.rows, bk))

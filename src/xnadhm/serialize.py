@@ -40,7 +40,8 @@ def matrix_to_json(M: Matrix) -> dict:
         "rows": M.rows,
         "cols": M.cols,
         "backend": repr(M.backend),
-        "entries": [_entry_to_json(x, M.backend) for x in M.entries],
+        "entries": [_entry_to_json(x, M.backend)
+                    for row in M.row_list() for x in row],
     }
 
 

@@ -78,6 +78,34 @@ def test_check_zero_rep_relations_pass_stability_fail(tmp_path, capsys):
     assert report["results"]["semistable"] == "fail"
 
 
+def test_check_monad_computes_each_residual_once(tmp_path, capsys,
+                                                monkeypatch):
+    from xnadhm import cli
+    from xnadhm.monad import (build_jm, compose_residual, framing_residual,
+                              max_residual)
+    from xnadhm.sampling import random_costable_triple
+    from xnadhm.serialize import monad_to_json
+
+    mc = build_jm(random_costable_triple(rng_from_seed(5), 2), 2, 1)
+    path = tmp_path / "mc.json"
+    path.write_text(dumps(monad_to_json(mc)))
+    expected = max(max_residual(compose_residual(mc)),
+                   max_residual(framing_residual(mc)))
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return compose_residual(m)
+
+    monkeypatch.setattr(cli, "compose_residual", counted)
+    code, out = run_cli(["check", str(path), "--which", "monad"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(out)
+    assert report["results"] == {"compose": "pass", "framing": "pass"}
+    assert report["max_residual"] == expected
+
+
 def test_check_parse_failure(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{broken")

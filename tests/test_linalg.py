@@ -289,6 +289,106 @@ def test_matrix_shape_guards():
         Matrix.identity(2) @ Matrix.identity(3)
 
 
+# ---------------------------------------------------------------------------
+# complex storage: one read-only ndarray per matrix
+# ---------------------------------------------------------------------------
+
+def test_complex_to_numpy_is_read_only():
+    M = Matrix.from_rows([[1, 2], [3, 4]])
+    arr = M.to_numpy()
+    with pytest.raises(ValueError):
+        arr[0, 0] = 5
+    for derived in (M + M, -M, M.scale(2), M @ M, M.transpose(), M.column(1),
+                    M.submatrix(range(1), [1]), inverse(M), nullspace(M)):
+        with pytest.raises(ValueError):
+            derived.to_numpy()[...] = 0
+    assert M.at(0, 0) == 1
+
+
+def test_from_numpy_copies_its_input():
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    M = Matrix.from_numpy(arr)
+    arr[0, 0] = 99
+    assert M.at(0, 0) == 1
+    assert M == Matrix.from_rows([[1, 2], [3, 4]])
+
+
+def test_complex_equality_and_hash_across_constructors():
+    from_list = Matrix.from_rows([[0.5, 2], [-1.5, 1j]])
+    from_fractions = Matrix.from_rows(
+        [[Fraction(1, 2), Fraction(2)], [Fraction(-3, 2), 1j]])
+    from_array = Matrix.from_numpy(np.array([[0.5, 2], [-1.5, 1j]]))
+    assert from_list == from_fractions == from_array
+    assert hash(from_list) == hash(from_fractions) == hash(from_array)
+    assert from_list.at(1, 1) == 1j and type(from_list.at(1, 1)) is complex
+    assert from_list.row_list() == [[0.5, 2], [-1.5, 1j]]
+    assert from_list != from_list.scale(2)
+    assert from_list.cast(COMPLEX) is from_list
+    assert (Matrix.from_rows([[Fraction(1, 2)]], RATIONAL).cast(COMPLEX)
+            == Matrix.from_rows([[0.5]]))
+
+
+def test_complex_ops_match_entrywise_reference():
+    from xnadhm.linalg import hstack, vstack
+
+    rng = np.random.default_rng(7)
+    a = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))).tolist()
+    b = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))).tolist()
+    A, B = Matrix.from_rows(a), Matrix.from_rows(b)
+    pairs = lambda f: [[f(x, y) for x, y in zip(r, t)] for r, t in zip(a, b)]
+    assert (A + B).row_list() == pairs(lambda x, y: x + y)
+    assert (A - B).row_list() == pairs(lambda x, y: x - y)
+    assert (-A).row_list() == [[-x for x in r] for r in a]
+    assert A.transpose().row_list() == [list(col) for col in zip(*a)]
+    assert hstack(A, B).row_list() == [r + t for r, t in zip(a, b)]
+    assert vstack(A, B).row_list() == a + b
+    assert A.column(2).row_list() == [[r[2]] for r in a]
+    assert A.submatrix([2, 0], range(1, 3)).row_list() == [a[2][1:3], a[0][1:3]]
+    # numpy's complex modulus and product may round differently from
+    # Python's, so these two agree to a few units in the last place
+    eps = np.finfo(float).eps
+    assert A.maxnorm() == pytest.approx(max(abs(x) for r in a for x in r),
+                                        rel=4 * eps)
+    s = 0.3 - 1.7j
+    for got, want in zip(A.scale(s).row_list(), [[s * x for x in r] for r in a]):
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4 * eps * abs(w)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_empty_shapes(backend, k):
+    from xnadhm.linalg import hstack, scale_of, vstack
+
+    wide = Matrix.zeros(0, k, backend)      # 0 x k
+    tall = Matrix.zeros(k, 0, backend)      # k x 0
+    assert (hstack(wide, wide).rows, hstack(wide, wide).cols) == (0, 2 * k)
+    assert (vstack(tall, tall).rows, vstack(tall, tall).cols) == (2 * k, 0)
+    assert (vstack(wide, wide).rows, vstack(wide, wide).cols) == (0, k)
+    assert (hstack(tall, tall).rows, hstack(tall, tall).cols) == (k, 0)
+    outer = tall @ wide                     # k x 0 @ 0 x k
+    assert (outer.rows, outer.cols) == (k, k) and outer.is_zero()
+    inner = wide @ tall                     # 0 x k @ k x 0
+    assert (inner.rows, inner.cols) == (0, 0) and inner.is_zero()
+    assert wide.is_zero() and tall.is_zero()
+    assert scale_of(wide, tall) == 1.0
+    if backend.kind != "gf":             # the prime field has no norm
+        assert wide.maxnorm() == tall.maxnorm() == 0.0
+        three = Matrix.identity(2, backend).scale(3)
+        assert scale_of(wide, three, tall) == 3.0
+
+
+def test_matrix_to_json_complex_literal():
+    from xnadhm.serialize import dumps, matrix_to_json
+
+    M = Matrix.from_rows([[1, 0.5j], [-2.25 + 1j, 0]]).transpose()
+    expected = {"rows": 2, "cols": 2, "backend": "complex",
+                "entries": [[1.0, 0.0], [-2.25, 1.0],
+                            [0.0, 0.5], [0.0, 0.0]]}
+    assert matrix_to_json(M) == expected
+    assert dumps(matrix_to_json(M)) == dumps(expected)
+
+
 def test_angle_constants_snapping():
     assert angle_constants(3, 0) == (1.0, 0.0)
     assert angle_constants(3, 2) == (0.0, 1.0)
