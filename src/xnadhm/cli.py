@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import campaigns, sampling, serialize
+from . import campaigns, linalg, sampling, serialize
 from .errors import XnAdhmError
 from .linalg import backend_from_name
 from .monad import compose_residual, framing_residual, max_residual
@@ -151,7 +151,7 @@ def cmd_check(args) -> int:
 
             def within(residuals):
                 worst = max_residual(residuals)
-                return worst <= (tol or 1e-9), worst
+                return worst <= linalg._tol(tol), worst
 
             checks = [("compose", lambda: within(compose_residual(mc))),
                       ("framing", lambda: within(framing_residual(mc)))]

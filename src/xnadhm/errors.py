@@ -41,10 +41,6 @@ class NotInChart(XnAdhmError):
     pass
 
 
-class NoChart(XnAdhmError):
-    pass
-
-
 class SingularA2m(XnAdhmError):
     pass
 
@@ -59,6 +55,10 @@ class NotInOverlap(XnAdhmError):
 
 class InvalidInput(XnAdhmError):
     pass
+
+
+class NoChart(InvalidInput):
+    """No chart matrix A2m is invertible: the pencil is singular."""
 
 
 class NonSimpleSpectrum(XnAdhmError):

@@ -12,6 +12,14 @@ A complex matrix stores its entries as one read-only ``(rows, cols)``
 complex ndarray, so its arithmetic is a single numpy operation; the exact
 backends store a row-major tuple of Python scalars and eliminate by hand.
 
+A backend is ``kind``, ``exact``, ``zero``, ``one`` and three maps:
+``coerce`` validates a value from outside and brings it into the field,
+``reduce`` brings the result of Python arithmetic back to its canonical form
+(the identity on complex and rational values, ``x % p`` on GF(p)) and ``inv``
+inverts a nonzero element.  Scalar arithmetic is written with Python's own
+operators; a value is tested for zero with ``x != 0`` only once it is
+coerced or reduced.
+
 Exact backends never take a tolerance: equality is literal.  On top of the
 basic rank/nullspace/determinant kit this module computes homogeneous
 determinant polynomials of matrix pencils and their projective roots.
@@ -26,6 +34,7 @@ import numpy as np
 
 from .errors import (
     BackendMismatch,
+    InvalidInput,
     ShapeMismatch,
     SingularMatrix,
     UnsupportedBackend,
@@ -52,52 +61,43 @@ def _tol(tol):
 # scalar backends
 # ---------------------------------------------------------------------------
 
-class ComplexField:
-    kind = "complex"
-    exact = False
+class _NativeField:
+    """Backend whose Python numbers are already canonical, so ``reduce`` is
+    the identity and the inverse is a plain division."""
 
-    def coerce(self, x):
-        return complex(x)       # a Fraction converts through its __float__
-
-    zero = 0j
-    one = 1 + 0j
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, x):
+        return x
 
     def inv(self, a):
         if a == 0:
             raise SingularMatrix("division by zero")
         return 1 / a
 
-    def div(self, a, b):
-        return a * self.inv(b)
-
-    def is_zero(self, a):
-        return a == 0
-
     def __repr__(self):
-        return "complex"
+        return self.kind
 
     def __eq__(self, other):
-        return isinstance(other, ComplexField)
+        return type(other) is type(self)
 
     def __hash__(self):
-        return hash("complex")
+        return hash(self.kind)
 
 
-class RationalField:
+class ComplexField(_NativeField):
+    kind = "complex"
+    exact = False
+    zero = 0j
+    one = 1 + 0j
+
+    def coerce(self, x):
+        return complex(x)       # a Fraction converts through its __float__
+
+
+class RationalField(_NativeField):
     kind = "rational"
     exact = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -107,41 +107,6 @@ class RationalField:
         if isinstance(x, float) and x == int(x):
             return Fraction(int(x))
         raise UnsupportedBackend(f"cannot coerce {x!r} into the rational backend")
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise SingularMatrix("division by zero")
-        return 1 / a
-
-    def div(self, a, b):
-        return a * self.inv(b)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def __repr__(self):
-        return "rational"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
 
 
 def _is_prime(p):
@@ -172,28 +137,13 @@ class PrimeField:
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def reduce(self, x):
+        return x % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise SingularMatrix("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def __repr__(self):
         return f"gf({self.p})"
@@ -353,9 +303,8 @@ class Matrix:
             raise ShapeMismatch("addition shape mismatch")
         if not self.backend.exact:
             return _wrap(self.entries + other.entries)
-        add = self.backend.add
         return Matrix(self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)],
+                      [a + b for a, b in zip(self.entries, other.entries)],
                       self.backend)
 
     def __sub__(self, other):
@@ -364,24 +313,21 @@ class Matrix:
             raise ShapeMismatch("subtraction shape mismatch")
         if not self.backend.exact:
             return _wrap(self.entries - other.entries)
-        sub = self.backend.sub
         return Matrix(self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)],
+                      [a - b for a, b in zip(self.entries, other.entries)],
                       self.backend)
 
     def __neg__(self):
         if not self.backend.exact:
             return _wrap(-self.entries)
-        neg = self.backend.neg
-        return Matrix(self.rows, self.cols, [neg(a) for a in self.entries],
+        return Matrix(self.rows, self.cols, [-a for a in self.entries],
                       self.backend)
 
     def scale(self, s):
         s = self.backend.coerce(s)
         if not self.backend.exact:
             return _wrap(s * self.entries)
-        mul = self.backend.mul
-        return Matrix(self.rows, self.cols, [mul(s, a) for a in self.entries],
+        return Matrix(self.rows, self.cols, [s * a for a in self.entries],
                       self.backend)
 
     def __matmul__(self, other):
@@ -397,11 +343,10 @@ class Matrix:
         for i in range(n):
             for t in range(k):
                 a = self.entries[i * k + t]
-                if bk.is_zero(a):
+                if a == 0:
                     continue
                 for j in range(m):
-                    out[i * m + j] = bk.add(out[i * m + j],
-                                            bk.mul(a, other.entries[t * m + j]))
+                    out[i * m + j] += a * other.entries[t * m + j]
         return Matrix(n, m, out, bk)
 
     def transpose(self):
@@ -413,6 +358,8 @@ class Matrix:
     def power(self, k):
         if self.rows != self.cols:
             raise ShapeMismatch("power of a non-square matrix")
+        if k < 0:
+            raise InvalidInput(f"negative matrix power {k}")
         out = Matrix.identity(self.rows, self.backend)
         for _ in range(k):
             out = out @ self
@@ -427,7 +374,7 @@ class Matrix:
             return self.entries
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field matrices have no float image")
-        data = [complex(float(x)) for x in self.entries]
+        data = [complex(x) for x in self.entries]
         return np.array(data, dtype=complex).reshape(self.rows, self.cols)
 
     def maxnorm(self):
@@ -441,7 +388,7 @@ class Matrix:
 
     def is_zero(self, tol=None):
         if self.backend.exact:
-            return all(self.backend.is_zero(x) for x in self.entries)
+            return not any(self.entries)
         return self.maxnorm() <= _tol(tol)
 
     def cast(self, backend):
@@ -541,6 +488,7 @@ def _rref(M: Matrix):
     Returns (rows, pivot_columns) where ``rows`` is a list of row lists.
     """
     bk = M.backend
+    red = bk.reduce
     rows = M.row_list()
     nr, nc = M.rows, M.cols
     pivots = []
@@ -548,19 +496,18 @@ def _rref(M: Matrix):
     for c in range(nc):
         pivot = None
         for i in range(r, nr):
-            if not bk.is_zero(rows[i][c]):
+            if rows[i][c] != 0:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = bk.inv(rows[r][c])
-        rows[r] = [bk.mul(inv, x) for x in rows[r]]
+        rows[r] = [red(inv * x) for x in rows[r]]
         for i in range(nr):
-            if i != r and not bk.is_zero(rows[i][c]):
+            if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [bk.sub(x, bk.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+                rows[i] = [red(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -599,7 +546,7 @@ def nullspace(M: Matrix, tol=None) -> Matrix:
             v = [bk.zero] * M.cols
             v[fc] = bk.one
             for r, pc in enumerate(pivots):
-                v[pc] = bk.neg(rows[r][fc])
+                v[pc] = -rows[r][fc]
             cols.append(v)
         if not cols:
             return Matrix.zeros(M.cols, 0, bk)
@@ -620,27 +567,27 @@ def det(M: Matrix):
         return bk.one
     if not bk.exact:
         return complex(np.linalg.det(M.to_numpy()))
+    red = bk.reduce
     rows = M.row_list()
     n = M.rows
     d = bk.one
     for c in range(n):
         pivot = None
         for i in range(c, n):
-            if not bk.is_zero(rows[i][c]):
+            if rows[i][c] != 0:
                 pivot = i
                 break
         if pivot is None:
             return bk.zero
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
-            d = bk.neg(d)
-        d = bk.mul(d, rows[c][c])
+            d = -d
+        d = red(d * rows[c][c])
         inv = bk.inv(rows[c][c])
         for i in range(c + 1, n):
-            if not bk.is_zero(rows[i][c]):
-                f = bk.mul(inv, rows[i][c])
-                rows[i] = [bk.sub(x, bk.mul(f, y))
-                           for x, y in zip(rows[i], rows[c])]
+            if rows[i][c] != 0:
+                f = inv * rows[i][c]
+                rows[i] = [red(x - f * y) for x, y in zip(rows[i], rows[c])]
     return d
 
 
@@ -671,7 +618,7 @@ def is_invertible(M: Matrix, tol=None) -> bool:
     if M.rows == 0:
         return True
     if M.backend.exact:
-        return not M.backend.is_zero(det(M))
+        return det(M) != 0
     s = np.linalg.svd(M.to_numpy(), compute_uv=False)
     return bool(s[-1] > _tol(tol) * max(1.0, M.maxnorm()))
 
@@ -684,7 +631,7 @@ def is_invertible_rel(M: Matrix, tol=None) -> bool:
     if M.rows == 0:
         return True
     if M.backend.exact:
-        return not M.backend.is_zero(det(M))
+        return det(M) != 0
     s = np.linalg.svd(M.to_numpy(), compute_uv=False)
     return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])
 
@@ -742,25 +689,17 @@ class HomogPoly:
         bk = self.backend
         nu1 = bk.coerce(nu1)
         nu2 = bk.coerce(nu2)
-        acc = bk.zero
-        p1 = [bk.one]
-        p2 = [bk.one]
-        for _ in range(self.degree):
-            p1.append(bk.mul(p1[-1], nu1))
-            p2.append(bk.mul(p2[-1], nu2))
-        for q, a in enumerate(self.coeffs):
-            acc = bk.add(acc, bk.mul(a, bk.mul(p2[q], p1[self.degree - q])))
-        return acc
+        return bk.reduce(sum(a * (nu2 ** q * nu1 ** (self.degree - q))
+                             for q, a in enumerate(self.coeffs)))
 
     def max_coeff(self):
         if self.backend.kind == "gf":
             raise UnsupportedBackend("no norm over a prime field")
-        return max((abs(complex(x) if not isinstance(x, Fraction) else float(x))
-                    for x in self.coeffs), default=0.0)
+        return max((abs(complex(x)) for x in self.coeffs), default=0.0)
 
     def is_zero(self, tol=None, scale=1.0):
         if self.backend.exact:
-            return all(self.backend.is_zero(x) for x in self.coeffs)
+            return not any(self.coeffs)
         return self.max_coeff() <= _tol(tol) * max(1.0, scale)
 
     def __eq__(self, other):
@@ -816,19 +755,8 @@ def pencil_det_poly(A1: Matrix, A2: Matrix, tol=None) -> HomogPoly:
                  for m in range(c + 1)]
 
     vals = [det(A1.scale(n1) + A2.scale(n2)) for (n1, n2) in nodes]
-    vrows = []
-    for (n1, n2) in nodes:
-        row = []
-        for q in range(c + 1):
-            p2 = bk.one
-            for _ in range(q):
-                p2 = bk.mul(p2, n2)
-            p1 = bk.one
-            for _ in range(c - q):
-                p1 = bk.mul(p1, n1)
-            row.append(bk.mul(p2, p1))
-        vrows.append(row)
-    V = Matrix.from_rows(vrows, bk)
+    V = Matrix.from_rows([[n2 ** q * n1 ** (c - q) for q in range(c + 1)]
+                          for (n1, n2) in nodes], bk)
     rhs = Matrix.col_vector(vals, bk)
     coeffs = solve(V, rhs)
     return HomogPoly(c, [coeffs.at(q, 0) for q in range(c + 1)], bk)
@@ -858,8 +786,7 @@ def projective_roots(p: HomogPoly, tol=None, cluster_tol=CLUSTER_TOL):
     """
     if p.backend.kind == "gf":
         raise UnsupportedBackend("no root finding over a prime field")
-    coeffs = [complex(x) if not isinstance(x, Fraction) else complex(float(x))
-              for x in p.coeffs]
+    coeffs = [complex(x) for x in p.coeffs]
     mx = max((abs(x) for x in coeffs), default=0.0)
     thr = _tol(tol) * max(1.0, mx)
     sig = [q for q, a in enumerate(coeffs) if abs(a) > thr]

@@ -69,14 +69,12 @@ def _pick_chain(basis: Matrix):
     for j in range(basis.cols):
         col = [basis.at(i, j) for i in range(basis.rows)]
         if bk.exact:
-            lead = next((x for x in col if not bk.is_zero(x)), None)
+            lead = next((x for x in col if x != 0), None)
             if lead is None:
                 continue
-            col = [bk.div(x, lead) for x in col]
-            key = tuple((float(x.numerator) / float(x.denominator)
-                         if hasattr(x, "numerator") else float(x), 0.0)
-                        for x in col) if bk.kind == "rational" else tuple(
-                            (float(x), 0.0) for x in col)
+            inv = bk.inv(lead)
+            col = [bk.reduce(x * inv) for x in col]
+            key = tuple((float(x), 0.0) for x in col)
         else:
             pivot = max(col, key=abs)
             if abs(pivot) == 0:
@@ -145,7 +143,7 @@ def _regularity_witness(A1, A2, poly, tol):
         candidates = [(bk.one, bk.coerce(t)) for t in range(bk.p)]
         candidates.append((bk.zero, bk.one))
     for n1, n2 in candidates:
-        if not bk.is_zero(poly.evaluate(n1, n2)):
+        if poly.evaluate(n1, n2) != 0:
             return (n1, n2)
     return None
 

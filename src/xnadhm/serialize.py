@@ -31,8 +31,13 @@ def _entry_from_json(v, backend):
     if backend.kind == "complex":
         return complex(v[0], v[1])
     if backend.kind == "rational":
+        if isinstance(v, float):
+            raise InvalidInput(f"rational entry {v!r} is a float; "
+                               "write it as a \"p/q\" string")
         return Fraction(v)
-    return int(v)
+    if type(v) is not int:          # also rejects bool, an int subclass
+        raise InvalidInput(f"{backend} entry {v!r} is not an integer")
+    return v
 
 
 def matrix_to_json(M: Matrix) -> dict:

@@ -155,32 +155,18 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> SigmaMatrix:
     if h < 0:
         raise IndexOutOfRange("h must be >= 0")
     backend, cm, sm = _backend_angles(backend, c_count, m)
-    mul, add = backend.mul, backend.add
     rows = []
     for p in range(h + 1):
-        a = [backend.zero] * (p + 1)          # (s u1 + c u2)^p over u2-powers
-        for j in range(p + 1):
-            a[j] = backend.coerce(math.comb(p, j))
-            a[j] = mul(a[j], _pow(backend, cm, j))
-            a[j] = mul(a[j], _pow(backend, sm, p - j))
-        b = [backend.zero] * (h - p + 1)      # (c u1 - s u2)^(h-p)
-        for i in range(h - p + 1):
-            b[i] = backend.coerce(math.comb(h - p, i))
-            b[i] = mul(b[i], _pow(backend, backend.neg(sm), i))
-            b[i] = mul(b[i], _pow(backend, cm, h - p - i))
+        # (s u1 + c u2)^p and (c u1 - s u2)^(h-p) over u2-powers
+        a = [math.comb(p, j) * cm ** j * sm ** (p - j) for j in range(p + 1)]
+        b = [math.comb(h - p, i) * (-sm) ** i * cm ** (h - p - i)
+             for i in range(h - p + 1)]
         row = [backend.zero] * (h + 1)
         for j in range(p + 1):
             for i in range(h - p + 1):
-                row[i + j] = add(row[i + j], mul(a[j], b[i]))
+                row[i + j] += a[j] * b[i]
         rows.append(row)
     return SigmaMatrix(h, m, Matrix.from_rows(rows, backend))
-
-
-def _pow(backend, x, k):
-    out = backend.one
-    for _ in range(k):
-        out = backend.mul(out, x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +186,7 @@ def chart_matrices(d: XnADHM, m: int):
     A2m = dd.A1.scale(sm) + dd.A2.scale(cm)
     Dm = Matrix.zeros(d.c, d.c, bk)
     for q in range(1, d.n + 1):
-        coef = bk.mul(bk.coerce(math.comb(d.n - 1, q - 1)),
-                      bk.mul(_pow(bk, cm, d.n - q), _pow(bk, sm, q - 1)))
+        coef = math.comb(d.n - 1, q - 1) * (cm ** (d.n - q) * sm ** (q - 1))
         Dm = Dm + dd.C[q - 1].scale(coef)
     Em = Dm @ A2m
     return A1m, A2m, Em, Dm
@@ -278,26 +263,9 @@ def check_P3_direct(d: XnADHM, tol=None) -> bool:
 
 
 def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
-    """Equivalent co-stability test through any chart with invertible A2m."""
-    m = _any_valid_chart(d, tol)
-    cd = zeta(d, m, tol)
+    """Equivalent co-stability test through the covering chart."""
+    cd = zeta(d, cover_chart(d, tol), tol)
     return check_T2(cd.plane(), tol)
-
-
-def _any_valid_chart(d: XnADHM, tol=None) -> int:
-    best, best_val = None, 0.0
-    for m in range(d.c + 1):
-        _, A2m, _, _ = chart_matrices(d, m)
-        if A2m.backend.exact:
-            if not A2m.backend.is_zero(linalg.det(A2m)):
-                return m
-        else:
-            v = abs(linalg.det(A2m))
-            if is_invertible(A2m, tol) and v > best_val:
-                best, best_val = m, v
-    if best is None:
-        raise NoChart("every chart matrix A2m is singular; the pencil is singular")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -407,32 +375,24 @@ def gl2_action_chart(phi1: Matrix, phi2: Matrix, cd: ChartData, tol=None) -> Cha
 # ---------------------------------------------------------------------------
 
 def cover_chart(d: XnADHM, tol=None) -> int:
-    """Smallest chart index maximizing |det A2m|.
+    """Smallest chart index maximizing |det A2m|; over an exact backend, the
+    first invertible chart.  Raises ``NoChart`` on a singular pencil.
 
     Some chart is always invertible for a regular pencil: the determinant
     form has at most c projective roots and there are c+1 chart ratios.
     """
-    charts = []
-    for m in range(d.c + 1):
-        _, A2m, _, _ = chart_matrices(d, m)
-        charts.append(A2m)
+    charts = [chart_matrices(d, m)[1] for m in range(d.c + 1)]
     if d.backend.exact:
         # charts whose constants stay in the field are judged exactly; the
         # promoted ones fall back to the float tolerance
-        for m, A2m in enumerate(charts):
-            if A2m.backend.exact:
-                if not A2m.backend.is_zero(linalg.det(A2m)):
-                    return m
-            elif is_invertible(A2m, tol):
-                return m
-        raise InvalidInput("singular pencil: no invertible chart")
-    best, best_val = None, -1.0
-    for m, A2m in enumerate(charts):
-        v = abs(linalg.det(A2m))
-        if v > best_val:
-            best, best_val = m, v
-    if not is_invertible(charts[best], tol):
-        raise InvalidInput("singular pencil: no invertible chart")
+        best = next((m for m, A2m in enumerate(charts)
+                     if is_invertible(A2m, tol)), None)
+    else:
+        best = max(range(d.c + 1), key=lambda m: abs(linalg.det(charts[m])))
+        if not is_invertible(charts[best], tol):
+            best = None
+    if best is None:
+        raise NoChart("singular pencil: no invertible chart")
     return best
 
 

@@ -106,6 +106,31 @@ def test_check_monad_computes_each_residual_once(tmp_path, capsys,
     assert report["max_residual"] == expected
 
 
+def test_check_monad_honours_zero_tol(tmp_path, capsys, monkeypatch):
+    from xnadhm.monad import MonadCoeffs, build_jm
+    from xnadhm.sampling import random_costable_triple
+    from xnadhm.serialize import monad_to_json
+
+    mc = build_jm(random_costable_triple(rng_from_seed(5), 2), 2, 1)
+    a = mc.alpha1[0].to_numpy().copy()
+    a[0, 0] += 1e-12
+    shifted = MonadCoeffs(mc.n, mc.c, mc.m,
+                          (Matrix.from_numpy(a),) + mc.alpha1[1:], mc.alpha2,
+                          mc.beta1, mc.beta2, mc.xi)
+    path = tmp_path / "mc.json"
+    path.write_text(dumps(monad_to_json(shifted)))
+    args = ["check", str(path), "--which", "monad"]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert 0 < json.loads(out)["max_residual"] <= 1e-9
+    code, out = run_cli(args + ["--tol", "0"], capsys)
+    assert code == 1
+    assert json.loads(out)["results"]["compose"] == "fail"
+    monkeypatch.setenv("ADHM_TOL", "0")
+    code, _ = run_cli(args, capsys)
+    assert code == 1
+
+
 def test_check_parse_failure(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{broken")

@@ -395,3 +395,101 @@ def test_angle_constants_snapping():
     assert angle_constants(1, 1) == (0.0, 1.0)
     cm, sm = angle_constants(3, 1)
     assert cm == pytest.approx(math.cos(math.pi / 4))
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic against independent references
+# ---------------------------------------------------------------------------
+
+EXACT_BACKENDS = [RATIONAL] + [GF(p) for p in (2, 3, 5, 7)]
+
+
+def _random_int_matrices(seed, count=12):
+    """Seeded square integer matrices of size 1..4, entries in -4..4."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 5):
+        for _ in range(count):
+            yield n, rng.integers(-4, 5, size=(n, n)).tolist()
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]]
+                                               for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("backend", EXACT_BACKENDS, ids=repr)
+def test_exact_det_matches_leibniz(backend):
+    for _, rows in _random_int_matrices(11):
+        assert det(Matrix.from_rows(rows, backend)) == backend.coerce(
+            _leibniz(rows))
+
+
+@pytest.mark.parametrize("backend", EXACT_BACKENDS, ids=repr)
+def test_exact_inverse_is_two_sided(backend):
+    from xnadhm.errors import SingularMatrix
+
+    inverted = 0
+    for n, rows in _random_int_matrices(12):
+        M = Matrix.from_rows(rows, backend)
+        if det(M) == 0:
+            with pytest.raises(SingularMatrix):
+                inverse(M)
+            continue
+        inverted += 1
+        ident = Matrix.identity(n, backend)
+        assert inverse(M) @ M == ident and M @ inverse(M) == ident
+    assert inverted > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_results_stay_reduced(p):
+    gf = GF(p)
+
+    def reduced(M):
+        return all(type(x) is int and 0 <= x < p for x in M.entries)
+
+    mats = [(n, Matrix.from_rows(rows, gf))
+            for n, rows in _random_int_matrices(13, count=6)]
+    for (n, A), (_, B) in zip(mats, mats[1:]):
+        if A.rows != B.rows:
+            continue
+        results = [A + B, A - B, -A, A.scale(-7), A @ B, A.power(3),
+                   nullspace(A)]
+        if det(A) != 0:
+            results.append(inverse(A))
+        assert all(reduced(R) for R in results)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+@pytest.mark.parametrize("c", [2, 3, 5])
+def test_sigma_group_law_exact(backend, c):
+    from xnadhm.xn import sigma
+
+    # the charts whose constants are integers: multiples of c+1, and the
+    # right angle (c+1)/2 when c is odd
+    step = (c + 1) // 2 if c % 2 else c + 1
+    charts = [0, step, 2 * step]
+    for h in range(4):
+        for m in charts:
+            for l in charts:
+                S = sigma(h, m, c, backend).entries
+                assert S.backend == backend
+                assert (S @ sigma(h, l, c, backend).entries
+                        == sigma(h, m + l, c, backend).entries)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_power(backend):
+    from xnadhm.errors import InvalidInput
+
+    M = Matrix.from_rows([[1, 2], [3, 4]], backend)
+    assert M.power(0) == Matrix.identity(2, backend)
+    assert M.power(3) == M @ M @ M
+    with pytest.raises(InvalidInput):
+        M.power(-1)

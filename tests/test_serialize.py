@@ -54,6 +54,29 @@ def test_matrix_malformed():
         matrix_from_json({"rows": 1, "cols": 1})
 
 
+@pytest.mark.parametrize("entry", [2.5, 2.0, True, "2", None])
+def test_matrix_prime_field_rejects_non_integers(entry):
+    with pytest.raises(InvalidInput):
+        matrix_from_json({"rows": 1, "cols": 2, "backend": "gf(5)",
+                          "entries": [1, entry]})
+
+
+@pytest.mark.parametrize("entry", [0.1, 2.0])
+def test_matrix_rational_rejects_floats(entry):
+    with pytest.raises(InvalidInput):
+        matrix_from_json({"rows": 1, "cols": 1, "backend": "rational",
+                          "entries": [entry]})
+
+
+def test_matrix_exact_integer_entries_accepted():
+    M = matrix_from_json({"rows": 1, "cols": 3, "backend": "gf(5)",
+                          "entries": [7, -1, 0]})
+    assert M == Matrix.from_rows([[2, 4, 0]], GF(5))
+    R = matrix_from_json({"rows": 1, "cols": 2, "backend": "rational",
+                          "entries": [3, "-1/2"]})
+    assert R == Matrix.from_rows([[3, "-1/2"]], RATIONAL)
+
+
 def test_roundtrip_composites():
     rng = rng_from_seed(0)
     plane = random_costable_triple(rng, 2)
