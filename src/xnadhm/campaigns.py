@@ -16,12 +16,13 @@ import numpy as np
 
 from . import sampling
 from .errors import NotInOverlap
-from .linalg import GF, Matrix, residual, scale_of
+from .linalg import GF, RATIONAL, Matrix, residual, scale_of
 from .monad import build_jm, gauge_normalize, reexpand_chart
 from .quiver import (
     Verdict,
     brute_force_semistable,
     check_semistable_spectral,
+    embed_xn_as_rep,
     moment_residual_n2,
     relation_defects,
     u_m_residual,
@@ -32,12 +33,16 @@ from .xn import (
     check_P3_direct,
     check_P3_via_chart,
     chart_matrices,
+    from_xn_points,
     gl2_action_chart,
     transition_omega,
     transition_phi,
 )
 
 SUITES = ("cocycle", "lmp3", "moment", "um", "bruteforce", "monad-transition")
+
+#: the prime of the generated ``bruteforce`` samples (and of the fixtures)
+BRUTEFORCE_P = 5
 
 
 def _sample_seeds(seed, samples):
@@ -245,6 +250,9 @@ def load_bruteforce_fixtures():
 
 
 def _bruteforce(samples, seed, tol, jobs):
+    """The frozen fixtures, then ``samples`` seeded integer point
+    configurations at c = 2..4, n = 1..3: even-numbered samples keep the
+    unit frame (semistable), odd-numbered ones zero it (unstable)."""
     fixtures = load_bruteforce_fixtures()
     tallies = {"fixture_agreement": _tally()}
     candidates = []
@@ -263,6 +271,27 @@ def _bruteforce(samples, seed, tol, jobs):
     if candidates:
         tallies["counterexample_candidates"] = {
             "pass": 0, "fail": 0, "names": candidates}
+
+    def one(args):
+        framed, ss = args
+        rng = np.random.default_rng(ss)
+        c = int(rng.integers(2, 5))
+        n = int(rng.integers(1, 4))
+        pts = sampling.integer_points(rng, c, BRUTEFORCE_P)
+        d = from_xn_points(n, 0, pts, RATIONAL)
+        if not framed:
+            d = XnADHM(d.n, d.c, d.A1, d.A2, d.C,
+                       Matrix.zeros(1, c, RATIONAL))
+        r = embed_xn_as_rep(d)
+        enumerated = brute_force_semistable(r.cast(GF(BRUTEFORCE_P)))
+        spectral = check_semistable_spectral(r, tol).to_bool()
+        return enumerated == spectral == framed
+
+    args = [(i % 2 == 0, ss)
+            for i, ss in enumerate(_sample_seeds(seed, samples))]
+    tallies["generated_agreement"] = _tally()
+    for ok in _run_samples(one, args, jobs):
+        _mark(tallies["generated_agreement"], ok)
     return tallies, 0.0
 
 

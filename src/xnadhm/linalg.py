@@ -100,6 +100,8 @@ class RationalField(_NativeField):
     one = Fraction(1)
 
     def coerce(self, x):
+        if type(x) is Fraction:     # exact type first: skips the ABC check
+            return x
         if isinstance(x, Fraction):
             return x
         if isinstance(x, (int, str)):
@@ -130,6 +132,8 @@ class PrimeField:
         self.one = 1 % p
 
     def coerce(self, x):
+        if type(x) is int:          # exact type first: skips the ABC check
+            return x % self.p
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:

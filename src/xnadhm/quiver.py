@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
     UnsupportedBackend,
 )
-from .linalg import Matrix, hstack, rank
+from .linalg import Matrix, hstack, nullspace, rank, vstack
 from .xn import XnADHM, chart_matrices, check_P1, check_P2, check_P3_direct
 
 
@@ -265,52 +265,69 @@ def subspace_bases(d: int, p: int):
                 yield Matrix.from_rows(rows, gf).transpose()
 
 
-def _contains(S: Matrix, vec: Matrix) -> bool:
-    if vec.is_zero():
-        return True
-    if S.cols == 0:
-        return False
-    return rank(hstack(S, vec)) == rank(S)
+def _contains(S: Matrix, M: Matrix) -> bool:
+    """Whether every column of M lies in the span of the basis S (the
+    columns of S must be independent)."""
+    return rank(hstack(S, M)) == S.cols
 
 
 def _maps_into(A: Matrix, S0: Matrix, S1: Matrix) -> bool:
-    for j in range(S0.cols):
-        if not _contains(S1, A @ S0.column(j)):
-            return False
-    return True
+    return _contains(S1, A @ S0)
+
+
+def _span(M: Matrix) -> Matrix:
+    """Column basis of the column span of M (rows of an echelon form)."""
+    rows, pivots = linalg._rref(M.transpose())
+    k = len(pivots)
+    return Matrix(M.rows, k, [rows[j][i] for i in range(M.rows)
+                              for j in range(k)], M.backend)
+
+
+def _preimage(Cs, S0: Matrix) -> Matrix:
+    """Column basis of the largest S1 with C S1 inside S0 for every C."""
+    ann = nullspace(S0.transpose()).transpose()
+    return nullspace(vstack(*(ann @ C for C in Cs)))
 
 
 def brute_force_semistable(r: FramedRep, theta=None, budget=200_000) -> bool:
-    """Definitional semistability by exhausting invariant subspace pairs.
+    """Definitional semistability by exhausting the subspaces S0 of V0.
 
-    Every pair (S0, S1) closed under all A and C arrows is tested against the
-    two slope conditions: S0 inside ker e forces theta.(dim S) <= 0, and S0
-    containing every Im f_i (every pair, when n = 1) forces
+    A pair (S0, S1) is closed when both A arrows map S0 into S1 and every C
+    arrow maps S1 into S0.  Each closed pair is tested against the two slope
+    conditions: S0 inside ker e forces theta.(dim S) <= 0, and S0 containing
+    every Im f_i (every pair, when n = 1) forces
     theta.(dim S) <= theta.(v0, v1).
+
+    Both conditions depend on S1 only through the slope, which is linear in
+    dim S1.  The closed pairs with a given S0 are the S1 between
+    S1min = A1 S0 + A2 S0 and S1max = the common preimage of S0 under the
+    C arrows, so only one end of that interval needs a test: S1min when
+    theta_1 <= 0 (as at the standard weight theta_c), S1max otherwise.  If
+    that candidate is not closed, no S1 closes with this S0.
+
+    ``budget`` bounds the number of subspaces S0 enumerated; more raises
+    ``TooLarge``.
     """
     if r.backend.kind != "gf":
         raise UnsupportedBackend("the exhaustive check runs over prime fields")
     p = r.backend.p
-    total = count_subspaces(r.v0, p) * count_subspaces(r.v1, p)
+    total = count_subspaces(r.v0, p)
     if total > budget:
-        raise TooLarge(f"{total} subspace pairs exceed the budget {budget}")
+        raise TooLarge(f"{total} subspaces of V0 exceed the budget {budget}")
     if theta is None:
         theta = StabilityParams.standard(r.v0).theta
     full = theta_slope(theta, (r.v0, r.v1))
-    subs1 = list(subspace_bases(r.v1, p))
     for S0 in subspace_bases(r.v0, p):
-        e_kills = (r.e @ S0).is_zero() if S0.cols else True
-        contains_f = all(
-            all(_contains(S0, f.column(j)) for j in range(f.cols))
-            for f in r.f)
-        for S1 in subs1:
-            if not (_maps_into(r.A1, S0, S1) and _maps_into(r.A2, S0, S1)):
-                continue
-            if not all(_maps_into(C, S1, S0) for C in r.C):
-                continue
-            slope = theta_slope(theta, (S0.cols, S1.cols))
-            if e_kills and slope > 0:
-                return False
-            if (contains_f or r.n == 1) and slope > full:
-                return False
+        if theta[1] <= 0:
+            S1 = _span(hstack(r.A1 @ S0, r.A2 @ S0))
+        else:
+            S1 = _preimage(r.C, S0)
+        if not (_maps_into(r.A1, S0, S1) and _maps_into(r.A2, S0, S1)
+                and all(_maps_into(C, S1, S0) for C in r.C)):
+            continue
+        slope = theta_slope(theta, (S0.cols, S1.cols))
+        if slope > 0 and (r.e @ S0).is_zero():
+            return False
+        if slope > full and all(_contains(S0, f) for f in r.f):
+            return False
     return True

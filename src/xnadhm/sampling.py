@@ -164,6 +164,22 @@ def random_points(rng, c, min_gap=0.2):
     return [(complex(z), complex(w)) for z, w in zip(zs, ws)]
 
 
+def integer_points(rng, c, p):
+    """c integer plane points in [-4, 4]^2 with pairwise distinct
+    z-coordinates, which stay pairwise distinct modulo the prime p.
+
+    Distinct z keeps the pencil's roots simple: on rational data the float
+    (P3) test can miss a double pencil root and call an e = 0 violator
+    semistable.
+    """
+    while True:
+        pts = [(int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+               for _ in range(c)]
+        if (len({z for z, _ in pts}) == c
+                and len({(z % p, w % p) for z, w in pts}) == c):
+            return pts
+
+
 def overlap_margin(b1: Matrix, c_count: int, m: int, l: int) -> float:
     """Smallest singular value of the chart-overlap pivot
     c_(m-l) - s_(m-l) b1; zero exactly on the divisor where charts m and l

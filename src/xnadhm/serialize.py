@@ -34,6 +34,8 @@ def _entry_from_json(v, backend):
         if isinstance(v, float):
             raise InvalidInput(f"rational entry {v!r} is a float; "
                                "write it as a \"p/q\" string")
+        if isinstance(v, bool):
+            raise InvalidInput(f"rational entry {v!r} is not a number")
         return Fraction(v)
     if type(v) is not int:          # also rejects bool, an int subclass
         raise InvalidInput(f"{backend} entry {v!r} is not an integer")

@@ -154,6 +154,32 @@ def test_campaign_jobs_parallel(capsys):
     assert json.loads(out)["ok"]
 
 
+def test_campaign_bruteforce_honours_samples_and_seed(capsys, monkeypatch):
+    from xnadhm import sampling
+
+    drawn = []
+    draw = sampling.integer_points
+    monkeypatch.setattr(sampling, "integer_points",
+                        lambda *a: drawn.append(draw(*a)) or drawn[-1])
+
+    def run(seed):
+        drawn.clear()
+        code, out = run_cli(["campaign", "--suite", "bruteforce",
+                             "--samples", "4", "--seed", str(seed)], capsys)
+        report = json.loads(out)
+        del report["elapsed_seconds"]
+        return code, report, list(drawn)
+
+    code, report, points = run(11)
+    assert code == 0
+    assert report["ok"] and report["seed"] == 11 and report["samples"] == 4
+    assert report["tallies"]["fixture_agreement"] == {"pass": 12, "fail": 0}
+    assert report["tallies"]["generated_agreement"] == {"pass": 4, "fail": 0}
+    assert len(points) == 4
+    assert run(11) == (code, report, points)
+    assert run(12)[2] != points
+
+
 def test_entry_point_usage_error():
     proc = subprocess.run([sys.executable, "-m", "xnadhm.cli", "gen",
                            "--kind", "bogus"], capture_output=True)

@@ -1,11 +1,15 @@
 """Framed representations: relations, semistability, the exhaustive oracle,
 framing residuals and the moment comparison."""
 
+from itertools import product
+
 import pytest
 
 from xnadhm.campaigns import load_bruteforce_fixtures
 from xnadhm.errors import InvalidInput, NonzeroFraming, TooLarge, UnsupportedBackend
-from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, rank, residual, vstack
+from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, rank,
+                           residual, vstack)
+from xnadhm.xn import XnADHM, from_xn_points
 from xnadhm.quiver import (
     FramedRep,
     StabilityParams,
@@ -310,3 +314,93 @@ def test_fixture_list_agreement():
         enumerated = brute_force_semistable(r.cast(GF(fx["p"])))
         spectral = check_semistable_spectral(r).to_bool()
         assert enumerated == spectral == fx["expected"], fx["name"]
+
+
+def _vector_in_span(S, vec):
+    if vec.is_zero():
+        return True
+    if S.cols == 0:
+        return False
+    return rank(hstack(S, vec)) == rank(S)
+
+
+def _maps_columns_into(A, S0, S1):
+    return all(_vector_in_span(S1, A @ S0.column(j)) for j in range(S0.cols))
+
+
+def pair_enumeration_semistable(r, theta):
+    """Reference oracle: test every subspace pair (S0, S1) for closedness,
+    one column at a time."""
+    p = r.backend.p
+    full = theta_slope(theta, (r.v0, r.v1))
+    subs1 = list(subspace_bases(r.v1, p))
+    for S0 in subspace_bases(r.v0, p):
+        e_kills = (r.e @ S0).is_zero() if S0.cols else True
+        contains_f = all(
+            all(_vector_in_span(S0, f.column(j)) for j in range(f.cols))
+            for f in r.f)
+        for S1 in subs1:
+            if not (_maps_columns_into(r.A1, S0, S1)
+                    and _maps_columns_into(r.A2, S0, S1)):
+                continue
+            if not all(_maps_columns_into(C, S1, S0) for C in r.C):
+                continue
+            slope = theta_slope(theta, (S0.cols, S1.cols))
+            if e_kills and slope > 0:
+                return False
+            if (contains_f or r.n == 1) and slope > full:
+                return False
+    return True
+
+
+def random_gf_rep(rng, p, v0, v1, w, n, density):
+    """Unconstrained maps over GF(p); each entry is nonzero with
+    probability ``density``."""
+    gf = GF(p)
+
+    def block(rows, cols):
+        return Matrix(rows, cols, [
+            int(rng.integers(1, p)) if rng.random() < density else 0
+            for _ in range(rows * cols)], gf)
+
+    return FramedRep(n, v0, v1, w, block(v1, v0), block(v1, v0),
+                     tuple(block(v0, v1) for _ in range(n)), block(w, v0),
+                     tuple(block(v0, w) for _ in range(n - 1)))
+
+
+#: None is the default, standard weight theta_c of the representation
+CROSS_CHECK_THETAS = [None, (1, -1), (3, -2), (2, -3), (1, 0), (-1, 0),
+                      (-2, 1), (1, 1), (-1, 2)]
+
+
+def test_bruteforce_matches_pair_enumeration():
+    rng = rng_from_seed(2024)
+    cases = list(product((2, 3, 5), (1, 2, 3)))
+    verdicts = set()
+    signs = set()
+    for trial in range(270):
+        p, n = cases[trial % len(cases)]
+        v0 = int(rng.integers(1, 4))
+        v1 = int(rng.integers(1, 4))
+        w = int(rng.integers(0, 3))
+        density = (0.2, 0.5, 0.9)[trial % 3]
+        r = random_gf_rep(rng, p, v0, v1, w, n, density)
+        theta = CROSS_CHECK_THETAS[(trial // 3) % len(CROSS_CHECK_THETAS)]
+        want = pair_enumeration_semistable(
+            r, theta or StabilityParams.standard(v0).theta)
+        assert brute_force_semistable(r, theta) == want, (trial, p, theta)
+        verdicts.add(want)
+        if theta:
+            signs.add((theta[1] > 0) - (theta[1] < 0))
+    assert verdicts == {True, False}
+    assert signs == {-1, 0, 1}
+
+
+def test_bruteforce_c4_points_within_default_budget():
+    # c = 4 over GF(5): 1,120 subspaces of V0, where the pair enumeration
+    # would need 1,254,400 pairs
+    pts = [(0, 0), (1, 2), (2, -1), (-1, 1)]
+    d = from_xn_points(2, 0, pts, RATIONAL)
+    assert brute_force_semistable(embed_xn_as_rep(d).cast(GF(5)))
+    d0 = XnADHM(d.n, d.c, d.A1, d.A2, d.C, Matrix.zeros(1, 4, RATIONAL))
+    assert not brute_force_semistable(embed_xn_as_rep(d0).cast(GF(5)))

@@ -61,7 +61,7 @@ def test_matrix_prime_field_rejects_non_integers(entry):
                           "entries": [1, entry]})
 
 
-@pytest.mark.parametrize("entry", [0.1, 2.0])
+@pytest.mark.parametrize("entry", [0.1, 2.0, True, False])
 def test_matrix_rational_rejects_floats(entry):
     with pytest.raises(InvalidInput):
         matrix_from_json({"rows": 1, "cols": 1, "backend": "rational",
