@@ -104,6 +104,8 @@ class RationalField(_NativeField):
             return x
         if isinstance(x, Fraction):
             return x
+        if isinstance(x, bool):
+            raise UnsupportedBackend(f"cannot coerce {x!r} into the rational backend")
         if isinstance(x, (int, str)):
             return Fraction(x)
         if isinstance(x, float) and x == int(x):
@@ -139,6 +141,8 @@ class PrimeField:
             if den == 0:
                 raise UnsupportedBackend(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
+        if isinstance(x, bool):
+            raise UnsupportedBackend(f"cannot coerce {x!r} into GF({self.p})")
         return int(x) % self.p
 
     def reduce(self, x):

@@ -263,19 +263,23 @@ def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
 # gauge action
 # ---------------------------------------------------------------------------
 
+def _check_gauge_block(M: Matrix, name: str, tol):
+    if not is_invertible_rel(M, tol):
+        raise SingularGauge(f"gauge block {name} is singular")
+
+
 def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
     """alpha -> psi alpha phi^-1 and beta -> chi beta psi^-1, expanded over
     the section bases.
 
-    The polynomial block of psi shifts alpha2-data into the alpha1 slots and
-    beta2-data into the beta1... strictly: the inverse's polynomial block
-    feeds beta1-data into the beta2 slots, with the usual index shifts from
-    multiplying by (y1, y2).
+    The polynomial block psi12 of psi feeds alpha2-data into the alpha1 s_E
+    slots; the polynomial block -psi11^-1 psi12 psi22^-1 of psi^-1 feeds
+    beta1-data into the beta2 s_E slots.  In both, the y2 coefficient moves
+    one slot up, from multiplying by (y1, y2).
     """
     for M, name in ((g.phi, "phi"), (g.psi11, "psi11"),
                     (g.psi22, "psi22"), (g.chi, "chi")):
-        if not is_invertible_rel(M, tol):
-            raise SingularGauge(f"gauge block {name} is singular")
+        _check_gauge_block(M, name, tol)
     n = mc.n
     bk = mc.backend
     phi_inv = inverse(g.phi)
@@ -347,12 +351,17 @@ def _left_null_row(a20: Matrix, tol):
 def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     """Move a monad point into the normal form of chart l.
 
-    Re-expands in chart-l coordinates, then performs the four-step
+    Re-expands in chart-l coordinates and finds the gauges of the four-step
     normalization (beta1 y1-slot to the identity with the low beta2 slots
     zeroed; alpha1 top slot to the identity; pivot form of alpha2/beta2;
-    framing vector to (0,..,0,1)), and finally corrects by a base-change
-    gauge so the returned composite has chi = 1.  Returns the plane triple
-    read off the normal form and that unique gauge.
+    framing vector to (0,..,0,1)) and the base-change gauge that makes the
+    composite's chi = 1.  No intermediate point is built: each pivot comes
+    from the re-expanded point and the earlier steps' blocks, and the plane
+    triple from the three slots that the composite moves without polynomial
+    terms.  Returns that triple and the composite, the unique gauge with
+    chi = 1.  Each block a step introduces passes the relative test of
+    ``gauge_action``; the composite is not tested as one gauge, as its
+    condition number can exceed every factor's.
 
     Raises NotNormalizable at the first singular pivot; for re-expanded
     images of ``build_jm`` this happens exactly on the locus
@@ -365,43 +374,45 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     n, c = mc0.n, mc0.c
     bk = mc0.backend
     ident = Matrix.identity(c, bk)
+    no_psi12 = tuple(Matrix.zeros(c, c + 1, bk) for _ in range(n))
+
+    def gauge(phi=ident, psi22=Matrix.identity(c + 1, bk), chi=ident,
+              psi12=no_psi12):
+        return GaugeElement(phi=phi, psi11=ident, psi12=psi12,
+                            psi22=psi22, chi=chi)
 
     # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0
     b10 = mc0.beta1[0]
     _require(is_invertible(b10, tol), 1, "beta1 y1-coefficient is singular")
     b10_inv = inverse(b10)
+    _check_gauge_block(b10_inv, "chi", tol)
     Qs = []
     prev = Matrix.zeros(c, c + 1, bk)
     for q in range(n):
-        Qq = -(b10_inv @ (mc0.beta2[q] + mc0.beta1[1] @ prev))
-        Qs.append(Qq)
-        prev = Qq
-    g1 = GaugeElement(phi=ident, psi11=ident,
-                      psi12=tuple(-q for q in Qs),
-                      psi22=Matrix.identity(c + 1, bk), chi=b10_inv)
-    mc1 = gauge_action(g1, mc0, tol)
+        prev = -(b10_inv @ (mc0.beta2[q] + mc0.beta1[1] @ prev))
+        Qs.append(prev)
+    g1 = gauge(chi=b10_inv, psi12=tuple(-q for q in Qs))
 
-    # step 2: alpha1 top s_E slot -> 1
-    a1n = mc1.alpha1[n]
+    # step 2: alpha1 top s_E slot -> 1; after step 1 it is
+    # alpha1[n] - Q_(n-1) alpha2[1]
+    a1n = mc0.alpha1[n] - prev @ mc0.alpha2[1]
     _require(is_invertible_rel(a1n, tol), 2, "top alpha1 coefficient is singular")
-    g2 = GaugeElement(phi=a1n, psi11=ident,
-                      psi12=tuple(Matrix.zeros(c, c + 1, bk) for _ in range(n)),
-                      psi22=Matrix.identity(c + 1, bk), chi=ident)
-    mc2 = gauge_action(g2, mc1, tol)
+    g2 = gauge(phi=a1n)
 
-    # step 3: alpha2 y1-slot -> (1; 0), beta2 top slot -> (-1, 0)
-    a20 = mc2.alpha2[0]
-    r = _left_null_row(a20, tol)
-    psi22 = vstack(-mc2.beta2[n], r)
-    _require(is_invertible_rel(psi22, tol), 3, "pivot block is singular")
-    g3 = GaugeElement(phi=ident, psi11=ident,
-                      psi12=tuple(Matrix.zeros(c, c + 1, bk) for _ in range(n)),
-                      psi22=psi22, chi=ident)
-    mc3 = gauge_action(g3, mc2, tol)
+    # step 3: alpha2 y1-slot -> (1; 0), beta2 top slot -> (-1, 0); after
+    # step 2 the first is alpha2[0] a1n^-1, after step 1 the second is
+    # b10^-1 (beta2[n] + beta1[1] Q_(n-1))
+    a1n_inv = inverse(a1n)
+    r = _left_null_row(mc0.alpha2[0] @ a1n_inv, tol)
+    top = b10_inv @ (mc0.beta2[n] + mc0.beta1[1] @ prev)
+    psi22_3 = vstack(-top, r)
+    # (the pivot tests of steps 2 and 3 are the gauge block tests)
+    _require(is_invertible_rel(psi22_3, tol), 3, "pivot block is singular")
 
-    # step 4: framing vector -> (0, ..., 0, 1)
-    xi1, xi2 = mc3.xi_blocks()
-    scale = mc3.xi.maxnorm()
+    # step 4: framing vector -> (0, ..., 0, 1); only step 3 moved it
+    xi1, xi2 = mc0.xi_blocks()
+    xi2 = psi22_3 @ xi2
+    scale = max(xi1.maxnorm(), xi2.maxnorm())
     _require(scale > 0, 4, "framing vector vanishes")
     omega = xi2.at(c, 0)
     _require(abs(complex(omega)) > t * scale, 4, "frame slot vanishes")
@@ -410,21 +421,27 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
                      for j in range(c)),
              4, "framing vector is not supported on the frame slot")
     psi22_4 = Matrix.diagonal([bk.one] * c + [bk.inv(omega)], bk)
-    g4 = GaugeElement(phi=ident, psi11=ident,
-                      psi12=tuple(Matrix.zeros(c, c + 1, bk) for _ in range(n)),
-                      psi22=psi22_4, chi=ident)
-    mc4 = gauge_action(g4, mc3, tol)
+    _check_gauge_block(psi22_4, "psi22", tol)
 
     # close the loop: conjugate so the composite gauge has chi = 1
-    g_raw = g4.compose(g3).compose(g2).compose(g1)
+    g_raw = (gauge(psi22=psi22_4).compose(gauge(psi22=psi22_3))
+             .compose(g2).compose(g1))
     g5 = embed_gl_gauge(g_raw.chi.transpose(), n)
-    mc5 = gauge_action(g5, mc4, tol)
+    # psi11 and chi of g5 are its phi
+    _check_gauge_block(g5.phi, "phi", tol)
+    _check_gauge_block(g5.psi22, "psi22", tol)
     g_total = g5.compose(g_raw)
 
-    b1 = mc5.beta1[1].transpose()
-    b2 = mc5.alpha1[n + 1].transpose()
-    e = mc5.beta2[n + 1].column(c).transpose()
-    return PlaneADHM(c, b1, b2, e), g_total
+    # chi beta1[1] psi11^-1, psi11 alpha1[n+1] phi^-1, chi beta2[n+1]
+    # psi22^-1, inverting factor by factor as acting step by step would:
+    # psi11 = T, phi = T a1n, psi22^-1 e_c = omega psi22_3^-1 e_c
+    T = g5.phi
+    T_inv = inverse(T)
+    b1 = g_total.chi @ mc0.beta1[1] @ T_inv
+    b2 = T @ mc0.alpha1[n + 1] @ a1n_inv @ T_inv
+    e = (g_total.chi @ mc0.beta2[n + 1] @ inverse(psi22_3)).column(c)
+    return PlaneADHM(c, b1.transpose(), b2.transpose(),
+                     e.scale(omega).transpose()), g_total
 
 
 def math_scale(mc: MonadCoeffs) -> float:

@@ -1,0 +1,99 @@
+"""Campaign reports against straightforward reference loops."""
+
+import numpy as np
+import pytest
+
+from xnadhm import sampling
+from xnadhm.campaigns import _sample_seeds, run_campaign
+from xnadhm.errors import NotInOverlap
+from xnadhm.linalg import residual, scale_of
+from xnadhm.xn import gl2_action_chart, transition_omega, transition_phi
+
+
+def nested_cocycle(samples, seed, margin=0.05, tol=1e-9):
+    """The cocycle campaign as a nested loop over chart pairs (l, k) that
+    computes every leg of a pair afresh, direct legs included.
+
+    Returns (tallies, max_residual, pairs) in the campaign's report form.
+    """
+    tallies = {"phi_cocycle": {"pass": 0, "fail": 0},
+               "omega_equivariance": {"pass": 0, "fail": 0}}
+    pairs = {"tested": 0, "skipped": 0}
+    worst = 0.0
+    for ss in _sample_seeds(seed, samples):
+        rng = np.random.default_rng(ss)
+        c = int(rng.integers(2, 5))
+        n = int(rng.integers(1, 5))
+        cd = sampling.random_chart_data(rng, c)
+        d = cd.plane()
+        m = cd.m
+        phi_ok = omega_ok = True
+        for l in range(c + 1):
+            for k in range(c + 1):
+                try:
+                    if (sampling.overlap_margin(d.b1, c, m, l) < margin
+                            or sampling.overlap_margin(d.b1, c, m, k) < margin):
+                        raise NotInOverlap("margin")
+                    dl = transition_phi(d, n, m, l)
+                    if sampling.overlap_margin(dl.b1, c, l, k) < margin:
+                        raise NotInOverlap("margin")
+                    dk_direct = transition_phi(d, n, m, k)
+                    dk_chain = transition_phi(dl, n, l, k)
+                    cdl = transition_omega(cd, n, l)
+                    cdk_direct = transition_omega(cd, n, k)
+                    cdk_chain = transition_omega(cdl, n, k)
+                except NotInOverlap:
+                    pairs["skipped"] += 1
+                    continue
+                pairs["tested"] += 1
+                s = scale_of(dk_direct.b1, dk_direct.b2, cdk_direct.A2m)
+                r = max(residual(dk_direct.b1, dk_chain.b1),
+                        residual(dk_direct.b2, dk_chain.b2),
+                        residual(dk_direct.e, dk_chain.e)) / s
+                r = max(r, residual(cdk_direct.B, cdk_chain.B) / s,
+                        residual(cdk_direct.E, cdk_chain.E) / s,
+                        residual(cdk_direct.A2m, cdk_chain.A2m) / s)
+                worst = max(worst, r)
+                phi_ok = phi_ok and r <= 10 * tol
+        g1 = sampling.random_invertible(rng, c)
+        g2 = sampling.random_invertible(rng, c)
+        moved_cd = gl2_action_chart(g1, g2, cd)
+        for l in range(c + 1):
+            try:
+                if (sampling.overlap_margin(cd.B, c, m, l) < margin
+                        or sampling.overlap_margin(moved_cd.B, c, m, l) < margin):
+                    continue
+                lhs = transition_omega(moved_cd, n, l)
+                rhs = gl2_action_chart(g1, g2, transition_omega(cd, n, l))
+            except NotInOverlap:
+                continue
+            s = scale_of(rhs.B, rhs.E, rhs.A2m)
+            r = max(residual(lhs.B, rhs.B), residual(lhs.E, rhs.E),
+                    residual(lhs.e, rhs.e), residual(lhs.A2m, rhs.A2m)) / s
+            worst = max(worst, r)
+            omega_ok = omega_ok and r <= tol
+        tallies["phi_cocycle"]["pass" if phi_ok else "fail"] += 1
+        tallies["omega_equivariance"]["pass" if omega_ok else "fail"] += 1
+    return tallies, worst, pairs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cocycle_matches_nested_pair_loop(seed):
+    report = run_campaign("cocycle", 10, seed)
+    tallies, worst, pairs = nested_cocycle(10, seed)
+    assert report["tallies"] == tallies
+    assert report["max_residual"] == worst        # bit for bit
+    assert report["pairs"] == pairs
+    assert pairs["tested"] > 0
+    assert report["ok"]
+
+
+def test_cocycle_pairs_sit_beside_the_tallies():
+    report = run_campaign("cocycle", 3, 0)
+    assert set(report) == {"suite", "seed", "samples", "tallies",
+                           "max_residual", "pairs", "elapsed_seconds", "ok"}
+    assert all(set(t) == {"pass", "fail"} for t in report["tallies"].values())
+    # every chart pair of every sample is counted once
+    draws = [int(np.random.default_rng(ss).integers(2, 5))
+             for ss in _sample_seeds(0, 3)]
+    assert sum(report["pairs"].values()) == sum((c + 1) ** 2 for c in draws)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from xnadhm.cli import main
 from xnadhm.serialize import dumps, loads, rep_to_json, xn_from_json, xn_to_json
 from xnadhm.linalg import Matrix
@@ -178,6 +180,33 @@ def test_campaign_bruteforce_honours_samples_and_seed(capsys, monkeypatch):
     assert len(points) == 4
     assert run(11) == (code, report, points)
     assert run(12)[2] != points
+
+
+@pytest.mark.parametrize("suite, divisor, failing", [
+    ("cocycle", 1e4, ("phi_cocycle", "omega_equivariance")),
+    ("monad-transition", 2, ("normalize_vs_transition",)),
+])
+def test_campaign_tol_reaches_residual_thresholds(suite, divisor, failing,
+                                                  capsys, monkeypatch):
+    # the residuals pass the default thresholds (10 tol for the cocycle, tol
+    # for equivariance and monad-transition) and fail at tol = R / divisor,
+    # R the worst residual, which does not move
+    args = ["campaign", "--suite", suite, "--samples", "4", "--seed", "0"]
+    code, out = run_cli(args, capsys)
+    default = json.loads(out)
+    assert code == 0 and default["ok"]
+    worst = default["max_residual"]
+    assert 0 < worst <= 1e-11
+    tight_tol = repr(worst / divisor)
+    code, out = run_cli(args + ["--tol", tight_tol], capsys)
+    tight = json.loads(out)
+    assert code == 1 and not tight["ok"]
+    assert tight["max_residual"] == worst
+    for name in failing:
+        assert tight["tallies"][name]["fail"] > 0
+    monkeypatch.setenv("ADHM_TOL", tight_tol)
+    code, out = run_cli(args, capsys)
+    assert code == 1 and json.loads(out)["tallies"] == tight["tallies"]
 
 
 def test_entry_point_usage_error():

@@ -280,6 +280,17 @@ def test_gf_coercion_guards():
         Matrix.identity(2, GF(5)).cast(RATIONAL)   # residues have no lift
 
 
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)])
+@pytest.mark.parametrize("entry", [True, False])
+def test_exact_backends_reject_booleans(backend, entry):
+    # bool is an int subclass; an exact entry must be a number on purpose
+    with pytest.raises(UnsupportedBackend):
+        backend.coerce(entry)
+    with pytest.raises(UnsupportedBackend):
+        Matrix.from_rows([[1, entry]], backend)
+    assert Matrix.from_rows([[1, 0]], backend).row_list() == [[1, 0]]
+
+
 def test_matrix_shape_guards():
     with pytest.raises(ShapeMismatch):
         Matrix(2, 2, [1, 2, 3])

@@ -1,10 +1,20 @@
 """Monad coefficients: composition slots, the standard immersion, chart
 re-expansion, gauge action and normalization."""
 
+from dataclasses import replace
+
 import pytest
 
 from xnadhm.errors import InvalidInput, NotInOverlap, NotNormalizable, SingularGauge
-from xnadhm.linalg import Matrix, angle_constants, hstack, inverse, residual
+from xnadhm.linalg import (
+    RATIONAL,
+    Matrix,
+    angle_constants,
+    hstack,
+    inverse,
+    residual,
+    vstack,
+)
 from xnadhm.monad import (
     GaugeElement,
     MonadCoeffs,
@@ -22,6 +32,7 @@ from xnadhm.sampling import (
     random_costable_triple,
     random_invertible,
     random_matrix,
+    random_overlap_charts,
     rng_from_seed,
 )
 from xnadhm.xn import sigma, transition_phi
@@ -311,6 +322,98 @@ def test_normalize_matches_transition():
         assert residual(got.e, expected.e) / s < 1e-9
         assert residual(gauge.chi, Matrix.identity(c)) < 1e-9
         checked += 1
+
+
+def normal_form_defects(mc):
+    """Differences between the blocks the chart normal form fixes and their
+    values: beta1[0] = 1, beta2[q < n] = 0, alpha1[n] = 1,
+    alpha2[0] = (1; 0), beta2[n] = (-1, 0) and xi = (0, ..., 0, 1)."""
+    n, c, bk = mc.n, mc.c, mc.backend
+    ident = Matrix.identity(c, bk)
+    fixed = [(mc.beta1[0], ident), (mc.alpha1[n], ident),
+             (mc.alpha2[0], vstack(ident, Matrix.zeros(1, c, bk))),
+             (mc.beta2[n], hstack(-ident, Matrix.zeros(c, 1, bk))),
+             (mc.xi, Matrix.col_vector([bk.zero] * (2 * c) + [bk.one], bk))]
+    fixed += [(mc.beta2[q], Matrix.zeros(c, c + 1, bk)) for q in range(n)]
+    return [A - B for A, B in fixed]
+
+
+def normal_form_triple(mc):
+    """(b1, b2, e) as the normal form shows them: beta1 y2-slot, alpha1
+    s_inf slot and the frame column of the beta2 s_inf slot, transposed."""
+    return (mc.beta1[1].transpose(), mc.alpha1[mc.n + 1].transpose(),
+            mc.beta2[mc.n + 1].column(mc.c).transpose())
+
+
+def test_normalize_gauge_reaches_normal_form():
+    # odd trials first move the chart-m point by a random gauge
+    rng = rng_from_seed(16)
+    for trial in range(16):
+        c = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 4))
+        d = random_costable_triple(rng, c)
+        m, l = random_overlap_charts(rng, d.b1, c)
+        mc = build_jm(d, n, m)
+        if trial % 2:
+            mc = gauge_action(random_gauge(rng, n, c), mc)
+        plane, g = gauge_normalize(mc, l)
+        normal = gauge_action(g, reexpand_chart(mc, l))
+        assert max_residual(normal_form_defects(normal)) < 1e-9
+        for got, want in zip((plane.b1, plane.b2, plane.e),
+                             normal_form_triple(normal)):
+            assert residual(got, want) / max(1.0, want.maxnorm()) < 1e-9
+
+
+def integer_unipotent(rng, k):
+    return Matrix.from_rows(
+        [[1 if i == j else int(rng.integers(-2, 3)) if j > i else 0
+          for j in range(k)] for i in range(k)], RATIONAL)
+
+
+@pytest.mark.parametrize("m, l", [(0, 0), (1, 1), (2, 0), (0, 2)])
+def test_normalize_gauge_reaches_normal_form_exactly(m, l):
+    # c = 3 charts 0 and 2 are at a right angle: all constants are integers
+    c, n = 3, 2
+    d = PlaneADHM(c, Matrix.diagonal([1, 2, -1], RATIONAL),
+                  Matrix.diagonal([0, 3, 1], RATIONAL),
+                  Matrix.row_vector([1, 1, 1], RATIONAL))
+    rng = rng_from_seed(17)
+    psi12 = tuple(hstack(integer_unipotent(rng, c), Matrix.zeros(c, 1, RATIONAL))
+                  for _ in range(n))
+    moved = GaugeElement(phi=integer_unipotent(rng, c),
+                         psi11=integer_unipotent(rng, c).transpose(),
+                         psi12=psi12, psi22=integer_unipotent(rng, c + 1),
+                         chi=integer_unipotent(rng, c).transpose())
+    mc = gauge_action(moved, build_jm(d, n, m))
+    plane, g = gauge_normalize(mc, l)
+    assert g.chi == Matrix.identity(c, RATIONAL)
+    normal = gauge_action(g, reexpand_chart(mc, l))
+    assert normal.backend is RATIONAL
+    assert all(D.is_zero() for D in normal_form_defects(normal))
+    assert (plane.b1, plane.b2, plane.e) == normal_form_triple(normal)
+
+
+def test_normalize_failure_messages():
+    # step 1: an eigenvalue of b1 on the chart-overlap divisor
+    c, n, m, l = 2, 2, 1, 0
+    cd, sd = angle_constants(c, m - l)
+    d = PlaneADHM(c, Matrix.diagonal([cd / sd, 0.3]),
+                  Matrix.diagonal([1.0, 2.0]), Matrix.row_vector([1.0, 1.0]))
+    with pytest.raises(NotNormalizable,
+                       match=r"^step 1: beta1 y1-coefficient is singular$"):
+        gauge_normalize(build_jm(d, n, m), l)
+    # step 4: xi does not enter the composition residual, so replacing it
+    # keeps a monad point
+    mc = build_jm(d, n, m)
+    size = 2 * c + 1
+    for entries, detail in (
+            ({}, "framing vector vanishes"),
+            ({0: 1}, "frame slot vanishes"),
+            ({c: 1, size - 1: 1}, "framing vector is not supported on the "
+                                  "frame slot")):
+        xi = Matrix.col_vector([entries.get(i, 0) for i in range(size)])
+        with pytest.raises(NotNormalizable, match=f"^step 4: {detail}$"):
+            gauge_normalize(replace(mc, xi=xi), m)
 
 
 def test_normalize_gauge_matches_closed_form():
