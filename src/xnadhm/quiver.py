@@ -31,7 +31,8 @@ from .errors import (
     UnsupportedBackend,
 )
 from .linalg import Matrix, hstack, nullspace, rank, vstack
-from .xn import XnADHM, chart_matrices, check_P1, check_P2, check_P3_direct
+from .pencil import analyze_pencil
+from .xn import XnADHM, _p3_at_roots, chart_matrices, check_P1, check_P2
 
 
 @dataclass(frozen=True)
@@ -155,12 +156,14 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
         raise ShapeMismatch("spectral check needs v0 = v1 and w = 1")
     if not check_relations(r, tol):
         raise InvalidInput("relations (Q1) fail; not a representation")
-    f_zero = all(f.is_zero(tol) for f in r.f)
-    if f_zero:
-        d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
-        ok = check_P1(d, tol) and check_P2(d, tol) and check_P3_direct(d, tol)
-        return Verdict.SEMISTABLE if ok else Verdict.UNSTABLE
     d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
+    if all(f.is_zero(tol) for f in r.f):
+        if not check_P1(d, tol):
+            return Verdict.UNSTABLE
+        # one pencil analysis decides (P2) and gives (P3) its roots
+        pencil = analyze_pencil(d.A1, d.A2, tol)
+        ok = pencil.regular and _p3_at_roots(d, pencil.eigenvalues)
+        return Verdict.SEMISTABLE if ok else Verdict.UNSTABLE
     if check_P2(d, tol):
         return Verdict.UNSTABLE
     return Verdict.INDETERMINATE

@@ -230,6 +230,14 @@ def check_P3_direct(d: XnADHM, tol=None) -> bool:
     analysis = analyze_pencil(d.A1, d.A2, tol)
     if not analysis.regular:
         raise InvalidInput("condition (P3) is only decidable for regular pencils")
+    return _p3_at_roots(d, analysis.eigenvalues)
+
+
+def _p3_at_roots(d: XnADHM, roots) -> bool:
+    """``check_P3_direct`` past its regularity test, for callers that have
+    analyzed the pencil already: ``roots`` is ``analyze_pencil(d.A1, d.A2,
+    tol).eigenvalues`` of a regular pencil.  Prime-field data raises
+    ``UnsupportedBackend`` (it cannot be cast to floats)."""
     dd = d.cast(linalg.COMPLEX) if d.backend.exact else d
     c = d.c
     ident = Matrix.identity(c)
@@ -238,7 +246,7 @@ def check_P3_direct(d: XnADHM, tol=None) -> bool:
     eig1 = linalg.eigenvalues(M1)
     eig2 = linalg.eigenvalues(M2)
     sign = (-1) ** d.n
-    for (nu1, nu2), _ in analysis.eigenvalues:
+    for (nu1, nu2), _ in roots:
         l1, l2 = nu2, nu1
         P = dd.A1.scale(l2) + dd.A2.scale(l1)
         K = nullspace(vstack(P, dd.e), linalg.EIG_TOL)

@@ -1,10 +1,13 @@
 """Campaign reports against straightforward reference loops."""
 
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 
 from xnadhm import sampling
-from xnadhm.campaigns import _sample_seeds, run_campaign
+from xnadhm.campaigns import SUITES, _sample_seeds, run_campaign
 from xnadhm.errors import NotInOverlap
 from xnadhm.linalg import residual, scale_of
 from xnadhm.xn import gl2_action_chart, transition_omega, transition_phi
@@ -97,3 +100,97 @@ def test_cocycle_pairs_sit_beside_the_tallies():
     draws = [int(np.random.default_rng(ss).integers(2, 5))
              for ss in _sample_seeds(0, 3)]
     assert sum(report["pairs"].values()) == sum((c + 1) ** 2 for c in draws)
+
+
+def replay(suite, samples, seed, tol=None):
+    """The report of ``run_campaign`` rebuilt by calling the suite's sample
+    function on every ``(index, SeedSequence)`` and adding up by hand."""
+    spec = SUITES[suite]
+    outcomes = list(spec.fixtures()) if spec.fixtures else []
+    outcomes += [spec.sample(item, samples, tol)
+                 for item in enumerate(_sample_seeds(seed, samples))]
+    tallies = {name: {"pass": 0, "fail": 0} for name in spec.tallies}
+    counts = {key: {"tested": 0, "skipped": 0} for key in spec.counts}
+    for verdicts, _, sample_counts in outcomes:
+        for name, ok in verdicts.items():
+            tallies[name]["pass" if ok else "fail"] += 1
+        for key, kinds in sample_counts.items():
+            for kind, count in kinds.items():
+                counts[key][kind] += count
+    worst = max((r for _, r, _ in outcomes), default=0.0)
+    return tallies, worst, counts
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_sample_functions_replay_the_report(suite):
+    report = run_campaign(suite, 6, 2)
+    tallies, worst, counts = replay(suite, 6, 2)
+    assert report["tallies"] == tallies
+    assert report["max_residual"] == worst
+    assert {key: report[key] for key in counts} == counts
+    assert report["ok"]
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_sample_functions_survive_pickle(suite):
+    fn = partial(SUITES[suite].sample, samples=4, tol=None)
+    copy = pickle.loads(pickle.dumps(fn))
+    for item in enumerate(_sample_seeds(5, 4)):
+        assert copy(pickle.loads(pickle.dumps(item))) == fn(item)
+
+
+def test_um_counts_every_chart():
+    report = run_campaign("um", 5, 0)
+    assert set(report) == {"suite", "seed", "samples", "tallies",
+                           "max_residual", "charts", "elapsed_seconds", "ok"}
+    assert set(report["tallies"]) == {"um_vanishing"}
+    draws = [int(np.random.default_rng(ss).integers(1, 5))
+             for ss in _sample_seeds(0, 5)]
+    charts = report["charts"]
+    assert charts["tested"] + charts["skipped"] == sum(c + 1 for c in draws)
+    assert charts["tested"] > 0
+
+
+def test_um_skips_singular_charts(monkeypatch):
+    from xnadhm import campaigns
+
+    # a chart test that rejects every other chart shows up as skipped
+    seen = []
+
+    def every_other(A2m, tol=None):
+        seen.append(A2m)
+        return len(seen) % 2 == 1
+
+    monkeypatch.setattr(campaigns, "is_invertible", every_other)
+    charts = run_campaign("um", 3, 0)["charts"]
+    assert charts == {"tested": (len(seen) + 1) // 2,
+                      "skipped": len(seen) // 2}
+
+
+def test_sample_index_picks_the_kind(monkeypatch):
+    from xnadhm import campaigns
+
+    drawn = []
+    depth = [0]
+    for name in ("random_xn", "random_xn_e_zero", "random_xn_kernel_violator"):
+        def record(*args, _draw=getattr(sampling, name), _name=name):
+            # the violators are built from random_xn; count outer calls only
+            if depth[0] == 0:
+                drawn.append(_name)
+            depth[0] += 1
+            try:
+                return _draw(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(sampling, name, record)
+    # lmp3: valid data first, then a quarter e = 0 and a quarter violators
+    assert run_campaign("lmp3", 9, 0)["ok"]
+    assert drawn == (["random_xn"] * 5 + ["random_xn_e_zero"] * 2
+                     + ["random_xn_kernel_violator"] * 2)
+    # bruteforce: even-numbered samples keep the unit frame, odd ones zero it
+    framed = []
+    embed = campaigns.embed_xn_as_rep
+    monkeypatch.setattr(campaigns, "embed_xn_as_rep",
+                        lambda d: framed.append(not d.e.is_zero()) or embed(d))
+    assert run_campaign("bruteforce", 5, 0)["ok"]
+    assert framed == [True, False, True, False, True]

@@ -54,6 +54,38 @@ def test_check_valid_P(tmp_path, capsys):
     assert report["results"] == {"P1": "pass", "P2": "pass", "P3": "pass"}
 
 
+def test_check_P_analyzes_the_pencil_once(tmp_path, capsys, monkeypatch):
+    from xnadhm import cli, pencil, xn
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pencil.analyze_pencil(*args)
+
+    monkeypatch.setattr(cli, "analyze_pencil", counted)
+    monkeypatch.setattr(xn, "analyze_pencil", counted)
+    path = tmp_path / "d.json"
+    path.write_text(dumps(xn_to_json(random_xn(rng_from_seed(0), 2, 3))))
+    code, out = run_cli(["check", str(path), "--which", "P"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == {"P1": "pass", "P2": "pass",
+                                          "P3": "pass"}
+    assert len(calls) == 1
+
+
+def test_check_P_over_a_prime_field_is_a_usage_error(tmp_path, capsys):
+    from xnadhm.linalg import GF, RATIONAL
+    from xnadhm.xn import from_xn_points
+
+    # the pencil is regular, and (P3) needs its roots, which GF(5) lacks
+    d = from_xn_points(1, 0, [(0, 1), (1, 2)], RATIONAL).cast(GF(5))
+    path = tmp_path / "d.json"
+    path.write_text(dumps(xn_to_json(d)))
+    code, _ = run_cli(["check", str(path), "--which", "P"], capsys)
+    assert code == 2
+
+
 def test_check_e_zero_fails_P3(tmp_path, capsys):
     rng = rng_from_seed(1)
     d = random_xn(rng, 2, 2)
@@ -150,10 +182,39 @@ def test_campaign_smoke(capsys):
 
 
 def test_campaign_jobs_parallel(capsys):
-    code, out = run_cli(["campaign", "--suite", "lmp3", "--samples", "8",
-                         "--seed", "3", "--jobs", "2"], capsys)
-    assert code == 0
-    assert json.loads(out)["ok"]
+    # the threads change nothing but the elapsed time, on every suite
+    for suite in ("cocycle", "lmp3", "moment", "um", "bruteforce",
+                  "monad-transition"):
+        reports = []
+        for jobs in ("1", "2"):
+            code, out = run_cli(["campaign", "--suite", suite, "--samples",
+                                 "8", "--seed", "3", "--jobs", jobs], capsys)
+            assert code == 0
+            report = json.loads(out)
+            del report["elapsed_seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["ok"]
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "lmp3", "moment", "um",
+                                   "monad-transition"])
+def test_campaign_that_tests_nothing_fails(suite, capsys):
+    code, out = run_cli(["campaign", "--suite", suite, "--samples", "0"],
+                        capsys)
+    report = json.loads(out)
+    assert code == 1 and not report["ok"]
+    assert all(t == {"pass": 0, "fail": 0}
+               for t in report["tallies"].values())
+
+
+def test_campaign_bruteforce_without_samples_passes_on_fixtures(capsys):
+    code, out = run_cli(["campaign", "--suite", "bruteforce", "--samples",
+                         "0"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert report["tallies"] == {"fixture_agreement": {"pass": 12, "fail": 0},
+                                 "generated_agreement": {"pass": 0, "fail": 0}}
 
 
 def test_campaign_bruteforce_honours_samples_and_seed(capsys, monkeypatch):
@@ -185,12 +246,13 @@ def test_campaign_bruteforce_honours_samples_and_seed(capsys, monkeypatch):
 @pytest.mark.parametrize("suite, divisor, failing", [
     ("cocycle", 1e4, ("phi_cocycle", "omega_equivariance")),
     ("monad-transition", 2, ("normalize_vs_transition",)),
+    ("moment", 2, ("moment_equals_defect",)),
 ])
 def test_campaign_tol_reaches_residual_thresholds(suite, divisor, failing,
                                                   capsys, monkeypatch):
     # the residuals pass the default thresholds (10 tol for the cocycle, tol
-    # for equivariance and monad-transition) and fail at tol = R / divisor,
-    # R the worst residual, which does not move
+    # for equivariance and monad-transition, tol / 1000 for the moment) and
+    # fail at tol = R / divisor, R the worst residual, which does not move
     args = ["campaign", "--suite", suite, "--samples", "4", "--seed", "0"]
     code, out = run_cli(args, capsys)
     default = json.loads(out)

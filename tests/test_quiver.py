@@ -316,6 +316,43 @@ def test_fixture_list_agreement():
         assert enumerated == spectral == fx["expected"], fx["name"]
 
 
+def test_spectral_verdict_analyzes_the_pencil_once(monkeypatch):
+    from xnadhm import pencil, quiver, xn
+    from xnadhm.xn import check_P1
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pencil.analyze_pencil(*args)
+
+    monkeypatch.setattr(quiver, "analyze_pencil", counted)
+    monkeypatch.setattr(xn, "analyze_pencil", counted)
+    f_zero = 0
+    for fx in load_bruteforce_fixtures()["fixtures"]:
+        r = rep_from_json(fx["rep"])
+        if any(not f.is_zero() for f in r.f):
+            continue
+        f_zero += 1
+        d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
+        p1 = check_P1(d)
+        calls.clear()
+        spectral = check_semistable_spectral(r).to_bool()
+        assert spectral == fx["expected"], fx["name"]
+        # (P1) fails without touching the pencil
+        assert len(calls) == (1 if p1 else 0), fx["name"]
+    assert f_zero >= 8
+    # random valid and e = 0 data: one analysis each, verdicts as drawn
+    rng = rng_from_seed(11)
+    for make, expected in ((random_xn, Verdict.SEMISTABLE),
+                           (random_xn_e_zero, Verdict.UNSTABLE)):
+        for _ in range(3):
+            calls.clear()
+            r = embed_xn_as_rep(make(rng, 2, 3))
+            assert check_semistable_spectral(r) is expected
+            assert len(calls) == 1
+
+
 def _vector_in_span(S, vec):
     if vec.is_zero():
         return True
