@@ -8,17 +8,20 @@ Matrices carry one of three scalar backends:
 * ``RATIONAL`` -- exact ``fractions.Fraction`` arithmetic,
 * ``GF(p)`` -- residues modulo a prime, used as an exhaustive test oracle.
 
-A complex matrix stores its entries as one read-only ``(rows, cols)``
-complex ndarray, so its arithmetic is a single numpy operation; the exact
-backends store a row-major tuple of Python scalars and eliminate by hand.
+Every matrix stores its entries as one read-only ``(rows, cols)`` ndarray
+of its backend's ``dtype``: complex128, or an object array holding the
+exact backends' Python ``Fraction`` and ``int`` scalars.  Matrix arithmetic
+is a single numpy operation on any backend; only rank, nullspace,
+determinant and inverse take a different algorithm on the exact backends
+(elimination by hand instead of LAPACK).
 
-A backend is ``kind``, ``exact``, ``zero``, ``one`` and three maps:
-``coerce`` validates a value from outside and brings it into the field,
-``reduce`` brings the result of Python arithmetic back to its canonical form
-(the identity on complex and rational values, ``x % p`` on GF(p)) and ``inv``
-inverts a nonzero element.  Scalar arithmetic is written with Python's own
-operators; a value is tested for zero with ``x != 0`` only once it is
-coerced or reduced.
+A backend is ``kind``, ``exact``, ``dtype``, ``zero``, ``one`` and three
+maps: ``coerce`` validates a value from outside and brings it into the
+field, ``reduce`` brings the result of arithmetic, a scalar or a whole entry
+array, back to its canonical form (the identity on complex and rational
+values, ``x % p`` on GF(p)) and ``inv`` inverts a nonzero element.  Scalar
+arithmetic is written with Python's own operators; a value is tested for
+zero with ``x != 0`` only once it is coerced or reduced.
 
 Exact backends never take a tolerance: equality is literal.  On top of the
 basic rank/nullspace/determinant kit this module computes homogeneous
@@ -86,6 +89,7 @@ class _NativeField:
 class ComplexField(_NativeField):
     kind = "complex"
     exact = False
+    dtype = complex
     zero = 0j
     one = 1 + 0j
 
@@ -96,6 +100,7 @@ class ComplexField(_NativeField):
 class RationalField(_NativeField):
     kind = "rational"
     exact = True
+    dtype = object
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -125,6 +130,7 @@ def _is_prime(p):
 class PrimeField:
     kind = "gf"
     exact = True
+    dtype = object
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -194,9 +200,11 @@ def backend_from_name(name: str):
 class Matrix:
     """Immutable dense matrix over a fixed backend.
 
-    Complex matrices store their entries as one read-only ``(rows, cols)``
-    complex ndarray; the exact backends (rationals, GF(p)) store a row-major
-    tuple of Python scalars.
+    The entries are one read-only ``(rows, cols)`` ndarray of the backend's
+    ``dtype``: complex128 for complex matrices, an object array of
+    ``Fraction`` or ``int`` residues for the exact backends.  Only the
+    constructor coerces; every result of matrix arithmetic is built by
+    ``_wrap`` from an array that is already in canonical form.
     """
 
     __slots__ = ("rows", "cols", "backend", "entries")
@@ -204,17 +212,12 @@ class Matrix:
     def __init__(self, rows, cols, entries, backend=COMPLEX):
         if rows < 0 or cols < 0:
             raise ShapeMismatch("negative dimensions")
-        entries = tuple(backend.coerce(x) for x in entries)
+        entries = [backend.coerce(x) for x in entries]
         if len(entries) != rows * cols:
             raise ShapeMismatch(
                 f"expected {rows * cols} entries, got {len(entries)}")
-        if not backend.exact:
-            entries = np.array(entries, dtype=complex).reshape(rows, cols)
-            entries.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "entries", entries)
+        _store(self, np.array(entries, dtype=backend.dtype).reshape(rows, cols),
+               backend)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -231,26 +234,15 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols, backend=COMPLEX):
-        if not backend.exact:
-            return _wrap(np.zeros((rows, cols), dtype=complex))
-        return cls(rows, cols, [backend.zero] * (rows * cols), backend)
+        return _wrap(_zeros((rows, cols), backend), backend)
 
     @classmethod
     def identity(cls, n, backend=COMPLEX):
-        if not backend.exact:
-            return _wrap(np.eye(n, dtype=complex))
-        ent = [backend.zero] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = backend.one
-        return cls(n, n, ent, backend)
+        return _diagonal([backend.one] * n, backend)
 
     @classmethod
     def diagonal(cls, values, backend=COMPLEX):
-        n = len(values)
-        ent = [backend.zero] * (n * n)
-        for i, v in enumerate(values):
-            ent[i * n + i] = backend.coerce(v)
-        return cls(n, n, ent, backend)
+        return _diagonal([backend.coerce(v) for v in values], backend)
 
     @classmethod
     def row_vector(cls, values, backend=COMPLEX):
@@ -271,8 +263,6 @@ class Matrix:
     # -- access --------------------------------------------------------------
 
     def at(self, i, j):
-        if self.backend.exact:
-            return self.entries[i * self.cols + j]
         return self.entries.item(i, j)
 
     def __getitem__(self, ij):
@@ -280,26 +270,22 @@ class Matrix:
         return self.at(i, j)
 
     def row_list(self):
-        if not self.backend.exact:
-            return self.entries.tolist()
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        return self.entries.tolist()
 
     def column(self, j):
-        if not self.backend.exact:
-            return _wrap(self.entries[:, [j]])
-        return Matrix(self.rows, 1, [self.at(i, j) for i in range(self.rows)],
-                      self.backend)
+        return _wrap(self.entries[:, [j]], self.backend)
 
     def submatrix(self, row_range, col_range):
-        rows = list(row_range)
-        cols = list(col_range)
-        if not self.backend.exact:
-            return _wrap(self.entries[rows][:, cols])
-        ent = [self.at(i, j) for i in rows for j in cols]
-        return Matrix(len(rows), len(cols), ent, self.backend)
+        return _wrap(self.entries[list(row_range)][:, list(col_range)],
+                     self.backend)
 
     # -- arithmetic ----------------------------------------------------------
+
+    def _result(self, arr):
+        """Matrix over this backend holding the result of array arithmetic
+        on its entries, brought back to canonical form."""
+        bk = self.backend
+        return _wrap(bk.reduce(arr), bk)
 
     def _check_same(self, other):
         if self.backend is not other.backend and self.backend != other.backend:
@@ -309,59 +295,32 @@ class Matrix:
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
-        if not self.backend.exact:
-            return _wrap(self.entries + other.entries)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)],
-                      self.backend)
+        return self._result(self.entries + other.entries)
 
     def __sub__(self, other):
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("subtraction shape mismatch")
-        if not self.backend.exact:
-            return _wrap(self.entries - other.entries)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)],
-                      self.backend)
+        return self._result(self.entries - other.entries)
 
     def __neg__(self):
-        if not self.backend.exact:
-            return _wrap(-self.entries)
-        return Matrix(self.rows, self.cols, [-a for a in self.entries],
-                      self.backend)
+        return self._result(-self.entries)
 
     def scale(self, s):
-        s = self.backend.coerce(s)
-        if not self.backend.exact:
-            return _wrap(s * self.entries)
-        return Matrix(self.rows, self.cols, [s * a for a in self.entries],
-                      self.backend)
+        return self._result(self.backend.coerce(s) * self.entries)
 
     def __matmul__(self, other):
         self._check_same(other)
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bk = self.backend
-        if not bk.exact:
-            return _wrap(self.entries @ other.entries)
-        n, k, m = self.rows, self.cols, other.cols
-        out = [bk.zero] * (n * m)
-        for i in range(n):
-            for t in range(k):
-                a = self.entries[i * k + t]
-                if a == 0:
-                    continue
-                for j in range(m):
-                    out[i * m + j] += a * other.entries[t * m + j]
-        return Matrix(n, m, out, bk)
+        if self.cols == 0:
+            # an empty object matmul fills with int 0, not the field's zero
+            return Matrix.zeros(self.rows, other.cols, self.backend)
+        return self._result(self.entries @ other.entries)
 
     def transpose(self):
-        if not self.backend.exact:
-            return _wrap(self.entries.T)
-        ent = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.cols, self.rows, ent, self.backend)
+        return _wrap(self.entries.T, self.backend)
 
     def power(self, k):
         if self.rows != self.cols:
@@ -378,25 +337,20 @@ class Matrix:
     def to_numpy(self):
         """Complex ndarray of the entries; for a complex matrix this is the
         stored read-only array itself."""
-        if not self.backend.exact:
-            return self.entries
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field matrices have no float image")
-        data = [complex(x) for x in self.entries]
-        return np.array(data, dtype=complex).reshape(self.rows, self.cols)
+        return self.entries.astype(complex, copy=False)
 
     def maxnorm(self):
-        if not self.backend.exact:
-            return float(np.abs(self.entries).max()) if self.entries.size else 0.0
-        if not self.entries:
+        if not self.entries.size:
             return 0.0
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field matrices have no norm")
-        return max(abs(float(x)) for x in self.entries)
+        return float(np.abs(self.entries).max())
 
     def is_zero(self, tol=None):
         if self.backend.exact:
-            return not any(self.entries)
+            return not any(self.entries.flat)
         return self.maxnorm() <= _tol(tol)
 
     def cast(self, backend):
@@ -407,57 +361,70 @@ class Matrix:
             return self
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field residues cannot be lifted")
-        entries = self.entries
-        if not self.backend.exact:
-            entries = entries.ravel().tolist()
-        return Matrix(self.rows, self.cols, entries, backend)
+        return Matrix(self.rows, self.cols, self.entries.ravel().tolist(),
+                      backend)
 
     def __eq__(self, other):
-        if not (isinstance(other, Matrix) and self.backend == other.backend
-                and self.rows == other.rows and self.cols == other.cols):
-            return False
-        if not self.backend.exact:
-            return bool(np.array_equal(self.entries, other.entries))
-        return self.entries == other.entries
+        return (isinstance(other, Matrix) and self.backend == other.backend
+                and bool(np.array_equal(self.entries, other.entries)))
 
     def __hash__(self):
-        entries = self.entries
-        if not self.backend.exact:
-            entries = tuple(entries.ravel().tolist())
-        return hash((self.rows, self.cols, entries))
+        return hash((self.rows, self.cols,
+                     tuple(self.entries.ravel().tolist())))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.backend})"
 
 
-def _wrap(arr) -> Matrix:
-    """Complex Matrix that takes ownership of a 2-d complex128 array: the
-    array is frozen in place, neither copied nor coerced entry by entry."""
-    arr.flags.writeable = False
-    M = object.__new__(Matrix)
-    object.__setattr__(M, "rows", arr.shape[0])
-    object.__setattr__(M, "cols", arr.shape[1])
-    object.__setattr__(M, "backend", COMPLEX)
-    object.__setattr__(M, "entries", arr)
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_backend = Matrix.backend.__set__
+_set_entries = Matrix.entries.__set__
+
+
+def _store(M, arr, backend):
+    """Freeze ``arr`` in place and make it the entries of ``M``; the slots
+    are set through their descriptors, past the guarding ``__setattr__``."""
+    arr.setflags(write=False)
+    rows, cols = arr.shape
+    _set_rows(M, rows)
+    _set_cols(M, cols)
+    _set_backend(M, backend)
+    _set_entries(M, arr)
+
+
+def _wrap(arr, backend=COMPLEX) -> Matrix:
+    """Matrix that takes ownership of a 2-d array of the backend's dtype
+    whose entries are already canonical: neither copied nor coerced."""
+    M = Matrix.__new__(Matrix)
+    _store(M, arr, backend)
     return M
 
 
+def _wrap_rows(rows, cols, backend) -> Matrix:
+    """Matrix of canonical rows (lists of scalars) from exact elimination."""
+    return _wrap(np.array(rows, dtype=object).reshape(len(rows), cols), backend)
+
+
+def _zeros(shape, backend):
+    arr = np.empty(shape, dtype=backend.dtype)
+    arr.fill(backend.zero)      # np.zeros would fill an object array with int 0
+    return arr
+
+
+def _diagonal(values, backend) -> Matrix:
+    n = len(values)
+    arr = _zeros((n, n), backend)
+    arr.flat[::n + 1] = values
+    return _wrap(arr, backend)
+
+
 def hstack(*mats):
-    mats = [m for m in mats]
     rows = mats[0].rows
     bk = mats[0].backend
     if any(m.rows != rows or m.backend != bk for m in mats):
         raise ShapeMismatch("hstack mismatch")
-    if not bk.exact:
-        return _wrap(np.hstack([m.entries for m in mats]))
-    out_rows = []
-    for i in range(rows):
-        row = []
-        for m in mats:
-            row.extend(m.entries[i * m.cols:(i + 1) * m.cols])
-        out_rows.append(row)
-    return Matrix.from_rows(out_rows, bk) if rows else Matrix.zeros(
-        0, sum(m.cols for m in mats), bk)
+    return _wrap(np.concatenate([m.entries for m in mats], axis=1), bk)
 
 
 def vstack(*mats):
@@ -465,12 +432,7 @@ def vstack(*mats):
     bk = mats[0].backend
     if any(m.cols != cols or m.backend != bk for m in mats):
         raise ShapeMismatch("vstack mismatch")
-    if not bk.exact:
-        return _wrap(np.vstack([m.entries for m in mats]))
-    ent = []
-    for m in mats:
-        ent.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), cols, ent, bk)
+    return _wrap(np.concatenate([m.entries for m in mats]), bk)
 
 
 def residual(a: Matrix, b: Matrix) -> float:
@@ -549,17 +511,11 @@ def nullspace(M: Matrix, tol=None) -> Matrix:
     if bk.exact:
         rows, pivots = _rref(M)
         free = [c for c in range(M.cols) if c not in pivots]
-        cols = []
-        for fc in free:
-            v = [bk.zero] * M.cols
-            v[fc] = bk.one
-            for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][fc]
-            cols.append(v)
-        if not cols:
-            return Matrix.zeros(M.cols, 0, bk)
-        ent = [cols[j][i] for i in range(M.cols) for j in range(len(cols))]
-        return Matrix(M.cols, len(cols), ent, bk)
+        basis = _zeros((M.cols, len(free)), bk)
+        basis[free, range(len(free))] = bk.one
+        for r, pc in enumerate(pivots):
+            basis[pc] = [-rows[r][fc] for fc in free]
+        return _wrap(bk.reduce(basis), bk)
     a = M.to_numpy()
     _, s, vh = np.linalg.svd(a)
     thr = _tol(tol) * max(1.0, M.maxnorm())
@@ -612,7 +568,7 @@ def inverse(M: Matrix) -> Matrix:
     rows, pivots = _rref(aug)
     if pivots != list(range(M.rows)):
         raise SingularMatrix("matrix is singular over the exact backend")
-    return Matrix.from_rows([r[M.rows:] for r in rows], bk)
+    return _wrap_rows([r[M.rows:] for r in rows], M.rows, bk)
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix:

@@ -281,9 +281,7 @@ def _maps_into(A: Matrix, S0: Matrix, S1: Matrix) -> bool:
 def _span(M: Matrix) -> Matrix:
     """Column basis of the column span of M (rows of an echelon form)."""
     rows, pivots = linalg._rref(M.transpose())
-    k = len(pivots)
-    return Matrix(M.rows, k, [rows[j][i] for i in range(M.rows)
-                              for j in range(k)], M.backend)
+    return linalg._wrap_rows(rows[:len(pivots)], M.rows, M.backend).transpose()
 
 
 def _preimage(Cs, S0: Matrix) -> Matrix:

@@ -408,10 +408,17 @@ def from_xn_points(n: int, m: int, points, backend=linalg.COMPLEX) -> XnADHM:
     """Configuration of distinct points given in chart-m coordinates.
 
     Realized as diagonal chart data (B, E) = (diag z, diag w) with unit
-    framing and unit gauge block, then rebuilt through the chart.
+    framing and unit gauge block, then rebuilt through the chart.  The
+    co-stability guard of ``zeta_inverse`` has no prime-field route, so
+    GF(p) data is built from the residues over the rationals and reduced;
+    the chart must have integer constants.
     """
     from .plane import from_plane_points
 
+    if backend.kind == "gf":
+        _backend_angles(backend, len(points), m)
+        residues = [(backend.coerce(z), backend.coerce(w)) for z, w in points]
+        return from_xn_points(n, m, residues, linalg.RATIONAL).cast(backend)
     plane = from_plane_points(points, backend)
     cd = ChartData(m, plane.b1, plane.b2, plane.e,
                    Matrix.identity(plane.c, backend))

@@ -167,6 +167,30 @@ def test_um_skips_singular_charts(monkeypatch):
                       "skipped": len(seen) // 2}
 
 
+def test_um_residual_can_fail(monkeypatch):
+    from xnadhm import campaigns
+
+    # [B_m, E_m] = u_m e on the framed sample: a wrong u_m fails the tally
+    report = run_campaign("um", 3, 0)
+    worst = report["max_residual"]
+    assert report["ok"] and 0 < worst <= 1e-12
+    # the identity's threshold is tol: with the verdicts at the default
+    # tolerance (their float relations fail near worst), tol = worst / 2
+    # fails on the identity alone
+    spectral = campaigns.check_semistable_spectral
+    with monkeypatch.context() as patch:
+        patch.setattr(campaigns, "check_semistable_spectral",
+                      lambda r, tol: spectral(r))
+        tight = run_campaign("um", 3, 0, tol=worst / 2)
+    assert not tight["ok"] and tight["max_residual"] == worst
+    u_m = campaigns.u_m_residual
+    monkeypatch.setattr(campaigns, "u_m_residual",
+                        lambda r, m: u_m(r, m).scale(2))
+    broken = run_campaign("um", 3, 0)
+    assert not broken["ok"] and broken["max_residual"] > 1e-3
+    assert broken["tallies"]["um_vanishing"]["fail"] > 0
+
+
 def test_sample_index_picks_the_kind(monkeypatch):
     from xnadhm import campaigns
 

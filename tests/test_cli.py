@@ -43,6 +43,43 @@ def test_gen_invalid_c(capsys):
     assert code == 2
 
 
+def test_gen_points_over_a_prime_field(capsys):
+    from xnadhm.linalg import GF, RATIONAL
+    from xnadhm.quiver import brute_force_semistable, embed_xn_as_rep
+    from xnadhm.xn import check_P1, from_xn_points
+
+    code, out = run_cli(["gen", "--kind", "points", "--backend", "gf:5",
+                         "--n", "2", "--c", "2", "--points", "0,1;1,2"],
+                        capsys)
+    assert code == 0
+    d = xn_from_json(loads(out))
+    # the integer data of the same points, reduced mod 5
+    assert d == from_xn_points(2, 0, [(0, 1), (1, 2)], RATIONAL).cast(GF(5))
+    assert check_P1(d) and brute_force_semistable(embed_xn_as_rep(d))
+    # the right-angle chart of c = 3 has integer constants too
+    code, out = run_cli(["gen", "--kind", "points", "--backend", "gf:5",
+                         "--n", "2", "--c", "3", "--m", "2",
+                         "--points", "0,1;1,2;7,2"], capsys)
+    assert code == 0 and check_P1(xn_from_json(loads(out)))
+
+
+@pytest.mark.parametrize("points, m, error", [
+    ([(0, 1), (5, 6)], 0, "DuplicatePoint"),        # equal mod 5
+    ([(0, 1), (1, 2)], 1, "UnsupportedBackend"),    # irrational constants
+])
+def test_gen_points_over_a_prime_field_rejects(points, m, error, capsys):
+    from xnadhm import errors
+    from xnadhm.linalg import GF
+    from xnadhm.xn import from_xn_points
+
+    with pytest.raises(getattr(errors, error)):
+        from_xn_points(2, m, points, GF(5))
+    code, out = run_cli(["gen", "--kind", "points", "--backend", "gf:5",
+                         "--n", "2", "--c", "2", "--m", str(m), "--points",
+                         ";".join(f"{z},{w}" for z, w in points)], capsys)
+    assert code == 2 and out == ""
+
+
 def test_check_valid_P(tmp_path, capsys):
     rng = rng_from_seed(0)
     d = random_xn(rng, 2, 2)
@@ -247,12 +284,14 @@ def test_campaign_bruteforce_honours_samples_and_seed(capsys, monkeypatch):
     ("cocycle", 1e4, ("phi_cocycle", "omega_equivariance")),
     ("monad-transition", 2, ("normalize_vs_transition",)),
     ("moment", 2, ("moment_equals_defect",)),
+    ("um", 2, ("um_vanishing",)),
 ])
 def test_campaign_tol_reaches_residual_thresholds(suite, divisor, failing,
                                                   capsys, monkeypatch):
     # the residuals pass the default thresholds (10 tol for the cocycle, tol
-    # for equivariance and monad-transition, tol / 1000 for the moment) and
-    # fail at tol = R / divisor, R the worst residual, which does not move
+    # for equivariance, monad-transition and the u_m identity, tol / 1000 for
+    # the moment) and fail at tol = R / divisor, R the worst residual, which
+    # does not move
     args = ["campaign", "--suite", suite, "--samples", "4", "--seed", "0"]
     code, out = run_cli(args, capsys)
     default = json.loads(out)

@@ -301,18 +301,44 @@ def test_matrix_shape_guards():
 
 
 # ---------------------------------------------------------------------------
-# complex storage: one read-only ndarray per matrix
+# storage: one read-only ndarray per matrix, on every backend
 # ---------------------------------------------------------------------------
 
+def _scalars_canonical(M):
+    """Whether every entry is the backend's own scalar type: complex,
+    Fraction, or an int residue in range(p)."""
+    bk = M.backend
+    kind = {"complex": complex, "rational": Fraction, "gf": int}[bk.kind]
+    return all(type(x) is kind and (bk.kind != "gf" or 0 <= x < bk.p)
+               for row in M.row_list() for x in row)
+
+
 def test_complex_to_numpy_is_read_only():
-    M = Matrix.from_rows([[1, 2], [3, 4]])
-    arr = M.to_numpy()
-    with pytest.raises(ValueError):
-        arr[0, 0] = 5
-    for derived in (M + M, -M, M.scale(2), M @ M, M.transpose(), M.column(1),
-                    M.submatrix(range(1), [1]), inverse(M), nullspace(M)):
+    for backend in BACKENDS:
+        _check_read_only_storage(backend)
+
+
+def _check_read_only_storage(backend):
+    from xnadhm.linalg import hstack, vstack
+
+    M = Matrix.from_rows([[1, 2], [3, 4]], backend)
+    if backend is COMPLEX:
+        assert M.to_numpy() is M.entries
         with pytest.raises(ValueError):
-            derived.to_numpy()[...] = 0
+            M.to_numpy()[0, 0] = 5
+    for derived in (M, M + M, M - M, -M, M.scale(2), M @ M, M.transpose(),
+                    M.column(1), M.submatrix(range(1), [1]), inverse(M),
+                    nullspace(M), hstack(M, M), vstack(M, M),
+                    Matrix.zeros(2, 3, backend), Matrix.identity(2, backend),
+                    Matrix.diagonal([1, 2], backend), M.cast(backend)):
+        arr = derived.entries
+        assert isinstance(arr, np.ndarray) and arr.dtype == backend.dtype
+        assert arr.shape == (derived.rows, derived.cols)
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    for name in Matrix.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(M, name, getattr(M, name))
     assert M.at(0, 0) == 1
 
 
@@ -340,21 +366,48 @@ def test_complex_equality_and_hash_across_constructors():
 
 
 def test_complex_ops_match_entrywise_reference():
+    for backend in BACKENDS:
+        _check_ops_against_entrywise_reference(backend)
+
+
+def _check_ops_against_entrywise_reference(backend):
     from xnadhm.linalg import hstack, vstack
 
     rng = np.random.default_rng(7)
-    a = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))).tolist()
-    b = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))).tolist()
-    A, B = Matrix.from_rows(a), Matrix.from_rows(b)
-    pairs = lambda f: [[f(x, y) for x, y in zip(r, t)] for r, t in zip(a, b)]
+
+    def draw():
+        if backend is COMPLEX:
+            return (rng.standard_normal((3, 4))
+                    + 1j * rng.standard_normal((3, 4))).tolist()
+        num = rng.integers(-9, 10, size=(3, 4)).tolist()
+        den = rng.integers(1, 5, size=(3, 4)).tolist()
+        return [[backend.coerce(Fraction(x, y)) for x, y in zip(r, t)]
+                for r, t in zip(num, den)]
+
+    a, b = draw(), draw()
+    red = backend.reduce
+    A, B = Matrix.from_rows(a, backend), Matrix.from_rows(b, backend)
+    pairs = lambda f: [[red(f(x, y)) for x, y in zip(r, t)]
+                       for r, t in zip(a, b)]
     assert (A + B).row_list() == pairs(lambda x, y: x + y)
     assert (A - B).row_list() == pairs(lambda x, y: x - y)
-    assert (-A).row_list() == [[-x for x in r] for r in a]
+    assert (-A).row_list() == [[red(-x) for x in r] for r in a]
     assert A.transpose().row_list() == [list(col) for col in zip(*a)]
     assert hstack(A, B).row_list() == [r + t for r, t in zip(a, b)]
     assert vstack(A, B).row_list() == a + b
     assert A.column(2).row_list() == [[r[2]] for r in a]
     assert A.submatrix([2, 0], range(1, 3)).row_list() == [a[2][1:3], a[0][1:3]]
+    if backend.exact:
+        # exact arithmetic leaves no rounding to forgive
+        s = backend.coerce(Fraction(-3, 7))
+        assert A.scale(s).row_list() == [[red(s * x) for x in r] for r in a]
+        assert (A @ B.transpose()).row_list() == [
+            [red(sum(x * y for x, y in zip(r, t))) for t in b] for r in a]
+        assert all(_scalars_canonical(R) for R in (
+            A + B, A - B, -A, A.scale(s), A @ B.transpose(), hstack(A, B)))
+        if backend is RATIONAL:
+            assert A.maxnorm() == max(abs(float(x)) for r in a for x in r)
+        return
     # numpy's complex modulus and product may round differently from
     # Python's, so these two agree to a few units in the last place
     eps = np.finfo(float).eps
@@ -382,6 +435,13 @@ def test_empty_shapes(backend, k):
     inner = wide @ tall                     # 0 x k @ k x 0
     assert (inner.rows, inner.cols) == (0, 0) and inner.is_zero()
     assert wide.is_zero() and tall.is_zero()
+    # the entries of filled and empty-product results are field scalars
+    ident = Matrix.identity(k, backend)
+    diag = Matrix.diagonal(list(range(1, k + 1)), backend)
+    for M in (outer, Matrix.zeros(k, 2, backend), ident, diag,
+              hstack(tall, ident, tall), vstack(wide, diag, wide),
+              diag.transpose(), diag.submatrix(range(k), [k - 1])):
+        assert M.rows * M.cols > 0 and _scalars_canonical(M)
     assert scale_of(wide, tall) == 1.0
     if backend.kind != "gf":             # the prime field has no norm
         assert wide.maxnorm() == tall.maxnorm() == 0.0
@@ -460,21 +520,24 @@ def test_exact_inverse_is_two_sided(backend):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_prime_field_results_stay_reduced(p):
+    from xnadhm.linalg import hstack, vstack
+
     gf = GF(p)
-
-    def reduced(M):
-        return all(type(x) is int and 0 <= x < p for x in M.entries)
-
     mats = [(n, Matrix.from_rows(rows, gf))
             for n, rows in _random_int_matrices(13, count=6)]
     for (n, A), (_, B) in zip(mats, mats[1:]):
         if A.rows != B.rows:
             continue
         results = [A + B, A - B, -A, A.scale(-7), A @ B, A.power(3),
-                   nullspace(A)]
+                   nullspace(A), A.transpose(), A.submatrix([n - 1], range(n)),
+                   hstack(A, B), vstack(A, B)]
         if det(A) != 0:
             results.append(inverse(A))
-        assert all(reduced(R) for R in results)
+        assert all(_scalars_canonical(R) for R in results)
+    empty = Matrix.zeros(3, 0, gf) @ Matrix.zeros(0, 2, gf)
+    for M in (Matrix.zeros(2, 3, gf), Matrix.identity(3, gf),
+              Matrix.diagonal([-1, p + 2, 7], gf), empty):
+        assert _scalars_canonical(M)
 
 
 @pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
