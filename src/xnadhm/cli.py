@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +48,8 @@ def _parse_points(text, backend):
     for chunk in text.split(";"):
         z, w = chunk.split(",")
         if backend.exact:
-            pts.append((backend.coerce(z.strip()), backend.coerce(w.strip())))
+            pts.append((backend.coerce(Fraction(z.strip())),
+                        backend.coerce(Fraction(w.strip()))))
         else:
             pts.append((complex(z), complex(w)))
     return pts

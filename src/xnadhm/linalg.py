@@ -31,6 +31,7 @@ determinant polynomials of matrix pencils and their projective roots.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -147,9 +148,14 @@ class PrimeField:
             if den == 0:
                 raise UnsupportedBackend(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
-        if isinstance(x, bool):
-            raise UnsupportedBackend(f"cannot coerce {x!r} into GF({self.p})")
-        return int(x) % self.p
+        if isinstance(x, (float, np.floating)) and x.is_integer():
+            return int(x) % self.p
+        if not isinstance(x, bool):
+            try:
+                return operator.index(x) % self.p
+            except TypeError:
+                pass
+        raise UnsupportedBackend(f"cannot coerce {x!r} into GF({self.p})")
 
     def reduce(self, x):
         return x % self.p

@@ -192,6 +192,13 @@ def chart_matrices(d: XnADHM, m: int):
     return A1m, A2m, Em, Dm
 
 
+def _chart_A2m(d: XnADHM, m: int) -> Matrix:
+    """``chart_matrices(d, m)[1]`` alone, by the same expression and cast."""
+    bk, cm, sm = _backend_angles(d.backend, d.c, m)
+    A1, A2 = (d.A1, d.A2) if bk == d.backend else (d.A1.cast(bk), d.A2.cast(bk))
+    return A1.scale(sm) + A2.scale(cm)
+
+
 def check_P1(d: XnADHM, tol=None) -> bool:
     """Chain condition on (A1, A2, C)."""
     defects = []
@@ -389,7 +396,7 @@ def cover_chart(d: XnADHM, tol=None) -> int:
     Some chart is always invertible for a regular pencil: the determinant
     form has at most c projective roots and there are c+1 chart ratios.
     """
-    charts = [chart_matrices(d, m)[1] for m in range(d.c + 1)]
+    charts = [_chart_A2m(d, m) for m in range(d.c + 1)]
     if d.backend.exact:
         # charts whose constants stay in the field are judged exactly; the
         # promoted ones fall back to the float tolerance

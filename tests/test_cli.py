@@ -63,6 +63,23 @@ def test_gen_points_over_a_prime_field(capsys):
     assert code == 0 and check_P1(xn_from_json(loads(out)))
 
 
+def test_gen_points_over_a_prime_field_reads_rationals(capsys):
+    from xnadhm.linalg import GF, RATIONAL
+    from xnadhm.xn import from_xn_points
+
+    # a coordinate is a rational number reduced mod p: 1/2 = 3 mod 5
+    code, out = run_cli(["gen", "--kind", "points", "--backend", "gf:5",
+                         "--n", "2", "--c", "2", "--points", "1/2,1;0,2.0"],
+                        capsys)
+    assert code == 0
+    assert xn_from_json(loads(out)) == from_xn_points(
+        2, 0, [(3, 1), (0, 2)], RATIONAL).cast(GF(5))
+    for bad in ("1/5,1;0,2", "x,1;0,2"):
+        code, out = run_cli(["gen", "--kind", "points", "--backend", "gf:5",
+                             "--n", "2", "--c", "2", "--points", bad], capsys)
+        assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("points, m, error", [
     ([(0, 1), (5, 6)], 0, "DuplicatePoint"),        # equal mod 5
     ([(0, 1), (1, 2)], 1, "UnsupportedBackend"),    # irrational constants

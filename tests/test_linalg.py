@@ -291,6 +291,31 @@ def test_exact_backends_reject_booleans(backend, entry):
     assert Matrix.from_rows([[1, 0]], backend).row_list() == [[1, 0]]
 
 
+@pytest.mark.parametrize("value, residue", [
+    (7, 2), (-1, 4), (np.int64(7), 2), (np.uint8(9), 4), (7.0, 2), (-3.0, 2),
+    (np.float64(12.0), 2), (np.float32(-6.0), 4)])
+def test_gf_coerce_takes_integers_and_integral_floats(value, residue):
+    got = GF(5).coerce(value)
+    assert got == residue and type(got) is int
+
+
+@pytest.mark.parametrize("value", [
+    2.5, 7.9, -0.5, float("nan"), float("inf"), np.float32(2.5), 1 + 0j,
+    2j, np.complex128(3), "3", None, np.bool_(True)], ids=repr)
+def test_gf_coerce_rejects_everything_else(value):
+    # a non-integral float used to be truncated into a residue (2.5 -> 2)
+    with pytest.raises(UnsupportedBackend):
+        GF(5).coerce(value)
+
+
+def test_complex_matrix_cast_to_gf_raises_the_library_error():
+    with pytest.raises(UnsupportedBackend):
+        Matrix.from_rows([[1 + 0j]]).cast(GF(5))
+    with pytest.raises(UnsupportedBackend):
+        Matrix.from_rows([[2.5]], GF(5))
+    assert Matrix.from_rows([[7.0, -1]], GF(5)).row_list() == [[2, 4]]
+
+
 def test_matrix_shape_guards():
     with pytest.raises(ShapeMismatch):
         Matrix(2, 2, [1, 2, 3])

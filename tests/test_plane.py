@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xnadhm.errors import DuplicatePoint, SingularGauge, UnsupportedBackend
-from xnadhm.linalg import GF, Matrix, residual
+from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, rank, residual
 from xnadhm.plane import (
     PlaneADHM,
     check_T1,
@@ -15,7 +15,13 @@ from xnadhm.plane import (
     joint_spectrum,
     transpose_triple,
 )
-from xnadhm.sampling import random_costable_triple, random_invertible, rng_from_seed
+from xnadhm.sampling import (
+    _separated_values,
+    random_costable_triple,
+    random_invertible,
+    rng_from_seed,
+)
+from xnadhm.xn import ChartData, check_P3_direct, check_P3_via_chart, zeta_inverse
 
 
 def triple(b1_rows, b2_rows, e_row):
@@ -85,6 +91,174 @@ def test_T2_partial_frame_derived():
     base = ([[1, 0], [0, 2]], [[3, 0], [0, 4]])
     assert not check_T2(triple(*base, [1, 0]))   # e kills the (2,4) eigenvector
     assert check_T2(triple(*base, [1, 1]))
+
+
+def eigenvector_costable(d, tol=None):
+    """Reference for ``check_T2``: the joint-eigenvector test it replaced.
+    A joint eigenspace V violates co-stability when rank(e V) < dim V."""
+    for _, _, V in common_eigenvectors(d.b1, d.b2, tol):
+        if rank(d.e.cast(COMPLEX) @ V, tol) < V.cols:
+            return False
+    return True
+
+
+def eigenbasis_pair(rng, c):
+    """(b1, b2, V^-1): a commuting pair acting by separated values on the
+    columns v_j of a random basis V (drawn with cond <= 1e4, then scaled to
+    unit columns), so that the frame e = f V^-1 has e v_j = f[j]."""
+    V = random_invertible(rng, c).to_numpy()
+    V = V / np.linalg.norm(V, axis=0)
+    Vi = np.linalg.inv(V)
+    b1 = Matrix.from_numpy(V @ np.diag(_separated_values(rng, c)) @ Vi)
+    b2 = Matrix.from_numpy(V @ np.diag(_separated_values(rng, c)) @ Vi)
+    return b1, b2, Vi
+
+
+def framed(b1, b2, f):
+    return PlaneADHM(b1.rows, b1, b2, Matrix.from_numpy(np.asarray(f)[None, :]))
+
+
+def test_T2_matches_the_eigenvector_reference():
+    rng = rng_from_seed(11)
+    for c in range(1, 7):
+        for trial in range(9):
+            kind = trial % 3
+            f = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+            if kind == 1:                           # e = 0
+                f[:] = 0
+            elif kind == 2:                         # e kills one eigenvector
+                f[rng.integers(c)] = 0
+            b1, b2, Vi = eigenbasis_pair(rng, c)
+            d = framed(b1, b2, f @ Vi)
+            for t in (d, gl_action(random_invertible(rng, c), d)):
+                assert check_T2(t) == eigenvector_costable(t) == (kind == 0)
+
+
+@pytest.mark.parametrize("c", range(2, 7))
+def test_T2_non_semisimple_pairs(c):
+    rng = rng_from_seed(100 + c)
+    J = Matrix.from_numpy(np.eye(c, k=1))               # upper shift
+    ident = Matrix.identity(c)
+    # J e_1 = 0: the one joint eigenvector of (J, J^2) is the first column
+    for row, want in ((0, True), (c - 1, False)):
+        d = PlaneADHM(c, J, J @ J, ident.submatrix([row], range(c)))
+        for t in (d, gl_action(random_invertible(rng, c), d)):
+            assert check_T2(t) == eigenvector_costable(t) == want
+    # one Jordan block with b2 a polynomial in b1, then two blocks with
+    # distinct eigenvalues; the joint eigenvectors are the block heads.  The
+    # reference judges only the unmoved pairs: a gauge spreads the Jordan
+    # block's eigenvalue by about eps^(1/c), past CLUSTER_TOL, and the
+    # eigenvector search then misses the violators (c = 3..6 here)
+    z, w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    k = c // 2
+    blocks = Matrix.diagonal([z] * k + [w] * (c - k)) + Matrix.from_numpy(
+        np.diag([1.0] * (k - 1) + [0.0] + [1.0] * (c - k - 1), 1))
+    pairs = (((ident.scale(z) + J,
+               ident.scale(w) + J.scale(0.7) - (J @ J).scale(1.3)), [0]),
+             ((blocks, blocks @ blocks), [0, k]))
+    for (b1, b2), heads in pairs:
+        for trial in range(4):
+            f = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+            if trial % 2:
+                f[heads[trial // 2 % len(heads)]] = 0
+            d = framed(b1, b2, f)
+            moved = gl_action(random_invertible(rng, c), d)
+            want = trial % 2 == 0
+            assert check_T2(d) == eigenvector_costable(d) == want
+            assert check_T2(moved) == want
+
+
+def test_T2_needs_both_matrices():
+    # one matrix alone is not cyclic: the other separates its eigenspace
+    zero, diag = Matrix.zeros(3, 3), Matrix.diagonal([1, 2, 3])
+    e = Matrix.row_vector([1, 1, 1])
+    for b1, b2 in ((zero, diag), (diag, zero), (Matrix.diagonal([1, 1, 2]), diag)):
+        d = PlaneADHM(3, b1, b2, e)
+        assert check_T2(d) and eigenvector_costable(d)
+
+
+def test_T2_casts_rational_data():
+    b1 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]], RATIONAL)
+    b2 = b1 @ b1
+    assert check_T2(PlaneADHM(3, b1, b2, Matrix.row_vector([1, 0, 1], RATIONAL)))
+    assert not check_T2(PlaneADHM(3, b1, b2,
+                                  Matrix.row_vector([0, 1, 1], RATIONAL)))
+
+
+def test_T2_on_a_non_commuting_pair_tests_invariant_subspaces():
+    # span(v1, v2) is invariant under both and lies in ker e but holds no
+    # joint eigenvector; the only one is v3, which e sees
+    b1 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    b2 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 2]])
+    d = PlaneADHM(3, b1, b2, Matrix.row_vector([0, 0, 1]))
+    assert not check_T1(d)
+    assert not check_T2(d) and eigenvector_costable(d)
+    assert check_T2(PlaneADHM(3, b1, b2, Matrix.row_vector([1, 0, 1])))
+
+
+def test_T2_needs_no_eigenvectors(monkeypatch):
+    from xnadhm import linalg, plane
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_T2 searched eigenvectors")
+
+    rng = rng_from_seed(12)
+    triples = [random_costable_triple(rng, c) for c in (2, 4, 6)]
+    want = [eigenvector_costable(d) for d in triples]
+    for module in (plane, linalg):
+        for name in ("common_eigenvectors", "eigenvalues", "nullspace", "rank"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [check_T2(d) for d in triples] == want == [True] * 3
+
+
+#: the conditioning sweep sets |e v| = 10^-k for these k
+SWEEP = range(2, 14)
+
+
+def last_costable(verdicts):
+    """The largest k still called co-stable; the verdicts must flip exactly
+    once, from co-stable to not, as k grows."""
+    assert verdicts[0] and not verdicts[-1]
+    assert verdicts == sorted(verdicts, reverse=True)
+    return SWEEP[sum(verdicts) - 1]
+
+
+def test_costability_conditioning_sweep():
+    """Diagonal chart data on a random basis (cond <= 1e4), |e v| = 10^-k on
+    one unit eigenvector v and |e v_j| = 1 on the others, for c = 2..6 and
+    n = 1..3.
+
+    Both routes through ``check_T2`` call 10^-6 co-stable and 10^-11 not
+    (most draws flip between 10^-8 and 10^-10; an ill-conditioned basis
+    moves the flip earlier), and ``tol`` = 1e-6 moves the flip earlier.
+    The joint-eigenvector test flips between 10^-8 and 10^-10, and
+    ``check_P3_direct`` between 10^-4 and 10^-8.
+    """
+    rng = rng_from_seed(0)
+    for c in range(2, 7):
+        for n in range(1, 4):
+            b1, b2, Vi = eigenbasis_pair(rng, c)
+            phases = np.exp(2j * np.pi * rng.random(c))
+            m = int(rng.integers(0, c + 1))
+            A2m = random_invertible(rng, c)
+            verdicts = {"T2": [], "T2 at 1e-6": [], "reference": [],
+                        "chart": [], "direct": []}
+            for k in SWEEP:
+                d = framed(b1, b2, phases * np.r_[10.0 ** -k, np.ones(c - 1)] @ Vi)
+                x = zeta_inverse(ChartData(m, d.b1, d.b2, d.e, A2m), n,
+                                 check=False)
+                verdicts["T2"].append(check_T2(d))
+                verdicts["T2 at 1e-6"].append(check_T2(d, 1e-6))
+                verdicts["reference"].append(eigenvector_costable(d))
+                verdicts["chart"].append(check_P3_via_chart(x))
+                verdicts["direct"].append(check_P3_direct(x))
+            last = {route: last_costable(v) for route, v in verdicts.items()}
+            assert 6 <= last["T2"] <= 10, (c, n, last)
+            assert 6 <= last["chart"] <= 10, (c, n, last)
+            assert last["T2 at 1e-6"] <= last["T2"] - 1, (c, n, last)
+            assert 8 <= last["reference"] <= 9, (c, n, last)
+            assert 4 <= last["direct"] <= 7, (c, n, last)
 
 
 def test_T2_rejects_prime_field():
