@@ -106,16 +106,21 @@ class RationalField(_NativeField):
     one = Fraction(1)
 
     def coerce(self, x):
-        if type(x) is Fraction:     # exact type first: skips the ABC check
+        if type(x) is Fraction:     # exact types first: skip the ABC checks
             return x
+        if type(x) is int:
+            return Fraction(x)
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, bool):
-            raise UnsupportedBackend(f"cannot coerce {x!r} into the rational backend")
-        if isinstance(x, (int, str)):
+        if isinstance(x, str):      # "3/4" from the command line
             return Fraction(x)
-        if isinstance(x, float) and x == int(x):
+        if isinstance(x, (float, np.floating)) and x.is_integer():
             return Fraction(int(x))
+        if not isinstance(x, bool):
+            try:
+                return Fraction(operator.index(x))
+            except TypeError:
+                pass
         raise UnsupportedBackend(f"cannot coerce {x!r} into the rational backend")
 
 
@@ -606,6 +611,24 @@ def is_invertible_rel(M: Matrix, tol=None) -> bool:
     return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])
 
 
+def _node_stack(A1: Matrix, A2: Matrix, nodes):
+    """(len(nodes), c, c) complex array holding n1 A1 + n2 A2 for each node
+    (n1, n2): the batched ``A1.scale(n1) + A2.scale(n2)``."""
+    w = np.array(nodes, dtype=complex)
+    return (w[:, 0, None, None] * A1.to_numpy()
+            + w[:, 1, None, None] * A2.to_numpy())
+
+
+def _conditioning(stack):
+    """(smallest singular value, max(1, max-norm)) of each matrix of a
+    (k, c, c) stack, from one batched SVD: the two sides of
+    ``is_invertible``'s test.  An empty matrix is invertible (s_min = inf)."""
+    if stack.shape[-1] == 0:
+        return np.full(len(stack), np.inf), np.ones(len(stack))
+    s_min = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    return s_min, np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues (float backend only)
 # ---------------------------------------------------------------------------
@@ -699,6 +722,9 @@ def pencil_det_poly(A1: Matrix, A2: Matrix, tol=None) -> HomogPoly:
     Computed by evaluation at c+1 pairwise non-proportional sample ratios
     followed by interpolation.  Float samples sit at the chart angles
     (cos, sin)(pi*m/(c+1)); exact backends use field-rational nodes instead.
+    ``analyze_pencil`` uses the exact path only: a float pencil's
+    regularity and spectrum come from the node matrices themselves, without
+    the interpolated form, whose roots lose accuracy at clustered roots.
     """
     if A1.rows != A1.cols or A2.rows != A2.cols or A1.rows != A2.rows:
         raise ShapeMismatch("pencil matrices must be square of equal size")
@@ -770,10 +796,19 @@ def projective_roots(p: HomogPoly, tol=None, cluster_tol=CLUSTER_TOL):
         raw.append(((0j, 1.0 + 0j), p.degree - hi))
     mid = coeffs[lo:hi + 1]
     if len(mid) > 1:
-        for s in np.roots(list(reversed(mid))):
-            raw.append((_normalize_point(1.0 + 0j, complex(s)), 1))
-    raw.sort(key=lambda it: (it[0][0].real, it[0][0].imag,
-                             it[0][1].real, it[0][1].imag))
+        raw.extend(((1.0 + 0j, complex(s)), 1)
+                   for s in np.roots(list(reversed(mid))))
+    return _merge_roots(raw, cluster_tol)
+
+
+def _merge_roots(raw, cluster_tol=CLUSTER_TOL):
+    """Projective roots ``[((l1, l2), mult), ...]`` as every spectrum route
+    returns them: each point normalized to max-coordinate 1, sorted, and
+    points within ``cluster_tol`` in the chordal metric merged with their
+    multiplicities added."""
+    raw = sorted(((_normalize_point(*pt), mult) for pt, mult in raw),
+                 key=lambda it: (it[0][0].real, it[0][0].imag,
+                                 it[0][1].real, it[0][1].imag))
     merged = []
     for pt, mult in raw:
         for k, (rep, m0) in enumerate(merged):

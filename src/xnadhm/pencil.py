@@ -1,7 +1,13 @@
 """Regularity analysis of matrix pencils nu1*A1 + nu2*A2.
 
 A pencil is regular when its homogeneous determinant polynomial is not
-identically zero.  A singular pencil admits a polynomial vector solution
+identically zero.  On floats that is decided at the c+1 sample nodes
+(cos, sin)(pi*m/(c+1)), which a degree-c form cannot all vanish at, by one
+batched SVD; the spectrum of a regular float pencil is then one eigenvalue
+call at the best-conditioned node.  The exact backends interpolate the
+determinant form instead, and the rational backend roots it.
+
+A singular pencil admits a polynomial vector solution
 v(t) = v0 - t v1 + ... + (-t)^eps v_eps of (A1 + t A2) v(t) = 0; equating
 coefficients turns that into the chain
 
@@ -15,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import linalg
-from .errors import InvalidInput, ShapeMismatch
+from .errors import BackendMismatch, InvalidInput, ShapeMismatch
 from .linalg import Matrix, hstack, nullspace, pencil_det_poly, projective_roots, rank, vstack
 
 
@@ -89,31 +97,24 @@ def _pick_chain(basis: Matrix):
 def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     """Classify the pencil and, when singular, return the minimal chain.
 
-    Regular pencils come back with their projective spectrum (roots of the
-    determinant form) and a sampled witness ratio where the determinant does
-    not vanish.  Singular pencils come back with the smallest eps whose chain
-    staircase has a nontrivial kernel, one chain with v_eps != 0, and the
-    float residuals of every chain equation.
+    Regular pencils come back with their projective spectrum and a sample
+    node (witness) where the pencil matrix is invertible.  On floats the
+    spectrum is the eigenvalues of the pencil seen from the witness node
+    (``_float_spectrum``); the rational backend still interpolates the exact
+    determinant form and roots it, and the prime field has no spectrum.
+    Singular pencils come back with the smallest eps whose chain staircase
+    has a nontrivial kernel, one chain with v_eps != 0, and the float
+    residuals of every chain equation.
     """
-    if A1.rows != A1.cols or A2.rows != A2.cols or A1.rows != A2.rows:
-        raise ShapeMismatch("pencil matrices must be square of equal size")
     bk = A1.backend
     c = A1.rows
-    if bk.exact:
-        poly = pencil_det_poly(A1, A2, tol)
-        regular = not poly.is_zero()
-        witness = _regularity_witness(A1, A2, poly, tol) if regular else None
-    else:
-        # a degree-c form cannot vanish at c+1 distinct ratios, so regularity
-        # is a well-conditioned rank decision at the sample nodes rather than
-        # a size comparison of interpolated coefficients
-        witness = _float_witness(A1, A2, tol)
-        regular = witness is not None
-        poly = pencil_det_poly(A1, A2, tol) if regular else None
-    if regular:
+    witness, at_witness = _regularity(A1, A2, tol)
+    if witness is not None:
         eig = None
-        if bk.kind != "gf":
-            eig = projective_roots(poly, tol)
+        if bk.kind == "rational":
+            eig = projective_roots(at_witness, tol)
+        elif not bk.exact:
+            eig = _float_spectrum(A1, A2, witness, at_witness)
         return PencilAnalysis(regular=True, witness=witness, eigenvalues=eig)
 
     for eps in range(0, c + 1):
@@ -135,6 +136,25 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     raise InvalidInput("no polynomial solution of degree <= c found")
 
 
+def _regularity(A1, A2, tol):
+    """(witness, basis) of the pencil, the witness None when it is singular.
+
+    The basis is what ``analyze_pencil`` computes the spectrum from: the
+    exact determinant form on the exact backends, the float pencil matrix
+    at the witness node on floats.  ``xn.check_P2`` uses the witness alone.
+    """
+    if A1.rows != A1.cols or A2.rows != A2.cols or A1.rows != A2.rows:
+        raise ShapeMismatch("pencil matrices must be square of equal size")
+    if A1.backend != A2.backend:
+        raise BackendMismatch("pencil matrices on different backends")
+    if A1.backend.exact:
+        poly = pencil_det_poly(A1, A2, tol)
+        if poly.is_zero():
+            return None, None
+        return _regularity_witness(A1, A2, poly, tol), poly
+    return _float_witness(A1, A2, tol)
+
+
 def _regularity_witness(A1, A2, poly, tol):
     bk = A1.backend
     if bk.kind == "rational":
@@ -149,18 +169,46 @@ def _regularity_witness(A1, A2, poly, tol):
 
 
 def _float_witness(A1, A2, tol):
-    """Sample node with the best-conditioned pencil matrix, or None when the
-    pencil is singular at every node (hence everywhere)."""
-    import numpy as np
+    """Sample node with the best-conditioned pencil matrix and that matrix,
+    or (None, None) when the pencil is singular at every node (hence
+    everywhere): a degree-c form cannot vanish at c+1 distinct ratios, so
+    regularity is a rank decision at the nodes rather than a size comparison
+    of interpolated coefficients.
 
-    best, best_val = None, 0.0
-    for m in range(A1.rows + 1):
-        n1, n2 = linalg.angle_constants(A1.rows, m)
-        P = A1.scale(n1) + A2.scale(n2)
-        s = np.linalg.svd(P.to_numpy(), compute_uv=False)
-        if s[-1] > linalg._tol(tol) * max(1.0, P.maxnorm()) and s[-1] > best_val:
-            best, best_val = (complex(n1), complex(n2)), float(s[-1])
-    return best
+    A node counts when its smallest singular value exceeds ``_tol(tol)``
+    times max(1, max-norm); of those the largest smallest singular value
+    wins, the lowest node on a tie.
+    """
+    nodes = [linalg.angle_constants(A1.rows, m) for m in range(A1.rows + 1)]
+    P = linalg._node_stack(A1, A2, nodes)
+    s_min, scale = linalg._conditioning(P)
+    ok = s_min > linalg._tol(tol) * scale
+    if not ok.any():
+        return None, None
+    best = int(np.argmax(np.where(ok, s_min, -1.0)))
+    n1, n2 = nodes[best]
+    return (complex(n1), complex(n2)), P[best]
+
+
+def _float_spectrum(A1, A2, witness, P):
+    """Projective roots of det(nu1 A1 + nu2 A2) from one eigenvalue call.
+
+    With P = n1 A1 + n2 A2 invertible at the witness node and
+    Q = -n2 A1 + n1 A2, the pencil is a P + b Q in the rotated coordinates
+    (a, b) = (n1 nu1 + n2 nu2, -n2 nu1 + n1 nu2); it is singular exactly at
+    a = -mu b for an eigenvalue mu of P^-1 Q, that is at
+    [nu1 : nu2] = [-mu n1 - n2 : -mu n2 + n1].  A regular generalized
+    eigenvalue problem (Moler & Stewart, SIAM J. Numer. Anal. 10, 1973)
+    reduced to an ordinary one at a well-conditioned node.
+    """
+    n1, n2 = witness[0].real, witness[1].real
+    Q = -n2 * A1.to_numpy() + n1 * A2.to_numpy()
+    mus = np.linalg.eigvals(np.linalg.solve(P, Q)).tolist()
+    roots = linalg._merge_roots([((-mu * n1 - n2, -mu * n2 + n1), 1)
+                                 for mu in mus])
+    # + 0j turns a -0.0 part into 0.0, so that a root on an axis reads
+    # (1+0j, 0j) or (0j, 1+0j) on every route
+    return [((a + 0j, b + 0j), k) for (a, b), k in roots]
 
 
 def check_Q3star(A1: Matrix, A2: Matrix, S0: Matrix, tol=None) -> bool:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .errors import (
     IndexOutOfRange,
@@ -36,7 +38,7 @@ from .errors import (
     UnsupportedBackend,
 )
 from .linalg import Matrix, angle_constants, inverse, is_invertible, nullspace, vstack
-from .pencil import analyze_pencil
+from .pencil import _regularity, analyze_pencil
 from .plane import PlaneADHM, check_T2, joint_spectrum
 
 
@@ -217,8 +219,9 @@ def check_P1(d: XnADHM, tol=None) -> bool:
 
 
 def check_P2(d: XnADHM, tol=None) -> bool:
-    """Pencil regularity, delegated to the pencil analyzer."""
-    return analyze_pencil(d.A1, d.A2, tol).regular
+    """Pencil regularity: the pencil analyzer's own test, without the
+    spectrum or the minimal chain of a full ``analyze_pencil``."""
+    return _regularity(d.A1, d.A2, tol)[0] is not None
 
 
 def check_P3_direct(d: XnADHM, tol=None) -> bool:
@@ -390,21 +393,27 @@ def gl2_action_chart(phi1: Matrix, phi2: Matrix, cd: ChartData, tol=None) -> Cha
 # ---------------------------------------------------------------------------
 
 def cover_chart(d: XnADHM, tol=None) -> int:
-    """Smallest chart index maximizing |det A2m|; over an exact backend, the
-    first invertible chart.  Raises ``NoChart`` on a singular pencil.
+    """Best-conditioned chart: on floats the smallest chart index maximizing
+    s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests,
+    so that ``NoChart`` is raised exactly when no chart passes that test;
+    over an exact backend, the first invertible chart.  Raises ``NoChart``
+    on a singular pencil.
 
     Some chart is always invertible for a regular pencil: the determinant
     form has at most c projective roots and there are c+1 chart ratios.
     """
-    charts = [_chart_A2m(d, m) for m in range(d.c + 1)]
     if d.backend.exact:
         # charts whose constants stay in the field are judged exactly; the
         # promoted ones fall back to the float tolerance
-        best = next((m for m, A2m in enumerate(charts)
-                     if is_invertible(A2m, tol)), None)
+        best = next((m for m in range(d.c + 1)
+                     if is_invertible(_chart_A2m(d, m), tol)), None)
     else:
-        best = max(range(d.c + 1), key=lambda m: abs(linalg.det(charts[m])))
-        if not is_invertible(charts[best], tol):
+        # A2m = s_m A1 + c_m A2 at every chart, stacked for one batched SVD
+        nodes = [angle_constants(d.c, m)[::-1] for m in range(d.c + 1)]
+        s_min, scale = linalg._conditioning(
+            linalg._node_stack(d.A1, d.A2, nodes))
+        best = int(np.argmax(s_min / scale))
+        if not s_min[best] > linalg._tol(tol) * scale[best]:
             best = None
     if best is None:
         raise NoChart("singular pencil: no invertible chart")

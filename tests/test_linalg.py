@@ -308,6 +308,24 @@ def test_gf_coerce_rejects_everything_else(value):
         GF(5).coerce(value)
 
 
+@pytest.mark.parametrize("value, want", [
+    (3, 3), (np.int64(3), 3), (np.uint8(9), 9), (-3.0, -3), (np.float64(3.0), 3),
+    (np.float32(-6.0), -6), ("3/4", Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 2))],
+    ids=repr)
+def test_rational_coerce_takes_integers_integral_floats_and_strings(value, want):
+    got = RATIONAL.coerce(value)
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("value", [
+    2.5, float("nan"), float("inf"), float("-inf"), np.float64(2.5), 1 + 0j,
+    np.complex128(3), None, np.bool_(True)], ids=repr)
+def test_rational_coerce_rejects_everything_else(value):
+    # NaN used to raise ValueError and infinity OverflowError
+    with pytest.raises(UnsupportedBackend):
+        RATIONAL.coerce(value)
+
+
 def test_complex_matrix_cast_to_gf_raises_the_library_error():
     with pytest.raises(UnsupportedBackend):
         Matrix.from_rows([[1 + 0j]]).cast(GF(5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xnadhm.errors import DuplicatePoint, SingularGauge, UnsupportedBackend
-from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, rank, residual
+from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, is_invertible, rank, residual
 from xnadhm.plane import (
     PlaneADHM,
     check_T1,
@@ -21,7 +21,14 @@ from xnadhm.sampling import (
     random_invertible,
     rng_from_seed,
 )
-from xnadhm.xn import ChartData, check_P3_direct, check_P3_via_chart, zeta_inverse
+from xnadhm.xn import (
+    ChartData,
+    chart_matrices,
+    check_P3_direct,
+    check_P3_via_chart,
+    cover_chart,
+    zeta_inverse,
+)
 
 
 def triple(b1_rows, b2_rows, e_row):
@@ -259,6 +266,26 @@ def test_costability_conditioning_sweep():
             assert last["T2 at 1e-6"] <= last["T2"] - 1, (c, n, last)
             assert 8 <= last["reference"] <= 9, (c, n, last)
             assert 4 <= last["direct"] <= 7, (c, n, last)
+
+
+def test_cover_chart_is_scale_free():
+    """The sweep's cells at |e v| = 1: every pencil is regular, so some
+    chart passes ``is_invertible`` at either tol.  Ranking charts by |det
+    A2m| picked a chart with condition number about 2.5e6 on one cell (c =
+    4, n = 3) and raised ``NoChart`` at tol = 1e-6."""
+    rng = rng_from_seed(0)
+    for c in range(2, 7):
+        for n in range(1, 4):
+            b1, b2, Vi = eigenbasis_pair(rng, c)
+            phases = np.exp(2j * np.pi * rng.random(c))
+            m = int(rng.integers(0, c + 1))
+            A2m = random_invertible(rng, c)
+            d = framed(b1, b2, phases @ Vi)
+            x = zeta_inverse(ChartData(m, d.b1, d.b2, d.e, A2m), n, check=False)
+            for tol in (None, 1e-6):
+                chart = cover_chart(x, tol)
+                assert is_invertible(chart_matrices(x, chart)[1], tol)
+                assert check_P3_via_chart(x, tol)
 
 
 def test_T2_rejects_prime_field():
