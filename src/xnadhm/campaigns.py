@@ -113,10 +113,12 @@ def _cocycle(item, samples, tol):
     worst = 0.0
     phi_ok = omega_ok = True
     m = cd.m
-    # the direct legs m -> k depend on the chart k alone
+    # the direct legs m -> k depend on the chart k alone; d.b1 is cd.B, so
+    # the equivariance loop reuses these margins
+    margins = [sampling.overlap_margin(d.b1, c, m, k) for k in range(c + 1)]
     direct = {}
     for k in range(c + 1):
-        if sampling.overlap_margin(d.b1, c, m, k) < margin:
+        if margins[k] < margin:
             continue
         try:
             direct[k] = (transition_phi(d, n, m, k),
@@ -150,7 +152,7 @@ def _cocycle(item, samples, tol):
     moved_cd = gl2_action_chart(g1, g2, cd)
     for l in range(c + 1):
         try:
-            if (sampling.overlap_margin(cd.B, c, m, l) < margin
+            if (margins[l] < margin
                     or sampling.overlap_margin(moved_cd.B, c, m, l) < margin):
                 continue
             lhs = transition_omega(moved_cd, n, l)

@@ -11,9 +11,11 @@ Matrices carry one of three scalar backends:
 Every matrix stores its entries as one read-only ``(rows, cols)`` ndarray
 of its backend's ``dtype``: complex128, or an object array holding the
 exact backends' Python ``Fraction`` and ``int`` scalars.  Matrix arithmetic
-is a single numpy operation on any backend; only rank, nullspace,
-determinant and inverse take a different algorithm on the exact backends
-(elimination by hand instead of LAPACK).
+is a single numpy operation on any backend, with one exception: a rational
+product brings each factor over its least common denominator and multiplies
+the integer numerators, so that no intermediate ``Fraction`` is made.  Only
+rank, nullspace, determinant and inverse take a different algorithm on the
+exact backends (elimination by hand instead of LAPACK).
 
 A backend is ``kind``, ``exact``, ``dtype``, ``zero``, ``one`` and three
 maps: ``coerce`` validates a value from outside and brings it into the
@@ -30,6 +32,7 @@ determinant polynomials of matrix pencils and their projective roots.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -328,6 +331,9 @@ class Matrix:
         if self.cols == 0:
             # an empty object matmul fills with int 0, not the field's zero
             return Matrix.zeros(self.rows, other.cols, self.backend)
+        if self.backend.kind == "rational":
+            return _wrap(_rational_product(self.entries, other.entries),
+                         self.backend)
         return self._result(self.entries @ other.entries)
 
     def transpose(self):
@@ -415,6 +421,28 @@ def _wrap(arr, backend=COMPLEX) -> Matrix:
 def _wrap_rows(rows, cols, backend) -> Matrix:
     """Matrix of canonical rows (lists of scalars) from exact elimination."""
     return _wrap(np.array(rows, dtype=object).reshape(len(rows), cols), backend)
+
+
+def _integer_form(arr):
+    """(N, d) for an object array of rationals: d is the least common
+    denominator of the entries and N the array of Python ints d * arr."""
+    pairs = [x.as_integer_ratio() for x in arr.flat]
+    d = math.lcm(*[q for _, q in pairs])
+    return (np.array([p * (d // q) for p, q in pairs], dtype=object)
+            .reshape(arr.shape), d)
+
+
+def _rational_product(a, b):
+    """a @ b for object arrays of rationals, as one integer matmul of the
+    numerators over the product of the two common denominators: the
+    canonical ``Fraction`` of each result entry is made once, not once per
+    term.  Exact, so the entries equal those of ``a @ b``."""
+    na, da = _integer_form(a)
+    nb, db = _integer_form(b)
+    d = da * db
+    shape = (a.shape[0], b.shape[1])
+    return np.fromiter((Fraction(v, d) for v in (na @ nb).flat),
+                       dtype=object, count=shape[0] * shape[1]).reshape(shape)
 
 
 def _zeros(shape, backend):
@@ -582,11 +610,6 @@ def inverse(M: Matrix) -> Matrix:
     return _wrap_rows([r[M.rows:] for r in rows], M.rows, bk)
 
 
-def solve(A: Matrix, B: Matrix) -> Matrix:
-    """Solve A X = B for square invertible A."""
-    return inverse(A) @ B
-
-
 def is_invertible(M: Matrix, tol=None) -> bool:
     if M.rows != M.cols:
         return False
@@ -716,46 +739,65 @@ def angle_constants(c_count: int, k: int):
     return _snap(math.cos(theta)), _snap(math.sin(theta))
 
 
+@functools.lru_cache(maxsize=None)
+def _pencil_nodes(c: int, backend) -> tuple:
+    """The c+1 pairwise non-proportional nodes (nu1, nu2) at which a pencil
+    of size c is sampled: the chart angles (cos, sin)(pi*m/(c+1)) on floats,
+    (1, q) for q = 0..c on the rationals, and (1, t) for t = 0..p-1, then
+    (0, 1), on GF(p), which has only p+1 projective points."""
+    bk = backend
+    if not bk.exact:
+        return tuple(tuple(map(bk.coerce, angle_constants(c, m)))
+                     for m in range(c + 1))
+    if bk.kind == "rational":
+        return tuple((bk.one, bk.coerce(q)) for q in range(c + 1))
+    if c + 1 > bk.p + 1:
+        raise UnsupportedBackend(
+            f"need {c + 1} projective nodes, GF({bk.p}) has {bk.p + 1}")
+    nodes = [(bk.one, bk.coerce(t)) for t in range(min(c + 1, bk.p))]
+    if len(nodes) < c + 1:
+        nodes.append((bk.zero, bk.one))
+    return tuple(nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def _vandermonde_inverse(c: int, backend) -> Matrix:
+    """Inverse of the Vandermonde matrix [n2^q n1^(c-q)] of the pencil nodes:
+    it maps a form's values at the nodes to its coefficients.  Computed once
+    per (c, backend)."""
+    return inverse(Matrix.from_rows(
+        [[n2 ** q * n1 ** (c - q) for q in range(c + 1)]
+         for n1, n2 in _pencil_nodes(c, backend)], backend))
+
+
+def _interpolate_form(values, backend) -> HomogPoly:
+    """The binary form of degree c = len(values) - 1 that takes ``values``
+    at ``_pencil_nodes(c, backend)``, by one product with the cached inverse
+    Vandermonde matrix."""
+    c = len(values) - 1
+    values = Matrix.col_vector(values, backend)
+    coeffs = _vandermonde_inverse(c, backend) @ values
+    return HomogPoly(c, coeffs.entries.ravel().tolist(), backend)
+
+
 def pencil_det_poly(A1: Matrix, A2: Matrix, tol=None) -> HomogPoly:
     """det(nu1*A1 + nu2*A2) as a homogeneous form of degree c.
 
-    Computed by evaluation at c+1 pairwise non-proportional sample ratios
-    followed by interpolation.  Float samples sit at the chart angles
-    (cos, sin)(pi*m/(c+1)); exact backends use field-rational nodes instead.
-    ``analyze_pencil`` uses the exact path only: a float pencil's
-    regularity and spectrum come from the node matrices themselves, without
-    the interpolated form, whose roots lose accuracy at clustered roots.
+    Computed by evaluation at the c+1 ``_pencil_nodes`` followed by
+    interpolation with the cached inverse Vandermonde matrix.
+    ``analyze_pencil`` interpolates on the rational backend only, from the
+    node determinants it has taken already: a float pencil's regularity and
+    spectrum come from the node matrices themselves, without the
+    interpolated form, whose roots lose accuracy at clustered roots, and
+    exact regularity is the first nonzero node determinant.
     """
     if A1.rows != A1.cols or A2.rows != A2.cols or A1.rows != A2.rows:
         raise ShapeMismatch("pencil matrices must be square of equal size")
     if A1.backend != A2.backend:
         raise BackendMismatch("pencil matrices on different backends")
     bk = A1.backend
-    c = A1.rows
-    if c == 0:
-        return HomogPoly(0, [bk.one], bk)
-
-    if bk.exact:
-        nodes = []
-        if bk.kind == "rational":
-            nodes = [(bk.one, bk.coerce(q)) for q in range(c + 1)]
-        else:
-            if c + 1 > bk.p + 1:
-                raise UnsupportedBackend(
-                    f"need {c + 1} projective nodes, GF({bk.p}) has {bk.p + 1}")
-            nodes = [(bk.one, bk.coerce(t)) for t in range(min(c + 1, bk.p))]
-            if len(nodes) < c + 1:
-                nodes.append((bk.zero, bk.one))
-    else:
-        nodes = [tuple(map(bk.coerce, angle_constants(c, m)))
-                 for m in range(c + 1)]
-
-    vals = [det(A1.scale(n1) + A2.scale(n2)) for (n1, n2) in nodes]
-    V = Matrix.from_rows([[n2 ** q * n1 ** (c - q) for q in range(c + 1)]
-                          for (n1, n2) in nodes], bk)
-    rhs = Matrix.col_vector(vals, bk)
-    coeffs = solve(V, rhs)
-    return HomogPoly(c, [coeffs.at(q, 0) for q in range(c + 1)], bk)
+    return _interpolate_form([det(A1.scale(n1) + A2.scale(n2))
+                              for n1, n2 in _pencil_nodes(A1.rows, bk)], bk)
 
 
 def _normalize_point(l1, l2):

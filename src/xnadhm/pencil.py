@@ -1,11 +1,14 @@
 """Regularity analysis of matrix pencils nu1*A1 + nu2*A2.
 
 A pencil is regular when its homogeneous determinant polynomial is not
-identically zero.  On floats that is decided at the c+1 sample nodes
-(cos, sin)(pi*m/(c+1)), which a degree-c form cannot all vanish at, by one
+identically zero, which is decided at the c+1 sample nodes of
+``linalg._pencil_nodes``: a nonzero form of degree c cannot vanish at all of
+them.  On floats the nodes are (cos, sin)(pi*m/(c+1)) and the decision is one
 batched SVD; the spectrum of a regular float pencil is then one eigenvalue
-call at the best-conditioned node.  The exact backends interpolate the
-determinant form instead, and the rational backend roots it.
+call at the best-conditioned node.  The exact backends take the node
+determinants in order and stop at the first nonzero one, the witness; only
+the rational spectrum takes the remaining determinants, interpolates the
+form with the cached inverse Vandermonde matrix and roots it.
 
 A singular pencil admits a polynomial vector solution
 v(t) = v0 - t v1 + ... + (-t)^eps v_eps of (A1 + t A2) v(t) = 0; equating
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BackendMismatch, InvalidInput, ShapeMismatch
-from .linalg import Matrix, hstack, nullspace, pencil_det_poly, projective_roots, rank, vstack
+from .linalg import Matrix, det, hstack, nullspace, projective_roots, rank, vstack
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,8 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     node (witness) where the pencil matrix is invertible.  On floats the
     spectrum is the eigenvalues of the pencil seen from the witness node
     (``_float_spectrum``); the rational backend still interpolates the exact
-    determinant form and roots it, and the prime field has no spectrum.
+    determinant form from the node determinants and roots it, and the prime
+    field has no spectrum.
     Singular pencils come back with the smallest eps whose chain staircase
     has a nontrivial kernel, one chain with v_eps != 0, and the float
     residuals of every chain equation.
@@ -112,7 +116,10 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     if witness is not None:
         eig = None
         if bk.kind == "rational":
-            eig = projective_roots(at_witness, tol)
+            nodes = linalg._pencil_nodes(c, bk)
+            dets = at_witness + [det(A1.scale(n1) + A2.scale(n2))
+                                 for n1, n2 in nodes[len(at_witness):]]
+            eig = projective_roots(linalg._interpolate_form(dets, bk), tol)
         elif not bk.exact:
             eig = _float_spectrum(A1, A2, witness, at_witness)
         return PencilAnalysis(regular=True, witness=witness, eigenvalues=eig)
@@ -139,33 +146,24 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
 def _regularity(A1, A2, tol):
     """(witness, basis) of the pencil, the witness None when it is singular.
 
-    The basis is what ``analyze_pencil`` computes the spectrum from: the
-    exact determinant form on the exact backends, the float pencil matrix
-    at the witness node on floats.  ``xn.check_P2`` uses the witness alone.
+    The basis is what ``analyze_pencil`` computes the spectrum from: on the
+    exact backends the node determinants up to the witness, the first node
+    where the determinant is nonzero; on floats the pencil matrix at the
+    witness node.  ``xn.check_P2`` uses the witness alone.
     """
     if A1.rows != A1.cols or A2.rows != A2.cols or A1.rows != A2.rows:
         raise ShapeMismatch("pencil matrices must be square of equal size")
     if A1.backend != A2.backend:
         raise BackendMismatch("pencil matrices on different backends")
-    if A1.backend.exact:
-        poly = pencil_det_poly(A1, A2, tol)
-        if poly.is_zero():
-            return None, None
-        return _regularity_witness(A1, A2, poly, tol), poly
-    return _float_witness(A1, A2, tol)
-
-
-def _regularity_witness(A1, A2, poly, tol):
     bk = A1.backend
-    if bk.kind == "rational":
-        candidates = [(bk.one, bk.coerce(q)) for q in range(A1.rows + 1)]
-    else:
-        candidates = [(bk.one, bk.coerce(t)) for t in range(bk.p)]
-        candidates.append((bk.zero, bk.one))
-    for n1, n2 in candidates:
-        if poly.evaluate(n1, n2) != 0:
-            return (n1, n2)
-    return None
+    if not bk.exact:
+        return _float_witness(A1, A2, tol)
+    dets = []
+    for n1, n2 in linalg._pencil_nodes(A1.rows, bk):
+        dets.append(det(A1.scale(n1) + A2.scale(n2)))
+        if dets[-1] != 0:
+            return (n1, n2), dets
+    return None, None
 
 
 def _float_witness(A1, A2, tol):
@@ -179,15 +177,14 @@ def _float_witness(A1, A2, tol):
     times max(1, max-norm); of those the largest smallest singular value
     wins, the lowest node on a tie.
     """
-    nodes = [linalg.angle_constants(A1.rows, m) for m in range(A1.rows + 1)]
+    nodes = linalg._pencil_nodes(A1.rows, A1.backend)
     P = linalg._node_stack(A1, A2, nodes)
     s_min, scale = linalg._conditioning(P)
     ok = s_min > linalg._tol(tol) * scale
     if not ok.any():
         return None, None
     best = int(np.argmax(np.where(ok, s_min, -1.0)))
-    n1, n2 = nodes[best]
-    return (complex(n1), complex(n2)), P[best]
+    return nodes[best], P[best]
 
 
 def _float_spectrum(A1, A2, witness, P):

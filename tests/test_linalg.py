@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xnadhm import linalg
 from xnadhm.errors import ShapeMismatch, UnsupportedBackend, ZeroPolynomial
 from xnadhm.linalg import (
     COMPLEX,
@@ -610,3 +611,104 @@ def test_power(backend):
     assert M.power(3) == M @ M @ M
     with pytest.raises(InvalidInput):
         M.power(-1)
+
+
+# ---------------------------------------------------------------------------
+# the rational product over common denominators
+# ---------------------------------------------------------------------------
+
+#: primes near 1e9, so that products of denominators leave machine integers
+BIG_PRIMES = (999999937, 999999929, 999999893, 1000000007, 1000000009)
+
+
+def _fraction_product(A, B):
+    """Reference product: each entry a Fraction sum of Fraction products."""
+    a, b = A.row_list(), B.row_list()
+    return [[sum((a[i][k] * b[k][j] for k in range(A.cols)), Fraction(0))
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+def _rational_entries(rng, kind, count):
+    if kind == "integers":
+        return [int(x) for x in rng.integers(-9, 10, size=count)]
+    if kind == "negative":
+        return [Fraction(-int(p), int(q)) for p, q in
+                zip(rng.integers(0, 20, size=count),
+                    rng.integers(1, 12, size=count))]
+    if kind == "big denominators":
+        return [Fraction(int(p), BIG_PRIMES[int(i)]) for p, i in
+                zip(rng.integers(-10**12, 10**12, size=count),
+                    rng.integers(0, len(BIG_PRIMES), size=count))]
+    # sparse: mostly zeros, as the diagonal and shift operands are
+    return [Fraction(int(p), int(q)) if keep else 0 for p, q, keep in
+            zip(rng.integers(-5, 6, size=count), rng.integers(1, 7, size=count),
+                rng.random(count) < 0.3)]
+
+
+@pytest.mark.parametrize("kind", ["integers", "negative", "big denominators",
+                                  "sparse"])
+@pytest.mark.parametrize("rows, inner, cols", [
+    (0, 3, 2), (1, 4, 3), (4, 1, 3), (3, 4, 1), (1, 1, 1), (3, 3, 2),
+    (4, 4, 4), (5, 2, 6)])
+def test_rational_product_matches_fraction_sums(kind, rows, inner, cols):
+    rng = np.random.default_rng(rows * 100 + inner * 10 + cols)
+    for _ in range(3):
+        A = Matrix(rows, inner, _rational_entries(rng, kind, rows * inner),
+                   RATIONAL)
+        B = Matrix(inner, cols, _rational_entries(rng, kind, inner * cols),
+                   RATIONAL)
+        got = A @ B
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got.row_list() == _fraction_product(A, B)
+        assert _scalars_canonical(got)
+        assert all(math.gcd(x.numerator, x.denominator) == 1
+                   and x.denominator > 0 for x in got.entries.flat)
+        assert not got.entries.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+def test_rational_product_property(rows, inner, cols, data):
+    entry = st.fractions(max_denominator=10**9)
+    A = Matrix(rows, inner, data.draw(st.lists(entry, min_size=rows * inner,
+                                               max_size=rows * inner)),
+               RATIONAL)
+    B = Matrix(inner, cols, data.draw(st.lists(entry, min_size=inner * cols,
+                                               max_size=inner * cols)),
+               RATIONAL)
+    got = A @ B
+    assert got.row_list() == _fraction_product(A, B)
+    assert _scalars_canonical(got)
+
+
+# ---------------------------------------------------------------------------
+# pencil nodes and their inverse Vandermonde matrix
+# ---------------------------------------------------------------------------
+
+def _vandermonde(c, backend):
+    return Matrix.from_rows([[n2 ** q * n1 ** (c - q) for q in range(c + 1)]
+                             for n1, n2 in linalg._pencil_nodes(c, backend)],
+                            backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=repr)
+def test_vandermonde_inverse_is_built_once_per_size(backend, monkeypatch):
+    built = []
+
+    def counted(M):
+        built.append(M.rows)
+        return inverse(M)
+
+    linalg._vandermonde_inverse.cache_clear()
+    monkeypatch.setattr(linalg, "inverse", counted)
+    rng = np.random.default_rng(5)
+    for c in range(6):
+        for _ in range(3):
+            W = linalg._vandermonde_inverse(c, backend)
+            assert W == inverse(_vandermonde(c, backend))
+            assert W.backend == backend and not W.entries.flags.writeable
+            A1, A2 = (Matrix.from_rows(rng.integers(-3, 4, size=(c, c)).tolist(),
+                                       backend) for _ in range(2))
+            pencil_det_poly(A1, A2)
+    assert built == [1, 2, 3, 4, 5, 6]
+    linalg._vandermonde_inverse.cache_clear()

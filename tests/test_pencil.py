@@ -1,17 +1,22 @@
 """Pencil regularity, minimal polynomial solutions, and the image-dimension
 criterion they control."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from xnadhm import linalg
+from xnadhm import linalg, pencil
+from xnadhm.errors import UnsupportedBackend
 from xnadhm.linalg import (
     COMPLEX,
     GF,
     RATIONAL,
     Matrix,
     chordal_distance,
+    det,
     hstack,
+    inverse,
     pencil_det_poly,
     projective_roots,
     rank,
@@ -239,3 +244,103 @@ def test_check_P2_computes_no_spectrum(backend, monkeypatch):
     if backend.kind != "gf":        # the patches do catch a spectrum
         with pytest.raises(AssertionError, match="spectrum"):
             analyze_pencil(regular.A1, regular.A2)
+
+
+def solved_det_poly(A1, A2):
+    """Reference determinant form at the rational nodes (1, q), q = 0..c:
+    the Vandermonde system solved afresh, with no cached inverse and no
+    matrix product."""
+    c = A1.rows
+    nodes = [(Fraction(1), Fraction(q)) for q in range(c + 1)]
+    V = Matrix.from_rows([[n2 ** q * n1 ** (c - q) for q in range(c + 1)]
+                          for n1, n2 in nodes], RATIONAL)
+    values = [det(A1.scale(n1) + A2.scale(n2)) for n1, n2 in nodes]
+    return tuple(sum((w * v for w, v in zip(row, values)), Fraction(0))
+                 for row in inverse(V).row_list())
+
+
+@pytest.mark.parametrize("c", range(7))
+def test_rational_det_poly_matches_solved_reference(c):
+    rng = np.random.default_rng(400 + c)
+    for _ in range(4):
+        A1, A2 = (Matrix(c, c, [Fraction(int(p), int(q)) for p, q in
+                                zip(rng.integers(-6, 7, size=c * c),
+                                    rng.integers(1, 5, size=c * c))],
+                         RATIONAL) for _ in range(2))
+        got = pencil_det_poly(A1, A2)
+        assert got.backend == RATIONAL and got.degree == c
+        assert got.coeffs == solved_det_poly(A1, A2)
+        assert all(type(x) is Fraction for x in got.coeffs)
+
+
+def shifted_pencil(backend, roots):
+    """(A1, A2) = (-diag(roots), I): det(A1 + t A2) = prod(t - r), so the
+    node (1, t) is singular exactly when t is one of ``roots``."""
+    return (Matrix.diagonal([-r for r in roots], backend),
+            Matrix.identity(len(roots), backend))
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_exact_check_P2_stops_at_first_nonzero_node(backend, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_P2 interpolated the determinant form")
+
+    dets = []
+
+    def counted(M):
+        dets.append(linalg.det(M))
+        return dets[-1]
+
+    monkeypatch.setattr(linalg, "_interpolate_form", refuse)
+    monkeypatch.setattr(linalg, "_vandermonde_inverse", refuse)
+    monkeypatch.setattr(pencil, "det", counted)
+    # (roots, det calls, witness): the witness is the first nonsingular node
+    cases = [([1, 2], 1, (1, 0)), ([0, 1], 3, (1, 2)), ([0, 2, 3], 2, (1, 1))]
+    if backend.kind == "gf":
+        # every (1, t) is singular, so the witness is the node (0, 1)
+        cases.append(([0, 1, 2, 3, 4], 6, (0, 1)))
+    else:
+        cases.append(([0, 1, 2, 3, 4], 6, (1, 5)))
+    for roots, calls, witness in cases:
+        A1, A2 = shifted_pencil(backend, roots)
+        c = len(roots)
+        d = XnADHM(1, c, A1, A2, (Matrix.zeros(c, c, backend),),
+                   Matrix.row_vector([1] * c, backend))
+        dets.clear()
+        assert check_P2(d)
+        assert len(dets) == calls and dets[-1] != 0
+        assert all(x == 0 for x in dets[:-1])
+        assert pencil._regularity(A1, A2, None)[0] == tuple(
+            map(backend.coerce, witness))
+    singular = XnADHM(1, 2, Matrix.diagonal([1, 0], backend),
+                      Matrix.diagonal([2, 0], backend),
+                      (Matrix.zeros(2, 2, backend),),
+                      Matrix.row_vector([1, 1], backend))
+    dets.clear()
+    assert not check_P2(singular) and dets == [backend.zero] * 3
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_exact_witness_is_first_node_where_the_form_is_nonzero(backend):
+    """The node determinants give the witness that evaluating the
+    interpolated form at the nodes in turn gave."""
+    rng = np.random.default_rng(77)
+    for c in range(1, 5):
+        nodes = linalg._pencil_nodes(c, backend)
+        for _ in range(25):
+            rows = rng.integers(-2, 3, size=(2, c, c))
+            rows[:, :, 0] *= rng.integers(0, 2)     # singular now and then
+            A1, A2 = (Matrix.from_rows(r.tolist(), backend) for r in rows)
+            poly = pencil_det_poly(A1, A2)
+            first = next((nd for nd in nodes if poly.evaluate(*nd) != 0), None)
+            an = analyze_pencil(A1, A2)
+            assert an.witness == first
+            assert an.regular == (not poly.is_zero())
+
+
+def test_exact_regularity_keeps_the_prime_field_node_limit():
+    A = Matrix.identity(4, GF(2))
+    d = XnADHM(1, 4, A, A, (Matrix.zeros(4, 4, GF(2)),),
+               Matrix.row_vector([1] * 4, GF(2)))
+    with pytest.raises(UnsupportedBackend, match="projective nodes"):
+        check_P2(d)
