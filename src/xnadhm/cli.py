@@ -110,7 +110,7 @@ def cmd_gen(args) -> int:
     return EXIT_RESOURCE
 
 
-def _check_report(checks, tol):
+def _check_report(checks):
     results = {}
     worst = 0.0
     for name, fn in checks:
@@ -141,7 +141,7 @@ def cmd_check(args) -> int:
             checks = [("P1", lambda: check_P1(d, tol)),
                       ("P2", lambda: pencil.regular),
                       ("P3", lambda: pencil.regular
-                       and _p3_at_roots(d, pencil.eigenvalues))]
+                       and _p3_at_roots(d, pencil.eigenvalues, tol))]
         elif args.which == "T":
             t = serialize.plane_from_json(obj)
             checks = [("T1", lambda: check_T1(t, tol)),
@@ -160,7 +160,7 @@ def cmd_check(args) -> int:
 
             checks = [("compose", lambda: within(compose_residual(mc))),
                       ("framing", lambda: within(framing_residual(mc)))]
-        results, worst = _check_report(checks, tol)
+        results, worst = _check_report(checks)
     except (XnAdhmError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -54,11 +54,6 @@ DEFAULT_TOL = 1e-9
 #: roots closer than this in the chordal metric on P^1 are merged
 CLUSTER_TOL = 1e-6
 
-#: relative tolerance used when extracting eigenspaces from clustered
-#: eigenvalues (looser than DEFAULT_TOL because the cluster representative
-#: may sit up to CLUSTER_TOL away from the true eigenvalue)
-EIG_TOL = 1e-8
-
 
 def _tol(tol):
     return DEFAULT_TOL if tol is None else float(tol)
@@ -634,9 +629,19 @@ def is_invertible_rel(M: Matrix, tol=None) -> bool:
     return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])
 
 
+def _node_matrix(A1: Matrix, A2: Matrix, n1, n2) -> Matrix:
+    """n1 A1 + n2 A2 at a node (n1, n2) != (0, 0), on any backend, without
+    the products by a zero or unit coefficient: the exact pencil nodes
+    (1, q) and (0, 1) are mostly 0 and 1, and each product is a pass over
+    ``Fraction`` or residue entries."""
+    terms = [A if s == 1 else A.scale(s)
+             for A, s in ((A1, n1), (A2, n2)) if s != 0]
+    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+
+
 def _node_stack(A1: Matrix, A2: Matrix, nodes):
     """(len(nodes), c, c) complex array holding n1 A1 + n2 A2 for each node
-    (n1, n2): the batched ``A1.scale(n1) + A2.scale(n2)``."""
+    (n1, n2): the batched ``_node_matrix``."""
     w = np.array(nodes, dtype=complex)
     return (w[:, 0, None, None] * A1.to_numpy()
             + w[:, 1, None, None] * A2.to_numpy())
@@ -796,7 +801,7 @@ def pencil_det_poly(A1: Matrix, A2: Matrix, tol=None) -> HomogPoly:
     if A1.backend != A2.backend:
         raise BackendMismatch("pencil matrices on different backends")
     bk = A1.backend
-    return _interpolate_form([det(A1.scale(n1) + A2.scale(n2))
+    return _interpolate_form([det(_node_matrix(A1, A2, n1, n2))
                               for n1, n2 in _pencil_nodes(A1.rows, bk)], bk)
 
 

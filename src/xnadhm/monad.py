@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .errors import InvalidInput, NotNormalizable, ShapeMismatch, SingularGauge
 from .linalg import (
@@ -338,8 +340,6 @@ def _left_null_row(a20: Matrix, tol):
         pivot = max(range(a20.rows),
                     key=lambda j: abs(complex(r.at(0, j))))
         return r.scale(bk.inv(r.at(0, pivot)))
-    import numpy as np
-
     u, s, _ = np.linalg.svd(a20.to_numpy())
     _require(s[-1] > linalg._tol(tol) * s[0], 3,
              "alpha2 y1-coefficient is not of full rank")

@@ -117,7 +117,7 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
         eig = None
         if bk.kind == "rational":
             nodes = linalg._pencil_nodes(c, bk)
-            dets = at_witness + [det(A1.scale(n1) + A2.scale(n2))
+            dets = at_witness + [det(linalg._node_matrix(A1, A2, n1, n2))
                                  for n1, n2 in nodes[len(at_witness):]]
             eig = projective_roots(linalg._interpolate_form(dets, bk), tol)
         elif not bk.exact:
@@ -160,7 +160,7 @@ def _regularity(A1, A2, tol):
         return _float_witness(A1, A2, tol)
     dets = []
     for n1, n2 in linalg._pencil_nodes(A1.rows, bk):
-        dets.append(det(A1.scale(n1) + A2.scale(n2)))
+        dets.append(det(linalg._node_matrix(A1, A2, n1, n2)))
         if dets[-1] != 0:
             return (n1, n2), dets
     return None, None

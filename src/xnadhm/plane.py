@@ -12,8 +12,9 @@ and searches no eigenvectors; on a non-commuting pair it tests that no
 nonzero invariant subspace lies in ker e.  Its threshold is ``_tol(tol)``
 on singular values of unit rows: a frame that sees one unit eigenvector v
 only by |e v| = 10^-k is co-stable at k <= 6, mostly up to k = 8, and not
-from k = 11 (see ``check_T2``).  ``common_eigenvectors`` remains for reading
-the joint spectrum.
+from k = 11 (see ``check_T2``).  The rank is ``_observable``, which the
+direct (P3) test of ``xn`` shares.  ``common_eigenvectors`` remains for
+reading the joint spectrum.
 
 The transpose triple satisfies the usual stability condition instead; see
 ``transpose_triple``.
@@ -32,15 +33,7 @@ from .errors import (
     SingularGauge,
     UnsupportedBackend,
 )
-from .linalg import (
-    EIG_TOL,
-    Matrix,
-    eigenvalues,
-    inverse,
-    is_invertible,
-    nullspace,
-    vstack,
-)
+from .linalg import Matrix, eigenvalues, inverse, is_invertible, nullspace, vstack
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,8 @@ def common_eigenvectors(b1: Matrix, b2: Matrix, tol=None):
     eigen-decomposed, and joint eigenvectors are recovered as the kernel of
     the stacked pair.  The enumeration is complete whenever b1 and b2
     commute: every joint eigenvector lives in some geometric eigenspace of
-    b1, which b2 then preserves.
+    b1, which b2 then preserves.  Both kernels are read at ``10 * _tol(tol)``,
+    since a clustered eigenvalue is the mean of its cluster.
     """
     if b1.backend.kind == "gf" or b2.backend.kind == "gf":
         raise UnsupportedBackend("joint spectra are unavailable over a prime field")
@@ -92,15 +86,16 @@ def common_eigenvectors(b1: Matrix, b2: Matrix, tol=None):
     b2 = b2.cast(linalg.COMPLEX)
     c = b1.rows
     ident = Matrix.identity(c)
+    thr = 10 * linalg._tol(tol)
     out = []
     for z, _ in eigenvalues(b1):
-        Kz = nullspace(b1 - ident.scale(z), EIG_TOL)
+        Kz = nullspace(b1 - ident.scale(z), thr)
         if Kz.cols == 0:
             continue
         R = _restriction(b2, Kz)
         for w, _ in eigenvalues(R):
             V = nullspace(vstack(b1 - ident.scale(z), b2 - ident.scale(w)),
-                          EIG_TOL)
+                          thr)
             if V.cols > 0:
                 out.append((z, w, V))
     return out
@@ -123,43 +118,48 @@ def check_T2(d: PlaneADHM, tol=None) -> bool:
     non-commuting pair the test means that no nonzero (b1, b2)-invariant
     subspace lies in ker e.
 
-    The span is grown as an orthonormal row basis from e/|e|: each step
-    applies b1 and b2, each divided by max(1, its max-norm), to the rows
-    added last, projects out the basis twice and keeps the singular
-    directions above ``_tol(tol)``.  The triple is co-stable when the basis
-    reaches c rows and not when a step adds none; an e with
-    |e| <= _tol(tol) max(1, |e|max) is not.  Rational data is cast to
-    complex; prime-field data raises ``UnsupportedBackend``.
+    The rank is ``_observable`` of e, b1 and b2, each divided by max(1, its
+    max-norm), at ``_tol(tol)``.  Rational data is cast to complex;
+    prime-field data raises ``UnsupportedBackend``.
 
     The last singular value scales like |e v| / |e| times the separation of
     the joint spectrum relative to the pair's max-norm, not like |e v|
-    itself.  With |e v| = 10^-k on one unit eigenvector of separated
-    diagonal data on a basis of condition number <= 1e4 (the others at 1),
-    the verdict flips once at the default ``tol``: 10^-8 is co-stable on
-    176 of 180 draws and 10^-6 on all, 10^-11 on none; ``tol`` = 1e-6 moves
-    the flip three decades earlier (README, "Co-stability tolerance").
+    itself; where the verdict flips is measured in the README
+    ("Co-stability tolerance").
     """
     if d.backend.kind == "gf":
         raise UnsupportedBackend(
             "use the quiver module's exhaustive check over prime fields")
-    thr = linalg._tol(tol)
-    e = d.e.to_numpy()
-    norm = np.linalg.norm(e)
-    if norm <= thr * linalg.scale_of(d.e):
-        return False
-    b1 = d.b1.to_numpy() / linalg.scale_of(d.b1)
-    b2 = d.b2.to_numpy() / linalg.scale_of(d.b2)
-    basis = last = e / norm
-    while basis.shape[0] < d.c:
-        rows = np.vstack((last @ b1, last @ b2))
+    return _observable(_unit(d.e.to_numpy()),
+                       (_unit(d.b1.to_numpy()), _unit(d.b2.to_numpy())),
+                       linalg._tol(tol))
+
+
+def _unit(a):
+    """a / max(1, max-norm of a): the scale every relative test divides by."""
+    return a / max(1.0, float(np.abs(a).max(initial=0.0)))
+
+
+def _observable(rows, mats, thr) -> bool:
+    """Whether the rows, grown by right-multiplying with every word in
+    ``mats``, span C^c: whether ker(rows) holds no nonzero subspace
+    invariant under ``mats`` (Kalman's observability rank).  The span is an
+    orthonormal row basis that starts from the singular directions of
+    ``rows`` above ``thr``; each step applies every matrix to the rows
+    added last, projects out the basis twice and keeps the singular
+    directions above ``thr``, until the basis has c rows or a step adds
+    none."""
+    c = rows.shape[1]
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    basis = last = vh[s > thr]
+    while len(last) and len(basis) < c:
+        grown = np.vstack([last @ M for M in mats])
         for _ in range(2):
-            rows = rows - (rows @ basis.conj().T) @ basis
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+            grown = grown - (grown @ basis.conj().T) @ basis
+        _, s, vh = np.linalg.svd(grown, full_matrices=False)
         last = vh[s > thr]
-        if not len(last):
-            return False
         basis = np.vstack((basis, last))
-    return True
+    return len(basis) >= c
 
 
 def from_plane_points(points, backend=linalg.COMPLEX) -> PlaneADHM:

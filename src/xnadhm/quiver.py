@@ -162,7 +162,7 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
             return Verdict.UNSTABLE
         # one pencil analysis decides (P2) and gives (P3) its roots
         pencil = analyze_pencil(d.A1, d.A2, tol)
-        ok = pencil.regular and _p3_at_roots(d, pencil.eigenvalues)
+        ok = pencil.regular and _p3_at_roots(d, pencil.eigenvalues, tol)
         return Verdict.SEMISTABLE if ok else Verdict.UNSTABLE
     if check_P2(d, tol):
         return Verdict.UNSTABLE

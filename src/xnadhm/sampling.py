@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import Matrix, angle_constants
 from .plane import PlaneADHM
 from .quiver import FramedRep, embed_xn_as_rep
 from .xn import ChartData, XnADHM, zeta_inverse
@@ -184,8 +184,6 @@ def overlap_margin(b1: Matrix, c_count: int, m: int, l: int) -> float:
     """Smallest singular value of the chart-overlap pivot
     c_(m-l) - s_(m-l) b1; zero exactly on the divisor where charts m and l
     fail to overlap."""
-    from .linalg import angle_constants
-
     cm, sm = angle_constants(c_count, m - l)
     T = Matrix.identity(b1.rows).scale(cm) - b1.scale(sm)
     return float(np.linalg.svd(T.to_numpy(), compute_uv=False)[-1])

@@ -37,9 +37,10 @@ from .errors import (
     SingularGauge,
     UnsupportedBackend,
 )
-from .linalg import Matrix, angle_constants, inverse, is_invertible, nullspace, vstack
+from .linalg import Matrix, angle_constants, inverse, is_invertible
 from .pencil import _regularity, analyze_pencil
-from .plane import PlaneADHM, check_T2, joint_spectrum
+from .plane import (PlaneADHM, _observable, _unit, check_T2, common_eigenvectors,
+                    from_plane_points, joint_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +226,15 @@ def check_P2(d: XnADHM, tol=None) -> bool:
 
 
 def check_P3_direct(d: XnADHM, tol=None) -> bool:
-    """Literal spectral test of the co-stability condition.
+    """Literal test of the co-stability condition at the pencil roots.
 
     Under (P2) the quantifier over [l1:l2] reduces to the finite root set of
-    the determinant form; inside each root's kernel-meets-ker(e) subspace the
-    joint eigenvector search runs over the global spectra of M1 = C1 A2 and
-    M2 = Cn A1 (spectrum of M1 first, then M2), and a violation is a joint
-    eigenvector whose eigenvalue pair satisfies l1^n m1 + l2^n m2 = 0.
+    the determinant form.  On a joint eigenvector v of M1 = C1 A2 and
+    M2 = Cn A1 the constraint l1^n m1 + l2^n m2 = 0 is N v = 0, so on data
+    satisfying (P1), where M1 and M2 commute, a violation is a nonzero
+    (M1, M2)-invariant subspace inside ker(l2 A1 + l1 A2) ∩ ker e ∩ ker N:
+    the rank of ``check_T2`` in other coordinates and without a chart (see
+    ``_p3_at_roots``).
     """
     if d.backend.kind == "gf":
         raise UnsupportedBackend(
@@ -240,43 +243,37 @@ def check_P3_direct(d: XnADHM, tol=None) -> bool:
     analysis = analyze_pencil(d.A1, d.A2, tol)
     if not analysis.regular:
         raise InvalidInput("condition (P3) is only decidable for regular pencils")
-    return _p3_at_roots(d, analysis.eigenvalues)
+    return _p3_at_roots(d, analysis.eigenvalues, tol)
 
 
-def _p3_at_roots(d: XnADHM, roots) -> bool:
+def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
     """``check_P3_direct`` past its regularity test, for callers that have
     analyzed the pencil already: ``roots`` is ``analyze_pencil(d.A1, d.A2,
     tol).eigenvalues`` of a regular pencil.  Prime-field data raises
-    ``UnsupportedBackend`` (it cannot be cast to floats)."""
+    ``UnsupportedBackend`` (it cannot be cast to floats).
+
+    At each root one ``_observable`` call grows [P; e; N] by M1 and M2 at
+    ``10 * _tol(tol)``, since a root is only as accurate as the pencil's
+    eigenvalues; N = -l1^n M1 + (-1)^n l2^n M2.  P is divided by
+    max(1, max-norm) of A1 and A2, N by that of M1 and M2, and e, M1 and M2
+    each by their own.
+    """
     dd = d.cast(linalg.COMPLEX) if d.backend.exact else d
-    c = d.c
-    ident = Matrix.identity(c)
-    M1 = dd.C[0] @ dd.A2
-    M2 = dd.C[d.n - 1] @ dd.A1
-    eig1 = linalg.eigenvalues(M1)
-    eig2 = linalg.eigenvalues(M2)
+    A1, A2 = dd.A1.to_numpy(), dd.A2.to_numpy()
+    M1 = dd.C[0].to_numpy() @ A2
+    M2 = dd.C[d.n - 1].to_numpy() @ A1
+    s_A = linalg.scale_of(dd.A1, dd.A2)
+    s_M = max(1.0, np.abs(M1).max(), np.abs(M2).max())
+    e = _unit(dd.e.to_numpy())
+    mats = (_unit(M1), _unit(M2))
+    thr = 10 * linalg._tol(tol)
     sign = (-1) ** d.n
     for (nu1, nu2), _ in roots:
         l1, l2 = nu2, nu1
-        P = dd.A1.scale(l2) + dd.A2.scale(l1)
-        K = nullspace(vstack(P, dd.e), linalg.EIG_TOL)
-        if K.cols == 0:
-            continue
-        for a, _ in eig1:
-            Ka = nullspace(vstack(P, dd.e, M1 - ident.scale(a)), linalg.EIG_TOL)
-            if Ka.cols == 0:
-                continue
-            mu1 = -a
-            for b, _ in eig2:
-                mu2 = sign * b
-                constraint = l1 ** d.n * mu1 + l2 ** d.n * mu2
-                if abs(constraint) > linalg.CLUSTER_TOL * max(
-                        1.0, abs(mu1), abs(mu2)):
-                    continue
-                Kab = nullspace(vstack(P, dd.e, M1 - ident.scale(a),
-                                       M2 - ident.scale(b)), linalg.EIG_TOL)
-                if Kab.cols > 0:
-                    return False
+        P = (l2 * A1 + l1 * A2) / s_A
+        N = (-l1 ** d.n * M1 + sign * l2 ** d.n * M2) / s_M
+        if not _observable(np.vstack((P, e, N)), mats, thr):
+            return False
     return True
 
 
@@ -429,8 +426,6 @@ def from_xn_points(n: int, m: int, points, backend=linalg.COMPLEX) -> XnADHM:
     GF(p) data is built from the residues over the rationals and reduced;
     the chart must have integer constants.
     """
-    from .plane import from_plane_points
-
     if backend.kind == "gf":
         _backend_angles(backend, len(points), m)
         residues = [(backend.coerce(z), backend.coerce(w)) for z, w in points]
@@ -465,8 +460,6 @@ def spectral_witness(d: XnADHM, tol=None):
     """
     m = cover_chart(d, tol)
     cd = zeta(d, m, tol)
-    from .plane import common_eigenvectors
-
     pairs = common_eigenvectors(cd.B, cd.E, tol)
     if not pairs:
         raise InvalidInput("no joint eigenvector; does the data satisfy (P1)?")

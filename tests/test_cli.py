@@ -4,13 +4,20 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from xnadhm.cli import main
 from xnadhm.serialize import dumps, loads, rep_to_json, xn_from_json, xn_to_json
 from xnadhm.linalg import Matrix
-from xnadhm.quiver import FramedRep
-from xnadhm.sampling import random_xn, rng_from_seed
+from xnadhm.quiver import FramedRep, embed_xn_as_rep
+from xnadhm.sampling import (
+    _separated_values,
+    random_invertible,
+    random_xn,
+    rng_from_seed,
+)
+from xnadhm.xn import ChartData, zeta_inverse
 
 
 def run_cli(args, capsys):
@@ -152,6 +159,40 @@ def test_check_e_zero_fails_P3(tmp_path, capsys):
     report = json.loads(out)
     assert report["results"]["P3"] == "fail"
     assert report["results"]["P1"] == "pass"
+
+
+def test_check_tol_reaches_P3(tmp_path, capsys, monkeypatch):
+    # a cell of the conditioning sweep in tests/test_plane.py: separated
+    # diagonal chart data on a basis of unit columns, whose frame sees one
+    # eigenvector by |e v| = 1e-5; the direct (P3) test, alone or inside
+    # the spectral semistability check, calls it co-stable at the default
+    # tol and not at 1e-6
+    rng = rng_from_seed(0)
+    c, n = 3, 2
+    V = random_invertible(rng, c).to_numpy()
+    V = V / np.linalg.norm(V, axis=0)
+    Vi = np.linalg.inv(V)
+    b1, b2 = (Matrix.from_numpy(V @ np.diag(_separated_values(rng, c)) @ Vi)
+              for _ in range(2))
+    e = Matrix.from_numpy((np.r_[1e-5, np.ones(c - 1)] @ Vi)[None, :])
+    x = zeta_inverse(ChartData(1, b1, b2, e, random_invertible(rng, c)), n,
+                     check=False)
+    for which, data, name in (("P", xn_to_json(x), "P3"),
+                              ("Q", rep_to_json(embed_xn_as_rep(x)),
+                               "semistable")):
+        path = tmp_path / f"{which}.json"
+        path.write_text(dumps(data))
+        args = ["check", str(path), "--which", which]
+        code, out = run_cli(args, capsys)
+        assert code == 0, out
+        code, out = run_cli(args + ["--tol", "1e-6"], capsys)
+        results = json.loads(out)["results"]
+        assert code == 1 and results[name] == "fail"
+        assert [k for k, v in results.items() if v == "fail"] == [name]
+        monkeypatch.setenv("ADHM_TOL", "1e-6")
+        code, out = run_cli(args, capsys)
+        assert code == 1 and json.loads(out)["results"] == results
+        monkeypatch.delenv("ADHM_TOL")
 
 
 def test_check_zero_rep_relations_pass_stability_fail(tmp_path, capsys):

@@ -344,3 +344,24 @@ def test_exact_regularity_keeps_the_prime_field_node_limit():
                Matrix.row_vector([1] * 4, GF(2)))
     with pytest.raises(UnsupportedBackend, match="projective nodes"):
         check_P2(d)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_node_matrix_skips_unit_and_zero_coefficients(backend, monkeypatch):
+    rng = np.random.default_rng(500)
+    c = 5
+    A1, A2 = (Matrix(c, c, [Fraction(int(p), int(q)) for p, q in
+                            zip(rng.integers(-6, 7, size=c * c),
+                                rng.integers(1, 5, size=c * c))],
+                     RATIONAL).cast(backend) for _ in range(2))
+    nodes = linalg._pencil_nodes(c, backend)
+    want = [A1.scale(n1) + A2.scale(n2) for n1, n2 in nodes]
+    scaled = []
+    scale = Matrix.scale
+    monkeypatch.setattr(Matrix, "scale",
+                        lambda M, s: scaled.append(s) or scale(M, s))
+    assert [linalg._node_matrix(A1, A2, n1, n2) for n1, n2 in nodes] == want
+    # only the coefficients other than 0 and 1 multiply: q = 2..5 on the
+    # rationals' nodes (1, q); t = 2..4 on GF(5)'s (1, t) and (0, 1)
+    assert scaled == [n2 for _, n2 in nodes if n2 not in (0, 1)]
+    assert len(scaled) == (4 if backend.kind == "rational" else 3)

@@ -64,6 +64,16 @@ def test_common_eigenvectors_zero_pair():
     assert abs(z) < 1e-12 and abs(w) < 1e-12 and V.cols == 2
 
 
+def test_common_eigenvectors_honour_tol():
+    # eigenvalues 0 and 1e-7 form one cluster; its eigenspace and the joint
+    # spectrum are read at 10 tol
+    b1, b2 = Matrix.diagonal([0, 1e-7]), Matrix.zeros(2, 2)
+    [(z, w, V)] = common_eigenvectors(b1, b2, 1e-6)
+    assert abs(z) < 1e-6 and abs(w) < 1e-12 and V.cols == 2
+    d = PlaneADHM(2, b1, b2, Matrix.row_vector([1, 1]))
+    assert [k for _, _, k in joint_spectrum(d, 1e-6)] == [2]
+
+
 def test_common_eigenvectors_conjugation_oracle():
     rng = rng_from_seed(31)
     for _ in range(5):
@@ -240,7 +250,8 @@ def test_costability_conditioning_sweep():
     (most draws flip between 10^-8 and 10^-10; an ill-conditioned basis
     moves the flip earlier), and ``tol`` = 1e-6 moves the flip earlier.
     The joint-eigenvector test flips between 10^-8 and 10^-10, and
-    ``check_P3_direct`` between 10^-4 and 10^-8.
+    ``check_P3_direct`` between 10^-4 and 10^-8, and earlier at
+    ``tol`` = 1e-6.
     """
     rng = rng_from_seed(0)
     for c in range(2, 7):
@@ -250,7 +261,7 @@ def test_costability_conditioning_sweep():
             m = int(rng.integers(0, c + 1))
             A2m = random_invertible(rng, c)
             verdicts = {"T2": [], "T2 at 1e-6": [], "reference": [],
-                        "chart": [], "direct": []}
+                        "chart": [], "direct": [], "direct at 1e-6": []}
             for k in SWEEP:
                 d = framed(b1, b2, phases * np.r_[10.0 ** -k, np.ones(c - 1)] @ Vi)
                 x = zeta_inverse(ChartData(m, d.b1, d.b2, d.e, A2m), n,
@@ -260,12 +271,14 @@ def test_costability_conditioning_sweep():
                 verdicts["reference"].append(eigenvector_costable(d))
                 verdicts["chart"].append(check_P3_via_chart(x))
                 verdicts["direct"].append(check_P3_direct(x))
+                verdicts["direct at 1e-6"].append(check_P3_direct(x, 1e-6))
             last = {route: last_costable(v) for route, v in verdicts.items()}
             assert 6 <= last["T2"] <= 10, (c, n, last)
             assert 6 <= last["chart"] <= 10, (c, n, last)
             assert last["T2 at 1e-6"] <= last["T2"] - 1, (c, n, last)
             assert 8 <= last["reference"] <= 9, (c, n, last)
             assert 4 <= last["direct"] <= 7, (c, n, last)
+            assert last["direct at 1e-6"] <= last["direct"] - 1, (c, n, last)
 
 
 def test_cover_chart_is_scale_free():

@@ -13,7 +13,19 @@ from xnadhm.errors import (
     SingularA2m,
     UnsupportedBackend,
 )
-from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, angle_constants, residual
+from xnadhm.linalg import (
+    CLUSTER_TOL,
+    COMPLEX,
+    GF,
+    RATIONAL,
+    Matrix,
+    angle_constants,
+    eigenvalues,
+    nullspace,
+    residual,
+    vstack,
+)
+from xnadhm.pencil import analyze_pencil
 from xnadhm.plane import PlaneADHM
 from xnadhm.sampling import (
     random_chart_data,
@@ -182,6 +194,69 @@ def test_P3_direct_requires_regular_pencil():
         check_P3_direct(d)
     with pytest.raises(NoChart):
         check_P3_via_chart(d)
+
+
+def eigenvector_p3(d, tol=None):
+    """Reference for ``check_P3_direct``: the joint-eigenvector search it
+    replaced, at its fixed thresholds.  At each pencil root, for every
+    eigenvalue a of M1 = C1 A2 and b of M2 = Cn A1 whose pair meets
+    l1^n m1 + l2^n m2 = 0 within 1e-6, a nonzero kernel of
+    [P; e; M1 - a; M2 - b] at 1e-8 is a violation."""
+    ident = Matrix.identity(d.c)
+    M1 = d.C[0] @ d.A2
+    M2 = d.C[d.n - 1] @ d.A1
+    for (nu1, nu2), _ in analyze_pencil(d.A1, d.A2, tol).eigenvalues:
+        l1, l2 = nu2, nu1
+        P = d.A1.scale(l2) + d.A2.scale(l1)
+        if nullspace(vstack(P, d.e), 1e-8).cols == 0:
+            continue
+        for a, _ in eigenvalues(M1):
+            K1 = vstack(P, d.e, M1 - ident.scale(a))
+            if nullspace(K1, 1e-8).cols == 0:
+                continue
+            for b, _ in eigenvalues(M2):
+                mu1, mu2 = -a, (-1) ** d.n * b
+                if abs(l1 ** d.n * mu1 + l2 ** d.n * mu2) > CLUSTER_TOL * max(
+                        1.0, abs(mu1), abs(mu2)):
+                    continue
+                if nullspace(vstack(K1, M2 - ident.scale(b)), 1e-8).cols:
+                    return False
+    return True
+
+
+def p3_samples(rng, c, count):
+    """(kind, data) for valid, e = 0 and kernel-violator samples in turn."""
+    makers = (random_xn, random_xn_e_zero, random_xn_kernel_violator)
+    for trial in range(count):
+        kind = trial % 3
+        yield kind, makers[kind](rng, int(rng.integers(1, 4)), c)
+
+
+def test_P3_direct_matches_the_eigenvector_reference():
+    rng = rng_from_seed(13)
+    for c in range(1, 7):
+        for kind, d in p3_samples(rng, c, 6):
+            moved = gl2_action(random_invertible(rng, c),
+                               random_invertible(rng, c), d)
+            for t in (d, moved):
+                assert check_P3_direct(t) == eigenvector_p3(t) == (kind == 0)
+
+
+def test_P3_direct_needs_no_eigenvectors(monkeypatch):
+    from xnadhm import linalg, pencil, plane, xn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_P3_direct searched eigenvectors")
+
+    rng = rng_from_seed(14)
+    samples = [d for c in (2, 4, 6) for _, d in p3_samples(rng, c, 3)]
+    want = [eigenvector_p3(d) for d in samples]
+    for module in (linalg, pencil, plane, xn):
+        for name in ("eigenvalues", "nullspace", "common_eigenvectors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [check_P3_direct(d) for d in samples] == want == [True, False,
+                                                             False] * 3
 
 
 def test_P3_equivalence_mixed_samples():
