@@ -43,9 +43,9 @@ from .quiver import (
 from .serialize import loads, rep_from_json
 from .xn import (
     XnADHM,
+    _rotate,
     check_P3_direct,
     check_P3_via_chart,
-    chart_matrices,
     from_xn_points,
     gl2_action_chart,
     transition_omega,
@@ -214,12 +214,10 @@ def _um(item, samples, tol):
     c = int(rng.integers(1, 5))
     n = int(rng.integers(2, 5))
     r = sampling.random_rep(rng, n, c)
-    d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
     worst = 0.0
     tested = 0
     for m in range(c + 1):
-        _, A2m, _, _ = chart_matrices(d, m)
-        if not is_invertible(A2m, tol):
+        if not is_invertible(_rotate(r.A1, r.A2, m, c)[1], tol):
             continue
         tested += 1
         worst = max(worst, u_m_residual(r, m).maxnorm() / scale_of(*r.f))

@@ -747,12 +747,13 @@ def angle_constants(c_count: int, k: int):
 @functools.lru_cache(maxsize=None)
 def _pencil_nodes(c: int, backend) -> tuple:
     """The c+1 pairwise non-proportional nodes (nu1, nu2) at which a pencil
-    of size c is sampled: the chart angles (cos, sin)(pi*m/(c+1)) on floats,
-    (1, q) for q = 0..c on the rationals, and (1, t) for t = 0..p-1, then
-    (0, 1), on GF(p), which has only p+1 projective points."""
+    of size c is sampled: the charts' (s_m, c_m) = (sin, cos)(pi*m/(c+1))
+    on floats, whose node matrix is A2m = s_m A1 + c_m A2, (1, q) for
+    q = 0..c on the rationals, and (1, t) for t = 0..p-1, then (0, 1), on
+    GF(p), which has only p+1 projective points."""
     bk = backend
     if not bk.exact:
-        return tuple(tuple(map(bk.coerce, angle_constants(c, m)))
+        return tuple(tuple(map(bk.coerce, angle_constants(c, m)[::-1]))
                      for m in range(c + 1))
     if bk.kind == "rational":
         return tuple((bk.one, bk.coerce(q)) for q in range(c + 1))

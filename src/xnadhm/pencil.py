@@ -3,12 +3,13 @@
 A pencil is regular when its homogeneous determinant polynomial is not
 identically zero, which is decided at the c+1 sample nodes of
 ``linalg._pencil_nodes``: a nonzero form of degree c cannot vanish at all of
-them.  On floats the nodes are (cos, sin)(pi*m/(c+1)) and the decision is one
-batched SVD; the spectrum of a regular float pencil is then one eigenvalue
-call at the best-conditioned node.  The exact backends take the node
-determinants in order and stop at the first nonzero one, the witness; only
-the rational spectrum takes the remaining determinants, interpolates the
-form with the cached inverse Vandermonde matrix and roots it.
+them.  On floats the node matrices are the charts' A2m = s_m A1 + c_m A2,
+the decision is one batched SVD, and the witness is the covering chart of
+``xn.cover_chart``, where the spectrum is one eigenvalue call.  The exact
+backends take the node determinants in order and stop at the first nonzero
+one, the witness; only the rational spectrum takes the remaining
+determinants, interpolates the form with the cached inverse Vandermonde
+matrix and roots it.
 
 A singular pencil admits a polynomial vector solution
 v(t) = v0 - t v1 + ... + (-t)^eps v_eps of (A1 + t A2) v(t) = 0; equating
@@ -101,8 +102,9 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     """Classify the pencil and, when singular, return the minimal chain.
 
     Regular pencils come back with their projective spectrum and a sample
-    node (witness) where the pencil matrix is invertible.  On floats the
-    spectrum is the eigenvalues of the pencil seen from the witness node
+    node (witness) where the pencil matrix is invertible, on floats the
+    covering chart's node (s_m, c_m).  On floats the spectrum is the
+    eigenvalues of the pencil seen from the witness node
     (``_float_spectrum``); the rational backend still interpolates the exact
     determinant form from the node determinants and roots it, and the prime
     field has no spectrum.
@@ -157,7 +159,8 @@ def _regularity(A1, A2, tol):
         raise BackendMismatch("pencil matrices on different backends")
     bk = A1.backend
     if not bk.exact:
-        return _float_witness(A1, A2, tol)
+        m, P = _float_witness(A1, A2, tol)
+        return (None if m is None else linalg._pencil_nodes(A1.rows, bk)[m]), P
     dets = []
     for n1, n2 in linalg._pencil_nodes(A1.rows, bk):
         dets.append(det(linalg._node_matrix(A1, A2, n1, n2)))
@@ -167,24 +170,23 @@ def _regularity(A1, A2, tol):
 
 
 def _float_witness(A1, A2, tol):
-    """Sample node with the best-conditioned pencil matrix and that matrix,
-    or (None, None) when the pencil is singular at every node (hence
+    """(m, A2m) for the best-conditioned chart m of a float pencil, or
+    (None, None) when the pencil is singular at every node (hence
     everywhere): a degree-c form cannot vanish at c+1 distinct ratios, so
     regularity is a rank decision at the nodes rather than a size comparison
     of interpolated coefficients.
 
-    A node counts when its smallest singular value exceeds ``_tol(tol)``
-    times max(1, max-norm); of those the largest smallest singular value
-    wins, the lowest node on a tie.
+    The node matrix at m is A2m.  The chart of largest smallest singular
+    value over max(1, max-norm), the lowest on a tie, wins if it passes
+    ``is_invertible``'s test: one rule for (P2), the spectrum's node and
+    ``xn.cover_chart``.
     """
-    nodes = linalg._pencil_nodes(A1.rows, A1.backend)
-    P = linalg._node_stack(A1, A2, nodes)
+    P = linalg._node_stack(A1, A2, linalg._pencil_nodes(A1.rows, A1.backend))
     s_min, scale = linalg._conditioning(P)
-    ok = s_min > linalg._tol(tol) * scale
-    if not ok.any():
+    best = int(np.argmax(s_min / scale))
+    if not s_min[best] > linalg._tol(tol) * scale[best]:
         return None, None
-    best = int(np.argmax(np.where(ok, s_min, -1.0)))
-    return nodes[best], P[best]
+    return best, P[best]
 
 
 def _float_spectrum(A1, A2, witness, P):

@@ -13,8 +13,10 @@ nonzero invariant subspace lies in ker e.  Its threshold is ``_tol(tol)``
 on singular values of unit rows: a frame that sees one unit eigenvector v
 only by |e v| = 10^-k is co-stable at k <= 6, mostly up to k = 8, and not
 from k = 11 (see ``check_T2``).  The rank is ``_observable``, which the
-direct (P3) test of ``xn`` shares.  ``common_eigenvectors`` remains for
-reading the joint spectrum.
+direct (P3) test of ``xn`` shares.  ``common_eigenvectors`` reads the
+joint spectrum from the eigenvalues of one generic combination b1 + t b2
+(Jennrich's simultaneous diagonalization), so that points whose b1
+coordinates are close stay apart when their b2 coordinates differ.
 
 The transpose triple satisfies the usual stability condition instead; see
 ``transpose_triple``.
@@ -68,15 +70,23 @@ def check_T1(d: PlaneADHM, tol=None) -> bool:
     return comm.maxnorm() <= linalg._tol(tol) * scale
 
 
-def common_eigenvectors(b1: Matrix, b2: Matrix, tol=None):
-    """Joint eigenvalue pairs (z, w, V) of two square matrices.
+#: the fixed irrational t of ``common_eigenvectors``' generic b1 + t b2
+_GENERIC_T = complex(2 ** 0.5 - 1, 3 ** 0.5 - 1)
 
-    For each eigenvalue z of b1 the restriction of b2 to ker(b1 - z) is
-    eigen-decomposed, and joint eigenvectors are recovered as the kernel of
-    the stacked pair.  The enumeration is complete whenever b1 and b2
-    commute: every joint eigenvector lives in some geometric eigenspace of
-    b1, which b2 then preserves.  Both kernels are read at ``10 * _tol(tol)``,
-    since a clustered eigenvalue is the mean of its cluster.
+
+def common_eigenvectors(b1: Matrix, b2: Matrix, tol=None):
+    """Joint eigenvalue pairs (z, w, V) of two square matrices, sorted by
+    (z, w): Jennrich's simultaneous diagonalization (Leurgans, Ross and
+    Abel, SIAM J. Matrix Anal. Appl. 14, 1993).  At each clustered
+    eigenvalue lam of K = b1 + t b2, (z, w) are the mean Rayleigh quotients
+    of b1 and b2 on ker(K - lam), and V = ker [b1 - z; b2 - w], so that a
+    non-commuting pair reports no eigenvector of K that is not a joint one.
+    For commuting b1, b2 the list is complete: ker(K - lam) is invariant
+    under both, which have the one joint eigenvalue z + t w = lam on it.
+    Kernels are read at ``10 * _tol(tol)``, since a clustered eigenvalue is
+    the mean of its cluster.  Points within ``linalg.CLUSTER_TOL`` in both
+    coordinates still merge, and the kernel at their mean may be empty:
+    diag(0, 1e-7) and 0 give [] at the default tol.
     """
     if b1.backend.kind == "gf" or b2.backend.kind == "gf":
         raise UnsupportedBackend("joint spectra are unavailable over a prime field")
@@ -84,29 +94,21 @@ def common_eigenvectors(b1: Matrix, b2: Matrix, tol=None):
         raise ShapeMismatch("expected two square matrices of equal size")
     b1 = b1.cast(linalg.COMPLEX)
     b2 = b2.cast(linalg.COMPLEX)
-    c = b1.rows
-    ident = Matrix.identity(c)
+    ident = Matrix.identity(b1.rows)
+    K = b1 + b2.scale(_GENERIC_T)
     thr = 10 * linalg._tol(tol)
     out = []
-    for z, _ in eigenvalues(b1):
-        Kz = nullspace(b1 - ident.scale(z), thr)
-        if Kz.cols == 0:
+    for lam, _ in eigenvalues(K):
+        Q = nullspace(K - ident.scale(lam), thr).to_numpy()
+        if Q.shape[1] == 0:
             continue
-        R = _restriction(b2, Kz)
-        for w, _ in eigenvalues(R):
-            V = nullspace(vstack(b1 - ident.scale(z), b2 - ident.scale(w)),
-                          thr)
-            if V.cols > 0:
-                out.append((z, w, V))
+        z, w = (complex(np.trace(Q.conj().T @ b.to_numpy() @ Q)) / Q.shape[1]
+                for b in (b1, b2))
+        V = nullspace(vstack(b1 - ident.scale(z), b2 - ident.scale(w)), thr)
+        if V.cols > 0:
+            out.append((z, w, V))
+    out.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
     return out
-
-
-def _restriction(M: Matrix, basis: Matrix) -> Matrix:
-    """Least-squares compression of M onto the span of the basis columns;
-    exact when the span is M-invariant."""
-    B = basis.to_numpy()
-    R, *_ = np.linalg.lstsq(B, M.to_numpy() @ B, rcond=None)
-    return Matrix.from_numpy(R)
 
 
 def check_T2(d: PlaneADHM, tol=None) -> bool:
@@ -179,9 +181,7 @@ def from_plane_points(points, backend=linalg.COMPLEX) -> PlaneADHM:
 def joint_spectrum(d: PlaneADHM, tol=None):
     """Sorted (z, w) pairs with multiplicities, read off the joint
     eigenspaces of (b1, b2)."""
-    pairs = [(z, w, V.cols) for z, w, V in common_eigenvectors(d.b1, d.b2, tol)]
-    pairs.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
-    return pairs
+    return [(z, w, V.cols) for z, w, V in common_eigenvectors(d.b1, d.b2, tol)]
 
 
 def gl_action(phi: Matrix, d: PlaneADHM, tol=None) -> PlaneADHM:

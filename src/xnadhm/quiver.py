@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import Matrix, hstack, nullspace, rank, vstack
 from .pencil import analyze_pencil
-from .xn import XnADHM, _p3_at_roots, chart_matrices, check_P1, check_P2
+from .xn import XnADHM, _p3_at_roots, _rotate, check_P1, check_P2
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,7 @@ def u_m_residual(r: FramedRep, m: int):
         raise InvalidInput("u_m needs n >= 2")
     if r.v0 != r.v1:
         raise ShapeMismatch("u_m needs v0 = v1")
-    d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
-    _, A2m, _, _ = chart_matrices(d, m)
+    A2m = _rotate(r.A1, r.A2, m, r.v0)[1]
     if not linalg.is_invertible(A2m):
         raise NotInChart(f"det A2m = 0 in chart {m}")
     bk = A2m.backend

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedBackend,
 )
 from .linalg import Matrix, angle_constants, inverse, is_invertible
-from .pencil import _regularity, analyze_pencil
+from .pencil import _float_witness, _regularity, analyze_pencil
 from .plane import (PlaneADHM, _observable, _unit, check_T2, common_eigenvectors,
                     from_plane_points, joint_spectrum)
 
@@ -176,6 +176,18 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> SigmaMatrix:
 # chart matrices and the three conditions
 # ---------------------------------------------------------------------------
 
+def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
+    """(c_k X - s_k Y, s_k X + c_k Y) at the angle pi k / (c_count + 1), for
+    any integer k: chart m rotates (A1, A2) by m, the chart dictionary
+    (B, 1) by -m, and the transition from chart m to l (B, 1) by l - m.
+    Irrational constants promote exact data (``_backend_angles``), and
+    products by 0 and 1 are skipped (``linalg._node_matrix``)."""
+    bk, ck, sk = _backend_angles(X.backend, c_count, k)
+    X, Y = X.cast(bk), Y.cast(bk)
+    return (linalg._node_matrix(X, Y, ck, bk.reduce(-sk)),
+            linalg._node_matrix(X, Y, sk, ck))
+
+
 def chart_matrices(d: XnADHM, m: int):
     """(A1m, A2m, E_m, D_m) in chart m.
 
@@ -183,23 +195,14 @@ def chart_matrices(d: XnADHM, m: int):
     combination of the C blocks that acts as the free parameter of the chart,
     and E_m = D_m A2m.
     """
-    bk, cm, sm = _backend_angles(d.backend, d.c, m)
-    dd = d.cast(bk) if bk != d.backend else d
-    A1m = dd.A1.scale(cm) - dd.A2.scale(sm)
-    A2m = dd.A1.scale(sm) + dd.A2.scale(cm)
+    A1m, A2m = _rotate(d.A1, d.A2, m, d.c)
+    bk, cm, sm = _backend_angles(A2m.backend, d.c, m)
     Dm = Matrix.zeros(d.c, d.c, bk)
     for q in range(1, d.n + 1):
         coef = math.comb(d.n - 1, q - 1) * (cm ** (d.n - q) * sm ** (q - 1))
-        Dm = Dm + dd.C[q - 1].scale(coef)
+        Dm = Dm + d.C[q - 1].cast(bk).scale(coef)
     Em = Dm @ A2m
     return A1m, A2m, Em, Dm
-
-
-def _chart_A2m(d: XnADHM, m: int) -> Matrix:
-    """``chart_matrices(d, m)[1]`` alone, by the same expression and cast."""
-    bk, cm, sm = _backend_angles(d.backend, d.c, m)
-    A1, A2 = (d.A1, d.A2) if bk == d.backend else (d.A1.cast(bk), d.A2.cast(bk))
-    return A1.scale(sm) + A2.scale(cm)
 
 
 def check_P1(d: XnADHM, tol=None) -> bool:
@@ -305,7 +308,8 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     (used to manufacture violating samples).
     """
     c = cd.c
-    bk, cm, sm = _backend_angles(cd.backend, c, cd.m)
+    R1, R2 = _rotate(cd.B, Matrix.identity(c, cd.backend), -cd.m, c)
+    bk = R1.backend
     B = cd.B.cast(bk)
     E = cd.E.cast(bk)
     e = cd.e.cast(bk)
@@ -314,12 +318,10 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
         raise SingularA2m("A2m block must be invertible")
     if check and not check_T2(PlaneADHM(c, B, E, e), tol):
         raise NotCostable("chart triple violates co-stability")
-    ident = Matrix.identity(c, bk)
-    A1 = A @ (B.scale(cm) + ident.scale(sm))
-    A2 = A @ (ident.scale(cm) - B.scale(sm))
+    A1, A2 = A @ R1, A @ R2
     sig = sigma(n - 1, cd.m, c, bk).entries
     EAinv = E @ inverse(A)
-    powersB = [ident]
+    powersB = [Matrix.identity(c, bk)]
     for _ in range(n - 1):
         powersB.append(powersB[-1] @ B)
     Cs = []
@@ -338,28 +340,27 @@ def transition_phi(d: PlaneADHM, n: int, m: int, l: int, tol=None) -> PlaneADHM:
     Moebius map on b1, multiplies b2 by the n-th power of the denominator and
     leaves e untouched.
     """
-    bk, cd_, sd = _backend_angles(d.backend, d.c, m - l)
-    b1 = d.b1.cast(bk)
-    b2 = d.b2.cast(bk)
-    ident = Matrix.identity(d.c, bk)
-    T = ident.scale(cd_) - b1.scale(sd)
-    if not is_invertible(T, tol):
-        raise NotInOverlap(f"charts {m} and {l} do not overlap at this point")
-    b1l = inverse(T) @ (ident.scale(sd) + b1.scale(cd_))
-    b2l = T.power(n) @ b2
-    return PlaneADHM(d.c, b1l, b2l, d.e.cast(bk))
+    return _transition(d, n, m, l, tol)[0]
 
 
 def transition_omega(cd: ChartData, n: int, l: int, tol=None) -> ChartData:
-    """Chart transition on full chart data: the plane part moves by
+    """Chart transition on full chart data: the plane part moves as in
     ``transition_phi`` and the gauge block picks up the same denominator."""
-    bk, cdl, sdl = _backend_angles(cd.backend, cd.c, cd.m - l)
-    moved = transition_phi(cd.plane(), n, cd.m, l, tol)
-    B = cd.B.cast(bk)
-    A2m = cd.A2m.cast(bk)
-    ident = Matrix.identity(cd.c, bk)
-    A2l = A2m @ (ident.scale(cdl) - B.scale(sdl))
-    return ChartData(l, moved.b1, moved.b2, moved.e, A2l)
+    moved, T = _transition(cd.plane(), n, cd.m, l, tol)
+    return ChartData(l, moved.b1, moved.b2, moved.e, cd.A2m.cast(T.backend) @ T)
+
+
+def _transition(d: PlaneADHM, n: int, m: int, l: int, tol=None):
+    """(``transition_phi(d, n, m, l)``, T): rotating (b1, 1) by l - m gives
+    the numerator s_{m-l} + c_{m-l} b1 and the denominator
+    T = c_{m-l} - s_{m-l} b1 of the Moebius map."""
+    num, T = _rotate(d.b1, Matrix.identity(d.c, d.backend), l - m, d.c)
+    if not is_invertible(T, tol):
+        raise NotInOverlap(f"charts {m} and {l} do not overlap at this point")
+    bk = T.backend
+    moved = PlaneADHM(d.c, inverse(T) @ num, T.power(n) @ d.b2.cast(bk),
+                      d.e.cast(bk))
+    return moved, T
 
 
 def gl2_action(phi1: Matrix, phi2: Matrix, d: XnADHM, tol=None) -> XnADHM:
@@ -390,11 +391,12 @@ def gl2_action_chart(phi1: Matrix, phi2: Matrix, cd: ChartData, tol=None) -> Cha
 # ---------------------------------------------------------------------------
 
 def cover_chart(d: XnADHM, tol=None) -> int:
-    """Best-conditioned chart: on floats the smallest chart index maximizing
+    """Best-conditioned chart: on floats the chart of the pencil's witness
+    (``pencil._float_witness``), the smallest index maximizing
     s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests,
-    so that ``NoChart`` is raised exactly when no chart passes that test;
-    over an exact backend, the first invertible chart.  Raises ``NoChart``
-    on a singular pencil.
+    so that ``NoChart`` is raised exactly when no chart passes that test,
+    that is exactly when ``check_P2`` fails; over an exact backend, the
+    first invertible chart.  Raises ``NoChart`` on a singular pencil.
 
     Some chart is always invertible for a regular pencil: the determinant
     form has at most c projective roots and there are c+1 chart ratios.
@@ -403,15 +405,10 @@ def cover_chart(d: XnADHM, tol=None) -> int:
         # charts whose constants stay in the field are judged exactly; the
         # promoted ones fall back to the float tolerance
         best = next((m for m in range(d.c + 1)
-                     if is_invertible(_chart_A2m(d, m), tol)), None)
+                     if is_invertible(_rotate(d.A1, d.A2, m, d.c)[1], tol)),
+                    None)
     else:
-        # A2m = s_m A1 + c_m A2 at every chart, stacked for one batched SVD
-        nodes = [angle_constants(d.c, m)[::-1] for m in range(d.c + 1)]
-        s_min, scale = linalg._conditioning(
-            linalg._node_stack(d.A1, d.A2, nodes))
-        best = int(np.argmax(s_min / scale))
-        if not s_min[best] > linalg._tol(tol) * scale[best]:
-            best = None
+        best = _float_witness(d.A1, d.A2, tol)[0]
     if best is None:
         raise NoChart("singular pencil: no invertible chart")
     return best

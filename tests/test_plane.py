@@ -74,6 +74,45 @@ def test_common_eigenvectors_honour_tol():
     assert [k for _, _, k in joint_spectrum(d, 1e-6)] == [2]
 
 
+def test_common_eigenvectors_keep_close_points_apart():
+    """b1 eigenvalues 5e-7 apart lie inside one eigenvalue cluster of b1,
+    but the generic combination b1 + t b2 separates the points."""
+    pairs = common_eigenvectors(Matrix.diagonal([0, 5e-7]),
+                                Matrix.diagonal([1, 2]))
+    assert [(z, w, V.cols) for z, w, V in pairs] == [(0, 1, 1), (5e-7, 2, 1)]
+
+
+def test_common_eigenvectors_limit_of_the_cluster_radius():
+    # points within CLUSTER_TOL in both coordinates still merge, and the
+    # kernel at their mean is empty at the default tol
+    assert common_eigenvectors(Matrix.diagonal([0, 1e-7]),
+                               Matrix.zeros(2, 2)) == []
+
+
+def test_common_eigenvectors_sorted_by_both_coordinates():
+    b1 = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    b2 = Matrix.diagonal([5, 4, 3])
+    pairs = common_eigenvectors(b1, b2)
+    assert [(round(z.real), round(w.real)) for z, w, _ in pairs] == [
+        (0, 4), (1, 3), (1, 5)]
+    d = PlaneADHM(3, b1, b2, Matrix.row_vector([1, 1, 1]))
+    assert [(z, w, V.cols) for z, w, V in pairs] == joint_spectrum(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_close_points_read_back_through_the_chart(n):
+    from xnadhm.xn import from_xn_points, spectral_witness, to_xn_points
+
+    d = from_xn_points(n, 0, [(0, 1), (5e-7, 2)])
+    m, pts = to_xn_points(d, 0)
+    assert m == 0 and len(pts) == 2
+    for (z, w), want in zip(pts, [(0, 1), (5e-7, 2)]):
+        assert abs(z - want[0]) < 1e-12 and abs(w - want[1]) < 1e-12
+    v, (l1, l2), (mu1, mu2) = spectral_witness(d)
+    assert abs(l1 ** n * mu1 + l2 ** n * mu2) < 1e-9
+    assert ((d.A1.scale(l2) + d.A2.scale(l1)) @ v).maxnorm() < 1e-9
+
+
 def test_common_eigenvectors_conjugation_oracle():
     rng = rng_from_seed(31)
     for _ in range(5):
@@ -299,6 +338,30 @@ def test_cover_chart_is_scale_free():
                 chart = cover_chart(x, tol)
                 assert is_invertible(chart_matrices(x, chart)[1], tol)
                 assert check_P3_via_chart(x, tol)
+
+
+def test_cover_chart_is_the_pencil_witness_on_the_sweep_cells():
+    """The cells of ``test_cover_chart_is_scale_free``, the c = 4, n = 3 one
+    included: at either tol the covering chart is the node of the pencil's
+    witness, and the float spectrum is taken at its A2m."""
+    from xnadhm import linalg
+    from xnadhm.pencil import _regularity, analyze_pencil
+
+    rng = rng_from_seed(0)
+    for c in range(2, 7):
+        for n in range(1, 4):
+            b1, b2, Vi = eigenbasis_pair(rng, c)
+            phases = np.exp(2j * np.pi * rng.random(c))
+            m = int(rng.integers(0, c + 1))
+            A2m = random_invertible(rng, c)
+            d = framed(b1, b2, phases @ Vi)
+            x = zeta_inverse(ChartData(m, d.b1, d.b2, d.e, A2m), n, check=False)
+            for tol in (None, 1e-6):
+                chart = cover_chart(x, tol)
+                witness, P = _regularity(x.A1, x.A2, tol)
+                assert witness == linalg._pencil_nodes(c, COMPLEX)[chart]
+                assert analyze_pencil(x.A1, x.A2, tol).witness == witness
+                assert np.array_equal(P, chart_matrices(x, chart)[1].to_numpy())
 
 
 def test_T2_rejects_prime_field():

@@ -13,6 +13,7 @@ from xnadhm.errors import (
     SingularA2m,
     UnsupportedBackend,
 )
+from xnadhm import linalg, xn
 from xnadhm.linalg import (
     CLUSTER_TOL,
     COMPLEX,
@@ -40,6 +41,7 @@ from xnadhm.sampling import (
 from xnadhm.xn import (
     ChartData,
     XnADHM,
+    _rotate,
     chart_constants,
     chart_matrices,
     check_P1,
@@ -135,6 +137,74 @@ def test_chart_matrices_scalar_hand_expansion():
     # D = binom(1,0) c^1 s^0 C1 + binom(1,1) c^0 s^1 C2, here C=(w, z w)
     assert abs(Dm.at(0, 0) - (cm * w + sm * z * w)) < 1e-14
     assert abs(Em.at(0, 0) - Dm.at(0, 0) * A2m.at(0, 0)) < 1e-14
+
+
+def random_pair(rng, c, backend=COMPLEX):
+    if backend.exact:
+        return tuple(Matrix(c, c, rng.integers(-6, 7, size=c * c).tolist(),
+                            backend) for _ in range(2))
+    return random_invertible(rng, c), random_invertible(rng, c)
+
+
+def test_rotate_hand_expansion_on_floats():
+    rng = rng_from_seed(5)
+    for c in range(1, 5):
+        X, Y = random_pair(rng, c)
+        for k in range(-c - 1, c + 2):
+            ck, sk = angle_constants(c, k)
+            R1, R2 = _rotate(X, Y, k, c)
+            assert residual(R1, X.scale(ck) - Y.scale(sk)) == 0
+            assert residual(R2, X.scale(sk) + Y.scale(ck)) == 0
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_rotate_hand_expansion_at_integer_charts(backend, monkeypatch):
+    """At the integer-constant charts the rotation stays in the field and
+    multiplies by no 0 or 1; every other chart promotes rational data to
+    complex and is refused over a prime field."""
+    rng = rng_from_seed(6)
+    scale = Matrix.scale
+    for c in range(1, 5):
+        X, Y = random_pair(rng, c, backend)
+        for k in range(-c - 1, c + 2):
+            ck, sk = angle_constants(c, k)
+            if ck != int(ck) or sk != int(sk):
+                if backend.kind == "gf":
+                    with pytest.raises(UnsupportedBackend):
+                        _rotate(X, Y, k, c)
+                    continue
+                R1, R2 = _rotate(X, Y, k, c)
+                Xc, Yc = X.cast(COMPLEX), Y.cast(COMPLEX)
+                assert R1.backend == R2.backend == COMPLEX
+                assert residual(R1, Xc.scale(ck) - Yc.scale(sk)) < 1e-14
+                assert residual(R2, Xc.scale(sk) + Yc.scale(ck)) < 1e-14
+                continue
+            ck, sk = int(ck), int(sk)
+            want = (X.scale(ck) - Y.scale(sk), X.scale(sk) + Y.scale(ck))
+            scaled = []
+            monkeypatch.setattr(Matrix, "scale",
+                                lambda M, s: scaled.append(s) or scale(M, s))
+            assert _rotate(X, Y, k, c) == want
+            monkeypatch.setattr(Matrix, "scale", scale)
+            # only the coefficients -1 multiply: once at a right angle,
+            # twice at the angle pi, never at 0
+            assert [backend.coerce(s) for s in scaled] == [
+                backend.coerce(-1)] * [ck, -sk, sk, ck].count(-1)
+
+
+def test_chart_matrices_and_float_nodes_are_the_rotation():
+    """chart m rotates (A1, A2) by m, and the float pencil's node m is the
+    chart node (s_m, c_m), so its node matrix is A2m."""
+    rng = rng_from_seed(7)
+    for c in range(1, 6):
+        d = random_xn(rng, 2, c)
+        nodes = linalg._pencil_nodes(c, COMPLEX)
+        for m in range(c + 1):
+            A1m, A2m, _, _ = chart_matrices(d, m)
+            assert (A1m, A2m) == _rotate(d.A1, d.A2, m, c)
+            cm, sm = angle_constants(c, m)
+            assert nodes[m] == (sm, cm)
+            assert linalg._node_matrix(d.A1, d.A2, *nodes[m]) == A2m
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +519,42 @@ def test_transition_omega_triangle():
             assert residual(om.A2m, direct.A2m) / s < 1e-9
 
 
+def test_transition_omega_moves_the_plane_part_once(monkeypatch):
+    """transition_omega does not call transition_phi, builds the denominator
+    T = c_(m-l) - s_(m-l) B once, and gives transition_phi's plane part bit
+    for bit with A2l = A2m T."""
+    rng = rng_from_seed(33)
+    cases = []
+    for _ in range(10):
+        c = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 5))
+        cd = zeta(random_xn(rng, n, c), 0)
+        for l in range(c + 1):
+            cm, sm = angle_constants(c, cd.m - l)
+            T = Matrix.identity(c).scale(cm) - cd.B.scale(sm)
+            try:
+                phi = transition_phi(cd.plane(), n, cd.m, l)
+            except NotInOverlap:
+                continue
+            cases.append((cd, n, l, T, phi))
+    assert len(cases) > 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transition_omega called transition_phi")
+
+    rotations = []
+    rotate = xn._rotate
+    monkeypatch.setattr(xn, "transition_phi", refuse)
+    monkeypatch.setattr(xn, "_rotate",
+                        lambda *a: rotations.append(a) or rotate(*a))
+    for cd, n, l, T, phi in cases:
+        del rotations[:]
+        om = transition_omega(cd, n, l)
+        assert len(rotations) == 1
+        assert (om.m, om.B, om.E, om.e) == (l, phi.b1, phi.b2, phi.e)
+        assert om.A2m == cd.A2m @ T
+
+
 # ---------------------------------------------------------------------------
 # the two-sided group action
 # ---------------------------------------------------------------------------
@@ -491,6 +597,50 @@ def test_cover_chart_examples():
     assert m >= 1
     with pytest.raises(InvalidInput):
         cover_chart(XnADHM(1, 2, Z, Z, (Z,), e))
+
+
+def near_singular_pencils(rng, c):
+    """(A1, A2) pairs: A2 = 0.7 A1 + eps N, and pencils with a common
+    kernel vector plus eps N, for eps = 1e-4 .. 1e-13 and eps = 0."""
+    def gauss():
+        return rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
+
+    D = np.diag([1.0] * (c - 1) + [0.0])
+    for eps in [10.0 ** -k for k in range(4, 14)] + [0.0]:
+        A1, N = gauss(), gauss()
+        yield A1, 0.7 * A1 + eps * N
+        S = gauss()
+        yield gauss() @ D @ S, gauss() @ D @ S + eps * gauss()
+
+
+def test_one_rule_picks_the_chart_and_decides_P2():
+    """On floats the covering chart is the pencil's witness node (s_m, c_m),
+    and (P2) fails exactly when no chart passes: regular, singular and
+    near-singular pencils at two tolerances."""
+    rng = rng_from_seed(70)
+    nodes_seen = set()
+    for c in range(1, 6):
+        nodes = linalg._pencil_nodes(c, COMPLEX)
+        pencils = [(d.A1, d.A2, d.C, d.e)
+                   for d in (random_xn(rng, 2, c) for _ in range(3))]
+        Z = Matrix.zeros(c, c)
+        pencils += [(Matrix.from_numpy(A1), Matrix.from_numpy(A2), (Z, Z),
+                     Matrix.zeros(1, c))
+                    for A1, A2 in near_singular_pencils(rng, c)]
+        for A1, A2, C, e in pencils:
+            d = XnADHM(2, c, A1, A2, C, e)
+            for tol in (None, 1e-6):
+                an = analyze_pencil(A1, A2, tol)
+                assert check_P2(d, tol) == an.regular
+                if not an.regular:
+                    with pytest.raises(NoChart):
+                        cover_chart(d, tol)
+                    nodes_seen.add("NoChart")
+                    continue
+                m = cover_chart(d, tol)
+                assert an.witness == nodes[m]
+                nodes_seen.add(m)
+    assert "NoChart" in nodes_seen and len(nodes_seen) >= 4
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (3, 0)])
