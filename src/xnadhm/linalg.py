@@ -17,6 +17,11 @@ the integer numerators, so that no intermediate ``Fraction`` is made.  Only
 rank, nullspace, determinant and inverse take a different algorithm on the
 exact backends (elimination by hand instead of LAPACK).
 
+The product, the inverse and the invertibility tests are array primitives
+on entries (``_matmul``, ``_inverse``, ``_is_invertible``) that the Matrix
+operations wrap; kernels on small blocks (chart transitions, monad gauge
+normalization) call them on arrays and wrap their results once.
+
 A backend is ``kind``, ``exact``, ``dtype``, ``zero``, ``one`` and three
 maps: ``coerce`` validates a value from outside and brings it into the
 field, ``reduce`` brings the result of arithmetic, a scalar or a whole entry
@@ -247,11 +252,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, backend=COMPLEX):
-        return _diagonal([backend.one] * n, backend)
+        return _wrap(_diagonal([backend.one] * n, backend), backend)
 
     @classmethod
     def diagonal(cls, values, backend=COMPLEX):
-        return _diagonal([backend.coerce(v) for v in values], backend)
+        return _wrap(_diagonal([backend.coerce(v) for v in values], backend),
+                     backend)
 
     @classmethod
     def row_vector(cls, values, backend=COMPLEX):
@@ -323,13 +329,8 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.cols == 0:
-            # an empty object matmul fills with int 0, not the field's zero
-            return Matrix.zeros(self.rows, other.cols, self.backend)
-        if self.backend.kind == "rational":
-            return _wrap(_rational_product(self.entries, other.entries),
-                         self.backend)
-        return self._result(self.entries @ other.entries)
+        bk = self.backend
+        return _wrap(_matmul(self.entries, other.entries, bk), bk)
 
     def transpose(self):
         return _wrap(self.entries.T, self.backend)
@@ -413,11 +414,6 @@ def _wrap(arr, backend=COMPLEX) -> Matrix:
     return M
 
 
-def _wrap_rows(rows, cols, backend) -> Matrix:
-    """Matrix of canonical rows (lists of scalars) from exact elimination."""
-    return _wrap(np.array(rows, dtype=object).reshape(len(rows), cols), backend)
-
-
 def _integer_form(arr):
     """(N, d) for an object array of rationals: d is the least common
     denominator of the entries and N the array of Python ints d * arr."""
@@ -440,17 +436,27 @@ def _rational_product(a, b):
                        dtype=object, count=shape[0] * shape[1]).reshape(shape)
 
 
+def _matmul(a, b, backend):
+    """a @ b for entry arrays of one backend, in canonical form."""
+    if a.shape[1] == 0:
+        # an empty object matmul fills with int 0, not the field's zero
+        return _zeros((a.shape[0], b.shape[1]), backend)
+    if backend.kind == "rational":
+        return _rational_product(a, b)
+    return backend.reduce(a @ b)
+
+
 def _zeros(shape, backend):
     arr = np.empty(shape, dtype=backend.dtype)
     arr.fill(backend.zero)      # np.zeros would fill an object array with int 0
     return arr
 
 
-def _diagonal(values, backend) -> Matrix:
+def _diagonal(values, backend):
     n = len(values)
     arr = _zeros((n, n), backend)
     arr.flat[::n + 1] = values
-    return _wrap(arr, backend)
+    return arr
 
 
 def hstack(*mats):
@@ -486,15 +492,14 @@ def scale_of(*mats) -> float:
 # elimination-based kernels (shared by the exact backends)
 # ---------------------------------------------------------------------------
 
-def _rref(M: Matrix):
-    """Reduced row echelon form over an exact backend.
+def _rref(a, bk):
+    """Reduced row echelon form of an entry array over an exact backend.
 
     Returns (rows, pivot_columns) where ``rows`` is a list of row lists.
     """
-    bk = M.backend
     red = bk.reduce
-    rows = M.row_list()
-    nr, nc = M.rows, M.cols
+    rows = a.tolist()
+    nr, nc = a.shape
     pivots = []
     r = 0
     for c in range(nc):
@@ -525,7 +530,7 @@ def rank(M: Matrix, tol=None) -> int:
     if M.rows == 0 or M.cols == 0:
         return 0
     if M.backend.exact:
-        return len(_rref(M)[1])
+        return len(_rref(M.entries, M.backend)[1])
     s = np.linalg.svd(M.to_numpy(), compute_uv=False)
     thr = _tol(tol) * max(1.0, M.maxnorm())
     return int(np.sum(s > thr))
@@ -543,7 +548,7 @@ def nullspace(M: Matrix, tol=None) -> Matrix:
     if M.rows == 0:
         return Matrix.identity(M.cols, bk)
     if bk.exact:
-        rows, pivots = _rref(M)
+        rows, pivots = _rref(M.entries, bk)
         free = [c for c in range(M.cols) if c not in pivots]
         basis = _zeros((M.cols, len(free)), bk)
         basis[free, range(len(free))] = bk.one
@@ -560,14 +565,17 @@ def nullspace(M: Matrix, tol=None) -> Matrix:
 def det(M: Matrix):
     if M.rows != M.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    bk = M.backend
-    if M.rows == 0:
-        return bk.one
-    if not bk.exact:
-        return complex(np.linalg.det(M.to_numpy()))
+    if M.backend.exact or M.rows == 0:
+        return _exact_det(M.entries, M.backend)
+    return complex(np.linalg.det(M.to_numpy()))
+
+
+def _exact_det(a, bk):
+    """Determinant of a square entry array by elimination (exact backends;
+    1 for an empty array on any backend)."""
     red = bk.reduce
-    rows = M.row_list()
-    n = M.rows
+    rows = a.tolist()
+    n = len(rows)
     d = bk.one
     for c in range(n):
         pivot = None
@@ -592,41 +600,48 @@ def det(M: Matrix):
 def inverse(M: Matrix) -> Matrix:
     if M.rows != M.cols:
         raise ShapeMismatch("inverse of a non-square matrix")
-    bk = M.backend
-    if not bk.exact:
+    return _wrap(_inverse(M.entries, M.backend), M.backend)
+
+
+def _inverse(a, backend):
+    """Inverse of a square entry array: LAPACK, or on exact backends [a | 1]
+    reduced to echelon form."""
+    if not backend.exact:
         try:
-            return _wrap(np.linalg.inv(M.to_numpy()))
+            return np.linalg.inv(a)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from None
-    aug = hstack(M, Matrix.identity(M.rows, bk))
-    rows, pivots = _rref(aug)
-    if pivots != list(range(M.rows)):
+    n = len(a)
+    eye = _diagonal([backend.one] * n, backend)
+    rows, pivots = _rref(np.concatenate((a, eye), axis=1), backend)
+    if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular over the exact backend")
-    return _wrap_rows([r[M.rows:] for r in rows], M.rows, bk)
+    return np.array([r[n:] for r in rows], dtype=object).reshape(n, n)
 
 
 def is_invertible(M: Matrix, tol=None) -> bool:
-    if M.rows != M.cols:
-        return False
-    if M.rows == 0:
-        return True
-    if M.backend.exact:
-        return det(M) != 0
-    s = np.linalg.svd(M.to_numpy(), compute_uv=False)
-    return bool(s[-1] > _tol(tol) * max(1.0, M.maxnorm()))
+    return _is_invertible(M.entries, M.backend, tol)
 
 
 def is_invertible_rel(M: Matrix, tol=None) -> bool:
     """Scale-free invertibility (smallest over largest singular value);
     appropriate for gauge blocks, whose overall scale is meaningless."""
-    if M.rows != M.cols:
+    return _is_invertible(M.entries, M.backend, tol, rel=True)
+
+
+def _is_invertible(a, backend, tol=None, rel=False) -> bool:
+    """Whether an entry array is square and invertible: a nonzero determinant
+    on the exact backends; on floats, smallest singular value above ``tol``
+    times max(1, max-norm), or with ``rel`` times the largest one."""
+    rows, cols = a.shape
+    if rows != cols:
         return False
-    if M.rows == 0:
-        return True
-    if M.backend.exact:
-        return det(M) != 0
-    s = np.linalg.svd(M.to_numpy(), compute_uv=False)
-    return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])
+    if backend.exact or rows == 0:
+        return _exact_det(a, backend) != 0
+    s = np.linalg.svd(a, compute_uv=False)
+    if rel:
+        return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])
+    return bool(s[-1] > _tol(tol) * max(1.0, float(np.abs(a).max())))
 
 
 def _node_matrix(A1: Matrix, A2: Matrix, n1, n2) -> Matrix:

@@ -22,6 +22,7 @@ polynomial (degree n-1) off-diagonal block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,18 @@ from . import linalg
 from .errors import InvalidInput, NotNormalizable, ShapeMismatch, SingularGauge
 from .linalg import (
     Matrix,
-    hstack,
+    _diagonal,
+    _inverse,
+    _is_invertible,
+    _matmul,
+    _wrap,
+    _zeros,
     inverse,
-    is_invertible,
-    is_invertible_rel,
     nullspace,
     vstack,
 )
 from .plane import PlaneADHM
-from .xn import sigma
+from .xn import _check_chart, sigma
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ class MonadCoeffs:
         object.__setattr__(self, "beta2", tuple(self.beta2))
         c = self.c
         k4 = c + 1
+        _check_chart(c, self.m)
         if len(self.alpha1) != self.n + 2 or len(self.beta2) != self.n + 2:
             raise ShapeMismatch("alpha1/beta2 need n+2 coefficient slots")
         if len(self.alpha2) != 2 or len(self.beta1) != 2:
@@ -158,26 +163,30 @@ def compose_residual(mc: MonadCoeffs):
 
     Returns n+4 matrices: the s_E slots q = 0..n+1 followed by the y1 s_inf
     and y2 s_inf slots.  All zero exactly when the two maps compose to zero.
+    Computed on entry arrays; a term whose coefficient slot lies outside
+    0..n is zero and is left out of its sum.
     """
-    n, c = mc.n, mc.c
-    bk = mc.backend
-    Z12 = Matrix.zeros(c, c, bk)
+    n, bk = mc.n, mc.backend
+    a1, a2, b1, b2 = _entries(mc)
+    A1, B2 = ([None, *xs[:n + 1], None] for xs in (a1, b2))   # slot q at q+1
 
-    def a1(q):
-        return mc.alpha1[q] if 0 <= q <= n else Z12
+    def total(*pairs):
+        prods = [_matmul(b, a, bk) for b, a in pairs
+                 if a is not None and b is not None]
+        return _wrap(functools.reduce(lambda x, y: bk.reduce(x + y), prods),
+                     bk)
 
-    Z34 = Matrix.zeros(c, c + 1, bk)
-
-    def b2(q):
-        return mc.beta2[q] if 0 <= q <= n else Z34
-
-    out = []
-    for q in range(n + 2):
-        out.append(mc.beta1[0] @ a1(q) + mc.beta1[1] @ a1(q - 1)
-                   + b2(q) @ mc.alpha2[0] + b2(q - 1) @ mc.alpha2[1])
-    out.append(mc.beta1[0] @ mc.alpha1[n + 1] + mc.beta2[n + 1] @ mc.alpha2[0])
-    out.append(mc.beta1[1] @ mc.alpha1[n + 1] + mc.beta2[n + 1] @ mc.alpha2[1])
+    out = [total((b1[0], A1[q + 1]), (b1[1], A1[q]), (B2[q + 1], a2[0]),
+                 (B2[q], a2[1])) for q in range(n + 2)]
+    out.append(total((b1[0], a1[n + 1]), (b2[n + 1], a2[0])))
+    out.append(total((b1[1], a1[n + 1]), (b2[n + 1], a2[1])))
     return out
+
+
+def _entries(mc: MonadCoeffs):
+    """The entry arrays of alpha1, alpha2, beta1 and beta2, as four lists."""
+    return tuple([M.entries for M in blocks]
+                 for blocks in (mc.alpha1, mc.alpha2, mc.beta1, mc.beta2))
 
 
 def framing_residual(mc: MonadCoeffs):
@@ -206,40 +215,42 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
     chart m: alpha = (y2^n s_E + t(b2) s_inf ; y1 + t(b1) y2 ; 0),
     beta = (y1 + t(b1) y2, -(y2^n s_E + t(b2) s_inf), t(e) s_inf),
     xi = (0, ..., 0, 1)."""
-    c = d.c
-    bk = d.backend
+    c, bk = d.c, d.backend
     ident = Matrix.identity(c, bk)
-    Z = Matrix.zeros(c, c, bk)
-    zero_row = Matrix.zeros(1, c, bk)
-    tb1 = d.b1.transpose()
-    tb2 = d.b2.transpose()
-    te = d.e.transpose()          # c x 1
-
-    alpha1 = [Z] * n + [ident, tb2]
-    alpha2 = (vstack(ident, zero_row), vstack(tb1, zero_row))
-    beta1 = (ident, tb1)
-    beta2 = [Matrix.zeros(c, c + 1, bk) for _ in range(n)]
-    beta2.append(hstack(-ident, Matrix.zeros(c, 1, bk)))
-    beta2.append(hstack(-tb2, te))
-    xi = Matrix.col_vector([bk.zero] * (2 * c) + [bk.one], bk)
-    return MonadCoeffs(n, c, m, tuple(alpha1), alpha2, beta1, tuple(beta2), xi)
+    tb1, tb2 = d.b1.transpose(), d.b2.transpose()
+    zero_row = _zeros((1, c), bk)
+    alpha2 = tuple(_wrap(np.concatenate((M.entries, zero_row)), bk)
+                   for M in (ident, tb1))
+    beta2 = (Matrix.zeros(c, c + 1, bk),) * n + (
+        _wrap(np.concatenate((bk.reduce(-ident.entries), _zeros((c, 1), bk)),
+                             axis=1), bk),
+        _wrap(np.concatenate((bk.reduce(-tb2.entries), d.e.entries.T),
+                             axis=1), bk))
+    xi = _zeros((2 * c + 1, 1), bk)
+    xi[2 * c, 0] = bk.one
+    alpha1 = (Matrix.zeros(c, c, bk),) * n + (ident, tb2)
+    return MonadCoeffs(n, c, m, alpha1, alpha2, (ident, tb1), beta2,
+                       _wrap(xi, bk))
 
 
 # ---------------------------------------------------------------------------
 # chart re-expansion
 # ---------------------------------------------------------------------------
 
-def _sigma_mix(coeffs, h: int, shift: int, c_count: int, backend):
-    """Re-express a coefficient list over the degree-h monomial basis of one
-    chart in the basis of another: G_q = sum_p sigma^h_{shift; p q} F_p."""
-    sig = sigma(h, shift, c_count, backend).entries
+def _sigma_mix(coeffs, shift: int, c_count: int, backend):
+    """Re-express h+1 coefficient arrays over the degree-h monomial basis of
+    one chart in the basis of another, as Matrices:
+    G_q = sum_p sigma^h_{shift; p q} F_p, summed in the order p = 0..h."""
+    h = len(coeffs) - 1
+    sig = sigma(h, shift, c_count, backend).entries.entries
+    red, coerce = backend.reduce, backend.coerce
     out = []
     for q in range(h + 1):
-        acc = coeffs[0].scale(sig.at(0, q))
+        acc = red(coerce(sig.item(0, q)) * coeffs[0])
         for p in range(1, h + 1):
-            acc = acc + coeffs[p].scale(sig.at(p, q))
-        out.append(acc)
-    return out
+            acc = red(acc + red(coerce(sig.item(p, q)) * coeffs[p]))
+        out.append(_wrap(acc, backend))
+    return tuple(out)
 
 
 def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
@@ -249,24 +260,21 @@ def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
     """
     if l == mc.m:
         return mc
-    bk = mc.backend
-    shift = l - mc.m
-    a1 = _sigma_mix(list(mc.alpha1[:mc.n + 1]), mc.n, shift, mc.c, bk)
-    a1.append(mc.alpha1[mc.n + 1])
-    a2 = _sigma_mix(list(mc.alpha2), 1, shift, mc.c, bk)
-    b1 = _sigma_mix(list(mc.beta1), 1, shift, mc.c, bk)
-    b2 = _sigma_mix(list(mc.beta2[:mc.n + 1]), mc.n, shift, mc.c, bk)
-    b2.append(mc.beta2[mc.n + 1])
-    return MonadCoeffs(mc.n, mc.c, l, tuple(a1), tuple(a2), tuple(b1),
-                       tuple(b2), mc.xi)
+    n = mc.n
+    mix = functools.partial(_sigma_mix, shift=l - mc.m, c_count=mc.c,
+                            backend=mc.backend)
+    a1, a2, b1, b2 = _entries(mc)
+    return MonadCoeffs(n, mc.c, l, mix(a1[:n + 1]) + mc.alpha1[n + 1:],
+                       mix(a2), mix(b1), mix(b2[:n + 1]) + mc.beta2[n + 1:],
+                       mc.xi)
 
 
 # ---------------------------------------------------------------------------
 # gauge action
 # ---------------------------------------------------------------------------
 
-def _check_gauge_block(M: Matrix, name: str, tol):
-    if not is_invertible_rel(M, tol):
+def _check_gauge_block(a, backend, name: str, tol):
+    if not _is_invertible(a, backend, tol, rel=True):
         raise SingularGauge(f"gauge block {name} is singular")
 
 
@@ -281,7 +289,7 @@ def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
     """
     for M, name in ((g.phi, "phi"), (g.psi11, "psi11"),
                     (g.psi22, "psi22"), (g.chi, "chi")):
-        _check_gauge_block(M, name, tol)
+        _check_gauge_block(M.entries, M.backend, name, tol)
     n = mc.n
     bk = mc.backend
     phi_inv = inverse(g.phi)
@@ -319,33 +327,39 @@ def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
 # gauge normalization
 # ---------------------------------------------------------------------------
 
+def _size(a, exact) -> float:
+    """Max-norm of an entry array on floats; on an exact backend whether an
+    entry is nonzero, 1.0 or 0.0, so that a test at tolerance 0 is literal."""
+    if exact:
+        return float(any(a.flat))
+    return float(np.abs(a).max(initial=0.0))
+
+
 def _require(cond, step, detail):
     if not cond:
         raise NotNormalizable(f"step {step}: {detail}")
 
 
-def _left_null_row(a20: Matrix, tol):
-    """The unique (up to scale) row annihilating a full-rank k4 x k1 block,
-    normalized so its largest entry is 1.
+def _left_null_row(a20, bk, tol):
+    """The unique (up to scale) row annihilating a full-rank k4 x k1 entry
+    array, normalized so its largest entry is 1, as a 1 x k4 array.
 
     Full rank is decided on the relative singular-value profile, which is
     immune to the large overall scale the earlier gauge steps can introduce.
     """
-    bk = a20.backend
     if bk.exact:
-        left_null = nullspace(a20.transpose())
+        left_null = nullspace(_wrap(a20.T, bk))
         _require(left_null.cols == 1, 3,
                  "alpha2 y1-coefficient is not of full rank")
-        r = left_null.column(0).transpose()
-        pivot = max(range(a20.rows),
-                    key=lambda j: abs(complex(r.at(0, j))))
-        return r.scale(bk.inv(r.at(0, pivot)))
-    u, s, _ = np.linalg.svd(a20.to_numpy())
+        r = left_null.entries.T
+        pivot = max(range(r.shape[1]), key=lambda j: abs(complex(r[0, j])))
+        return bk.reduce(bk.inv(r[0, pivot]) * r)
+    u, s, _ = np.linalg.svd(a20)
     _require(s[-1] > linalg._tol(tol) * s[0], 3,
              "alpha2 y1-coefficient is not of full rank")
     vec = u[:, -1].conj()
     vec = vec / vec[np.argmax(np.abs(vec))]
-    return Matrix.from_numpy(vec.reshape(1, -1))
+    return vec.reshape(1, -1)
 
 
 def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
@@ -363,85 +377,94 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     ``gauge_action``; the composite is not tested as one gauge, as its
     condition number can exceed every factor's.
 
+    With T = (b10^-1)^-1, the step gauges' blocks (b10^-1, the step-1 slots
+    Q_q, the step-2 pivot a1n, psi22_3 and psi22_4) give the composite in
+    closed form: phi = T a1n, psi11 = T, psi12_q = -T Q_q,
+    psi22 = diag(T, 1) psi22_4 psi22_3 and chi = T b10^-1.  All of it runs
+    on entry arrays.  Exact backends test beta o alpha = 0 and the framing
+    support literally; floats test them against ``tol``.
+
     Raises NotNormalizable at the first singular pivot; for re-expanded
     images of ``build_jm`` this happens exactly on the locus
     det(c_{m-l} - s_{m-l} b1) = 0.
     """
-    t = linalg._tol(tol)
-    if max_residual(compose_residual(mc)) > math_scale(mc) * 1e3 * t:
+    exact = mc.backend.exact
+    t = 0.0 if exact else linalg._tol(tol)
+    scale = 1.0 if exact else math_scale(mc)
+    if max(_size(R.entries, exact) for R in compose_residual(mc)) > (
+            scale * 1e3 * t):
         raise InvalidInput("not a monad point: beta o alpha != 0")
     mc0 = reexpand_chart(mc, l)
-    n, c = mc0.n, mc0.c
-    bk = mc0.backend
-    ident = Matrix.identity(c, bk)
-    no_psi12 = tuple(Matrix.zeros(c, c + 1, bk) for _ in range(n))
+    n, c, bk = mc0.n, mc0.c, mc0.backend
+    red = bk.reduce
+    a1, a2, b1, b2 = _entries(mc0)
 
-    def gauge(phi=ident, psi22=Matrix.identity(c + 1, bk), chi=ident,
-              psi12=no_psi12):
-        return GaugeElement(phi=phi, psi11=ident, psi12=psi12,
-                            psi22=psi22, chi=chi)
+    def prod(*arrays):
+        return functools.reduce(lambda x, y: _matmul(x, y, bk), arrays)
 
-    # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0
-    b10 = mc0.beta1[0]
-    _require(is_invertible(b10, tol), 1, "beta1 y1-coefficient is singular")
-    b10_inv = inverse(b10)
-    _check_gauge_block(b10_inv, "chi", tol)
-    Qs = []
-    prev = Matrix.zeros(c, c + 1, bk)
+    # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0; P_q = -Q_q
+    _require(_is_invertible(b1[0], bk, tol), 1,
+             "beta1 y1-coefficient is singular")
+    b10_inv = _inverse(b1[0], bk)
+    _check_gauge_block(b10_inv, bk, "chi", tol)
+    Ps = []
+    prev = _zeros((c, c + 1), bk)
     for q in range(n):
-        prev = -(b10_inv @ (mc0.beta2[q] + mc0.beta1[1] @ prev))
-        Qs.append(prev)
-    g1 = gauge(chi=b10_inv, psi12=tuple(-q for q in Qs))
+        Ps.append(prod(b10_inv, red(b2[q] + prod(b1[1], prev))))
+        prev = red(-Ps[-1])
 
     # step 2: alpha1 top s_E slot -> 1; after step 1 it is
     # alpha1[n] - Q_(n-1) alpha2[1]
-    a1n = mc0.alpha1[n] - prev @ mc0.alpha2[1]
-    _require(is_invertible_rel(a1n, tol), 2, "top alpha1 coefficient is singular")
-    g2 = gauge(phi=a1n)
+    a1n = red(a1[n] - prod(prev, a2[1]))
+    _require(_is_invertible(a1n, bk, tol, rel=True), 2,
+             "top alpha1 coefficient is singular")
 
     # step 3: alpha2 y1-slot -> (1; 0), beta2 top slot -> (-1, 0); after
     # step 2 the first is alpha2[0] a1n^-1, after step 1 the second is
     # b10^-1 (beta2[n] + beta1[1] Q_(n-1))
-    a1n_inv = inverse(a1n)
-    r = _left_null_row(mc0.alpha2[0] @ a1n_inv, tol)
-    top = b10_inv @ (mc0.beta2[n] + mc0.beta1[1] @ prev)
-    psi22_3 = vstack(-top, r)
+    a1n_inv = _inverse(a1n, bk)
+    r = _left_null_row(prod(a2[0], a1n_inv), bk, tol)
+    top = prod(b10_inv, red(b2[n] + prod(b1[1], prev)))
+    psi22_3 = np.concatenate((red(-top), r))
     # (the pivot tests of steps 2 and 3 are the gauge block tests)
-    _require(is_invertible_rel(psi22_3, tol), 3, "pivot block is singular")
+    _require(_is_invertible(psi22_3, bk, tol, rel=True), 3,
+             "pivot block is singular")
 
     # step 4: framing vector -> (0, ..., 0, 1); only step 3 moved it
-    xi1, xi2 = mc0.xi_blocks()
-    xi2 = psi22_3 @ xi2
-    scale = max(xi1.maxnorm(), xi2.maxnorm())
+    xi = mc0.xi.entries
+    xi1, xi2 = xi[:c], prod(psi22_3, xi[c:])
+    omega = xi2.item(c, 0)
+    off = max(_size(xi1, exact), _size(xi2[:c], exact))
+    scale = max(off, _size(xi2[c:], exact))
     _require(scale > 0, 4, "framing vector vanishes")
-    omega = xi2.at(c, 0)
-    _require(abs(complex(omega)) > t * scale, 4, "frame slot vanishes")
-    _require(xi1.maxnorm() <= 1e3 * t * scale
-             and all(abs(complex(xi2.at(j, 0))) <= 1e3 * t * scale
-                     for j in range(c)),
-             4, "framing vector is not supported on the frame slot")
-    psi22_4 = Matrix.diagonal([bk.one] * c + [bk.inv(omega)], bk)
-    _check_gauge_block(psi22_4, "psi22", tol)
+    _require(_size(xi2[c:], exact) > t * scale, 4, "frame slot vanishes")
+    _require(off <= 1e3 * t * scale, 4,
+             "framing vector is not supported on the frame slot")
+    psi22_4 = _diagonal([bk.one] * c + [bk.inv(omega)], bk)
+    _check_gauge_block(psi22_4, bk, "psi22", tol)
 
-    # close the loop: conjugate so the composite gauge has chi = 1
-    g_raw = (gauge(psi22=psi22_4).compose(gauge(psi22=psi22_3))
-             .compose(g2).compose(g1))
-    g5 = embed_gl_gauge(g_raw.chi.transpose(), n)
-    # psi11 and chi of g5 are its phi
-    _check_gauge_block(g5.phi, "phi", tol)
-    _check_gauge_block(g5.psi22, "psi22", tol)
-    g_total = g5.compose(g_raw)
+    # close the loop: the base change by T makes the composite's chi = 1
+    T = _inverse(b10_inv, bk)
+    _check_gauge_block(T, bk, "phi", tol)
+    diag_T = _diagonal([bk.one] * (c + 1), bk)
+    diag_T[:c, :c] = T
+    _check_gauge_block(diag_T, bk, "psi22", tol)
+    chi = prod(T, b10_inv)
+    g_total = GaugeElement(
+        phi=_wrap(prod(T, a1n), bk), psi11=_wrap(T, bk),
+        psi12=tuple(_wrap(prod(T, P), bk) for P in Ps),
+        psi22=_wrap(prod(diag_T, prod(psi22_4, psi22_3)), bk),
+        chi=_wrap(chi, bk))
 
     # chi beta1[1] psi11^-1, psi11 alpha1[n+1] phi^-1, chi beta2[n+1]
     # psi22^-1, inverting factor by factor as acting step by step would:
     # psi11 = T, phi = T a1n, psi22^-1 e_c = omega psi22_3^-1 e_c
-    T = g5.phi
-    T_inv = inverse(T)
-    b1 = g_total.chi @ mc0.beta1[1] @ T_inv
-    b2 = T @ mc0.alpha1[n + 1] @ a1n_inv @ T_inv
-    e = (g_total.chi @ mc0.beta2[n + 1] @ inverse(psi22_3)).column(c)
-    return PlaneADHM(c, b1.transpose(), b2.transpose(),
-                     e.scale(omega).transpose()), g_total
+    T_inv = _inverse(T, bk)
+    b1_out = prod(chi, b1[1], T_inv)
+    b2_out = prod(T, a1[n + 1], a1n_inv, T_inv)
+    e = red(omega * prod(chi, b2[n + 1], _inverse(psi22_3, bk))[:, [c]])
+    return PlaneADHM(c, _wrap(b1_out.T, bk), _wrap(b2_out.T, bk),
+                     _wrap(e.T, bk)), g_total
 
 
 def math_scale(mc: MonadCoeffs) -> float:

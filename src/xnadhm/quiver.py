@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import numpy as np
+
 from . import linalg
 from .errors import (
     InvalidInput,
@@ -279,8 +281,9 @@ def _maps_into(A: Matrix, S0: Matrix, S1: Matrix) -> bool:
 
 def _span(M: Matrix) -> Matrix:
     """Column basis of the column span of M (rows of an echelon form)."""
-    rows, pivots = linalg._rref(M.transpose())
-    return linalg._wrap_rows(rows[:len(pivots)], M.rows, M.backend).transpose()
+    rows, pivots = linalg._rref(M.entries.T, M.backend)
+    basis = np.array(rows[:len(pivots)], dtype=object)
+    return linalg._wrap(basis.reshape(len(pivots), M.rows).T, M.backend)
 
 
 def _preimage(Cs, S0: Matrix) -> Matrix:

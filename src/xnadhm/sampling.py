@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import Matrix, angle_constants
 from .plane import PlaneADHM
 from .quiver import FramedRep, embed_xn_as_rep
-from .xn import ChartData, XnADHM, _rotate, zeta_inverse
+from .xn import ChartData, XnADHM, zeta_inverse
 
 #: resample threshold for condition numbers of random invertible blocks
 MAX_COND = 1e4
@@ -183,9 +183,10 @@ def integer_points(rng, c, p):
 def overlap_margin(b1: Matrix, c_count: int, m: int, l: int) -> float:
     """Smallest singular value of the chart-overlap pivot
     c_(m-l) - s_(m-l) b1; zero exactly on the divisor where charts m and l
-    fail to overlap."""
-    T = _rotate(b1, Matrix.identity(b1.rows), l - m, c_count)[1]
-    return float(np.linalg.svd(T.to_numpy(), compute_uv=False)[-1])
+    fail to overlap: ``xn._rotate``'s denominator, on the entry array."""
+    ck, sk = angle_constants(c_count, l - m)
+    T = complex(sk) * b1.to_numpy() + complex(ck) * np.eye(b1.rows)
+    return float(np.linalg.svd(T, compute_uv=False)[-1])
 
 
 def random_overlap_charts(rng, b1: Matrix, c_count: int, margin=0.15):

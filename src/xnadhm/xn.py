@@ -93,6 +93,7 @@ class ChartData:
 
     def __post_init__(self):
         c = self.B.rows
+        _check_chart(c, self.m)
         for M in (self.B, self.E, self.A2m):
             if (M.rows, M.cols) != (c, c):
                 raise ShapeMismatch("chart blocks must be square of equal size")
@@ -122,10 +123,14 @@ class SigmaMatrix:
 # chart constants and sigma matrices
 # ---------------------------------------------------------------------------
 
-def chart_constants(c: int, m: int):
-    """(cos, sin)(pi m / (c+1)) for a chart index 0 <= m <= c."""
+def _check_chart(c: int, m: int):
     if not 0 <= m <= c:
         raise IndexOutOfRange(f"chart index {m} outside 0..{c}")
+
+
+def chart_constants(c: int, m: int):
+    """(cos, sin)(pi m / (c+1)) for a chart index 0 <= m <= c."""
+    _check_chart(c, m)
     return angle_constants(c, m)
 
 
@@ -353,12 +358,21 @@ def transition_omega(cd: ChartData, n: int, l: int, tol=None) -> ChartData:
 def _transition(d: PlaneADHM, n: int, m: int, l: int, tol=None):
     """(``transition_phi(d, n, m, l)``, T): rotating (b1, 1) by l - m gives
     the numerator s_{m-l} + c_{m-l} b1 and the denominator
-    T = c_{m-l} - s_{m-l} b1 of the Moebius map."""
+    T = c_{m-l} - s_{m-l} b1 of the Moebius map; the rest runs on entry
+    arrays, T^n multiplied up from the identity as ``Matrix.power`` does."""
+    _check_chart(d.c, m)
+    _check_chart(d.c, l)
     num, T = _rotate(d.b1, Matrix.identity(d.c, d.backend), l - m, d.c)
-    if not is_invertible(T, tol):
-        raise NotInOverlap(f"charts {m} and {l} do not overlap at this point")
     bk = T.backend
-    moved = PlaneADHM(d.c, inverse(T) @ num, T.power(n) @ d.b2.cast(bk),
+    t = T.entries
+    if not linalg._is_invertible(t, bk, tol):
+        raise NotInOverlap(f"charts {m} and {l} do not overlap at this point")
+    tn = linalg._diagonal([bk.one] * d.c, bk)
+    for _ in range(n):
+        tn = linalg._matmul(tn, t, bk)
+    b1 = linalg._matmul(linalg._inverse(t, bk), num.entries, bk)
+    b2 = linalg._matmul(tn, d.b2.cast(bk).entries, bk)
+    moved = PlaneADHM(d.c, linalg._wrap(b1, bk), linalg._wrap(b2, bk),
                       d.e.cast(bk))
     return moved, T
 

@@ -260,6 +260,34 @@ def test_check_monad_honours_zero_tol(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
+def test_check_monad_is_literal_on_exact_backends(tmp_path, capsys):
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from xnadhm.linalg import GF, RATIONAL
+    from xnadhm.monad import build_jm
+    from xnadhm.plane import PlaneADHM
+    from xnadhm.serialize import monad_to_json
+
+    def triple(bk):
+        return PlaneADHM(2, Matrix.diagonal([1, 2], bk),
+                         Matrix.diagonal([0, 3], bk),
+                         Matrix.row_vector([1, 1], bk))
+
+    mc = build_jm(triple(RATIONAL), 2, 0)
+    rows = mc.alpha1[3].row_list()
+    rows[0][0] += Fraction(1, 10**14)
+    off = replace(mc, alpha1=mc.alpha1[:3]
+                  + (Matrix.from_rows(rows, RATIONAL),))
+    path = tmp_path / "mc.json"
+    for data, want in ((mc, 0), (off, 1), (build_jm(triple(GF(5)), 2, 0), 0)):
+        path.write_text(dumps(monad_to_json(data)))
+        code, out = run_cli(["check", str(path), "--which", "monad"], capsys)
+        assert code == want
+        assert json.loads(out)["results"] == {
+            "compose": "fail" if want else "pass", "framing": "pass"}
+
+
 def test_check_parse_failure(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{broken")

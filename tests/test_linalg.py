@@ -712,3 +712,43 @@ def test_vandermonde_inverse_is_built_once_per_size(backend, monkeypatch):
             pencil_det_poly(A1, A2)
     assert built == [1, 2, 3, 4, 5, 6]
     linalg._vandermonde_inverse.cache_clear()
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=repr)
+def test_array_primitives_match_matrix_operations(backend):
+    """``_matmul``, ``_inverse`` and ``_is_invertible`` (absolute and
+    relative) on entry arrays give the Matrix operations' results, the
+    schoolbook product and the determinant's verdict, empty shapes
+    included."""
+    from xnadhm.linalg import is_invertible, is_invertible_rel
+
+    bk = backend
+    rng = np.random.default_rng(13)
+    for rows, inner, cols in [(0, 0, 0), (2, 0, 3), (0, 3, 2), (3, 2, 0),
+                              (2, 3, 4), (4, 4, 4), (1, 4, 1)]:
+        A, B = (Matrix(r, c, rng.integers(-4, 5, size=r * c).tolist(), bk)
+                for r, c in ((rows, inner), (inner, cols)))
+        got = linalg._wrap(linalg._matmul(A.entries, B.entries, bk), bk)
+        naive = [[bk.reduce(sum((x * y for x, y in zip(row, col)), bk.zero))
+                  for col in B.transpose().row_list()]
+                 for row in A.row_list()]
+        assert got == A @ B
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got.row_list() == naive and _scalars_canonical(got)
+    for n, entries in [(0, [])] + list(_random_int_matrices(14, count=6)):
+        M = Matrix.from_rows(entries, bk) if n else Matrix.zeros(0, 0, bk)
+        a = M.entries
+        invertible = det(M) != 0
+        assert linalg._is_invertible(a, bk) is is_invertible(M) is invertible
+        assert (linalg._is_invertible(a, bk, rel=True) is is_invertible_rel(M)
+                is invertible)
+        if not invertible:
+            continue
+        inv = linalg._inverse(a, bk)
+        assert np.array_equal(inv, inverse(M).entries)
+        if bk.exact:
+            assert linalg._matmul(inv, a, bk).tolist() == \
+                Matrix.identity(n, bk).row_list()
+    wide = Matrix.zeros(2, 3, bk).entries
+    assert not linalg._is_invertible(wide, bk)
+    assert not linalg._is_invertible(wide, bk, rel=True)

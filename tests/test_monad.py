@@ -2,16 +2,21 @@
 re-expansion, gauge action and normalization."""
 
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from xnadhm.errors import InvalidInput, NotInOverlap, NotNormalizable, SingularGauge
 from xnadhm.linalg import (
+    COMPLEX,
+    GF,
     RATIONAL,
     Matrix,
     angle_constants,
     hstack,
     inverse,
+    nullspace,
     residual,
     vstack,
 )
@@ -503,3 +508,182 @@ def test_embed_gl_gauge_tracks_base_change():
         assert residual(A, B) / max(1.0, B.maxnorm()) < 1e-10
     for A, B in zip(moved.beta2, want.beta2):
         assert residual(A, B) / max(1.0, B.maxnorm()) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the Matrix-level composition of the step gauges
+# ---------------------------------------------------------------------------
+
+def reference_gauge_normalize(mc, l):
+    """``gauge_normalize`` on valid data, written with Matrix operations:
+    the four step gauges composed by ``GaugeElement.compose`` and closed by
+    ``embed_gl_gauge``."""
+    mc0 = reexpand_chart(mc, l)
+    n, c, bk = mc0.n, mc0.c, mc0.backend
+    ident = Matrix.identity(c, bk)
+    no_psi12 = tuple(Matrix.zeros(c, c + 1, bk) for _ in range(n))
+
+    def gauge(phi=ident, psi22=Matrix.identity(c + 1, bk), chi=ident,
+              psi12=no_psi12):
+        return GaugeElement(phi=phi, psi11=ident, psi12=psi12,
+                            psi22=psi22, chi=chi)
+
+    b10_inv = inverse(mc0.beta1[0])
+    Qs = []
+    prev = Matrix.zeros(c, c + 1, bk)
+    for q in range(n):
+        prev = -(b10_inv @ (mc0.beta2[q] + mc0.beta1[1] @ prev))
+        Qs.append(prev)
+    g1 = gauge(chi=b10_inv, psi12=tuple(-q for q in Qs))
+    a1n = mc0.alpha1[n] - prev @ mc0.alpha2[1]
+    g2 = gauge(phi=a1n)
+    a1n_inv = inverse(a1n)
+    a20 = mc0.alpha2[0] @ a1n_inv
+    if bk.exact:
+        r = nullspace(a20.transpose()).column(0).transpose()
+        pivot = max(range(a20.rows), key=lambda j: abs(complex(r.at(0, j))))
+        r = r.scale(bk.inv(r.at(0, pivot)))
+    else:
+        vec = np.linalg.svd(a20.to_numpy())[0][:, -1].conj()
+        r = Matrix.from_numpy(
+            (vec / vec[np.argmax(np.abs(vec))]).reshape(1, -1))
+    top = b10_inv @ (mc0.beta2[n] + mc0.beta1[1] @ prev)
+    psi22_3 = vstack(-top, r)
+    omega = (psi22_3 @ mc0.xi_blocks()[1]).at(c, 0)
+    psi22_4 = Matrix.diagonal([bk.one] * c + [bk.inv(omega)], bk)
+    g_raw = (gauge(psi22=psi22_4).compose(gauge(psi22=psi22_3))
+             .compose(g2).compose(g1))
+    g5 = embed_gl_gauge(g_raw.chi.transpose(), n)
+    g_total = g5.compose(g_raw)
+    T = g5.phi
+    T_inv = inverse(T)
+    b1 = g_total.chi @ mc0.beta1[1] @ T_inv
+    b2 = T @ mc0.alpha1[n + 1] @ a1n_inv @ T_inv
+    e = (g_total.chi @ mc0.beta2[n + 1] @ inverse(psi22_3)).column(c)
+    return PlaneADHM(c, b1.transpose(), b2.transpose(),
+                     e.scale(omega).transpose()), g_total
+
+
+def _blocks(plane, g):
+    return [plane.b1, plane.b2, plane.e, g.phi, g.psi11, *g.psi12, g.psi22,
+            g.chi]
+
+
+def test_normalize_kernel_matches_the_composed_gauges():
+    # odd trials first move the chart-m point by a random gauge
+    rng = rng_from_seed(18)
+    for c in range(1, 5):
+        for n in range(1, 5):
+            for trial in range(4):
+                d = random_costable_triple(rng, c)
+                m, l = random_overlap_charts(rng, d.b1, c)
+                mc = build_jm(d, n, m)
+                if trial % 2:
+                    mc = gauge_action(random_gauge(rng, n, c), mc)
+                got = _blocks(*gauge_normalize(mc, l))
+                assert all(A.backend is COMPLEX for A in got)
+                # float equality: only the sign of a zero may differ
+                assert got == _blocks(*reference_gauge_normalize(mc, l))
+
+
+# charts with integer constants: all of them for c = 1; for c = 3 the
+# pairs at a right angle or equal
+INTEGER_CHARTS = [(1, 0, 0), (1, 0, 1), (1, 1, 0), (3, 0, 2), (3, 2, 0),
+                  (3, 1, 3), (3, 3, 1), (3, 1, 1)]
+
+
+def integer_monad(c, n, m, backend, rng, moved):
+    """build_jm of an integer co-stable triple over ``backend``, and its
+    image under an integer unipotent gauge if ``moved``."""
+    d = PlaneADHM(c, Matrix.diagonal([1, 2, -1][:c], backend),
+                  Matrix.diagonal([0, 3, 1][:c], backend),
+                  Matrix.row_vector([1] * c, backend))
+    mc = build_jm(d, n, m)
+    if moved:
+        psi12 = tuple(hstack(integer_unipotent(rng, c),
+                             Matrix.zeros(c, 1, RATIONAL)).cast(backend)
+                      for _ in range(n))
+        mc = gauge_action(GaugeElement(
+            phi=integer_unipotent(rng, c).cast(backend),
+            psi11=integer_unipotent(rng, c).transpose().cast(backend),
+            psi12=psi12, psi22=integer_unipotent(rng, c + 1).cast(backend),
+            chi=integer_unipotent(rng, c).transpose().cast(backend)), mc)
+    return d, mc
+
+
+@pytest.mark.parametrize("c, m, l", INTEGER_CHARTS)
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_normalize_kernel_is_exact(backend, c, m, l):
+    """On the rationals the kernel equals the composed gauges; over GF(5),
+    where the Matrix-level route had no norm to test against, it reaches the
+    normal form and, on an unmoved point, the chart transition."""
+    rng = rng_from_seed(19)
+    for n in (1, 2, 3):
+        for moved in (False, True):
+            d, mc = integer_monad(c, n, m, backend, rng, moved)
+            plane, g = gauge_normalize(mc, l)
+            assert plane.backend == backend
+            assert g.chi == Matrix.identity(c, backend)
+            if backend is RATIONAL:
+                assert _blocks(plane, g) == _blocks(
+                    *reference_gauge_normalize(mc, l))
+            normal = gauge_action(g, reexpand_chart(mc, l))
+            assert all(D.is_zero() for D in normal_form_defects(normal))
+            assert (plane.b1, plane.b2, plane.e) == normal_form_triple(normal)
+            if not moved:
+                want = transition_phi(d, n, m, l)
+                assert (plane.b1, plane.b2, plane.e) == (want.b1, want.b2,
+                                                         want.e)
+
+
+def _rational_jm():
+    d = PlaneADHM(2, Matrix.diagonal([1, 2], RATIONAL),
+                  Matrix.diagonal([0, 3], RATIONAL),
+                  Matrix.row_vector([1, 1], RATIONAL))
+    return build_jm(d, 2, 0)
+
+
+def _shift_entry(M, i, j, delta):
+    rows = M.row_list()
+    rows[i][j] += delta
+    return Matrix.from_rows(rows, M.backend)
+
+
+def test_exact_normalize_tests_beta_alpha_literally():
+    mc = _rational_jm()
+    n = mc.n
+    bad = replace(mc, alpha1=mc.alpha1[:n + 1]
+                  + (_shift_entry(mc.alpha1[n + 1], 0, 0, Fraction(1, 10**14)),))
+    assert max_residual(compose_residual(bad)) == 1e-14
+    with pytest.raises(InvalidInput, match="not a monad point"):
+        gauge_normalize(bad, 0)
+    # the complex path keeps its tolerance
+    blocks = [[M.cast(COMPLEX) for M in getattr(bad, f)]
+              for f in ("alpha1", "alpha2", "beta1", "beta2")]
+    gauge_normalize(MonadCoeffs(n, 2, 0, *blocks, bad.xi.cast(COMPLEX)), 0)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_exact_normalize_tests_the_framing_support_literally(backend):
+    mc = _rational_jm()
+    # a residue has no size: any nonzero entry is as far off as 10^-14
+    tiny = backend.coerce(Fraction(1, 10**14) if backend is RATIONAL else 1)
+    xi = _shift_entry(mc.xi, 0, 0, tiny).cast(backend)
+    blocks = [[M.cast(backend) for M in getattr(mc, f)]
+              for f in ("alpha1", "alpha2", "beta1", "beta2")]
+    moved = MonadCoeffs(mc.n, mc.c, mc.m, *blocks, xi)
+    with pytest.raises(NotNormalizable, match="^step 4: framing vector is "
+                       "not supported on the frame slot$"):
+        gauge_normalize(moved, 0)
+    # the same entry alone in the frame slot is a valid framing
+    xi = Matrix.col_vector([0, 0, 0, 0, tiny], backend)
+    gauge_normalize(replace(moved, xi=xi), 0)
+
+
+def test_prime_field_normalize_refuses_non_monad_points():
+    mc = _rational_jm()
+    blocks = [[M.cast(GF(5)) for M in getattr(mc, f)]
+              for f in ("alpha1", "alpha2", "beta1", "beta2")]
+    blocks[0][0] = _shift_entry(blocks[0][0], 0, 0, 1)
+    with pytest.raises(InvalidInput, match="not a monad point"):
+        gauge_normalize(MonadCoeffs(2, 2, 0, *blocks, mc.xi.cast(GF(5))), 0)

@@ -1,5 +1,7 @@
 """Charts, sigma matrices, the three conditions, transitions, point data."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from xnadhm.linalg import (
     residual,
     vstack,
 )
+from xnadhm.monad import build_jm, gauge_normalize, reexpand_chart
 from xnadhm.pencil import analyze_pencil
 from xnadhm.plane import PlaneADHM
 from xnadhm.sampling import (
@@ -553,6 +556,115 @@ def test_transition_omega_moves_the_plane_part_once(monkeypatch):
         assert len(rotations) == 1
         assert (om.m, om.B, om.E, om.e) == (l, phi.b1, phi.b2, phi.e)
         assert om.A2m == cd.A2m @ T
+
+
+def _transition_reference(d, n, m, l):
+    """transition_phi and the denominator as Matrix expressions: the
+    rotation's numerator and denominator, then inverse(T) @ num and
+    T.power(n) @ b2."""
+    num, T = _rotate(d.b1, Matrix.identity(d.c, d.backend), l - m, d.c)
+    if not linalg.is_invertible(T):
+        raise NotInOverlap
+    bk = T.backend
+    return PlaneADHM(d.c, linalg.inverse(T) @ num,
+                     T.power(n) @ d.b2.cast(bk), d.e.cast(bk)), T
+
+
+def _same_bits(A, B):
+    return A.backend == B.backend and A.entries.tobytes() == B.entries.tobytes()
+
+
+def test_transitions_equal_the_matrix_expression():
+    rng = rng_from_seed(34)
+    cases = 0
+    for _ in range(40):
+        c = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 5))
+        cd = random_chart_data(rng, c)
+        for l in range(c + 1):
+            try:
+                want, T = _transition_reference(cd.plane(), n, cd.m, l)
+            except NotInOverlap:
+                with pytest.raises(NotInOverlap):
+                    transition_phi(cd.plane(), n, cd.m, l)
+                continue
+            got = transition_phi(cd.plane(), n, cd.m, l)
+            om = transition_omega(cd, n, l)
+            for X, Y in ((got.b1, want.b1), (got.b2, want.b2),
+                         (got.e, want.e), (om.B, want.b1), (om.E, want.b2),
+                         (om.A2m, cd.A2m @ T)):
+                assert _same_bits(X, Y)
+            cases += 1
+    assert cases > 100
+    # exact data at the integer charts of c = 3, and promoted off them
+    for bk in (RATIONAL, GF(5)):
+        d = PlaneADHM(3, Matrix.diagonal([1, 2, -1], bk),
+                      Matrix.from_rows([[0, 1, 0], [0, 3, 2], [1, 0, 1]], bk),
+                      Matrix.row_vector([1, 1, 1], bk))
+        for m, l in ((0, 2), (2, 0), (1, 3), (3, 1), (2, 2)):
+            want, _ = _transition_reference(d, 2, m, l)
+            got = transition_phi(d, 2, m, l)
+            assert (got.b1, got.b2, got.e) == (want.b1, want.b2, want.e)
+            assert got.backend == bk
+    d = PlaneADHM(3, Matrix.diagonal([3, 2, 5], RATIONAL),
+                  Matrix.diagonal([0, 3, 1], RATIONAL),
+                  Matrix.row_vector([1, 1, 1], RATIONAL))
+    got = transition_phi(d, 2, 0, 1)
+    want, _ = _transition_reference(d, 2, 0, 1)
+    assert got.backend is COMPLEX
+    assert all(_same_bits(X, Y) for X, Y in
+               ((got.b1, want.b1), (got.b2, want.b2), (got.e, want.e)))
+
+
+def test_overlap_margin_is_the_rotated_pivot():
+    from xnadhm.sampling import overlap_margin
+
+    rng = rng_from_seed(35)
+    for trial in range(60):
+        c = int(rng.integers(1, 6))
+        b1 = (random_chart_data(rng, c).B if trial % 3 else
+              Matrix.diagonal(rng.integers(-3, 4, size=c).tolist()))
+        for m in range(c + 1):
+            for l in range(c + 1):
+                T = _rotate(b1, Matrix.identity(c), l - m, c)[1]
+                want = float(np.linalg.svd(T.to_numpy(),
+                                           compute_uv=False)[-1])
+                assert overlap_margin(b1, c, m, l) == want
+
+
+#: calls with a chart index outside 0..c = 2, on (d, its chart-0 reading
+#: cd, the monad of cd's plane part in chart 0)
+_OUT_OF_RANGE = {
+    "zeta above c": lambda d, cd, mc: zeta(d, 3),
+    "zeta below 0": lambda d, cd, mc: zeta(d, -1),
+    "ChartData": lambda d, cd, mc: ChartData(3, cd.B, cd.E, cd.e, cd.A2m),
+    "transition_phi m": lambda d, cd, mc: transition_phi(cd.plane(), 2, -1, 0),
+    "transition_phi l": lambda d, cd, mc: transition_phi(cd.plane(), 2, 0, 3),
+    "transition_omega": lambda d, cd, mc: transition_omega(cd, 2, 3),
+    "MonadCoeffs": lambda d, cd, mc: replace(mc, m=3),
+    "build_jm": lambda d, cd, mc: build_jm(cd.plane(), 2, 4),
+    "reexpand_chart": lambda d, cd, mc: reexpand_chart(mc, 3),
+    "gauge_normalize": lambda d, cd, mc: gauge_normalize(mc, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+def test_chart_indices_are_validated(case):
+    d = random_xn(rng_from_seed(36), 2, 2)
+    cd = zeta(d, 0)
+    mc = build_jm(cd.plane(), 2, 0)
+    with pytest.raises(IndexOutOfRange,
+                       match=r"^chart index -?\d+ outside 0\.\.2$"):
+        _OUT_OF_RANGE[case](d, cd, mc)
+
+
+def test_rotation_and_sigma_take_relative_angles():
+    # _rotate and sigma take differences of chart indices, which may lie
+    # outside 0..c
+    rng = rng_from_seed(37)
+    d = random_xn(rng, 1, 2)
+    assert _rotate(d.A1, d.A2, 3, 2)[1] == _rotate(d.A1, d.A2, 0, 2)[1].scale(-1)
+    assert sigma(2, -1, 2).entries.rows == sigma(2, 5, 2).entries.rows == 3
 
 
 # ---------------------------------------------------------------------------
