@@ -19,8 +19,9 @@ exact backends (elimination by hand instead of LAPACK).
 
 The product, the inverse and the invertibility tests are array primitives
 on entries (``_matmul``, ``_inverse``, ``_is_invertible``) that the Matrix
-operations wrap; kernels on small blocks (chart transitions, monad gauge
-normalization) call them on arrays and wrap their results once.
+operations wrap; kernels on small blocks (the chart dictionary, (P1), chart
+transitions, monad gauge normalization) call them on arrays and wrap their
+results once.
 
 A backend is ``kind``, ``exact``, ``dtype``, ``zero``, ``one`` and three
 maps: ``coerce`` validates a value from outside and brings it into the
@@ -649,9 +650,15 @@ def _node_matrix(A1: Matrix, A2: Matrix, n1, n2) -> Matrix:
     the products by a zero or unit coefficient: the exact pencil nodes
     (1, q) and (0, 1) are mostly 0 and 1, and each product is a pass over
     ``Fraction`` or residue entries."""
-    terms = [A if s == 1 else A.scale(s)
-             for A, s in ((A1, n1), (A2, n2)) if s != 0]
-    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    bk = A1.backend
+    return _wrap(_node_entries(A1.entries, A2.entries, n1, n2, bk), bk)
+
+
+def _node_entries(a1, a2, n1, n2, backend):
+    """``_node_matrix`` on the entry arrays of one backend."""
+    terms = [a if s == 1 else backend.reduce(backend.coerce(s) * a)
+             for a, s in ((a1, n1), (a2, n2)) if s != 0]
+    return terms[0] if len(terms) == 1 else backend.reduce(terms[0] + terms[1])
 
 
 def _node_stack(A1: Matrix, A2: Matrix, nodes):

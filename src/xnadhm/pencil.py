@@ -4,7 +4,8 @@ A pencil is regular when its homogeneous determinant polynomial is not
 identically zero, which is decided at the c+1 sample nodes of
 ``linalg._pencil_nodes``: a nonzero form of degree c cannot vanish at all of
 them.  On floats the node matrices are the charts' A2m = s_m A1 + c_m A2,
-the decision is one batched SVD, and the witness is the covering chart of
+the decision is one batched SVD (``xn.XnADHM`` keeps it, computed once per
+configuration), and the witness is the covering chart of
 ``xn.cover_chart``, where the spectrum is one eigenvalue call.  The exact
 backends take the node determinants in order and stop at the first nonzero
 one, the witness; only the rational spectrum takes the remaining
@@ -98,7 +99,8 @@ def _pick_chain(basis: Matrix):
     return best
 
 
-def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
+def analyze_pencil(A1: Matrix, A2: Matrix, tol=None,
+                   conditioning=None) -> PencilAnalysis:
     """Classify the pencil and, when singular, return the minimal chain.
 
     Regular pencils come back with their projective spectrum and a sample
@@ -111,10 +113,14 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     Singular pencils come back with the smallest eps whose chain staircase
     has a nontrivial kernel, one chain with v_eps != 0, and the float
     residuals of every chain equation.
+
+    ``conditioning`` is ``_float_conditioning(A1, A2)`` for a caller that
+    holds it already (``xn.XnADHM`` keeps it per float instance); it does
+    not depend on ``tol``.
     """
     bk = A1.backend
     c = A1.rows
-    witness, at_witness = _regularity(A1, A2, tol)
+    witness, at_witness = _regularity(A1, A2, tol, conditioning)
     if witness is not None:
         eig = None
         if bk.kind == "rational":
@@ -145,7 +151,7 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     raise InvalidInput("no polynomial solution of degree <= c found")
 
 
-def _regularity(A1, A2, tol):
+def _regularity(A1, A2, tol, conditioning=None):
     """(witness, basis) of the pencil, the witness None when it is singular.
 
     The basis is what ``analyze_pencil`` computes the spectrum from: on the
@@ -159,7 +165,7 @@ def _regularity(A1, A2, tol):
         raise BackendMismatch("pencil matrices on different backends")
     bk = A1.backend
     if not bk.exact:
-        m, P = _float_witness(A1, A2, tol)
+        m, P = _float_witness(A1, A2, tol, conditioning)
         return (None if m is None else linalg._pencil_nodes(A1.rows, bk)[m]), P
     dets = []
     for n1, n2 in linalg._pencil_nodes(A1.rows, bk):
@@ -169,7 +175,17 @@ def _regularity(A1, A2, tol):
     return None, None
 
 
-def _float_witness(A1, A2, tol):
+def _float_conditioning(A1, A2):
+    """(P, s_min, scale) of a float pencil: the read-only stack P of its node
+    matrices at the charts (P[m] = A2m), and the two sides of
+    ``is_invertible``'s test at each node, from one batched SVD.  Nothing
+    here depends on ``tol``; ``_float_witness`` applies it."""
+    P = linalg._node_stack(A1, A2, linalg._pencil_nodes(A1.rows, A1.backend))
+    P.setflags(write=False)
+    return (P, *linalg._conditioning(P))
+
+
+def _float_witness(A1, A2, tol, conditioning=None):
     """(m, A2m) for the best-conditioned chart m of a float pencil, or
     (None, None) when the pencil is singular at every node (hence
     everywhere): a degree-c form cannot vanish at c+1 distinct ratios, so
@@ -179,10 +195,12 @@ def _float_witness(A1, A2, tol):
     The node matrix at m is A2m.  The chart of largest smallest singular
     value over max(1, max-norm), the lowest on a tie, wins if it passes
     ``is_invertible``'s test: one rule for (P2), the spectrum's node and
-    ``xn.cover_chart``.
+    ``xn.cover_chart``.  ``conditioning`` is ``_float_conditioning(A1,
+    A2)``, computed here when it is None.
     """
-    P = linalg._node_stack(A1, A2, linalg._pencil_nodes(A1.rows, A1.backend))
-    s_min, scale = linalg._conditioning(P)
+    if conditioning is None:
+        conditioning = _float_conditioning(A1, A2)
+    P, s_min, scale = conditioning
     best = int(np.argmax(s_min / scale))
     if not s_min[best] > linalg._tol(tol) * scale[best]:
         return None, None

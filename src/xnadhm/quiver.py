@@ -17,7 +17,6 @@ subspace enumeration exists only over prime fields, as an oracle.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -34,7 +33,8 @@ from .errors import (
 )
 from .linalg import Matrix, hstack, nullspace, rank, vstack
 from .pencil import analyze_pencil
-from .xn import XnADHM, _p3_at_roots, _rotate, check_P1, check_P2
+from .xn import (XnADHM, _backend_angles, _binomial_combination, _p3_at_roots,
+                 _rotate, check_P1, check_P2)
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
         if not check_P1(d, tol):
             return Verdict.UNSTABLE
         # one pencil analysis decides (P2) and gives (P3) its roots
-        pencil = analyze_pencil(d.A1, d.A2, tol)
+        pencil = analyze_pencil(d.A1, d.A2, tol, d._pencil_conditioning)
         ok = pencil.regular and _p3_at_roots(d, pencil.eigenvalues, tol)
         return Verdict.SEMISTABLE if ok else Verdict.UNSTABLE
     if check_P2(d, tol):
@@ -189,13 +189,9 @@ def u_m_residual(r: FramedRep, m: int):
     A2m = _rotate(r.A1, r.A2, m, r.v0)[1]
     if not linalg.is_invertible(A2m):
         raise NotInChart(f"det A2m = 0 in chart {m}")
-    bk = A2m.backend
-    cm, sm = linalg.angle_constants(r.v0, m)
-    u = Matrix.zeros(r.v0, r.w, bk)
-    for q in range(1, r.n):
-        coef = math.comb(r.n - 2, q - 1) * cm ** (r.n - 1 - q) * sm ** (q - 1)
-        u = u + r.f[q - 1].cast(bk).scale(bk.coerce(coef))
-    return u
+    bk, cm, sm = _backend_angles(A2m.backend, r.v0, m)
+    return linalg._wrap(_binomial_combination(
+        [f.cast(bk).entries for f in r.f], cm, sm, bk), bk)
 
 
 def moment_residual_n2(r: FramedRep) -> MomentResidual:

@@ -18,6 +18,7 @@ charts are glued by a Moebius transformation in B and a power factor in E.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,8 @@ from .errors import (
     UnsupportedBackend,
 )
 from .linalg import Matrix, angle_constants, inverse, is_invertible
-from .pencil import _float_witness, _regularity, analyze_pencil
+from .pencil import (_float_conditioning, _float_witness, _regularity,
+                     analyze_pencil)
 from .plane import (PlaneADHM, _observable, _unit, check_T2, common_eigenvectors,
                     from_plane_points, joint_spectrum)
 
@@ -75,6 +77,16 @@ class XnADHM:
     @property
     def backend(self):
         return self.A1.backend
+
+    @functools.cached_property
+    def _pencil_conditioning(self):
+        """``pencil._float_conditioning`` of (A1, A2), None on the exact
+        backends: one batched node SVD per float configuration, shared by
+        ``check_P2``, ``check_P3_direct`` and ``cover_chart``.  It does not
+        depend on ``tol``, and the data is immutable."""
+        if self.backend.exact:
+            return None
+        return _float_conditioning(self.A1, self.A2)
 
     def cast(self, backend):
         return XnADHM(self.n, self.c, self.A1.cast(backend),
@@ -153,12 +165,14 @@ def _backend_angles(backend, c_count: int, k: int):
     return linalg.COMPLEX, complex(cm), complex(sm)
 
 
+@functools.lru_cache(maxsize=256)
 def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> SigmaMatrix:
     """Binomial change-of-chart matrix of size (h+1) x (h+1).
 
     Row p expands (s_m u1 + c_m u2)^p (c_m u1 - s_m u2)^(h-p) over the
     monomials u2^q u1^(h-q); the family satisfies the one-parameter group law
-    sigma(h, m) sigma(h, l) = sigma(h, m + l).
+    sigma(h, m) sigma(h, l) = sigma(h, m + l).  Cached, since the result
+    is immutable.
     """
     if h < 0:
         raise IndexOutOfRange("h must be >= 0")
@@ -186,11 +200,24 @@ def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
     any integer k: chart m rotates (A1, A2) by m, the chart dictionary
     (B, 1) by -m, and the transition from chart m to l (B, 1) by l - m.
     Irrational constants promote exact data (``_backend_angles``), and
-    products by 0 and 1 are skipped (``linalg._node_matrix``)."""
+    products by 0 and 1 are skipped (``linalg._node_entries``)."""
     bk, ck, sk = _backend_angles(X.backend, c_count, k)
-    X, Y = X.cast(bk), Y.cast(bk)
-    return (linalg._node_matrix(X, Y, ck, bk.reduce(-sk)),
-            linalg._node_matrix(X, Y, sk, ck))
+    x, y = X.cast(bk).entries, Y.cast(bk).entries
+    return (linalg._wrap(linalg._node_entries(x, y, ck, bk.reduce(-sk), bk), bk),
+            linalg._wrap(linalg._node_entries(x, y, sk, ck, bk), bk))
+
+
+def _binomial_combination(blocks, cm, sm, backend):
+    """sum over q = 1..k of binom(k-1, q-1) c^(k-q) s^(q-1) X_q for the k
+    entry arrays ``blocks`` = (X_1, ..., X_k) and constants (c, s) = (cm,
+    sm) of ``backend``: the chart's free parameter D_m (over the C blocks)
+    and the framing combination u_m (over the f blocks, one degree lower)."""
+    k = len(blocks)
+    out = linalg._zeros(blocks[0].shape, backend)
+    for q, X in enumerate(blocks, 1):
+        coef = math.comb(k - 1, q - 1) * (cm ** (k - q) * sm ** (q - 1))
+        out = backend.reduce(out + backend.coerce(coef) * X)
+    return out
 
 
 def chart_matrices(d: XnADHM, m: int):
@@ -198,39 +225,46 @@ def chart_matrices(d: XnADHM, m: int):
 
     A1m = c_m A1 - s_m A2, A2m = s_m A1 + c_m A2, D_m is the binomial
     combination of the C blocks that acts as the free parameter of the chart,
-    and E_m = D_m A2m.
+    and E_m = D_m A2m.  Runs on entry arrays after the one ``_rotate``.
     """
+    _check_chart(d.c, m)
     A1m, A2m = _rotate(d.A1, d.A2, m, d.c)
     bk, cm, sm = _backend_angles(A2m.backend, d.c, m)
-    Dm = Matrix.zeros(d.c, d.c, bk)
-    for q in range(1, d.n + 1):
-        coef = math.comb(d.n - 1, q - 1) * (cm ** (d.n - q) * sm ** (q - 1))
-        Dm = Dm + d.C[q - 1].cast(bk).scale(coef)
-    Em = Dm @ A2m
-    return A1m, A2m, Em, Dm
+    dm = _binomial_combination([C.cast(bk).entries for C in d.C], cm, sm, bk)
+    em = linalg._matmul(dm, A2m.entries, bk)
+    return A1m, A2m, linalg._wrap(em, bk), linalg._wrap(dm, bk)
 
 
 def check_P1(d: XnADHM, tol=None) -> bool:
-    """Chain condition on (A1, A2, C)."""
-    defects = []
+    """Chain condition on (A1, A2, C), on entry arrays; literal on the exact
+    backends."""
+    bk = d.backend
+    a1, a2 = d.A1.entries, d.A2.entries
+    cs = [C.entries for C in d.C]
+
+    def mul(x, y):
+        return linalg._matmul(x, y, bk)
+
     if d.n == 1:
-        defects.append(d.A1 @ d.C[0] @ d.A2 - d.A2 @ d.C[0] @ d.A1)
+        defects = [bk.reduce(mul(mul(a1, cs[0]), a2) - mul(mul(a2, cs[0]), a1))]
     else:
+        defects = []
         for q in range(d.n - 1):
-            defects.append(d.A1 @ d.C[q] - d.A2 @ d.C[q + 1])
-            defects.append(d.C[q] @ d.A1 - d.C[q + 1] @ d.A2)
-    if d.backend.exact:
-        return all(D.is_zero() for D in defects)
+            defects.append(bk.reduce(mul(a1, cs[q]) - mul(a2, cs[q + 1])))
+            defects.append(bk.reduce(mul(cs[q], a1) - mul(cs[q + 1], a2)))
+    if bk.exact:
+        return not any(any(D.flat) for D in defects)
     scale = linalg.scale_of(d.A1, d.A2) * linalg.scale_of(*d.C)
     if d.n == 1:
         scale *= linalg.scale_of(d.A1, d.A2)
-    return all(D.maxnorm() <= linalg._tol(tol) * scale for D in defects)
+    thr = linalg._tol(tol) * scale
+    return all(float(np.abs(D).max()) <= thr for D in defects)
 
 
 def check_P2(d: XnADHM, tol=None) -> bool:
     """Pencil regularity: the pencil analyzer's own test, without the
     spectrum or the minimal chain of a full ``analyze_pencil``."""
-    return _regularity(d.A1, d.A2, tol)[0] is not None
+    return _regularity(d.A1, d.A2, tol, d._pencil_conditioning)[0] is not None
 
 
 def check_P3_direct(d: XnADHM, tol=None) -> bool:
@@ -248,7 +282,7 @@ def check_P3_direct(d: XnADHM, tol=None) -> bool:
         raise UnsupportedBackend(
             "(P3) needs root finding; use the quiver module's exhaustive "
             "check over prime fields")
-    analysis = analyze_pencil(d.A1, d.A2, tol)
+    analysis = analyze_pencil(d.A1, d.A2, tol, d._pencil_conditioning)
     if not analysis.regular:
         raise InvalidInput("condition (P3) is only decidable for regular pencils")
     return _p3_at_roots(d, analysis.eigenvalues, tol)
@@ -260,29 +294,38 @@ def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
     tol).eigenvalues`` of a regular pencil.  Prime-field data raises
     ``UnsupportedBackend`` (it cannot be cast to floats).
 
-    At each root one ``_observable`` call grows [P; e; N] by M1 and M2 at
+    At each root ``_observable`` grows the rows [P; e; N] by M1 and M2 at
     ``10 * _tol(tol)``, since a root is only as accurate as the pencil's
     eigenvalues; N = -l1^n M1 + (-1)^n l2^n M2.  P is divided by
     max(1, max-norm) of A1 and A2, N by that of M1 and M2, and e, M1 and M2
-    each by their own.
+    each by their own.  The k roots' rows are one (k, 2c+1, c) stack whose
+    ranks come from one batched SVD; only a root whose rows stay short of
+    rank c goes on to ``_observable``'s growth loop.
     """
-    dd = d.cast(linalg.COMPLEX) if d.backend.exact else d
-    A1, A2 = dd.A1.to_numpy(), dd.A2.to_numpy()
-    M1 = dd.C[0].to_numpy() @ A2
-    M2 = dd.C[d.n - 1].to_numpy() @ A1
-    s_A = linalg.scale_of(dd.A1, dd.A2)
+    A1, A2 = d.A1.to_numpy(), d.A2.to_numpy()
+    if not roots:
+        return True
+    M1 = d.C[0].to_numpy() @ A2
+    M2 = d.C[d.n - 1].to_numpy() @ A1
+    s_A = max(1.0, np.abs(A1).max(), np.abs(A2).max())
     s_M = max(1.0, np.abs(M1).max(), np.abs(M2).max())
-    e = _unit(dd.e.to_numpy())
+    e = _unit(d.e.to_numpy())
     mats = (_unit(M1), _unit(M2))
     thr = 10 * linalg._tol(tol)
+    c = d.c
     sign = (-1) ** d.n
-    for (nu1, nu2), _ in roots:
-        l1, l2 = nu2, nu1
-        P = (l2 * A1 + l1 * A2) / s_A
-        N = (-l1 ** d.n * M1 + sign * l2 ** d.n * M2) / s_M
-        if not _observable(np.vstack((P, e, N)), mats, thr):
-            return False
-    return True
+    # l1 = nu2 and l2 = nu1 at each root; the powers are Python complex
+    # powers, so that each root's rows are those of the per-root expression
+    pts = [pt for pt, _ in roots]
+    l2, l1 = np.array(pts).T[:, :, None, None]
+    w1 = np.array([-nu2 ** d.n for _, nu2 in pts])[:, None, None]
+    w2 = np.array([sign * nu1 ** d.n for nu1, _ in pts])[:, None, None]
+    rows = np.concatenate(((l2 * A1 + l1 * A2) / s_A,
+                           np.broadcast_to(e, (len(roots), 1, c)),
+                           (w1 * M1 + w2 * M2) / s_M), axis=1)
+    rank = (np.linalg.svd(rows, compute_uv=False) > thr).sum(axis=1)
+    return all(_observable(rows[i], mats, thr)
+               for i in np.flatnonzero(rank < c))
 
 
 def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
@@ -296,13 +339,15 @@ def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
 # ---------------------------------------------------------------------------
 
 def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
-    """Chart-m reading (B_m, E_m, e; A2m) of the data."""
+    """Chart-m reading (B_m, E_m, e; A2m) of the data, with B_m = A2m^-1 A1m
+    on entry arrays.  The chart index is checked before any arithmetic."""
     A1m, A2m, Em, _ = chart_matrices(d, m)
-    if not is_invertible(A2m, tol):
+    bk = A2m.backend
+    a2m = A2m.entries
+    if not linalg._is_invertible(a2m, bk, tol):
         raise NotInChart(f"det A2m = 0 in chart {m}")
-    B = inverse(A2m) @ A1m
-    e = d.e.cast(B.backend)
-    return ChartData(m, B, Em, e, A2m)
+    b = linalg._matmul(linalg._inverse(a2m, bk), A1m.entries, bk)
+    return ChartData(m, linalg._wrap(b, bk), Em, d.e.cast(bk), A2m)
 
 
 def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
@@ -311,6 +356,10 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     With (B, E, e) co-stable and commuting this lands back in the locus where
     all three conditions hold; ``check=False`` skips the co-stability guard
     (used to manufacture violating samples).
+
+    (A1, A2) = A2m (R1, R2) for the rotation (R1, R2) of (B, 1) by -m, and
+    C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1, on entry arrays
+    after the one ``_rotate``.
     """
     c = cd.c
     R1, R2 = _rotate(cd.B, Matrix.identity(c, cd.backend), -cd.m, c)
@@ -318,24 +367,29 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     B = cd.B.cast(bk)
     E = cd.E.cast(bk)
     e = cd.e.cast(bk)
-    A = cd.A2m.cast(bk)
-    if not is_invertible(A, tol):
+    a = cd.A2m.cast(bk).entries
+    if not linalg._is_invertible(a, bk, tol):
         raise SingularA2m("A2m block must be invertible")
     if check and not check_T2(PlaneADHM(c, B, E, e), tol):
         raise NotCostable("chart triple violates co-stability")
-    A1, A2 = A @ R1, A @ R2
-    sig = sigma(n - 1, cd.m, c, bk).entries
-    EAinv = E @ inverse(A)
-    powersB = [Matrix.identity(c, bk)]
-    for _ in range(n - 1):
-        powersB.append(powersB[-1] @ B)
-    Cs = []
-    for q in range(n):
-        Cq = Matrix.zeros(c, c, bk)
-        for p in range(n):
-            Cq = Cq + powersB[p].scale(sig.at(q, p))
-        Cs.append(Cq @ EAinv)
-    return XnADHM(n, c, A1, A2, tuple(Cs), e)
+
+    def mul(x, y):
+        return linalg._matmul(x, y, bk)
+
+    sig = sigma(n - 1, cd.m, c, bk).entries.entries
+    eainv = mul(E.entries, linalg._inverse(a, bk))
+    # the n sums over p, one (n, c, c) stack, term by term in p
+    cs = linalg._zeros((n, c, c), bk)
+    power = linalg._diagonal([bk.one] * c, bk)
+    for p in range(n):
+        if p:
+            power = mul(power, B.entries)
+        cs = bk.reduce(cs + sig[:, p, None, None] * power)
+    # C as a list: tuple(generator) leaves a block per call in CPython's
+    # tuple free lists until a full collection, which raised peak RSS
+    return XnADHM(n, c, linalg._wrap(mul(a, R1.entries), bk),
+                  linalg._wrap(mul(a, R2.entries), bk),
+                  [linalg._wrap(mul(cq, eainv), bk) for cq in cs], e)
 
 
 def transition_phi(d: PlaneADHM, n: int, m: int, l: int, tol=None) -> PlaneADHM:
@@ -422,7 +476,7 @@ def cover_chart(d: XnADHM, tol=None) -> int:
                      if is_invertible(_rotate(d.A1, d.A2, m, d.c)[1], tol)),
                     None)
     else:
-        best = _float_witness(d.A1, d.A2, tol)[0]
+        best = _float_witness(d.A1, d.A2, tol, d._pencil_conditioning)[0]
     if best is None:
         raise NoChart("singular pencil: no invertible chart")
     return best

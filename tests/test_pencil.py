@@ -356,10 +356,11 @@ def test_node_matrix_skips_unit_and_zero_coefficients(backend, monkeypatch):
                      RATIONAL).cast(backend) for _ in range(2))
     nodes = linalg._pencil_nodes(c, backend)
     want = [A1.scale(n1) + A2.scale(n2) for n1, n2 in nodes]
+    # each product by a coefficient coerces it once
     scaled = []
-    scale = Matrix.scale
-    monkeypatch.setattr(Matrix, "scale",
-                        lambda M, s: scaled.append(s) or scale(M, s))
+    coerce = backend.coerce
+    monkeypatch.setattr(backend, "coerce",
+                        lambda s: scaled.append(s) or coerce(s))
     assert [linalg._node_matrix(A1, A2, n1, n2) for n1, n2 in nodes] == want
     # only the coefficients other than 0 and 1 multiply: q = 2..5 on the
     # rationals' nodes (1, q); t = 2..4 on GF(5)'s (1, t) and (0, 1)

@@ -1,6 +1,8 @@
 """Charts, sigma matrices, the three conditions, transitions, point data."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from xnadhm.linalg import (
 )
 from xnadhm.monad import build_jm, gauge_normalize, reexpand_chart
 from xnadhm.pencil import analyze_pencil
-from xnadhm.plane import PlaneADHM
+from xnadhm.plane import PlaneADHM, _observable, _unit, gl_action
 from xnadhm.sampling import (
     random_chart_data,
     random_costable_triple,
@@ -88,6 +90,12 @@ def test_chart_constants_examples():
 def test_sigma_zero_is_identity():
     for h in range(5):
         assert sigma(h, 0, 4).entries == Matrix.identity(h + 1)
+
+
+def test_sigma_is_cached():
+    assert sigma(3, 1, 4) is sigma(3, 1, 4)
+    assert sigma(3, 1, 4, RATIONAL) is not sigma(3, 1, 4)
+    assert sigma.cache_info().maxsize is not None
 
 
 def test_sigma_h1_rotation():
@@ -166,7 +174,7 @@ def test_rotate_hand_expansion_at_integer_charts(backend, monkeypatch):
     multiplies by no 0 or 1; every other chart promotes rational data to
     complex and is refused over a prime field."""
     rng = rng_from_seed(6)
-    scale = Matrix.scale
+    node_entries = linalg._node_entries
     for c in range(1, 5):
         X, Y = random_pair(rng, c, backend)
         for k in range(-c - 1, c + 2):
@@ -185,14 +193,22 @@ def test_rotate_hand_expansion_at_integer_charts(backend, monkeypatch):
             ck, sk = int(ck), int(sk)
             want = (X.scale(ck) - Y.scale(sk), X.scale(sk) + Y.scale(ck))
             scaled = []
-            monkeypatch.setattr(Matrix, "scale",
-                                lambda M, s: scaled.append(s) or scale(M, s))
+
+            def record(a1, a2, n1, n2, bk):
+                scaled.extend(s for s in (n1, n2) if s not in (0, 1))
+                return node_entries(a1, a2, n1, n2, bk)
+
+            monkeypatch.setattr(linalg, "_node_entries", record)
             assert _rotate(X, Y, k, c) == want
-            monkeypatch.setattr(Matrix, "scale", scale)
+            monkeypatch.setattr(linalg, "_node_entries", node_entries)
             # only the coefficients -1 multiply: once at a right angle,
             # twice at the angle pi, never at 0
             assert [backend.coerce(s) for s in scaled] == [
                 backend.coerce(-1)] * [ck, -sk, sk, ck].count(-1)
+        # a unit coefficient beside a zero one is no product at all
+        x, y = X.entries, Y.entries
+        assert node_entries(x, y, backend.one, backend.zero, backend) is x
+        assert node_entries(x, y, backend.zero, backend.one, backend) is y
 
 
 def test_chart_matrices_and_float_nodes_are_the_rotation():
@@ -635,6 +651,8 @@ def test_overlap_margin_is_the_rotated_pivot():
 #: calls with a chart index outside 0..c = 2, on (d, its chart-0 reading
 #: cd, the monad of cd's plane part in chart 0)
 _OUT_OF_RANGE = {
+    "chart_matrices above c": lambda d, cd, mc: chart_matrices(d, 7),
+    "chart_matrices below 0": lambda d, cd, mc: chart_matrices(d, -1),
     "zeta above c": lambda d, cd, mc: zeta(d, 3),
     "zeta below 0": lambda d, cd, mc: zeta(d, -1),
     "ChartData": lambda d, cd, mc: ChartData(3, cd.B, cd.E, cd.e, cd.A2m),
@@ -656,6 +674,20 @@ def test_chart_indices_are_validated(case):
     with pytest.raises(IndexOutOfRange,
                        match=r"^chart index -?\d+ outside 0\.\.2$"):
         _OUT_OF_RANGE[case](d, cd, mc)
+
+
+def test_zeta_checks_the_chart_index_first():
+    """Chart 3 of c = 2 is the angle pi, whose A2m = -A2 is singular when
+    A2 is: out of range is reported before the chart's arithmetic."""
+    for bk in (COMPLEX, RATIONAL):
+        Z = Matrix.zeros(2, 2, bk)
+        d = XnADHM(1, 2, Matrix.identity(2, bk), Z, (Z,),
+                   Matrix.row_vector([1, 1], bk))
+        with pytest.raises(NotInChart):
+            zeta(d, 0)
+        with pytest.raises(IndexOutOfRange, match=r"^chart index 3 outside"):
+            zeta(d, 3)
+        assert _rotate(d.A1, d.A2, 3, 2)[1] == Z
 
 
 def test_rotation_and_sigma_take_relative_angles():
@@ -897,3 +929,283 @@ def test_prime_field_rejects_irrational_charts():
     assert A2m == Matrix.identity(2, gf)
     with pytest.raises(UnsupportedBackend):
         chart_matrices(d, 1)
+
+
+# ---------------------------------------------------------------------------
+# the chart kernels on entry arrays against their Matrix expressions
+# ---------------------------------------------------------------------------
+
+def _chart_matrices_reference(d, m):
+    """chart_matrices as Matrix expressions: D_m summed block by block with
+    ``scale`` and ``+``, then E_m = D_m @ A2m."""
+    A1m, A2m = _rotate(d.A1, d.A2, m, d.c)
+    bk, cm, sm = xn._backend_angles(A2m.backend, d.c, m)
+    Dm = Matrix.zeros(d.c, d.c, bk)
+    for q in range(1, d.n + 1):
+        coef = math.comb(d.n - 1, q - 1) * (cm ** (d.n - q) * sm ** (q - 1))
+        Dm = Dm + d.C[q - 1].cast(bk).scale(coef)
+    return A1m, A2m, Dm @ A2m, Dm
+
+
+def _zeta_reference(d, m):
+    A1m, A2m, Em, _ = _chart_matrices_reference(d, m)
+    if not linalg.is_invertible(A2m):
+        raise NotInChart
+    B = linalg.inverse(A2m) @ A1m
+    return ChartData(m, B, Em, d.e.cast(B.backend), A2m)
+
+
+def _zeta_inverse_reference(cd, n):
+    """zeta_inverse(cd, n, check=False) as Matrix expressions, each C_q
+    summed term by term with ``scale`` and ``+``."""
+    c = cd.c
+    R1, R2 = _rotate(cd.B, Matrix.identity(c, cd.backend), -cd.m, c)
+    bk = R1.backend
+    B, E, e, A = (X.cast(bk) for X in (cd.B, cd.E, cd.e, cd.A2m))
+    if not linalg.is_invertible(A):
+        raise SingularA2m
+    sig = sigma(n - 1, cd.m, c, bk).entries
+    EAinv = E @ linalg.inverse(A)
+    powers = [Matrix.identity(c, bk)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ B)
+    Cs = []
+    for q in range(n):
+        Cq = Matrix.zeros(c, c, bk)
+        for p in range(n):
+            Cq = Cq + powers[p].scale(sig.at(q, p))
+        Cs.append(Cq @ EAinv)
+    return XnADHM(n, c, A @ R1, A @ R2, tuple(Cs), e)
+
+
+def _same_entries(X, Y):
+    """Equal backends and entries: the same bits on floats, the same
+    canonical ``Fraction`` or residue on the exact backends."""
+    if X.backend != Y.backend or X.entries.shape != Y.entries.shape:
+        return False
+    if not X.backend.exact:
+        return X.entries.tobytes() == Y.entries.tobytes()
+    return ([(type(x), x) for x in X.entries.flat]
+            == [(type(y), y) for y in Y.entries.flat])
+
+
+def _same_data(x, y):
+    return x.n == y.n and all(
+        _same_entries(X, Y) for X, Y in
+        zip((x.A1, x.A2, x.e, *x.C), (y.A1, y.A2, y.e, *y.C)))
+
+
+def _rational_matrix(rng, rows, cols):
+    return Matrix(rows, cols, [Fraction(int(p), int(q)) for p, q in
+                               zip(rng.integers(-6, 7, size=rows * cols),
+                                   rng.integers(1, 5, size=rows * cols))],
+                  RATIONAL)
+
+
+def _chart_cases(rng):
+    """(data, chart data) on floats and rationals, c = 1..4, n = 1..4: the
+    chart kernels do not need the conditions to hold."""
+    for c in range(1, 5):
+        for n in range(1, 5):
+            cd = random_chart_data(rng, c)
+            yield zeta_inverse(cd, n), cd
+            square = [_rational_matrix(rng, c, c) for _ in range(n + 5)]
+            d = XnADHM(n, c, square[0], square[1], tuple(square[5:]),
+                       _rational_matrix(rng, 1, c))
+            m = int(rng.integers(0, c + 1))
+            yield d, ChartData(m, square[2], square[3],
+                               _rational_matrix(rng, 1, c), square[4])
+
+
+def test_chart_kernels_equal_their_matrix_expressions():
+    """Floats to the bit, and rationals to the ``Fraction``, at every chart:
+    the integer-constant charts stay rational, the others promote."""
+    rng = rng_from_seed(90)
+    kinds = set()
+    for d, cd in _chart_cases(rng):
+        for m in range(d.c + 1):
+            got = chart_matrices(d, m)
+            want = _chart_matrices_reference(d, m)
+            assert all(_same_entries(X, Y) for X, Y in zip(got, want))
+            try:
+                want = _zeta_reference(d, m)
+            except NotInChart:
+                with pytest.raises(NotInChart):
+                    zeta(d, m)
+                continue
+            got = zeta(d, m)
+            assert all(_same_entries(X, Y) for X, Y in
+                       ((got.B, want.B), (got.E, want.E), (got.e, want.e),
+                        (got.A2m, want.A2m)))
+            kinds.add((d.backend.kind, got.backend.kind))
+        for n in range(1, 4):
+            try:
+                want = _zeta_inverse_reference(cd, n)
+            except SingularA2m:
+                with pytest.raises(SingularA2m):
+                    zeta_inverse(cd, n, check=False)
+                continue
+            assert _same_data(zeta_inverse(cd, n, check=False), want)
+    assert kinds == {("complex", "complex"), ("rational", "rational"),
+                     ("rational", "complex")}
+
+
+def test_prime_field_points_equal_the_matrix_route():
+    """from_xn_points over GF(5) builds over the rationals and reduces; the
+    rational chart dictionary is the Matrix route's, so the residues are
+    too."""
+    rng = rng_from_seed(91)
+    gf = GF(5)
+    for c in (1, 2, 3):
+        for n in (1, 2, 3):
+            for m in {0, (c + 1) // 2 if c % 2 else 0}:
+                pts = [divmod(int(k), 5)
+                       for k in rng.choice(25, size=c, replace=False)]
+                got = from_xn_points(n, m, pts, gf)
+                plane = PlaneADHM(
+                    c, Matrix.diagonal([z for z, _ in pts], RATIONAL),
+                    Matrix.diagonal([w for _, w in pts], RATIONAL),
+                    Matrix.row_vector([1] * c, RATIONAL))
+                want = _zeta_inverse_reference(
+                    ChartData(m, plane.b1, plane.b2, plane.e,
+                              Matrix.identity(c, RATIONAL)), n).cast(gf)
+                assert got.backend == gf and _same_data(got, want)
+                assert check_P1(got)
+
+
+def test_check_P1_is_literal_on_exact_backends():
+    """No tolerance reaches exact data: a 1e-30 defect fails at tol = 1."""
+    d = from_xn_points(3, 0, [(1, 2), (3, -1), (0, 4)], RATIONAL)
+    gf = GF(5)
+    assert check_P1(d) and check_P1(d.cast(gf))
+    for bk, bump in ((RATIONAL, Fraction(1, 10 ** 30)), (gf, 1)):
+        x = d.cast(bk)
+        bent = replace(x, C=(x.C[0] + Matrix.diagonal([bump, 0, 0], bk),
+                             *x.C[1:]))
+        assert not check_P1(bent, tol=1.0)
+
+
+# ---------------------------------------------------------------------------
+# one node SVD per configuration, one batched rank at the pencil roots
+# ---------------------------------------------------------------------------
+
+def _pencil_verdicts(d, tol):
+    out = []
+    for check in (check_P2, check_P3_direct, check_P3_via_chart, cover_chart):
+        try:
+            out.append(check(d, tol))
+        except InvalidInput as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_one_node_svd_per_float_configuration(monkeypatch):
+    """check_P2, check_P3_direct, check_P3_via_chart and cover_chart share
+    one batched node SVD, and tol is applied when it is read: a cached
+    instance gives a fresh instance's verdicts at either tol."""
+    calls = []
+    conditioning = linalg._conditioning
+    monkeypatch.setattr(linalg, "_conditioning",
+                        lambda P: calls.append(P.shape) or conditioning(P))
+    rng = rng_from_seed(92)
+    flips = 0
+    for c in range(1, 6):
+        samples = [random_xn(rng, 2, c), random_xn_e_zero(rng, 2, c)]
+        Z = Matrix.zeros(c, c)
+        samples += [XnADHM(2, c, Matrix.from_numpy(A1), Matrix.from_numpy(A2),
+                           (Z, Z), Matrix.zeros(1, c))
+                    for A1, A2 in near_singular_pencils(rng, c)]
+        for d in samples:
+            calls.clear()
+            first = _pencil_verdicts(d, None)
+            assert calls == [(c + 1, c, c)]
+            loose = _pencil_verdicts(d, 1e-6)
+            assert len(calls) == 1
+            assert first == _pencil_verdicts(replace(d), None)
+            assert loose == _pencil_verdicts(replace(d), 1e-6)
+            flips += first[0] != loose[0]
+    assert flips > 0
+
+
+def _p3_at_roots_reference(d, roots, tol=None):
+    """``xn._p3_at_roots`` as one ``_observable`` call per root, each on
+    its own rows [P; e; N]."""
+    dd = d.cast(COMPLEX) if d.backend.exact else d
+    A1, A2 = dd.A1.to_numpy(), dd.A2.to_numpy()
+    M1 = dd.C[0].to_numpy() @ A2
+    M2 = dd.C[d.n - 1].to_numpy() @ A1
+    s_A = linalg.scale_of(dd.A1, dd.A2)
+    s_M = max(1.0, np.abs(M1).max(), np.abs(M2).max())
+    e = _unit(dd.e.to_numpy())
+    mats = (_unit(M1), _unit(M2))
+    thr = 10 * linalg._tol(tol)
+    sign = (-1) ** d.n
+    for (nu1, nu2), _ in roots:
+        l1, l2 = nu2, nu1
+        P = (l2 * A1 + l1 * A2) / s_A
+        N = (-l1 ** d.n * M1 + sign * l2 ** d.n * M2) / s_M
+        if not _observable(np.vstack((P, e, N)), mats, thr):
+            return False
+    return True
+
+
+def jordan_xn(rng, n, c, violate):
+    """ROADMAP item 2's non-semisimple data: b1 = zI + J and
+    b2 = wI + 0.7J - 1.3J^2 for the upper shift J, a generic frame (or one
+    with e_1 = 0, which sees no joint eigenvector), moved by a random gauge
+    and read into chart 0 with a random A2m."""
+    J = np.eye(c, k=1)
+    z, w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    e = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+    if violate:
+        e[0] = 0
+    plane = PlaneADHM(c, Matrix.from_numpy(z * np.eye(c) + J),
+                      Matrix.from_numpy(w * np.eye(c) + 0.7 * J - 1.3 * J @ J),
+                      Matrix.row_vector(e.tolist()))
+    moved = gl_action(random_invertible(rng, c), plane)
+    return zeta_inverse(ChartData(0, moved.b1, moved.b2, moved.e,
+                                  random_invertible(rng, c)), n, check=False)
+
+
+def test_batched_rank_at_the_roots_matches_the_per_root_loop():
+    rng = rng_from_seed(93)
+    seen = set()
+    for c in range(2, 7):
+        for n in range(1, 6):
+            cases = [(random_xn(rng, n, c), True),
+                     (random_xn_e_zero(rng, n, c), False),
+                     (random_xn_kernel_violator(rng, n, c), False)]
+            cases += [(jordan_xn(rng, n, c, violate), None)
+                      for violate in (False, True)]
+            if c <= 4 and n <= 3:
+                pts = [(int(z), int(z) - 2 * q) for q, z in
+                       enumerate(rng.permutation(9)[:c] - 4)]
+                x = from_xn_points(n, 0, pts, RATIONAL)
+                cases += [(x, True), (replace(x, e=Matrix.zeros(1, c, RATIONAL)),
+                                      False)]
+            for d, want in cases:
+                roots = analyze_pencil(d.A1, d.A2).eigenvalues
+                for tol in (None, 1e-6):
+                    got = xn._p3_at_roots(d, roots, tol)
+                    assert got == _p3_at_roots_reference(d, roots, tol)
+                    if want is not None and tol is None:
+                        assert got == want
+                    seen.add((want, got))
+    assert {(None, True), (None, False)} <= seen
+
+
+def test_P3_direct_tests_every_short_root():
+    """Points (0, 1), (0, 2), (-1, 0) share the pencil root of z = 0, whose
+    rows [P; e; N] stay short of rank 3 under e = (1, -1, *) but grow to
+    full rank; the root of z = -1 comes after it and decides."""
+    B = Matrix.diagonal([0, 0, -1])
+    E = Matrix.diagonal([1, 2, 0])
+    for n in (1, 2, 3):
+        for e3, want in ((1, True), (0, False)):
+            cd = ChartData(0, B, E, Matrix.row_vector([1, -1, e3]),
+                           Matrix.identity(3))
+            d = zeta_inverse(cd, n, check=False)
+            roots = analyze_pencil(d.A1, d.A2).eigenvalues
+            assert roots == [((1, 0), 2), ((1, 1), 1)]
+            assert check_P3_direct(d) == check_P3_via_chart(d) == want
+            assert _p3_at_roots_reference(d, roots) == want
