@@ -25,10 +25,9 @@ from . import campaigns, linalg, sampling, serialize
 from .errors import XnAdhmError
 from .linalg import backend_from_name
 from .monad import compose_residual, framing_residual, max_residual
-from .pencil import analyze_pencil
 from .plane import check_T1, check_T2
 from .quiver import Verdict, check_relations, check_semistable_spectral
-from .xn import _p3_at_roots, check_P1, from_xn_points
+from .xn import _pencil_step, check_P1, from_xn_points
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -136,12 +135,9 @@ def cmd_check(args) -> int:
     try:
         if args.which == "P":
             d = serialize.xn_from_json(obj)
-            # one pencil analysis decides (P2) and gives (P3) its roots
-            pencil = analyze_pencil(d.A1, d.A2, tol)
+            p2, p3 = _pencil_step(d, tol)
             checks = [("P1", lambda: check_P1(d, tol)),
-                      ("P2", lambda: pencil.regular),
-                      ("P3", lambda: pencil.regular
-                       and _p3_at_roots(d, pencil.eigenvalues, tol))]
+                      ("P2", lambda: p2), ("P3", lambda: bool(p3))]
         elif args.which == "T":
             t = serialize.plane_from_json(obj)
             checks = [("T1", lambda: check_T1(t, tol)),

@@ -683,7 +683,7 @@ def _conditioning(stack):
 # eigenvalues (float backend only)
 # ---------------------------------------------------------------------------
 
-def eigenvalues(M: Matrix, cluster_tol=CLUSTER_TOL):
+def eigenvalues(M: Matrix):
     """Clustered eigenvalues with multiplicities, sorted deterministically.
 
     Rational matrices are promoted to floats; the prime field has no
@@ -700,7 +700,7 @@ def eigenvalues(M: Matrix, cluster_tol=CLUSTER_TOL):
     clusters = []
     for z in vals:
         for k, (rep, mult) in enumerate(clusters):
-            if abs(z - rep) <= cluster_tol * max(1.0, abs(z), abs(rep)):
+            if abs(z - rep) <= CLUSTER_TOL * max(1.0, abs(z), abs(rep)):
                 clusters[k] = ((rep * mult + z) / (mult + 1), mult + 1)
                 break
         else:
@@ -842,11 +842,11 @@ def chordal_distance(p, q) -> float:
     return abs(a * d - b * c) / (na * nb)
 
 
-def projective_roots(p: HomogPoly, tol=None, cluster_tol=CLUSTER_TOL):
+def projective_roots(p: HomogPoly, tol=None):
     """All projective roots of a nonzero binary form, with multiplicities.
 
     Roots are normalized to max-coordinate 1 and returned sorted; roots
-    within ``cluster_tol`` in the chordal metric are merged and their
+    within ``CLUSTER_TOL`` in the chordal metric are merged and their
     multiplicities added.  The point [1:0] needs no companion matrix: its
     multiplicity is the number of vanishing leading coefficients.
     """
@@ -868,13 +868,13 @@ def projective_roots(p: HomogPoly, tol=None, cluster_tol=CLUSTER_TOL):
     if len(mid) > 1:
         raw.extend(((1.0 + 0j, complex(s)), 1)
                    for s in np.roots(list(reversed(mid))))
-    return _merge_roots(raw, cluster_tol)
+    return _merge_roots(raw)
 
 
-def _merge_roots(raw, cluster_tol=CLUSTER_TOL):
+def _merge_roots(raw):
     """Projective roots ``[((l1, l2), mult), ...]`` as every spectrum route
     returns them: each point normalized to max-coordinate 1, sorted, and
-    points within ``cluster_tol`` in the chordal metric merged with their
+    points within ``CLUSTER_TOL`` in the chordal metric merged with their
     multiplicities added."""
     raw = sorted(((_normalize_point(*pt), mult) for pt, mult in raw),
                  key=lambda it: (it[0][0].real, it[0][0].imag,
@@ -882,7 +882,7 @@ def _merge_roots(raw, cluster_tol=CLUSTER_TOL):
     merged = []
     for pt, mult in raw:
         for k, (rep, m0) in enumerate(merged):
-            if chordal_distance(pt, rep) <= cluster_tol:
+            if chordal_distance(pt, rep) <= CLUSTER_TOL:
                 merged[k] = (rep, m0 + mult)
                 break
         else:

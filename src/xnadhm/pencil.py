@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BackendMismatch, InvalidInput, ShapeMismatch
-from .linalg import Matrix, det, hstack, nullspace, projective_roots, rank, vstack
+from .linalg import Matrix, det, hstack, nullspace, projective_roots, rank
 
 
 @dataclass(frozen=True)
@@ -50,37 +50,23 @@ class PencilAnalysis:
 
 
 def _staircase(A1: Matrix, A2: Matrix, eps: int) -> Matrix:
-    """(eps+2)c x (eps+1)c block matrix of the chain equations."""
+    """(eps+2)c x (eps+1)c block matrix of the chain equations: block (q, q)
+    is A1 for q = 0 and -A1 after it, block (q+1, q) is A2."""
     bk = A1.backend
     c = A1.rows
-    Z = Matrix.zeros(c, c, bk)
-    block_rows = []
-    for i in range(eps + 2):
-        row = []
-        for j in range(eps + 1):
-            if i == 0:
-                row.append(A1 if j == 0 else Z)
-            elif i <= eps:
-                if j == i - 1:
-                    row.append(A2)
-                elif j == i:
-                    row.append(-A1)
-                else:
-                    row.append(Z)
-            else:
-                row.append(A2 if j == eps else Z)
-        block_rows.append(hstack(*row))
-    return vstack(*block_rows)
+    S = linalg._zeros(((eps + 2) * c, (eps + 1) * c), bk)
+    for q, diag in enumerate([A1.entries] + [bk.reduce(-A1.entries)] * eps):
+        S[q * c:(q + 1) * c, q * c:(q + 1) * c] = diag
+        S[(q + 1) * c:(q + 2) * c, q * c:(q + 1) * c] = A2.entries
+    return linalg._wrap(S, bk)
 
 
 def _pick_chain(basis: Matrix):
     """Deterministic representative from a nullspace basis: normalize each
     column to max-coordinate 1 and keep the lexicographically largest."""
     bk = basis.backend
-    best = None
-    best_key = None
-    for j in range(basis.cols):
-        col = [basis.at(i, j) for i in range(basis.rows)]
+    best = best_key = None
+    for col in basis.entries.T.tolist():
         if bk.exact:
             lead = next((x for x in col if x != 0), None)
             if lead is None:
@@ -103,16 +89,14 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None,
                    conditioning=None) -> PencilAnalysis:
     """Classify the pencil and, when singular, return the minimal chain.
 
-    Regular pencils come back with their projective spectrum and a sample
-    node (witness) where the pencil matrix is invertible, on floats the
-    covering chart's node (s_m, c_m).  On floats the spectrum is the
-    eigenvalues of the pencil seen from the witness node
-    (``_float_spectrum``); the rational backend still interpolates the exact
-    determinant form from the node determinants and roots it, and the prime
-    field has no spectrum.
-    Singular pencils come back with the smallest eps whose chain staircase
-    has a nontrivial kernel, one chain with v_eps != 0, and the float
-    residuals of every chain equation.
+    Regular pencils come back with their projective spectrum (``_spectrum``)
+    and a sample node (witness) where the pencil matrix is invertible, on
+    floats the covering chart's node (s_m, c_m).  Singular pencils come back
+    with the smallest eps whose chain staircase has a nontrivial kernel, one
+    chain with v_eps != 0, and the float residuals of every chain equation.
+    Near the float regularity threshold the node test can call a pencil
+    singular whose staircases have no kernel at ``nullspace``'s threshold;
+    this raises ``InvalidInput``.
 
     ``conditioning`` is ``_float_conditioning(A1, A2)`` for a caller that
     holds it already (``xn.XnADHM`` keeps it per float instance); it does
@@ -120,16 +104,9 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None,
     """
     bk = A1.backend
     c = A1.rows
-    witness, at_witness = _regularity(A1, A2, tol, conditioning)
+    witness, basis = _regularity(A1, A2, tol, conditioning)
     if witness is not None:
-        eig = None
-        if bk.kind == "rational":
-            nodes = linalg._pencil_nodes(c, bk)
-            dets = at_witness + [det(linalg._node_matrix(A1, A2, n1, n2))
-                                 for n1, n2 in nodes[len(at_witness):]]
-            eig = projective_roots(linalg._interpolate_form(dets, bk), tol)
-        elif not bk.exact:
-            eig = _float_spectrum(A1, A2, witness, at_witness)
+        eig = _spectrum(A1, A2, witness, basis, tol)
         return PencilAnalysis(regular=True, witness=witness, eigenvalues=eig)
 
     for eps in range(0, c + 1):
@@ -151,10 +128,25 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None,
     raise InvalidInput("no polynomial solution of degree <= c found")
 
 
+def _spectrum(A1, A2, witness, basis, tol):
+    """Projective roots of a regular pencil from ``_regularity``'s witness
+    and basis: on floats the eigenvalues seen from the witness node
+    (``_float_spectrum``), on the rationals the roots of the exact
+    determinant form interpolated from the node determinants, and None over
+    a prime field."""
+    bk = A1.backend
+    if bk.kind == "rational":
+        nodes = linalg._pencil_nodes(A1.rows, bk)
+        dets = basis + [det(linalg._node_matrix(A1, A2, n1, n2))
+                        for n1, n2 in nodes[len(basis):]]
+        return projective_roots(linalg._interpolate_form(dets, bk), tol)
+    return None if bk.exact else _float_spectrum(A1, A2, witness, basis)
+
+
 def _regularity(A1, A2, tol, conditioning=None):
     """(witness, basis) of the pencil, the witness None when it is singular.
 
-    The basis is what ``analyze_pencil`` computes the spectrum from: on the
+    The basis is what ``_spectrum`` computes the spectrum from: on the
     exact backends the node determinants up to the witness, the first node
     where the determinant is nonzero; on floats the pencil matrix at the
     witness node.  ``xn.check_P2`` uses the witness alone.

@@ -32,9 +32,8 @@ from .errors import (
     UnsupportedBackend,
 )
 from .linalg import Matrix, hstack, nullspace, rank, vstack
-from .pencil import analyze_pencil
-from .xn import (XnADHM, _backend_angles, _binomial_combination, _p3_at_roots,
-                 _rotate, check_P1, check_P2)
+from .xn import (XnADHM, _backend_angles, _binomial_combination,
+                 _chain_defects, _chain_holds, _pencil_step, _rotate, check_P2)
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,9 @@ class FramedRep:
     def __post_init__(self):
         object.__setattr__(self, "C", tuple(self.C))
         object.__setattr__(self, "f", tuple(self.f))
+        bk = self.A1.backend
+        if any(M.backend != bk for M in (self.A2, *self.C, self.e, *self.f)):
+            raise ShapeMismatch("blocks on different backends")
         if len(self.C) != self.n:
             raise ShapeMismatch(f"expected {self.n} C-blocks")
         if len(self.f) != max(self.n - 1, 0):
@@ -76,9 +78,9 @@ class FramedRep:
     def cast(self, backend):
         return FramedRep(self.n, self.v0, self.v1, self.w,
                          self.A1.cast(backend), self.A2.cast(backend),
-                         tuple(C.cast(backend) for C in self.C),
+                         [C.cast(backend) for C in self.C],
                          self.e.cast(backend),
-                         tuple(f.cast(backend) for f in self.f))
+                         [f.cast(backend) for f in self.f])
 
 
 @dataclass(frozen=True)
@@ -118,24 +120,13 @@ class Verdict(enum.Enum):
 
 def relation_defects(r: FramedRep):
     """Left-hand-minus-right-hand sides of every (Q1) relation."""
-    out = []
-    if r.n == 1:
-        out.append(r.A1 @ r.C[0] @ r.A2 - r.A2 @ r.C[0] @ r.A1)
-    else:
-        for q in range(r.n - 1):
-            out.append(r.A1 @ r.C[q] - r.A2 @ r.C[q + 1])
-            out.append(r.C[q] @ r.A1 + r.f[q] @ r.e - r.C[q + 1] @ r.A2)
-    return out
+    return [linalg._wrap(D, r.backend)
+            for D in _chain_defects(r.A1, r.A2, r.C, r.f, r.e)]
 
 
 def check_relations(r: FramedRep, tol=None) -> bool:
-    defects = relation_defects(r)
-    if r.backend.exact:
-        return all(D.is_zero() for D in defects)
-    scale = linalg.scale_of(r.A1, r.A2) * linalg.scale_of(*r.C, r.e, *r.f)
-    if r.n == 1:
-        scale *= linalg.scale_of(r.A1, r.A2)
-    return all(D.maxnorm() <= linalg._tol(tol) * scale for D in defects)
+    return _chain_holds(_chain_defects(r.A1, r.A2, r.C, r.f, r.e), r.A1,
+                        r.A2, (*r.C, r.e, *r.f), tol)
 
 
 def theta_slope(theta, dims) -> float:
@@ -156,15 +147,17 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
     """
     if r.v0 != r.v1 or r.w != 1:
         raise ShapeMismatch("spectral check needs v0 = v1 and w = 1")
-    if not check_relations(r, tol):
+    defects = _chain_defects(r.A1, r.A2, r.C, r.f, r.e)
+    if not _chain_holds(defects, r.A1, r.A2, (*r.C, r.e, *r.f), tol):
         raise InvalidInput("relations (Q1) fail; not a representation")
     d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
     if all(f.is_zero(tol) for f in r.f):
-        if not check_P1(d, tol):
-            return Verdict.UNSTABLE
-        # one pencil analysis decides (P2) and gives (P3) its roots
-        pencil = analyze_pencil(d.A1, d.A2, tol, d._pencil_conditioning)
-        ok = pencil.regular and _p3_at_roots(d, pencil.eigenvalues, tol)
+        # (P1) is (Q1) without f e: exact f is 0 here, and float (P1) takes
+        # its own scale, and its own defects if f is within tol but not 0
+        if any(f.entries.any() for f in r.f):
+            defects = _chain_defects(r.A1, r.A2, r.C)
+        ok = ((d.backend.exact or _chain_holds(defects, d.A1, d.A2, d.C, tol))
+              and all(_pencil_step(d, tol)))
         return Verdict.SEMISTABLE if ok else Verdict.UNSTABLE
     if check_P2(d, tol):
         return Verdict.UNSTABLE
@@ -215,8 +208,7 @@ def moment_residual_n2(r: FramedRep) -> MomentResidual:
 
 def embed_xn_as_rep(d: XnADHM) -> FramedRep:
     """Zero-framing embedding of configuration data."""
-    bk = d.backend
-    f = tuple(Matrix.zeros(d.c, 1, bk) for _ in range(d.n - 1))
+    f = [Matrix.zeros(d.c, 1, d.backend) for _ in range(d.n - 1)]
     return FramedRep(d.n, d.c, d.c, 1, d.A1, d.A2, d.C, d.e, f)
 
 

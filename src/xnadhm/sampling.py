@@ -16,8 +16,11 @@ from .plane import PlaneADHM
 from .quiver import FramedRep, embed_xn_as_rep
 from .xn import ChartData, XnADHM, zeta_inverse
 
-#: resample threshold for condition numbers of random invertible blocks
+#: resample thresholds: condition numbers of random invertible blocks, the
+#: chart-overlap pivot of random chart pairs and the gaps of random points
 MAX_COND = 1e4
+_OVERLAP_MARGIN = 0.15
+_POINT_GAP = 0.2
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -29,10 +32,10 @@ def random_matrix(rng, rows, cols, scale=1.0) -> Matrix:
     return Matrix.from_numpy(scale * a)
 
 
-def random_invertible(rng, n, max_cond=MAX_COND) -> Matrix:
+def random_invertible(rng, n) -> Matrix:
     while True:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if np.linalg.cond(a) <= max_cond:
+        if np.linalg.cond(a) <= MAX_COND:
             return Matrix.from_numpy(a)
 
 
@@ -157,10 +160,10 @@ def random_free_rep(rng, n, c) -> FramedRep:
         tuple(random_matrix(rng, c, 1) for _ in range(max(n - 1, 0))))
 
 
-def random_points(rng, c, min_gap=0.2):
+def random_points(rng, c):
     """Pairwise distinct plane points with a gap in both coordinates."""
-    zs = _separated_values(rng, c, min_gap)
-    ws = _separated_values(rng, c, min_gap)
+    zs = _separated_values(rng, c, _POINT_GAP)
+    ws = _separated_values(rng, c, _POINT_GAP)
     return [(complex(z), complex(w)) for z, w in zip(zs, ws)]
 
 
@@ -189,11 +192,11 @@ def overlap_margin(b1: Matrix, c_count: int, m: int, l: int) -> float:
     return float(np.linalg.svd(T, compute_uv=False)[-1])
 
 
-def random_overlap_charts(rng, b1: Matrix, c_count: int, margin=0.15):
+def random_overlap_charts(rng, b1: Matrix, c_count: int):
     """Chart pair (m, l) whose overlap pivot clears the margin, so chart
     transitions are numerically well posed on the sample."""
     while True:
         m = int(rng.integers(0, c_count + 1))
         l = int(rng.integers(0, c_count + 1))
-        if overlap_margin(b1, c_count, m, l) >= margin:
+        if overlap_margin(b1, c_count, m, l) >= _OVERLAP_MARGIN:
             return m, l

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput
 from .linalg import Matrix, backend_from_name
-from .monad import GaugeElement, MonadCoeffs
+from .monad import MonadCoeffs
 from .plane import PlaneADHM
 from .quiver import FramedRep
 from .xn import ChartData, XnADHM
@@ -81,7 +81,7 @@ def xn_to_json(d: XnADHM) -> dict:
 def xn_from_json(obj) -> XnADHM:
     return XnADHM(obj["n"], obj["c"], matrix_from_json(obj["A1"]),
                   matrix_from_json(obj["A2"]),
-                  tuple(matrix_from_json(C) for C in obj["C"]),
+                  [matrix_from_json(C) for C in obj["C"]],
                   matrix_from_json(obj["e"]))
 
 
@@ -107,9 +107,9 @@ def rep_to_json(r: FramedRep) -> dict:
 def rep_from_json(obj) -> FramedRep:
     return FramedRep(obj["n"], obj["v0"], obj["v1"], obj["w"],
                      matrix_from_json(obj["A1"]), matrix_from_json(obj["A2"]),
-                     tuple(matrix_from_json(C) for C in obj["C"]),
+                     [matrix_from_json(C) for C in obj["C"]],
                      matrix_from_json(obj["e"]),
-                     tuple(matrix_from_json(f) for f in obj["f"]))
+                     [matrix_from_json(f) for f in obj["f"]])
 
 
 def monad_to_json(mc: MonadCoeffs) -> dict:
@@ -124,17 +124,11 @@ def monad_to_json(mc: MonadCoeffs) -> dict:
 def monad_from_json(obj) -> MonadCoeffs:
     b = obj["basis"]
     return MonadCoeffs(b["n"], b["c"], b["m"],
-                       tuple(matrix_from_json(M) for M in obj["alpha1"]),
-                       tuple(matrix_from_json(M) for M in obj["alpha2"]),
-                       tuple(matrix_from_json(M) for M in obj["beta1"]),
-                       tuple(matrix_from_json(M) for M in obj["beta2"]),
+                       [matrix_from_json(M) for M in obj["alpha1"]],
+                       [matrix_from_json(M) for M in obj["alpha2"]],
+                       [matrix_from_json(M) for M in obj["beta1"]],
+                       [matrix_from_json(M) for M in obj["beta2"]],
                        matrix_from_json(obj["xi"]))
-
-
-def gauge_to_json(g: GaugeElement) -> dict:
-    return {"phi": matrix_to_json(g.phi), "psi11": matrix_to_json(g.psi11),
-            "psi12": [matrix_to_json(M) for M in g.psi12],
-            "psi22": matrix_to_json(g.psi22), "chi": matrix_to_json(g.chi)}
 
 
 def dumps(obj) -> str:

@@ -39,8 +39,7 @@ from .errors import (
     UnsupportedBackend,
 )
 from .linalg import Matrix, angle_constants, inverse, is_invertible
-from .pencil import (_float_conditioning, _float_witness, _regularity,
-                     analyze_pencil)
+from .pencil import _float_conditioning, _float_witness, _regularity, _spectrum
 from .plane import (PlaneADHM, _observable, _unit, check_T2, common_eigenvectors,
                     from_plane_points, joint_spectrum)
 
@@ -91,7 +90,7 @@ class XnADHM:
     def cast(self, backend):
         return XnADHM(self.n, self.c, self.A1.cast(backend),
                       self.A2.cast(backend),
-                      tuple(C.cast(backend) for C in self.C),
+                      [C.cast(backend) for C in self.C],
                       self.e.cast(backend))
 
 
@@ -235,30 +234,45 @@ def chart_matrices(d: XnADHM, m: int):
     return A1m, A2m, linalg._wrap(em, bk), linalg._wrap(dm, bk)
 
 
-def check_P1(d: XnADHM, tol=None) -> bool:
-    """Chain condition on (A1, A2, C), on entry arrays; literal on the exact
-    backends."""
-    bk = d.backend
-    a1, a2 = d.A1.entries, d.A2.entries
-    cs = [C.entries for C in d.C]
+def _chain_defects(A1: Matrix, A2: Matrix, C, f=(), e=None):
+    """(P1) defects on entry arrays: A1 C1 A2 - A2 C1 A1 if n = 1, else
+    A1 Cq - A2 C(q+1) and Cq A1 - C(q+1) A2, the latter summed as the (Q1)
+    relation Cq A1 + fq e - C(q+1) A2 when the f and e blocks are given."""
+    bk = A1.backend
+    a1, a2 = A1.entries, A2.entries
+    cs = [M.entries for M in C]
 
     def mul(x, y):
         return linalg._matmul(x, y, bk)
 
-    if d.n == 1:
-        defects = [bk.reduce(mul(mul(a1, cs[0]), a2) - mul(mul(a2, cs[0]), a1))]
-    else:
-        defects = []
-        for q in range(d.n - 1):
-            defects.append(bk.reduce(mul(a1, cs[q]) - mul(a2, cs[q + 1])))
-            defects.append(bk.reduce(mul(cs[q], a1) - mul(cs[q + 1], a2)))
-    if bk.exact:
+    if len(cs) == 1:
+        return [bk.reduce(mul(mul(a1, cs[0]), a2) - mul(mul(a2, cs[0]), a1))]
+    defects = []
+    for q in range(len(cs) - 1):
+        defects.append(bk.reduce(mul(a1, cs[q]) - mul(a2, cs[q + 1])))
+        left = mul(cs[q], a1)
+        if f:
+            left = bk.reduce(left + mul(f[q].entries, e.entries))
+        defects.append(bk.reduce(left - mul(cs[q + 1], a2)))
+    return defects
+
+
+def check_P1(d: XnADHM, tol=None) -> bool:
+    """Chain condition on (A1, A2, C); literal on the exact backends."""
+    return _chain_holds(_chain_defects(d.A1, d.A2, d.C), d.A1, d.A2, d.C, tol)
+
+
+def _chain_holds(defects, A1: Matrix, A2: Matrix, blocks, tol=None) -> bool:
+    """Chain defects all zero (exact) or within ``_tol(tol)`` max(1, |A|)
+    max(1, |blocks|), the C blocks and for (Q1) e and f; a single defect is
+    the n = 1 relation, quadratic in A, which takes max(1, |A|) twice."""
+    if A1.backend.exact:
         return not any(any(D.flat) for D in defects)
-    scale = linalg.scale_of(d.A1, d.A2) * linalg.scale_of(*d.C)
-    if d.n == 1:
-        scale *= linalg.scale_of(d.A1, d.A2)
+    scale = linalg.scale_of(A1, A2) * linalg.scale_of(*blocks)
+    if len(defects) == 1:
+        scale *= linalg.scale_of(A1, A2)
     thr = linalg._tol(tol) * scale
-    return all(float(np.abs(D).max()) <= thr for D in defects)
+    return all(not D.size or float(np.abs(D).max()) <= thr for D in defects)
 
 
 def check_P2(d: XnADHM, tol=None) -> bool:
@@ -282,17 +296,26 @@ def check_P3_direct(d: XnADHM, tol=None) -> bool:
         raise UnsupportedBackend(
             "(P3) needs root finding; use the quiver module's exhaustive "
             "check over prime fields")
-    analysis = analyze_pencil(d.A1, d.A2, tol, d._pencil_conditioning)
-    if not analysis.regular:
+    regular, costable = _pencil_step(d, tol)
+    if not regular:
         raise InvalidInput("condition (P3) is only decidable for regular pencils")
-    return _p3_at_roots(d, analysis.eigenvalues, tol)
+    return costable
+
+
+def _pencil_step(d: XnADHM, tol=None):
+    """(P2, P3) from ``pencil._regularity``, ``pencil._spectrum`` and
+    ``_p3_at_roots``, P3 None on a singular pencil; without the singular-chain
+    search, a pencil near the regularity threshold reads (False, None)."""
+    witness, basis = _regularity(d.A1, d.A2, tol, d._pencil_conditioning)
+    if witness is None:
+        return False, None
+    roots = _spectrum(d.A1, d.A2, witness, basis, tol)
+    return True, _p3_at_roots(d, roots, tol)
 
 
 def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
-    """``check_P3_direct`` past its regularity test, for callers that have
-    analyzed the pencil already: ``roots`` is ``analyze_pencil(d.A1, d.A2,
-    tol).eigenvalues`` of a regular pencil.  Prime-field data raises
-    ``UnsupportedBackend`` (it cannot be cast to floats).
+    """``check_P3_direct`` at the roots of a regular pencil; prime-field
+    data raises ``UnsupportedBackend`` (it cannot be cast to floats).
 
     At each root ``_observable`` grows the rows [P; e; N] by M1 and M2 at
     ``10 * _tol(tol)``, since a root is only as accurate as the pencil's
@@ -440,7 +463,7 @@ def gl2_action(phi1: Matrix, phi2: Matrix, d: XnADHM, tol=None) -> XnADHM:
     return XnADHM(d.n, d.c,
                   phi2 @ d.A1 @ inv1,
                   phi2 @ d.A2 @ inv1,
-                  tuple(phi1 @ C @ inv2 for C in d.C),
+                  [phi1 @ C @ inv2 for C in d.C],
                   d.e @ inv1)
 
 

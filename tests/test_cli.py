@@ -116,16 +116,17 @@ def test_check_valid_P(tmp_path, capsys):
 
 
 def test_check_P_analyzes_the_pencil_once(tmp_path, capsys, monkeypatch):
-    from xnadhm import cli, pencil, xn
+    from xnadhm import cli, xn
 
     calls = []
+    step = xn._pencil_step
 
     def counted(*args):
         calls.append(args)
-        return pencil.analyze_pencil(*args)
+        return step(*args)
 
-    monkeypatch.setattr(cli, "analyze_pencil", counted)
-    monkeypatch.setattr(xn, "analyze_pencil", counted)
+    monkeypatch.setattr(cli, "_pencil_step", counted)
+    monkeypatch.setattr(xn, "_pencil_step", counted)
     path = tmp_path / "d.json"
     path.write_text(dumps(xn_to_json(random_xn(rng_from_seed(0), 2, 3))))
     code, out = run_cli(["check", str(path), "--which", "P"], capsys)
@@ -145,6 +146,50 @@ def test_check_P_over_a_prime_field_is_a_usage_error(tmp_path, capsys):
     path.write_text(dumps(xn_to_json(d)))
     code, _ = run_cli(["check", str(path), "--which", "P"], capsys)
     assert code == 2
+
+
+def near_threshold_xn(seed):
+    """A1 = R1 D S, A2 = R2 D S + eps N with D = diag(1, .., 1, 0), R1, R2,
+    S, N complex normal, c = 2..4 and eps log-uniform in 1e-7..1e-4, all
+    drawn from ``default_rng(seed)``; C = 0, so (P1) holds.  At seeds 77,
+    673 and 7899 the node test calls the pencil singular at tol 1e-6 while
+    no chain staircase of degree <= c has a kernel at ``nullspace``'s
+    threshold, so ``analyze_pencil`` raises on it."""
+    from xnadhm.xn import XnADHM
+
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(2, 5))
+    eps = 10 ** rng.uniform(-7, -4)
+    R1, R2, S, N = (rng.standard_normal((c, c))
+                    + 1j * rng.standard_normal((c, c)) for _ in range(4))
+    D = np.diag([1.0] * (c - 1) + [0.0])
+    return XnADHM(1, c, Matrix.from_numpy(R1 @ D @ S),
+                  Matrix.from_numpy(R2 @ D @ S + eps * N),
+                  [Matrix.zeros(c, c)], Matrix.row_vector([1.0] * c))
+
+
+@pytest.mark.parametrize("seed", [77, 673, 7899])
+def test_near_threshold_pencil_fails_P2_and_P3(seed, tmp_path, capsys):
+    # (P3) direct refuses the singular pencil, the spectral verdict is
+    # UNSTABLE and the CLI fails P2 and P3; none runs the chain search
+    from xnadhm.errors import InvalidInput
+    from xnadhm.quiver import Verdict, check_semistable_spectral
+    from xnadhm.xn import check_P2, check_P3_direct
+
+    d = near_threshold_xn(seed)
+    assert not check_P2(d, 1e-6)
+    with pytest.raises(InvalidInput,
+                       match="only decidable for regular pencils"):
+        check_P3_direct(d, 1e-6)
+    r = embed_xn_as_rep(d)
+    assert check_semistable_spectral(r, 1e-6) is Verdict.UNSTABLE
+    path = tmp_path / "d.json"
+    path.write_text(dumps(xn_to_json(d)))
+    code, out = run_cli(["check", str(path), "--which", "P", "--tol", "1e-6"],
+                        capsys)
+    assert code == 1
+    assert json.loads(out)["results"] == {"P1": "pass", "P2": "fail",
+                                          "P3": "fail"}
 
 
 def test_check_e_zero_fails_P3(tmp_path, capsys):
