@@ -29,7 +29,8 @@ import numpy as np
 
 from . import sampling
 from .errors import InvalidInput, NotInChart, NotInOverlap
-from .linalg import GF, RATIONAL, Matrix, _tol, is_invertible, residual, scale_of
+from .linalg import (COMPLEX, GF, RATIONAL, Matrix, _tol, is_invertible,
+                     residual, scale_of)
 from .monad import build_jm, gauge_normalize, reexpand_chart
 from .quiver import (
     Verdict,
@@ -44,6 +45,7 @@ from .serialize import loads, rep_from_json
 from .xn import (
     XnADHM,
     _rotate,
+    _transition,
     check_P3_direct,
     check_P3_via_chart,
     from_xn_points,
@@ -113,62 +115,75 @@ def _cocycle(item, samples, tol):
     worst = 0.0
     phi_ok = omega_ok = True
     m = cd.m
-    # the direct legs m -> k depend on the chart k alone; d.b1 is cd.B, so
-    # the equivariance loop reuses these margins
-    margins = [sampling.overlap_margin(d.b1, c, m, k) for k in range(c + 1)]
+    # the direct legs m -> k, one public call each: the reference that the
+    # stacked legs below are compared against
     direct = {}
     for k in range(c + 1):
-        if margins[k] < margin:
+        if sampling.overlap_margin(d.b1, c, m, k) < margin:
             continue
         try:
             direct[k] = (transition_phi(d, n, m, k),
                          transition_omega(cd, n, k))
         except NotInOverlap:
             continue
+    charts = list(direct)
+    legs = len(charts)
     tested = 0
-    for l, (dl, cdl) in direct.items():
-        for k, (dk_direct, cdk_direct) in direct.items():
-            try:
-                if sampling.overlap_margin(dl.b1, c, l, k) < margin:
-                    continue
-                dk_chain = transition_phi(dl, n, l, k)
-                cdk_chain = transition_omega(cdl, n, k)
-            except NotInOverlap:
-                continue
-            tested += 1
-            s = scale_of(dk_direct.b1, dk_direct.b2, cdk_direct.A2m)
-            r = max(residual(dk_direct.b1, dk_chain.b1),
-                    residual(dk_direct.b2, dk_chain.b2),
-                    residual(dk_direct.e, dk_chain.e)) / s
-            r = max(r, residual(cdk_direct.B, cdk_chain.B) / s,
-                    residual(cdk_direct.E, cdk_chain.E) / s,
-                    residual(cdk_direct.A2m, cdk_chain.A2m) / s)
-            worst = max(worst, r)
-            if r > 10 * t:
-                phi_ok = False
-    # equivariance of the chart transition under both gauge factors
+    if charts:
+        # (b1, b2, A2m) of the direct legs, one stack per block, and each
+        # leg's scale; the plane parts of its phi and omega calls are equal
+        # bit for bit, so the chain legs l -> k over (l, k) in direct^2 are
+        # one stack that serves both the phi and the omega cocycle
+        ends = _stacks((phi.b1, phi.b2, om.A2m)
+                       for phi, om in direct.values())
+        scale = np.array([scale_of(phi.b1, phi.b2, om.A2m)
+                          for phi, om in direct.values()])
+        _, keep, b1, b2, a2 = _transition(
+            *(np.repeat(block, legs, axis=0) for block in ends),
+            n, [k - l for l in charts for k in charts], c, COMPLEX,
+            floor=margin)
+        tested = int(keep.sum())
+        # leg (l, k) is compared with the direct leg k, over k's scale
+        want = np.tile(np.arange(legs), legs)[keep]
+        r = _leg_residuals(zip((block[want] for block in ends),
+                               (b1, b2, a2))) / scale[want]
+        if r.size:
+            worst = max(worst, float(r.max()))
+            phi_ok = not (r > 10 * t).any()
+    # equivariance of the chart transition under both gauge factors: the
+    # moved legs m -> l are one stack, compared with the gauge action on
+    # each direct leg
     g1 = sampling.random_invertible(rng, c)
     g2 = sampling.random_invertible(rng, c)
     moved_cd = gl2_action_chart(g1, g2, cd)
-    for l in range(c + 1):
-        try:
-            if (margins[l] < margin
-                    or sampling.overlap_margin(moved_cd.B, c, m, l) < margin):
-                continue
-            lhs = transition_omega(moved_cd, n, l)
-            cdl = direct[l][1] if l in direct else transition_omega(cd, n, l)
-            rhs = gl2_action_chart(g1, g2, cdl)
-        except NotInOverlap:
-            continue
-        s = scale_of(rhs.B, rhs.E, rhs.A2m)
-        r = max(residual(lhs.B, rhs.B), residual(lhs.E, rhs.E),
-                residual(lhs.e, rhs.e), residual(lhs.A2m, rhs.A2m)) / s
-        worst = max(worst, r)
-        if r > t:
-            omega_ok = False
+    if charts:
+        moved = moved_cd.B, moved_cd.E, moved_cd.A2m
+        _, keep, b1, b2, a2 = _transition(
+            *(np.broadcast_to(M.entries, (legs, c, c)) for M in moved),
+            n, [l - m for l in charts], c, COMPLEX, floor=margin)
+        rhs = [gl2_action_chart(g1, g2, direct[l][1])
+               for l, kept in zip(charts, keep) if kept]
+        if rhs:
+            ends = _stacks((ref.B, ref.E, ref.e, ref.A2m) for ref in rhs)
+            scale = np.array([scale_of(ref.B, ref.E, ref.A2m) for ref in rhs])
+            r = _leg_residuals(zip(ends, (b1, b2, moved_cd.e.entries,
+                                          a2))) / scale
+            worst = max(worst, float(r.max()))
+            omega_ok = not (r > t).any()
     pairs = {"tested": tested, "skipped": (c + 1) ** 2 - tested}
     return ({"phi_cocycle": phi_ok, "omega_equivariance": omega_ok}, worst,
             {"pairs": pairs})
+
+
+def _stacks(rows):
+    """One entry stack per column of rows of Matrices, one row per leg."""
+    return [np.stack([M.entries for M in column]) for column in zip(*rows)]
+
+
+def _leg_residuals(pairs):
+    """Largest max-norm difference per leg over (stack, stack) pairs of
+    blocks: ``linalg.residual`` leg by leg."""
+    return np.max([np.abs(a - b).max(axis=(1, 2)) for a, b in pairs], axis=0)
 
 
 def _lmp3(item, samples, tol):

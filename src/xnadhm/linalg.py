@@ -438,13 +438,26 @@ def _rational_product(a, b):
 
 
 def _matmul(a, b, backend):
-    """a @ b for entry arrays of one backend, in canonical form."""
-    if a.shape[1] == 0:
+    """a @ b for entry arrays of one backend, in canonical form; for two
+    stacks of equal length, one batched product on floats and one product
+    per matrix on the exact backends."""
+    if a.ndim == 3 and backend.exact:
+        return _per_matrix(lambda x, y: _matmul(x, y, backend), a, b)
+    if a.shape[-1] == 0:
         # an empty object matmul fills with int 0, not the field's zero
-        return _zeros((a.shape[0], b.shape[1]), backend)
+        return _zeros(a.shape[:-1] + b.shape[-1:], backend)
     if backend.kind == "rational":
         return _rational_product(a, b)
     return backend.reduce(a @ b)
+
+
+def _per_matrix(fn, *stacks):
+    """``fn`` on the matrices of equal-length stacks of exact entry arrays:
+    an inverse of one stack, or a product of two, as one object stack."""
+    out = np.empty(stacks[0].shape[:-1] + stacks[-1].shape[-1:], dtype=object)
+    for i, mats in enumerate(zip(*stacks)):
+        out[i] = fn(*mats)
+    return out
 
 
 def _zeros(shape, backend):
@@ -605,13 +618,15 @@ def inverse(M: Matrix) -> Matrix:
 
 
 def _inverse(a, backend):
-    """Inverse of a square entry array: LAPACK, or on exact backends [a | 1]
-    reduced to echelon form."""
+    """Inverse of a square entry array, or of each matrix of a stack:
+    LAPACK, or on exact backends [a | 1] reduced to echelon form."""
     if not backend.exact:
         try:
             return np.linalg.inv(a)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from None
+    if a.ndim == 3:
+        return _per_matrix(lambda x: _inverse(x, backend), a)
     n = len(a)
     eye = _diagonal([backend.one] * n, backend)
     rows, pivots = _rref(np.concatenate((a, eye), axis=1), backend)

@@ -114,15 +114,15 @@ class GaugeElement:
     def identity(cls, n: int, c: int, backend=linalg.COMPLEX) -> "GaugeElement":
         return cls(phi=Matrix.identity(c, backend),
                    psi11=Matrix.identity(c, backend),
-                   psi12=tuple(Matrix.zeros(c, c + 1, backend) for _ in range(n)),
+                   psi12=[Matrix.zeros(c, c + 1, backend) for _ in range(n)],
                    psi22=Matrix.identity(c + 1, backend),
                    chi=Matrix.identity(c, backend))
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         """self after other: acting with the result equals acting with
         ``other`` first and ``self`` second."""
-        psi12 = tuple(self.psi11 @ q2 + q1 @ other.psi22
-                      for q1, q2 in zip(self.psi12, other.psi12))
+        psi12 = [self.psi11 @ q2 + q1 @ other.psi22
+                 for q1, q2 in zip(self.psi12, other.psi12)]
         return GaugeElement(phi=self.phi @ other.phi,
                             psi11=self.psi11 @ other.psi11,
                             psi12=psi12,
@@ -133,7 +133,7 @@ class GaugeElement:
         phi = inverse(self.phi)
         psi11 = inverse(self.psi11)
         psi22 = inverse(self.psi22)
-        psi12 = tuple((-(psi11 @ q @ psi22)) for q in self.psi12)
+        psi12 = [-(psi11 @ q @ psi22) for q in self.psi12]
         return GaugeElement(phi=phi, psi11=psi11, psi12=psi12,
                             psi22=psi22, chi=inverse(self.chi))
 
@@ -150,7 +150,7 @@ def embed_gl_gauge(phi0: Matrix, n: int) -> GaugeElement:
         psi22_rows.append([tinv.at(i, j) for j in range(c)] + [bk.zero])
     psi22_rows.append([bk.zero] * c + [bk.one])
     return GaugeElement(phi=tinv, psi11=tinv,
-                        psi12=tuple(Matrix.zeros(c, c + 1, bk) for _ in range(n)),
+                        psi12=[Matrix.zeros(c, c + 1, bk) for _ in range(n)],
                         psi22=Matrix.from_rows(psi22_rows, bk), chi=tinv)
 
 
@@ -185,8 +185,8 @@ def compose_residual(mc: MonadCoeffs):
 
 def _entries(mc: MonadCoeffs):
     """The entry arrays of alpha1, alpha2, beta1 and beta2, as four lists."""
-    return tuple([M.entries for M in blocks]
-                 for blocks in (mc.alpha1, mc.alpha2, mc.beta1, mc.beta2))
+    return [[M.entries for M in blocks]
+            for blocks in (mc.alpha1, mc.alpha2, mc.beta1, mc.beta2)]
 
 
 def framing_residual(mc: MonadCoeffs):
@@ -219,8 +219,8 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
     ident = Matrix.identity(c, bk)
     tb1, tb2 = d.b1.transpose(), d.b2.transpose()
     zero_row = _zeros((1, c), bk)
-    alpha2 = tuple(_wrap(np.concatenate((M.entries, zero_row)), bk)
-                   for M in (ident, tb1))
+    alpha2 = [_wrap(np.concatenate((M.entries, zero_row)), bk)
+              for M in (ident, tb1)]
     beta2 = (Matrix.zeros(c, c + 1, bk),) * n + (
         _wrap(np.concatenate((bk.reduce(-ident.entries), _zeros((c, 1), bk)),
                              axis=1), bk),
@@ -305,8 +305,8 @@ def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
         a1.append((g.psi11 @ mc.alpha1[q] + p12(q) @ mc.alpha2[0]
                    + p12(q - 1) @ mc.alpha2[1]) @ phi_inv)
     a1.append(g.psi11 @ mc.alpha1[n + 1] @ phi_inv)
-    a2 = tuple(g.psi22 @ A @ phi_inv for A in mc.alpha2)
-    b1 = tuple(g.chi @ B @ psi11_inv for B in mc.beta1)
+    a2 = [g.psi22 @ A @ phi_inv for A in mc.alpha2]
+    b1 = [g.chi @ B @ psi11_inv for B in mc.beta1]
 
     def q12(q):
         if 0 <= q <= n - 1:
@@ -320,7 +320,7 @@ def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
     b2.append(g.chi @ mc.beta2[n + 1] @ psi22_inv)
     xi1, xi2 = mc.xi_blocks()
     xi = vstack(g.psi11 @ xi1, g.psi22 @ xi2)
-    return MonadCoeffs(n, mc.c, mc.m, tuple(a1), a2, b1, tuple(b2), xi)
+    return MonadCoeffs(n, mc.c, mc.m, a1, a2, b1, b2, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     chi = prod(T, b10_inv)
     g_total = GaugeElement(
         phi=_wrap(prod(T, a1n), bk), psi11=_wrap(T, bk),
-        psi12=tuple(_wrap(prod(T, P), bk) for P in Ps),
+        psi12=[_wrap(prod(T, P), bk) for P in Ps],
         psi22=_wrap(prod(diag_T, prod(psi22_4, psi22_3)), bk),
         chi=_wrap(chi, bk))
 

@@ -121,12 +121,11 @@ def random_framed_rep(rng, n, c) -> FramedRep:
         a2 = complex(rng.standard_normal() + 1j * rng.standard_normal())
         c1 = complex(rng.standard_normal() + 1j * rng.standard_normal())
         Cs = [Matrix.from_rows([[c1 * (a1 / a2) ** q]]) for q in range(n)]
-        f = tuple(Matrix.from_rows([[rng.standard_normal()
-                                     + 1j * rng.standard_normal()]])
-                  for _ in range(n - 1))
+        f = [Matrix.from_rows([[rng.standard_normal()
+                                + 1j * rng.standard_normal()]])
+             for _ in range(n - 1)]
         return FramedRep(n, 1, 1, 1, Matrix.from_rows([[a1]]),
-                         Matrix.from_rows([[a2]]), tuple(Cs),
-                         Matrix.zeros(1, 1), f)
+                         Matrix.from_rows([[a2]]), Cs, Matrix.zeros(1, 1), f)
     J = Matrix.from_rows([[1.0 if j == i + 1 else 0.0 for j in range(c)]
                           for i in range(c)])
     a = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -140,14 +139,14 @@ def random_framed_rep(rng, n, c) -> FramedRep:
         Cs.append(J @ Cs[-1])
     for _ in range(n - 2):
         fs.append(J @ fs[-1])
-    rep = FramedRep(n, c, c, 1, A1, A2, tuple(Cs), e, tuple(fs))
+    rep = FramedRep(n, c, c, 1, A1, A2, Cs, e, fs)
     phi1 = random_invertible(rng, c)
     phi2 = random_invertible(rng, c)
     inv1 = Matrix.from_numpy(np.linalg.inv(phi1.to_numpy()))
     inv2 = Matrix.from_numpy(np.linalg.inv(phi2.to_numpy()))
     return FramedRep(n, c, c, 1, phi2 @ rep.A1 @ inv1, phi2 @ rep.A2 @ inv1,
-                     tuple(phi1 @ C @ inv2 for C in rep.C), rep.e @ inv1,
-                     tuple(phi1 @ fq for fq in rep.f))
+                     [phi1 @ C @ inv2 for C in rep.C], rep.e @ inv1,
+                     [phi1 @ fq for fq in rep.f])
 
 
 def random_free_rep(rng, n, c) -> FramedRep:
@@ -155,9 +154,9 @@ def random_free_rep(rng, n, c) -> FramedRep:
     return FramedRep(
         n, c, c, 1,
         random_matrix(rng, c, c), random_matrix(rng, c, c),
-        tuple(random_matrix(rng, c, c) for _ in range(n)),
+        [random_matrix(rng, c, c) for _ in range(n)],
         random_matrix(rng, 1, c),
-        tuple(random_matrix(rng, c, 1) for _ in range(max(n - 1, 0))))
+        [random_matrix(rng, c, 1) for _ in range(max(n - 1, 0))])
 
 
 def random_points(rng, c):

@@ -194,16 +194,28 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> SigmaMatrix:
 # chart matrices and the three conditions
 # ---------------------------------------------------------------------------
 
-def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
+def _rotate(X, Y, k: int, c_count: int, backend=None):
     """(c_k X - s_k Y, s_k X + c_k Y) at the angle pi k / (c_count + 1), for
     any integer k: chart m rotates (A1, A2) by m, the chart dictionary
     (B, 1) by -m, and the transition from chart m to l (B, 1) by l - m.
     Irrational constants promote exact data (``_backend_angles``), and
-    products by 0 and 1 are skipped (``linalg._node_entries``)."""
-    bk, ck, sk = _backend_angles(X.backend, c_count, k)
-    x, y = X.cast(bk).entries, Y.cast(bk).entries
-    return (linalg._wrap(linalg._node_entries(x, y, ck, bk.reduce(-sk), bk), bk),
-            linalg._wrap(linalg._node_entries(x, y, sk, ck, bk), bk))
+    products by 0 and 1 are skipped (``linalg._node_entries``).
+
+    X and Y are Matrices, and so are the two results; or, with ``backend``,
+    entry arrays of that backend with any leading axes, which broadcast, and
+    the result is (its backend, the two entry arrays).
+    """
+    matrices = backend is None
+    if matrices:
+        backend, X, Y = X.backend, X.entries, Y.entries
+    bk, ck, sk = _backend_angles(backend, c_count, k)
+    if bk is not backend:
+        X, Y = X.astype(complex), Y.astype(complex)
+    first = linalg._node_entries(X, Y, ck, bk.reduce(-sk), bk)
+    second = linalg._node_entries(X, Y, sk, ck, bk)
+    if matrices:
+        return linalg._wrap(first, bk), linalg._wrap(second, bk)
+    return bk, first, second
 
 
 def _binomial_combination(blocks, cm, sm, backend):
@@ -422,36 +434,92 @@ def transition_phi(d: PlaneADHM, n: int, m: int, l: int, tol=None) -> PlaneADHM:
     Moebius map on b1, multiplies b2 by the n-th power of the denominator and
     leaves e untouched.
     """
-    return _transition(d, n, m, l, tol)[0]
+    bk, b1, b2, _ = _one_leg(d, n, m, l, None, tol)
+    return PlaneADHM(d.c, linalg._wrap(b1, bk), linalg._wrap(b2, bk),
+                     d.e.cast(bk))
 
 
 def transition_omega(cd: ChartData, n: int, l: int, tol=None) -> ChartData:
     """Chart transition on full chart data: the plane part moves as in
     ``transition_phi`` and the gauge block picks up the same denominator."""
-    moved, T = _transition(cd.plane(), n, cd.m, l, tol)
-    return ChartData(l, moved.b1, moved.b2, moved.e, cd.A2m.cast(T.backend) @ T)
+    bk, b1, b2, a2 = _one_leg(cd.plane(), n, cd.m, l, cd.A2m, tol)
+    return ChartData(l, linalg._wrap(b1, bk), linalg._wrap(b2, bk),
+                     cd.e.cast(bk), linalg._wrap(a2, bk))
 
 
-def _transition(d: PlaneADHM, n: int, m: int, l: int, tol=None):
-    """(``transition_phi(d, n, m, l)``, T): rotating (b1, 1) by l - m gives
-    the numerator s_{m-l} + c_{m-l} b1 and the denominator
-    T = c_{m-l} - s_{m-l} b1 of the Moebius map; the rest runs on entry
-    arrays, T^n multiplied up from the identity as ``Matrix.power`` does."""
+def _one_leg(d: PlaneADHM, n: int, m: int, l: int, A2m, tol=None):
+    """``_transition`` on the one leg m -> l of ``d`` (and ``A2m``): (backend,
+    moved b1, moved b2, moved A2m or None) as entry arrays; raises
+    ``NotInOverlap`` off the overlap."""
     _check_chart(d.c, m)
     _check_chart(d.c, l)
-    num, T = _rotate(d.b1, Matrix.identity(d.c, d.backend), l - m, d.c)
-    bk = T.backend
-    t = T.entries
-    if not linalg._is_invertible(t, bk, tol):
+    a2m = None if A2m is None else A2m.cast(d.backend).entries[None]
+    bk, keep, b1, b2, a2 = _transition(d.b1.entries[None], d.b2.entries[None],
+                                       a2m, n, [l - m], d.c, d.backend, tol)
+    if not keep[0]:
         raise NotInOverlap(f"charts {m} and {l} do not overlap at this point")
-    tn = linalg._diagonal([bk.one] * d.c, bk)
+    return bk, b1[0], b2[0], None if a2 is None else a2[0]
+
+
+def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
+                floor=0.0):
+    """Chart transitions of a stack of legs on (legs, c, c) entry arrays of
+    ``backend``: leg i re-reads the plane pair (b1[i], b2[i]) of chart m in
+    chart l = m + shifts[i], and with ``a2m`` its gauge block a2m[i].
+
+    Rotating (b1, 1) by l - m gives the numerator s_{m-l} + c_{m-l} b1 and
+    the denominator T = c_{m-l} - s_{m-l} b1 of the Moebius map, one
+    ``_rotate`` per distinct shift, so that its constants stay scalar and its
+    0 and 1 skips stay.  A leg is kept when T passes ``_is_invertible``'s
+    test and, on floats, its smallest singular value is at least ``floor``;
+    one batched SVD gives both.  On the kept legs b1 -> T^-1 num,
+    b2 -> T^n b2 with T^n multiplied up from the identity as
+    ``Matrix.power`` does, and A2m -> A2m T: batched on floats, matrix by
+    matrix (by elimination) on the exact backends.
+
+    Returns (backend, keep mask, moved b1, moved b2, moved A2m or None), the
+    moved stacks holding the kept legs only.  Every leg of a stack must keep
+    one backend: exact data whose shifts mix integer and irrational chart
+    constants raise ``UnsupportedBackend``.
+    """
+    groups = {}
+    for i, k in enumerate(shifts):
+        groups.setdefault(k, []).append(i)
+    eye = np.repeat(linalg._diagonal([backend.one] * c, backend)[None],
+                    len(b1), axis=0)
+    bk = num = den = None
+    for k, legs in groups.items():
+        if len(groups) == 1:
+            legs = slice(None)
+        bk_k, num_k, den_k = _rotate(b1[legs], eye[legs], k, c, backend)
+        if bk is None:
+            bk = bk_k
+            num = np.empty(b1.shape, dtype=bk.dtype)
+            den = np.empty(b1.shape, dtype=bk.dtype)
+        elif bk_k is not bk:
+            raise UnsupportedBackend(
+                "a stack of transitions must stay on one backend")
+        num[legs] = num_k
+        den[legs] = den_k
+    if bk is not backend:
+        eye, b2 = eye.astype(complex), b2.astype(complex)
+        a2m = None if a2m is None else a2m.astype(complex)
+    if bk.exact:
+        keep = np.array([linalg._is_invertible(t, bk, tol) for t in den],
+                        dtype=bool)
+    else:
+        s_min, scale = linalg._conditioning(den)
+        keep = (s_min >= floor) & (s_min > linalg._tol(tol) * scale)
+    if not keep.all():
+        eye, num, den, b2 = eye[keep], num[keep], den[keep], b2[keep]
+        a2m = None if a2m is None else a2m[keep]
+    tn = eye
     for _ in range(n):
-        tn = linalg._matmul(tn, t, bk)
-    b1 = linalg._matmul(linalg._inverse(t, bk), num.entries, bk)
-    b2 = linalg._matmul(tn, d.b2.cast(bk).entries, bk)
-    moved = PlaneADHM(d.c, linalg._wrap(b1, bk), linalg._wrap(b2, bk),
-                      d.e.cast(bk))
-    return moved, T
+        tn = linalg._matmul(tn, den, bk)
+    moved_b1 = linalg._matmul(linalg._inverse(den, bk), num, bk)
+    moved_b2 = linalg._matmul(tn, b2, bk)
+    moved_a2 = None if a2m is None else linalg._matmul(a2m, den, bk)
+    return bk, keep, moved_b1, moved_b2, moved_a2
 
 
 def gl2_action(phi1: Matrix, phi2: Matrix, d: XnADHM, tol=None) -> XnADHM:

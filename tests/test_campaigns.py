@@ -1,6 +1,7 @@
 """Campaign reports against straightforward reference loops."""
 
 import pickle
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -89,6 +90,36 @@ def test_cocycle_matches_nested_pair_loop(seed):
     assert report["pairs"] == pairs
     assert pairs["tested"] > 0
     assert report["ok"]
+
+
+def test_cocycle_stacks_the_chain_and_moved_legs(monkeypatch):
+    """Only the c+1 direct legs make per-leg public calls: the chain legs
+    and the moved equivariance legs go through two stacks per sample, so no
+    count grows with (c+1)^2."""
+    from xnadhm import campaigns
+
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(campaigns, "transition_phi")
+    count(campaigns, "transition_omega")
+    count(sampling, "overlap_margin")
+    tested = 0
+    for item in enumerate(_sample_seeds(3, 8)):
+        calls.clear()
+        c = int(np.random.default_rng(item[1]).integers(2, 5))
+        _, _, counts = campaigns._cocycle(item, 8, None)
+        tested += counts["pairs"]["tested"]
+        assert calls["overlap_margin"] == c + 1
+        assert calls["transition_phi"] == calls["transition_omega"] <= c + 1
+    assert tested > 0
 
 
 def test_cocycle_pairs_sit_beside_the_tallies():

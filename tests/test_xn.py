@@ -34,6 +34,7 @@ from xnadhm.monad import build_jm, gauge_normalize, reexpand_chart
 from xnadhm.pencil import analyze_pencil
 from xnadhm.plane import PlaneADHM, _observable, _unit, gl_action
 from xnadhm.sampling import (
+    overlap_margin,
     random_chart_data,
     random_costable_triple,
     random_invertible,
@@ -646,6 +647,88 @@ def test_overlap_margin_is_the_rotated_pivot():
                 want = float(np.linalg.svd(T.to_numpy(),
                                            compute_uv=False)[-1])
                 assert overlap_margin(b1, c, m, l) == want
+
+
+def _stacked_legs(legs, n, c, backend, floor=0.0):
+    """``xn._transition`` on legs (cd, l), each moving the chart data cd
+    from its own chart cd.m to chart l."""
+    return xn._transition(
+        np.stack([cd.B.entries for cd, _ in legs]),
+        np.stack([cd.E.entries for cd, _ in legs]),
+        np.stack([cd.A2m.entries for cd, _ in legs]),
+        n, [l - cd.m for cd, l in legs], c, backend, floor=floor)
+
+
+def _per_leg(cd, n, l):
+    try:
+        return transition_phi(cd.plane(), n, cd.m, l), transition_omega(cd, n, l)
+    except NotInOverlap:
+        return None
+
+
+def test_stacked_transition_is_the_per_leg_transition():
+    """One stack mixing shift 0, right-angle and generic shifts, with legs
+    off the overlap, gives transition_phi and transition_omega of every
+    kept leg bit for bit and masks exactly the legs they refuse."""
+    rng = rng_from_seed(36)
+    c = 3        # shift +-2 is the right angle
+    charts = [random_chart_data(rng, c) for _ in range(4)]
+    # an eigenvalue 0 of B puts the right-angle legs off the overlap, and
+    # -c_k / s_k the generic shift k
+    cm, sm = angle_constants(c, 1)
+    for z in (0.0, -cm / sm):
+        V = random_invertible(rng, c).to_numpy()
+        B = V @ np.diag([z, 1.5, -0.7]) @ np.linalg.inv(V)
+        charts.append(ChartData(1, Matrix.from_numpy(B), charts[0].E,
+                                charts[0].e, charts[0].A2m))
+    for n in (1, 3):
+        legs = [(cd, l) for cd in charts for l in range(c + 1)]
+        shifts = {l - cd.m for cd, l in legs}
+        assert {0, 2, -2} <= shifts and {1, -1} & shifts
+        bk, keep, b1, b2, a2 = _stacked_legs(legs, n, c, COMPLEX)
+        want = [_per_leg(cd, n, l) for cd, l in legs]
+        assert bk is COMPLEX
+        assert keep.tolist() == [w is not None for w in want]
+        assert 0 < keep.sum() < len(legs)
+        kept = [w for w in want if w is not None]
+        for i, (phi, om) in enumerate(kept):
+            assert phi.b1.entries.tobytes() == b1[i].tobytes()
+            assert phi.b2.entries.tobytes() == b2[i].tobytes()
+            assert (om.B, om.E) == (phi.b1, phi.b2)
+            assert om.A2m.entries.tobytes() == a2[i].tobytes()
+        # a floor masks the legs whose overlap margin lies below it
+        floor = float(np.median([overlap_margin(cd.B, c, cd.m, l)
+                                 for cd, l in legs]))
+        _, floored, *_ = _stacked_legs(legs, n, c, COMPLEX, floor)
+        assert floored.tolist() == [
+            w is not None and overlap_margin(cd.B, c, cd.m, l) >= floor
+            for (cd, l), w in zip(legs, want)]
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_stacked_transition_is_exact_at_integer_charts(backend):
+    c = 3
+    E = Matrix.from_rows([[0, 1, 0], [0, 3, 2], [1, 0, 1]], backend)
+    e = Matrix.row_vector([1, 1, 1], backend)
+    A2m = Matrix.from_rows([[1, 2, 0], [0, 1, 0], [1, 0, 1]], backend)
+    charts = [ChartData(m, Matrix.diagonal(diag, backend), E, e, A2m)
+              for m in (0, 1, 2, 3) for diag in ([1, 2, -1], [0, 1, 2])]
+    legs = [(cd, l) for cd in charts for l in range(c + 1)
+            if (l - cd.m) % 2 == 0]
+    bk, keep, b1, b2, a2 = _stacked_legs(legs, 2, c, backend)
+    want = [_per_leg(cd, 2, l) for cd, l in legs]
+    assert bk == backend
+    assert keep.tolist() == [w is not None for w in want]
+    assert 0 < keep.sum() < len(legs)
+    kept = [w for w in want if w is not None]
+    for i, (phi, om) in enumerate(kept):
+        assert (phi.b1, phi.b2, om.A2m) == (Matrix.from_rows(b1[i], backend),
+                                            Matrix.from_rows(b2[i], backend),
+                                            Matrix.from_rows(a2[i], backend))
+    # a shift with irrational constants would leave the stack's backend
+    if backend is RATIONAL:
+        with pytest.raises(UnsupportedBackend):
+            _stacked_legs(legs + [(charts[0], 1)], 2, c, backend)
 
 
 #: calls with a chart index outside 0..c = 2, on (d, its chart-0 reading
