@@ -44,12 +44,13 @@ from .quiver import (
 from .serialize import loads, rep_from_json
 from .xn import (
     XnADHM,
+    _chart_action,
+    _gauge_inverse,
     _rotate,
     _transition,
     check_P3_direct,
     check_P3_via_chart,
     from_xn_points,
-    gl2_action_chart,
     transition_omega,
     transition_phi,
     zeta,
@@ -136,8 +137,7 @@ def _cocycle(item, samples, tol):
         # one stack that serves both the phi and the omega cocycle
         ends = _stacks((phi.b1, phi.b2, om.A2m)
                        for phi, om in direct.values())
-        scale = np.array([scale_of(phi.b1, phi.b2, om.A2m)
-                          for phi, om in direct.values()])
+        scale = _leg_scales(ends)
         _, keep, b1, b2, a2 = _transition(
             *(np.repeat(block, legs, axis=0) for block in ends),
             n, [k - l for l in charts for k in charts], c, COMPLEX,
@@ -152,22 +152,23 @@ def _cocycle(item, samples, tol):
             phi_ok = not (r > 10 * t).any()
     # equivariance of the chart transition under both gauge factors: the
     # moved legs m -> l are one stack, compared with the gauge action on
-    # each direct leg
+    # each kept direct leg, also one stack; the gauge is tested and g1
+    # inverted once for both
     g1 = sampling.random_invertible(rng, c)
     g2 = sampling.random_invertible(rng, c)
-    moved_cd = gl2_action_chart(g1, g2, cd)
     if charts:
-        moved = moved_cd.B, moved_cd.E, moved_cd.A2m
+        act = partial(_chart_action, g1.entries, g2.entries,
+                      _gauge_inverse(g1, g2), backend=COMPLEX)
+        moved = act(cd.B.entries, cd.E.entries, cd.e.entries,
+                    cd.A2m.entries)
         _, keep, b1, b2, a2 = _transition(
-            *(np.broadcast_to(M.entries, (legs, c, c)) for M in moved),
+            *(np.broadcast_to(M, (legs, c, c)) for M in moved[:2] + moved[3:]),
             n, [l - m for l in charts], c, COMPLEX, floor=margin)
-        rhs = [gl2_action_chart(g1, g2, direct[l][1])
-               for l, kept in zip(charts, keep) if kept]
-        if rhs:
-            ends = _stacks((ref.B, ref.E, ref.e, ref.A2m) for ref in rhs)
-            scale = np.array([scale_of(ref.B, ref.E, ref.A2m) for ref in rhs])
-            r = _leg_residuals(zip(ends, (b1, b2, moved_cd.e.entries,
-                                          a2))) / scale
+        kept = [direct[l][1] for l, k in zip(charts, keep) if k]
+        if kept:
+            ends = act(*_stacks((om.B, om.E, om.e, om.A2m) for om in kept))
+            scale = _leg_scales(ends[:2] + ends[3:])
+            r = _leg_residuals(zip(ends, (b1, b2, moved[2], a2))) / scale
             worst = max(worst, float(r.max()))
             omega_ok = not (r > t).any()
     pairs = {"tested": tested, "skipped": (c + 1) ** 2 - tested}
@@ -178,6 +179,13 @@ def _cocycle(item, samples, tol):
 def _stacks(rows):
     """One entry stack per column of rows of Matrices, one row per leg."""
     return [np.stack([M.entries for M in column]) for column in zip(*rows)]
+
+
+def _leg_scales(blocks):
+    """max(1, largest max-norm) per leg over stacks of blocks:
+    ``linalg.scale_of`` leg by leg."""
+    return np.maximum(1.0, np.max([np.abs(M).max(axis=(1, 2))
+                                   for M in blocks], axis=0))
 
 
 def _leg_residuals(pairs):

@@ -31,7 +31,8 @@ from .errors import (
     TooLarge,
     UnsupportedBackend,
 )
-from .linalg import Matrix, hstack, nullspace, rank, vstack
+# rank is not called here; benches/tracing.py traces it as quiver.rank
+from .linalg import Matrix, nullspace, rank, vstack  # noqa: F401
 from .xn import (XnADHM, _backend_angles, _binomial_combination,
                  _chain_defects, _chain_holds, _pencil_step, _rotate, check_P2)
 
@@ -238,46 +239,68 @@ def count_subspaces(d: int, p: int) -> int:
 
 
 def subspace_bases(d: int, p: int):
-    """All subspaces of GF(p)^d as d x k column-basis matrices.
+    """All subspaces of GF(p)^d as d x k column-basis matrices, one matrix
+    per subspace, each in reduced column echelon form: the first nonzero
+    entry of column i is a 1 in row pivots[i], every other column vanishes
+    in that row, and the free entries below the pivots run over GF(p).
 
-    Enumerated through reduced echelon forms: one matrix per subspace.
+    Each basis is filled in as an entry array from its pivots and free
+    positions; the residues are canonical, so nothing is coerced.
     """
     gf = linalg.GF(p)
     yield Matrix.zeros(d, 0, gf)
     for k in range(1, d + 1):
         for pivots in combinations(range(d), k):
-            free_pos = [(i, j) for i in range(k) for j in range(d)
-                        if j > pivots[i] and j not in pivots]
-            for fill in product(range(p), repeat=len(free_pos)):
-                rows = [[0] * d for _ in range(k)]
-                for i, pc in enumerate(pivots):
-                    rows[i][pc] = 1
-                for (i, j), v in zip(free_pos, fill):
-                    rows[i][j] = v
-                yield Matrix.from_rows(rows, gf).transpose()
+            # flat positions i * k + j of the pivots and the free entries
+            template = [gf.zero] * (d * k)
+            for j, i in enumerate(pivots):
+                template[i * k + j] = gf.one
+            free = [i * k + j for j in range(k)
+                    for i in range(pivots[j] + 1, d) if i not in pivots]
+            for fill in product(range(p), repeat=len(free)):
+                flat = template.copy()
+                for at, v in zip(free, fill):
+                    flat[at] = v
+                yield linalg._wrap(
+                    np.array(flat, dtype=object).reshape(d, k), gf)
 
 
-def _contains(S: Matrix, M: Matrix) -> bool:
-    """Whether every column of M lies in the span of the basis S (the
-    columns of S must be independent)."""
-    return rank(hstack(S, M)) == S.cols
+def _contains(s, m, bk) -> bool:
+    """Whether every column of the canonical entry array m lies in the span
+    of the basis s, an entry array in reduced column echelon form (see
+    ``subspace_bases``).  With P the pivot rows of s, s[P] is the identity,
+    so m = s x forces x = m[P]: m lies in the span exactly when
+    s m[P] = m mod p, one product and one reduction and no elimination.
+    An empty basis spans only 0."""
+    if s.shape[1] == 0:
+        return not m.any()
+    pivots = [col.index(bk.one) for col in s.T.tolist()]
+    return linalg._matmul(s, m[pivots], bk).tolist() == m.tolist()
 
 
 def _maps_into(A: Matrix, S0: Matrix, S1: Matrix) -> bool:
-    return _contains(S1, A @ S0)
+    """Whether A maps the span of S0 into the span of S1, an echelon
+    basis."""
+    bk = A.backend
+    return _contains(S1.entries, linalg._matmul(A.entries, S0.entries, bk),
+                     bk)
 
 
-def _span(M: Matrix) -> Matrix:
-    """Column basis of the column span of M (rows of an echelon form)."""
-    rows, pivots = linalg._rref(M.entries.T, M.backend)
+def _span(m, bk) -> Matrix:
+    """Column basis of the column span of the entry array m, in reduced
+    column echelon form: the nonzero rows of the reduced row echelon form
+    of m^T, as columns."""
+    rows, pivots = linalg._rref(m.T, bk)
     basis = np.array(rows[:len(pivots)], dtype=object)
-    return linalg._wrap(basis.reshape(len(pivots), M.rows).T, M.backend)
+    return linalg._wrap(basis.reshape(len(pivots), m.shape[0]).T, bk)
 
 
 def _preimage(Cs, S0: Matrix) -> Matrix:
-    """Column basis of the largest S1 with C S1 inside S0 for every C."""
+    """Column basis of the largest S1 with C S1 inside S0 for every C, in
+    reduced column echelon form."""
     ann = nullspace(S0.transpose()).transpose()
-    return nullspace(vstack(*(ann @ C for C in Cs)))
+    return _span(nullspace(vstack(*(ann @ C for C in Cs))).entries,
+                 S0.backend)
 
 
 def brute_force_semistable(r: FramedRep, theta=None, budget=200_000) -> bool:
@@ -296,6 +319,11 @@ def brute_force_semistable(r: FramedRep, theta=None, budget=200_000) -> bool:
     theta_1 <= 0 (as at the standard weight theta_c), S1max otherwise.  If
     that candidate is not closed, no S1 closes with this S0.
 
+    Every basis is in reduced column echelon form (``subspace_bases``,
+    ``_span``), so each subspace test is one product and one reduction on
+    entry arrays (``_contains``); the only elimination is the one ``_rref``
+    per S0 that builds its S1.
+
     ``budget`` bounds the number of subspaces S0 enumerated; more raises
     ``TooLarge``.
     """
@@ -308,17 +336,25 @@ def brute_force_semistable(r: FramedRep, theta=None, budget=200_000) -> bool:
     if theta is None:
         theta = StabilityParams.standard(r.v0).theta
     full = theta_slope(theta, (r.v0, r.v1))
+    bk = r.backend
+    # [A1; A2], so that A1 S0 and A2 S0 are one product
+    a12 = np.concatenate((r.A1.entries, r.A2.entries))
+    e = r.e.entries
+    fs = [f.entries for f in r.f]
     for S0 in subspace_bases(r.v0, p):
+        s0 = S0.entries
         if theta[1] <= 0:
-            S1 = _span(hstack(r.A1 @ S0, r.A2 @ S0))
+            a12s0 = linalg._matmul(a12, s0, bk)
+            S1 = _span(np.concatenate((a12s0[:r.v1], a12s0[r.v1:]), axis=1),
+                       bk)
         else:
             S1 = _preimage(r.C, S0)
         if not (_maps_into(r.A1, S0, S1) and _maps_into(r.A2, S0, S1)
                 and all(_maps_into(C, S1, S0) for C in r.C)):
             continue
         slope = theta_slope(theta, (S0.cols, S1.cols))
-        if slope > 0 and (r.e @ S0).is_zero():
+        if slope > 0 and not linalg._matmul(e, s0, bk).any():
             return False
-        if slope > full and all(_contains(S0, f) for f in r.f):
+        if slope > full and all(_contains(s0, f, bk) for f in fs):
             return False
     return True

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BackendMismatch,
     IndexOutOfRange,
     InvalidInput,
     NoChart,
@@ -224,10 +225,19 @@ def _binomial_combination(blocks, cm, sm, backend):
     sm) of ``backend``: the chart's free parameter D_m (over the C blocks)
     and the framing combination u_m (over the f blocks, one degree lower)."""
     k = len(blocks)
-    out = linalg._zeros(blocks[0].shape, backend)
+    # without the products by a zero or unit coefficient, as in
+    # linalg._node_entries: at chart 0 (cm = 1, sm = 0) only X_1 is left
+    terms = []
     for q, X in enumerate(blocks, 1):
-        coef = math.comb(k - 1, q - 1) * (cm ** (k - q) * sm ** (q - 1))
-        out = backend.reduce(out + backend.coerce(coef) * X)
+        coef = backend.coerce(
+            math.comb(k - 1, q - 1) * (cm ** (k - q) * sm ** (q - 1)))
+        if coef != 0:
+            terms.append(X if coef == 1 else backend.reduce(coef * X))
+    if not terms:
+        return linalg._zeros(blocks[0].shape, backend)
+    out = terms[0]
+    for X in terms[1:]:
+        out = backend.reduce(out + X)
     return out
 
 
@@ -538,11 +548,35 @@ def gl2_action(phi1: Matrix, phi2: Matrix, d: XnADHM, tol=None) -> XnADHM:
 def gl2_action_chart(phi1: Matrix, phi2: Matrix, cd: ChartData, tol=None) -> ChartData:
     """Induced action on a chart reading:
     (B, E, e; A2m) -> (phi1 B phi1^-1, phi1 E phi1^-1, e phi1^-1; phi2 A2m phi1^-1)."""
+    bk = cd.backend
+    if {phi1.backend, phi2.backend} != {bk}:
+        raise BackendMismatch("gauge and chart data on different backends")
+    if {(phi1.rows, phi1.cols), (phi2.rows, phi2.cols)} != {(cd.c, cd.c)}:
+        raise ShapeMismatch("gauge matrices must be c x c")
+    moved = _chart_action(phi1.entries, phi2.entries,
+                          _gauge_inverse(phi1, phi2, tol), cd.B.entries,
+                          cd.E.entries, cd.e.entries, cd.A2m.entries, bk)
+    return ChartData(cd.m, *(linalg._wrap(M, bk) for M in moved))
+
+
+def _gauge_inverse(phi1: Matrix, phi2: Matrix, tol=None):
+    """Entries of phi1^-1, once both gauge matrices pass the invertibility
+    test: the part of ``gl2_action_chart`` that does not depend on the
+    chart data."""
     if not (is_invertible(phi1, tol) and is_invertible(phi2, tol)):
         raise SingularGauge("both gauge matrices must be invertible")
-    inv1 = inverse(phi1)
-    return ChartData(cd.m, phi1 @ cd.B @ inv1, phi1 @ cd.E @ inv1,
-                     cd.e @ inv1, phi2 @ cd.A2m @ inv1)
+    return inverse(phi1).entries
+
+
+def _chart_action(g1, g2, inv1, B, E, e, A2m, backend):
+    """``gl2_action_chart`` on entry arrays, with inv1 = g1^-1 given:
+    (g1 B inv1, g1 E inv1, e inv1, g2 A2m inv1).  On floats the blocks may
+    be (legs, ., c) stacks, each leg moved by one batched product per
+    factor."""
+    def mm(a, b):
+        return linalg._matmul(a, b, backend)
+    return (mm(mm(g1, B), inv1), mm(mm(g1, E), inv1), mm(e, inv1),
+            mm(mm(g2, A2m), inv1))
 
 
 # ---------------------------------------------------------------------------

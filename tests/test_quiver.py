@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from xnadhm import quiver
 from xnadhm.campaigns import load_bruteforce_fixtures
 from xnadhm.errors import InvalidInput, NonzeroFraming, TooLarge, UnsupportedBackend
 from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, rank,
@@ -289,15 +290,93 @@ def test_gaussian_binomial_counts():
     assert count_subspaces(3, 5) == 64
 
 
+def _point_set(S, p):
+    """The vectors of the span of S over GF(p), as a frozenset of tuples."""
+    return frozenset(
+        tuple(sum(a * x for a, x in zip(coeffs, row)) % p
+              for row in S.row_list())
+        for coeffs in product(range(p), repeat=S.cols))
+
+
+def _is_reduced_column_echelon(S):
+    """Each column's first nonzero entry is a 1 in a row where every other
+    column vanishes, and these pivot rows increase from column to column."""
+    pivots = []
+    for col in S.entries.T.tolist():
+        nonzero = [i for i, x in enumerate(col) if x != 0]
+        if not nonzero or col[nonzero[0]] != 1:
+            return False
+        pivots.append(nonzero[0])
+    return (pivots == sorted(set(pivots))
+            and all(S.at(i, j) == (j == k) for k, i in enumerate(pivots)
+                    for j in range(S.cols)))
+
+
 def test_subspace_enumeration_complete():
-    seen = set()
-    for S in subspace_bases(2, 3):
-        vecs = frozenset(
-            tuple((a * S.at(i, 0) + b * S.at(i, 1 if S.cols > 1 else 0)) % 3
-                  for i in range(2))
-            for a in range(3) for b in range(3)) if S.cols else frozenset()
-        seen.add((S.cols, vecs))
-    assert len(seen) == count_subspaces(2, 3)
+    for d, p in ((2, 3), (3, 2), (3, 3), (2, 5)):
+        bases = list(subspace_bases(d, p))
+        assert len(bases) == count_subspaces(d, p)
+        assert len({_point_set(S, p) for S in bases}) == len(bases)
+        for S in bases:
+            assert S.backend == GF(p) and S.rows == d
+            assert all(x in range(p) for x in S.entries.flat)
+            assert _is_reduced_column_echelon(S)
+
+
+def _random_gf(rng, p, rows, cols):
+    return Matrix(rows, cols, [int(x) for x in rng.integers(0, p, rows * cols)],
+                  GF(p))
+
+
+def test_span_and_preimage_bases_are_reduced_column_echelon():
+    rng = rng_from_seed(17)
+    for trial in range(60):
+        p = (2, 3, 5)[trial % 3]
+        d = int(rng.integers(1, 4))
+        M = _random_gf(rng, p, d, int(rng.integers(0, 5)))
+        S = quiver._span(M.entries, GF(p))
+        assert _is_reduced_column_echelon(S)
+        assert S.rows == d and S.cols == rank(M) == rank(hstack(S, M))
+        S0 = list(subspace_bases(d, p))[int(rng.integers(count_subspaces(d, p)))]
+        Cs = [_random_gf(rng, p, d, d) for _ in range(int(rng.integers(1, 3)))]
+        S1 = quiver._preimage(Cs, S0)
+        assert _is_reduced_column_echelon(S1)
+        # S1 is the whole common preimage: the vectors v with C v in S0
+        # for every C, counted one by one
+        span0 = _point_set(S0, p)
+        preimage = {v for v in product(range(p), repeat=d)
+                    if all(tuple((C @ Matrix.col_vector(v, GF(p))).entries.flat)
+                           in span0 for C in Cs)}
+        assert preimage == _point_set(S1, p)
+
+
+def test_echelon_containment_matches_rank_criterion():
+    """``_contains`` against the elimination test it replaces: M lies in
+    the span of the basis S exactly when rank(S | M) = dim S."""
+    rng = rng_from_seed(23)
+    outcomes = set()
+    for trial in range(300):
+        p = (2, 3, 5)[trial % 3]
+        d = int(rng.integers(1, 5))
+        bases = list(subspace_bases(d, p))
+        S = bases[int(rng.integers(len(bases)))]
+        # columns of M: in the span, random or zero; up to S.cols + 3 of them
+        cols = []
+        for _ in range(int(rng.integers(0, S.cols + 4))):
+            kind = rng.integers(3)
+            if kind == 0 and S.cols:
+                cols.append(S @ _random_gf(rng, p, S.cols, 1))
+            elif kind == 1:
+                cols.append(_random_gf(rng, p, d, 1))
+            else:
+                cols.append(Matrix.zeros(d, 1, GF(p)))
+        M = hstack(*cols) if cols else Matrix.zeros(d, 0, GF(p))
+        want = rank(hstack(S, M)) == S.cols
+        assert quiver._contains(S.entries, M.entries, GF(p)) == want, trial
+        outcomes.add((want, S.cols == 0, M.cols > S.cols))
+    assert {want for want, *_ in outcomes} == {True, False}
+    assert (True, True, False) in outcomes and (False, True, True) in outcomes
+    assert (True, False, True) in outcomes and (False, False, True) in outcomes
 
 
 def test_bruteforce_zero_rep_c1():
