@@ -271,9 +271,7 @@ def _contains(s, m, bk) -> bool:
     ``subspace_bases``).  With P the pivot rows of s, s[P] is the identity,
     so m = s x forces x = m[P]: m lies in the span exactly when
     s m[P] = m mod p, one product and one reduction and no elimination.
-    An empty basis spans only 0."""
-    if s.shape[1] == 0:
-        return not m.any()
+    An empty basis has no pivots, and s m[P] = 0 then tests m = 0."""
     pivots = [col.index(bk.one) for col in s.T.tolist()]
     return linalg._matmul(s, m[pivots], bk).tolist() == m.tolist()
 
