@@ -639,12 +639,6 @@ def is_invertible(M: Matrix, tol=None) -> bool:
     return _is_invertible(M.entries, M.backend, tol)
 
 
-def is_invertible_rel(M: Matrix, tol=None) -> bool:
-    """Scale-free invertibility (smallest over largest singular value);
-    appropriate for gauge blocks, whose overall scale is meaningless."""
-    return _is_invertible(M.entries, M.backend, tol, rel=True)
-
-
 def _is_invertible(a, backend, tol=None, rel=False) -> bool:
     """Whether an entry array is square and invertible: a nonzero determinant
     on the exact backends; on floats, smallest singular value above ``tol``

@@ -85,8 +85,7 @@ def _pick_chain(basis: Matrix):
     return best
 
 
-def analyze_pencil(A1: Matrix, A2: Matrix, tol=None,
-                   conditioning=None) -> PencilAnalysis:
+def analyze_pencil(A1: Matrix, A2: Matrix, tol=None) -> PencilAnalysis:
     """Classify the pencil and, when singular, return the minimal chain.
 
     Regular pencils come back with their projective spectrum (``_spectrum``)
@@ -97,14 +96,10 @@ def analyze_pencil(A1: Matrix, A2: Matrix, tol=None,
     Near the float regularity threshold the node test can call a pencil
     singular whose staircases have no kernel at ``nullspace``'s threshold;
     this raises ``InvalidInput``.
-
-    ``conditioning`` is ``_float_conditioning(A1, A2)`` for a caller that
-    holds it already (``xn.XnADHM`` keeps it per float instance); it does
-    not depend on ``tol``.
     """
     bk = A1.backend
     c = A1.rows
-    witness, basis = _regularity(A1, A2, tol, conditioning)
+    witness, basis = _regularity(A1, A2, tol)
     if witness is not None:
         eig = _spectrum(A1, A2, witness, basis, tol)
         return PencilAnalysis(regular=True, witness=witness, eigenvalues=eig)

@@ -195,28 +195,21 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> SigmaMatrix:
 # chart matrices and the three conditions
 # ---------------------------------------------------------------------------
 
-def _rotate(X, Y, k: int, c_count: int, backend=None):
+def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
     """(c_k X - s_k Y, s_k X + c_k Y) at the angle pi k / (c_count + 1), for
-    any integer k: chart m rotates (A1, A2) by m, the chart dictionary
-    (B, 1) by -m, and the transition from chart m to l (B, 1) by l - m.
-    Irrational constants promote exact data (``_backend_angles``), and
-    products by 0 and 1 are skipped (``linalg._node_entries``).
-
-    X and Y are Matrices, and so are the two results; or, with ``backend``,
-    entry arrays of that backend with any leading axes, which broadcast, and
-    the result is (its backend, the two entry arrays).
+    any integer k, on Matrices: chart m rotates (A1, A2) by m, and the
+    chart dictionary (B, 1) by -m.  Irrational constants promote exact data
+    (``_backend_angles``), and products by 0 and 1 are skipped
+    (``linalg._node_entries``).  ``_transition`` rotates a stack of (B, 1)
+    by l - m itself, with per-leg constants.
     """
-    matrices = backend is None
-    if matrices:
-        backend, X, Y = X.backend, X.entries, Y.entries
-    bk, ck, sk = _backend_angles(backend, c_count, k)
-    if bk is not backend:
-        X, Y = X.astype(complex), Y.astype(complex)
-    first = linalg._node_entries(X, Y, ck, bk.reduce(-sk), bk)
-    second = linalg._node_entries(X, Y, sk, ck, bk)
-    if matrices:
-        return linalg._wrap(first, bk), linalg._wrap(second, bk)
-    return bk, first, second
+    bk, ck, sk = _backend_angles(X.backend, c_count, k)
+    x, y = X.entries, Y.entries
+    if bk is not X.backend:
+        x, y = x.astype(complex), y.astype(complex)
+    first = linalg._node_entries(x, y, ck, bk.reduce(-sk), bk)
+    second = linalg._node_entries(x, y, sk, ck, bk)
+    return linalg._wrap(first, bk), linalg._wrap(second, bk)
 
 
 def _binomial_combination(blocks, cm, sm, backend):
@@ -385,11 +378,19 @@ def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
 
 def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
     """Chart-m reading (B_m, E_m, e; A2m) of the data, with B_m = A2m^-1 A1m
-    on entry arrays.  The chart index is checked before any arithmetic."""
+    on entry arrays.  The chart index is checked before any arithmetic.
+    On float data, A2m's ``is_invertible`` test reads the configuration's
+    node conditioning (``XnADHM._pencil_conditioning``), not another SVD.
+    """
     A1m, A2m, Em, _ = chart_matrices(d, m)
     bk = A2m.backend
     a2m = A2m.entries
-    if not linalg._is_invertible(a2m, bk, tol):
+    if d.backend.exact:
+        invertible = linalg._is_invertible(a2m, bk, tol)
+    else:
+        _, s_min, scale = d._pencil_conditioning
+        invertible = s_min[m] > linalg._tol(tol) * scale[m]
+    if not invertible:
         raise NotInChart(f"det A2m = 0 in chart {m}")
     b = linalg._matmul(linalg._inverse(a2m, bk), A1m.entries, bk)
     return ChartData(m, linalg._wrap(b, bk), Em, d.e.cast(bk), A2m)
@@ -477,43 +478,37 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     ``backend``: leg i re-reads the plane pair (b1[i], b2[i]) of chart m in
     chart l = m + shifts[i], and with ``a2m`` its gauge block a2m[i].
 
-    Rotating (b1, 1) by l - m gives the numerator s_{m-l} + c_{m-l} b1 and
-    the denominator T = c_{m-l} - s_{m-l} b1 of the Moebius map, one
-    ``_rotate`` per distinct shift, so that its constants stay scalar and its
-    0 and 1 skips stay.  A leg is kept when T passes ``_is_invertible``'s
-    test and, on floats, its smallest singular value is at least ``floor``;
-    one batched SVD gives both.  On the kept legs b1 -> T^-1 num,
-    b2 -> T^n b2 with T^n multiplied up from the identity as
-    ``Matrix.power`` does, and A2m -> A2m T: batched on floats, matrix by
+    The Moebius map's numerator c_k b1 - s_k = s_{m-l} + c_{m-l} b1 and
+    denominator T = s_k b1 + c_k = c_{m-l} - s_{m-l} b1, at k = l - m, are
+    one broadcast over (legs, 1, 1) arrays of per-leg chart constants.  A
+    leg is kept when T passes ``_is_invertible``'s test and, on floats, its
+    smallest singular value is at least ``floor``; one batched SVD gives
+    both.  On the kept legs b1 -> T^-1 num, b2 -> T^n b2 with T^n
+    multiplied up from T, and A2m -> A2m T: batched on floats, matrix by
     matrix (by elimination) on the exact backends.
 
     Returns (backend, keep mask, moved b1, moved b2, moved A2m or None), the
     moved stacks holding the kept legs only.  Every leg of a stack must keep
     one backend: exact data whose shifts mix integer and irrational chart
-    constants raise ``UnsupportedBackend``.
+    constants raise ``UnsupportedBackend``, and n < 1 raises
+    ``IndexOutOfRange``.
     """
-    groups = {}
-    for i, k in enumerate(shifts):
-        groups.setdefault(k, []).append(i)
-    eye = np.repeat(linalg._diagonal([backend.one] * c, backend)[None],
-                    len(b1), axis=0)
-    bk = num = den = None
-    for k, legs in groups.items():
-        if len(groups) == 1:
-            legs = slice(None)
-        bk_k, num_k, den_k = _rotate(b1[legs], eye[legs], k, c, backend)
-        if bk is None:
-            bk = bk_k
-            num = np.empty(b1.shape, dtype=bk.dtype)
-            den = np.empty(b1.shape, dtype=bk.dtype)
-        elif bk_k is not bk:
-            raise UnsupportedBackend(
-                "a stack of transitions must stay on one backend")
-        num[legs] = num_k
-        den[legs] = den_k
+    if n < 1:
+        raise IndexOutOfRange(f"n = {n} must be >= 1")
+    angles = {k: _backend_angles(backend, c, k) for k in set(shifts)}
+    bks = {bk for bk, _, _ in angles.values()}
+    if len(bks) > 1:
+        raise UnsupportedBackend(
+            "a stack of transitions must stay on one backend")
+    bk = bks.pop()
+    ck, sk = np.array([angles[k][1:] for k in shifts],
+                      dtype=bk.dtype).T[:, :, None, None]
+    eye = linalg._diagonal([bk.one] * c, bk)
     if bk is not backend:
-        eye, b2 = eye.astype(complex), b2.astype(complex)
+        b1, b2 = b1.astype(complex), b2.astype(complex)
         a2m = None if a2m is None else a2m.astype(complex)
+    num = bk.reduce(ck * b1 - sk * eye)
+    den = bk.reduce(sk * b1 + ck * eye)
     if bk.exact:
         keep = np.array([linalg._is_invertible(t, bk, tol) for t in den],
                         dtype=bool)
@@ -521,10 +516,10 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
         s_min, scale = linalg._conditioning(den)
         keep = (s_min >= floor) & (s_min > linalg._tol(tol) * scale)
     if not keep.all():
-        eye, num, den, b2 = eye[keep], num[keep], den[keep], b2[keep]
+        num, den, b2 = num[keep], den[keep], b2[keep]
         a2m = None if a2m is None else a2m[keep]
-    tn = eye
-    for _ in range(n):
+    tn = den
+    for _ in range(n - 1):
         tn = linalg._matmul(tn, den, bk)
     moved_b1 = linalg._matmul(linalg._inverse(den, bk), num, bk)
     moved_b2 = linalg._matmul(tn, b2, bk)

@@ -468,6 +468,67 @@ def test_zeta_equivariance():
         assert residual(a, b) / s < 1e-9
 
 
+def _pencil_with_small_chart(rng, n, s_last):
+    """Float configuration (not satisfying (P1)) whose chart-0 block
+    A20 = A2 has singular values 1, 0.5 and ``s_last``."""
+    V, W = (random_invertible(rng, 3).to_numpy() for _ in range(2))
+    V, W = np.linalg.qr(V)[0], np.linalg.qr(W)[0]
+    A2 = Matrix.from_numpy(V @ np.diag([1.0, 0.5, s_last]) @ W)
+    return XnADHM(n, 3, random_invertible(rng, 3), A2,
+                  [random_invertible(rng, 3) for _ in range(n)],
+                  Matrix.row_vector([1.0, 0.5, -1.0]))
+
+
+def test_zeta_refuses_exactly_the_charts_is_invertible_refuses():
+    """zeta(d, m) raises NotInChart exactly when A2m of chart_matrices
+    fails ``_is_invertible``, at every chart and both tolerances; on float
+    data the verdict comes from the configuration's node conditioning.
+    Chart 0 is singular in one configuration, and in another lies between
+    the two tolerances."""
+    rng = rng_from_seed(26)
+    singular = _pencil_with_small_chart(rng, 2, 0.0)
+    between = _pencil_with_small_chart(rng, 1, 1e-7)
+    configs = [singular, between] + [
+        random_xn(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+        for _ in range(10)]
+    verdicts = {}
+    for d in configs:
+        for tol in (None, 1e-6):
+            for m in range(d.c + 1):
+                A2m = chart_matrices(d, m)[1]
+                ok = linalg._is_invertible(A2m.entries, A2m.backend, tol)
+                if ok:
+                    assert zeta(d, m, tol).A2m == A2m
+                else:
+                    with pytest.raises(NotInChart):
+                        zeta(d, m, tol)
+                verdicts[id(d), tol, m] = ok
+    assert not verdicts[id(singular), None, 0]
+    assert (verdicts[id(between), None, 0], verdicts[id(between), 1e-6, 0]) \
+        == (True, False)
+    assert sum(verdicts.values()) > len(verdicts) // 2
+
+
+def test_float_zeta_runs_no_invertibility_svd(monkeypatch):
+    """On float data zeta reads the cached node conditioning and calls
+    ``_is_invertible`` never; exact data still calls it once per zeta."""
+    rng = rng_from_seed(27)
+    floats = [random_xn(rng, n, c) for n, c in ((1, 1), (2, 3), (3, 4))]
+    exact = [from_xn_points(2, 0, [(1, 2), (3, -1)], bk)
+             for bk in (RATIONAL, GF(5))]
+    calls = []
+    is_invertible_ = linalg._is_invertible
+    monkeypatch.setattr(linalg, "_is_invertible",
+                        lambda *a: calls.append(a) or is_invertible_(*a))
+    for d in floats:
+        for m in range(d.c + 1):
+            zeta(d, m)
+    assert calls == []
+    for d in exact:
+        zeta(d, 0)
+    assert len(calls) == len(exact)
+
+
 # ---------------------------------------------------------------------------
 # transitions
 # ---------------------------------------------------------------------------
@@ -499,6 +560,13 @@ def test_transition_phi_not_in_overlap():
                   Matrix.row_vector([1.0]))
     with pytest.raises(NotInOverlap):
         transition_phi(d, 2, 1, 0)
+
+
+def test_transitions_need_n_at_least_one():
+    d = random_costable_triple(rng_from_seed(30), 2)
+    for n in (0, -1):
+        with pytest.raises(IndexOutOfRange, match=r"must be >= 1$"):
+            transition_phi(d, n, 0, 1)
 
 
 def test_transition_cocycle_small():
@@ -562,15 +630,16 @@ def test_transition_omega_moves_the_plane_part_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("transition_omega called transition_phi")
 
-    rotations = []
-    rotate = xn._rotate
+    # T is built once: one overlap test and one inverse of it
+    calls = []
+    for name in ("_conditioning", "_inverse"):
+        monkeypatch.setattr(linalg, name, lambda *a, name=name, fn=getattr(
+            linalg, name): calls.append(name) or fn(*a))
     monkeypatch.setattr(xn, "transition_phi", refuse)
-    monkeypatch.setattr(xn, "_rotate",
-                        lambda *a: rotations.append(a) or rotate(*a))
     for cd, n, l, T, phi in cases:
-        del rotations[:]
+        del calls[:]
         om = transition_omega(cd, n, l)
-        assert len(rotations) == 1
+        assert calls == ["_conditioning", "_inverse"]
         assert (om.m, om.B, om.E, om.e) == (l, phi.b1, phi.b2, phi.e)
         assert om.A2m == cd.A2m @ T
 
