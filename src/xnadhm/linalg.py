@@ -439,10 +439,13 @@ def _rational_product(a, b):
 
 def _matmul(a, b, backend):
     """a @ b for entry arrays of one backend, in canonical form; for two
-    stacks of equal length, one batched product on floats and one product
-    per matrix on the exact backends."""
-    if a.ndim == 3 and backend.exact:
-        return _per_matrix(lambda x, y: _matmul(x, y, backend), a, b)
+    stacks of equal length, or a stack and one matrix, one batched product
+    on floats and one product per matrix on the exact backends."""
+    if (a.ndim == 3 or b.ndim == 3) and backend.exact:
+        k = len(a) if a.ndim == 3 else len(b)
+        return _per_matrix(lambda x, y: _matmul(x, y, backend),
+                           *(np.broadcast_to(x, (k, *x.shape[-2:]))
+                             for x in (a, b)))
     if a.shape[-1] == 0:
         # an empty object matmul fills with int 0, not the field's zero
         return _zeros(a.shape[:-1] + b.shape[-1:], backend)

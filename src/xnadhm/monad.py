@@ -82,6 +82,10 @@ class MonadCoeffs:
                 raise ShapeMismatch("beta2 blocks must be k3 x k4")
         if (self.xi.rows, self.xi.cols) != (c + k4, 1):
             raise ShapeMismatch("xi must have length k2 + k4")
+        bk = self.alpha1[0].backend
+        if any(M.backend != bk for M in (*self.alpha1, *self.alpha2,
+                                         *self.beta1, *self.beta2, self.xi)):
+            raise ShapeMismatch("blocks on different backends")
 
     @property
     def backend(self):
@@ -163,30 +167,47 @@ def compose_residual(mc: MonadCoeffs):
 
     Returns n+4 matrices: the s_E slots q = 0..n+1 followed by the y1 s_inf
     and y2 s_inf slots.  All zero exactly when the two maps compose to zero.
-    Computed on entry arrays; a term whose coefficient slot lies outside
-    0..n is zero and is left out of its sum.
     """
-    n, bk = mc.n, mc.backend
-    a1, a2, b1, b2 = _entries(mc)
-    A1, B2 = ([None, *xs[:n + 1], None] for xs in (a1, b2))   # slot q at q+1
+    bk = mc.backend
+    return [_wrap(R, bk) for R in _compose_stack(*_stacks(mc), bk)]
 
-    def total(*pairs):
-        prods = [_matmul(b, a, bk) for b, a in pairs
-                 if a is not None and b is not None]
-        return _wrap(functools.reduce(lambda x, y: bk.reduce(x + y), prods),
-                     bk)
 
-    out = [total((b1[0], A1[q + 1]), (b1[1], A1[q]), (B2[q + 1], a2[0]),
-                 (B2[q], a2[1])) for q in range(n + 2)]
-    out.append(total((b1[0], a1[n + 1]), (b2[n + 1], a2[0])))
-    out.append(total((b1[1], a1[n + 1]), (b2[n + 1], a2[1])))
-    return out
+def _compose_stack(a1, a2, b1, b2, bk):
+    """``compose_residual`` on the coefficient stacks of ``_stacks``, as one
+    (n+4, k3, k1) entry array.
+
+    s_E slot q is b1[0] a1[q] + b1[1] a1[q-1] + b2[q] a2[0] + b2[q-1] a2[1],
+    summed in that order, a term whose slot lies outside 0..n left out; the
+    four terms come from one batched product each, and the two s_inf slots
+    b1[i] a1[n+1] + b2[n+1] a2[i] from two more.
+    """
+    n = len(a1) - 2
+    red = bk.reduce
+    mul = _product(bk)
+    p1 = mul(b1[1], a1[:n + 1])
+    s = np.concatenate((mul(b1[0], a1[:n + 1]), p1[n:]))
+    s[1:n + 1] = red(s[1:n + 1] + p1[:n])
+    s[:n + 1] = red(s[:n + 1] + mul(b2[:n + 1], a2[0]))
+    s[1:] = red(s[1:] + mul(b2[:n + 1], a2[1]))
+    s_inf = red(mul(b1, a1[n + 1]) + mul(b2[n + 1], a2))
+    return np.concatenate((s, s_inf))
 
 
 def _entries(mc: MonadCoeffs):
     """The entry arrays of alpha1, alpha2, beta1 and beta2, as four lists."""
     return [[M.entries for M in blocks]
             for blocks in (mc.alpha1, mc.alpha2, mc.beta1, mc.beta2)]
+
+
+def _stacks(mc: MonadCoeffs):
+    """The entry arrays of alpha1, alpha2, beta1 and beta2, as four stacks."""
+    return [np.array(blocks) for blocks in _entries(mc)]
+
+
+def _product(bk):
+    """The product of entry arrays: plain ``@`` on floats, whose reduction
+    is the identity, and ``linalg._matmul`` on the exact backends."""
+    return functools.partial(_matmul, backend=bk) if bk.exact else np.matmul
 
 
 def framing_residual(mc: MonadCoeffs):
@@ -240,17 +261,19 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
 def _sigma_mix(coeffs, shift: int, c_count: int, backend):
     """Re-express h+1 coefficient arrays over the degree-h monomial basis of
     one chart in the basis of another, as Matrices:
-    G_q = sum_p sigma^h_{shift; p q} F_p, summed in the order p = 0..h."""
+    G_q = sum_p sigma^h_{shift; p q} F_p, summed in the order p = 0..h, one
+    broadcast multiply-add per p over all q."""
     h = len(coeffs) - 1
     sig = sigma(h, shift, c_count, backend).entries.entries
-    red, coerce = backend.reduce, backend.coerce
-    out = []
-    for q in range(h + 1):
-        acc = red(coerce(sig.item(0, q)) * coeffs[0])
-        for p in range(1, h + 1):
-            acc = red(acc + red(coerce(sig.item(p, q)) * coeffs[p]))
-        out.append(_wrap(acc, backend))
-    return tuple(out)
+    if backend.exact:
+        # promoted (irrational) constants are refused here, entry by entry
+        sig = np.frompyfunc(backend.coerce, 1, 1)(sig)
+    red = backend.reduce
+    acc = red(sig[0, :, None, None] * coeffs[0])
+    for p in range(1, h + 1):
+        acc = red(acc + red(sig[p, :, None, None] * coeffs[p]))
+    # a tuple built from a list: tuple(generator) holds allocator blocks
+    return tuple([_wrap(G, backend) for G in acc])
 
 
 def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
@@ -374,8 +397,10 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     triple from the three slots that the composite moves without polynomial
     terms.  Returns that triple and the composite, the unique gauge with
     chi = 1.  Each block a step introduces passes the relative test of
-    ``gauge_action``; the composite is not tested as one gauge, as its
-    condition number can exceed every factor's.
+    ``gauge_action``: on floats one SVD of T decides chi, phi and
+    diag(T, 1), and psi22_4 = diag(1, ..., 1, 1/omega) is decided in closed
+    form.  The composite is not tested as one gauge, as its condition
+    number can exceed every factor's.
 
     With T = (b10^-1)^-1, the step gauges' blocks (b10^-1, the step-1 slots
     Q_q, the step-2 pivot a1n, psi22_3 and psi22_4) give the composite in
@@ -388,30 +413,43 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     images of ``build_jm`` this happens exactly on the locus
     det(c_{m-l} - s_{m-l} b1) = 0.
     """
-    exact = mc.backend.exact
+    bk = mc.backend
+    exact = bk.exact
     t = 0.0 if exact else linalg._tol(tol)
-    scale = 1.0 if exact else math_scale(mc)
-    if max(_size(R.entries, exact) for R in compose_residual(mc)) > (
-            scale * 1e3 * t):
+    stacks = _stacks(mc)
+    # floats: the residual against the squared size of the data
+    scale = 1.0 if exact else max(1.0, _size(
+        np.concatenate([S.ravel() for S in stacks]), exact)) ** 2
+    if _size(_compose_stack(*stacks, bk), exact) > scale * 1e3 * t:
         raise InvalidInput("not a monad point: beta o alpha != 0")
     mc0 = reexpand_chart(mc, l)
-    n, c, bk = mc0.n, mc0.c, mc0.backend
+    n, c = mc0.n, mc0.c
     red = bk.reduce
     a1, a2, b1, b2 = _entries(mc0)
+    mul = _product(bk)
 
     def prod(*arrays):
-        return functools.reduce(lambda x, y: _matmul(x, y, bk), arrays)
+        return functools.reduce(mul, arrays)
 
     # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0; P_q = -Q_q
     _require(_is_invertible(b1[0], bk, tol), 1,
              "beta1 y1-coefficient is singular")
     b10_inv = _inverse(b1[0], bk)
-    _check_gauge_block(b10_inv, bk, "chi", tol)
-    Ps = []
+    # the base change that closes the loop; on floats one SVD of T decides
+    # the block tests of chi = b10^-1 (kappa(T^-1) = kappa(T)), of phi
+    # (T's own, so it passes with chi's) and of psi22 = diag(T, 1), whose
+    # singular values are those of T and 1.  On exact backends step 1
+    # makes all three invertible.
+    T = _inverse(b10_inv, bk)
+    if not exact:
+        s_T = np.linalg.svd(T, compute_uv=False)
+        if not (s_T[0] > 0 and s_T[-1] > t * s_T[0]):
+            raise SingularGauge("gauge block chi is singular")
+    Ps = _zeros((n, c, c + 1), bk)
     prev = _zeros((c, c + 1), bk)
     for q in range(n):
-        Ps.append(prod(b10_inv, red(b2[q] + prod(b1[1], prev))))
-        prev = red(-Ps[-1])
+        Ps[q] = prod(b10_inv, red(b2[q] + prod(b1[1], prev)))
+        prev = red(-Ps[q])
 
     # step 2: alpha1 top s_E slot -> 1; after step 1 it is
     # alpha1[n] - Q_(n-1) alpha2[1]
@@ -435,24 +473,29 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     xi1, xi2 = xi[:c], prod(psi22_3, xi[c:])
     omega = xi2.item(c, 0)
     off = max(_size(xi1, exact), _size(xi2[:c], exact))
-    scale = max(off, _size(xi2[c:], exact))
+    frame = _size(xi2[c:], exact)
+    scale = max(off, frame)
     _require(scale > 0, 4, "framing vector vanishes")
-    _require(_size(xi2[c:], exact) > t * scale, 4, "frame slot vanishes")
+    _require(frame > t * scale, 4, "frame slot vanishes")
     _require(off <= 1e3 * t * scale, 4,
              "framing vector is not supported on the frame slot")
     psi22_4 = _diagonal([bk.one] * c + [bk.inv(omega)], bk)
-    _check_gauge_block(psi22_4, bk, "psi22", tol)
+    if not exact:
+        # psi22_4 = diag(1, ..., 1, 1/omega) has singular values 1 and the
+        # stored |1/omega|, then diag(T, 1) those of T and 1 (step 4 made
+        # omega nonzero, so on exact backends both are invertible)
+        w = abs(psi22_4.item(c, c))
+        if not (min(w, 1.0) > t * max(w, 1.0)
+                and min(s_T[-1], 1.0) > t * max(s_T[0], 1.0)):
+            raise SingularGauge("gauge block psi22 is singular")
 
     # close the loop: the base change by T makes the composite's chi = 1
-    T = _inverse(b10_inv, bk)
-    _check_gauge_block(T, bk, "phi", tol)
     diag_T = _diagonal([bk.one] * (c + 1), bk)
     diag_T[:c, :c] = T
-    _check_gauge_block(diag_T, bk, "psi22", tol)
     chi = prod(T, b10_inv)
     g_total = GaugeElement(
         phi=_wrap(prod(T, a1n), bk), psi11=_wrap(T, bk),
-        psi12=[_wrap(prod(T, P), bk) for P in Ps],
+        psi12=[_wrap(P, bk) for P in prod(T, Ps)],
         psi22=_wrap(prod(diag_T, prod(psi22_4, psi22_3)), bk),
         chi=_wrap(chi, bk))
 
@@ -462,11 +505,6 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     T_inv = _inverse(T, bk)
     b1_out = prod(chi, b1[1], T_inv)
     b2_out = prod(T, a1[n + 1], a1n_inv, T_inv)
-    e = red(omega * prod(chi, b2[n + 1], _inverse(psi22_3, bk))[:, [c]])
+    e = red(omega * prod(chi, b2[n + 1], _inverse(psi22_3, bk))[:, c:])
     return PlaneADHM(c, _wrap(b1_out.T, bk), _wrap(b2_out.T, bk),
                      _wrap(e.T, bk)), g_total
-
-
-def math_scale(mc: MonadCoeffs) -> float:
-    mats = [*mc.alpha1, *mc.alpha2, *mc.beta1, *mc.beta2]
-    return max(1.0, max((M.maxnorm() for M in mats), default=1.0)) ** 2

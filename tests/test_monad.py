@@ -1,6 +1,7 @@
 """Monad coefficients: composition slots, the standard immersion, chart
 re-expansion, gauge action and normalization."""
 
+import functools
 import gc
 import sys
 from dataclasses import replace
@@ -9,12 +10,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xnadhm.errors import InvalidInput, NotInOverlap, NotNormalizable, SingularGauge
+from xnadhm import linalg, monad
+from xnadhm.errors import (
+    InvalidInput,
+    NotInOverlap,
+    NotNormalizable,
+    ShapeMismatch,
+    SingularGauge,
+    UnsupportedBackend,
+)
 from xnadhm.linalg import (
     COMPLEX,
     GF,
     RATIONAL,
     Matrix,
+    _diagonal,
+    _inverse,
+    _is_invertible,
+    _matmul,
+    _wrap,
+    _zeros,
     angle_constants,
     hstack,
     inverse,
@@ -709,3 +724,252 @@ def test_gauge_normalize_holds_no_tuple_blocks():
     for i in range(1200):
         gauge_normalize(*cases[i % len(cases)])
     assert sys.getallocatedblocks() - before < 400
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels against their per-slot and per-block references
+# ---------------------------------------------------------------------------
+
+def per_slot_compose_residual(mc):
+    """``compose_residual`` as one sum of ``linalg._matmul`` products per
+    slot, a term whose slot lies outside 0..n left out."""
+    n, bk = mc.n, mc.backend
+    a1, a2, b1, b2 = monad._entries(mc)
+    A1, B2 = ([None, *xs[:n + 1], None] for xs in (a1, b2))   # slot q at q+1
+
+    def total(*pairs):
+        prods = [_matmul(b, a, bk) for b, a in pairs
+                 if a is not None and b is not None]
+        return _wrap(functools.reduce(lambda x, y: bk.reduce(x + y), prods),
+                     bk)
+
+    out = [total((b1[0], A1[q + 1]), (b1[1], A1[q]), (B2[q + 1], a2[0]),
+                 (B2[q], a2[1])) for q in range(n + 2)]
+    out.append(total((b1[0], a1[n + 1]), (b2[n + 1], a2[0])))
+    out.append(total((b1[1], a1[n + 1]), (b2[n + 1], a2[1])))
+    return out
+
+
+def test_compose_stack_matches_the_per_slot_sums():
+    rng = rng_from_seed(41)
+    monads = []
+    for c in range(1, 5):
+        for n in range(1, 5):
+            d = random_costable_triple(rng, c)
+            mc = build_jm(d, n, int(rng.integers(0, c + 1)))
+            monads += [random_monad_coeffs(rng, n, c), mc,
+                       gauge_action(random_gauge(rng, n, c), mc)]
+    for backend in (RATIONAL, GF(5)):
+        for c, m, _ in INTEGER_CHARTS:
+            for n in (1, 2, 3):
+                monads += [integer_monad(c, n, m, backend, rng, moved)[1]
+                           for moved in (False, True)]
+    for mc in monads:
+        got = compose_residual(mc)
+        assert len(got) == mc.n + 4
+        assert got == per_slot_compose_residual(mc)
+
+
+def per_q_sigma_mix(coeffs, shift, c_count, backend):
+    """``monad._sigma_mix`` as one sum over p per output slot q."""
+    h = len(coeffs) - 1
+    sig = sigma(h, shift, c_count, backend).entries.entries
+    red, coerce = backend.reduce, backend.coerce
+    out = []
+    for q in range(h + 1):
+        acc = red(coerce(sig.item(0, q)) * coeffs[0])
+        for p in range(1, h + 1):
+            acc = red(acc + red(coerce(sig.item(p, q)) * coeffs[p]))
+        out.append(_wrap(acc, backend))
+    return tuple(out)
+
+
+def test_sigma_mix_broadcast_matches_the_per_q_loop():
+    rng = rng_from_seed(42)
+    for c in range(1, 5):
+        for h in range(5):
+            for shift in range(-c, c + 1):
+                for rows, cols in ((c, c), (c + 1, c), (c, c + 1)):
+                    coeffs = [random_matrix(rng, rows, cols).entries
+                              for _ in range(h + 1)]
+                    got = monad._sigma_mix(coeffs, shift, c, COMPLEX)
+                    want = per_q_sigma_mix(coeffs, shift, c, COMPLEX)
+                    assert [G.entries.tobytes() for G in got] == [
+                        W.entries.tobytes() for W in want]
+    # exact data at integer constants, and the refusal of irrational ones
+    for backend in (RATIONAL, GF(5)):
+        for c, m, l in INTEGER_CHARTS:
+            coeffs = [integer_unipotent(rng, c).cast(backend).entries
+                      for _ in range(3)]
+            assert monad._sigma_mix(coeffs, l - m, c, backend) == \
+                per_q_sigma_mix(coeffs, l - m, c, backend)
+    coeffs = [Matrix.identity(2, RATIONAL).entries] * 2
+    errors = []
+    for mix in (monad._sigma_mix, per_q_sigma_mix):
+        with pytest.raises(UnsupportedBackend) as info:
+            mix(coeffs, 1, 2, RATIONAL)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def per_block_gauge_normalize(mc, l, tol=None):
+    """``gauge_normalize`` with one relative ``_is_invertible`` test per
+    gauge block that a step introduces, on every backend: chi = b10^-1,
+    psi22_4, phi = T and psi22 = diag(T, 1), each in the step that makes it,
+    and the guard from the per-slot residual."""
+    bk = mc.backend
+    exact = bk.exact
+    t = 0.0 if exact else linalg._tol(tol)
+    blocks = [*mc.alpha1, *mc.alpha2, *mc.beta1, *mc.beta2]
+    scale = 1.0 if exact else max(1.0, *(M.maxnorm() for M in blocks)) ** 2
+    if max(monad._size(R.entries, exact)
+           for R in per_slot_compose_residual(mc)) > scale * 1e3 * t:
+        raise InvalidInput("not a monad point: beta o alpha != 0")
+    mc0 = reexpand_chart(mc, l)
+    n, c = mc0.n, mc0.c
+    red = bk.reduce
+    a1, a2, b1, b2 = monad._entries(mc0)
+    check = functools.partial(monad._check_gauge_block, backend=bk, tol=tol)
+
+    def prod(*arrays):
+        return functools.reduce(lambda x, y: _matmul(x, y, bk), arrays)
+
+    monad._require(_is_invertible(b1[0], bk, tol), 1,
+                   "beta1 y1-coefficient is singular")
+    b10_inv = _inverse(b1[0], bk)
+    check(b10_inv, name="chi")
+    Ps = []
+    prev = _zeros((c, c + 1), bk)
+    for q in range(n):
+        Ps.append(prod(b10_inv, red(b2[q] + prod(b1[1], prev))))
+        prev = red(-Ps[-1])
+    a1n = red(a1[n] - prod(prev, a2[1]))
+    monad._require(_is_invertible(a1n, bk, tol, rel=True), 2,
+                   "top alpha1 coefficient is singular")
+    a1n_inv = _inverse(a1n, bk)
+    r = monad._left_null_row(prod(a2[0], a1n_inv), bk, tol)
+    top = prod(b10_inv, red(b2[n] + prod(b1[1], prev)))
+    psi22_3 = np.concatenate((red(-top), r))
+    monad._require(_is_invertible(psi22_3, bk, tol, rel=True), 3,
+                   "pivot block is singular")
+    xi = mc0.xi.entries
+    xi1, xi2 = xi[:c], prod(psi22_3, xi[c:])
+    omega = xi2.item(c, 0)
+    off = max(monad._size(xi1, exact), monad._size(xi2[:c], exact))
+    scale = max(off, monad._size(xi2[c:], exact))
+    monad._require(scale > 0, 4, "framing vector vanishes")
+    monad._require(monad._size(xi2[c:], exact) > t * scale, 4,
+                   "frame slot vanishes")
+    monad._require(off <= 1e3 * t * scale, 4,
+                   "framing vector is not supported on the frame slot")
+    psi22_4 = _diagonal([bk.one] * c + [bk.inv(omega)], bk)
+    check(psi22_4, name="psi22")
+    T = _inverse(b10_inv, bk)
+    check(T, name="phi")
+    diag_T = _diagonal([bk.one] * (c + 1), bk)
+    diag_T[:c, :c] = T
+    check(diag_T, name="psi22")
+    chi = prod(T, b10_inv)
+    g_total = GaugeElement(
+        phi=_wrap(prod(T, a1n), bk), psi11=_wrap(T, bk),
+        psi12=[_wrap(prod(T, P), bk) for P in Ps],
+        psi22=_wrap(prod(diag_T, prod(psi22_4, psi22_3)), bk),
+        chi=_wrap(chi, bk))
+    T_inv = _inverse(T, bk)
+    b1_out = prod(chi, b1[1], T_inv)
+    b2_out = prod(T, a1[n + 1], a1n_inv, T_inv)
+    e = red(omega * prod(chi, b2[n + 1], _inverse(psi22_3, bk))[:, [c]])
+    return PlaneADHM(c, _wrap(b1_out.T, bk), _wrap(b2_out.T, bk),
+                     _wrap(e.T, bk)), g_total
+
+
+def _outcome(normalize, mc, l):
+    """The blocks ``normalize`` returns, or its exception's type and
+    message."""
+    try:
+        return _blocks(*normalize(mc, l))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _scaled_chi(mc, k):
+    n, c = mc.n, mc.c
+    g = GaugeElement.identity(n, c)
+    return gauge_action(replace(g, chi=Matrix.identity(c).scale(10.0 ** k)),
+                        mc)
+
+
+def test_merged_block_tests_keep_the_per_block_verdicts():
+    """One SVD of T for chi, phi and diag(T, 1), and psi22_4 in closed form,
+    give each case the per-block route's exception and message, or its
+    output: chi = 10^k 1 for k = -12..12, and the frame slot of xi at 10^k
+    for k = -14..14 in steps of 0.5, in the chart of the point and in
+    another.  The ties chi = 1e9 1 and omega = 1e-9 pass."""
+    rng = rng_from_seed(43)
+    failures = set()
+    for c, n in ((2, 2), (3, 1)):
+        d = random_costable_triple(rng, c)
+        m, l = random_overlap_charts(rng, d.b1, c)
+        mc = build_jm(d, n, m)
+        cases = [(_scaled_chi(mc, k), j) for k in range(-12, 13)
+                 for j in (m, l)]
+        frame = [0.0] * (2 * c) + [1.0]
+        cases += [(replace(mc, xi=Matrix.col_vector(frame).scale(
+            10.0 ** (k / 2))), j) for k in range(-28, 29) for j in (m, l)]
+        for case in cases:
+            got = _outcome(gauge_normalize, *case)
+            assert got == _outcome(per_block_gauge_normalize, *case)
+            if isinstance(got, tuple):
+                failures.add(got)
+        for tie in (_scaled_chi(mc, 9),
+                    replace(mc, xi=Matrix.col_vector(frame).scale(1e-9))):
+            gauge_normalize(tie, m)
+    assert failures == {
+        (NotNormalizable, "step 1: beta1 y1-coefficient is singular"),
+        (SingularGauge, "gauge block psi22 is singular")}
+
+
+def test_one_float_normalization_runs_five_svds_and_five_inverses(
+        monkeypatch):
+    """The per-block route runs 8 SVDs and 5 inverses."""
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rng = rng_from_seed(44)
+    for c in (1, 2, 3):
+        d = random_costable_triple(rng, c)
+        m, l = random_overlap_charts(rng, d.b1, c)
+        mc = reexpand_chart(build_jm(d, 2, m), l)
+        for normalize, svds in ((gauge_normalize, 5),
+                                (per_block_gauge_normalize, 8)):
+            calls.clear()
+            normalize(mc, l)
+            assert (calls.count("svd"), calls.count("inv")) == (svds, 5)
+
+
+def test_monad_coeffs_refuses_blocks_on_different_backends():
+    mc = _rational_jm()
+    fields = ("alpha1", "alpha2", "beta1", "beta2")
+    for field, backend in (("beta1", GF(5)), ("alpha1", COMPLEX),
+                           ("xi", COMPLEX), ("xi", GF(5))):
+        if field == "xi":
+            moved = {"xi": mc.xi.cast(backend)}
+        else:
+            blocks = list(getattr(mc, field))
+            blocks[0] = blocks[0].cast(backend)
+            moved = {field: tuple(blocks)}
+        with pytest.raises(ShapeMismatch,
+                           match="^blocks on different backends$"):
+            replace(mc, **moved)
+    # one backend throughout is a monad datum
+    blocks = [[M.cast(GF(5)) for M in getattr(mc, f)] for f in fields]
+    MonadCoeffs(mc.n, mc.c, mc.m, *blocks, mc.xi.cast(GF(5)))
