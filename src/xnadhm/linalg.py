@@ -441,7 +441,7 @@ def _matmul(a, b, backend):
     """a @ b for entry arrays of one backend, in canonical form; for two
     stacks of equal length, or a stack and one matrix, one batched product
     on floats and one product per matrix on the exact backends."""
-    if (a.ndim == 3 or b.ndim == 3) and backend.exact:
+    if backend.exact and (a.ndim == 3 or b.ndim == 3):
         k = len(a) if a.ndim == 3 else len(b)
         return _per_matrix(lambda x, y: _matmul(x, y, backend),
                            *(np.broadcast_to(x, (k, *x.shape[-2:]))

@@ -183,7 +183,7 @@ def _compose_stack(a1, a2, b1, b2, bk):
     """
     n = len(a1) - 2
     red = bk.reduce
-    mul = _product(bk)
+    mul = functools.partial(_matmul, backend=bk)
     p1 = mul(b1[1], a1[:n + 1])
     s = np.concatenate((mul(b1[0], a1[:n + 1]), p1[n:]))
     s[1:n + 1] = red(s[1:n + 1] + p1[:n])
@@ -202,12 +202,6 @@ def _entries(mc: MonadCoeffs):
 def _stacks(mc: MonadCoeffs):
     """The entry arrays of alpha1, alpha2, beta1 and beta2, as four stacks."""
     return [np.array(blocks) for blocks in _entries(mc)]
-
-
-def _product(bk):
-    """The product of entry arrays: plain ``@`` on floats, whose reduction
-    is the identity, and ``linalg._matmul`` on the exact backends."""
-    return functools.partial(_matmul, backend=bk) if bk.exact else np.matmul
 
 
 def framing_residual(mc: MonadCoeffs):
@@ -298,6 +292,20 @@ def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
 
 def _check_gauge_block(a, backend, name: str, tol):
     if not _is_invertible(a, backend, tol, rel=True):
+        raise SingularGauge(f"gauge block {name} is singular")
+
+
+def _check_gauge_block_from(lo, hi, a, backend, name: str, tol):
+    """``_check_gauge_block`` of a float block a from its smallest and
+    largest singular values lo and hi as read off another matrix (chi =
+    T^-1 and diag(T, 1) off T, diag(1, ..., 1, 1/omega) off its stored
+    entry).  The two routes round apart by O(k eps hi) in lo - tol hi, k
+    the size of a, so within 1e3 k eps hi of the tie a's own SVD decides,
+    as in ``_check_gauge_block``."""
+    gap = lo - linalg._tol(tol) * hi
+    if not abs(gap) > 1e3 * len(a) * np.finfo(float).eps * hi:
+        _check_gauge_block(a, backend, name, tol)
+    elif gap < 0:
         raise SingularGauge(f"gauge block {name} is singular")
 
 
@@ -399,8 +407,10 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     chi = 1.  Each block a step introduces passes the relative test of
     ``gauge_action``: on floats one SVD of T decides chi, phi and
     diag(T, 1), and psi22_4 = diag(1, ..., 1, 1/omega) is decided in closed
-    form.  The composite is not tested as one gauge, as its condition
-    number can exceed every factor's.
+    form; within roundoff of a tie, where two SVD routes could round apart,
+    the SVDs of chi and of the two psi22 blocks decide.  The composite is
+    not tested as one gauge, as its condition number can exceed every
+    factor's.
 
     With T = (b10^-1)^-1, the step gauges' blocks (b10^-1, the step-1 slots
     Q_q, the step-2 pivot a1n, psi22_3 and psi22_4) give the composite in
@@ -426,25 +436,23 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     n, c = mc0.n, mc0.c
     red = bk.reduce
     a1, a2, b1, b2 = _entries(mc0)
-    mul = _product(bk)
 
     def prod(*arrays):
-        return functools.reduce(mul, arrays)
+        return functools.reduce(lambda x, y: _matmul(x, y, bk), arrays)
 
     # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0; P_q = -Q_q
     _require(_is_invertible(b1[0], bk, tol), 1,
              "beta1 y1-coefficient is singular")
     b10_inv = _inverse(b1[0], bk)
     # the base change that closes the loop; on floats one SVD of T decides
-    # the block tests of chi = b10^-1 (kappa(T^-1) = kappa(T)), of phi
-    # (T's own, so it passes with chi's) and of psi22 = diag(T, 1), whose
-    # singular values are those of T and 1.  On exact backends step 1
-    # makes all three invertible.
+    # the block tests of chi = b10^-1 (kappa(T^-1) = kappa(T)), of phi (T's
+    # own) and of psi22 = diag(T, 1), whose singular values are those of T
+    # and 1, each in its old place.  On exact backends step 1 makes all
+    # three invertible.
     T = _inverse(b10_inv, bk)
     if not exact:
         s_T = np.linalg.svd(T, compute_uv=False)
-        if not (s_T[0] > 0 and s_T[-1] > t * s_T[0]):
-            raise SingularGauge("gauge block chi is singular")
+        _check_gauge_block_from(s_T[-1], s_T[0], b10_inv, bk, "chi", tol)
     Ps = _zeros((n, c, c + 1), bk)
     prev = _zeros((c, c + 1), bk)
     for q in range(n):
@@ -480,18 +488,21 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     _require(off <= 1e3 * t * scale, 4,
              "framing vector is not supported on the frame slot")
     psi22_4 = _diagonal([bk.one] * c + [bk.inv(omega)], bk)
-    if not exact:
-        # psi22_4 = diag(1, ..., 1, 1/omega) has singular values 1 and the
-        # stored |1/omega|, then diag(T, 1) those of T and 1 (step 4 made
-        # omega nonzero, so on exact backends both are invertible)
-        w = abs(psi22_4.item(c, c))
-        if not (min(w, 1.0) > t * max(w, 1.0)
-                and min(s_T[-1], 1.0) > t * max(s_T[0], 1.0)):
-            raise SingularGauge("gauge block psi22 is singular")
 
     # close the loop: the base change by T makes the composite's chi = 1
     diag_T = _diagonal([bk.one] * (c + 1), bk)
     diag_T[:c, :c] = T
+    if not exact:
+        # psi22_4 = diag(1, ..., 1, 1/omega) has singular values 1 and the
+        # stored |1/omega| (step 4 made omega nonzero, so on exact backends
+        # it is invertible, as are phi and diag(T, 1))
+        w = abs(psi22_4.item(c, c))
+        _check_gauge_block_from(min(w, 1.0), max(w, 1.0), psi22_4, bk,
+                                "psi22", tol)
+        if not (s_T[0] > 0 and s_T[-1] > t * s_T[0]):
+            raise SingularGauge("gauge block phi is singular")
+        _check_gauge_block_from(min(s_T[-1], 1.0), max(s_T[0], 1.0), diag_T,
+                                bk, "psi22", tol)
     chi = prod(T, b10_inv)
     g_total = GaugeElement(
         phi=_wrap(prod(T, a1n), bk), psi11=_wrap(T, bk),

@@ -379,30 +379,20 @@ def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
 def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
     """Chart-m reading (B_m, E_m, e; A2m) of the data, with B_m = A2m^-1 A1m
     on entry arrays.  The chart index is checked before any arithmetic.
-    On float data, A2m is the configuration's node matrix at m and its
-    ``is_invertible`` test reads the node conditioning
-    (``XnADHM._pencil_conditioning``): only A1m is rotated, and no SVD is
-    repeated.  The node matrix equals ``chart_matrices``'s A2m; only the
-    sign of a zero entry can differ.
+    On float data, A2m's ``is_invertible`` test reads the configuration's
+    node conditioning (``XnADHM._pencil_conditioning``), not another SVD.
     """
+    A1m, A2m, Em, _ = chart_matrices(d, m)
+    bk = A2m.backend
+    a2m = A2m.entries
     if d.backend.exact:
-        A1m, A2m, Em, _ = chart_matrices(d, m)
-        bk = A2m.backend
-        a1m, a2m = A1m.entries, A2m.entries
         invertible = linalg._is_invertible(a2m, bk, tol)
     else:
-        _check_chart(d.c, m)
-        P, s_min, scale = d._pencil_conditioning
-        bk, cm, sm = _backend_angles(d.backend, d.c, m)
-        a1m = linalg._node_entries(d.A1.entries, d.A2.entries, cm, -sm, bk)
-        a2m = P[m]
-        A2m = linalg._wrap(a2m, bk)
-        dm = _binomial_combination([C.entries for C in d.C], cm, sm, bk)
-        Em = linalg._wrap(linalg._matmul(dm, a2m, bk), bk)
+        _, s_min, scale = d._pencil_conditioning
         invertible = s_min[m] > linalg._tol(tol) * scale[m]
     if not invertible:
         raise NotInChart(f"det A2m = 0 in chart {m}")
-    b = linalg._matmul(linalg._inverse(a2m, bk), a1m, bk)
+    b = linalg._matmul(linalg._inverse(a2m, bk), A1m.entries, bk)
     return ChartData(m, linalg._wrap(b, bk), Em, d.e.cast(bk), A2m)
 
 

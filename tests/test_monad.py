@@ -929,6 +929,61 @@ def test_merged_block_tests_keep_the_per_block_verdicts():
         (SingularGauge, "gauge block psi22 is singular")}
 
 
+def _chi_moved(mc, chi):
+    """The gauge action of chi alone, chi beta, without ``gauge_action``'s
+    test of chi, which refuses a block at the ties below."""
+    def moved(blocks):
+        return tuple(_wrap(chi @ B.entries, COMPLEX) for B in blocks)
+    return replace(mc, beta1=moved(mc.beta1), beta2=moved(mc.beta2))
+
+
+def _tilted(rng, c):
+    """s -> 2 U diag(1, ..., 1, s) V for random unitary U and V: largest
+    singular value 2 and max-norm below 2, so step 1's absolute test passes
+    a little below s = tol, where the relative tests of chi and phi tie."""
+    U, V = (np.linalg.qr(rng.normal(size=(c, c))
+                         + 1j * rng.normal(size=(c, c)))[0] for _ in "UV")
+    return lambda s: (2 * U * np.r_[[1.0] * (c - 1), s]) @ V
+
+
+def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
+    """Where the merged tests read singular values off another matrix than
+    the block (chi off T, diag(T, 1) off T, psi22_4 off its entry), a tie
+    is decided by the block's own SVD: every case gives the per-block
+    route's exception and message, or its output.  The cases straddle each
+    tie: chi of condition number 1e9 (1 + j 5e-9) for |j| <= 60 with step
+    1's absolute test passing, T = 1e9 (1 + j eps) 1 and the frame slot at
+    1e-9 (1 + j eps) for |j| <= 40, and a coarse chi sweep in two charts.
+    Each of the chi, phi and psi22 refusals occurs."""
+    rng = rng_from_seed(45)
+    eps = np.finfo(float).eps
+    outcomes = set()
+    for c, n in ((2, 2), (3, 1)):
+        d = random_costable_triple(rng, c)
+        m, l = random_overlap_charts(rng, d.b1, c)
+        mc = build_jm(d, n, m)
+        tilted = _tilted(rng, c)
+        cases = [(_chi_moved(mc, tilted(1e-9 * (1 + j * 5e-9))), m)
+                 for j in range(-60, 61)]
+        cases += [(_chi_moved(mc, tilted(10.0 ** (-k / 2))), i)
+                  for k in range(14, 23) for i in (m, l)]
+        cases += [(_chi_moved(mc, np.eye(c) * 1e9 * (1 + j * eps) + 0j), m)
+                  for j in range(-40, 41)]
+        frame = [0.0] * (2 * c) + [1.0]
+        cases += [(replace(mc, xi=Matrix.col_vector(frame).scale(
+            1e-9 * (1 + j * eps))), m) for j in range(-40, 41)]
+        for case in cases:
+            got = _outcome(gauge_normalize, *case)
+            assert got == _outcome(per_block_gauge_normalize, *case)
+            outcomes.add(got if isinstance(got, tuple) else "normalized")
+    assert outcomes == {
+        "normalized",
+        (NotNormalizable, "step 1: beta1 y1-coefficient is singular"),
+        (SingularGauge, "gauge block chi is singular"),
+        (SingularGauge, "gauge block phi is singular"),
+        (SingularGauge, "gauge block psi22 is singular")}
+
+
 def test_one_float_normalization_runs_five_svds_and_five_inverses(
         monkeypatch):
     """The per-block route runs 8 SVDs and 5 inverses."""

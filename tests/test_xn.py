@@ -530,15 +530,18 @@ def test_float_zeta_runs_no_invertibility_svd(monkeypatch):
 
 
 def test_float_zeta_blocks_are_the_chart_matrices_bytes():
-    """Float zeta takes A2m from the configuration's node stack and rotates
-    only A1m: its A2m, E_m and B_m = A2m^-1 A1m are those built from
-    ``chart_matrices`` byte for byte, on valid data and on violators."""
+    """Float zeta's A2m, E_m and B_m = A2m^-1 A1m are those built from
+    ``chart_matrices`` byte for byte, on valid data and on violators, and
+    so is the node matrix at m of the configuration's node stack, which
+    already holds A2m."""
     rng = rng_from_seed(28)
     for c in range(1, 5):
         for d in (random_xn(rng, 2, c), random_xn_e_zero(rng, 3, c),
                   random_xn_kernel_violator(rng, 1, c)):
             for m in range(c + 1):
                 A1m, A2m, Em, _ = chart_matrices(d, m)
+                assert d._pencil_conditioning[0][m].tobytes() == \
+                    A2m.entries.tobytes()
                 cd = zeta(d, m)
                 B = linalg._matmul(linalg._inverse(A2m.entries, COMPLEX),
                                    A1m.entries, COMPLEX)
