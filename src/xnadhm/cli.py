@@ -8,7 +8,8 @@ Three subcommands, all JSON on stdout:
 * ``campaign`` -- run a named verification campaign.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 resource/retry exhaustion.  ``ADHM_TOL`` overrides the default tolerance.
+3 resource/retry exhaustion.  ``ADHM_TOL`` overrides the default tolerance;
+``--tol`` and ``ADHM_TOL`` must be finite numbers >= 0, else exit 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import campaigns, linalg, sampling, serialize
-from .errors import XnAdhmError
+from .errors import InvalidInput, XnAdhmError
 from .linalg import backend_from_name
 from .monad import compose_residual, framing_residual, max_residual
 from .plane import check_T1, check_T2
@@ -37,9 +38,18 @@ EXIT_RESOURCE = 3
 GEN_RETRIES = 64
 
 
-def _default_tol():
+def _tol_arg(args):
+    """``--tol``, else ``ADHM_TOL``, else None (the default tolerance);
+    ``InvalidInput`` unless the value is a finite number >= 0."""
+    if args.tol is not None:
+        return linalg._tol(args.tol)
     env = os.environ.get("ADHM_TOL")
-    return float(env) if env else None
+    if not env:
+        return None
+    try:
+        return linalg._tol(env)
+    except InvalidInput as exc:
+        raise InvalidInput(f"ADHM_TOL: {exc}") from None
 
 
 def _parse_points(text, backend):
@@ -124,8 +134,8 @@ def _check_report(checks):
 
 
 def cmd_check(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     try:
+        tol = _tol_arg(args)
         with open(args.file) as fh:
             obj = serialize.loads(fh.read())
     except (OSError, XnAdhmError) as exc:
@@ -170,7 +180,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    try:
+        tol = _tol_arg(args)
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = campaigns.run_campaign(args.suite, samples=args.samples,
                                     seed=args.seed, tol=tol, jobs=args.jobs)
     report["command"] = "campaign"

@@ -62,7 +62,18 @@ CLUSTER_TOL = 1e-6
 
 
 def _tol(tol):
-    return DEFAULT_TOL if tol is None else float(tol)
+    """``tol`` as a float, ``DEFAULT_TOL`` for None; ``InvalidInput`` unless
+    it is a finite number >= 0 (a negative or NaN threshold would pass or
+    fail every rank test, whatever the data)."""
+    if tol is None:
+        return DEFAULT_TOL
+    try:
+        t = float(tol)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"tol must be a number, got {tol!r}") from None
+    if not 0 <= t < math.inf:
+        raise InvalidInput(f"tol must be finite and >= 0, got {tol!r}")
+    return t
 
 
 # ---------------------------------------------------------------------------

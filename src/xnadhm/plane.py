@@ -13,7 +13,12 @@ nonzero invariant subspace lies in ker e.  Its threshold is ``_tol(tol)``
 on singular values of unit rows: a frame that sees one unit eigenvector v
 only by |e v| = 10^-k is co-stable at k <= 6, mostly up to k = 8, and not
 from k = 11 (see ``check_T2``).  The rank is ``_observable``, which the
-direct (P3) test of ``xn`` shares.  ``common_eigenvectors`` reads the
+direct (P3) test of ``xn`` shares.  Its verdict is that of a growth loop
+over an orthonormal row basis; with fewer than c rows (``check_T2``'s one
+row e) one SVD of the stacked words first certifies the accepts that its
+smallest singular value proves, against a bound on how far the loop can
+have discarded, and every other case goes to the loop.
+``common_eigenvectors`` reads the
 joint spectrum from the eigenvalues of one generic combination b1 + t b2
 (Jennrich's simultaneous diagonalization), so that points whose b1
 coordinates are close stay apart when their b2 coordinates differ.
@@ -24,6 +29,7 @@ The transpose triple satisfies the usual stability condition instead; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,16 +148,48 @@ def _unit(a):
     return a / max(1.0, float(np.abs(a).max(initial=0.0)))
 
 
+#: unit roundoff of the float rank tests
+_EPS = float(np.finfo(float).eps)
+
+
 def _observable(rows, mats, thr) -> bool:
     """Whether the rows, grown by right-multiplying with every word in
     ``mats``, span C^c: whether ker(rows) holds no nonzero subspace
-    invariant under ``mats`` (Kalman's observability rank).  The span is an
-    orthonormal row basis that starts from the singular directions of
-    ``rows`` above ``thr``; each step applies every matrix to the rows
-    added last, projects out the basis twice and keeps the singular
-    directions above ``thr``, until the basis has c rows or a step adds
-    none."""
+    invariant under ``mats`` (Kalman's observability rank).
+
+    The verdict is the growth loop's.  Its span is an orthonormal row basis
+    that starts from the singular directions of ``rows`` above ``thr``; each
+    step applies every matrix to the rows added last, projects out the basis
+    twice and keeps the singular directions above ``thr``, until the basis
+    has c rows or a step adds none.  Ranking the explicit word matrix
+    instead loses accuracy (Paige, IEEE TAC 26, 1981), so the word matrix
+    only serves as a certified accept: with fewer than c rows, a zero row
+    block is rejected at once, and otherwise the word stack W of
+    ``_word_stack_accepts`` is tried first, falling through to the loop.
+
+    Why an accept of the word stack is one of the loop's (exact
+    arithmetic).  Let S be the loop's final span, dim S < c, R the largest
+    row norm of ``rows`` and rho = max(1, c max-norm of ``mats``), which
+    bounds the 2-norm of every matrix.  Each step discards only singular
+    directions of value at most thr, so every row lies within thr of S, and
+    for a unit u in the span of the rows one step added, u M lies within
+    thr of S.  S is the orthogonal sum of fewer than c such spans, so
+    u M lies within sqrt(c) thr |u| of S for every u in S.  By induction on
+    the degree k, every row r w of degree k lies within
+    delta_k = thr rho^k (1 + k sqrt(c) R) of S: split r w = s + t with s in S,
+    |s| <= R rho^k and |t| <= delta_k; then r w M = s M + t M lies within
+    sqrt(c) thr R rho^k + rho delta_k <= delta_(k+1) of S.  A unit x
+    orthogonal to S then has |W x| <= sqrt(N) delta_d for the N rows of W
+    of degree at most d, so sigma_c(W) <= sqrt(N) rho^d (1 + d sqrt(c) R)
+    thr.  W accepts only above that bound plus a slack for roundoff
+    (``_certificate_bound``), where the loop accepts too.
+    """
     c = rows.shape[1]
+    if len(rows) < c:
+        if not rows.any():
+            return False
+        if _word_stack_accepts(rows, mats, thr):
+            return True
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     basis = last = vh[s > thr]
     while len(last) and len(basis) < c:
@@ -162,6 +200,35 @@ def _observable(rows, mats, thr) -> bool:
         last = vh[s > thr]
         basis = np.vstack((basis, last))
     return len(basis) >= c
+
+
+def _word_stack_accepts(rows, mats, thr) -> bool:
+    """Whether sigma_c of the word stack W certifies that the rows span
+    C^c.  W stacks the rows and their images under every word in ``mats``
+    of degree up to d, the least degree that gives at least c rows; each
+    degree is one product with the matrices side by side.  See
+    ``_observable`` for why an accept here is the growth loop's."""
+    c = rows.shape[1]
+    side_by_side = np.concatenate(mats, axis=1)
+    levels = [rows]
+    count = len(rows)
+    while count < c:
+        levels.append((levels[-1] @ side_by_side).reshape(-1, c))
+        count += len(levels[-1])
+    s = np.linalg.svd(np.concatenate(levels), compute_uv=False)
+    R = math.sqrt(np.square(np.abs(rows)).sum(axis=1).max())
+    rho = max(1.0, c * float(np.abs(side_by_side).max()))
+    return bool(s[c - 1] > _certificate_bound(count, len(levels) - 1, c, R,
+                                              rho, thr, s[0]))
+
+
+def _certificate_bound(n_words, d, c, R, rho, thr, s_max):
+    """sqrt(N) rho^d ((1 + d sqrt(c) R) thr + slack): the sigma_c of an
+    N-row word stack of degree d above which the growth loop accepts at
+    ``thr``; slack = 1e3 c eps max(1, R) max(1, sigma_1) covers the
+    roundoff of both routes."""
+    slack = 1e3 * c * _EPS * max(1.0, R) * max(1.0, s_max)
+    return n_words ** 0.5 * rho ** d * ((1 + d * c ** 0.5 * R) * thr + slack)
 
 
 def from_plane_points(points, backend=linalg.COMPLEX) -> PlaneADHM:

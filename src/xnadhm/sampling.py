@@ -33,9 +33,13 @@ def random_matrix(rng, rows, cols, scale=1.0) -> Matrix:
 
 
 def random_invertible(rng, n) -> Matrix:
+    """A complex Gaussian n x n draw, redrawn until its condition number,
+    s_max / s_min of one SVD (the value ``np.linalg.cond`` computes), is at
+    most ``MAX_COND``."""
     while True:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if np.linalg.cond(a) <= MAX_COND:
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[0] / s[-1] <= MAX_COND:
             return Matrix.from_numpy(a)
 
 

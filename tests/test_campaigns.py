@@ -249,3 +249,19 @@ def test_sample_index_picks_the_kind(monkeypatch):
                         lambda d: framed.append(not d.e.is_zero()) or embed(d))
     assert run_campaign("bruteforce", 5, 0)["ok"]
     assert framed == [True, False, True, False, True]
+
+
+def test_random_invertible_draws_are_those_of_np_linalg_cond():
+    """The condition number is read from one SVD; the draws, and so the
+    random stream, are those of a ``np.linalg.cond`` loop."""
+    def reference(rng, n):
+        while True:
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if np.linalg.cond(a) <= sampling.MAX_COND:
+                return a
+
+    got, want = sampling.rng_from_seed(7), sampling.rng_from_seed(7)
+    for n in [1, 2, 3, 4, 5, 6, 7] * 30:
+        assert np.array_equal(sampling.random_invertible(got, n).to_numpy(),
+                              reference(want, n))
+    assert got.random() == want.random()

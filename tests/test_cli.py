@@ -441,6 +441,36 @@ def test_campaign_tol_reaches_residual_thresholds(suite, divisor, failing,
     assert code == 1 and json.loads(out)["tallies"] == tight["tallies"]
 
 
+@pytest.mark.parametrize("value", ["-1e-9", "nan", "inf", "abc"])
+def test_invalid_tol_is_a_usage_error(value, tmp_path, capsys, monkeypatch):
+    # diag(1, 2), diag(3, 4) with e = 0 read "T2: pass" at tol = -1e-9, and
+    # an unparsable ADHM_TOL raised a ValueError (exit 1); the tolerance is
+    # now checked before any work, on --tol and on ADHM_TOL alike
+    from xnadhm.plane import PlaneADHM
+    from xnadhm.serialize import plane_to_json
+
+    d = PlaneADHM(2, Matrix.diagonal([1, 2]), Matrix.diagonal([3, 4]),
+                  Matrix.zeros(1, 2))
+    path = tmp_path / "p0.json"
+    path.write_text(dumps(plane_to_json(d)))
+    commands = (["check", str(path), "--which", "T"],
+                ["campaign", "--suite", "cocycle", "--samples", "1"])
+
+    def usage_error(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:               # argparse refuses "abc"
+            code = exc.code
+        captured = capsys.readouterr()
+        return code == 2 and captured.out == "" and "error:" in captured.err
+
+    for args in commands:
+        assert usage_error(args + [f"--tol={value}"])
+        monkeypatch.setenv("ADHM_TOL", value)
+        assert usage_error(args)
+        monkeypatch.delenv("ADHM_TOL")
+
+
 def test_entry_point_usage_error():
     proc = subprocess.run([sys.executable, "-m", "xnadhm.cli", "gen",
                            "--kind", "bogus"], capture_output=True)

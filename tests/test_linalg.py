@@ -613,6 +613,32 @@ def test_power(backend):
         M.power(-1)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"),
+                                 float("-inf"), "abc", 1j])
+def test_tolerances_must_be_finite_and_non_negative(tol):
+    """A negative or NaN threshold passes or fails every rank test whatever
+    the data: a zero frame read co-stable at tol = -1e-9."""
+    from xnadhm.errors import InvalidInput
+    from xnadhm.plane import PlaneADHM, check_T1, check_T2
+
+    d = PlaneADHM(2, Matrix.diagonal([1, 2]), Matrix.diagonal([3, 4]),
+                  Matrix.zeros(1, 2))
+    for call in (lambda: linalg._tol(tol), lambda: check_T2(d, tol),
+                 lambda: check_T1(d, tol), lambda: rank(d.b1, tol)):
+        with pytest.raises(InvalidInput, match="^tol must be"):
+            call()
+
+
+def test_zero_tolerance_is_allowed():
+    from xnadhm.plane import PlaneADHM, check_T2
+
+    d = PlaneADHM(2, Matrix.diagonal([1, 2]), Matrix.diagonal([3, 4]),
+                  Matrix.row_vector([1, 1]))
+    assert linalg._tol(0) == 0.0 and linalg._tol("1e-6") == 1e-6
+    assert check_T2(d, 0)
+    assert not check_T2(PlaneADHM(2, d.b1, d.b2, Matrix.zeros(1, 2)), 0)
+
+
 # ---------------------------------------------------------------------------
 # the rational product over common denominators
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xnadhm import plane
 from xnadhm.errors import DuplicatePoint, SingularGauge, UnsupportedBackend
 from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, is_invertible, rank, residual
 from xnadhm.plane import (
@@ -318,6 +319,203 @@ def test_costability_conditioning_sweep():
             assert 8 <= last["reference"] <= 9, (c, n, last)
             assert 4 <= last["direct"] <= 7, (c, n, last)
             assert last["direct at 1e-6"] <= last["direct"] - 1, (c, n, last)
+
+
+def observable_reference(rows, mats, thr):
+    """``plane._observable`` without the word-stack certificate: the growth
+    loop alone, which decides every verdict."""
+    c = rows.shape[1]
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    basis = last = vh[s > thr]
+    while len(last) and len(basis) < c:
+        grown = np.vstack([last @ M for M in mats])
+        for _ in range(2):
+            grown = grown - (grown @ basis.conj().T) @ basis
+        _, s, vh = np.linalg.svd(grown, full_matrices=False)
+        last = vh[s > thr]
+        basis = np.vstack((basis, last))
+    return len(basis) >= c
+
+
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def unit_rank_data(e, b1, b2):
+    """``check_T2``'s arguments to ``_observable``."""
+    return plane._unit(np.atleast_2d(e)), (plane._unit(b1), plane._unit(b2))
+
+
+def near_invariant(rng, c, k, delta, scale=1.0):
+    """Non-commuting pair scale Q T Q^-1 whose T keep span(e_1..e_k)
+    invariant up to delta in their lower-left block, for a random unitary
+    Q; the frame f Q^-1 has f_1..f_k = 0, so at delta = 0 the k-dim
+    subspace lies in its kernel."""
+    Q = np.linalg.qr(gaussian(rng, c, c))[0]
+    mats = []
+    for _ in range(2):
+        T = gaussian(rng, c, c)
+        T[k:, :k] *= delta
+        mats.append(scale * Q @ T @ Q.conj().T)
+    f = gaussian(rng, 1, c)
+    f[:, :k] = 0
+    return f @ Q.conj().T, tuple(mats)
+
+
+def rank_cases(rng, c):
+    """(kind, rows, mats) at size c for the certificate's agreement test."""
+    for k in range(0, 14, 2):
+        # separated diagonal data, |e v| = 10^-k on one unit eigenvector
+        b1, b2, Vi = eigenbasis_pair(rng, c)
+        b1, b2 = b1.to_numpy(), b2.to_numpy()
+        f = np.exp(2j * np.pi * rng.random(c)) * np.r_[10.0 ** -k, np.ones(c - 1)]
+        yield ("separated", *unit_rank_data(f @ Vi, b1, b2))
+    J = np.eye(c, k=1)
+    for violate in (False, True, False, True):
+        # ROADMAP item 1's Jordan data, gauge-moved; e_1 = 0 is a violator
+        z, w = gaussian(rng, 2)
+        f = gaussian(rng, c)
+        if violate:
+            f[0] = 0
+        G = random_invertible(rng, c).to_numpy()
+        Gi = np.linalg.inv(G)
+        yield ("jordan", *unit_rank_data(
+            f @ Gi, G @ (z * np.eye(c) + J) @ Gi,
+            G @ (w * np.eye(c) + 0.7 * J - 1.3 * J @ J) @ Gi))
+    for k in range(1, 13, 2):
+        # clustered spectra: every point within 10^-k of one centre
+        V = random_invertible(rng, c).to_numpy()
+        Vi = np.linalg.inv(V)
+        z, w = (gaussian(rng, 1) + 10.0 ** -k * gaussian(rng, c)
+                for _ in range(2))
+        yield ("clustered", *unit_rank_data(
+            gaussian(rng, c) @ Vi, V @ np.diag(z) @ Vi, V @ np.diag(w) @ Vi))
+    for k in sorted({1, c - 1}) if c > 1 else [0]:
+        for scale in (1e-6, 1e6):
+            for j in range(2, 14):
+                # non-commuting pairs scaled 10^+-6, k dimensions invariant
+                # up to 10^-j
+                yield ("non-commuting",
+                       *near_invariant(rng, c, k, 10.0 ** -j, scale))
+    k = int(rng.integers(1, c)) if c > 1 else 0
+    for j in range(0, 16, 3):
+        # block-triangular near-invariant subspaces, unit-scaled, with the
+        # frame seeing them by 10^-j
+        e, mats = near_invariant(rng, c, k, 10.0 ** -j)
+        Q = np.linalg.qr(gaussian(rng, c, c))[0]
+        e = e + 10.0 ** -j * gaussian(rng, 1, c) @ Q
+        yield ("block-triangular", *unit_rank_data(e, *mats))
+
+
+#: the thresholds of the agreement test, one a decade
+RANK_THRESHOLDS = 10.0 ** np.arange(-13, -1)
+
+
+def certificate_disagreements():
+    """Run ``_word_stack_accepts`` and ``_observable`` against the growth
+    loop on ``rank_cases`` for c = 1..7 at every ``RANK_THRESHOLDS``; returns
+    the (kind, c, thr) where the certificate accepts and the loop rejects,
+    those where ``_observable`` differs from the loop, and the count of
+    certified accepts."""
+    rng = rng_from_seed(20)
+    wrong_accepts, wrong_verdicts, certified = [], [], 0
+    for c in range(1, 8):
+        for kind, rows, mats in rank_cases(rng, c):
+            for thr in RANK_THRESHOLDS:
+                want = observable_reference(rows, mats, thr)
+                accepts = (len(rows) < c and rows.any()
+                           and plane._word_stack_accepts(rows, mats, thr))
+                certified += bool(accepts)
+                if accepts and not want:
+                    wrong_accepts.append((kind, c, thr))
+                if plane._observable(rows, mats, thr) != want:
+                    wrong_verdicts.append((kind, c, thr))
+    return wrong_accepts, wrong_verdicts, certified
+
+
+def test_word_stack_accepts_only_where_the_loop_accepts():
+    wrong_accepts, wrong_verdicts, certified = certificate_disagreements()
+    assert wrong_accepts == [] and wrong_verdicts == []
+    assert certified > 500
+
+
+def test_a_weakened_certificate_fails_the_agreement_test(monkeypatch):
+    """Without its sqrt(N) rho^d factor the bound accepts near-invariant
+    subspaces that the loop rejects: the word stack's rows grow by up to
+    rho per degree, the loop's unit rows do not."""
+    bound = plane._certificate_bound
+
+    def weakened(n_words, d, c, R, rho, thr, s_max):
+        return bound(n_words, d, c, R, rho, thr, s_max) / (
+            n_words ** 0.5 * rho ** d)
+
+    monkeypatch.setattr(plane, "_certificate_bound", weakened)
+    wrong_accepts, wrong_verdicts, _ = certificate_disagreements()
+    assert wrong_accepts and wrong_verdicts == wrong_accepts
+    assert {kind for kind, _, _ in wrong_accepts} == {"non-commuting"}
+
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_costable_T2_runs_one_svd(monkeypatch):
+    """A generic co-stable triple at c = 2..6 is certified by the word
+    stack's one SVD, where the loop alone takes 2-3; a zero frame takes
+    none."""
+    rng = rng_from_seed(44)
+    triples = [random_costable_triple(rng, c) for c in range(2, 7)]
+    zero = [PlaneADHM(d.c, d.b1, d.b2, Matrix.zeros(1, d.c)) for d in triples]
+    calls = count_svds(monkeypatch)
+
+    def svds(d):
+        calls.clear()
+        verdict = check_T2(d)
+        return verdict, len(calls)
+
+    assert [svds(d) for d in triples] == [(True, 1)] * 5
+    assert [svds(d) for d in zero] == [(False, 0)] * 5
+    monkeypatch.setattr(plane, "_observable", observable_reference)
+    loop = [svds(d) for d in triples]
+    assert all(ok and 2 <= n <= 3 for ok, n in loop), loop
+    assert [svds(d) for d in zero] == [(False, 1)] * 5
+
+
+def test_rank_at_the_roots_runs_no_extra_svd(monkeypatch):
+    """``_p3_at_roots`` has c + 1 + c rows at each root, so the certificate
+    never runs there: it takes the SVDs that the loop alone takes."""
+    from xnadhm import xn
+    from xnadhm.pencil import analyze_pencil
+    from xnadhm.sampling import (random_xn, random_xn_e_zero,
+                                 random_xn_kernel_violator)
+
+    rng = rng_from_seed(45)
+    cases = []
+    for c in range(2, 7):
+        for make in (random_xn, random_xn_e_zero, random_xn_kernel_violator):
+            d = make(rng, 2, c)
+            cases.append((d, analyze_pencil(d.A1, d.A2).eigenvalues))
+    calls = count_svds(monkeypatch)
+
+    def svds():
+        out = []
+        for d, roots in cases:
+            calls.clear()
+            out.append((xn._p3_at_roots(d, roots), len(calls)))
+        return out
+
+    certified = svds()
+    monkeypatch.setattr(xn, "_observable", observable_reference)
+    assert certified == svds()
+    assert [ok for ok, _ in certified] == [True, False, False] * 5
 
 
 def test_cover_chart_is_scale_free():
