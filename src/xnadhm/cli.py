@@ -7,9 +7,13 @@ Three subcommands, all JSON on stdout:
 * ``check``    -- run one condition family on a JSON file,
 * ``campaign`` -- run a named verification campaign.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 resource/retry exhaustion.  ``ADHM_TOL`` overrides the default tolerance;
-``--tol`` and ``ADHM_TOL`` must be finite numbers >= 0, else exit 2.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 retry
+exhaustion.  A usage error is a bad argument, ``ADHM_TOL`` or input file, or
+a ``check`` family that the file's backend cannot decide; each command
+raises ``_UsageError`` for it before printing anything, and ``main`` turns
+it into one ``error:`` line on stderr and exit 2.  An exception raised while
+a campaign runs is not a usage error.  ``ADHM_TOL`` overrides the default
+tolerance; ``--tol`` and ``ADHM_TOL`` must be finite numbers >= 0.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -38,18 +43,23 @@ EXIT_RESOURCE = 3
 GEN_RETRIES = 64
 
 
+class _UsageError(Exception):
+    """Bad input from outside the program; ``main`` prints it and exits 2."""
+
+
 def _tol_arg(args):
-    """``--tol``, else ``ADHM_TOL``, else None (the default tolerance);
-    ``InvalidInput`` unless the value is a finite number >= 0."""
+    """``--tol``, else ``ADHM_TOL``, else None (the default tolerance); a
+    usage error unless the value is a finite number >= 0."""
     if args.tol is not None:
-        return linalg._tol(args.tol)
-    env = os.environ.get("ADHM_TOL")
-    if not env:
-        return None
+        source, value = "--tol", args.tol
+    else:
+        source, value = "ADHM_TOL", os.environ.get("ADHM_TOL")
+        if not value:
+            return None
     try:
-        return linalg._tol(env)
+        return linalg._tol(value)
     except InvalidInput as exc:
-        raise InvalidInput(f"ADHM_TOL: {exc}") from None
+        raise _UsageError(f"{source}: {exc}") from None
 
 
 def _parse_points(text, backend):
@@ -69,122 +79,88 @@ def _emit(obj):
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1 or args.c < 1:
-        print("error: --n and --c must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    if args.n < 1 or args.c < 1 or args.seed < 0:
+        raise _UsageError("--n and --c must be >= 1, --seed >= 0")
     try:
         backend = backend_from_name(args.backend)
-    except XnAdhmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rng = sampling.rng_from_seed(args.seed)
-    if args.kind == "points":
-        if not args.points:
-            print("error: --points required for kind=points", file=sys.stderr)
-            return EXIT_USAGE
-        try:
+        if args.kind == "points":
+            if not args.points:
+                raise _UsageError("--points required for kind=points")
             pts = _parse_points(args.points, backend)
             if len(pts) != args.c:
-                print(f"error: expected {args.c} points", file=sys.stderr)
-                return EXIT_USAGE
-            d = from_xn_points(args.n, args.m, pts, backend)
-        except (XnAdhmError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        _emit(serialize.xn_to_json(d))
-        return EXIT_OK
-    if backend.exact:
-        print("error: random generation only runs on the complex backend",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.kind == "random-costable":
-        for _ in range(GEN_RETRIES):
-            try:
-                d = sampling.random_xn(rng, args.n, args.c)
-            except XnAdhmError:
-                continue
-            _emit(serialize.xn_to_json(d))
+                raise _UsageError(f"expected {args.c} points")
+            _emit(serialize.xn_to_json(
+                from_xn_points(args.n, args.m, pts, backend)))
             return EXIT_OK
-        print("error: retry budget exhausted", file=sys.stderr)
-        return EXIT_RESOURCE
-    # random-rep
+    except (XnAdhmError, ValueError) as exc:
+        raise _UsageError(exc) from None
+    if backend.exact:
+        raise _UsageError("random generation only runs on the complex backend")
+    rng = sampling.rng_from_seed(args.seed)
+    if args.kind == "random-costable":
+        draw = partial(sampling.random_xn, rng, args.n, args.c)
+        to_json = serialize.xn_to_json
+    else:
+        draw = partial(sampling.random_rep, rng, args.n, args.c,
+                       framed=args.framed)
+        to_json = serialize.rep_to_json
     for _ in range(GEN_RETRIES):
         try:
-            r = sampling.random_rep(rng, args.n, args.c, framed=args.framed)
+            data = draw()
         except XnAdhmError:
             continue
-        _emit(serialize.rep_to_json(r))
+        _emit(to_json(data))
         return EXIT_OK
     print("error: retry budget exhausted", file=sys.stderr)
     return EXIT_RESOURCE
 
 
-def _check_report(checks):
-    results = {}
-    worst = 0.0
-    for name, fn in checks:
-        out = fn()
-        if isinstance(out, tuple):
-            ok, res = out
-            worst = max(worst, res)
-        else:
-            ok = out
-        results[name] = "pass" if ok else "fail"
-    return results, worst
+def _verdicts(which, obj, tol):
+    """({check name: verdict}, worst residual) of one check family on a
+    file's object; the residual is 0 where the family reports none."""
+    if which == "P":
+        d = serialize.xn_from_json(obj)
+        p2, p3 = _pencil_step(d, tol)
+        return {"P1": check_P1(d, tol), "P2": p2, "P3": bool(p3)}, 0.0
+    if which == "T":
+        t = serialize.plane_from_json(obj)
+        return {"T1": check_T1(t, tol), "T2": check_T2(t, tol)}, 0.0
+    if which == "Q":
+        r = serialize.rep_from_json(obj)
+        return {"Q1": check_relations(r, tol),
+                "semistable": check_semistable_spectral(r, tol)
+                is Verdict.SEMISTABLE}, 0.0
+    mc = serialize.monad_from_json(obj)
+    residuals = {"compose": compose_residual(mc),
+                 "framing": framing_residual(mc)}
+    if mc.backend.exact:
+        return {name: all(R.is_zero() for R in rs)
+                for name, rs in residuals.items()}, 0.0
+    worst = {name: max_residual(rs) for name, rs in residuals.items()}
+    return ({name: w <= linalg._tol(tol) for name, w in worst.items()},
+            max(worst.values()))
 
 
 def cmd_check(args) -> int:
+    tol = _tol_arg(args)
     try:
-        tol = _tol_arg(args)
         with open(args.file) as fh:
             obj = serialize.loads(fh.read())
-    except (OSError, XnAdhmError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    start = time.perf_counter()
-    try:
-        if args.which == "P":
-            d = serialize.xn_from_json(obj)
-            p2, p3 = _pencil_step(d, tol)
-            checks = [("P1", lambda: check_P1(d, tol)),
-                      ("P2", lambda: p2), ("P3", lambda: bool(p3))]
-        elif args.which == "T":
-            t = serialize.plane_from_json(obj)
-            checks = [("T1", lambda: check_T1(t, tol)),
-                      ("T2", lambda: check_T2(t, tol))]
-        elif args.which == "Q":
-            r = serialize.rep_from_json(obj)
-            checks = [("Q1", lambda: check_relations(r, tol)),
-                      ("semistable", lambda: check_semistable_spectral(r, tol)
-                       is Verdict.SEMISTABLE)]
-        else:
-            mc = serialize.monad_from_json(obj)
-
-            def within(residuals):
-                if mc.backend.exact:
-                    return all(R.is_zero() for R in residuals)
-                worst = max_residual(residuals)
-                return worst <= linalg._tol(tol), worst
-
-            checks = [("compose", lambda: within(compose_residual(mc))),
-                      ("framing", lambda: within(framing_residual(mc)))]
-        results, worst = _check_report(checks)
-    except (XnAdhmError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = {"command": "check", "file": args.file, "which": args.which,
-              "results": results, "max_residual": worst,
-              "elapsed_seconds": round(time.perf_counter() - start, 3)}
-    _emit(report)
-    return EXIT_OK if all(v == "pass" for v in results.values()) else EXIT_FAIL
+        start = time.perf_counter()
+        verdicts, worst = _verdicts(args.which, obj, tol)
+    except (OSError, XnAdhmError, KeyError, TypeError) as exc:
+        raise _UsageError(exc) from None
+    results = {name: "pass" if ok else "fail" for name, ok in verdicts.items()}
+    _emit({"command": "check", "file": args.file, "which": args.which,
+           "results": results, "max_residual": worst,
+           "elapsed_seconds": round(time.perf_counter() - start, 3)})
+    return EXIT_OK if all(verdicts.values()) else EXIT_FAIL
 
 
 def cmd_campaign(args) -> int:
-    try:
-        tol = _tol_arg(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    tol = _tol_arg(args)
+    if args.samples < 0 or args.seed < 0:
+        raise _UsageError("--samples and --seed must be >= 0")
     report = campaigns.run_campaign(args.suite, samples=args.samples,
                                     seed=args.seed, tol=tol, jobs=args.jobs)
     report["command"] = "campaign"
@@ -233,7 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     np.seterr(all="ignore")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

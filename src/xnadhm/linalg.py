@@ -212,10 +212,13 @@ def backend_from_name(name: str):
         return COMPLEX
     if name == "rational":
         return RATIONAL
-    if name.startswith("gf(") and name.endswith(")"):
-        return GF(int(name[3:-1]))
-    if name.startswith("gf:"):
-        return GF(int(name[3:]))
+    try:
+        if name.startswith("gf(") and name.endswith(")"):
+            return GF(int(name[3:-1]))
+        if name.startswith("gf:"):
+            return GF(int(name[3:]))
+    except ValueError:
+        pass
     raise UnsupportedBackend(f"unknown backend {name!r}")
 
 

@@ -34,7 +34,8 @@ from .errors import (
 # rank is not called here; benches/tracing.py traces it as quiver.rank
 from .linalg import Matrix, nullspace, rank, vstack  # noqa: F401
 from .xn import (XnADHM, _backend_angles, _binomial_combination,
-                 _chain_defects, _chain_holds, _pencil_step, _rotate, check_P2)
+                 _chain_defects, _chain_holds, _pencil_step, _rotate, check_P1,
+                 check_P2)
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,8 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
     d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
     if all(f.is_zero(tol) for f in r.f):
         # (P1) is (Q1) without f e: exact f is 0 here, and float (P1) takes
-        # its own scale, and its own defects if f is within tol but not 0
-        if any(f.entries.any() for f in r.f):
-            defects = _chain_defects(r.A1, r.A2, r.C)
-        ok = ((d.backend.exact or _chain_holds(defects, d.A1, d.A2, d.C, tol))
+        # its own scale
+        ok = ((d.backend.exact or check_P1(d, tol))
               and all(_pencil_step(d, tol)))
         return Verdict.SEMISTABLE if ok else Verdict.UNSTABLE
     if check_P2(d, tol):
@@ -165,7 +164,7 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
     return Verdict.INDETERMINATE
 
 
-def u_m_residual(r: FramedRep, m: int):
+def u_m_residual(r: FramedRep, m: int, tol=None):
     """Binomial combination of the framing blocks attached to chart m.
 
     The weights follow the same pattern as the chart free parameter one
@@ -174,14 +173,14 @@ def u_m_residual(r: FramedRep, m: int):
     representation (the other exponent pairing fails this identity for
     n >= 3).  Semistable representations with a regular pencil have u_m = 0
     for every valid chart, which is how the framing blocks are forced to
-    vanish.
+    vanish.  A chart whose A2m is singular at tol raises ``NotInChart``.
     """
     if r.n < 2:
         raise InvalidInput("u_m needs n >= 2")
     if r.v0 != r.v1:
         raise ShapeMismatch("u_m needs v0 = v1")
     A2m = _rotate(r.A1, r.A2, m, r.v0)[1]
-    if not linalg.is_invertible(A2m):
+    if not linalg.is_invertible(A2m, tol):
         raise NotInChart(f"det A2m = 0 in chart {m}")
     bk, cm, sm = _backend_angles(A2m.backend, r.v0, m)
     return linalg._wrap(_binomial_combination(

@@ -219,15 +219,14 @@ def _binomial_combination(blocks, cm, sm, backend):
     and the framing combination u_m (over the f blocks, one degree lower)."""
     k = len(blocks)
     # without the products by a zero or unit coefficient, as in
-    # linalg._node_entries: at chart 0 (cm = 1, sm = 0) only X_1 is left
+    # linalg._node_entries: at chart 0 (cm = 1, sm = 0) only X_1 is left;
+    # cm and sm are never both 0, so the X_1 or the X_k term always is
     terms = []
     for q, X in enumerate(blocks, 1):
         coef = backend.coerce(
             math.comb(k - 1, q - 1) * (cm ** (k - q) * sm ** (q - 1)))
         if coef != 0:
             terms.append(X if coef == 1 else backend.reduce(coef * X))
-    if not terms:
-        return linalg._zeros(blocks[0].shape, backend)
     out = terms[0]
     for X in terms[1:]:
         out = backend.reduce(out + X)
@@ -341,8 +340,6 @@ def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
     rank c goes on to ``_observable``'s growth loop.
     """
     A1, A2 = d.A1.to_numpy(), d.A2.to_numpy()
-    if not roots:
-        return True
     M1 = d.C[0].to_numpy() @ A2
     M2 = d.C[d.n - 1].to_numpy() @ A1
     s_A = max(1.0, np.abs(A1).max(), np.abs(A2).max())

@@ -184,18 +184,42 @@ def test_um_counts_every_chart():
 
 def test_um_skips_singular_charts(monkeypatch):
     from xnadhm import campaigns
+    from xnadhm.errors import NotInChart
 
-    # a chart test that rejects every other chart shows up as skipped
+    # a chart reading that rejects every other chart shows up as skipped
     seen = []
+    read = campaigns.zeta
 
-    def every_other(A2m, tol=None):
-        seen.append(A2m)
-        return len(seen) % 2 == 1
+    def every_other(d, m, tol=None):
+        seen.append(m)
+        if len(seen) % 2 == 0:
+            raise NotInChart(f"chart {m} rejected")
+        return read(d, m, tol)
 
-    monkeypatch.setattr(campaigns, "is_invertible", every_other)
+    monkeypatch.setattr(campaigns, "zeta", every_other)
     charts = run_campaign("um", 3, 0)["charts"]
     assert charts == {"tested": (len(seen) + 1) // 2,
                       "skipped": len(seen) // 2}
+
+
+def test_um_tol_reaches_the_chart_tests(monkeypatch):
+    from xnadhm import campaigns
+
+    # the framed sample's charts are read and tested at the campaign tol
+    seen = []
+    for name in ("zeta", "u_m_residual"):
+        fn = getattr(campaigns, name)
+        monkeypatch.setattr(
+            campaigns, name,
+            lambda r, m, tol, fn=fn, name=name: seen.append((name, tol))
+            or fn(r, m, tol))
+    run_campaign("um", 3, 0, tol=1e-7)
+    assert {name for name, _ in seen} == {"zeta", "u_m_residual"}
+    assert all(tol == 1e-7 for _, tol in seen)
+    monkeypatch.undo()
+    # a chart near the singular divisor is skipped at a coarse tol
+    coarse = run_campaign("um", 8, 0, tol=1e-2)["charts"]
+    assert coarse["tested"] < run_campaign("um", 8, 0)["charts"]["tested"]
 
 
 def test_um_residual_can_fail(monkeypatch):
@@ -216,7 +240,7 @@ def test_um_residual_can_fail(monkeypatch):
     assert not tight["ok"] and tight["max_residual"] == worst
     u_m = campaigns.u_m_residual
     monkeypatch.setattr(campaigns, "u_m_residual",
-                        lambda r, m: u_m(r, m).scale(2))
+                        lambda r, m, tol: u_m(r, m, tol).scale(2))
     broken = run_campaign("um", 3, 0)
     assert not broken["ok"] and broken["max_residual"] > 1e-3
     assert broken["tallies"]["um_vanishing"]["fail"] > 0

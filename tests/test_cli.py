@@ -475,3 +475,121 @@ def test_entry_point_usage_error():
     proc = subprocess.run([sys.executable, "-m", "xnadhm.cli", "gen",
                            "--kind", "bogus"], capture_output=True)
     assert proc.returncode == 2
+
+
+def parser_choices(command, option):
+    """The choices that ``build_parser`` gives ``option`` of ``command``."""
+    import argparse
+
+    from xnadhm.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if option in a.option_strings)
+
+
+ALL_PASS = {"P": {"P1": "pass", "P2": "pass", "P3": "pass"},
+            "Q": {"Q1": "pass", "semistable": "pass"}}
+
+#: per ``gen --kind``: (extra arguments, check family, expected results)
+GEN_CASES = {
+    "points": [(["--points", "0,0;1,2"], "P", ALL_PASS["P"])],
+    "random-costable": [([], "P", ALL_PASS["P"])],
+    "random-rep": [([], "Q", ALL_PASS["Q"]),
+                   (["--framed"], "Q", {"Q1": "pass", "semistable": "fail"})],
+}
+
+
+@pytest.mark.parametrize("kind", parser_choices("gen", "--kind"))
+def test_every_gen_kind_is_deterministic_and_checked(kind, tmp_path, capsys):
+    # a kind without a row in GEN_CASES fails here
+    for extra, which, want in GEN_CASES[kind]:
+        def gen(seed):
+            return run_cli(["gen", "--kind", kind, "--n", "2", "--c", "2",
+                            "--seed", seed] + extra, capsys)
+
+        code, out = gen("7")
+        assert code == 0 and gen("7") == (0, out)
+        assert (gen("8")[1] == out) == (kind == "points")
+        path = tmp_path / "d.json"
+        path.write_text(out)
+        code, out = run_cli(["check", str(path), "--which", which], capsys)
+        assert json.loads(out)["results"] == want
+        assert code == (0 if want == ALL_PASS[which] else 1)
+
+
+def check_cases(which):
+    """(passing data, failing data, results of the failing data) per
+    ``check --which`` family."""
+    from dataclasses import replace
+
+    from xnadhm.monad import build_jm
+    from xnadhm.plane import PlaneADHM
+    from xnadhm.sampling import random_costable_triple, random_rep
+    from xnadhm.serialize import monad_to_json, plane_to_json
+    from xnadhm.xn import XnADHM
+
+    rng = rng_from_seed(5)
+    if which == "P":
+        d = random_xn(rng, 2, 2)
+        e_zero = XnADHM(d.n, d.c, d.A1, d.A2, d.C, Matrix.zeros(1, d.c))
+        return (xn_to_json(d), xn_to_json(e_zero),
+                {"P1": "pass", "P2": "pass", "P3": "fail"})
+    if which == "Q":
+        return (rep_to_json(random_rep(rng, 3, 2)),
+                rep_to_json(random_rep(rng, 3, 2, framed=True)),
+                {"Q1": "pass", "semistable": "fail"})
+    if which == "T":
+        # commuting diagonal blocks, and no frame to see their eigenvectors
+        unframed = PlaneADHM(2, Matrix.diagonal([1, 2]),
+                             Matrix.diagonal([3, 4]), Matrix.zeros(1, 2))
+        return (plane_to_json(random_costable_triple(rng, 2)),
+                plane_to_json(unframed), {"T1": "pass", "T2": "fail"})
+    mc = build_jm(random_costable_triple(rng, 2), 2, 1)
+    a = mc.alpha1[0].to_numpy().copy()
+    a[0, 0] += 1e-3
+    shifted = replace(mc, alpha1=(Matrix.from_numpy(a),) + mc.alpha1[1:])
+    return (monad_to_json(mc), monad_to_json(shifted),
+            {"compose": "fail", "framing": "pass"})
+
+
+@pytest.mark.parametrize("which", parser_choices("check", "--which"))
+def test_every_check_family_passes_and_fails(which, tmp_path, capsys):
+    good, bad, failing = check_cases(which)
+    path = tmp_path / "d.json"
+    for data, want in ((good, {name: "pass" for name in failing}),
+                       (bad, failing)):
+        path.write_text(dumps(data))
+        code, out = run_cli(["check", str(path), "--which", which], capsys)
+        assert json.loads(out)["results"] == want
+        assert code == (1 if "fail" in want.values() else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    # these four raised a traceback and exited 1
+    ["gen", "--kind", "points", "--backend", "gf:x", "--n", "1", "--c", "1",
+     "--points", "0,0"],
+    ["gen", "--seed", "-1"],
+    ["campaign", "--suite", "lmp3", "--samples", "2", "--seed", "-1"],
+    ["campaign", "--suite", "lmp3", "--samples", "-3"],
+    ["gen", "--backend", "real"],
+    ["gen", "--kind", "points", "--n", "1", "--c", "2"],
+    ["gen", "--kind", "points", "--n", "1", "--c", "2", "--points", "0,0"],
+    ["gen", "--kind", "random-costable", "--backend", "rational"],
+    ["gen", "--kind", "random-rep", "--backend", "gf:5"],
+], ids=" ".join)
+def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_entry_point_prints_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "xnadhm.cli", "campaign",
+                           "--suite", "lmp3", "--samples", "-3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: --samples and --seed must be >= 0\n"

@@ -281,6 +281,18 @@ def test_gf_coercion_guards():
         Matrix.identity(2, GF(5)).cast(RATIONAL)   # residues have no lift
 
 
+def test_backend_names():
+    from xnadhm.linalg import backend_from_name
+
+    assert backend_from_name("complex") is COMPLEX
+    assert backend_from_name("rational") is RATIONAL
+    assert backend_from_name("gf:5") is backend_from_name("gf(5)") is GF(5)
+    # a field size that is not a number raised a ValueError
+    for name in ("gf:x", "gf(x)", "gf:", "gf(6)", "real"):
+        with pytest.raises(UnsupportedBackend):
+            backend_from_name(name)
+
+
 @pytest.mark.parametrize("backend", [RATIONAL, GF(5)])
 @pytest.mark.parametrize("entry", [True, False])
 def test_exact_backends_reject_booleans(backend, entry):

@@ -144,6 +144,20 @@ def test_spectral_valid_embedding():
     assert check_semistable_spectral(embed_xn_as_rep(d)) is Verdict.SEMISTABLE
 
 
+def test_spectral_reads_framing_within_tol_as_zero():
+    # f = 1e-12 is inside the default tolerance but not zero: (P1) and the
+    # pencil decide, as they do for the same data at f = 0
+    from dataclasses import replace
+
+    d = random_xn(rng_from_seed(2), 3, 2)
+    r = embed_xn_as_rep(d)
+    small = replace(r, f=(Matrix.zeros(2, 1),
+                          Matrix.from_rows([[1e-12], [-1e-12]])))
+    assert check_relations(small) and small.f[1].entries.any()
+    assert check_semistable_spectral(small) is Verdict.SEMISTABLE
+    assert check_semistable_spectral(r) is Verdict.SEMISTABLE
+
+
 def test_spectral_zero_frame_fails():
     rng = rng_from_seed(3)
     d = random_xn_e_zero(rng, 2, 2)
