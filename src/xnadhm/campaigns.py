@@ -20,7 +20,6 @@ tallies no verdict is not ``ok``.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -65,6 +64,9 @@ def _sample_seeds(seed, samples):
 def _run_samples(fn, seeds, jobs):
     if jobs <= 1:
         return [fn(s) for s in seeds]
+    # imported here: concurrent.futures loads logging and queue, which a
+    # single-threaded campaign never needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, seeds))
 

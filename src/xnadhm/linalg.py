@@ -15,7 +15,14 @@ is a single numpy operation on any backend, with one exception: a rational
 product brings each factor over its least common denominator and multiplies
 the integer numerators, so that no intermediate ``Fraction`` is made.  Only
 rank, nullspace, determinant and inverse take a different algorithm on the
-exact backends (elimination by hand instead of LAPACK).
+exact backends (elimination by hand instead of LAPACK), and it runs on
+Python ints as well: a rational determinant is Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968) on the integer form (``_bareiss``),
+rank, nullspace and inverse take fraction-free Gauss-Jordan elimination on
+rows over their own common denominators (``_integer_rref``), and both make
+one ``Fraction`` per result entry; the GF(p) loops reduce with ``% p`` and
+invert with ``pow(x, p - 2, p)`` inline.  A rational matrix cast to GF(p)
+is N d^-1 mod p from one integer form (N, d) (``_residues``).
 
 The product, the inverse and the invertibility tests are array primitives
 on entries (``_matmul``, ``_inverse``, ``_is_invertible``) that the Matrix
@@ -384,11 +391,14 @@ class Matrix:
     def cast(self, backend):
         """Re-express the entries in another backend (rational -> complex or
         GF(p), integers -> anything).  Lossy directions raise; residues have
-        no canonical lift, so a prime-field matrix cannot leave its field."""
+        no canonical lift, so a prime-field matrix cannot leave its field.
+        Rationals reach GF(p) from one integer form (``_residues``)."""
         if backend == self.backend:
             return self
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field residues cannot be lifted")
+        if self.backend.kind == "rational" and backend.kind == "gf":
+            return _wrap(_residues(self.entries, backend), backend)
         return Matrix(self.rows, self.cols, self.entries.ravel().tolist(),
                       backend)
 
@@ -432,10 +442,16 @@ def _wrap(arr, backend=COMPLEX) -> Matrix:
 def _integer_form(arr):
     """(N, d) for an object array of rationals: d is the least common
     denominator of the entries and N the array of Python ints d * arr."""
-    pairs = [x.as_integer_ratio() for x in arr.flat]
+    nums, d = _numerators(arr.flat)
+    return np.array(nums, dtype=object).reshape(arr.shape), d
+
+
+def _numerators(values):
+    """(list of Python ints d * x, d) for rationals x, d their least common
+    denominator."""
+    pairs = [x.as_integer_ratio() for x in values]
     d = math.lcm(*[q for _, q in pairs])
-    return (np.array([p * (d // q) for p, q in pairs], dtype=object)
-            .reshape(arr.shape), d)
+    return [p * (d // q) for p, q in pairs], d
 
 
 def _rational_product(a, b):
@@ -445,10 +461,28 @@ def _rational_product(a, b):
     term.  Exact, so the entries equal those of ``a @ b``."""
     na, da = _integer_form(a)
     nb, db = _integer_form(b)
-    d = da * db
-    shape = (a.shape[0], b.shape[1])
-    return np.fromiter((Fraction(v, d) for v in (na @ nb).flat),
-                       dtype=object, count=shape[0] * shape[1]).reshape(shape)
+    return _fractions(na @ nb, da * db)
+
+
+def _fractions(num, d):
+    """Object array of the canonical ``Fraction(v, d)`` for each Python int
+    v of the integer array ``num``: one ``Fraction`` per entry."""
+    return np.fromiter((Fraction(v, d) for v in num.flat), dtype=object,
+                       count=num.size).reshape(num.shape)
+
+
+def _residues(arr, gf):
+    """An entry array of rationals brought into GF(p) from its integer form
+    (N, d) as N d^-1 mod p; ``UnsupportedBackend`` names the first entry
+    whose denominator p divides, as ``PrimeField.coerce`` does."""
+    p = gf.p
+    nums, d = _numerators(arr.flat)
+    if d % p == 0:
+        x = next(x for x in arr.flat if x.denominator % p == 0)
+        raise UnsupportedBackend(f"denominator of {x} vanishes mod {p}")
+    inv = pow(d, p - 2, p)
+    return np.array([x * inv % p for x in nums],
+                    dtype=object).reshape(arr.shape)
 
 
 def _matmul(a, b, backend):
@@ -527,32 +561,94 @@ def _rref(a, bk):
     """Reduced row echelon form of an entry array over an exact backend.
 
     Returns (rows, pivot_columns) where ``rows`` is a list of row lists.
+    Rationals take fraction-free Gauss-Jordan elimination on integer rows
+    (``_integer_rref``), residues Gauss-Jordan elimination modulo p.
     """
-    red = bk.reduce
+    if bk.kind == "rational":
+        return _integer_rref(a)
+    p = bk.p
     rows = a.tolist()
     nr, nc = a.shape
     pivots = []
     r = 0
     for c in range(nc):
-        pivot = None
         for i in range(r, nr):
-            if rows[i][c] != 0:
-                pivot = i
+            if rows[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = bk.inv(rows[r][c])
-        rows[r] = [red(inv * x) for x in rows[r]]
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = top = [inv * x % p for x in rows[r]]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [red(x - f * y) for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == nr:
             break
     return rows, pivots
+
+
+def _integer_rref(a):
+    """``_rref`` of an entry array of rationals by fraction-free
+    Gauss-Jordan elimination: each row is brought over its own common
+    denominator, every row but the pivot row becomes (pivot * row - f * pivot
+    row) // previous pivot, a division that is exact because every entry
+    stays a minor of the integer rows (Bareiss, Math. Comp. 22, 1968), and
+    each pivot row, whose pivot is then the last pivot, is divided by it
+    once at the end.  The zero rows below the rank are ``Fraction(0)``."""
+    rows = [_numerators(row)[0] for row in a.tolist()]
+    nr, nc = a.shape
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(nc):
+        for i in range(r, nr):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        pk = top[c]
+        for i in range(nr):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(pk * x - f * y) // prev
+                           for x, y in zip(rows[i], top)]
+        prev = pk
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    zero = Fraction(0)
+    return ([[Fraction(x, prev) for x in row] for row in rows[:r]]
+            + [[zero] * nc for _ in range(r, nr)]), pivots
+
+
+def _bareiss(rows) -> int:
+    """Determinant of a square integer matrix, a list of row lists, by
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968): each step
+    moves a row with a nonzero leading entry pk to the top and replaces the
+    rows below by their 2x2 minors with it over the previous pivot, an
+    exact ``//``, one column shorter.  1 for an empty matrix."""
+    sign = prev = 1
+    while len(rows) > 1:
+        for k, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
+            return 0
+        if k % 2:
+            sign = -sign
+        top = rows.pop(k)
+        pk = top[0]
+        rows = [[(pk * x - row[0] * y) // prev
+                 for x, y in zip(row[1:], top[1:])] for row in rows]
+        prev = pk
+    return sign * rows[0][0] if rows else 1
 
 
 def rank(M: Matrix, tol=None) -> int:
@@ -603,28 +699,35 @@ def det(M: Matrix):
 
 def _exact_det(a, bk):
     """Determinant of a square entry array by elimination (exact backends;
-    1 for an empty array on any backend)."""
-    red = bk.reduce
+    1 for an empty array on any backend): Bareiss on the integer form of
+    rationals over its common denominator to the power c, and elimination
+    modulo p on residues."""
+    n = len(a)
+    if n == 0:
+        return bk.one
+    if bk.kind == "rational":
+        nums, d = _numerators(a.flat)
+        return Fraction(_bareiss([nums[i:i + n] for i in range(0, n * n, n)]),
+                        d ** n)
+    p = bk.p
     rows = a.tolist()
-    n = len(rows)
-    d = bk.one
+    d = 1
     for c in range(n):
-        pivot = None
         for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot = i
+            if rows[i][c]:
                 break
-        if pivot is None:
-            return bk.zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
+        else:
+            return 0
+        if i != c:
+            rows[c], rows[i] = rows[i], rows[c]
             d = -d
-        d = red(d * rows[c][c])
-        inv = bk.inv(rows[c][c])
+        top = rows[c]
+        d = d * top[c] % p
+        inv = pow(top[c], p - 2, p)
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 f = inv * rows[i][c]
-                rows[i] = [red(x - f * y) for x, y in zip(rows[i], rows[c])]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
     return d
 
 
@@ -685,6 +788,33 @@ def _node_entries(a1, a2, n1, n2, backend):
     terms = [a if s == 1 else backend.reduce(backend.coerce(s) * a)
              for a, s in ((a1, n1), (a2, n2)) if s != 0]
     return terms[0] if len(terms) == 1 else backend.reduce(terms[0] + terms[1])
+
+
+def _node_forms(A1: Matrix, A2: Matrix):
+    """(a1, a2, den) from which ``_node_det`` takes a pencil's node
+    determinants: on the rationals, with (N1, d1) and (N2, d2) the integer
+    forms of A1 and A2, the integer row lists d2 N1 and d1 N2 and
+    den = (d1 d2)^c, so that n1 A1 + n2 A2 = (n1 d2 N1 + n2 d1 N2) / (d1 d2);
+    on the other backends the entry arrays and 1."""
+    if A1.backend.kind != "rational":
+        return A1.entries, A2.entries, 1
+    n1, d1 = _integer_form(A1.entries)
+    n2, d2 = _integer_form(A2.entries)
+    return (d2 * n1).tolist(), (d1 * n2).tolist(), (d1 * d2) ** A1.rows
+
+
+def _node_det(forms, n1, n2, backend):
+    """det(n1 A1 + n2 A2) at a pencil node from ``_node_forms``: on the
+    rationals, whose nodes (1, q) are integers, the Bareiss determinant of
+    the integer node matrix over den, with no ``Fraction`` node matrix; on
+    the other backends ``det`` of the node matrix."""
+    a1, a2, den = forms
+    if backend.kind != "rational":
+        return det(_wrap(_node_entries(a1, a2, n1, n2, backend), backend))
+    n1, n2 = int(n1), int(n2)
+    return Fraction(_bareiss(
+        [[n1 * x + n2 * y for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a2)]),
+        den)
 
 
 def _node_stack(A1: Matrix, A2: Matrix, nodes):
@@ -850,7 +980,8 @@ def pencil_det_poly(A1: Matrix, A2: Matrix, tol=None) -> HomogPoly:
     if A1.backend != A2.backend:
         raise BackendMismatch("pencil matrices on different backends")
     bk = A1.backend
-    return _interpolate_form([det(_node_matrix(A1, A2, n1, n2))
+    forms = _node_forms(A1, A2)
+    return _interpolate_form([_node_det(forms, n1, n2, bk)
                               for n1, n2 in _pencil_nodes(A1.rows, bk)], bk)
 
 

@@ -10,7 +10,11 @@ configuration), and the witness is the covering chart of
 backends take the node determinants in order and stop at the first nonzero
 one, the witness; only the rational spectrum takes the remaining
 determinants, interpolates the form with the cached inverse Vandermonde
-matrix and roots it.
+matrix and roots it.  A rational pencil is brought to integer form once,
+A_i = N_i / d_i, and each node determinant is the Bareiss determinant of
+the integer matrix n1 d2 N1 + n2 d1 N2 over (d1 d2)^c, so no ``Fraction``
+node matrix is built; over GF(p) the node matrix of residues is
+eliminated modulo p.
 
 A singular pencil admits a polynomial vector solution
 v(t) = v0 - t v1 + ... + (-t)^eps v_eps of (A1 + t A2) v(t) = 0; equating
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BackendMismatch, InvalidInput, ShapeMismatch
-from .linalg import Matrix, det, hstack, nullspace, projective_roots, rank
+from .linalg import Matrix, hstack, nullspace, projective_roots, rank
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,10 @@ def _spectrum(A1, A2, witness, basis, tol):
     a prime field."""
     bk = A1.backend
     if bk.kind == "rational":
+        forms, dets = basis
         nodes = linalg._pencil_nodes(A1.rows, bk)
-        dets = basis + [det(linalg._node_matrix(A1, A2, n1, n2))
-                        for n1, n2 in nodes[len(basis):]]
+        dets = dets + [linalg._node_det(forms, n1, n2, bk)
+                       for n1, n2 in nodes[len(dets):]]
         return projective_roots(linalg._interpolate_form(dets, bk), tol)
     return None if bk.exact else _float_spectrum(A1, A2, witness, basis)
 
@@ -142,9 +147,10 @@ def _regularity(A1, A2, tol, conditioning=None):
     """(witness, basis) of the pencil, the witness None when it is singular.
 
     The basis is what ``_spectrum`` computes the spectrum from: on the
-    exact backends the node determinants up to the witness, the first node
-    where the determinant is nonzero; on floats the pencil matrix at the
-    witness node.  ``xn.check_P2`` uses the witness alone.
+    exact backends ``linalg._node_forms`` and the node determinants up to the
+    witness, the first node where the determinant is nonzero; on floats the
+    pencil matrix at the witness node.  ``xn.check_P2`` uses the witness
+    alone.
     """
     if A1.rows != A1.cols or A2.rows != A2.cols or A1.rows != A2.rows:
         raise ShapeMismatch("pencil matrices must be square of equal size")
@@ -154,11 +160,12 @@ def _regularity(A1, A2, tol, conditioning=None):
     if not bk.exact:
         m, P = _float_witness(A1, A2, tol, conditioning)
         return (None if m is None else linalg._pencil_nodes(A1.rows, bk)[m]), P
+    forms = linalg._node_forms(A1, A2)
     dets = []
     for n1, n2 in linalg._pencil_nodes(A1.rows, bk):
-        dets.append(det(linalg._node_matrix(A1, A2, n1, n2)))
+        dets.append(linalg._node_det(forms, n1, n2, bk))
         if dets[-1] != 0:
-            return (n1, n2), dets
+            return (n1, n2), (forms, dets)
     return None, None
 
 

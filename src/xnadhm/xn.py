@@ -251,8 +251,11 @@ def chart_matrices(d: XnADHM, m: int):
 def _chain_defects(A1: Matrix, A2: Matrix, C, f=(), e=None):
     """(P1) defects on entry arrays: A1 C1 A2 - A2 C1 A1 if n = 1, else
     A1 Cq - A2 C(q+1) and Cq A1 - C(q+1) A2, the latter summed as the (Q1)
-    relation Cq A1 + fq e - C(q+1) A2 when the f and e blocks are given."""
+    relation Cq A1 + fq e - C(q+1) A2 when the f and e blocks are given.
+    Rational blocks take ``_integer_chain_defects``."""
     bk = A1.backend
+    if bk.kind == "rational":
+        return _integer_chain_defects(A1, A2, C, f, e)
     a1, a2 = A1.entries, A2.entries
     cs = [M.entries for M in C]
 
@@ -268,6 +271,38 @@ def _chain_defects(A1: Matrix, A2: Matrix, C, f=(), e=None):
         if f:
             left = bk.reduce(left + mul(f[q].entries, e.entries))
         defects.append(bk.reduce(left - mul(cs[q + 1], a2)))
+    return defects
+
+
+def _integer_chain_defects(A1: Matrix, A2: Matrix, C, f=(), e=None):
+    """``_chain_defects`` on rational blocks: A1, A2, each C, e and each f
+    are brought to integer form (N, d) once, so a product of blocks is the
+    integer product of their numerators over the product of their
+    denominators, and each defect is one integer expression over the least
+    common denominator of its terms, with one ``Fraction`` per entry."""
+    (n1, d1), (n2, d2) = map(linalg._integer_form, (A1.entries, A2.entries))
+    cs = [linalg._integer_form(M.entries) for M in C]
+
+    def defect(*terms):
+        d = math.lcm(*(den for _, den in terms))
+        return linalg._fractions(sum(num * (d // den) for num, den in terms),
+                                 d)
+
+    if len(cs) == 1:
+        nc, dc = cs[0]
+        return [defect((n1 @ nc @ n2, d1 * dc * d2),
+                       (-(n2 @ nc @ n1), d2 * dc * d1))]
+    fe = []
+    if f:
+        ne, de = linalg._integer_form(e.entries)
+        fe = [(nf @ ne, df * de)
+              for nf, df in (linalg._integer_form(g.entries) for g in f)]
+    defects = []
+    for q in range(len(cs) - 1):
+        (nq, dq), (nr, dr) = cs[q], cs[q + 1]
+        defects.append(defect((n1 @ nq, d1 * dq), (-(n2 @ nr), d2 * dr)))
+        defects.append(defect((nq @ n1, dq * d1), *fe[q:q + 1],
+                              (-(nr @ n2), dr * d2)))
     return defects
 
 
@@ -421,13 +456,18 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
 
     sig = sigma(n - 1, cd.m, c, bk).entries.entries
     eainv = mul(E.entries, linalg._inverse(a, bk))
-    # the n sums over p, one (n, c, c) stack, term by term in p
-    cs = linalg._zeros((n, c, c), bk)
-    power = linalg._diagonal([bk.one] * c, bk)
-    for p in range(n):
-        if p:
-            power = mul(power, B.entries)
-        cs = bk.reduce(cs + sig[:, p, None, None] * power)
+    powers = [linalg._diagonal([bk.one] * c, bk)]
+    for _ in range(n - 1):
+        powers.append(mul(powers[-1], B.entries))
+    if bk.exact:
+        # the n sums over p as one product sig @ [B^0; ...; B^(n-1)]
+        flat = np.stack(powers).reshape(n, c * c)
+        cs = mul(sig, flat).reshape(n, c, c)
+    else:
+        # the n sums over p, one (n, c, c) stack, term by term in p
+        cs = linalg._zeros((n, c, c), bk)
+        for p, power in enumerate(powers):
+            cs = cs + sig[:, p, None, None] * power
     # C as a list: tuple(generator) leaves a block per call in CPython's
     # tuple free lists until a full collection, which raised peak RSS
     return XnADHM(n, c, linalg._wrap(mul(a, R1.entries), bk),

@@ -1,6 +1,8 @@
 """Campaign reports against straightforward reference loops."""
 
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from functools import partial
 
@@ -289,3 +291,13 @@ def test_random_invertible_draws_are_those_of_np_linalg_cond():
         assert np.array_equal(sampling.random_invertible(got, n).to_numpy(),
                               reference(want, n))
     assert got.random() == want.random()
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    """A campaign loads ``concurrent.futures`` (and with it logging and
+    queue) only when it runs on more than one thread."""
+    code = ("import sys, xnadhm.campaigns; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"

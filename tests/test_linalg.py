@@ -789,3 +789,177 @@ def test_array_primitives_match_matrix_operations(backend):
     wide = Matrix.zeros(2, 3, bk).entries
     assert not linalg._is_invertible(wide, bk)
     assert not linalg._is_invertible(wide, bk, rel=True)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination against Fraction and residue references
+# ---------------------------------------------------------------------------
+
+def _reference_rref(a, bk):
+    """Reduced row echelon form by elimination on ``Fraction`` or residue
+    entries, one canonical scalar per operation: (rows, pivot columns)."""
+    red = bk.reduce
+    rows = a.tolist()
+    nr, nc = a.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pivot = None
+        for i in range(r, nr):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = bk.inv(rows[r][c])
+        rows[r] = [red(inv * x) for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [red(x - f * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots
+
+
+def _reference_det(a, bk):
+    """Determinant by elimination on ``Fraction`` or residue entries."""
+    red = bk.reduce
+    rows = a.tolist()
+    n = len(rows)
+    d = bk.one
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return bk.zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            d = -d
+        d = red(d * rows[c][c])
+        inv = bk.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = inv * rows[i][c]
+                rows[i] = [red(x - f * y) for x, y in zip(rows[i], rows[c])]
+    return d
+
+
+def _reference_nullspace(a, bk):
+    """Free-variable kernel basis read off ``_reference_rref``."""
+    rows, pivots = _reference_rref(a, bk)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = [[bk.one if fc == c else bk.zero for fc in free]
+             for c in range(cols)]
+    for r, pc in enumerate(pivots):
+        basis[pc] = [bk.reduce(-rows[r][fc]) for fc in free]
+    return basis
+
+
+def _reference_inverse(a, bk):
+    """[a | 1] reduced by ``_reference_rref``; None when a is singular."""
+    n = len(a)
+    eye = Matrix.identity(n, bk).entries
+    rows, pivots = _reference_rref(np.concatenate((a, eye), axis=1), bk)
+    if pivots != list(range(n)):
+        return None
+    return [r[n:] for r in rows]
+
+
+def _sweep_matrix(rng, bk):
+    """A seeded entry matrix of 1 to 6 rows and columns over ``bk``: dense,
+    a low-rank product, with zero columns, or sparse; rational entries have
+    denominators 1 to 6 or a prime near 1e9."""
+    rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
+    big = bk.kind == "rational" and rng.random() < 0.2
+
+    def draw(shape, density=1.0):
+        out = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            if rng.random() >= density:
+                out[idx] = 0
+            elif bk.kind == "gf":
+                out[idx] = int(rng.integers(0, bk.p))
+            elif big:
+                out[idx] = Fraction(int(rng.integers(-10**12, 10**12)),
+                                    BIG_PRIMES[int(rng.integers(0, 5))])
+            else:
+                out[idx] = Fraction(int(rng.integers(-6, 7)),
+                                    int(rng.integers(1, 7)))
+        return out
+
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        entries = draw((rows, cols))
+    elif kind == 1:
+        inner = int(rng.integers(1, min(rows, cols) + 1))
+        entries = draw((rows, inner)) @ draw((inner, cols))
+    elif kind == 2:
+        entries = draw((rows, cols))
+        entries[:, rng.random(cols) < 0.4] = 0
+    else:
+        entries = draw((rows, cols), density=0.25)
+    return Matrix(rows, cols, entries.ravel().tolist(), bk)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(2), GF(5), GF(7)],
+                         ids=repr)
+def test_exact_kernels_match_fraction_and_residue_references(backend):
+    """Elimination on integer numerators (rationals) and inline residues
+    (GF(p)) gives the references' canonical scalars: the pivots and pivot
+    rows of the reduced echelon form, the rank, the kernel basis, the
+    determinant and the inverse, ``SingularMatrix`` on singular input, and
+    a rational matrix cast to GF(p) equals per-entry ``coerce``, including
+    ``UnsupportedBackend`` when p divides a denominator."""
+    from xnadhm.errors import SingularMatrix
+
+    bk = backend
+    rng = np.random.default_rng(2024 + (bk.p if bk.kind == "gf" else 0))
+    kind = Fraction if bk.kind == "rational" else int
+    square = singular = refused = 0
+    for _ in range(600):
+        M = _sweep_matrix(rng, bk)
+        a = M.entries
+        rows, pivots = linalg._rref(a, bk)
+        want_rows, want_pivots = _reference_rref(a, bk)
+        assert pivots == want_pivots
+        assert rows[:len(pivots)] == want_rows[:len(pivots)]
+        assert all(type(x) is kind for row in rows for x in row)
+        assert rank(M) == len(pivots)
+        kernel = nullspace(M)
+        assert kernel.row_list() == _reference_nullspace(a, bk)
+        assert _scalars_canonical(kernel)
+        if M.rows == M.cols:
+            square += 1
+            got = det(M)
+            assert got == _reference_det(a, bk) and type(got) is kind
+            want = _reference_inverse(a, bk)
+            if want is None:
+                singular += 1
+                assert got == 0
+                with pytest.raises(SingularMatrix):
+                    inverse(M)
+            else:
+                assert inverse(M).row_list() == want
+        if bk.kind == "rational":
+            for p in (2, 5, 7):
+                try:
+                    want = [[GF(p).coerce(x) for x in row]
+                            for row in M.row_list()]
+                except UnsupportedBackend as exc:
+                    refused += 1
+                    with pytest.raises(UnsupportedBackend) as raised:
+                        M.cast(GF(p))
+                    assert str(raised.value) == str(exc)
+                else:
+                    cast = M.cast(GF(p))
+                    assert cast.row_list() == want and _scalars_canonical(cast)
+    assert square > 50 and singular > 5
+    assert refused > 0 or bk.kind == "gf"

@@ -286,15 +286,17 @@ def test_exact_check_P2_stops_at_first_nonzero_node(backend, monkeypatch):
         raise AssertionError("check_P2 interpolated the determinant form")
 
     dets = []
+    node_det = linalg._node_det
 
-    def counted(M):
-        dets.append(linalg.det(M))
+    def counted(*args):
+        dets.append(node_det(*args))
         return dets[-1]
 
     monkeypatch.setattr(linalg, "_interpolate_form", refuse)
     monkeypatch.setattr(linalg, "_vandermonde_inverse", refuse)
-    monkeypatch.setattr(pencil, "det", counted)
-    # (roots, det calls, witness): the witness is the first nonsingular node
+    monkeypatch.setattr(linalg, "_node_det", counted)
+    # (roots, node determinants, witness): the witness is the first
+    # nonsingular node
     cases = [([1, 2], 1, (1, 0)), ([0, 1], 3, (1, 2)), ([0, 2, 3], 2, (1, 1))]
     if backend.kind == "gf":
         # every (1, t) is singular, so the witness is the node (0, 1)
@@ -366,3 +368,34 @@ def test_node_matrix_skips_unit_and_zero_coefficients(backend, monkeypatch):
     # rationals' nodes (1, q); t = 2..4 on GF(5)'s (1, t) and (0, 1)
     assert scaled == [n2 for _, n2 in nodes if n2 not in (0, 1)]
     assert len(scaled) == (4 if backend.kind == "rational" else 3)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_node_determinants_equal_det_of_node_matrices(backend):
+    """The integer node determinants (rationals, over (d1 d2)^c) and the
+    residue ones equal ``det`` of the node matrices n1 A1 + n2 A2, singular
+    pencils and non-trivial denominators included."""
+    rng = np.random.default_rng(31)
+
+    def block(c):
+        if backend.kind == "gf":
+            return Matrix(c, c, rng.integers(0, 5, size=c * c).tolist(),
+                          backend)
+        return Matrix(c, c, [Fraction(int(p), int(q)) for p, q in
+                             zip(rng.integers(-6, 7, size=c * c),
+                                 rng.integers(1, 9, size=c * c))], backend)
+
+    zero = 0
+    for c in range(1, 6):
+        for trial in range(12):
+            A1, A2 = block(c), block(c)
+            if trial % 3 == 0:          # a common kernel: a singular pencil
+                P = Matrix.diagonal([0] + [1] * (c - 1), backend)
+                A1, A2 = A1 @ P, A2 @ P
+            forms = linalg._node_forms(A1, A2)
+            for n1, n2 in linalg._pencil_nodes(c, backend):
+                got = linalg._node_det(forms, n1, n2, backend)
+                want = det(linalg._node_matrix(A1, A2, n1, n2))
+                assert got == want and type(got) is type(want)
+                zero += got == 0
+    assert zero > 0

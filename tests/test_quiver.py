@@ -6,14 +6,15 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from xnadhm import quiver
 from xnadhm.campaigns import load_bruteforce_fixtures
 from xnadhm.errors import InvalidInput, NonzeroFraming, TooLarge, UnsupportedBackend
-from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, rank,
-                           residual, vstack)
-from xnadhm.xn import XnADHM, from_xn_points
+from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, inverse,
+                           rank, residual, vstack)
+from xnadhm.xn import XnADHM, check_P1, from_xn_points
 from xnadhm.quiver import (
     FramedRep,
     StabilityParams,
@@ -569,3 +570,68 @@ def test_bruteforce_c4_points_within_default_budget():
     assert brute_force_semistable(embed_xn_as_rep(d).cast(GF(5)))
     d0 = XnADHM(d.n, d.c, d.A1, d.A2, d.C, Matrix.zeros(1, 4, RATIONAL))
     assert not brute_force_semistable(embed_xn_as_rep(d0).cast(GF(5)))
+
+
+def _fraction_block(rng, rows, cols):
+    return Matrix(rows, cols, [Fraction(int(p), int(q)) for p, q in
+                               zip(rng.integers(-5, 6, size=rows * cols),
+                                   rng.integers(1, 8, size=rows * cols))],
+                  RATIONAL)
+
+
+def _expression_defects(r):
+    """The (Q1) defects of ``r`` as Matrix expressions."""
+    A1, A2, C, f, e = r.A1, r.A2, r.C, r.f, r.e
+    if r.n == 1:
+        return [A1 @ C[0] @ A2 - A2 @ C[0] @ A1]
+    out = []
+    for q in range(r.n - 1):
+        out.append(A1 @ C[q] - A2 @ C[q + 1])
+        out.append(C[q] @ A1 + f[q] @ e - C[q + 1] @ A2)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rational_relation_defects_match_matrix_expressions(n):
+    """``relation_defects``, ``check_relations`` and ``check_P1`` on
+    rational data with non-trivial denominators, from one integer
+    expression per defect, equal the Matrix-expression defects: on
+    gauge-moved point data, which satisfies (Q1) while f = 0, with and
+    without f, and on random blocks of unequal dimensions."""
+    rng = np.random.default_rng(40 + n)
+    seen = set()
+    for trial in range(8):
+        if trial < 4:
+            c = 2 + trial % 2
+            d = from_xn_points(n, 0, [(Fraction(k + 1, 3), Fraction(2 - k, 5))
+                                      for k in range(c)], RATIONAL)
+            g, h = (_fraction_block(rng, c, c) for _ in range(2))
+            if rank(g) < c or rank(h) < c:
+                continue
+            gi, hi = inverse(g), inverse(h)
+            A1, A2 = g @ d.A1 @ hi, g @ d.A2 @ hi
+            C = [h @ Cq @ gi for Cq in d.C]
+            e = d.e @ hi
+            v0 = v1 = c
+            w = 1
+        else:
+            v0, v1, w = (int(x) for x in rng.integers(1, 4, size=3))
+            A1, A2 = (_fraction_block(rng, v1, v0) for _ in range(2))
+            C = [_fraction_block(rng, v0, v1) for _ in range(n)]
+            e = _fraction_block(rng, w, v0)
+        for framed in (False, True):
+            f = [_fraction_block(rng, v0, w) if framed
+                 else Matrix.zeros(v0, w, RATIONAL) for _ in range(n - 1)]
+            r = FramedRep(n, v0, v1, w, A1, A2, C, e, f)
+            want = _expression_defects(r)
+            got = relation_defects(r)
+            assert got == want
+            assert all(type(x) is Fraction for D in got for x in D.entries.flat)
+            holds = all(D.is_zero() for D in want)
+            assert check_relations(r) is holds
+            seen.add(holds)
+            if v0 == v1 and w == 1:
+                xd = XnADHM(n, v0, A1, A2, C, e)
+                p1 = _expression_defects(embed_xn_as_rep(xd))
+                assert check_P1(xd) is all(D.is_zero() for D in p1)
+    assert seen == {True, False}

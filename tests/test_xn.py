@@ -1383,3 +1383,60 @@ def test_P3_direct_tests_every_short_root():
             assert roots == [((1, 0), 2), ((1, 1), 1)]
             assert check_P3_direct(d) == check_P3_via_chart(d) == want
             assert _p3_at_roots_reference(d, roots) == want
+
+
+def _zeta_inverse_expression(cd, n):
+    """``zeta_inverse`` on rational chart data as Matrix expressions:
+    (A1, A2) = A2m (R1, R2) for the rotation of (B, 1) by -m, and
+    C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1."""
+    c, bk = cd.c, RATIONAL
+    _, ck, sk = xn._backend_angles(bk, c, -cd.m)
+    one = Matrix.identity(c, bk)
+    R1 = cd.B.scale(ck) - one.scale(sk)
+    R2 = cd.B.scale(sk) + one.scale(ck)
+    sig = xn.sigma(n - 1, cd.m, c, bk).entries
+    tail = cd.E @ linalg.inverse(cd.A2m)
+    C = []
+    for q in range(n):
+        S = Matrix.zeros(c, c, bk)
+        for p in range(n):
+            S = S + cd.B.power(p).scale(sig.at(q, p))
+        C.append(S @ tail)
+    return xn.XnADHM(n, c, cd.A2m @ R1, cd.A2m @ R2, C, cd.e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [2, 3])
+def test_rational_chart_dictionary_matches_matrix_expressions(n, c):
+    """The exact C sum, one product sig @ [B^0; ...; B^(n-1)], gives the
+    Matrix-expression data: ``from_xn_points`` at chart 0 and, for odd c,
+    at the right-angle chart, and ``zeta_inverse`` on non-diagonal chart
+    data with a non-trivial gauge block."""
+    from xnadhm.plane import from_plane_points
+
+    rng = np.random.default_rng(10 * n + c)
+
+    def block():
+        return Matrix(c, c, [Fraction(int(p), int(q)) for p, q in
+                             zip(rng.integers(-5, 6, size=c * c),
+                                 rng.integers(1, 8, size=c * c))], RATIONAL)
+
+    charts = [0] + ([(c + 1) // 2] if c % 2 else [])
+    for m in charts:
+        pts = [(Fraction(2 * k - 1, 3), Fraction(k * k + 1, 4))
+               for k in range(c)]
+        plane = from_plane_points(pts, RATIONAL)
+        cd = xn.ChartData(m, plane.b1, plane.b2, plane.e,
+                          Matrix.identity(c, RATIONAL))
+        d = xn.from_xn_points(n, m, pts, RATIONAL)
+        assert d == _zeta_inverse_expression(cd, n)
+        assert all(type(x) is Fraction for M in (d.A1, d.A2, *d.C)
+                   for x in M.entries.flat)
+        for _ in range(3):
+            a2m = block()
+            if linalg.det(a2m) == 0:
+                continue
+            cd = xn.ChartData(m, block(), block(),
+                              Matrix.row_vector([1] * c, RATIONAL), a2m)
+            assert (xn.zeta_inverse(cd, n, check=False)
+                    == _zeta_inverse_expression(cd, n))
