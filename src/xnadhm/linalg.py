@@ -21,8 +21,7 @@ elimination (Math. Comp. 22, 1968) on the integer form (``_bareiss``),
 rank, nullspace and inverse take fraction-free Gauss-Jordan elimination on
 rows over their own common denominators (``_integer_rref``), and both make
 one ``Fraction`` per result entry; the GF(p) loops reduce with ``% p`` and
-invert with ``pow(x, p - 2, p)`` inline.  A rational matrix cast to GF(p)
-is N d^-1 mod p from one integer form (N, d) (``_residues``).
+invert with ``pow(x, p - 2, p)`` inline.
 
 The product, the inverse and the invertibility tests are array primitives
 on entries (``_matmul``, ``_inverse``, ``_is_invertible``) that the Matrix
@@ -391,14 +390,11 @@ class Matrix:
     def cast(self, backend):
         """Re-express the entries in another backend (rational -> complex or
         GF(p), integers -> anything).  Lossy directions raise; residues have
-        no canonical lift, so a prime-field matrix cannot leave its field.
-        Rationals reach GF(p) from one integer form (``_residues``)."""
+        no canonical lift, so a prime-field matrix cannot leave its field."""
         if backend == self.backend:
             return self
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field residues cannot be lifted")
-        if self.backend.kind == "rational" and backend.kind == "gf":
-            return _wrap(_residues(self.entries, backend), backend)
         return Matrix(self.rows, self.cols, self.entries.ravel().tolist(),
                       backend)
 
@@ -469,20 +465,6 @@ def _fractions(num, d):
     v of the integer array ``num``: one ``Fraction`` per entry."""
     return np.fromiter((Fraction(v, d) for v in num.flat), dtype=object,
                        count=num.size).reshape(num.shape)
-
-
-def _residues(arr, gf):
-    """An entry array of rationals brought into GF(p) from its integer form
-    (N, d) as N d^-1 mod p; ``UnsupportedBackend`` names the first entry
-    whose denominator p divides, as ``PrimeField.coerce`` does."""
-    p = gf.p
-    nums, d = _numerators(arr.flat)
-    if d % p == 0:
-        x = next(x for x in arr.flat if x.denominator % p == 0)
-        raise UnsupportedBackend(f"denominator of {x} vanishes mod {p}")
-    inv = pow(d, p - 2, p)
-    return np.array([x * inv % p for x in nums],
-                    dtype=object).reshape(arr.shape)
 
 
 def _matmul(a, b, backend):
@@ -774,17 +756,11 @@ def _is_invertible(a, backend, tol=None, rel=False) -> bool:
     return bool(s[-1] > _tol(tol) * max(1.0, float(np.abs(a).max())))
 
 
-def _node_matrix(A1: Matrix, A2: Matrix, n1, n2) -> Matrix:
-    """n1 A1 + n2 A2 at a node (n1, n2) != (0, 0), on any backend, without
-    the products by a zero or unit coefficient: the exact pencil nodes
-    (1, q) and (0, 1) are mostly 0 and 1, and each product is a pass over
-    ``Fraction`` or residue entries."""
-    bk = A1.backend
-    return _wrap(_node_entries(A1.entries, A2.entries, n1, n2, bk), bk)
-
-
 def _node_entries(a1, a2, n1, n2, backend):
-    """``_node_matrix`` on the entry arrays of one backend."""
+    """n1 a1 + n2 a2 at a node (n1, n2) != (0, 0) for entry arrays of one
+    backend, without the products by a zero or unit coefficient: the exact
+    chart rotations and pencil nodes are mostly 0 and 1, and each product
+    is a pass over ``Fraction`` or residue entries."""
     terms = [a if s == 1 else backend.reduce(backend.coerce(s) * a)
              for a, s in ((a1, n1), (a2, n2)) if s != 0]
     return terms[0] if len(terms) == 1 else backend.reduce(terms[0] + terms[1])
@@ -819,7 +795,7 @@ def _node_det(forms, n1, n2, backend):
 
 def _node_stack(A1: Matrix, A2: Matrix, nodes):
     """(len(nodes), c, c) complex array holding n1 A1 + n2 A2 for each node
-    (n1, n2): the batched ``_node_matrix``."""
+    (n1, n2): the batched ``_node_entries``."""
     w = np.array(nodes, dtype=complex)
     return (w[:, 0, None, None] * A1.to_numpy()
             + w[:, 1, None, None] * A2.to_numpy())

@@ -460,11 +460,13 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     for _ in range(n - 1):
         powers.append(mul(powers[-1], B.entries))
     if bk.exact:
-        # the n sums over p as one product sig @ [B^0; ...; B^(n-1)]
+        # the n sums over p as one product sig @ [B^0; ...; B^(n-1)]: on
+        # the rationals one integer matmul, not n Fraction multiply-adds
         flat = np.stack(powers).reshape(n, c * c)
         cs = mul(sig, flat).reshape(n, c, c)
     else:
-        # the n sums over p, one (n, c, c) stack, term by term in p
+        # the n sums over p, one (n, c, c) stack, term by term in p; one
+        # BLAS product would round the float sums in another order
         cs = linalg._zeros((n, c, c), bk)
         for p, power in enumerate(powers):
             cs = cs + sig[:, p, None, None] * power

@@ -348,6 +348,13 @@ def test_exact_regularity_keeps_the_prime_field_node_limit():
         check_P2(d)
 
 
+def _node_matrix(A1, A2, n1, n2):
+    """n1 A1 + n2 A2 as a Matrix, from ``linalg._node_entries``."""
+    bk = A1.backend
+    return linalg._wrap(
+        linalg._node_entries(A1.entries, A2.entries, n1, n2, bk), bk)
+
+
 @pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
 def test_node_matrix_skips_unit_and_zero_coefficients(backend, monkeypatch):
     rng = np.random.default_rng(500)
@@ -363,7 +370,7 @@ def test_node_matrix_skips_unit_and_zero_coefficients(backend, monkeypatch):
     coerce = backend.coerce
     monkeypatch.setattr(backend, "coerce",
                         lambda s: scaled.append(s) or coerce(s))
-    assert [linalg._node_matrix(A1, A2, n1, n2) for n1, n2 in nodes] == want
+    assert [_node_matrix(A1, A2, n1, n2) for n1, n2 in nodes] == want
     # only the coefficients other than 0 and 1 multiply: q = 2..5 on the
     # rationals' nodes (1, q); t = 2..4 on GF(5)'s (1, t) and (0, 1)
     assert scaled == [n2 for _, n2 in nodes if n2 not in (0, 1)]
@@ -395,7 +402,7 @@ def test_node_determinants_equal_det_of_node_matrices(backend):
             forms = linalg._node_forms(A1, A2)
             for n1, n2 in linalg._pencil_nodes(c, backend):
                 got = linalg._node_det(forms, n1, n2, backend)
-                want = det(linalg._node_matrix(A1, A2, n1, n2))
+                want = det(_node_matrix(A1, A2, n1, n2))
                 assert got == want and type(got) is type(want)
                 zero += got == 0
     assert zero > 0

@@ -224,7 +224,9 @@ def test_chart_matrices_and_float_nodes_are_the_rotation():
             assert (A1m, A2m) == _rotate(d.A1, d.A2, m, c)
             cm, sm = angle_constants(c, m)
             assert nodes[m] == (sm, cm)
-            assert linalg._node_matrix(d.A1, d.A2, *nodes[m]) == A2m
+            node = linalg._node_entries(d.A1.entries, d.A2.entries,
+                                        *nodes[m], COMPLEX)
+            assert np.array_equal(node, A2m.entries)
 
 
 # ---------------------------------------------------------------------------
