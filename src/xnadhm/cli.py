@@ -19,6 +19,7 @@ tolerance; ``--tol`` and ``ADHM_TOL`` must be finite numbers >= 0.
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 import time
@@ -62,15 +63,22 @@ def _tol_arg(args):
         raise _UsageError(f"{source}: {exc}") from None
 
 
+def _coordinate(text, backend):
+    """One point coordinate: a rational into an exact backend, else a finite
+    complex number."""
+    if backend.exact:
+        return backend.coerce(Fraction(text.strip()))
+    x = complex(text)
+    if not cmath.isfinite(x):
+        raise _UsageError(f"point coordinate {text.strip()!r} is not finite")
+    return x
+
+
 def _parse_points(text, backend):
     pts = []
     for chunk in text.split(";"):
         z, w = chunk.split(",")
-        if backend.exact:
-            pts.append((backend.coerce(Fraction(z.strip())),
-                        backend.coerce(Fraction(w.strip()))))
-        else:
-            pts.append((complex(z), complex(w)))
+        pts.append((_coordinate(z, backend), _coordinate(w, backend)))
     return pts
 
 
@@ -92,7 +100,7 @@ def cmd_gen(args) -> int:
             _emit(serialize.xn_to_json(
                 from_xn_points(args.n, args.m, pts, backend)))
             return EXIT_OK
-    except (XnAdhmError, ValueError) as exc:
+    except (XnAdhmError, ValueError, ZeroDivisionError) as exc:
         raise _UsageError(exc) from None
     if backend.exact:
         raise _UsageError("random generation only runs on the complex backend")

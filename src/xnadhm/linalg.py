@@ -16,12 +16,16 @@ product brings each factor over its least common denominator and multiplies
 the integer numerators, so that no intermediate ``Fraction`` is made.  Only
 rank, nullspace, determinant and inverse take a different algorithm on the
 exact backends (elimination by hand instead of LAPACK), and it runs on
-Python ints as well: a rational determinant is Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) on the integer form (``_bareiss``),
-rank, nullspace and inverse take fraction-free Gauss-Jordan elimination on
-rows over their own common denominators (``_integer_rref``), and both make
-one ``Fraction`` per result entry; the GF(p) loops reduce with ``% p`` and
-invert with ``pow(x, p - 2, p)`` inline.
+Python ints as well.  There are two elimination loops.  ``_fraction_free``
+is Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22, 1968)
+on integer rows, whose last pivot is the determinant: every exact
+determinant is one call of it, on the integer form of rationals over the
+common denominator to the power c, on residues reduced modulo p, and on
+the integer matrix of a pencil node (``_node_det``); rational rank,
+nullspace and inverse run it on rows over their own common denominators
+and make one ``Fraction`` per result entry.  ``_rref`` over GF(p) is
+Gauss-Jordan elimination modulo p, with ``% p`` and ``pow(x, p - 2, p)``
+inline, since its pivots differ from those over the integers.
 
 The product, the inverse and the invertibility tests are array primitives
 on entries (``_matmul``, ``_inverse``, ``_is_invertible``) that the Matrix
@@ -543,11 +547,20 @@ def _rref(a, bk):
     """Reduced row echelon form of an entry array over an exact backend.
 
     Returns (rows, pivot_columns) where ``rows`` is a list of row lists.
-    Rationals take fraction-free Gauss-Jordan elimination on integer rows
-    (``_integer_rref``), residues Gauss-Jordan elimination modulo p.
+    Rationals bring each row over its own common denominator, run
+    ``_fraction_free`` on the integer rows and divide every pivot row by the
+    last pivot, which each pivot entry then equals; the zero rows below the
+    rank are ``Fraction(0)``.  Residues take Gauss-Jordan elimination modulo
+    p, whose pivots differ from those over the integers.
     """
     if bk.kind == "rational":
-        return _integer_rref(a)
+        rows = [_numerators(row)[0] for row in a.tolist()]
+        pivots = _fraction_free(rows)[0]
+        r = len(pivots)
+        last = rows[r - 1][pivots[-1]] if r else 1
+        zero = Fraction(0)
+        return ([[Fraction(x, last) for x in row] for row in rows[:r]]
+                + [[zero] * a.shape[1] for _ in rows[r:]]), pivots
     p = bk.p
     rows = a.tolist()
     nr, nc = a.shape
@@ -573,18 +586,21 @@ def _rref(a, bk):
     return rows, pivots
 
 
-def _integer_rref(a):
-    """``_rref`` of an entry array of rationals by fraction-free
-    Gauss-Jordan elimination: each row is brought over its own common
-    denominator, every row but the pivot row becomes (pivot * row - f * pivot
+def _fraction_free(rows):
+    """Fraction-free Gauss-Jordan elimination, in place, on a list of
+    Python-int row lists; returns (pivot columns, determinant).
+
+    Each step moves a row with a nonzero entry pk in the next column to the
+    pivot position and replaces every other row by (pk * row - f * pivot
     row) // previous pivot, a division that is exact because every entry
-    stays a minor of the integer rows (Bareiss, Math. Comp. 22, 1968), and
-    each pivot row, whose pivot is then the last pivot, is divided by it
-    once at the end.  The zero rows below the rank are ``Fraction(0)``."""
-    rows = [_numerators(row)[0] for row in a.tolist()]
-    nr, nc = a.shape
+    stays a minor of the input (Bareiss, Math. Comp. 22, 1968); afterwards
+    each pivot entry equals the last pivot.  The determinant is the sign of
+    the row swaps times the last pivot when the rows are square and of full
+    rank (1 for no rows), and 0 otherwise."""
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
     pivots = []
-    prev = 1
+    prev = sign = 1
     r = 0
     for c in range(nc):
         for i in range(r, nr):
@@ -592,7 +608,9 @@ def _integer_rref(a):
                 break
         else:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
         top = rows[r]
         pk = top[c]
         for i in range(nr):
@@ -605,32 +623,7 @@ def _integer_rref(a):
         r += 1
         if r == nr:
             break
-    zero = Fraction(0)
-    return ([[Fraction(x, prev) for x in row] for row in rows[:r]]
-            + [[zero] * nc for _ in range(r, nr)]), pivots
-
-
-def _bareiss(rows) -> int:
-    """Determinant of a square integer matrix, a list of row lists, by
-    Bareiss's fraction-free elimination (Math. Comp. 22, 1968): each step
-    moves a row with a nonzero leading entry pk to the top and replaces the
-    rows below by their 2x2 minors with it over the previous pivot, an
-    exact ``//``, one column shorter.  1 for an empty matrix."""
-    sign = prev = 1
-    while len(rows) > 1:
-        for k, row in enumerate(rows):
-            if row[0]:
-                break
-        else:
-            return 0
-        if k % 2:
-            sign = -sign
-        top = rows.pop(k)
-        pk = top[0]
-        rows = [[(pk * x - row[0] * y) // prev
-                 for x, y in zip(row[1:], top[1:])] for row in rows]
-        prev = pk
-    return sign * rows[0][0] if rows else 1
+    return pivots, sign * prev if r == nr == nc else 0
 
 
 def rank(M: Matrix, tol=None) -> int:
@@ -680,37 +673,19 @@ def det(M: Matrix):
 
 
 def _exact_det(a, bk):
-    """Determinant of a square entry array by elimination (exact backends;
-    1 for an empty array on any backend): Bareiss on the integer form of
-    rationals over its common denominator to the power c, and elimination
-    modulo p on residues."""
+    """Determinant of a square entry array by ``_fraction_free`` (exact
+    backends; 1 for an empty array on any backend): of the integer form of
+    rationals over its common denominator to the power c, and of the
+    residues as integers, reduced modulo p."""
     n = len(a)
     if n == 0:
         return bk.one
     if bk.kind == "rational":
         nums, d = _numerators(a.flat)
-        return Fraction(_bareiss([nums[i:i + n] for i in range(0, n * n, n)]),
-                        d ** n)
-    p = bk.p
-    rows = a.tolist()
-    d = 1
-    for c in range(n):
-        for i in range(c, n):
-            if rows[i][c]:
-                break
-        else:
-            return 0
-        if i != c:
-            rows[c], rows[i] = rows[i], rows[c]
-            d = -d
-        top = rows[c]
-        d = d * top[c] % p
-        inv = pow(top[c], p - 2, p)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = inv * rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-    return d
+        return Fraction(
+            _fraction_free([nums[i:i + n] for i in range(0, n * n, n)])[1],
+            d ** n)
+    return _fraction_free(a.tolist())[1] % bk.p
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -771,26 +746,32 @@ def _node_forms(A1: Matrix, A2: Matrix):
     determinants: on the rationals, with (N1, d1) and (N2, d2) the integer
     forms of A1 and A2, the integer row lists d2 N1 and d1 N2 and
     den = (d1 d2)^c, so that n1 A1 + n2 A2 = (n1 d2 N1 + n2 d1 N2) / (d1 d2);
-    on the other backends the entry arrays and 1."""
-    if A1.backend.kind != "rational":
-        return A1.entries, A2.entries, 1
-    n1, d1 = _integer_form(A1.entries)
-    n2, d2 = _integer_form(A2.entries)
-    return (d2 * n1).tolist(), (d1 * n2).tolist(), (d1 * d2) ** A1.rows
+    over GF(p) the residue row lists and 1; on floats the entry arrays and
+    1."""
+    bk = A1.backend
+    if bk.kind == "rational":
+        n1, d1 = _integer_form(A1.entries)
+        n2, d2 = _integer_form(A2.entries)
+        return (d2 * n1).tolist(), (d1 * n2).tolist(), (d1 * d2) ** A1.rows
+    if bk.exact:
+        return A1.entries.tolist(), A2.entries.tolist(), 1
+    return A1.entries, A2.entries, 1
 
 
 def _node_det(forms, n1, n2, backend):
-    """det(n1 A1 + n2 A2) at a pencil node from ``_node_forms``: on the
-    rationals, whose nodes (1, q) are integers, the Bareiss determinant of
-    the integer node matrix over den, with no ``Fraction`` node matrix; on
-    the other backends ``det`` of the node matrix."""
+    """det(n1 A1 + n2 A2) at a pencil node from ``_node_forms``.  The exact
+    nodes are integers (residues over GF(p)), so the node matrix of the
+    integer row lists is an integer matrix: its ``_fraction_free``
+    determinant over den on the rationals, reduced modulo p over GF(p), with
+    no ``Fraction`` or residue node matrix; on floats ``det`` of the node
+    matrix."""
     a1, a2, den = forms
-    if backend.kind != "rational":
+    if not backend.exact:
         return det(_wrap(_node_entries(a1, a2, n1, n2, backend), backend))
     n1, n2 = int(n1), int(n2)
-    return Fraction(_bareiss(
-        [[n1 * x + n2 * y for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a2)]),
-        den)
+    v = _fraction_free([[n1 * x + n2 * y for x, y in zip(r1, r2)]
+                        for r1, r2 in zip(a1, a2)])[1]
+    return Fraction(v, den) if backend.kind == "rational" else v % backend.p
 
 
 def _node_stack(A1: Matrix, A2: Matrix, nodes):
@@ -861,6 +842,8 @@ class HomogPoly:
         raise AttributeError("HomogPoly is immutable")
 
     def evaluate(self, nu1, nu2):
+        """Public API: the value of the form at (nu1, nu2), coerced into and
+        computed on the form's backend."""
         bk = self.backend
         nu1 = bk.coerce(nu1)
         nu2 = bk.coerce(nu2)

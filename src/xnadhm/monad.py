@@ -124,7 +124,8 @@ class GaugeElement:
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         """self after other: acting with the result equals acting with
-        ``other`` first and ``self`` second."""
+        ``other`` first and ``self`` second.  Public API: the group law of
+        the gauge group, for building composite gauge transformations."""
         psi12 = [self.psi11 @ q2 + q1 @ other.psi22
                  for q1, q2 in zip(self.psi12, other.psi12)]
         return GaugeElement(phi=self.phi @ other.phi,
@@ -145,7 +146,8 @@ class GaugeElement:
 def embed_gl_gauge(phi0: Matrix, n: int) -> GaugeElement:
     """The base-change subgroup inside the gauge group: conjugating the plane
     triple by phi0 corresponds to the gauge element with components
-    (t(phi0)^-1, diag(t(phi0)^-1, t(phi0)^-1, 1), t(phi0)^-1)."""
+    (t(phi0)^-1, diag(t(phi0)^-1, t(phi0)^-1, 1), t(phi0)^-1).  Public API:
+    it carries monad coefficients along a base change of the plane data."""
     c = phi0.rows
     bk = phi0.backend
     tinv = inverse(phi0.transpose())

@@ -10,11 +10,12 @@ configuration), and the witness is the covering chart of
 backends take the node determinants in order and stop at the first nonzero
 one, the witness; only the rational spectrum takes the remaining
 determinants, interpolates the form with the cached inverse Vandermonde
-matrix and roots it.  A rational pencil is brought to integer form once,
-A_i = N_i / d_i, and each node determinant is the Bareiss determinant of
-the integer matrix n1 d2 N1 + n2 d1 N2 over (d1 d2)^c, so no ``Fraction``
-node matrix is built; over GF(p) the node matrix of residues is
-eliminated modulo p.
+matrix and roots it.  Every exact node determinant is one fraction-free
+elimination of an integer matrix (``linalg._fraction_free``), with no
+``Fraction`` or residue node matrix: a rational pencil is brought to
+integer form once, A_i = N_i / d_i, and its node determinant is that of
+n1 d2 N1 + n2 d1 N2 over (d1 d2)^c; over GF(p) it is that of n1 A1 + n2 A2
+on the residues as integers, reduced modulo p.
 
 A singular pencil admits a polynomial vector solution
 v(t) = v0 - t v1 + ... + (-t)^eps v_eps of (A1 + t A2) v(t) = 0; equating

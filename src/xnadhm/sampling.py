@@ -16,11 +16,10 @@ from .plane import PlaneADHM
 from .quiver import FramedRep, embed_xn_as_rep
 from .xn import ChartData, XnADHM, zeta_inverse
 
-#: resample thresholds: condition numbers of random invertible blocks, the
-#: chart-overlap pivot of random chart pairs and the gaps of random points
+#: resample thresholds: condition numbers of random invertible blocks and
+#: the chart-overlap pivot of random chart pairs
 MAX_COND = 1e4
 _OVERLAP_MARGIN = 0.15
-_POINT_GAP = 0.2
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -161,13 +160,6 @@ def random_free_rep(rng, n, c) -> FramedRep:
         [random_matrix(rng, c, c) for _ in range(n)],
         random_matrix(rng, 1, c),
         [random_matrix(rng, c, 1) for _ in range(max(n - 1, 0))])
-
-
-def random_points(rng, c):
-    """Pairwise distinct plane points with a gap in both coordinates."""
-    zs = _separated_values(rng, c, _POINT_GAP)
-    ws = _separated_values(rng, c, _POINT_GAP)
-    return [(complex(z), complex(w)) for z, w in zip(zs, ws)]
 
 
 def integer_points(rng, c, p):

@@ -9,6 +9,7 @@ types mirror their field layout.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import InvalidInput
@@ -29,7 +30,12 @@ def _entry_to_json(x, backend):
 
 def _entry_from_json(v, backend):
     if backend.kind == "complex":
-        return complex(v[0], v[1])
+        # [re, im] of finite JSON numbers: not bool, str or NaN/Infinity
+        if type(v) is list and len(v) == 2 and all(
+                type(x) in (int, float) and math.isfinite(x) for x in v):
+            return complex(v[0], v[1])
+        raise InvalidInput(f"complex entry {v!r} is not a pair of finite "
+                           "real numbers")
     if backend.kind == "rational":
         if isinstance(v, float):
             raise InvalidInput(f"rational entry {v!r} is a float; "
@@ -57,11 +63,13 @@ def matrix_from_json(obj) -> Matrix:
         backend = backend_from_name(obj["backend"])
         entries = [_entry_from_json(v, backend) for v in obj["entries"]]
         return Matrix(obj["rows"], obj["cols"], entries, backend)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidInput(f"malformed matrix JSON: {exc}") from None
 
 
 def plane_to_json(d: PlaneADHM) -> dict:
+    """Public API: writes the plane-triple file that ``xnadhm check --which
+    T`` reads."""
     return {"c": d.c, "b1": matrix_to_json(d.b1), "b2": matrix_to_json(d.b2),
             "e": matrix_to_json(d.e)}
 
@@ -86,11 +94,14 @@ def xn_from_json(obj) -> XnADHM:
 
 
 def chart_to_json(cd: ChartData) -> dict:
+    """Public API: the JSON form of one chart's data (m, B, E, e, A2m), which
+    ``chart_from_json`` reads back; the CLI takes no chart files."""
     return {"m": cd.m, "B": matrix_to_json(cd.B), "E": matrix_to_json(cd.E),
             "e": matrix_to_json(cd.e), "A2m": matrix_to_json(cd.A2m)}
 
 
 def chart_from_json(obj) -> ChartData:
+    """Public API: the ``ChartData`` that ``chart_to_json`` wrote."""
     return ChartData(obj["m"], matrix_from_json(obj["B"]),
                      matrix_from_json(obj["E"]), matrix_from_json(obj["e"]),
                      matrix_from_json(obj["A2m"]))

@@ -30,12 +30,12 @@ from xnadhm.quiver import (
     u_m_residual,
 )
 from xnadhm.sampling import (
+    _separated_values,
     random_chart_data,
     random_costable_triple,
     random_free_rep,
     random_invertible,
     random_matrix,
-    random_points,
     random_rep,
     random_xn,
     random_xn_e_zero,
@@ -60,6 +60,14 @@ from xnadhm.xn import (
     zeta_inverse,
 )
 from xnadhm.linalg import angle_constants, is_invertible
+
+
+def random_points(rng, c):
+    """c pairwise distinct complex plane points, both coordinates at least
+    0.2 apart."""
+    zs = _separated_values(rng, c, 0.2)
+    ws = _separated_values(rng, c, 0.2)
+    return [(complex(z), complex(w)) for z, w in zip(zs, ws)]
 
 
 def report(num, name, ok, detail=""):

@@ -578,9 +578,48 @@ def test_every_check_family_passes_and_fails(which, tmp_path, capsys):
     ["gen", "--kind", "points", "--n", "1", "--c", "2", "--points", "0,0"],
     ["gen", "--kind", "random-costable", "--backend", "rational"],
     ["gen", "--kind", "random-rep", "--backend", "gf:5"],
+    ["gen", "--kind", "points", "--backend", "rational", "--n", "1", "--c",
+     "1", "--points", "1/0,1"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
     code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("points, bad", [
+    ("nan,1;2,3", "nan"), ("0,1;2,-inf", "-inf"), ("0,1; nanj ,3", "nanj"),
+    ("0,infinity;2,3", "infinity")])
+def test_gen_points_rejects_non_finite_coordinates(points, bad, capsys):
+    code = main(["gen", "--kind", "points", "--n", "1", "--c", "2",
+                 "--points", points])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: point coordinate {bad!r} is not finite\n"
+
+
+@pytest.mark.parametrize("entry", [
+    [float("nan"), 0.0], [0.0, float("inf")], [1.0], [True, 0.0], ["1", "0"]],
+    ids=repr)
+@pytest.mark.parametrize("which", ["P", "T"])
+def test_check_rejects_a_malformed_complex_entry(which, entry, tmp_path,
+                                                 capsys):
+    """A NaN or Infinity entry used to load and end ``check`` in a
+    ``LinAlgError`` traceback, a one-element one in an ``IndexError``."""
+    from xnadhm.sampling import random_costable_triple
+    from xnadhm.serialize import plane_to_json
+
+    rng = rng_from_seed(0)
+    if which == "P":
+        obj, block = xn_to_json(random_xn(rng, 2, 2)), "A1"
+    else:
+        obj, block = plane_to_json(random_costable_triple(rng, 2)), "b1"
+    obj[block]["entries"][0] = entry
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(obj))
+    code = main(["check", str(path), "--which", which])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")

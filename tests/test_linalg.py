@@ -552,9 +552,34 @@ def _leibniz(rows):
 
 @pytest.mark.parametrize("backend", EXACT_BACKENDS, ids=repr)
 def test_exact_det_matches_leibniz(backend):
-    for _, rows in _random_int_matrices(11):
+    """Random integer matrices, and permutation matrices of both parities
+    (the sign of the row swaps); over GF(p), residue matrices whose integer
+    determinant is a nonzero multiple of p read 0 and are singular."""
+    from xnadhm.errors import SingularMatrix
+
+    cases = [rows for _, rows in _random_int_matrices(11)]
+    cases += [[[int(j == perm[i]) for j in range(n)] for i in range(n)]
+              for n in range(1, 6) for perm in permutations(range(n))]
+    for rows in cases:
         assert det(Matrix.from_rows(rows, backend)) == backend.coerce(
             _leibniz(rows))
+    if backend.kind != "gf":
+        return
+    p = backend.p
+    half = (p + 1) // 2
+    multiples = ([[[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                  [[0, 1, 1], [1, 1, 0], [1, 0, 1]]] if p == 2 else
+                 [[[2, 1], [1, half]], [[1, half], [2, 1]],
+                  [[0, 0, 1], [2, 1, 0], [1, half, 0]]])
+    if p == 5:
+        multiples.append([[1, 2], [3, 1]])
+    for rows in multiples:
+        assert _leibniz(rows) % p == 0 != _leibniz(rows)
+        M = Matrix.from_rows(rows, backend)
+        assert M.row_list() == rows
+        assert det(M) == 0 and not linalg.is_invertible(M)
+        with pytest.raises(SingularMatrix):
+            inverse(M)
 
 
 @pytest.mark.parametrize("backend", EXACT_BACKENDS, ids=repr)

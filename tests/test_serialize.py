@@ -32,6 +32,8 @@ def test_matrix_complex_entries_as_pairs():
     assert obj["backend"] == "complex"
     assert obj["entries"][0] == [1.0, 2.0]
     assert matrix_from_json(obj) == M
+    obj["entries"] = [[1, 2], [0, 0], [0, 0], [0, -1]]
+    assert matrix_from_json(obj) == M
 
 
 def test_matrix_rational_strings():
@@ -61,11 +63,21 @@ def test_matrix_prime_field_rejects_non_integers(entry):
                           "entries": [1, entry]})
 
 
-@pytest.mark.parametrize("entry", [0.1, 2.0, True, False])
+@pytest.mark.parametrize("entry", [0.1, 2.0, True, False, "1/0"])
 def test_matrix_rational_rejects_floats(entry):
     with pytest.raises(InvalidInput):
         matrix_from_json({"rows": 1, "cols": 1, "backend": "rational",
                           "entries": [entry]})
+
+
+@pytest.mark.parametrize("entry", [
+    [1.0], [1.0, 2.0, 3.0], [], 1.0, "1+2j", None, {"re": 1.0, "im": 0.0},
+    [float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 0.0],
+    [True, 0.0], [0.0, False], ["1", "0"], [None, 0.0], [10**400, 0]])
+def test_matrix_complex_rejects_all_but_finite_pairs(entry):
+    with pytest.raises(InvalidInput):
+        matrix_from_json({"rows": 1, "cols": 2, "backend": "complex",
+                          "entries": [[1.0, 0.0], entry]})
 
 
 def test_matrix_exact_integer_entries_accepted():

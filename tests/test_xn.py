@@ -34,11 +34,11 @@ from xnadhm.monad import build_jm, gauge_normalize, reexpand_chart
 from xnadhm.pencil import analyze_pencil
 from xnadhm.plane import PlaneADHM, _observable, _unit, gl_action
 from xnadhm.sampling import (
+    _separated_values,
     overlap_margin,
     random_chart_data,
     random_costable_triple,
     random_invertible,
-    random_points,
     random_xn,
     random_xn_e_zero,
     random_xn_kernel_violator,
@@ -66,6 +66,14 @@ from xnadhm.xn import (
     zeta,
     zeta_inverse,
 )
+
+
+def random_points(rng, c):
+    """c pairwise distinct complex plane points, both coordinates at least
+    0.2 apart."""
+    zs = _separated_values(rng, c, 0.2)
+    ws = _separated_values(rng, c, 0.2)
+    return [(complex(z), complex(w)) for z, w in zip(zs, ws)]
 
 
 def scalar_xn(n, z, w, e=1.0):
