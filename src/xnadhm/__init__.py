@@ -46,7 +46,6 @@ from .plane import (
 from .quiver import (
     FramedRep,
     MomentResidual,
-    StabilityParams,
     Verdict,
     brute_force_semistable,
     check_relations,
@@ -54,12 +53,12 @@ from .quiver import (
     embed_xn_as_rep,
     moment_residual_n2,
     project_rep,
+    standard_theta,
     theta_slope,
     u_m_residual,
 )
 from .xn import (
     ChartData,
-    SigmaMatrix,
     XnADHM,
     chart_constants,
     chart_matrices,

@@ -158,12 +158,20 @@ def _is_prime(p):
     return True
 
 
+#: prime fields are refused from this size on, before the trial-division
+#: primality test, which takes seconds near 10**15 and does not finish for
+#: a 25-digit p
+MAX_PRIME = 2 ** 31
+
+
 class PrimeField:
     kind = "gf"
     exact = True
     dtype = object
 
     def __init__(self, p):
+        if p >= MAX_PRIME:
+            raise UnsupportedBackend(f"prime fields need p < 2**31, got {p}")
         if not _is_prime(p):
             raise UnsupportedBackend(f"{p} is not prime")
         self.p = p
@@ -850,16 +858,6 @@ class HomogPoly:
         return bk.reduce(sum(a * (nu2 ** q * nu1 ** (self.degree - q))
                              for q, a in enumerate(self.coeffs)))
 
-    def max_coeff(self):
-        if self.backend.kind == "gf":
-            raise UnsupportedBackend("no norm over a prime field")
-        return max((abs(complex(x)) for x in self.coeffs), default=0.0)
-
-    def is_zero(self, tol=None, scale=1.0):
-        if self.backend.exact:
-            return not any(self.coeffs)
-        return self.max_coeff() <= _tol(tol) * max(1.0, scale)
-
     def __eq__(self, other):
         return (isinstance(other, HomogPoly) and self.degree == other.degree
                 and self.coeffs == other.coeffs and self.backend == other.backend)
@@ -923,7 +921,7 @@ def _interpolate_form(values, backend) -> HomogPoly:
     return HomogPoly(c, coeffs.entries.ravel().tolist(), backend)
 
 
-def pencil_det_poly(A1: Matrix, A2: Matrix, tol=None) -> HomogPoly:
+def pencil_det_poly(A1: Matrix, A2: Matrix) -> HomogPoly:
     """det(nu1*A1 + nu2*A2) as a homogeneous form of degree c.
 
     Computed by evaluation at the c+1 ``_pencil_nodes`` followed by

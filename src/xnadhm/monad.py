@@ -260,7 +260,7 @@ def _sigma_mix(coeffs, shift: int, c_count: int, backend):
     G_q = sum_p sigma^h_{shift; p q} F_p, summed in the order p = 0..h, one
     broadcast multiply-add per p over all q."""
     h = len(coeffs) - 1
-    sig = sigma(h, shift, c_count, backend).entries.entries
+    sig = sigma(h, shift, c_count, backend).entries
     if backend.exact:
         # promoted (irrational) constants are refused here, entry by entry
         sig = np.frompyfunc(backend.coerce, 1, 1)(sig)

@@ -85,14 +85,9 @@ class FramedRep:
                          [f.cast(backend) for f in self.f])
 
 
-@dataclass(frozen=True)
-class StabilityParams:
-    theta: tuple
-    dims: tuple
-
-    @classmethod
-    def standard(cls, c: int) -> "StabilityParams":
-        return cls(theta=(2 * c, -2 * c + 1), dims=(c, c))
+def standard_theta(c: int) -> tuple:
+    """The standard weight theta_c = (2c, -2c+1) of dimension vector (c, c)."""
+    return 2 * c, -2 * c + 1
 
 
 @dataclass(frozen=True)
@@ -301,7 +296,8 @@ def _preimage(Cs, S0: Matrix) -> Matrix:
 
 
 def brute_force_semistable(r: FramedRep, theta=None, budget=200_000) -> bool:
-    """Definitional semistability by exhausting the subspaces S0 of V0.
+    """Definitional semistability by exhausting the subspaces S0 of V0, at
+    the weight ``theta`` (default ``standard_theta(v0)``).
 
     A pair (S0, S1) is closed when both A arrows map S0 into S1 and every C
     arrow maps S1 into S0.  Each closed pair is tested against the two slope
@@ -331,7 +327,7 @@ def brute_force_semistable(r: FramedRep, theta=None, budget=200_000) -> bool:
     if total > budget:
         raise TooLarge(f"{total} subspaces of V0 exceed the budget {budget}")
     if theta is None:
-        theta = StabilityParams.standard(r.v0).theta
+        theta = standard_theta(r.v0)
     full = theta_slope(theta, (r.v0, r.v1))
     bk = r.backend
     # [A1; A2], so that A1 S0 and A2 S0 are one product

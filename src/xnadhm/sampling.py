@@ -26,9 +26,9 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_matrix(rng, rows, cols, scale=1.0) -> Matrix:
+def random_matrix(rng, rows, cols) -> Matrix:
     a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return Matrix.from_numpy(scale * a)
+    return Matrix.from_numpy(a)
 
 
 def random_invertible(rng, n) -> Matrix:
@@ -66,17 +66,16 @@ def random_costable_triple(rng, c) -> PlaneADHM:
     return PlaneADHM(c, b1, b2, Matrix.row_vector(e.tolist()))
 
 
-def random_chart_data(rng, c, m=None) -> ChartData:
+def random_chart_data(rng, c) -> ChartData:
     plane = random_costable_triple(rng, c)
-    if m is None:
-        m = int(rng.integers(0, c + 1))
+    m = int(rng.integers(0, c + 1))
     A2m = random_invertible(rng, c)
     return ChartData(m, plane.b1, plane.b2, plane.e, A2m)
 
 
-def random_xn(rng, n, c, m=None) -> XnADHM:
+def random_xn(rng, n, c) -> XnADHM:
     """Configuration data satisfying all three conditions."""
-    return zeta_inverse(random_chart_data(rng, c, m), n)
+    return zeta_inverse(random_chart_data(rng, c), n)
 
 
 def random_xn_e_zero(rng, n, c) -> XnADHM:

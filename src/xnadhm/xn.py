@@ -124,13 +124,6 @@ class ChartData:
         return PlaneADHM(self.c, self.B, self.E, self.e)
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
-    h: int
-    m: int
-    entries: Matrix
-
-
 # ---------------------------------------------------------------------------
 # chart constants and sigma matrices
 # ---------------------------------------------------------------------------
@@ -166,8 +159,10 @@ def _backend_angles(backend, c_count: int, k: int):
 
 
 @functools.lru_cache(maxsize=256)
-def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> SigmaMatrix:
-    """Binomial change-of-chart matrix of size (h+1) x (h+1).
+def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> Matrix:
+    """Binomial change-of-chart matrix of size (h+1) x (h+1), as a
+    ``Matrix`` over ``backend`` (over the complex numbers when a rational
+    chart's constants are irrational).
 
     Row p expands (s_m u1 + c_m u2)^p (c_m u1 - s_m u2)^(h-p) over the
     monomials u2^q u1^(h-q); the family satisfies the one-parameter group law
@@ -188,7 +183,7 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> SigmaMatrix:
             for i in range(h - p + 1):
                 row[i + j] += a[j] * b[i]
         rows.append(row)
-    return SigmaMatrix(h, m, Matrix.from_rows(rows, backend))
+    return Matrix.from_rows(rows, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +449,7 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     def mul(x, y):
         return linalg._matmul(x, y, bk)
 
-    sig = sigma(n - 1, cd.m, c, bk).entries.entries
+    sig = sigma(n - 1, cd.m, c, bk).entries
     eainv = mul(E.entries, linalg._inverse(a, bk))
     powers = [linalg._diagonal([bk.one] * c, bk)]
     for _ in range(n - 1):

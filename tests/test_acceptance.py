@@ -181,12 +181,12 @@ def test_criterion_04_sigma_laws():
     exact_identity = True
     for c in range(1, 7):
         for h in range(0, 5):
-            ident = sigma(h, 0, c).entries
+            ident = sigma(h, 0, c)
             exact_identity &= (ident == Matrix.identity(h + 1))
             for m in range(-c, c + 1):
                 for l in range(-c, c + 1):
-                    prod = sigma(h, m, c).entries @ sigma(h, l, c).entries
-                    target = sigma(h, m + l, c).entries
+                    prod = sigma(h, m, c) @ sigma(h, l, c)
+                    target = sigma(h, m + l, c)
                     worst = max(worst, residual(prod, target))
     ok = exact_identity and worst <= 1e-10
     report(4, "sigma-group-law", ok,

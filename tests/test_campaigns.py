@@ -294,10 +294,14 @@ def test_random_invertible_draws_are_those_of_np_linalg_cond():
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    """A campaign loads ``concurrent.futures`` (and with it logging and
-    queue) only when it runs on more than one thread."""
-    code = ("import sys, xnadhm.campaigns; "
+    """A campaign runs its samples serially: it never loads
+    ``concurrent.futures`` (and with it logging and queue), and it refuses
+    any ``jobs`` but 1."""
+    code = ("import sys; from xnadhm.campaigns import run_campaign; "
+            "run_campaign('moment', 2, 0, None, 1); "
             "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout == "False\n"
+    with pytest.raises(ValueError):
+        run_campaign("moment", 2, 0, None, 2)

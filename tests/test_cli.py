@@ -146,6 +146,14 @@ def test_check_P_over_a_prime_field_is_a_usage_error(tmp_path, capsys):
     path.write_text(dumps(xn_to_json(d)))
     code, _ = run_cli(["check", str(path), "--which", "P"], capsys)
     assert code == 2
+    # a prime this large is refused before its primality test
+    path.write_text(dumps(xn_to_json(d)).replace(
+        "gf(5)", "gf(1000000000000000000000007)"))
+    code = main(["check", str(path), "--which", "P"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def near_threshold_xn(seed):
@@ -349,22 +357,6 @@ def test_campaign_smoke(capsys):
     assert report["max_residual"] <= 1e-12
 
 
-def test_campaign_jobs_parallel(capsys):
-    # the threads change nothing but the elapsed time, on every suite
-    for suite in ("cocycle", "lmp3", "moment", "um", "bruteforce",
-                  "monad-transition"):
-        reports = []
-        for jobs in ("1", "2"):
-            code, out = run_cli(["campaign", "--suite", suite, "--samples",
-                                 "8", "--seed", "3", "--jobs", jobs], capsys)
-            assert code == 0
-            report = json.loads(out)
-            del report["elapsed_seconds"]
-            reports.append(report)
-        assert reports[0] == reports[1]
-        assert reports[0]["ok"]
-
-
 @pytest.mark.parametrize("suite", ["cocycle", "lmp3", "moment", "um",
                                    "monad-transition"])
 def test_campaign_that_tests_nothing_fails(suite, capsys):
@@ -469,6 +461,24 @@ def test_invalid_tol_is_a_usage_error(value, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADHM_TOL", value)
         assert usage_error(args)
         monkeypatch.delenv("ADHM_TOL")
+
+
+def test_gen_retry_budget_exhausted_exits_3(capsys, monkeypatch):
+    from xnadhm import cli, sampling
+    from xnadhm.errors import NoChart
+
+    draws = []
+
+    def failing(*args, **kwargs):
+        draws.append(args)
+        raise NoChart("no chart")
+
+    monkeypatch.setattr(sampling, "random_xn", failing)
+    code = main(["gen", "--kind", "random-costable", "--n", "2", "--c", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: retry budget exhausted\n"
+    assert len(draws) == cli.GEN_RETRIES
 
 
 def test_entry_point_usage_error():
@@ -580,6 +590,12 @@ def test_every_check_family_passes_and_fails(which, tmp_path, capsys):
     ["gen", "--kind", "random-rep", "--backend", "gf:5"],
     ["gen", "--kind", "points", "--backend", "rational", "--n", "1", "--c",
      "1", "--points", "1/0,1"],
+    # these three did not return: a trial-division primality test of a
+    # large p, and the eigenvalue-separation redraw at a large c
+    ["gen", "--kind", "points", "--backend", "gf:1000000000000000000000007",
+     "--n", "1", "--c", "1", "--points", "0,0"],
+    ["gen", "--kind", "random-costable", "--c", "51"],
+    ["gen", "--kind", "random-rep", "--c", "100"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
     code = main(argv)

@@ -287,8 +287,12 @@ def test_backend_names():
     assert backend_from_name("complex") is COMPLEX
     assert backend_from_name("rational") is RATIONAL
     assert backend_from_name("gf:5") is backend_from_name("gf(5)") is GF(5)
+    # the largest prime below the bound is a field; from the bound on, a
+    # size is refused before a primality test that did not return
+    assert backend_from_name("gf:2147483647") is GF(2 ** 31 - 1)
     # a field size that is not a number raised a ValueError
-    for name in ("gf:x", "gf(x)", "gf:", "gf(6)", "real"):
+    for name in ("gf:x", "gf(x)", "gf:", "gf(6)", "real", "gf:2147483648",
+                 "gf:1000000000000037", "gf(1000000000000000000000007)"):
         with pytest.raises(UnsupportedBackend):
             backend_from_name(name)
 
@@ -633,10 +637,10 @@ def test_sigma_group_law_exact(backend, c):
     for h in range(4):
         for m in charts:
             for l in charts:
-                S = sigma(h, m, c, backend).entries
+                S = sigma(h, m, c, backend)
                 assert S.backend == backend
-                assert (S @ sigma(h, l, c, backend).entries
-                        == sigma(h, m + l, c, backend).entries)
+                assert (S @ sigma(h, l, c, backend)
+                        == sigma(h, m + l, c, backend))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -223,13 +223,13 @@ def test_reexpand_residual_covariance():
         l = int(rng.integers(0, c + 1))
         before = compose_residual(mc)
         after = compose_residual(reexpand_chart(mc, l))
-        sig = sigma(n + 1, l - mc.m, c).entries
+        sig = sigma(n + 1, l - mc.m, c)
         for q in range(n + 2):
             want = Matrix.zeros(c, c)
             for p in range(n + 2):
                 want = want + before[p].scale(sig.at(p, q))
             assert residual(after[q], want) < 1e-9
-        rot = sigma(1, l - mc.m, c).entries
+        rot = sigma(1, l - mc.m, c)
         for i in range(2):
             want = before[n + 2].scale(rot.at(0, i)) + before[n + 3].scale(
                 rot.at(1, i))
@@ -461,7 +461,7 @@ def test_normalize_gauge_matches_closed_form():
         ident = Matrix.identity(c)
         d1 = ident.scale(cd) - tb1.scale(sd)
         d2 = ident.scale(sd) + tb1.scale(cd)
-        sig = sigma(n, l - m, c).entries
+        sig = sigma(n, l - m, c)
         core = -(d2 @ inverse(d1))
         assert residual(gauge.phi, inverse(d1.power(n - 1))) < 1e-9
         assert residual(gauge.psi11, d1) < 1e-9
@@ -773,7 +773,7 @@ def test_compose_stack_matches_the_per_slot_sums():
 def per_q_sigma_mix(coeffs, shift, c_count, backend):
     """``monad._sigma_mix`` as one sum over p per output slot q."""
     h = len(coeffs) - 1
-    sig = sigma(h, shift, c_count, backend).entries.entries
+    sig = sigma(h, shift, c_count, backend).entries
     red, coerce = backend.reduce, backend.coerce
     out = []
     for q in range(h + 1):

@@ -17,7 +17,6 @@ from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, inverse,
 from xnadhm.xn import XnADHM, check_P1, from_xn_points
 from xnadhm.quiver import (
     FramedRep,
-    StabilityParams,
     Verdict,
     brute_force_semistable,
     check_relations,
@@ -28,6 +27,7 @@ from xnadhm.quiver import (
     moment_residual_n2,
     project_rep,
     relation_defects,
+    standard_theta,
     subspace_bases,
     theta_slope,
     u_m_residual,
@@ -127,7 +127,7 @@ def test_relations_framed_defect():
 
 
 def test_theta_slope():
-    theta = StabilityParams.standard(3).theta
+    theta = standard_theta(3)
     assert theta == (6, -5)
     assert theta_slope(theta, (0, 0)) == 0
     for k in range(1, 4):
@@ -553,7 +553,7 @@ def test_bruteforce_matches_pair_enumeration():
         r = random_gf_rep(rng, p, v0, v1, w, n, density)
         theta = CROSS_CHECK_THETAS[(trial // 3) % len(CROSS_CHECK_THETAS)]
         want = pair_enumeration_semistable(
-            r, theta or StabilityParams.standard(v0).theta)
+            r, theta or standard_theta(v0))
         assert brute_force_semistable(r, theta) == want, (trial, p, theta)
         verdicts.add(want)
         if theta:

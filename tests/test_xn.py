@@ -25,6 +25,7 @@ from xnadhm.linalg import (
     RATIONAL,
     Matrix,
     angle_constants,
+    det,
     eigenvalues,
     nullspace,
     residual,
@@ -98,7 +99,7 @@ def test_chart_constants_examples():
 
 def test_sigma_zero_is_identity():
     for h in range(5):
-        assert sigma(h, 0, 4).entries == Matrix.identity(h + 1)
+        assert sigma(h, 0, 4) == Matrix.identity(h + 1)
 
 
 def test_sigma_is_cached():
@@ -109,19 +110,19 @@ def test_sigma_is_cached():
 
 def test_sigma_h1_rotation():
     cm, sm = chart_constants(4, 2)
-    S = sigma(1, 2, 4).entries
+    S = sigma(1, 2, 4)
     expect = Matrix.from_rows([[cm, -sm], [sm, cm]])
     assert residual(S, expect) < 1e-12
 
 
 def test_sigma_group_law_example():
-    lhs = sigma(2, 1, 4).entries @ sigma(2, 2, 4).entries
-    rhs = sigma(2, 3, 4).entries
+    lhs = sigma(2, 1, 4) @ sigma(2, 2, 4)
+    rhs = sigma(2, 3, 4)
     assert residual(lhs, rhs) < 1e-10
 
 
 def test_sigma_negative_index_inverse():
-    S = sigma(3, 2, 5).entries @ sigma(3, -2, 5).entries
+    S = sigma(3, 2, 5) @ sigma(3, -2, 5)
     assert residual(S, Matrix.identity(4)) < 1e-10
 
 
@@ -412,7 +413,7 @@ def test_zeta_inverse_scalar_n3():
 
 def test_zeta_inverse_n1_any_chart():
     rng = rng_from_seed(21)
-    cd = random_chart_data(rng, 3, m=2)
+    cd = replace(random_chart_data(rng, 3), m=2)
     d = zeta_inverse(cd, 1)
     from xnadhm.linalg import inverse
     assert residual(d.C[0], cd.E @ inverse(cd.A2m)) < 1e-10
@@ -880,7 +881,7 @@ def test_rotation_and_sigma_take_relative_angles():
     rng = rng_from_seed(37)
     d = random_xn(rng, 1, 2)
     assert _rotate(d.A1, d.A2, 3, 2)[1] == _rotate(d.A1, d.A2, 0, 2)[1].scale(-1)
-    assert sigma(2, -1, 2).entries.rows == sigma(2, 5, 2).entries.rows == 3
+    assert sigma(2, -1, 2).rows == sigma(2, 5, 2).rows == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1115,6 +1116,46 @@ def test_prime_field_rejects_irrational_charts():
         chart_matrices(d, 1)
 
 
+@pytest.mark.parametrize("m, points, chart", [
+    (0, [(0, 1), (1, 2), (3, 5)], 0),   # A2 = 1 is invertible
+    # A2 = -diag(z) is singular at z = 0; chart 1 rotates by pi/4 to
+    # A2m = (A1 + A2) / sqrt 2, over the complex numbers
+    (2, [(0, 1), (1, 2), (3, 5)], 2),   # singular at z = 1: chart 2 is A1
+    (2, [(0, 1), (2, 2), (3, 5)], 1),   # invertible: the promoted chart 1
+])
+def test_cover_chart_on_rational_data(m, points, chart):
+    """Over the rationals the covering chart is the first chart whose A2m
+    passes the invertibility test, exactly at an integer chart and in
+    floats at a promoted one, and the chart readings hold there."""
+    d = from_xn_points(2, m, points, RATIONAL)
+    assert d.backend == RATIONAL and d.c == 3
+    assert (det(d.A2) != 0) == (chart == 0)
+    assert cover_chart(d) == chart
+    assert check_P3_via_chart(d) and check_P3_direct(d)
+    got_chart, got = to_xn_points(d)
+    assert got_chart == chart
+    if chart == m:
+        assert np.allclose(sorted(got, key=lambda p: p[0].real), points)
+    v, (l1, l2), (mu1, mu2) = spectral_witness(d)
+    assert abs(l1 ** 2 * mu1 + l2 ** 2 * mu2) <= 1e-9 * max(
+        1.0, abs(mu1), abs(mu2))
+    pencil = l2 * d.A1.to_numpy() + l1 * d.A2.to_numpy()
+    assert np.abs(pencil @ v.to_numpy()).max() <= 1e-9 * max(
+        1.0, abs(l1), abs(l2))
+
+
+def test_cover_chart_over_a_prime_field_stops_at_an_irrational_chart():
+    """Over GF(p) a singular A2 sends the chart search to chart 1 of c = 3,
+    whose constants are irrational: every reading through the covering
+    chart raises ``UnsupportedBackend``."""
+    d = from_xn_points(2, 2, [(0, 1), (2, 2), (3, 5)], GF(7))
+    assert det(d.A2) == 0
+    for read in (cover_chart, check_P3_via_chart, to_xn_points,
+                 spectral_witness):
+        with pytest.raises(UnsupportedBackend):
+            read(d)
+
+
 # ---------------------------------------------------------------------------
 # the chart kernels on entry arrays against their Matrix expressions
 # ---------------------------------------------------------------------------
@@ -1148,7 +1189,7 @@ def _zeta_inverse_reference(cd, n):
     B, E, e, A = (X.cast(bk) for X in (cd.B, cd.E, cd.e, cd.A2m))
     if not linalg.is_invertible(A):
         raise SingularA2m
-    sig = sigma(n - 1, cd.m, c, bk).entries
+    sig = sigma(n - 1, cd.m, c, bk)
     EAinv = E @ linalg.inverse(A)
     powers = [Matrix.identity(c, bk)]
     for _ in range(n - 1):
@@ -1404,7 +1445,7 @@ def _zeta_inverse_expression(cd, n):
     one = Matrix.identity(c, bk)
     R1 = cd.B.scale(ck) - one.scale(sk)
     R2 = cd.B.scale(sk) + one.scale(ck)
-    sig = xn.sigma(n - 1, cd.m, c, bk).entries
+    sig = xn.sigma(n - 1, cd.m, c, bk)
     tail = cd.E @ linalg.inverse(cd.A2m)
     C = []
     for q in range(n):
