@@ -12,9 +12,9 @@ draws everything from its own ``SeedSequence`` (and, for ``lmp3`` and
 sample from the campaign seed, runs the sample function on each, counts
 pass/fail per tally, takes the largest residual and sums the counts.  Only
 max/sum reductions are used, so the order in which samples run cannot
-change the report, and sample ``i`` of a report is replayed by
-``sample((i, _sample_seeds(seed, samples)[i]), samples, tol)``.  A run that
-tallies no verdict is not ``ok``.
+change the report, and ``replay_sample`` reruns sample ``i`` of a report
+alone as ``sample((i, _sample_seeds(seed, samples)[i]), samples, tol)``.  A
+run that tallies no verdict is not ``ok``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sampling
-from .errors import InvalidInput, NotInChart, NotInOverlap
+from .errors import InvalidInput, NotInChart
 from .linalg import COMPLEX, GF, RATIONAL, Matrix, _tol, residual, scale_of
 from .monad import build_jm, gauge_normalize, reexpand_chart
 from .quiver import (
@@ -48,7 +48,6 @@ from .xn import (
     check_P3_direct,
     check_P3_via_chart,
     from_xn_points,
-    transition_omega,
     transition_phi,
     zeta,
 )
@@ -96,6 +95,18 @@ def run_campaign(suite, samples=100, seed=0, tol=None, jobs=1) -> dict:
             "ok": ok}
 
 
+def replay_sample(suite, index, samples=100, seed=0, tol=None):
+    """The outcome (verdicts, worst residual, counts) of generated sample
+    ``index`` of ``run_campaign(suite, samples, seed, tol)``, run alone.
+    Raises ``IndexError`` unless 0 <= index < samples."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    if not 0 <= index < samples:
+        raise IndexError(f"sample index {index} outside 0..{samples - 1}")
+    item = (index, _sample_seeds(seed, samples)[index])
+    return SUITES[suite].sample(item, samples, tol)
+
+
 # ---------------------------------------------------------------------------
 # sample functions: (index, SeedSequence), samples, tol -> outcome
 # ---------------------------------------------------------------------------
@@ -114,27 +125,24 @@ def _cocycle(item, samples, tol):
     worst = 0.0
     phi_ok = omega_ok = True
     m = cd.m
-    # the direct legs m -> k, one public call each: the reference that the
-    # stacked legs below are compared against
-    direct = {}
-    for k in range(c + 1):
-        if sampling.overlap_margin(d.b1, c, m, k) < margin:
-            continue
-        try:
-            direct[k] = (transition_phi(d, n, m, k),
-                         transition_omega(cd, n, k))
-        except NotInOverlap:
-            continue
-    charts = list(direct)
+    # the direct legs m -> k, one stack over all c+1 charts; a leg is kept
+    # when its overlap pivot clears the margin
+    _, keep, *direct = _transition(
+        *(np.repeat(M.entries[None], c + 1, axis=0)
+          for M in (cd.B, cd.E, cd.A2m)),
+        n, [k - m for k in range(c + 1)], c, COMPLEX, floor=margin)
+    charts = np.flatnonzero(keep).tolist()
     legs = len(charts)
     tested = 0
     if charts:
-        # (b1, b2, A2m) of the direct legs, one stack per block, and each
-        # leg's scale; the plane parts of its phi and omega calls are equal
-        # bit for bit, so the chain legs l -> k over (l, k) in direct^2 are
-        # one stack that serves both the phi and the omega cocycle
-        ends = _stacks((phi.b1, phi.b2, om.A2m)
-                       for phi, om in direct.values())
+        # (b1, b2, A2m) of the kept direct legs and each leg's scale: b1
+        # and b2 from one public transition_phi call per leg, the phi
+        # cocycle's reference (equal to the stacked legs bit for bit), A2m
+        # from the stack.  The chain legs l -> k over (l, k) in charts^2
+        # are one stack that serves both the phi and the omega cocycle
+        ends = _stacks((phi.b1, phi.b2) for phi in
+                       [transition_phi(d, n, m, k) for k in charts])
+        ends.append(direct[2])
         scale = _leg_scales(ends)
         _, keep, b1, b2, a2 = _transition(
             *(np.repeat(block, legs, axis=0) for block in ends),
@@ -150,8 +158,8 @@ def _cocycle(item, samples, tol):
             phi_ok = not (r > 10 * t).any()
     # equivariance of the chart transition under both gauge factors: the
     # moved legs m -> l are one stack, compared with the gauge action on
-    # each kept direct leg, also one stack; the gauge is tested and g1
-    # inverted once for both
+    # the stacked direct legs; the gauge is tested and g1 inverted once for
+    # both
     g1 = sampling.random_invertible(rng, c)
     g2 = sampling.random_invertible(rng, c)
     if charts:
@@ -162,9 +170,10 @@ def _cocycle(item, samples, tol):
         _, keep, b1, b2, a2 = _transition(
             *(np.broadcast_to(M, (legs, c, c)) for M in moved[:2] + moved[3:]),
             n, [l - m for l in charts], c, COMPLEX, floor=margin)
-        kept = [direct[l][1] for l, k in zip(charts, keep) if k]
-        if kept:
-            ends = act(*_stacks((om.B, om.E, om.e, om.A2m) for om in kept))
+        if keep.any():
+            B, E, A2m = (block[keep] for block in direct)
+            ends = act(B, E, np.repeat(cd.e.entries[None], len(B), axis=0),
+                       A2m)
             scale = _leg_scales(ends[:2] + ends[3:])
             r = _leg_residuals(zip(ends, (b1, b2, moved[2], a2))) / scale
             worst = max(worst, float(r.max()))

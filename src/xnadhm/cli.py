@@ -5,7 +5,8 @@ Three subcommands, all JSON on stdout:
 * ``gen``      -- emit sample data (point configurations, random co-stable
                   configurations, random framed representations),
 * ``check``    -- run one condition family on a JSON file,
-* ``campaign`` -- run a named verification campaign.
+* ``campaign`` -- run a named verification campaign, or with ``--replay
+                  INDEX`` only its generated sample INDEX.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 retry
 exhaustion.  A usage error is a bad argument, ``ADHM_TOL`` or input file, or
@@ -175,11 +176,33 @@ def cmd_campaign(args) -> int:
     tol = _tol_arg(args)
     if args.samples < 0 or args.seed < 0:
         raise _UsageError("--samples and --seed must be >= 0")
+    if args.replay is not None:
+        return _replay(args, tol)
     report = campaigns.run_campaign(args.suite, samples=args.samples,
                                     seed=args.seed, tol=tol)
     report["command"] = "campaign"
     _emit(report)
     return EXIT_OK if report["ok"] else EXIT_FAIL
+
+
+def _replay(args, tol) -> int:
+    """``campaign --replay INDEX``: generated sample INDEX of the campaign
+    alone, its verdicts, worst residual and counts as one JSON object."""
+    start = time.perf_counter()
+    try:
+        verdicts, worst, counts = campaigns.replay_sample(
+            args.suite, args.replay, args.samples, args.seed, tol)
+    except IndexError as exc:
+        raise _UsageError(f"--replay: {exc}") from None
+    ok = bool(verdicts) and all(verdicts.values())
+    _emit({"command": "campaign", "suite": args.suite, "seed": args.seed,
+           "samples": args.samples, "replay": args.replay,
+           "verdicts": {name: "pass" if v else "fail"
+                        for name, v in verdicts.items()},
+           "residual": worst, "counts": counts,
+           "elapsed_seconds": round(time.perf_counter() - start, 3),
+           "ok": ok})
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,6 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--samples", type=int, default=100)
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument("--tol", type=float, default=None)
+    camp.add_argument("--replay", type=int, default=None, metavar="INDEX",
+                      help="run only generated sample INDEX and print its "
+                           "outcome")
     camp.set_defaults(fn=cmd_campaign)
     return ap
 

@@ -382,10 +382,17 @@ class Matrix:
 
     def to_numpy(self):
         """Complex ndarray of the entries; for a complex matrix this is the
-        stored read-only array itself."""
-        if self.backend.kind == "gf":
+        stored read-only array itself.  A rational entry becomes p / q of
+        its integer ratio, the correctly rounded float that ``float`` of a
+        ``Fraction`` gives (``OverflowError`` beyond the float range)."""
+        kind = self.backend.kind
+        if kind == "gf":
             raise UnsupportedBackend("prime-field matrices have no float image")
-        return self.entries.astype(complex, copy=False)
+        if kind == "rational":
+            return np.array([p / q for p, q in (x.as_integer_ratio()
+                                                for x in self.entries.flat)],
+                            dtype=complex).reshape(self.entries.shape)
+        return self.entries
 
     def maxnorm(self):
         if not self.entries.size:

@@ -1,6 +1,6 @@
 """Coefficient-level monad calculus in the chart section bases.
 
-A monad datum of size c on the n-th surface is stored as the coefficient
+A monad datum of size c on the n-th surface is given by the coefficient
 matrices of the two structure maps over explicit section bases:
 
 * ``alpha1[q]``, q = 0..n: the k2 x k1 coefficient of y2^q y1^(n-q) s_E, and
@@ -9,6 +9,13 @@ matrices of the two structure maps over explicit section bases:
 * ``beta1``: the pair of k3 x k2 coefficients of (y1, y2);
 * ``beta2[q]``, q = 0..n and the s_infinity slot, each k3 x k4;
 * ``xi``: the framing vector of length k2 + k4, frame carried by the k4-block.
+
+Each coefficient list is stored as one read-only entry stack of the data's
+backend (complex128, or an object array on the exact backends), and every
+kernel here (``build_jm``, ``reexpand_chart``, ``compose_residual``,
+``gauge_normalize``) reads and writes those stacks.  The tuples of
+``Matrix`` blocks above are made from the stacks only when a caller reads
+them.
 
 In the rank-one case k1 = k2 = k3 = c and k4 = c + 1.  The composition
 beta o alpha expands over the degree-(1,1) basis
@@ -45,8 +52,25 @@ from .plane import PlaneADHM
 from .xn import _check_chart, sigma
 
 
-@dataclass(frozen=True)
+def _blocks(i):
+    """The tuple field of coefficient stack i: its Matrices, made from the
+    stack on first read and cached."""
+    def read(self):
+        bk = self.backend
+        # a tuple built from a list: tuple(generator) holds allocator blocks
+        return tuple([_wrap(M, bk) for M in self.stacks[i]])
+    return functools.cached_property(read)
+
+
+@dataclass(frozen=True, init=False)
 class MonadCoeffs:
+    """A monad datum, stored as ``stacks``: one read-only entry stack per
+    coefficient list, alpha1 (n+2, c, c), alpha2 (2, c+1, c), beta1
+    (2, c, c) and beta2 (n+2, c, c+1), over the backend of ``xi``.  The
+    constructor checks and stacks tuples of Matrices and keeps them as the
+    tuple fields; on data built from stacks (``build_jm``,
+    ``reexpand_chart``) the tuple fields are made from the stacks when
+    first read."""
     n: int
     c: int
     m: int
@@ -56,46 +80,72 @@ class MonadCoeffs:
     beta2: tuple       # n+2 matrices, k3 x k4
     xi: Matrix         # (k2 + k4) x 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha1", tuple(self.alpha1))
-        object.__setattr__(self, "alpha2", tuple(self.alpha2))
-        object.__setattr__(self, "beta1", tuple(self.beta1))
-        object.__setattr__(self, "beta2", tuple(self.beta2))
-        c = self.c
+    def __init__(self, n, c, m, alpha1, alpha2, beta1, beta2, xi):
+        lists = [tuple(blocks) for blocks in (alpha1, alpha2, beta1, beta2)]
+        alpha1, alpha2, beta1, beta2 = lists
         k4 = c + 1
-        _check_chart(c, self.m)
-        if len(self.alpha1) != self.n + 2 or len(self.beta2) != self.n + 2:
+        _check_chart(c, m)
+        if len(alpha1) != n + 2 or len(beta2) != n + 2:
             raise ShapeMismatch("alpha1/beta2 need n+2 coefficient slots")
-        if len(self.alpha2) != 2 or len(self.beta1) != 2:
+        if len(alpha2) != 2 or len(beta1) != 2:
             raise ShapeMismatch("alpha2/beta1 are coefficient pairs")
-        for M in self.alpha1:
+        for M in alpha1:
             if (M.rows, M.cols) != (c, c):
                 raise ShapeMismatch("alpha1 blocks must be k2 x k1")
-        for M in self.alpha2:
+        for M in alpha2:
             if (M.rows, M.cols) != (k4, c):
                 raise ShapeMismatch("alpha2 blocks must be k4 x k1")
-        for M in self.beta1:
+        for M in beta1:
             if (M.rows, M.cols) != (c, c):
                 raise ShapeMismatch("beta1 blocks must be k3 x k2")
-        for M in self.beta2:
+        for M in beta2:
             if (M.rows, M.cols) != (c, k4):
                 raise ShapeMismatch("beta2 blocks must be k3 x k4")
-        if (self.xi.rows, self.xi.cols) != (c + k4, 1):
+        if (xi.rows, xi.cols) != (c + k4, 1):
             raise ShapeMismatch("xi must have length k2 + k4")
-        bk = self.alpha1[0].backend
-        if any(M.backend != bk for M in (*self.alpha1, *self.alpha2,
-                                         *self.beta1, *self.beta2, self.xi)):
+        if any(M.backend != xi.backend
+               for M in (*alpha1, *alpha2, *beta1, *beta2)):
             raise ShapeMismatch("blocks on different backends")
+        _set_fields(self, n, c, m, [np.stack([M.entries for M in blocks])
+                               for blocks in lists], xi)
+        for name, blocks in zip(_FIELDS, lists):
+            self.__dict__[name] = blocks
+
+    alpha1 = _blocks(0)
+    alpha2 = _blocks(1)
+    beta1 = _blocks(2)
+    beta2 = _blocks(3)
 
     @property
     def backend(self):
-        return self.alpha1[0].backend
+        return self.xi.backend
 
     def xi_blocks(self):
         c = self.c
         xi1 = self.xi.submatrix(range(c), [0])
         xi2 = self.xi.submatrix(range(c, 2 * c + 1), [0])
         return xi1, xi2
+
+
+_FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
+
+
+def _set_fields(mc, n, c, m, stacks, xi):
+    """Set the fields of ``mc`` past the frozen ``__setattr__``, freezing
+    the four stacks."""
+    for S in stacks:
+        S.setflags(write=False)
+    for name, value in (("n", n), ("c", c), ("m", m),
+                        ("stacks", tuple(stacks)), ("xi", xi)):
+        object.__setattr__(mc, name, value)
+
+
+def _of_stacks(n, c, m, stacks, xi) -> MonadCoeffs:
+    """A MonadCoeffs over four entry stacks already of the right shapes and
+    of ``xi``'s backend, without the constructor's checks."""
+    mc = object.__new__(MonadCoeffs)
+    _set_fields(mc, n, c, m, stacks, xi)
+    return mc
 
 
 @dataclass(frozen=True)
@@ -171,12 +221,12 @@ def compose_residual(mc: MonadCoeffs):
     and y2 s_inf slots.  All zero exactly when the two maps compose to zero.
     """
     bk = mc.backend
-    return [_wrap(R, bk) for R in _compose_stack(*_stacks(mc), bk)]
+    return [_wrap(R, bk) for R in _compose_stack(*mc.stacks, bk)]
 
 
 def _compose_stack(a1, a2, b1, b2, bk):
-    """``compose_residual`` on the coefficient stacks of ``_stacks``, as one
-    (n+4, k3, k1) entry array.
+    """``compose_residual`` on the coefficient stacks of a MonadCoeffs, as
+    one (n+4, k3, k1) entry array.
 
     s_E slot q is b1[0] a1[q] + b1[1] a1[q-1] + b2[q] a2[0] + b2[q-1] a2[1],
     summed in that order, a term whose slot lies outside 0..n left out; the
@@ -195,17 +245,6 @@ def _compose_stack(a1, a2, b1, b2, bk):
     return np.concatenate((s, s_inf))
 
 
-def _entries(mc: MonadCoeffs):
-    """The entry arrays of alpha1, alpha2, beta1 and beta2, as four lists."""
-    return [[M.entries for M in blocks]
-            for blocks in (mc.alpha1, mc.alpha2, mc.beta1, mc.beta2)]
-
-
-def _stacks(mc: MonadCoeffs):
-    """The entry arrays of alpha1, alpha2, beta1 and beta2, as four stacks."""
-    return [np.array(blocks) for blocks in _entries(mc)]
-
-
 def framing_residual(mc: MonadCoeffs):
     """Slots of beta restricted to the infinity section applied to xi.
 
@@ -213,10 +252,12 @@ def framing_residual(mc: MonadCoeffs):
     slots acting on the k2-block and the s_E slots of beta2 acting on the
     k4-block.
     """
-    xi1, xi2 = mc.xi_blocks()
-    out = [mc.beta1[0] @ xi1, mc.beta1[1] @ xi1]
-    out.extend(mc.beta2[q] @ xi2 for q in range(mc.n + 1))
-    return out
+    _, _, b1, b2 = mc.stacks
+    bk = mc.backend
+    xi = mc.xi.entries
+    xi1, xi2 = xi[:mc.c], xi[mc.c:]
+    return ([_wrap(_matmul(B, xi1, bk), bk) for B in b1]
+            + [_wrap(_matmul(B, xi2, bk), bk) for B in b2[:mc.n + 1]])
 
 
 def max_residual(mats) -> float:
@@ -231,23 +272,23 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
     """Monad coefficients of the standard embedding of a plane triple in
     chart m: alpha = (y2^n s_E + t(b2) s_inf ; y1 + t(b1) y2 ; 0),
     beta = (y1 + t(b1) y2, -(y2^n s_E + t(b2) s_inf), t(e) s_inf),
-    xi = (0, ..., 0, 1)."""
+    xi = (0, ..., 0, 1), written straight into the coefficient stacks."""
     c, bk = d.c, d.backend
-    ident = Matrix.identity(c, bk)
-    tb1, tb2 = d.b1.transpose(), d.b2.transpose()
-    zero_row = _zeros((1, c), bk)
-    alpha2 = [_wrap(np.concatenate((M.entries, zero_row)), bk)
-              for M in (ident, tb1)]
-    beta2 = (Matrix.zeros(c, c + 1, bk),) * n + (
-        _wrap(np.concatenate((bk.reduce(-ident.entries), _zeros((c, 1), bk)),
-                             axis=1), bk),
-        _wrap(np.concatenate((bk.reduce(-tb2.entries), d.e.entries.T),
-                             axis=1), bk))
+    _check_chart(c, m)
+    ident = _diagonal([bk.one] * c, bk)
+    tb1, tb2 = d.b1.entries.T, d.b2.entries.T
+    a1 = _zeros((n + 2, c, c), bk)
+    a1[n], a1[n + 1] = ident, tb2
+    a2 = _zeros((2, c + 1, c), bk)
+    a2[0, :c], a2[1, :c] = ident, tb1
+    b2 = _zeros((n + 2, c, c + 1), bk)
+    b2[n, :, :c] = bk.reduce(-ident)
+    b2[n + 1, :, :c] = bk.reduce(-tb2)
+    b2[n + 1, :, c:] = d.e.entries.T
     xi = _zeros((2 * c + 1, 1), bk)
     xi[2 * c, 0] = bk.one
-    alpha1 = (Matrix.zeros(c, c, bk),) * n + (ident, tb2)
-    return MonadCoeffs(n, c, m, alpha1, alpha2, (ident, tb1), beta2,
-                       _wrap(xi, bk))
+    return _of_stacks(n, c, m, [a1, a2, np.stack((ident, tb1)), b2],
+                      _wrap(xi, bk))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +296,8 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
 # ---------------------------------------------------------------------------
 
 def _sigma_mix(coeffs, shift: int, c_count: int, backend):
-    """Re-express h+1 coefficient arrays over the degree-h monomial basis of
-    one chart in the basis of another, as Matrices:
+    """Re-express a stack of h+1 coefficient arrays over the degree-h
+    monomial basis of one chart in the basis of another, as one stack:
     G_q = sum_p sigma^h_{shift; p q} F_p, summed in the order p = 0..h, one
     broadcast multiply-add per p over all q."""
     h = len(coeffs) - 1
@@ -268,24 +309,24 @@ def _sigma_mix(coeffs, shift: int, c_count: int, backend):
     acc = red(sig[0, :, None, None] * coeffs[0])
     for p in range(1, h + 1):
         acc = red(acc + red(sig[p, :, None, None] * coeffs[p]))
-    # a tuple built from a list: tuple(generator) holds allocator blocks
-    return tuple([_wrap(G, backend) for G in acc])
+    return acc
 
 
 def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
-    """Rewrite all coefficient lists in the chart-l monomial bases.
+    """Rewrite all coefficient stacks in the chart-l monomial bases.
 
     The s_inf coefficients and the framing vector are chart-independent.
     """
     if l == mc.m:
         return mc
     n = mc.n
+    _check_chart(mc.c, l)
     mix = functools.partial(_sigma_mix, shift=l - mc.m, c_count=mc.c,
                             backend=mc.backend)
-    a1, a2, b1, b2 = _entries(mc)
-    return MonadCoeffs(n, mc.c, l, mix(a1[:n + 1]) + mc.alpha1[n + 1:],
-                       mix(a2), mix(b1), mix(b2[:n + 1]) + mc.beta2[n + 1:],
-                       mc.xi)
+    a1, a2, b1, b2 = mc.stacks
+    return _of_stacks(n, mc.c, l, [
+        np.concatenate((mix(a1[:n + 1]), a1[n + 1:])), mix(a2), mix(b1),
+        np.concatenate((mix(b2[:n + 1]), b2[n + 1:]))], mc.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +341,8 @@ def _check_gauge_block(a, backend, name: str, tol):
 def _check_gauge_block_from(lo, hi, a, backend, name: str, tol):
     """``_check_gauge_block`` of a float block a from its smallest and
     largest singular values lo and hi as read off another matrix (chi =
-    T^-1 and diag(T, 1) off T, diag(1, ..., 1, 1/omega) off its stored
-    entry).  The two routes round apart by O(k eps hi) in lo - tol hi, k
+    b10^-1, phi = T and diag(T, 1) off b10, diag(1, ..., 1, 1/omega) off
+    its stored entry).  The two routes round apart by O(k eps hi) in lo - tol hi, k
     the size of a, so within 1e3 k eps hi of the tie a's own SVD decides,
     as in ``_check_gauge_block``."""
     gap = lo - linalg._tol(tol) * hi
@@ -407,12 +448,12 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     triple from the three slots that the composite moves without polynomial
     terms.  Returns that triple and the composite, the unique gauge with
     chi = 1.  Each block a step introduces passes the relative test of
-    ``gauge_action``: on floats one SVD of T decides chi, phi and
+    ``gauge_action``: on floats the one SVD of beta1's y1-slot b10 that
+    step 1's absolute test reads also decides chi = b10^-1, phi = T and
     diag(T, 1), and psi22_4 = diag(1, ..., 1, 1/omega) is decided in closed
     form; within roundoff of a tie, where two SVD routes could round apart,
-    the SVDs of chi and of the two psi22 blocks decide.  The composite is
-    not tested as one gauge, as its condition number can exceed every
-    factor's.
+    each block's own SVD decides.  The composite is not tested as one
+    gauge, as its condition number can exceed every factor's.
 
     With T = (b10^-1)^-1, the step gauges' blocks (b10^-1, the step-1 slots
     Q_q, the step-2 pivot a1n, psi22_3 and psi22_4) give the composite in
@@ -428,33 +469,38 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     bk = mc.backend
     exact = bk.exact
     t = 0.0 if exact else linalg._tol(tol)
-    stacks = _stacks(mc)
     # floats: the residual against the squared size of the data
-    scale = 1.0 if exact else max(1.0, _size(
-        np.concatenate([S.ravel() for S in stacks]), exact)) ** 2
-    if _size(_compose_stack(*stacks, bk), exact) > scale * 1e3 * t:
+    scale = 1.0 if exact else max(
+        1.0, *(_size(S, exact) for S in mc.stacks)) ** 2
+    if _size(_compose_stack(*mc.stacks, bk), exact) > scale * 1e3 * t:
         raise InvalidInput("not a monad point: beta o alpha != 0")
     mc0 = reexpand_chart(mc, l)
     n, c = mc0.n, mc0.c
     red = bk.reduce
-    a1, a2, b1, b2 = _entries(mc0)
+    a1, a2, b1, b2 = mc0.stacks
 
     def prod(*arrays):
         return functools.reduce(lambda x, y: _matmul(x, y, bk), arrays)
 
-    # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0; P_q = -Q_q
-    _require(_is_invertible(b1[0], bk, tol), 1,
-             "beta1 y1-coefficient is singular")
+    # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0; P_q = -Q_q.  On
+    # floats the SVD of b10 that the absolute test reads (``_is_invertible``)
+    # also decides the block tests of chi = b10^-1 (kappa(b10^-1) =
+    # kappa(b10)), of phi = T, which is b10 up to roundoff, and of
+    # psi22 = diag(T, 1), whose singular values are those of T and 1, each
+    # in its old place.  On exact backends step 1 makes all three
+    # invertible.
+    if exact:
+        _require(_is_invertible(b1[0], bk, tol), 1,
+                 "beta1 y1-coefficient is singular")
+    else:
+        s_b = np.linalg.svd(b1[0], compute_uv=False)
+        _require(s_b[-1] > t * max(1.0, _size(b1[0], exact)), 1,
+                 "beta1 y1-coefficient is singular")
     b10_inv = _inverse(b1[0], bk)
-    # the base change that closes the loop; on floats one SVD of T decides
-    # the block tests of chi = b10^-1 (kappa(T^-1) = kappa(T)), of phi (T's
-    # own) and of psi22 = diag(T, 1), whose singular values are those of T
-    # and 1, each in its old place.  On exact backends step 1 makes all
-    # three invertible.
+    # the base change that closes the loop
     T = _inverse(b10_inv, bk)
     if not exact:
-        s_T = np.linalg.svd(T, compute_uv=False)
-        _check_gauge_block_from(s_T[-1], s_T[0], b10_inv, bk, "chi", tol)
+        _check_gauge_block_from(s_b[-1], s_b[0], b10_inv, bk, "chi", tol)
     Ps = _zeros((n, c, c + 1), bk)
     prev = _zeros((c, c + 1), bk)
     for q in range(n):
@@ -501,9 +547,8 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
         w = abs(psi22_4.item(c, c))
         _check_gauge_block_from(min(w, 1.0), max(w, 1.0), psi22_4, bk,
                                 "psi22", tol)
-        if not (s_T[0] > 0 and s_T[-1] > t * s_T[0]):
-            raise SingularGauge("gauge block phi is singular")
-        _check_gauge_block_from(min(s_T[-1], 1.0), max(s_T[0], 1.0), diag_T,
+        _check_gauge_block_from(s_b[-1], s_b[0], T, bk, "phi", tol)
+        _check_gauge_block_from(min(s_b[-1], 1.0), max(s_b[0], 1.0), diag_T,
                                 bk, "psi22", tol)
     chi = prod(T, b10_inv)
     g_total = GaugeElement(

@@ -139,17 +139,25 @@ def chart_constants(c: int, m: int):
     return angle_constants(c, m)
 
 
+def _integer_chart(c_count: int, k: int) -> bool:
+    """Whether both chart constants of k are integers (0 or +-1), so that
+    they lie in every field."""
+    return all(x == int(x) for x in angle_constants(c_count, k))
+
+
+@functools.lru_cache(maxsize=None)
 def _backend_angles(backend, c_count: int, k: int):
     """Chart constants coerced into the data backend.
 
     Exact backends only admit the charts whose constants are integers
     (k = 0 mod (c+1), and the right-angle charts); anything else promotes a
-    rational pipeline to floats and is rejected over a prime field.
+    rational pipeline to floats and is rejected over a prime field.  Cached,
+    as it is pure in (backend, c_count, k).
     """
     cm, sm = angle_constants(c_count, k)
     if not backend.exact:
         return backend, backend.coerce(cm), backend.coerce(sm)
-    if cm == int(cm) and sm == int(sm):
+    if _integer_chart(c_count, k):
         return backend, backend.coerce(int(cm)), backend.coerce(int(sm))
     if backend.kind == "gf":
         raise UnsupportedBackend(
@@ -618,15 +626,18 @@ def cover_chart(d: XnADHM, tol=None) -> int:
     s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests,
     so that ``NoChart`` is raised exactly when no chart passes that test,
     that is exactly when ``check_P2`` fails; over an exact backend, the
-    first invertible chart.  Raises ``NoChart`` on a singular pencil.
+    first invertible chart among those whose constants lie in the field,
+    judged exactly, and only then the first among the promoted ones, judged
+    in floats (over a prime field these raise ``UnsupportedBackend``).
+    Raises ``NoChart`` on a singular pencil.
 
     Some chart is always invertible for a regular pencil: the determinant
     form has at most c projective roots and there are c+1 chart ratios.
     """
     if d.backend.exact:
-        # charts whose constants stay in the field are judged exactly; the
-        # promoted ones fall back to the float tolerance
-        best = next((m for m in range(d.c + 1)
+        charts = sorted(range(d.c + 1),
+                        key=lambda m: not _integer_chart(d.c, m))
+        best = next((m for m in charts
                      if is_invertible(_rotate(d.A1, d.A2, m, d.c)[1], tol)),
                     None)
     else:

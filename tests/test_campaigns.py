@@ -95,10 +95,11 @@ def test_cocycle_matches_nested_pair_loop(seed):
 
 
 def test_cocycle_stacks_the_chain_and_moved_legs(monkeypatch):
-    """Only the c+1 direct legs make per-leg public calls: the chain legs
-    and the moved equivariance legs go through two stacks per sample, so no
-    count grows with (c+1)^2."""
-    from xnadhm import campaigns
+    """The direct legs, the chain legs and the moved equivariance legs go
+    through one stack each per sample: no overlap_margin or
+    transition_omega call is left, and transition_phi runs once per kept
+    direct leg, as the phi cocycle's reference."""
+    from xnadhm import campaigns, xn
 
     calls = Counter()
 
@@ -111,7 +112,9 @@ def test_cocycle_stacks_the_chain_and_moved_legs(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(campaigns, "transition_phi")
-    count(campaigns, "transition_omega")
+    # campaigns no longer imports transition_omega; any call would go
+    # through the xn module
+    count(xn, "transition_omega")
     count(sampling, "overlap_margin")
     tested = 0
     for item in enumerate(_sample_seeds(3, 8)):
@@ -119,8 +122,8 @@ def test_cocycle_stacks_the_chain_and_moved_legs(monkeypatch):
         c = int(np.random.default_rng(item[1]).integers(2, 5))
         _, _, counts = campaigns._cocycle(item, 8, None)
         tested += counts["pairs"]["tested"]
-        assert calls["overlap_margin"] == c + 1
-        assert calls["transition_phi"] == calls["transition_omega"] <= c + 1
+        assert calls["overlap_margin"] == calls["transition_omega"] == 0
+        assert calls["transition_phi"] <= c + 1
     assert tested > 0
 
 

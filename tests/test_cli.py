@@ -403,6 +403,46 @@ def test_campaign_bruteforce_honours_samples_and_seed(capsys, monkeypatch):
     assert run(12)[2] != points
 
 
+@pytest.mark.parametrize("suite", ["cocycle", "lmp3", "moment", "um",
+                                   "bruteforce", "monad-transition"])
+def test_campaign_replay_gives_the_sample_of_the_full_run(suite, capsys,
+                                                         monkeypatch):
+    """--replay INDEX prints generated sample INDEX's outcome as it was in
+    the full run: its verdicts, residual and counts."""
+    from xnadhm import campaigns
+
+    outcomes = []
+    run_samples = campaigns._run_samples
+
+    def recorded(*args):
+        outcomes.extend(run_samples(*args))
+        return outcomes
+    monkeypatch.setattr(campaigns, "_run_samples", recorded)
+    args = ["campaign", "--suite", suite, "--samples", "5", "--seed", "9"]
+    assert run_cli(args, capsys)[0] == 0
+    assert len(outcomes) == 5
+    for index, (verdicts, worst, counts) in enumerate(outcomes):
+        code, out = run_cli(args + ["--replay", str(index)], capsys)
+        replayed = json.loads(out)
+        assert code == 0 and replayed["ok"]
+        assert (replayed["suite"], replayed["seed"], replayed["samples"],
+                replayed["replay"]) == (suite, 9, 5, index)
+        assert replayed["verdicts"] == {
+            name: "pass" if ok else "fail" for name, ok in verdicts.items()}
+        assert replayed["residual"] == worst           # bit for bit
+        assert replayed["counts"] == counts
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+def test_campaign_replay_out_of_range_is_a_usage_error(index, capsys):
+    code = main(["campaign", "--suite", "moment", "--samples", "5",
+                 "--replay", index])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --replay: sample index {index} outside "
+                            "0..4\n")
+
+
 @pytest.mark.parametrize("suite, divisor, failing", [
     ("cocycle", 1e4, ("phi_cocycle", "omega_equivariance")),
     ("monad-transition", 2, ("normalize_vs_transition",)),

@@ -378,6 +378,36 @@ def test_complex_to_numpy_is_read_only():
         _check_read_only_storage(backend)
 
 
+def test_rational_to_numpy_rounds_as_astype_complex():
+    """The integer-ratio image of a rational matrix is the float that
+    ``astype(complex)`` gives (``float`` of each ``Fraction``), on random,
+    huge and tiny entries, and both raise ``OverflowError`` past the float
+    range."""
+    rng = np.random.default_rng(7)
+    entries = [Fraction(int(rng.integers(-10**6, 10**6)),
+                        int(rng.integers(1, 10**6))) for _ in range(60)]
+    entries += [Fraction(int(rng.integers(1, 10**9)) * 10**k,
+                         int(rng.integers(1, 10**9)))
+                for k in range(250, 300, 7)]
+    entries += [Fraction(int(rng.integers(-10**9, 10**9)),
+                         int(rng.integers(1, 10**9)) * 10**k)
+                for k in range(290, 340, 7)]
+    entries += [Fraction(0), Fraction(-1, 3), Fraction(1, 10**400),
+                Fraction(2**1023 * 3 - 1, 2), Fraction(-(10**308), 7)]
+    for cols in (1, 5, len(entries)):
+        rows = len(entries) // cols
+        M = Matrix(rows, cols, entries[:rows * cols], RATIONAL)
+        got = M.to_numpy()
+        want = M.entries.astype(complex)
+        assert got.dtype == complex and got.shape == (rows, cols)
+        assert got.tobytes() == want.tobytes()
+    assert Matrix.zeros(0, 3, RATIONAL).to_numpy().shape == (0, 3)
+    huge = Matrix(1, 2, [Fraction(1, 3), Fraction(10**400, 3)], RATIONAL)
+    for convert in (huge.to_numpy, lambda: huge.entries.astype(complex)):
+        with pytest.raises(OverflowError):
+            convert()
+
+
 def _check_read_only_storage(backend):
     from xnadhm.linalg import hstack, vstack
 

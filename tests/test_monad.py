@@ -50,6 +50,7 @@ from xnadhm.monad import (
     reexpand_chart,
 )
 from xnadhm.plane import PlaneADHM, check_T1
+from xnadhm.serialize import monad_from_json, monad_to_json
 from xnadhm.sampling import (
     random_costable_triple,
     random_invertible,
@@ -734,7 +735,7 @@ def per_slot_compose_residual(mc):
     """``compose_residual`` as one sum of ``linalg._matmul`` products per
     slot, a term whose slot lies outside 0..n left out."""
     n, bk = mc.n, mc.backend
-    a1, a2, b1, b2 = monad._entries(mc)
+    a1, a2, b1, b2 = mc.stacks
     A1, B2 = ([None, *xs[:n + 1], None] for xs in (a1, b2))   # slot q at q+1
 
     def total(*pairs):
@@ -790,26 +791,161 @@ def test_sigma_mix_broadcast_matches_the_per_q_loop():
         for h in range(5):
             for shift in range(-c, c + 1):
                 for rows, cols in ((c, c), (c + 1, c), (c, c + 1)):
-                    coeffs = [random_matrix(rng, rows, cols).entries
-                              for _ in range(h + 1)]
+                    coeffs = np.stack([random_matrix(rng, rows, cols).entries
+                                       for _ in range(h + 1)])
                     got = monad._sigma_mix(coeffs, shift, c, COMPLEX)
                     want = per_q_sigma_mix(coeffs, shift, c, COMPLEX)
-                    assert [G.entries.tobytes() for G in got] == [
+                    assert [G.tobytes() for G in got] == [
                         W.entries.tobytes() for W in want]
     # exact data at integer constants, and the refusal of irrational ones
     for backend in (RATIONAL, GF(5)):
         for c, m, l in INTEGER_CHARTS:
-            coeffs = [integer_unipotent(rng, c).cast(backend).entries
-                      for _ in range(3)]
-            assert monad._sigma_mix(coeffs, l - m, c, backend) == \
-                per_q_sigma_mix(coeffs, l - m, c, backend)
-    coeffs = [Matrix.identity(2, RATIONAL).entries] * 2
+            coeffs = np.stack([integer_unipotent(rng, c).cast(backend).entries
+                               for _ in range(3)])
+            assert [_wrap(G, backend) for G in monad._sigma_mix(
+                coeffs, l - m, c, backend)] == list(
+                    per_q_sigma_mix(coeffs, l - m, c, backend))
+    coeffs = np.stack([Matrix.identity(2, RATIONAL).entries] * 2)
     errors = []
     for mix in (monad._sigma_mix, per_q_sigma_mix):
         with pytest.raises(UnsupportedBackend) as info:
             mix(coeffs, 1, 2, RATIONAL)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+# ---------------------------------------------------------------------------
+# the coefficient stacks against the per-Matrix build_jm and reexpand_chart
+# ---------------------------------------------------------------------------
+
+def reference_build_jm(d, n, m):
+    """``build_jm`` block by block: each coefficient a Matrix, the lists
+    handed to the public constructor."""
+    c, bk = d.c, d.backend
+    ident = Matrix.identity(c, bk)
+    tb1, tb2 = d.b1.transpose(), d.b2.transpose()
+    zero_row = _zeros((1, c), bk)
+    alpha2 = [_wrap(np.concatenate((M.entries, zero_row)), bk)
+              for M in (ident, tb1)]
+    beta2 = (Matrix.zeros(c, c + 1, bk),) * n + (
+        _wrap(np.concatenate((bk.reduce(-ident.entries), _zeros((c, 1), bk)),
+                             axis=1), bk),
+        _wrap(np.concatenate((bk.reduce(-tb2.entries), d.e.entries.T),
+                             axis=1), bk))
+    xi = _zeros((2 * c + 1, 1), bk)
+    xi[2 * c, 0] = bk.one
+    alpha1 = (Matrix.zeros(c, c, bk),) * n + (ident, tb2)
+    return MonadCoeffs(n, c, m, alpha1, alpha2, (ident, tb1), beta2,
+                       _wrap(xi, bk))
+
+
+def reference_reexpand_chart(mc, l):
+    """``reexpand_chart`` block by block: the mixed lists as Matrices from
+    ``per_q_sigma_mix``, handed to the public constructor."""
+    if l == mc.m:
+        return mc
+    n = mc.n
+
+    def mix(blocks):
+        return per_q_sigma_mix([M.entries for M in blocks], l - mc.m, mc.c,
+                               mc.backend)
+    return MonadCoeffs(n, mc.c, l, mix(mc.alpha1[:n + 1]) + mc.alpha1[n + 1:],
+                       mix(mc.alpha2), mix(mc.beta1),
+                       mix(mc.beta2[:n + 1]) + mc.beta2[n + 1:], mc.xi)
+
+
+def _entry_image(arr):
+    """Bytes on floats; on the exact backends each entry with its type."""
+    if arr.dtype == complex:
+        return arr.shape, arr.tobytes()
+    return arr.shape, [(type(x), x) for x in arr.flat]
+
+
+def assert_same_monad(got, want):
+    """``got``'s stacks hold ``want``'s blocks (byte for byte on floats),
+    read-only; its Matrix fields, made on first read and then kept, equal
+    ``want``'s; so do ``==``, ``replace``, the JSON round trip and
+    ``compose_residual``."""
+    assert (got.n, got.c, got.m, got.backend) == (want.n, want.c, want.m,
+                                                   want.backend)
+    fields = ("alpha1", "alpha2", "beta1", "beta2")
+    for stack, field in zip(got.stacks, fields):
+        assert not stack.flags.writeable
+        blocks = getattr(want, field)
+        assert _entry_image(stack) == _entry_image(
+            np.stack([M.entries for M in blocks]))
+        assert getattr(got, field) is getattr(got, field)
+        assert [_entry_image(M.entries) for M in getattr(got, field)] == [
+            _entry_image(M.entries) for M in blocks]
+    assert _entry_image(got.xi.entries) == _entry_image(want.xi.entries)
+    assert got == want
+    xi = got.xi.scale(2)
+    assert replace(got, xi=xi) == replace(want, xi=xi) != got
+    assert monad_to_json(got) == monad_to_json(want)
+    assert monad_from_json(monad_to_json(got)) == got
+    assert [_entry_image(R.entries) for R in compose_residual(got)] == [
+        _entry_image(R.entries) for R in compose_residual(want)]
+
+
+def _exact_triple(c, backend):
+    return PlaneADHM(c, Matrix.diagonal([1, 2, -1, 3][:c], backend),
+                     Matrix.diagonal([0, 3, 1, 2][:c], backend),
+                     Matrix.row_vector([1] * c, backend))
+
+
+def _reexpanded(reexpand, mc, l):
+    """``reexpand(mc, l)``, or the type and message of what it raises."""
+    try:
+        return reexpand(mc, l)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("backend", [COMPLEX, RATIONAL, GF(5)], ids=repr)
+def test_stacks_match_the_per_matrix_build_and_reexpansion(backend):
+    """For n, c = 1..4 and every chart pair (m, l): build_jm, a gauge-moved
+    image of it (on floats) and its chart-l re-expansion equal the
+    per-Matrix route's.  Exact data at a chart pair with irrational
+    constants raises the same error on both routes."""
+    rng = rng_from_seed(46)
+    refused = 0
+    for c in range(1, 5):
+        for n in range(1, 5):
+            if backend is COMPLEX:
+                d = random_costable_triple(rng, c)
+            else:
+                d = _exact_triple(c, backend)
+            for m in range(c + 1):
+                mc = build_jm(d, n, m)
+                assert_same_monad(mc, reference_build_jm(d, n, m))
+                points = [mc]
+                if backend is COMPLEX:
+                    points.append(gauge_action(random_gauge(rng, n, c), mc))
+                for point in points:
+                    for l in range(c + 1):
+                        got = _reexpanded(reexpand_chart, point, l)
+                        want = _reexpanded(reference_reexpand_chart, point, l)
+                        if isinstance(want, tuple):
+                            assert got == want
+                            refused += 1
+                        else:
+                            assert_same_monad(got, want)
+    assert (refused > 0) == backend.exact
+
+
+def test_the_normalization_chain_leaves_the_matrix_fields_unmade():
+    """build_jm, reexpand_chart and gauge_normalize read and write only the
+    stacks: no tuple of Matrices is made on the way."""
+    rng = rng_from_seed(47)
+    for c in (1, 2, 3):
+        d = random_costable_triple(rng, c)
+        m, l = random_overlap_charts(rng, d.b1, c)
+        mc = build_jm(d, 2, m)
+        moved = reexpand_chart(mc, l)
+        gauge_normalize(moved, l)
+        for point in (mc, moved):
+            assert not {"alpha1", "alpha2", "beta1", "beta2"} & set(
+                vars(point))
 
 
 def per_block_gauge_normalize(mc, l, tol=None):
@@ -828,7 +964,7 @@ def per_block_gauge_normalize(mc, l, tol=None):
     mc0 = reexpand_chart(mc, l)
     n, c = mc0.n, mc0.c
     red = bk.reduce
-    a1, a2, b1, b2 = monad._entries(mc0)
+    a1, a2, b1, b2 = mc0.stacks
     check = functools.partial(monad._check_gauge_block, backend=bk, tol=tol)
 
     def prod(*arrays):
@@ -946,15 +1082,26 @@ def _tilted(rng, c):
     return lambda s: (2 * U * np.r_[[1.0] * (c - 1), s]) @ V
 
 
+def _step_one_tie(tilted):
+    """s at which ``tilted(s)``, of smallest singular value 2 s, ties step
+    1's absolute test s_min > tol max(1, max-norm)."""
+    s = 1e-9
+    for _ in range(5):
+        s = 1e-9 * np.abs(tilted(s)).max() / 2
+    return s
+
+
 def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
     """Where the merged tests read singular values off another matrix than
-    the block (chi off T, diag(T, 1) off T, psi22_4 off its entry), a tie
-    is decided by the block's own SVD: every case gives the per-block
+    the block (chi, phi and diag(T, 1) off b10, psi22_4 off its entry), a
+    tie is decided by the block's own SVD: every case gives the per-block
     route's exception and message, or its output.  The cases straddle each
-    tie: chi of condition number 1e9 (1 + j 5e-9) for |j| <= 60 with step
-    1's absolute test passing, T = 1e9 (1 + j eps) 1 and the frame slot at
-    1e-9 (1 + j eps) for |j| <= 40, and a coarse chi sweep in two charts.
-    Each of the chi, phi and psi22 refusals occurs."""
+    tie: step 1's absolute test at b10 = chi of smallest singular value
+    tol max-norm (1 + j 5e-9) and chi of condition number 1e9 (1 + j 5e-9),
+    where step 1 passes, for |j| <= 60; the same at 1e9 (1 + j 5e-10),
+    where chi passes and phi = T may not; T = 1e9 (1 + j eps) 1 and the
+    frame slot at 1e-9 (1 + j eps) for |j| <= 40, and a coarse chi sweep in
+    two charts.  Each of the step 1, chi, phi and psi22 refusals occurs."""
     rng = rng_from_seed(45)
     eps = np.finfo(float).eps
     outcomes = set()
@@ -963,7 +1110,9 @@ def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
         m, l = random_overlap_charts(rng, d.b1, c)
         mc = build_jm(d, n, m)
         tilted = _tilted(rng, c)
-        cases = [(_chi_moved(mc, tilted(1e-9 * (1 + j * 5e-9))), m)
+        tie = _step_one_tie(tilted)
+        cases = [(_chi_moved(mc, tilted(s * (1 + j * step))), m)
+                 for s, step in ((tie, 5e-9), (1e-9, 5e-9), (1e-9, 5e-10))
                  for j in range(-60, 61)]
         cases += [(_chi_moved(mc, tilted(10.0 ** (-k / 2))), i)
                   for k in range(14, 23) for i in (m, l)]
@@ -972,10 +1121,18 @@ def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
         frame = [0.0] * (2 * c) + [1.0]
         cases += [(replace(mc, xi=Matrix.col_vector(frame).scale(
             1e-9 * (1 + j * eps))), m) for j in range(-40, 41)]
+        results = []
         for case in cases:
             got = _outcome(gauge_normalize, *case)
             assert got == _outcome(per_block_gauge_normalize, *case)
-            outcomes.add(got if isinstance(got, tuple) else "normalized")
+            results.append(got if isinstance(got, tuple) else "normalized")
+        # the first sweep straddles step 1's tie, the third phi's
+        assert set(results[:121]) == {
+            (NotNormalizable, "step 1: beta1 y1-coefficient is singular"),
+            (SingularGauge, "gauge block chi is singular")}
+        assert (SingularGauge, "gauge block phi is singular") in set(
+            results[242:363])
+        outcomes.update(results)
     assert outcomes == {
         "normalized",
         (NotNormalizable, "step 1: beta1 y1-coefficient is singular"),
@@ -984,9 +1141,10 @@ def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
         (SingularGauge, "gauge block psi22 is singular")}
 
 
-def test_one_float_normalization_runs_five_svds_and_five_inverses(
+def test_one_float_normalization_runs_four_svds_and_five_inverses(
         monkeypatch):
-    """The per-block route runs 8 SVDs and 5 inverses."""
+    """The SVDs of b10, a1n, the left null row and psi22_3; the per-block
+    route runs 8 SVDs and 5 inverses."""
     calls = []
 
     def counted(name):
@@ -1004,7 +1162,7 @@ def test_one_float_normalization_runs_five_svds_and_five_inverses(
         d = random_costable_triple(rng, c)
         m, l = random_overlap_charts(rng, d.b1, c)
         mc = reexpand_chart(build_jm(d, 2, m), l)
-        for normalize, svds in ((gauge_normalize, 5),
+        for normalize, svds in ((gauge_normalize, 4),
                                 (per_block_gauge_normalize, 8)):
             calls.clear()
             normalize(mc, l)

@@ -1121,12 +1121,15 @@ def test_prime_field_rejects_irrational_charts():
     # A2 = -diag(z) is singular at z = 0; chart 1 rotates by pi/4 to
     # A2m = (A1 + A2) / sqrt 2, over the complex numbers
     (2, [(0, 1), (1, 2), (3, 5)], 2),   # singular at z = 1: chart 2 is A1
-    (2, [(0, 1), (2, 2), (3, 5)], 1),   # invertible: the promoted chart 1
+    # chart 2 is A1 = 1 on data made in chart 2: the integer chart comes
+    # before the promoted chart 1, where A2m is invertible too
+    (2, [(0, 1), (2, 2), (3, 5)], 2),
 ])
 def test_cover_chart_on_rational_data(m, points, chart):
     """Over the rationals the covering chart is the first chart whose A2m
-    passes the invertibility test, exactly at an integer chart and in
-    floats at a promoted one, and the chart readings hold there."""
+    passes the exact invertibility test among the integer charts, and the
+    chart readings hold there; in the chart of the data they give its
+    points exactly."""
     d = from_xn_points(2, m, points, RATIONAL)
     assert d.backend == RATIONAL and d.c == 3
     assert (det(d.A2) != 0) == (chart == 0)
@@ -1135,7 +1138,7 @@ def test_cover_chart_on_rational_data(m, points, chart):
     got_chart, got = to_xn_points(d)
     assert got_chart == chart
     if chart == m:
-        assert np.allclose(sorted(got, key=lambda p: p[0].real), points)
+        assert sorted(got, key=lambda p: p[0].real) == points
     v, (l1, l2), (mu1, mu2) = spectral_witness(d)
     assert abs(l1 ** 2 * mu1 + l2 ** 2 * mu2) <= 1e-9 * max(
         1.0, abs(mu1), abs(mu2))
@@ -1144,16 +1147,32 @@ def test_cover_chart_on_rational_data(m, points, chart):
         1.0, abs(l1), abs(l2))
 
 
-def test_cover_chart_over_a_prime_field_stops_at_an_irrational_chart():
-    """Over GF(p) a singular A2 sends the chart search to chart 1 of c = 3,
-    whose constants are irrational: every reading through the covering
-    chart raises ``UnsupportedBackend``."""
+def test_cover_chart_over_a_prime_field_takes_an_integer_chart():
+    """Over GF(p) a singular A2 sends the chart search past chart 1 of
+    c = 3, whose constants are irrational, to the integer chart 2; the
+    readings that need floats still raise ``UnsupportedBackend``."""
     d = from_xn_points(2, 2, [(0, 1), (2, 2), (3, 5)], GF(7))
     assert det(d.A2) == 0
-    for read in (cover_chart, check_P3_via_chart, to_xn_points,
-                 spectral_witness):
+    assert cover_chart(d) == 2
+    for read in (check_P3_via_chart, to_xn_points, spectral_witness):
         with pytest.raises(UnsupportedBackend):
             read(d)
+
+
+def test_cover_chart_on_rational_data_falls_back_to_a_promoted_chart():
+    """With both integer charts of c = 3 singular (A2 at chart 0, A1 at
+    chart 2), the search goes on to the promoted chart 1, judged in floats;
+    over a prime field that chart raises ``UnsupportedBackend``."""
+    for backend in (RATIONAL, GF(7)):
+        Z = Matrix.zeros(3, 3, backend)
+        d = XnADHM(1, 3, Matrix.diagonal([1, 0, 1], backend),
+                   Matrix.diagonal([0, 1, 1], backend), (Z,),
+                   Matrix.row_vector([1, 1, 1], backend))
+        if backend is RATIONAL:
+            assert cover_chart(d) == 1
+        else:
+            with pytest.raises(UnsupportedBackend):
+                cover_chart(d)
 
 
 # ---------------------------------------------------------------------------
