@@ -127,7 +127,7 @@ def _cocycle(item, samples, tol):
     m = cd.m
     # the direct legs m -> k, one stack over all c+1 charts; a leg is kept
     # when its overlap pivot clears the margin
-    _, keep, *direct = _transition(
+    keep, *direct = _transition(
         *(np.repeat(M.entries[None], c + 1, axis=0)
           for M in (cd.B, cd.E, cd.A2m)),
         n, [k - m for k in range(c + 1)], c, COMPLEX, floor=margin)
@@ -144,7 +144,7 @@ def _cocycle(item, samples, tol):
                        [transition_phi(d, n, m, k) for k in charts])
         ends.append(direct[2])
         scale = _leg_scales(ends)
-        _, keep, b1, b2, a2 = _transition(
+        keep, b1, b2, a2 = _transition(
             *(np.repeat(block, legs, axis=0) for block in ends),
             n, [k - l for l in charts for k in charts], c, COMPLEX,
             floor=margin)
@@ -167,7 +167,7 @@ def _cocycle(item, samples, tol):
                       _gauge_inverse(g1, g2), backend=COMPLEX)
         moved = act(cd.B.entries, cd.E.entries, cd.e.entries,
                     cd.A2m.entries)
-        _, keep, b1, b2, a2 = _transition(
+        keep, b1, b2, a2 = _transition(
             *(np.broadcast_to(M, (legs, c, c)) for M in moved[:2] + moved[3:]),
             n, [l - m for l in charts], c, COMPLEX, floor=margin)
         if keep.any():
@@ -226,9 +226,11 @@ def _moment(item, samples, tol):
     d1, d2 = relation_defects(r)
     s = scale_of(r.A1, r.A2, *r.C, r.e, *r.f) ** 2
     gap = max(residual(mres.mu1, -d1), residual(mres.mu0, d2)) / s
-    # relation-satisfying representations sit on the zero level
+    # relation-satisfying representations sit on the zero level, measured
+    # over their own scale, not the free sample's
     rr = sampling.random_rep(rng, 2, c)
-    gap = max(gap, moment_residual_n2(rr).norm() / s)
+    gap = max(gap, moment_residual_n2(rr).norm()
+              / scale_of(rr.A1, rr.A2, *rr.C, rr.e, *rr.f) ** 2)
     # 1e-12 at the default tolerance
     return {"moment_equals_defect": gap <= _tol(tol) / 1000}, gap, {}
 

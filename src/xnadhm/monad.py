@@ -302,9 +302,6 @@ def _sigma_mix(coeffs, shift: int, c_count: int, backend):
     broadcast multiply-add per p over all q."""
     h = len(coeffs) - 1
     sig = sigma(h, shift, c_count, backend).entries
-    if backend.exact:
-        # promoted (irrational) constants are refused here, entry by entry
-        sig = np.frompyfunc(backend.coerce, 1, 1)(sig)
     red = backend.reduce
     acc = red(sig[0, :, None, None] * coeffs[0])
     for p in range(1, h + 1):

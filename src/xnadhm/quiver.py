@@ -177,9 +177,10 @@ def u_m_residual(r: FramedRep, m: int, tol=None):
     A2m = _rotate(r.A1, r.A2, m, r.v0)[1]
     if not linalg.is_invertible(A2m, tol):
         raise NotInChart(f"det A2m = 0 in chart {m}")
-    bk, cm, sm = _backend_angles(A2m.backend, r.v0, m)
+    bk = A2m.backend
+    cm, sm = _backend_angles(bk, r.v0, m)
     return linalg._wrap(_binomial_combination(
-        [f.cast(bk).entries for f in r.f], cm, sm, bk), bk)
+        [f.entries for f in r.f], cm, sm, bk), bk)
 
 
 def moment_residual_n2(r: FramedRep) -> MomentResidual:

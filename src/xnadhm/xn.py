@@ -111,6 +111,8 @@ class ChartData:
                 raise ShapeMismatch("chart blocks must be square of equal size")
         if (self.e.rows, self.e.cols) != (1, c):
             raise ShapeMismatch("e must be a row c-vector")
+        if any(M.backend != self.B.backend for M in (self.E, self.e, self.A2m)):
+            raise ShapeMismatch("blocks on different backends")
 
     @property
     def c(self):
@@ -147,30 +149,29 @@ def _integer_chart(c_count: int, k: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _backend_angles(backend, c_count: int, k: int):
-    """Chart constants coerced into the data backend.
+    """Chart constants (c_k, s_k) in the data backend.
 
     Exact backends only admit the charts whose constants are integers
-    (k = 0 mod (c+1), and the right-angle charts); anything else promotes a
-    rational pipeline to floats and is rejected over a prime field.  Cached,
-    as it is pure in (backend, c_count, k).
+    (k = 0 mod (c+1), and the right-angle charts); every other chart raises
+    ``UnsupportedBackend``, and a caller who wants floats casts the data to
+    COMPLEX.  Cached, as it is pure in (backend, c_count, k).
     """
     cm, sm = angle_constants(c_count, k)
     if not backend.exact:
-        return backend, backend.coerce(cm), backend.coerce(sm)
-    if _integer_chart(c_count, k):
-        return backend, backend.coerce(int(cm)), backend.coerce(int(sm))
-    if backend.kind == "gf":
+        return backend.coerce(cm), backend.coerce(sm)
+    if not _integer_chart(c_count, k):
         raise UnsupportedBackend(
-            "chart constants are irrational; prime-field data only supports "
-            "integer-constant charts")
-    return linalg.COMPLEX, complex(cm), complex(sm)
+            f"chart constants at angle pi {k}/{c_count + 1} are irrational; "
+            "exact data only supports the integer-constant charts (cast to "
+            "COMPLEX for floats)")
+    return backend.coerce(int(cm)), backend.coerce(int(sm))
 
 
 @functools.lru_cache(maxsize=256)
 def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> Matrix:
     """Binomial change-of-chart matrix of size (h+1) x (h+1), as a
-    ``Matrix`` over ``backend`` (over the complex numbers when a rational
-    chart's constants are irrational).
+    ``Matrix`` over ``backend``; an exact backend raises
+    ``UnsupportedBackend`` at a shift whose constants are irrational.
 
     Row p expands (s_m u1 + c_m u2)^p (c_m u1 - s_m u2)^(h-p) over the
     monomials u2^q u1^(h-q); the family satisfies the one-parameter group law
@@ -179,7 +180,7 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> Matrix:
     """
     if h < 0:
         raise IndexOutOfRange("h must be >= 0")
-    backend, cm, sm = _backend_angles(backend, c_count, m)
+    cm, sm = _backend_angles(backend, c_count, m)
     rows = []
     for p in range(h + 1):
         # (s u1 + c u2)^p and (c u1 - s u2)^(h-p) over u2-powers
@@ -200,16 +201,16 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> Matrix:
 
 def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
     """(c_k X - s_k Y, s_k X + c_k Y) at the angle pi k / (c_count + 1), for
-    any integer k, on Matrices: chart m rotates (A1, A2) by m, and the
-    chart dictionary (B, 1) by -m.  Irrational constants promote exact data
-    (``_backend_angles``), and products by 0 and 1 are skipped
-    (``linalg._node_entries``).  ``_transition`` rotates a stack of (B, 1)
-    by l - m itself, with per-leg constants.
+    any integer k, on Matrices of one backend: chart m rotates (A1, A2) by
+    m, and the chart dictionary (B, 1) by -m.  Exact data raises
+    ``UnsupportedBackend`` at irrational constants (``_backend_angles``),
+    and products by 0 and 1 are skipped (``linalg._node_entries``).
+    ``_transition`` rotates a stack of (B, 1) by l - m itself, with per-leg
+    constants.
     """
-    bk, ck, sk = _backend_angles(X.backend, c_count, k)
+    bk = X.backend
+    ck, sk = _backend_angles(bk, c_count, k)
     x, y = X.entries, Y.entries
-    if bk is not X.backend:
-        x, y = x.astype(complex), y.astype(complex)
     first = linalg._node_entries(x, y, ck, bk.reduce(-sk), bk)
     second = linalg._node_entries(x, y, sk, ck, bk)
     return linalg._wrap(first, bk), linalg._wrap(second, bk)
@@ -245,8 +246,9 @@ def chart_matrices(d: XnADHM, m: int):
     """
     _check_chart(d.c, m)
     A1m, A2m = _rotate(d.A1, d.A2, m, d.c)
-    bk, cm, sm = _backend_angles(A2m.backend, d.c, m)
-    dm = _binomial_combination([C.cast(bk).entries for C in d.C], cm, sm, bk)
+    bk = d.backend
+    cm, sm = _backend_angles(bk, d.c, m)
+    dm = _binomial_combination([C.entries for C in d.C], cm, sm, bk)
     em = linalg._matmul(dm, A2m.entries, bk)
     return A1m, A2m, linalg._wrap(em, bk), linalg._wrap(dm, bk)
 
@@ -418,7 +420,7 @@ def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
     node conditioning (``XnADHM._pencil_conditioning``), not another SVD.
     """
     A1m, A2m, Em, _ = chart_matrices(d, m)
-    bk = A2m.backend
+    bk = d.backend
     a2m = A2m.entries
     if d.backend.exact:
         invertible = linalg._is_invertible(a2m, bk, tol)
@@ -428,7 +430,7 @@ def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
     if not invertible:
         raise NotInChart(f"det A2m = 0 in chart {m}")
     b = linalg._matmul(linalg._inverse(a2m, bk), A1m.entries, bk)
-    return ChartData(m, linalg._wrap(b, bk), Em, d.e.cast(bk), A2m)
+    return ChartData(m, linalg._wrap(b, bk), Em, d.e, A2m)
 
 
 def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
@@ -442,26 +444,22 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1, on entry arrays
     after the one ``_rotate``.
     """
-    c = cd.c
-    R1, R2 = _rotate(cd.B, Matrix.identity(c, cd.backend), -cd.m, c)
-    bk = R1.backend
-    B = cd.B.cast(bk)
-    E = cd.E.cast(bk)
-    e = cd.e.cast(bk)
-    a = cd.A2m.cast(bk).entries
+    c, bk = cd.c, cd.backend
+    R1, R2 = _rotate(cd.B, Matrix.identity(c, bk), -cd.m, c)
+    a = cd.A2m.entries
     if not linalg._is_invertible(a, bk, tol):
         raise SingularA2m("A2m block must be invertible")
-    if check and not check_T2(PlaneADHM(c, B, E, e), tol):
+    if check and not check_T2(cd.plane(), tol):
         raise NotCostable("chart triple violates co-stability")
 
     def mul(x, y):
         return linalg._matmul(x, y, bk)
 
     sig = sigma(n - 1, cd.m, c, bk).entries
-    eainv = mul(E.entries, linalg._inverse(a, bk))
+    eainv = mul(cd.E.entries, linalg._inverse(a, bk))
     powers = [linalg._diagonal([bk.one] * c, bk)]
     for _ in range(n - 1):
-        powers.append(mul(powers[-1], B.entries))
+        powers.append(mul(powers[-1], cd.B.entries))
     if bk.exact:
         # the n sums over p as one product sig @ [B^0; ...; B^(n-1)]: on
         # the rationals one integer matmul, not n Fraction multiply-adds
@@ -477,7 +475,7 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     # tuple free lists until a full collection, which raised peak RSS
     return XnADHM(n, c, linalg._wrap(mul(a, R1.entries), bk),
                   linalg._wrap(mul(a, R2.entries), bk),
-                  [linalg._wrap(mul(cq, eainv), bk) for cq in cs], e)
+                  [linalg._wrap(mul(cq, eainv), bk) for cq in cs], cd.e)
 
 
 def transition_phi(d: PlaneADHM, n: int, m: int, l: int, tol=None) -> PlaneADHM:
@@ -487,31 +485,32 @@ def transition_phi(d: PlaneADHM, n: int, m: int, l: int, tol=None) -> PlaneADHM:
     Moebius map on b1, multiplies b2 by the n-th power of the denominator and
     leaves e untouched.
     """
-    bk, b1, b2, _ = _one_leg(d, n, m, l, None, tol)
-    return PlaneADHM(d.c, linalg._wrap(b1, bk), linalg._wrap(b2, bk),
-                     d.e.cast(bk))
+    b1, b2, _ = _one_leg(d, n, m, l, None, tol)
+    return PlaneADHM(d.c, linalg._wrap(b1, d.backend),
+                     linalg._wrap(b2, d.backend), d.e)
 
 
 def transition_omega(cd: ChartData, n: int, l: int, tol=None) -> ChartData:
     """Chart transition on full chart data: the plane part moves as in
     ``transition_phi`` and the gauge block picks up the same denominator."""
-    bk, b1, b2, a2 = _one_leg(cd.plane(), n, cd.m, l, cd.A2m, tol)
-    return ChartData(l, linalg._wrap(b1, bk), linalg._wrap(b2, bk),
-                     cd.e.cast(bk), linalg._wrap(a2, bk))
+    b1, b2, a2 = _one_leg(cd.plane(), n, cd.m, l, cd.A2m, tol)
+    bk = cd.backend
+    return ChartData(l, linalg._wrap(b1, bk), linalg._wrap(b2, bk), cd.e,
+                     linalg._wrap(a2, bk))
 
 
 def _one_leg(d: PlaneADHM, n: int, m: int, l: int, A2m, tol=None):
-    """``_transition`` on the one leg m -> l of ``d`` (and ``A2m``): (backend,
-    moved b1, moved b2, moved A2m or None) as entry arrays; raises
+    """``_transition`` on the one leg m -> l of ``d`` (and ``A2m``): (moved
+    b1, moved b2, moved A2m or None) as entry arrays; raises
     ``NotInOverlap`` off the overlap."""
     _check_chart(d.c, m)
     _check_chart(d.c, l)
-    a2m = None if A2m is None else A2m.cast(d.backend).entries[None]
-    bk, keep, b1, b2, a2 = _transition(d.b1.entries[None], d.b2.entries[None],
-                                       a2m, n, [l - m], d.c, d.backend, tol)
+    a2m = None if A2m is None else A2m.entries[None]
+    keep, b1, b2, a2 = _transition(d.b1.entries[None], d.b2.entries[None],
+                                   a2m, n, [l - m], d.c, d.backend, tol)
     if not keep[0]:
         raise NotInOverlap(f"charts {m} and {l} do not overlap at this point")
-    return bk, b1[0], b2[0], None if a2 is None else a2[0]
+    return b1[0], b2[0], None if a2 is None else a2[0]
 
 
 def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
@@ -529,26 +528,18 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     multiplied up from T, and A2m -> A2m T: batched on floats, matrix by
     matrix (by elimination) on the exact backends.
 
-    Returns (backend, keep mask, moved b1, moved b2, moved A2m or None), the
-    moved stacks holding the kept legs only.  Every leg of a stack must keep
-    one backend: exact data whose shifts mix integer and irrational chart
-    constants raise ``UnsupportedBackend``, and n < 1 raises
-    ``IndexOutOfRange``.
+    Returns (keep mask, moved b1, moved b2, moved A2m or None) on
+    ``backend``, the moved stacks holding the kept legs only.  Exact data
+    with a shift whose chart constants are irrational raises
+    ``UnsupportedBackend``, and n < 1 raises ``IndexOutOfRange``.
     """
     if n < 1:
         raise IndexOutOfRange(f"n = {n} must be >= 1")
-    angles = {k: _backend_angles(backend, c, k) for k in set(shifts)}
-    bks = {bk for bk, _, _ in angles.values()}
-    if len(bks) > 1:
-        raise UnsupportedBackend(
-            "a stack of transitions must stay on one backend")
-    bk = bks.pop()
-    ck, sk = np.array([angles[k][1:] for k in shifts],
+    bk = backend
+    angles = {k: _backend_angles(bk, c, k) for k in set(shifts)}
+    ck, sk = np.array([angles[k] for k in shifts],
                       dtype=bk.dtype).T[:, :, None, None]
     eye = linalg._diagonal([bk.one] * c, bk)
-    if bk is not backend:
-        b1, b2 = b1.astype(complex), b2.astype(complex)
-        a2m = None if a2m is None else a2m.astype(complex)
     num = bk.reduce(ck * b1 - sk * eye)
     den = bk.reduce(sk * b1 + ck * eye)
     if bk.exact:
@@ -566,7 +557,7 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     moved_b1 = linalg._matmul(linalg._inverse(den, bk), num, bk)
     moved_b2 = linalg._matmul(tn, b2, bk)
     moved_a2 = None if a2m is None else linalg._matmul(a2m, den, bk)
-    return bk, keep, moved_b1, moved_b2, moved_a2
+    return keep, moved_b1, moved_b2, moved_a2
 
 
 def gl2_action(phi1: Matrix, phi2: Matrix, d: XnADHM, tol=None) -> XnADHM:
@@ -626,10 +617,9 @@ def cover_chart(d: XnADHM, tol=None) -> int:
     s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests,
     so that ``NoChart`` is raised exactly when no chart passes that test,
     that is exactly when ``check_P2`` fails; over an exact backend, the
-    first invertible chart among those whose constants lie in the field,
-    judged exactly, and only then the first among the promoted ones, judged
-    in floats (over a prime field these raise ``UnsupportedBackend``).
-    Raises ``NoChart`` on a singular pencil.
+    first invertible chart among those whose constants are integers, judged
+    exactly; past them the search reaches an irrational chart and raises
+    ``UnsupportedBackend``.  Raises ``NoChart`` on a singular pencil.
 
     Some chart is always invertible for a regular pencil: the determinant
     form has at most c projective roots and there are c+1 chart ratios.
@@ -653,11 +643,11 @@ def from_xn_points(n: int, m: int, points, backend=linalg.COMPLEX) -> XnADHM:
     Realized as diagonal chart data (B, E) = (diag z, diag w) with unit
     framing and unit gauge block, then rebuilt through the chart.  The
     co-stability guard of ``zeta_inverse`` has no prime-field route, so
-    GF(p) data is built from the residues over the rationals and reduced;
-    the chart must have integer constants.
+    GF(p) data is built from the residues over the rationals and reduced.
+    On an exact backend the chart must have integer constants, or
+    ``UnsupportedBackend`` is raised.
     """
     if backend.kind == "gf":
-        _backend_angles(backend, len(points), m)
         residues = [(backend.coerce(z), backend.coerce(w)) for z, w in points]
         return from_xn_points(n, m, residues, linalg.RATIONAL).cast(backend)
     plane = from_plane_points(points, backend)

@@ -104,6 +104,16 @@ def test_gen_points_over_a_prime_field_rejects(points, m, error, capsys):
     assert code == 2 and out == ""
 
 
+def test_gen_points_over_the_rationals_rejects_an_irrational_chart(capsys):
+    # chart 1 of c = 2 has irrational constants: rational points there are
+    # refused, as over GF(p)
+    code = main(["gen", "--kind", "points", "--backend", "rational", "--n",
+                 "2", "--c", "2", "--m", "1", "--points", "0,1;1,2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "irrational" in captured.err
+
+
 def test_check_valid_P(tmp_path, capsys):
     rng = rng_from_seed(0)
     d = random_xn(rng, 2, 2)

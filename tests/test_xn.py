@@ -14,6 +14,8 @@ from xnadhm.errors import (
     NotCostable,
     NotInChart,
     NotInOverlap,
+    NotNormalizable,
+    ShapeMismatch,
     SingularA2m,
     UnsupportedBackend,
 )
@@ -104,7 +106,7 @@ def test_sigma_zero_is_identity():
 
 def test_sigma_is_cached():
     assert sigma(3, 1, 4) is sigma(3, 1, 4)
-    assert sigma(3, 1, 4, RATIONAL) is not sigma(3, 1, 4)
+    assert sigma(3, 5, 4, RATIONAL) is not sigma(3, 5, 4)
     assert sigma.cache_info().maxsize is not None
 
 
@@ -181,8 +183,8 @@ def test_rotate_hand_expansion_on_floats():
 @pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
 def test_rotate_hand_expansion_at_integer_charts(backend, monkeypatch):
     """At the integer-constant charts the rotation stays in the field and
-    multiplies by no 0 or 1; every other chart promotes rational data to
-    complex and is refused over a prime field."""
+    multiplies by no 0 or 1; every other chart raises on both exact
+    backends."""
     rng = rng_from_seed(6)
     node_entries = linalg._node_entries
     for c in range(1, 5):
@@ -190,15 +192,8 @@ def test_rotate_hand_expansion_at_integer_charts(backend, monkeypatch):
         for k in range(-c - 1, c + 2):
             ck, sk = angle_constants(c, k)
             if ck != int(ck) or sk != int(sk):
-                if backend.kind == "gf":
-                    with pytest.raises(UnsupportedBackend):
-                        _rotate(X, Y, k, c)
-                    continue
-                R1, R2 = _rotate(X, Y, k, c)
-                Xc, Yc = X.cast(COMPLEX), Y.cast(COMPLEX)
-                assert R1.backend == R2.backend == COMPLEX
-                assert residual(R1, Xc.scale(ck) - Yc.scale(sk)) < 1e-14
-                assert residual(R2, Xc.scale(sk) + Yc.scale(ck)) < 1e-14
+                with pytest.raises(UnsupportedBackend):
+                    _rotate(X, Y, k, c)
                 continue
             ck, sk = int(ck), int(sk)
             want = (X.scale(ck) - Y.scale(sk), X.scale(sk) + Y.scale(ck))
@@ -684,9 +679,7 @@ def _transition_reference(d, n, m, l):
     num, T = _rotate(d.b1, Matrix.identity(d.c, d.backend), l - m, d.c)
     if not linalg.is_invertible(T):
         raise NotInOverlap
-    bk = T.backend
-    return PlaneADHM(d.c, linalg.inverse(T) @ num,
-                     T.power(n) @ d.b2.cast(bk), d.e.cast(bk)), T
+    return PlaneADHM(d.c, linalg.inverse(T) @ num, T.power(n) @ d.b2, d.e), T
 
 
 def _same_bits(A, B):
@@ -715,7 +708,7 @@ def test_transitions_equal_the_matrix_expression():
                 assert _same_bits(X, Y)
             cases += 1
     assert cases > 100
-    # exact data at the integer charts of c = 3, and promoted off them
+    # exact data at the integer charts of c = 3; off them it is refused
     for bk in (RATIONAL, GF(5)):
         d = PlaneADHM(3, Matrix.diagonal([1, 2, -1], bk),
                       Matrix.from_rows([[0, 1, 0], [0, 3, 2], [1, 0, 1]], bk),
@@ -725,12 +718,14 @@ def test_transitions_equal_the_matrix_expression():
             got = transition_phi(d, 2, m, l)
             assert (got.b1, got.b2, got.e) == (want.b1, want.b2, want.e)
             assert got.backend == bk
-    d = PlaneADHM(3, Matrix.diagonal([3, 2, 5], RATIONAL),
-                  Matrix.diagonal([0, 3, 1], RATIONAL),
-                  Matrix.row_vector([1, 1, 1], RATIONAL))
+        with pytest.raises(UnsupportedBackend):
+            transition_phi(d, 2, 0, 1)
+    # the float reading of such a leg is the transition of the cast data
+    d = PlaneADHM(3, Matrix.diagonal([3, 2, 5], COMPLEX),
+                  Matrix.diagonal([0, 3, 1], COMPLEX),
+                  Matrix.row_vector([1, 1, 1], COMPLEX))
     got = transition_phi(d, 2, 0, 1)
     want, _ = _transition_reference(d, 2, 0, 1)
-    assert got.backend is COMPLEX
     assert all(_same_bits(X, Y) for X, Y in
                ((got.b1, want.b1), (got.b2, want.b2), (got.e, want.e)))
 
@@ -787,9 +782,8 @@ def test_stacked_transition_is_the_per_leg_transition():
         legs = [(cd, l) for cd in charts for l in range(c + 1)]
         shifts = {l - cd.m for cd, l in legs}
         assert {0, 2, -2} <= shifts and {1, -1} & shifts
-        bk, keep, b1, b2, a2 = _stacked_legs(legs, n, c, COMPLEX)
+        keep, b1, b2, a2 = _stacked_legs(legs, n, c, COMPLEX)
         want = [_per_leg(cd, n, l) for cd, l in legs]
-        assert bk is COMPLEX
         assert keep.tolist() == [w is not None for w in want]
         assert 0 < keep.sum() < len(legs)
         kept = [w for w in want if w is not None]
@@ -801,7 +795,7 @@ def test_stacked_transition_is_the_per_leg_transition():
         # a floor masks the legs whose overlap margin lies below it
         floor = float(np.median([overlap_margin(cd.B, c, cd.m, l)
                                  for cd, l in legs]))
-        _, floored, *_ = _stacked_legs(legs, n, c, COMPLEX, floor)
+        floored, *_ = _stacked_legs(legs, n, c, COMPLEX, floor)
         assert floored.tolist() == [
             w is not None and overlap_margin(cd.B, c, cd.m, l) >= floor
             for (cd, l), w in zip(legs, want)]
@@ -817,9 +811,8 @@ def test_stacked_transition_is_exact_at_integer_charts(backend):
               for m in (0, 1, 2, 3) for diag in ([1, 2, -1], [0, 1, 2])]
     legs = [(cd, l) for cd in charts for l in range(c + 1)
             if (l - cd.m) % 2 == 0]
-    bk, keep, b1, b2, a2 = _stacked_legs(legs, 2, c, backend)
+    keep, b1, b2, a2 = _stacked_legs(legs, 2, c, backend)
     want = [_per_leg(cd, 2, l) for cd, l in legs]
-    assert bk == backend
     assert keep.tolist() == [w is not None for w in want]
     assert 0 < keep.sum() < len(legs)
     kept = [w for w in want if w is not None]
@@ -827,10 +820,9 @@ def test_stacked_transition_is_exact_at_integer_charts(backend):
         assert (phi.b1, phi.b2, om.A2m) == (Matrix.from_rows(b1[i], backend),
                                             Matrix.from_rows(b2[i], backend),
                                             Matrix.from_rows(a2[i], backend))
-    # a shift with irrational constants would leave the stack's backend
-    if backend is RATIONAL:
-        with pytest.raises(UnsupportedBackend):
-            _stacked_legs(legs + [(charts[0], 1)], 2, c, backend)
+    # a shift with irrational constants has no exact reading
+    with pytest.raises(UnsupportedBackend):
+        _stacked_legs(legs + [(charts[0], 1)], 2, c, backend)
 
 
 #: calls with a chart index outside 0..c = 2, on (d, its chart-0 reading
@@ -1097,32 +1089,49 @@ def test_rational_chart_zero_end_to_end():
     assert back.B == cd.B and back.E == cd.E
 
 
-def test_rational_promotes_off_integral_charts():
-    cd = ChartData(1, Matrix.diagonal([0, 1], RATIONAL),
-                   Matrix.diagonal([0, 2], RATIONAL),
-                   Matrix.row_vector([1, 1], RATIONAL),
-                   Matrix.identity(2, RATIONAL))
-    d = zeta_inverse(cd, 2)
-    assert d.backend == COMPLEX
+def test_chart_data_rejects_blocks_on_different_backends():
+    """A complex block among rational ones, or a rational one among complex
+    ones, is refused when the chart data are built, as ``XnADHM`` and
+    ``PlaneADHM`` refuse it."""
+    def blocks(bk):
+        return [Matrix.diagonal([0, 1], bk), Matrix.diagonal([0, 2], bk),
+                Matrix.row_vector([1, 1], bk), Matrix.identity(2, bk)]
+
+    for bk, other in ((RATIONAL, COMPLEX), (COMPLEX, RATIONAL)):
+        ChartData(0, *blocks(bk))
+        for i in range(4):
+            mixed = blocks(bk)
+            mixed[i] = blocks(other)[i]
+            with pytest.raises(ShapeMismatch,
+                               match="blocks on different backends"):
+                ChartData(0, *mixed)
 
 
-def test_prime_field_rejects_irrational_charts():
-    gf = GF(5)
-    d = XnADHM(1, 2, Matrix.diagonal([0, 1], gf), Matrix.identity(2, gf),
-               (Matrix.diagonal([0, 1], gf),), Matrix.row_vector([1, 1], gf))
-    A1m, A2m, _, _ = chart_matrices(d, 0)
-    assert A2m == Matrix.identity(2, gf)
-    with pytest.raises(UnsupportedBackend):
-        chart_matrices(d, 1)
+def test_exact_backends_reject_irrational_charts():
+    """Rational data are refused at an irrational chart exactly as
+    prime-field data are, both into the chart and out of it; chart 0 stays
+    exact."""
+    for bk in (RATIONAL, GF(5)):
+        d = XnADHM(1, 2, Matrix.diagonal([0, 1], bk), Matrix.identity(2, bk),
+                   (Matrix.diagonal([0, 1], bk),), Matrix.row_vector([1, 1], bk))
+        A1m, A2m, _, _ = chart_matrices(d, 0)
+        assert A2m == Matrix.identity(2, bk)
+        cd = ChartData(1, Matrix.diagonal([0, 1], bk),
+                       Matrix.diagonal([0, 2], bk),
+                       Matrix.row_vector([1, 1], bk), Matrix.identity(2, bk))
+        for read in (lambda: chart_matrices(d, 1), lambda: zeta(d, 1),
+                     lambda: zeta_inverse(cd, 2)):
+            with pytest.raises(UnsupportedBackend, match="irrational"):
+                read()
 
 
 @pytest.mark.parametrize("m, points, chart", [
     (0, [(0, 1), (1, 2), (3, 5)], 0),   # A2 = 1 is invertible
-    # A2 = -diag(z) is singular at z = 0; chart 1 rotates by pi/4 to
-    # A2m = (A1 + A2) / sqrt 2, over the complex numbers
+    # A2 = -diag(z) is singular at z = 0, and chart 1's constants are
+    # irrational, so the search goes on to the integer chart 2
     (2, [(0, 1), (1, 2), (3, 5)], 2),   # singular at z = 1: chart 2 is A1
-    # chart 2 is A1 = 1 on data made in chart 2: the integer chart comes
-    # before the promoted chart 1, where A2m is invertible too
+    # chart 2 is A1 = 1 on data made in chart 2: the integer chart is taken
+    # although chart 1's A2m is invertible too
     (2, [(0, 1), (2, 2), (3, 5)], 2),
 ])
 def test_cover_chart_on_rational_data(m, points, chart):
@@ -1159,20 +1168,20 @@ def test_cover_chart_over_a_prime_field_takes_an_integer_chart():
             read(d)
 
 
-def test_cover_chart_on_rational_data_falls_back_to_a_promoted_chart():
+def test_cover_chart_on_exact_data_refuses_the_irrational_charts():
     """With both integer charts of c = 3 singular (A2 at chart 0, A1 at
-    chart 2), the search goes on to the promoted chart 1, judged in floats;
-    over a prime field that chart raises ``UnsupportedBackend``."""
+    chart 2), the search reaches chart 1, whose constants are irrational,
+    and raises ``UnsupportedBackend`` on both exact backends; the data cast
+    to floats take chart 1."""
     for backend in (RATIONAL, GF(7)):
         Z = Matrix.zeros(3, 3, backend)
         d = XnADHM(1, 3, Matrix.diagonal([1, 0, 1], backend),
                    Matrix.diagonal([0, 1, 1], backend), (Z,),
                    Matrix.row_vector([1, 1, 1], backend))
+        with pytest.raises(UnsupportedBackend):
+            cover_chart(d)
         if backend is RATIONAL:
-            assert cover_chart(d) == 1
-        else:
-            with pytest.raises(UnsupportedBackend):
-                cover_chart(d)
+            assert cover_chart(d.cast(COMPLEX)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1183,11 +1192,11 @@ def _chart_matrices_reference(d, m):
     """chart_matrices as Matrix expressions: D_m summed block by block with
     ``scale`` and ``+``, then E_m = D_m @ A2m."""
     A1m, A2m = _rotate(d.A1, d.A2, m, d.c)
-    bk, cm, sm = xn._backend_angles(A2m.backend, d.c, m)
-    Dm = Matrix.zeros(d.c, d.c, bk)
+    cm, sm = xn._backend_angles(d.backend, d.c, m)
+    Dm = Matrix.zeros(d.c, d.c, d.backend)
     for q in range(1, d.n + 1):
         coef = math.comb(d.n - 1, q - 1) * (cm ** (d.n - q) * sm ** (q - 1))
-        Dm = Dm + d.C[q - 1].cast(bk).scale(coef)
+        Dm = Dm + d.C[q - 1].scale(coef)
     return A1m, A2m, Dm @ A2m, Dm
 
 
@@ -1196,16 +1205,15 @@ def _zeta_reference(d, m):
     if not linalg.is_invertible(A2m):
         raise NotInChart
     B = linalg.inverse(A2m) @ A1m
-    return ChartData(m, B, Em, d.e.cast(B.backend), A2m)
+    return ChartData(m, B, Em, d.e, A2m)
 
 
 def _zeta_inverse_reference(cd, n):
     """zeta_inverse(cd, n, check=False) as Matrix expressions, each C_q
     summed term by term with ``scale`` and ``+``."""
-    c = cd.c
-    R1, R2 = _rotate(cd.B, Matrix.identity(c, cd.backend), -cd.m, c)
-    bk = R1.backend
-    B, E, e, A = (X.cast(bk) for X in (cd.B, cd.E, cd.e, cd.A2m))
+    c, bk = cd.c, cd.backend
+    R1, R2 = _rotate(cd.B, Matrix.identity(c, bk), -cd.m, c)
+    B, E, e, A = cd.B, cd.E, cd.e, cd.A2m
     if not linalg.is_invertible(A):
         raise SingularA2m
     sig = sigma(n - 1, cd.m, c, bk)
@@ -1262,12 +1270,17 @@ def _chart_cases(rng):
 
 
 def test_chart_kernels_equal_their_matrix_expressions():
-    """Floats to the bit, and rationals to the ``Fraction``, at every chart:
-    the integer-constant charts stay rational, the others promote."""
+    """Floats to the bit, and rationals to the ``Fraction`` at the
+    integer-constant charts; rationals at the other charts raise."""
     rng = rng_from_seed(90)
     kinds = set()
     for d, cd in _chart_cases(rng):
         for m in range(d.c + 1):
+            if d.backend.exact and not xn._integer_chart(d.c, m):
+                for read in (chart_matrices, zeta):
+                    with pytest.raises(UnsupportedBackend):
+                        read(d, m)
+                continue
             got = chart_matrices(d, m)
             want = _chart_matrices_reference(d, m)
             assert all(_same_entries(X, Y) for X, Y in zip(got, want))
@@ -1283,6 +1296,10 @@ def test_chart_kernels_equal_their_matrix_expressions():
                         (got.A2m, want.A2m)))
             kinds.add((d.backend.kind, got.backend.kind))
         for n in range(1, 4):
+            if cd.backend.exact and not xn._integer_chart(cd.c, cd.m):
+                with pytest.raises(UnsupportedBackend):
+                    zeta_inverse(cd, n, check=False)
+                continue
             try:
                 want = _zeta_inverse_reference(cd, n)
             except SingularA2m:
@@ -1290,8 +1307,160 @@ def test_chart_kernels_equal_their_matrix_expressions():
                     zeta_inverse(cd, n, check=False)
                 continue
             assert _same_data(zeta_inverse(cd, n, check=False), want)
-    assert kinds == {("complex", "complex"), ("rational", "rational"),
-                     ("rational", "complex")}
+    assert kinds == {("complex", "complex"), ("rational", "rational")}
+
+
+#: float readings that rational data at an irrational chart used to be
+#: promoted to; the data cast to COMPLEX give them now (each row a list)
+_PROMOTED_READINGS = {
+    "sigma(2, 1, 3)": [[0.5000000000000001, -1, 0.4999999999999999],
+                       [0.5, 2.220446049250313e-16, -0.5],
+                       [0.4999999999999999, 1, 0.5000000000000001]],
+    "transition_phi b1": [[0.5000000000000001, 0, 0],
+                          [0, 0.3333333333333334, 0],
+                          [0, 0, 0.6666666666666667]],
+    "transition_phi b2": [[0, 0, 0], [0, 13.499999999999996, 0],
+                          [0, 0, 17.999999999999996]],
+    "zeta_inverse A1": [[0.8660254037844386, 0], [0, 1.3660254037844388]],
+    "zeta_inverse C2": [[0, 0], [0, 2.7320508075688776]],
+    "chart_matrices A2m": [[0.6993587371177721, 0.43301270189221935],
+                           [-0.4999999999999998, 1.2320508075688776]],
+    "chart_matrices Dm": [[-0.4999999999999998, 0.8660254037844387],
+                          [-0.21650635094610968, -0.4999999999999998]],
+}
+
+
+def _cast_chart(cd):
+    return ChartData(cd.m, *(X.cast(COMPLEX) for X in
+                             (cd.B, cd.E, cd.e, cd.A2m)))
+
+
+def test_cast_data_give_the_float_readings_of_irrational_charts():
+    """At every irrational chart or shift of c = 1..5, where rational data
+    raise ``UnsupportedBackend``, the data cast to COMPLEX give the float
+    Matrix expressions: the readings the rational data were promoted to
+    before they were refused, a few of which are pinned."""
+    rng = rng_from_seed(91)
+    readings = 0
+    for c in range(1, 6):
+        irrational = [k for k in range(-c, c + 1)
+                      if not xn._integer_chart(c, k)]
+        for n in range(1, 4):
+            square = [_rational_matrix(rng, c, c) for _ in range(n + 5)]
+            d = XnADHM(n, c, square[0], square[1], tuple(square[5:]),
+                       _rational_matrix(rng, 1, c))
+            e = _rational_matrix(rng, 1, c)
+            for m in range(c + 1):
+                cd = ChartData(m, square[2], square[3], e, square[4])
+                for l in range(c + 1):
+                    if l - m not in irrational:
+                        continue
+                    cdc = _cast_chart(cd)
+                    want, T = _transition_reference(cdc.plane(), n, m, l)
+                    got = transition_phi(cdc.plane(), n, m, l)
+                    om = transition_omega(cdc, n, l)
+                    assert all(_same_entries(X, Y) for X, Y in (
+                        (got.b1, want.b1), (got.b2, want.b2), (om.B, want.b1),
+                        (om.E, want.b2), (om.A2m, cdc.A2m @ T)))
+                    readings += 1
+                if m not in irrational:
+                    continue
+                dc = d.cast(COMPLEX)
+                assert all(_same_entries(X, Y) for X, Y in zip(
+                    chart_matrices(dc, m), _chart_matrices_reference(dc, m)))
+                got, want = zeta(dc, m), _zeta_reference(dc, m)
+                assert (got.B, got.E, got.e, got.A2m) == (want.B, want.E,
+                                                          want.e, want.A2m)
+                assert _same_data(zeta_inverse(_cast_chart(cd), n, check=False),
+                                  _zeta_inverse_reference(_cast_chart(cd), n))
+                readings += 3
+    assert readings > 200
+    # the pinned readings, on the rational data they were promoted from
+    Q = RATIONAL
+    pinned = {"sigma(2, 1, 3)": sigma(2, 1, 3, COMPLEX)}
+    d = PlaneADHM(3, Matrix.diagonal([3, 2, 5], Q),
+                  Matrix.diagonal([0, 3, 1], Q), Matrix.row_vector([1, 1, 1], Q))
+    phi = transition_phi(PlaneADHM(3, *(X.cast(COMPLEX) for X in
+                                        (d.b1, d.b2, d.e))), 2, 0, 1)
+    pinned.update({"transition_phi b1": phi.b1, "transition_phi b2": phi.b2})
+    cd = ChartData(1, Matrix.diagonal([0, 1], Q), Matrix.diagonal([0, 2], Q),
+                   Matrix.row_vector([1, 1], Q), Matrix.identity(2, Q))
+    x = zeta_inverse(_cast_chart(cd), 2)
+    pinned.update({"zeta_inverse A1": x.A1, "zeta_inverse C2": x.C[1]})
+    d = XnADHM(2, 2, Matrix.from_rows([[1, Fraction(1, 2)], [0, 2]], Q),
+               Matrix.from_rows([[Fraction(1, 3), 0], [1, 1]], Q),
+               (Matrix.identity(2, Q),
+                Matrix.from_rows([[0, 1], [Fraction(-1, 4), 0]], Q)),
+               Matrix.row_vector([1, 0], Q))
+    _, A2m, _, Dm = chart_matrices(d.cast(COMPLEX), 2)
+    pinned.update({"chart_matrices A2m": A2m, "chart_matrices Dm": Dm})
+    assert {name: M.entries.tolist() for name, M in pinned.items()} == (
+        _PROMOTED_READINGS)
+
+
+def _matrices(x):
+    """Every Matrix in a result: itself, the items of a tuple, or the
+    fields of a dataclass, recursively."""
+    if isinstance(x, Matrix):
+        yield x
+    elif isinstance(x, tuple):
+        for item in x:
+            yield from _matrices(item)
+    elif hasattr(x, "__dataclass_fields__"):
+        for name in x.__dataclass_fields__:
+            yield from _matrices(getattr(x, name))
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_chart_layer_stays_on_exact_backends(backend):
+    """On exact data of c = 1..5, at every chart and shift, each chart-layer
+    function returns data on the input's backend, or an integer chart for
+    ``cover_chart``; an irrational chart or shift raises
+    ``UnsupportedBackend``, and nothing else is raised but a point off a
+    chart or an overlap (``NotNormalizable`` for the monad)."""
+    from xnadhm.quiver import embed_xn_as_rep, u_m_residual
+
+    results = 0
+    for c in range(1, 6):
+        for n in range(1, 4):
+            d = from_xn_points(n, 0, [(z, (z * z + 1) % 5) for z in range(c)],
+                               backend)
+            cd = zeta(d, 0)
+            mc = build_jm(cd.plane(), n, 0)
+            rep = embed_xn_as_rep(d)
+            calls = {"cover_chart": [lambda: cover_chart(d)]}
+            for m in range(c + 1):
+                calls[m] = [
+                    lambda m=m: chart_matrices(d, m), lambda m=m: zeta(d, m),
+                    lambda m=m: zeta_inverse(replace(cd, m=m), n, check=False),
+                    lambda m=m: reexpand_chart(mc, m),
+                    lambda m=m: gauge_normalize(reexpand_chart(mc, m), m),
+                    lambda m=m: transition_omega(cd, n, m),
+                    lambda m=m: transition_phi(cd.plane(), n, 0, m)]
+                if n > 1:
+                    calls[m].append(lambda m=m: u_m_residual(rep, m))
+            for k in range(-c, c + 1):
+                calls.setdefault(k, []).append(
+                    lambda k=k: sigma(n, k, c, backend))
+            for key, reads in calls.items():
+                integer = key == "cover_chart" or xn._integer_chart(c, key)
+                for read in reads:
+                    if not integer:
+                        with pytest.raises(UnsupportedBackend):
+                            read()
+                        continue
+                    try:
+                        got = read()
+                    except (NotInChart, NotInOverlap, NotNormalizable):
+                        continue
+                    if key == "cover_chart":
+                        assert xn._integer_chart(c, got)
+                    else:
+                        blocks = list(_matrices(got))
+                        assert blocks and all(M.backend == backend
+                                              for M in blocks)
+                    results += 1
+    assert results > 150
 
 
 def test_prime_field_points_equal_the_matrix_route():
@@ -1460,7 +1629,7 @@ def _zeta_inverse_expression(cd, n):
     (A1, A2) = A2m (R1, R2) for the rotation of (B, 1) by -m, and
     C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1."""
     c, bk = cd.c, RATIONAL
-    _, ck, sk = xn._backend_angles(bk, c, -cd.m)
+    ck, sk = xn._backend_angles(bk, c, -cd.m)
     one = Matrix.identity(c, bk)
     R1 = cd.B.scale(ck) - one.scale(sk)
     R2 = cd.B.scale(sk) + one.scale(ck)
