@@ -1107,22 +1107,30 @@ def test_chart_data_rejects_blocks_on_different_backends():
                 ChartData(0, *mixed)
 
 
-def test_exact_backends_reject_irrational_charts():
+def _assert_irrational_charts_refused(bk):
+    """Data on the exact backend ``bk`` are refused at the irrational chart 1
+    of c = 2, both into the chart and out of it; chart 0 stays exact."""
+    d = XnADHM(1, 2, Matrix.diagonal([0, 1], bk), Matrix.identity(2, bk),
+               (Matrix.diagonal([0, 1], bk),), Matrix.row_vector([1, 1], bk))
+    A1m, A2m, _, _ = chart_matrices(d, 0)
+    assert A2m == Matrix.identity(2, bk)
+    cd = ChartData(1, Matrix.diagonal([0, 1], bk),
+                   Matrix.diagonal([0, 2], bk),
+                   Matrix.row_vector([1, 1], bk), Matrix.identity(2, bk))
+    for read in (lambda: chart_matrices(d, 1), lambda: zeta(d, 1),
+                 lambda: zeta_inverse(cd, 2)):
+        with pytest.raises(UnsupportedBackend, match="irrational"):
+            read()
+
+
+def test_rational_rejects_irrational_charts():
     """Rational data are refused at an irrational chart exactly as
-    prime-field data are, both into the chart and out of it; chart 0 stays
-    exact."""
-    for bk in (RATIONAL, GF(5)):
-        d = XnADHM(1, 2, Matrix.diagonal([0, 1], bk), Matrix.identity(2, bk),
-                   (Matrix.diagonal([0, 1], bk),), Matrix.row_vector([1, 1], bk))
-        A1m, A2m, _, _ = chart_matrices(d, 0)
-        assert A2m == Matrix.identity(2, bk)
-        cd = ChartData(1, Matrix.diagonal([0, 1], bk),
-                       Matrix.diagonal([0, 2], bk),
-                       Matrix.row_vector([1, 1], bk), Matrix.identity(2, bk))
-        for read in (lambda: chart_matrices(d, 1), lambda: zeta(d, 1),
-                     lambda: zeta_inverse(cd, 2)):
-            with pytest.raises(UnsupportedBackend, match="irrational"):
-                read()
+    prime-field data are, instead of being promoted to complex."""
+    _assert_irrational_charts_refused(RATIONAL)
+
+
+def test_prime_field_rejects_irrational_charts():
+    _assert_irrational_charts_refused(GF(5))
 
 
 @pytest.mark.parametrize("m, points, chart", [
