@@ -487,29 +487,15 @@ def _fractions(num, d):
 
 
 def _matmul(a, b, backend):
-    """a @ b for entry arrays of one backend, in canonical form; for two
-    stacks of equal length, or a stack and one matrix, one batched product
-    on floats and one product per matrix on the exact backends."""
-    if backend.exact and (a.ndim == 3 or b.ndim == 3):
-        k = len(a) if a.ndim == 3 else len(b)
-        return _per_matrix(lambda x, y: _matmul(x, y, backend),
-                           *(np.broadcast_to(x, (k, *x.shape[-2:]))
-                             for x in (a, b)))
-    if a.shape[-1] == 0:
-        # an empty object matmul fills with int 0, not the field's zero
-        return _zeros(a.shape[:-1] + b.shape[-1:], backend)
+    """a @ b for entry arrays of one backend, in canonical form: one array
+    product on every backend, for two matrices, two stacks of equal length
+    or a stack and one matrix.  Residues take one ``% p`` and rationals one
+    ``_rational_product`` over each operand's common denominator, so the
+    int 0 that an object product with an empty inner dimension holds comes
+    out as the field's zero."""
     if backend.kind == "rational":
         return _rational_product(a, b)
     return backend.reduce(a @ b)
-
-
-def _per_matrix(fn, *stacks):
-    """``fn`` on the matrices of equal-length stacks of exact entry arrays:
-    an inverse of one stack, or a product of two, as one object stack."""
-    out = np.empty(stacks[0].shape[:-1] + stacks[-1].shape[-1:], dtype=object)
-    for i, mats in enumerate(zip(*stacks)):
-        out[i] = fn(*mats)
-    return out
 
 
 def _zeros(shape, backend):
@@ -718,7 +704,10 @@ def _inverse(a, backend):
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from None
     if a.ndim == 3:
-        return _per_matrix(lambda x: _inverse(x, backend), a)
+        out = np.empty(a.shape, dtype=object)
+        for i, x in enumerate(a):
+            out[i] = _inverse(x, backend)
+        return out
     n = len(a)
     eye = _diagonal([backend.one] * n, backend)
     rows, pivots = _rref(np.concatenate((a, eye), axis=1), backend)

@@ -525,8 +525,9 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     leg is kept when T passes ``_is_invertible``'s test and, on floats, its
     smallest singular value is at least ``floor``; one batched SVD gives
     both.  On the kept legs b1 -> T^-1 num, b2 -> T^n b2 with T^n
-    multiplied up from T, and A2m -> A2m T: batched on floats, matrix by
-    matrix (by elimination) on the exact backends.
+    multiplied up from T, and A2m -> A2m T: one batched product per
+    factor on every backend, T^-1 by LAPACK on floats and matrix by matrix
+    (by elimination) on the exact backends.
 
     Returns (keep mask, moved b1, moved b2, moved A2m or None) on
     ``backend``, the moved stacks holding the kept legs only.  Exact data
@@ -598,8 +599,8 @@ def _gauge_inverse(phi1: Matrix, phi2: Matrix, tol=None):
 
 def _chart_action(g1, g2, inv1, B, E, e, A2m, backend):
     """``gl2_action_chart`` on entry arrays, with inv1 = g1^-1 given:
-    (g1 B inv1, g1 E inv1, e inv1, g2 A2m inv1).  On floats the blocks may
-    be (legs, ., c) stacks, each leg moved by one batched product per
+    (g1 B inv1, g1 E inv1, e inv1, g2 A2m inv1).  The blocks may be
+    (legs, ., c) stacks, each leg moved by one batched product per
     factor."""
     def mm(a, b):
         return linalg._matmul(a, b, backend)
@@ -614,22 +615,24 @@ def _chart_action(g1, g2, inv1, B, E, e, A2m, backend):
 def cover_chart(d: XnADHM, tol=None) -> int:
     """Best-conditioned chart: on floats the chart of the pencil's witness
     (``pencil._float_witness``), the smallest index maximizing
-    s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests,
-    so that ``NoChart`` is raised exactly when no chart passes that test,
-    that is exactly when ``check_P2`` fails; over an exact backend, the
-    first invertible chart among those whose constants are integers, judged
-    exactly; past them the search reaches an irrational chart and raises
-    ``UnsupportedBackend``.  Raises ``NoChart`` on a singular pencil.
+    s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests;
+    over an exact backend, the first invertible chart among those whose
+    constants are integers, judged exactly.  Raises ``NoChart`` exactly when
+    ``check_P2`` fails, on every backend; exact data whose pencil is regular
+    but singular at every integer chart raise ``UnsupportedBackend``, since
+    only a cast to COMPLEX reaches the other charts.
 
     Some chart is always invertible for a regular pencil: the determinant
     form has at most c projective roots and there are c+1 chart ratios.
     """
     if d.backend.exact:
-        charts = sorted(range(d.c + 1),
-                        key=lambda m: not _integer_chart(d.c, m))
-        best = next((m for m in charts
-                     if is_invertible(_rotate(d.A1, d.A2, m, d.c)[1], tol)),
+        best = next((m for m in range(d.c + 1) if _integer_chart(d.c, m)
+                     and is_invertible(_rotate(d.A1, d.A2, m, d.c)[1], tol)),
                     None)
+        if best is None and check_P2(d, tol):
+            raise UnsupportedBackend(
+                "no integer-constant chart is invertible; cast to COMPLEX "
+                "for the charts with irrational constants")
     else:
         best = _float_witness(d.A1, d.A2, tol, d._pencil_conditioning)[0]
     if best is None:
@@ -685,7 +688,7 @@ def spectral_witness(d: XnADHM, tol=None):
         raise InvalidInput("no joint eigenvector; does the data satisfy (P1)?")
     z, w, V = pairs[0]
     v = V.column(0)
-    cm, sm = angle_constants(d.c, m)
+    cm, sm = _backend_angles(d.backend, d.c, m)
     l1 = cm * z + sm
     l2 = sm * z - cm
     mu1 = (-1) ** (d.n - 1) * (sm * z - cm) ** d.n * w

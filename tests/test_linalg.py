@@ -850,6 +850,49 @@ def test_array_primitives_match_matrix_operations(backend):
     assert not linalg._is_invertible(wide, bk, rel=True)
 
 
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+def test_exact_stack_products_equal_per_matrix_products(backend):
+    """One ``_matmul`` of exact stacks, 3-D x 2-D, 2-D x 3-D and 3-D x 3-D,
+    equals the product of each matrix pair entry for entry, with canonical
+    scalars, for an empty stack and a zero inner dimension too; an exact
+    stack inverse, empty included, is the inverse of each matrix."""
+    bk = backend
+    rng = np.random.default_rng(17)
+
+    def stack(k, rows, cols):
+        out = np.empty((k, rows, cols), dtype=object)
+        for i in range(k):
+            nums = rng.integers(-6, 7, size=rows * cols).tolist()
+            dens = rng.integers(1, 5, size=rows * cols).tolist()
+            out[i] = Matrix(rows, cols, [Fraction(a, b) for a, b in
+                                         zip(nums, dens)], bk).entries
+        return out
+
+    for k, rows, inner, cols in [(4, 2, 3, 2), (3, 3, 3, 3), (0, 2, 3, 2),
+                                 (3, 2, 0, 3), (0, 2, 0, 3), (2, 1, 4, 1)]:
+        a3, b3 = stack(k, rows, inner), stack(k, inner, cols)
+        a2, b2 = stack(1, rows, inner)[0], stack(1, inner, cols)[0]
+        for a, b in [(a3, b2), (a2, b3), (a3, b3)]:
+            got = linalg._matmul(a, b, bk)
+            assert got.shape == (k, rows, cols)
+            pairs = zip(np.broadcast_to(a, (k, rows, inner)),
+                        np.broadcast_to(b, (k, inner, cols)))
+            for g, (x, y) in zip(got, pairs):
+                want = linalg._wrap(x.copy(), bk) @ linalg._wrap(y.copy(), bk)
+                M = linalg._wrap(g.copy(), bk)
+                assert M == want and _scalars_canonical(M)
+    for k in (0, 3):
+        a = np.empty((k, 3, 3), dtype=object)
+        for i in range(k):
+            while not linalg._is_invertible(x := stack(1, 3, 3)[0], bk):
+                pass
+            a[i] = x
+        inv = linalg._inverse(a, bk)
+        assert inv.shape == (k, 3, 3)
+        assert all(np.array_equal(y, linalg._inverse(x, bk))
+                   for x, y in zip(a, inv))
+
+
 # ---------------------------------------------------------------------------
 # exact elimination against Fraction and residue references
 # ---------------------------------------------------------------------------

@@ -1178,9 +1178,9 @@ def test_cover_chart_over_a_prime_field_takes_an_integer_chart():
 
 def test_cover_chart_on_exact_data_refuses_the_irrational_charts():
     """With both integer charts of c = 3 singular (A2 at chart 0, A1 at
-    chart 2), the search reaches chart 1, whose constants are irrational,
-    and raises ``UnsupportedBackend`` on both exact backends; the data cast
-    to floats take chart 1."""
+    chart 2) and the pencil regular, only a chart with irrational constants
+    is invertible, so ``cover_chart`` raises ``UnsupportedBackend`` on both
+    exact backends; the data cast to floats take chart 1."""
     for backend in (RATIONAL, GF(7)):
         Z = Matrix.zeros(3, 3, backend)
         d = XnADHM(1, 3, Matrix.diagonal([1, 0, 1], backend),
@@ -1190,6 +1190,36 @@ def test_cover_chart_on_exact_data_refuses_the_irrational_charts():
             cover_chart(d)
         if backend is RATIONAL:
             assert cover_chart(d.cast(COMPLEX)) == 1
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
+@pytest.mark.parametrize("c", [2, 3])
+def test_cover_chart_on_a_singular_exact_pencil_raises_NoChart(backend, c):
+    """A1 = diag(1, 0, ...) and A2 = diag(2, 0, ...) fail (P2), so on exact
+    data, as on floats, no chart exists: ``NoChart``, not the
+    ``UnsupportedBackend`` of a regular pencil off the integer charts."""
+    Z = Matrix.zeros(c, c, backend)
+    d = XnADHM(1, c, Matrix.diagonal([1] + [0] * (c - 1), backend),
+               Matrix.diagonal([2] + [0] * (c - 1), backend), (Z,),
+               Matrix.row_vector([1] * c, backend))
+    assert not check_P2(d)
+    for read in (cover_chart, check_P3_via_chart):
+        with pytest.raises(NoChart):
+            read(d)
+    if backend is RATIONAL:
+        with pytest.raises(NoChart):
+            cover_chart(d.cast(COMPLEX))
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_spectral_witness_of_rational_data_is_that_of_its_complex_cast(m):
+    """``spectral_witness`` reads the backend's chart constants, which on an
+    integer chart are the float ones: rational data and their COMPLEX cast
+    take the same chart and give the same witness."""
+    for n in (1, 2, 3):
+        d = from_xn_points(n, m, [(0, 1), (2, -1), (-3, 2)], RATIONAL)
+        assert cover_chart(d) == cover_chart(d.cast(COMPLEX)) == m
+        assert spectral_witness(d) == spectral_witness(d.cast(COMPLEX))
 
 
 # ---------------------------------------------------------------------------
