@@ -27,11 +27,13 @@ and make one ``Fraction`` per result entry.  ``_rref`` over GF(p) is
 Gauss-Jordan elimination modulo p, with ``% p`` and ``pow(x, p - 2, p)``
 inline, since its pivots differ from those over the integers.
 
-The product, the inverse and the invertibility tests are array primitives
-on entries (``_matmul``, ``_inverse``, ``_is_invertible``) that the Matrix
-operations wrap; kernels on small blocks (the chart dictionary, (P1), chart
-transitions, monad gauge normalization) call them on arrays and wrap their
-results once.
+The product, the inverse, the invertibility tests, the max-norm and the
+float image are array primitives on entries (``_matmul``, ``_inverse``,
+``_is_invertible``, ``_maxnorm``, ``_complex_entries``) that the Matrix
+operations and ``residual`` wrap; kernels on small blocks (the chart
+dictionary and the chart (P3) test, the (P1)/(Q1) defects on stacks of C
+blocks, chart transitions, monad gauge normalization) call them on arrays
+and wrap their results once, where a public function returns them.
 
 A backend is ``kind``, ``exact``, ``dtype``, ``zero``, ``one`` and three
 maps: ``coerce`` validates a value from outside and brings it into the
@@ -385,21 +387,10 @@ class Matrix:
         stored read-only array itself.  A rational entry becomes p / q of
         its integer ratio, the correctly rounded float that ``float`` of a
         ``Fraction`` gives (``OverflowError`` beyond the float range)."""
-        kind = self.backend.kind
-        if kind == "gf":
-            raise UnsupportedBackend("prime-field matrices have no float image")
-        if kind == "rational":
-            return np.array([p / q for p, q in (x.as_integer_ratio()
-                                                for x in self.entries.flat)],
-                            dtype=complex).reshape(self.entries.shape)
-        return self.entries
+        return _complex_entries(self.entries, self.backend)
 
     def maxnorm(self):
-        if not self.entries.size:
-            return 0.0
-        if self.backend.kind == "gf":
-            raise UnsupportedBackend("prime-field matrices have no norm")
-        return float(np.abs(self.entries).max())
+        return _maxnorm(self.entries, self.backend)
 
     def is_zero(self, tol=None):
         if self.backend.exact:
@@ -452,6 +443,28 @@ def _wrap(arr, backend=COMPLEX) -> Matrix:
     M = Matrix.__new__(Matrix)
     _store(M, arr, backend)
     return M
+
+
+def _complex_entries(arr, backend):
+    """``Matrix.to_numpy`` of an entry array of ``backend``."""
+    kind = backend.kind
+    if kind == "gf":
+        raise UnsupportedBackend("prime-field matrices have no float image")
+    if kind == "rational":
+        return np.array([p / q for p, q in (x.as_integer_ratio()
+                                            for x in arr.flat)],
+                        dtype=complex).reshape(arr.shape)
+    return arr
+
+
+def _maxnorm(arr, backend) -> float:
+    """``Matrix.maxnorm`` of an entry array of ``backend``: 0.0 when empty,
+    and ``UnsupportedBackend`` on a nonempty prime-field array."""
+    if not arr.size:
+        return 0.0
+    if backend.kind == "gf":
+        raise UnsupportedBackend("prime-field matrices have no norm")
+    return float(np.abs(arr).max())
 
 
 def _integer_form(arr):
@@ -528,8 +541,12 @@ def vstack(*mats):
 
 
 def residual(a: Matrix, b: Matrix) -> float:
-    """Max-norm of the difference, computed over floats."""
-    return (a - b).maxnorm()
+    """Max-norm of the difference, computed over floats: the entry arrays
+    subtracted, with the backend and shape checks of ``a - b``."""
+    a._check_same(b)
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeMismatch("subtraction shape mismatch")
+    return _maxnorm(a.entries - b.entries, a.backend)
 
 
 def scale_of(*mats) -> float:

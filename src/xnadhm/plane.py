@@ -13,11 +13,13 @@ nonzero invariant subspace lies in ker e.  Its threshold is ``_tol(tol)``
 on singular values of unit rows: a frame that sees one unit eigenvector v
 only by |e v| = 10^-k is co-stable at k <= 6, mostly up to k = 8, and not
 from k = 11 (see ``check_T2``).  The rank is ``_observable``, which the
-direct (P3) test of ``xn`` shares.  Its verdict is that of a growth loop
-over an orthonormal row basis; with fewer than c rows (``check_T2``'s one
-row e) one SVD of the stacked words first certifies the accepts that its
-smallest singular value proves, against a bound on how far the loop can
-have discarded, and every other case goes to the loop.
+direct (P3) test of ``xn`` shares; ``check_T2`` is ``_costable`` on the
+triple's entry arrays, which ``xn`` calls on its chart readings (the chart
+(P3) test and ``zeta_inverse``'s guard).  The rank's verdict is that of a
+growth loop over an orthonormal row basis; with fewer than c rows
+(``check_T2``'s one row e) one SVD of the stacked words first certifies the
+accepts that its smallest singular value proves, against a bound on how far
+the loop can have discarded, and every other case goes to the loop.
 ``common_eigenvectors`` reads the
 joint spectrum from the eigenvalues of one generic combination b1 + t b2
 (Jennrich's simultaneous diagonalization), so that points whose b1
@@ -135,12 +137,18 @@ def check_T2(d: PlaneADHM, tol=None) -> bool:
     itself; where the verdict flips is measured in the README
     ("Co-stability tolerance").
     """
-    if d.backend.kind == "gf":
+    return _costable(d.b1.entries, d.b2.entries, d.e.entries, d.backend, tol)
+
+
+def _costable(b1, b2, e, backend, tol=None) -> bool:
+    """``check_T2`` on the entry arrays of (b1, b2, e) over ``backend``:
+    the one co-stability decision, which ``xn``'s chart (P3) test and
+    ``zeta_inverse``'s guard make on their chart readings too."""
+    if backend.kind == "gf":
         raise UnsupportedBackend(
             "use the quiver module's exhaustive check over prime fields")
-    return _observable(_unit(d.e.to_numpy()),
-                       (_unit(d.b1.to_numpy()), _unit(d.b2.to_numpy())),
-                       linalg._tol(tol))
+    b1, b2, e = (linalg._complex_entries(x, backend) for x in (b1, b2, e))
+    return _observable(_unit(e), (_unit(b1), _unit(b2)), linalg._tol(tol))
 
 
 def _unit(a):

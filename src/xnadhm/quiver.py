@@ -34,8 +34,8 @@ from .errors import (
 # rank is not called here; benches/tracing.py traces it as quiver.rank
 from .linalg import Matrix, nullspace, rank, vstack  # noqa: F401
 from .xn import (XnADHM, _backend_angles, _binomial_combination,
-                 _chain_defects, _chain_holds, _pencil_step, _rotate, check_P1,
-                 check_P2)
+                 _chain_defects, _chain_holds, _pencil_step, _rotate, _stack,
+                 check_P1, check_P2)
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,30 @@ class Verdict(enum.Enum):
 # ---------------------------------------------------------------------------
 
 def relation_defects(r: FramedRep):
-    """Left-hand-minus-right-hand sides of every (Q1) relation."""
-    return [linalg._wrap(D, r.backend)
-            for D in _chain_defects(r.A1, r.A2, r.C, r.f, r.e)]
+    """Left-hand-minus-right-hand sides of every (Q1) relation: for n >= 2
+    A1 Cq - A2 C(q+1) and then Cq A1 + fq e - C(q+1) A2, for each q."""
+    defects = _relations(r)[0]
+    if len(defects) == 2:       # the two (n-1, ., .) stacks, interleaved
+        defects = [D for pair in zip(*defects) for D in pair]
+    return [linalg._wrap(D, r.backend) for D in defects]
+
+
+def _relations(r: FramedRep):
+    """(``_chain_defects`` of the (Q1) relations, the blocks that scale
+    them) on entry arrays: ``_chain_holds`` of the two is
+    ``check_relations``."""
+    cs = _stack(r.C)
+    fs = _stack(r.f) if r.f else None
+    e = r.e.entries
+    blocks = (cs, e) if fs is None else (cs, e, fs)
+    return (_chain_defects(r.A1.entries, r.A2.entries, cs, r.backend, fs, e),
+            blocks)
 
 
 def check_relations(r: FramedRep, tol=None) -> bool:
-    return _chain_holds(_chain_defects(r.A1, r.A2, r.C, r.f, r.e), r.A1,
-                        r.A2, (*r.C, r.e, *r.f), tol)
+    defects, blocks = _relations(r)
+    return _chain_holds(defects, r.A1.entries, r.A2.entries, blocks,
+                        r.backend, tol)
 
 
 def theta_slope(theta, dims) -> float:
@@ -144,8 +160,7 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
     """
     if r.v0 != r.v1 or r.w != 1:
         raise ShapeMismatch("spectral check needs v0 = v1 and w = 1")
-    defects = _chain_defects(r.A1, r.A2, r.C, r.f, r.e)
-    if not _chain_holds(defects, r.A1, r.A2, (*r.C, r.e, *r.f), tol):
+    if not check_relations(r, tol):
         raise InvalidInput("relations (Q1) fail; not a representation")
     d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
     if all(f.is_zero(tol) for f in r.f):

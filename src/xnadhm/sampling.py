@@ -63,7 +63,7 @@ def random_costable_triple(rng, c) -> PlaneADHM:
         e = rng.standard_normal(c) + 1j * rng.standard_normal(c)
         if np.all(np.abs(e @ Vn) > 0.05):   # frame sees every eigenvector
             break
-    return PlaneADHM(c, b1, b2, Matrix.row_vector(e.tolist()))
+    return PlaneADHM(c, b1, b2, Matrix.from_numpy(e[None]))
 
 
 def random_chart_data(rng, c) -> ChartData:
@@ -90,11 +90,12 @@ def random_xn_kernel_violator(rng, n, c) -> XnADHM:
     annihilated by the frame."""
     zs = _separated_values(rng, c)
     ws = _separated_values(rng, c)
-    e_vals = [0.0] + (rng.standard_normal(c - 1)
-                      + 1j * rng.standard_normal(c - 1)).tolist()
+    e = np.concatenate(([0.0], rng.standard_normal(c - 1)
+                        + 1j * rng.standard_normal(c - 1)))
     m = int(rng.integers(0, c + 1))
-    cd = ChartData(m, Matrix.diagonal(zs.tolist()), Matrix.diagonal(ws.tolist()),
-                   Matrix.row_vector(e_vals), random_invertible(rng, c))
+    cd = ChartData(m, Matrix.from_numpy(np.diag(zs)),
+                   Matrix.from_numpy(np.diag(ws)), Matrix.from_numpy(e[None]),
+                   random_invertible(rng, c))
     return zeta_inverse(cd, n, check=False)
 
 

@@ -67,6 +67,33 @@ def matrix_from_json(obj) -> Matrix:
         raise InvalidInput(f"malformed matrix JSON: {exc}") from None
 
 
+def _fields(obj, what, ints=(), mats=(), lists=(), objs=()):
+    """The values of a composite's keys in the JSON object ``obj``: the
+    integers ``ints``, then the matrices ``mats`` and the lists of matrices
+    ``lists``, each read by ``matrix_from_json``, then the values of
+    ``objs`` as they are, for the caller to read.  Malformed input raises
+    ``InvalidInput`` naming the first missing key, or saying that ``obj`` is
+    not a JSON object, a count not an integer or a list not a JSON list."""
+    if type(obj) is not dict:
+        raise InvalidInput(f"malformed {what} JSON: the value is not a "
+                           f"JSON object ({type(obj).__name__})")
+    for key in (*ints, *mats, *lists, *objs):
+        if key not in obj:
+            raise InvalidInput(f"malformed {what} JSON: missing key {key!r}")
+    for key in ints:
+        if type(obj[key]) is not int:
+            raise InvalidInput(f"malformed {what} JSON: {key!r} is not an "
+                               "integer")
+    for key in lists:
+        if type(obj[key]) is not list:
+            raise InvalidInput(f"malformed {what} JSON: {key!r} is not a "
+                               "JSON list")
+    return ([obj[key] for key in ints]
+            + [matrix_from_json(obj[key]) for key in mats]
+            + [[matrix_from_json(M) for M in obj[key]] for key in lists]
+            + [obj[key] for key in objs])
+
+
 def plane_to_json(d: PlaneADHM) -> dict:
     """Public API: writes the plane-triple file that ``xnadhm check --which
     T`` reads."""
@@ -75,8 +102,8 @@ def plane_to_json(d: PlaneADHM) -> dict:
 
 
 def plane_from_json(obj) -> PlaneADHM:
-    return PlaneADHM(obj["c"], matrix_from_json(obj["b1"]),
-                     matrix_from_json(obj["b2"]), matrix_from_json(obj["e"]))
+    return PlaneADHM(*_fields(obj, "plane", ints=("c",),
+                              mats=("b1", "b2", "e")))
 
 
 def xn_to_json(d: XnADHM) -> dict:
@@ -87,10 +114,9 @@ def xn_to_json(d: XnADHM) -> dict:
 
 
 def xn_from_json(obj) -> XnADHM:
-    return XnADHM(obj["n"], obj["c"], matrix_from_json(obj["A1"]),
-                  matrix_from_json(obj["A2"]),
-                  [matrix_from_json(C) for C in obj["C"]],
-                  matrix_from_json(obj["e"]))
+    n, c, A1, A2, e, C = _fields(obj, "configuration", ints=("n", "c"),
+                                 mats=("A1", "A2", "e"), lists=("C",))
+    return XnADHM(n, c, A1, A2, C, e)
 
 
 def chart_to_json(cd: ChartData) -> dict:
@@ -102,9 +128,8 @@ def chart_to_json(cd: ChartData) -> dict:
 
 def chart_from_json(obj) -> ChartData:
     """Public API: the ``ChartData`` that ``chart_to_json`` wrote."""
-    return ChartData(obj["m"], matrix_from_json(obj["B"]),
-                     matrix_from_json(obj["E"]), matrix_from_json(obj["e"]),
-                     matrix_from_json(obj["A2m"]))
+    return ChartData(*_fields(obj, "chart", ints=("m",),
+                              mats=("B", "E", "e", "A2m")))
 
 
 def rep_to_json(r: FramedRep) -> dict:
@@ -116,11 +141,10 @@ def rep_to_json(r: FramedRep) -> dict:
 
 
 def rep_from_json(obj) -> FramedRep:
-    return FramedRep(obj["n"], obj["v0"], obj["v1"], obj["w"],
-                     matrix_from_json(obj["A1"]), matrix_from_json(obj["A2"]),
-                     [matrix_from_json(C) for C in obj["C"]],
-                     matrix_from_json(obj["e"]),
-                     [matrix_from_json(f) for f in obj["f"]])
+    n, v0, v1, w, A1, A2, e, C, f = _fields(
+        obj, "representation", ints=("n", "v0", "v1", "w"),
+        mats=("A1", "A2", "e"), lists=("C", "f"))
+    return FramedRep(n, v0, v1, w, A1, A2, C, e, f)
 
 
 def monad_to_json(mc: MonadCoeffs) -> dict:
@@ -133,13 +157,11 @@ def monad_to_json(mc: MonadCoeffs) -> dict:
 
 
 def monad_from_json(obj) -> MonadCoeffs:
-    b = obj["basis"]
-    return MonadCoeffs(b["n"], b["c"], b["m"],
-                       [matrix_from_json(M) for M in obj["alpha1"]],
-                       [matrix_from_json(M) for M in obj["alpha2"]],
-                       [matrix_from_json(M) for M in obj["beta1"]],
-                       [matrix_from_json(M) for M in obj["beta2"]],
-                       matrix_from_json(obj["xi"]))
+    xi, alpha1, alpha2, beta1, beta2, basis = _fields(
+        obj, "monad", mats=("xi",),
+        lists=("alpha1", "alpha2", "beta1", "beta2"), objs=("basis",))
+    n, c, m = _fields(basis, "monad basis", ints=("n", "c", "m"))
+    return MonadCoeffs(n, c, m, alpha1, alpha2, beta1, beta2, xi)
 
 
 def dumps(obj) -> str:

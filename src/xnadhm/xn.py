@@ -14,6 +14,12 @@ The space carries c+1 charts indexed by m = 0..c with angle constants
 A2m = s_m A1 + c_m A2 is invertible the data is equivalent to a plane ADHM
 triple (B_m, E_m, e) together with the free gauge block A2m, and overlapping
 charts are glued by a Moebius transformation in B and a power factor in E.
+
+The chart dictionary, the three conditions and the transitions run on entry
+arrays: one array core per computation (``_rotation``, ``_chart_entries``,
+``_chart_reading``, ``_chain_defects``, ``_transition``), which the public
+functions wrap into ``Matrix``, ``ChartData`` or ``XnADHM`` only where they
+return them.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from .errors import (
 )
 from .linalg import Matrix, angle_constants, inverse, is_invertible
 from .pencil import _float_conditioning, _float_witness, _regularity, _spectrum
-from .plane import (PlaneADHM, _observable, _unit, check_T2, common_eigenvectors,
-                    from_plane_points, joint_spectrum)
+from .plane import (PlaneADHM, _costable, _observable, _unit,
+                    common_eigenvectors, from_plane_points, joint_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +205,25 @@ def sigma(h: int, m: int, c_count: int, backend=linalg.COMPLEX) -> Matrix:
 # chart matrices and the three conditions
 # ---------------------------------------------------------------------------
 
-def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
-    """(c_k X - s_k Y, s_k X + c_k Y) at the angle pi k / (c_count + 1), for
-    any integer k, on Matrices of one backend: chart m rotates (A1, A2) by
-    m, and the chart dictionary (B, 1) by -m.  Exact data raises
+def _rotation(x, y, k: int, c_count: int, backend):
+    """(c_k x - s_k y, s_k x + c_k y) at the angle pi k / (c_count + 1), for
+    any integer k, on entry arrays of ``backend``: chart m rotates (A1, A2)
+    by m, and the chart dictionary (B, 1) by -m.  Exact data raises
     ``UnsupportedBackend`` at irrational constants (``_backend_angles``),
     and products by 0 and 1 are skipped (``linalg._node_entries``).
     ``_transition`` rotates a stack of (B, 1) by l - m itself, with per-leg
     constants.
     """
+    ck, sk = _backend_angles(backend, c_count, k)
+    return (linalg._node_entries(x, y, ck, backend.reduce(-sk), backend),
+            linalg._node_entries(x, y, sk, ck, backend))
+
+
+def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
+    """``_rotation`` of two Matrices of one backend, as Matrices."""
     bk = X.backend
-    ck, sk = _backend_angles(bk, c_count, k)
-    x, y = X.entries, Y.entries
-    first = linalg._node_entries(x, y, ck, bk.reduce(-sk), bk)
-    second = linalg._node_entries(x, y, sk, ck, bk)
-    return linalg._wrap(first, bk), linalg._wrap(second, bk)
+    return tuple(linalg._wrap(a, bk)
+                 for a in _rotation(X.entries, Y.entries, k, c_count, bk))
 
 
 def _binomial_combination(blocks, cm, sm, backend):
@@ -242,51 +252,66 @@ def chart_matrices(d: XnADHM, m: int):
 
     A1m = c_m A1 - s_m A2, A2m = s_m A1 + c_m A2, D_m is the binomial
     combination of the C blocks that acts as the free parameter of the chart,
-    and E_m = D_m A2m.  Runs on entry arrays after the one ``_rotate``.
+    and E_m = D_m A2m: ``_chart_entries``, wrapped.
     """
-    _check_chart(d.c, m)
-    A1m, A2m = _rotate(d.A1, d.A2, m, d.c)
     bk = d.backend
+    return tuple(linalg._wrap(a, bk) for a in _chart_entries(d, m))
+
+
+def _chart_entries(d: XnADHM, m: int):
+    """``chart_matrices`` as entry arrays (a1m, a2m, em, dm); the chart
+    index is checked before any arithmetic."""
+    _check_chart(d.c, m)
+    bk = d.backend
+    a1m, a2m = _rotation(d.A1.entries, d.A2.entries, m, d.c, bk)
     cm, sm = _backend_angles(bk, d.c, m)
     dm = _binomial_combination([C.entries for C in d.C], cm, sm, bk)
-    em = linalg._matmul(dm, A2m.entries, bk)
-    return A1m, A2m, linalg._wrap(em, bk), linalg._wrap(dm, bk)
+    return a1m, a2m, linalg._matmul(dm, a2m, bk), dm
 
 
-def _chain_defects(A1: Matrix, A2: Matrix, C, f=(), e=None):
-    """(P1) defects on entry arrays: A1 C1 A2 - A2 C1 A1 if n = 1, else
-    A1 Cq - A2 C(q+1) and Cq A1 - C(q+1) A2, the latter summed as the (Q1)
-    relation Cq A1 + fq e - C(q+1) A2 when the f and e blocks are given.
-    Rational blocks take ``_integer_chain_defects``."""
-    bk = A1.backend
-    if bk.kind == "rational":
-        return _integer_chain_defects(A1, A2, C, f, e)
-    a1, a2 = A1.entries, A2.entries
-    cs = [M.entries for M in C]
+def _stack(mats):
+    """The entries of equally shaped Matrices as one (len, rows, cols)
+    array (``np.array`` of the list, which takes a fraction of
+    ``np.stack``'s time on a few small blocks)."""
+    return np.array([M.entries for M in mats])
+
+
+def _chain_defects(a1, a2, cs, backend, fs=None, e=None):
+    """(P1) defects on entry arrays: a1, a2 and the (n, rows, cols) stack
+    ``cs`` of C blocks, and for (Q1) the (n-1, rows, w) stack ``fs`` of f
+    blocks and e.  For n = 1 the one defect (A1 C1 A2 - A2 C1 A1,); for
+    n >= 2 two (n-1, ., .) stacks, A1 Cq - A2 C(q+1) and
+    Cq A1 - C(q+1) A2, the latter summed as the (Q1) relation
+    Cq A1 + fq e - C(q+1) A2 when ``fs`` is given.  Off the rationals each
+    stack comes from one product of (A1, A2) with the C stack on each side,
+    and (Q1) adds the product of the f stack with e; rational blocks take
+    ``_integer_chain_defects``."""
+    if backend.kind == "rational":
+        return _integer_chain_defects(a1, a2, cs, fs, e)
 
     def mul(x, y):
-        return linalg._matmul(x, y, bk)
+        return linalg._matmul(x, y, backend)
 
     if len(cs) == 1:
-        return [bk.reduce(mul(mul(a1, cs[0]), a2) - mul(mul(a2, cs[0]), a1))]
-    defects = []
-    for q in range(len(cs) - 1):
-        defects.append(bk.reduce(mul(a1, cs[q]) - mul(a2, cs[q + 1])))
-        left = mul(cs[q], a1)
-        if f:
-            left = bk.reduce(left + mul(f[q].entries, e.entries))
-        defects.append(bk.reduce(left - mul(cs[q + 1], a2)))
-    return defects
+        return (backend.reduce(mul(mul(a1, cs[0]), a2)
+                               - mul(mul(a2, cs[0]), a1)),)
+    pair = np.array((a1, a2))[:, None]
+    left, right = mul(pair, cs), mul(cs, pair)    # A_i Cq and Cq A_i
+    a_side = backend.reduce(left[0, :-1] - left[1, 1:])
+    c_side = right[0, :-1]
+    if fs is not None:
+        c_side = backend.reduce(c_side + mul(fs, e))
+    return a_side, backend.reduce(c_side - right[1, 1:])
 
 
-def _integer_chain_defects(A1: Matrix, A2: Matrix, C, f=(), e=None):
+def _integer_chain_defects(a1, a2, cs, fs=None, e=None):
     """``_chain_defects`` on rational blocks: A1, A2, each C, e and each f
     are brought to integer form (N, d) once, so a product of blocks is the
     integer product of their numerators over the product of their
     denominators, and each defect is one integer expression over the least
     common denominator of its terms, with one ``Fraction`` per entry."""
-    (n1, d1), (n2, d2) = map(linalg._integer_form, (A1.entries, A2.entries))
-    cs = [linalg._integer_form(M.entries) for M in C]
+    (n1, d1), (n2, d2) = map(linalg._integer_form, (a1, a2))
+    cs = [linalg._integer_form(x) for x in cs]
 
     def defect(*terms):
         d = math.lcm(*(den for _, den in terms))
@@ -295,37 +320,45 @@ def _integer_chain_defects(A1: Matrix, A2: Matrix, C, f=(), e=None):
 
     if len(cs) == 1:
         nc, dc = cs[0]
-        return [defect((n1 @ nc @ n2, d1 * dc * d2),
-                       (-(n2 @ nc @ n1), d2 * dc * d1))]
+        return (defect((n1 @ nc @ n2, d1 * dc * d2),
+                       (-(n2 @ nc @ n1), d2 * dc * d1)),)
     fe = []
-    if f:
-        ne, de = linalg._integer_form(e.entries)
+    if fs is not None:
+        ne, de = linalg._integer_form(e)
         fe = [(nf @ ne, df * de)
-              for nf, df in (linalg._integer_form(g.entries) for g in f)]
-    defects = []
+              for nf, df in (linalg._integer_form(g) for g in fs)]
+    a_side, c_side = [], []
     for q in range(len(cs) - 1):
         (nq, dq), (nr, dr) = cs[q], cs[q + 1]
-        defects.append(defect((n1 @ nq, d1 * dq), (-(n2 @ nr), d2 * dr)))
-        defects.append(defect((nq @ n1, dq * d1), *fe[q:q + 1],
-                              (-(nr @ n2), dr * d2)))
-    return defects
+        a_side.append(defect((n1 @ nq, d1 * dq), (-(n2 @ nr), d2 * dr)))
+        c_side.append(defect((nq @ n1, dq * d1), *fe[q:q + 1],
+                             (-(nr @ n2), dr * d2)))
+    return np.array(a_side), np.array(c_side)
 
 
 def check_P1(d: XnADHM, tol=None) -> bool:
     """Chain condition on (A1, A2, C); literal on the exact backends."""
-    return _chain_holds(_chain_defects(d.A1, d.A2, d.C), d.A1, d.A2, d.C, tol)
+    a1, a2, cs = d.A1.entries, d.A2.entries, _stack(d.C)
+    return _chain_holds(_chain_defects(a1, a2, cs, d.backend), a1, a2, (cs,),
+                        d.backend, tol)
 
 
-def _chain_holds(defects, A1: Matrix, A2: Matrix, blocks, tol=None) -> bool:
-    """Chain defects all zero (exact) or within ``_tol(tol)`` max(1, |A|)
-    max(1, |blocks|), the C blocks and for (Q1) e and f; a single defect is
-    the n = 1 relation, quadratic in A, which takes max(1, |A|) twice."""
-    if A1.backend.exact:
+def _chain_holds(defects, a1, a2, blocks, backend, tol=None) -> bool:
+    """``_chain_defects`` all zero (exact) or within
+    ``_tol(tol)`` max(1, |A|) max(1, |blocks|), ``blocks`` being entry
+    arrays or stacks (the C stack, and for (Q1) e and the f stack) and |.|
+    the max-norm, one per array; a single defect is the n = 1 relation,
+    quadratic in A, which takes max(1, |A|) twice."""
+    if backend.exact:
         return not any(any(D.flat) for D in defects)
-    scale = linalg.scale_of(A1, A2) * linalg.scale_of(*blocks)
+
+    def scale(*arrays):
+        return max(1.0, *(float(np.abs(x).max(initial=0.0)) for x in arrays))
+
+    s = scale(a1, a2) * scale(*blocks)
     if len(defects) == 1:
-        scale *= linalg.scale_of(A1, A2)
-    thr = linalg._tol(tol) * scale
+        s *= scale(a1, a2)
+    thr = linalg._tol(tol) * s
     return all(not D.size or float(np.abs(D).max()) <= thr for D in defects)
 
 
@@ -383,9 +416,10 @@ def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
     M1 = d.C[0].to_numpy() @ A2
     M2 = d.C[d.n - 1].to_numpy() @ A1
     s_A = max(1.0, np.abs(A1).max(), np.abs(A2).max())
-    s_M = max(1.0, np.abs(M1).max(), np.abs(M2).max())
+    s_M1, s_M2 = (max(1.0, float(np.abs(M).max())) for M in (M1, M2))
+    s_M = max(s_M1, s_M2)
     e = _unit(d.e.to_numpy())
-    mats = (_unit(M1), _unit(M2))
+    mats = (M1 / s_M1, M2 / s_M2)
     thr = 10 * linalg._tol(tol)
     c = d.c
     sign = (-1) ** d.n
@@ -404,9 +438,10 @@ def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
 
 
 def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
-    """Equivalent co-stability test through the covering chart."""
-    cd = zeta(d, cover_chart(d, tol), tol)
-    return check_T2(cd.plane(), tol)
+    """Equivalent co-stability test through the covering chart: ``check_T2``
+    of the chart reading (B, E, e), decided on its entry arrays."""
+    b, em, _ = _chart_reading(d, cover_chart(d, tol), tol)
+    return _costable(b, em, d.e.entries, d.backend, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +449,29 @@ def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
 # ---------------------------------------------------------------------------
 
 def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
-    """Chart-m reading (B_m, E_m, e; A2m) of the data, with B_m = A2m^-1 A1m
-    on entry arrays.  The chart index is checked before any arithmetic.
-    On float data, A2m's ``is_invertible`` test reads the configuration's
-    node conditioning (``XnADHM._pencil_conditioning``), not another SVD.
-    """
-    A1m, A2m, Em, _ = chart_matrices(d, m)
+    """Chart-m reading (B_m, E_m, e; A2m) of the data, with
+    B_m = A2m^-1 A1m: ``_chart_reading``, wrapped."""
+    b, em, a2m = _chart_reading(d, m, tol)
     bk = d.backend
-    a2m = A2m.entries
-    if d.backend.exact:
+    return ChartData(m, linalg._wrap(b, bk), linalg._wrap(em, bk), d.e,
+                     linalg._wrap(a2m, bk))
+
+
+def _chart_reading(d: XnADHM, m: int, tol=None):
+    """``zeta`` as entry arrays (b, em, a2m); raises ``NotInChart`` when
+    A2m fails the invertibility test.  On float data that test reads the
+    configuration's node conditioning (``XnADHM._pencil_conditioning``), not
+    another SVD."""
+    a1m, a2m, em, _ = _chart_entries(d, m)
+    bk = d.backend
+    if bk.exact:
         invertible = linalg._is_invertible(a2m, bk, tol)
     else:
         _, s_min, scale = d._pencil_conditioning
         invertible = s_min[m] > linalg._tol(tol) * scale[m]
     if not invertible:
         raise NotInChart(f"det A2m = 0 in chart {m}")
-    b = linalg._matmul(linalg._inverse(a2m, bk), A1m.entries, bk)
-    return ChartData(m, linalg._wrap(b, bk), Em, d.e, A2m)
+    return linalg._matmul(linalg._inverse(a2m, bk), a1m, bk), em, a2m
 
 
 def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
@@ -441,25 +482,26 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     (used to manufacture violating samples).
 
     (A1, A2) = A2m (R1, R2) for the rotation (R1, R2) of (B, 1) by -m, and
-    C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1, on entry arrays
-    after the one ``_rotate``.
+    C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1, the n blocks
+    one stacked product; all on entry arrays, the guard included.
     """
     c, bk = cd.c, cd.backend
-    R1, R2 = _rotate(cd.B, Matrix.identity(c, bk), -cd.m, c)
+    b = cd.B.entries
+    eye = linalg._diagonal([bk.one] * c, bk)
+    r1, r2 = _rotation(b, eye, -cd.m, c, bk)
     a = cd.A2m.entries
     if not linalg._is_invertible(a, bk, tol):
         raise SingularA2m("A2m block must be invertible")
-    if check and not check_T2(cd.plane(), tol):
+    if check and not _costable(b, cd.E.entries, cd.e.entries, bk, tol):
         raise NotCostable("chart triple violates co-stability")
 
     def mul(x, y):
         return linalg._matmul(x, y, bk)
 
     sig = sigma(n - 1, cd.m, c, bk).entries
-    eainv = mul(cd.E.entries, linalg._inverse(a, bk))
-    powers = [linalg._diagonal([bk.one] * c, bk)]
+    powers = [eye]
     for _ in range(n - 1):
-        powers.append(mul(powers[-1], cd.B.entries))
+        powers.append(mul(powers[-1], b))
     if bk.exact:
         # the n sums over p as one product sig @ [B^0; ...; B^(n-1)]: on
         # the rationals one integer matmul, not n Fraction multiply-adds
@@ -471,11 +513,12 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
         cs = linalg._zeros((n, c, c), bk)
         for p, power in enumerate(powers):
             cs = cs + sig[:, p, None, None] * power
+    cs = mul(cs, mul(cd.E.entries, linalg._inverse(a, bk)))
     # C as a list: tuple(generator) leaves a block per call in CPython's
     # tuple free lists until a full collection, which raised peak RSS
-    return XnADHM(n, c, linalg._wrap(mul(a, R1.entries), bk),
-                  linalg._wrap(mul(a, R2.entries), bk),
-                  [linalg._wrap(mul(cq, eainv), bk) for cq in cs], cd.e)
+    return XnADHM(n, c, linalg._wrap(mul(a, r1), bk),
+                  linalg._wrap(mul(a, r2), bk),
+                  [linalg._wrap(cq, bk) for cq in cs], cd.e)
 
 
 def transition_phi(d: PlaneADHM, n: int, m: int, l: int, tol=None) -> PlaneADHM:

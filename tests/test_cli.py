@@ -698,3 +698,23 @@ def test_entry_point_prints_one_error_line():
                           capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: --samples and --seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("which, text, named", [
+    ("P", '{"c": 1}', "missing key 'n'"),
+    ("P", "[1, 2]", "not a JSON object"),
+    ("T", '{"c": 1, "b1": {}, "b2": {}}', "missing key 'e'"),
+    ("Q", '{"n": 1, "v0": 1, "v1": 1, "w": 1}', "missing key 'A1'"),
+    ("monad", '{"basis": {"n": 1, "c": 1, "m": 0}}', "missing key 'xi'"),
+])
+def test_check_malformed_file_names_the_key(tmp_path, capsys, which, text,
+                                              named):
+    """A file whose object lacks a key, or is no object, is a usage error
+    whose one ``error:`` line says which."""
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    code = main(["check", str(path), "--which", which])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: malformed ")
+    assert named in captured.err and captured.err.count("\n") == 1

@@ -1065,3 +1065,28 @@ def test_exact_kernels_match_fraction_and_residue_references(backend):
                     assert cast.row_list() == want and _scalars_canonical(cast)
     assert square > 50 and singular > 5
     assert refused > 0 or bk.kind == "gf"
+
+
+def test_residual_subtracts_entry_arrays_with_the_checks_of_a_minus_b():
+    """``residual`` is the max-norm of ``a - b`` on every backend, raises
+    ``a - b``'s ``BackendMismatch`` and ``ShapeMismatch``, and on a nonempty
+    prime-field difference ``UnsupportedBackend``, as ``maxnorm`` does."""
+    from xnadhm.errors import BackendMismatch
+    from xnadhm.linalg import residual
+
+    a = Matrix.from_rows([[1 + 2j, -3], [0.5, 4j]])
+    b = Matrix.from_rows([[1, 0], [0, 1]])
+    assert residual(a, b) == (a - b).maxnorm() == float(np.hypot(1, 4))
+    q = Matrix.from_rows([["1/3", 2], [0, "-5/2"]], RATIONAL)
+    assert residual(q, q.scale(2)) == (q - q.scale(2)).maxnorm() == 2.5
+    assert residual(Matrix.zeros(0, 3, GF(5)), Matrix.zeros(0, 3, GF(5))) \
+        == 0.0
+    with pytest.raises(BackendMismatch):
+        residual(b, Matrix.identity(2, RATIONAL))
+    with pytest.raises(ShapeMismatch):
+        residual(b, Matrix.identity(3))
+    with pytest.raises(ShapeMismatch):
+        residual(b, Matrix.zeros(2, 1))
+    g = Matrix.from_rows([[1, 2]], GF(5))
+    with pytest.raises(UnsupportedBackend):
+        residual(g, Matrix.from_rows([[3, 4]], GF(5)))

@@ -108,3 +108,48 @@ def test_roundtrip_composites():
 def test_loads_rejects_garbage():
     with pytest.raises(InvalidInput):
         loads("{not json")
+
+
+def _composites():
+    """(reader, JSON object) for each composite type."""
+    rng = rng_from_seed(7)
+    d = random_xn(rng, 2, 2)
+    return [
+        (plane_from_json, plane_to_json(random_costable_triple(rng, 2))),
+        (xn_from_json, xn_to_json(d)),
+        (chart_from_json, chart_to_json(zeta(d, 0))),
+        (rep_from_json, rep_to_json(embed_xn_as_rep(d))),
+        (monad_from_json,
+         monad_to_json(build_jm(random_costable_triple(rng, 2), 2, 1))),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_composite_readers_name_each_missing_key(index):
+    """Each composite reader raises ``InvalidInput`` naming any one missing
+    key, the monad's basis keys included, and says when the value is not a
+    JSON object; a count that is no integer and a block list that is no
+    list are refused too."""
+    read, obj = _composites()[index]
+    assert read(loads(dumps(obj))) is not None
+    for key in obj:
+        broken = {k: v for k, v in obj.items() if k != key}
+        with pytest.raises(InvalidInput, match=f"missing key '{key}'"):
+            read(broken)
+    if "basis" in obj:
+        for key in obj["basis"]:
+            basis = {k: v for k, v in obj["basis"].items() if k != key}
+            with pytest.raises(InvalidInput, match=f"missing key '{key}'"):
+                read({**obj, "basis": basis})
+        with pytest.raises(InvalidInput, match="not a JSON object"):
+            read({**obj, "basis": [1, 2, 3]})
+    for value in ([1, 2], "xn", 3, None):
+        with pytest.raises(InvalidInput, match="not a JSON object"):
+            read(value)
+    for key, value in obj.items():
+        if type(value) is int:
+            with pytest.raises(InvalidInput, match="not an integer"):
+                read({**obj, key: str(value)})
+        elif type(value) is list:
+            with pytest.raises(InvalidInput, match="not a JSON list"):
+                read({**obj, key: 3})

@@ -35,7 +35,7 @@ from xnadhm.linalg import (
 )
 from xnadhm.monad import build_jm, gauge_normalize, reexpand_chart
 from xnadhm.pencil import analyze_pencil
-from xnadhm.plane import PlaneADHM, _observable, _unit, gl_action
+from xnadhm.plane import PlaneADHM, _observable, _unit, check_T2, gl_action
 from xnadhm.sampling import (
     _separated_values,
     overlap_margin,
@@ -1717,3 +1717,141 @@ def test_rational_chart_dictionary_matches_matrix_expressions(n, c):
                               Matrix.row_vector([1] * c, RATIONAL), a2m)
             assert (xn.zeta_inverse(cd, n, check=False)
                     == _zeta_inverse_expression(cd, n))
+
+
+# ---------------------------------------------------------------------------
+# the array cores against their public wrappers, byte for byte
+# ---------------------------------------------------------------------------
+
+def _bytes(a):
+    """Entry array as comparable bytes: the raw bytes on floats, the
+    (type, value) of each entry on the exact backends."""
+    if a.dtype == object:
+        return [(type(x), x) for x in a.flat], a.shape
+    return a.tobytes(), a.shape
+
+
+def _wrapper_cases():
+    """Valid data, both roundtrip violator kinds and unconstrained blocks
+    on COMPLEX at c = 1..5, and raw rational and GF(5) data at c = 1..5."""
+    rng = rng_from_seed(280)
+    for c in range(1, 6):
+        n = 1 + c % 3
+        yield random_xn(rng, n, c)
+        yield random_xn_e_zero(rng, n + 1, c)
+        yield random_xn_kernel_violator(rng, n, c)
+        for bk in (RATIONAL, GF(5)):
+            # denominators 1..4 are units modulo 5
+            blocks = [_rational_matrix(rng, c, c).cast(bk)
+                      for _ in range(n + 2)]
+            e = Matrix.row_vector([1] * c, bk)
+            yield XnADHM(n, c, blocks[0], blocks[1], blocks[2:], e)
+
+
+def test_chart_entries_are_chart_matrices_and_zeta():
+    """``_chart_entries`` equals ``chart_matrices`` and ``_chart_reading``
+    equals ``zeta`` at every chart of c = 1..5 on COMPLEX and at the
+    integer charts on RATIONAL and GF(5), byte for byte; both also equal
+    the Matrix expressions of ``_chart_matrices_reference`` and
+    ``_zeta_reference``."""
+    seen = set()
+    for d in _wrapper_cases():
+        for m in range(d.c + 1):
+            if d.backend.exact and not xn._integer_chart(d.c, m):
+                continue
+            arrays = xn._chart_entries(d, m)
+            for got, M, R in zip(arrays, chart_matrices(d, m),
+                                 _chart_matrices_reference(d, m)):
+                assert _bytes(got) == _bytes(M.entries) == _bytes(R.entries)
+            try:
+                want = _zeta_reference(d, m)
+            except NotInChart:
+                for read in (zeta, xn._chart_reading):
+                    with pytest.raises(NotInChart):
+                        read(d, m)
+                continue
+            b, em, a2m = xn._chart_reading(d, m)
+            cd = zeta(d, m)
+            for got, M, R in ((b, cd.B, want.B), (em, cd.E, want.E),
+                              (a2m, cd.A2m, want.A2m)):
+                assert _bytes(got) == _bytes(M.entries) == _bytes(R.entries)
+            seen.add(d.backend.kind)
+    assert seen == {"complex", "rational", "gf"}
+
+
+def test_chart_P3_equals_T2_of_the_zeta_reading():
+    """``check_P3_via_chart`` is ``check_T2`` of the covering chart's
+    ``zeta`` reading, on valid data and on both roundtrip violator kinds, at
+    three tolerances; prime-field data raise on both routes."""
+    rng = rng_from_seed(281)
+    verdicts = []
+    for c in range(1, 7):
+        for n in range(1, 4):
+            for make in (random_xn, random_xn_e_zero,
+                         random_xn_kernel_violator):
+                d = make(rng, n, c)
+                for tol in (1e-6, 1e-9, 1e-12):
+                    want = check_T2(zeta(d, cover_chart(d, tol),
+                                         tol).plane(), tol)
+                    assert check_P3_via_chart(d, tol) == want
+                    verdicts.append(want)
+    assert verdicts.count(True) == verdicts.count(False) // 2 > 0
+    d = from_xn_points(2, 0, [(1, 2), (3, -1)], GF(5))
+    for check in (check_P3_via_chart,
+                  lambda d: check_T2(zeta(d, cover_chart(d)).plane())):
+        with pytest.raises(UnsupportedBackend):
+            check(d)
+
+
+def _chain_defects_reference(d, f=(), e=None):
+    """The (P1)/(Q1) defects relation by relation as Matrix expressions:
+    for each q, A1 Cq - A2 C(q+1), then Cq A1 (+ fq e) - C(q+1) A2."""
+    A1, A2, C = d.A1, d.A2, d.C
+    if d.n == 1:
+        return [A1 @ C[0] @ A2 - A2 @ C[0] @ A1]
+    out = []
+    for q in range(d.n - 1):
+        out.append(A1 @ C[q] - A2 @ C[q + 1])
+        left = C[q] @ A1
+        if f:
+            left = left + f[q] @ e
+        out.append(left - C[q + 1] @ A2)
+    return out
+
+
+@pytest.mark.parametrize("backend", [COMPLEX, GF(5)])
+def test_stacked_chain_defects_equal_the_per_q_reference(backend):
+    """The two stacked (P1) products, and for (Q1) the f stack times e,
+    give the per-q defects byte for byte, unstacked in the order of the
+    relations, with and without f and e."""
+    from xnadhm.quiver import FramedRep, relation_defects
+    from xnadhm.sampling import random_matrix
+
+    rng = rng_from_seed(282)
+
+    def block(rows, cols):
+        if backend is COMPLEX:
+            return random_matrix(rng, rows, cols)
+        return Matrix.from_rows(rng.integers(0, 5, (rows, cols)).tolist(),
+                                backend)
+
+    for c in range(1, 5):
+        for n in range(1, 5):
+            d = XnADHM(n, c, block(c, c), block(c, c),
+                       [block(c, c) for _ in range(n)], block(1, c))
+            f = tuple(block(c, 1) for _ in range(n - 1))
+            a1, a2, cs = d.A1.entries, d.A2.entries, xn._stack(d.C)
+            plain = xn._chain_defects(a1, a2, cs, backend)
+            assert len(plain) == (1 if n == 1 else 2)
+            framed = plain if n == 1 else xn._chain_defects(
+                a1, a2, cs, backend, xn._stack(f), d.e.entries)
+            for got, want in ((plain, _chain_defects_reference(d)),
+                              (framed, _chain_defects_reference(d, f, d.e))):
+                if n > 1:
+                    got = [D for pair in zip(*got) for D in pair]
+                assert [_bytes(D) for D in got] == \
+                    [_bytes(W.entries) for W in want]
+            r = FramedRep(n, c, c, 1, d.A1, d.A2, d.C, d.e, f)
+            want = _chain_defects_reference(d, f, d.e)
+            assert [_bytes(D.entries) for D in relation_defects(r)] == \
+                [_bytes(W.entries) for W in want]
