@@ -259,8 +259,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "backend", "entries")
 
     def __init__(self, rows, cols, entries, backend=COMPLEX):
-        if rows < 0 or cols < 0:
-            raise ShapeMismatch("negative dimensions")
+        _check_dims(rows, cols)
         entries = [backend.coerce(x) for x in entries]
         if len(entries) != rows * cols:
             raise ShapeMismatch(
@@ -283,10 +282,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols, backend=COMPLEX):
+        _check_dims(rows, cols)
         return _wrap(_zeros((rows, cols), backend), backend)
 
     @classmethod
     def identity(cls, n, backend=COMPLEX):
+        _check_dims(n)
         return _wrap(_diagonal([backend.one] * n, backend), backend)
 
     @classmethod
@@ -509,6 +510,11 @@ def _matmul(a, b, backend):
     if backend.kind == "rational":
         return _rational_product(a, b)
     return backend.reduce(a @ b)
+
+
+def _check_dims(rows, cols=0):
+    if rows < 0 or cols < 0:
+        raise ShapeMismatch("negative dimensions")
 
 
 def _zeros(shape, backend):

@@ -360,6 +360,22 @@ def test_matrix_shape_guards():
         Matrix.identity(2) @ Matrix.identity(3)
 
 
+def test_zeros_with_negative_rows_raise_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="negative dimensions"):
+        Matrix.zeros(-1, 2)
+
+
+def test_zeros_with_negative_cols_raise_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="negative dimensions"):
+        Matrix.zeros(2, -1, GF(5))
+
+
+def test_identity_of_negative_size_raises_shape_mismatch():
+    # numpy would make a 0 x 0 array of it
+    with pytest.raises(ShapeMismatch, match="negative dimensions"):
+        Matrix.identity(-2)
+
+
 # ---------------------------------------------------------------------------
 # storage: one read-only ndarray per matrix, on every backend
 # ---------------------------------------------------------------------------

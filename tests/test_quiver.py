@@ -11,7 +11,8 @@ import pytest
 
 from xnadhm import quiver
 from xnadhm.campaigns import load_bruteforce_fixtures
-from xnadhm.errors import InvalidInput, NonzeroFraming, TooLarge, UnsupportedBackend
+from xnadhm.errors import (InvalidInput, NonzeroFraming, ShapeMismatch,
+                           TooLarge, UnsupportedBackend)
 from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, inverse,
                            rank, residual, vstack)
 from xnadhm.xn import XnADHM, check_P1, from_xn_points
@@ -193,6 +194,90 @@ def test_spectral_rejects_relation_violation():
         check_semistable_spectral(r)
 
 
+def test_spectral_verdict_at_zero_framing_forms_the_defects_once(monkeypatch):
+    """With every f exactly 0, (P1) reads the (Q1) defects: one
+    ``_chain_defects`` call per verdict, through ``xn`` and ``quiver``
+    alike, for n = 1 and n >= 2."""
+    from xnadhm import xn
+
+    calls = []
+    defects = xn._chain_defects
+
+    def counted(*args):
+        calls.append(args)
+        return defects(*args)
+
+    monkeypatch.setattr(xn, "_chain_defects", counted)
+    monkeypatch.setattr(quiver, "_chain_defects", counted)
+    rng = rng_from_seed(29)
+    for n in (1, 3):
+        r = random_rep(rng, n, 3)
+        calls.clear()
+        assert check_semistable_spectral(r) is Verdict.SEMISTABLE
+        assert len(calls) == 1, n
+
+
+def _spectral_by_check_P1(r, tol):
+    """``check_semistable_spectral`` as it decided before the f = 0 branch
+    read (P1) from the (Q1) defects: ``check_relations``, then
+    ``check_P1`` on its own products."""
+    from xnadhm.xn import _pencil_step, check_P2
+
+    if not check_relations(r, tol):
+        raise InvalidInput("relations (Q1) fail; not a representation")
+    d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
+    if all(f.is_zero(tol) for f in r.f):
+        ok = ((d.backend.exact or check_P1(d, tol))
+              and all(_pencil_step(d, tol)))
+        return Verdict.SEMISTABLE if ok else Verdict.UNSTABLE
+    if check_P2(d, tol):
+        return Verdict.UNSTABLE
+    return Verdict.INDETERMINATE
+
+
+def _verdict_or_error(check, r, tol):
+    try:
+        return check(r, tol)
+    except InvalidInput:
+        return InvalidInput
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_spectral_verdict_equals_the_check_P1_route(tol):
+    """Valid, e = 0 and framed float representations, each also with a
+    frame 10^3 times larger and a C block moved by 0.01, 1 and 100 times
+    tol: (P1) read from the (Q1) defects decides as ``check_P1`` did,
+    including where (Q1) holds at the scale of e and (P1) fails at its
+    own."""
+    from dataclasses import replace
+
+    rng = rng_from_seed(2029)
+    seen = set()
+    p1_alone_fails = 0
+    for trial in range(60):
+        n, c = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        kind = trial % 3
+        if kind == 0:
+            r = embed_xn_as_rep(random_xn(rng, n, c))
+        elif kind == 1:
+            r = embed_xn_as_rep(random_xn_e_zero(rng, n, c))
+        else:
+            r = random_rep(rng, n, c, framed=True)
+        for step in (0.0, 1e-2, 1.0, 1e2):
+            C0 = r.C[0].entries + step * tol
+            for e in (r.e, r.e.scale(1e3)):
+                moved = replace(r, C=(Matrix.from_numpy(C0), *r.C[1:]), e=e)
+                want = _verdict_or_error(_spectral_by_check_P1, moved, tol)
+                got = _verdict_or_error(check_semistable_spectral, moved,
+                                        tol)
+                assert got == want, (trial, step)
+                seen.add(want)
+                # valid data moved within the (Q1) scale but not (P1)'s
+                p1_alone_fails += kind == 0 and want is Verdict.UNSTABLE
+    assert seen == {Verdict.SEMISTABLE, Verdict.UNSTABLE, InvalidInput}
+    assert p1_alone_fails
+
+
 def test_kernel_intersection_invariant():
     # semistable representations have ker A1 meet ker A2 trivially
     rng = rng_from_seed(5)
@@ -336,6 +421,72 @@ def test_subspace_enumeration_complete():
             assert S.backend == GF(p) and S.rows == d
             assert all(x in range(p) for x in S.entries.flat)
             assert _is_reduced_column_echelon(S)
+
+
+def test_cached_lattice_equals_the_uncached_enumeration():
+    """For d <= 4 over GF(2), GF(3) and GF(5) the cached lattice is the
+    enumeration itself, basis by basis: same order, entries, entry types
+    and backend."""
+    for d, p in product(range(5), (2, 3, 5)):
+        cached = list(subspace_bases(d, p))
+        fresh = quiver._subspace_lattice.__wrapped__(d, p)
+        assert len(cached) == len(fresh) == count_subspaces(d, p)
+        for S, T in zip(cached, fresh):
+            assert S.backend == T.backend == GF(p)
+            assert S.entries.shape == T.entries.shape == (S.rows, S.cols)
+            assert S.entries.dtype == T.entries.dtype
+            assert S.entries.tolist() == T.entries.tolist()
+            assert ({type(x) for x in S.entries.flat}
+                    == {type(x) for x in T.entries.flat})
+
+
+def test_lattice_is_built_once_and_read_only():
+    first = list(subspace_bases(3, 5))
+    info = quiver._subspace_lattice.cache_info()
+    second = list(subspace_bases(3, 5))
+    assert len(first) == len(second) == 64
+    assert all(S is T for S, T in zip(first, second))
+    assert quiver._subspace_lattice.cache_info().hits == info.hits + 1
+    assert quiver._subspace_lattice.cache_info().misses == info.misses
+    assert not any(S.entries.flags.writeable for S in first)
+
+
+def test_lattice_above_the_budget_is_streamed_and_not_cached():
+    assert count_subspaces(12, 2) > quiver.SUBSPACE_BUDGET
+    info = quiver._subspace_lattice.cache_info()
+    zero = next(subspace_bases(12, 2))
+    assert (zero.rows, zero.cols, zero.backend) == (12, 0, GF(2))
+    assert quiver._subspace_lattice.cache_info() == info
+
+
+def test_bruteforce_raises_too_large_before_caching():
+    info = quiver._subspace_lattice.cache_info()
+    with pytest.raises(TooLarge):
+        brute_force_semistable(zero_rep(1, 3, backend=GF(7)), budget=100)
+    with pytest.raises(TooLarge):
+        brute_force_semistable(zero_rep(1, 12, backend=GF(2)))
+    assert quiver._subspace_lattice.cache_info() == info
+
+
+def test_subspace_bases_of_negative_dimension_raise_shape_mismatch():
+    info = quiver._subspace_lattice.cache_info()
+    with pytest.raises(ShapeMismatch, match="negative dimensions"):
+        subspace_bases(-1, 5)
+    assert quiver._subspace_lattice.cache_info() == info
+
+
+def test_subspace_bases_over_a_non_prime_raise_unsupported_backend():
+    # p = 1 would divide by zero in count_subspaces
+    info = quiver._subspace_lattice.cache_info()
+    for p in (1, 4):
+        with pytest.raises(UnsupportedBackend, match="not prime"):
+            subspace_bases(2, p)
+    assert quiver._subspace_lattice.cache_info() == info
+
+
+def test_count_subspaces_of_negative_dimension_raises_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="negative dimensions"):
+        count_subspaces(-1, 5)
 
 
 def _random_gf(rng, p, rows, cols):

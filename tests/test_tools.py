@@ -1,5 +1,6 @@
 """The repository's tools run and print what they promise."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -21,3 +22,65 @@ def test_outcome_records_prints_one_digest_per_workload_and_seed():
                                            "oracle") for seed in (0, 1504)]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1])
                for line in lines)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(commit, pair, rate, setup, seed=0):
+    return {"commit": commit, "workload": "oracle", "seed": seed,
+            "pair": pair, "result": {"correct": True, "metrics": {
+                "samples_per_s": {"value": rate, "unit": "1/s"},
+                "setup_s": {"value": setup, "unit": "s"}}}}
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    """Quartiles (inclusive method), wins in each metric's direction with a
+    tie counted as no win, and the median ratio, per workload and seed."""
+    summarize = _bench_pairs().summarize
+    end_to_end = [{"name": "samples_per_s", "better": "higher"},
+                  {"name": "setup_s", "better": "lower"}]
+    runs = [_run("parent", 0, 100.0, 0.10), _run("change", 0, 110.0, 0.10),
+            _run("change", 1, 100.0, 0.09), _run("parent", 1, 100.0, 0.11),
+            _run("parent", 2, 104.0, 0.12), _run("change", 2, 103.0, 0.13),
+            _run("parent", 3, 96.0, 0.10), _run("change", 3, 120.0, 0.11),
+            _run("parent", 0, 50.0, 0.2, seed=1504),
+            _run("change", 0, 55.0, 0.1, seed=1504)]
+    summary = summarize(runs, end_to_end)
+    assert list(summary) == ["samples_per_s", "setup_s"]
+    assert list(summary["samples_per_s"]) == ["oracle seed 0",
+                                              "oracle seed 1504"]
+    rate = summary["samples_per_s"]["oracle seed 0"]
+    assert rate["parent"] == {"runs": 4, "q25": 99.0, "median": 100.0,
+                              "q75": 101.0}
+    assert rate["change"] == {"runs": 4, "q25": 102.25, "median": 106.5,
+                              "q75": 112.5}
+    # pair 1 ties at 100.0, pair 2 is lost
+    assert rate["change_wins"] == "2 of 4"
+    assert rate["median_ratio"] == 1.065
+    setup = summary["setup_s"]["oracle seed 0"]
+    # lower is better: pair 1 wins, pair 0 ties, pairs 2 and 3 lose
+    assert setup["change_wins"] == "1 of 4"
+    assert setup["parent"]["median"] == setup["change"]["median"] == 0.105
+    assert setup["median_ratio"] == 1.0
+    held_out = summary["setup_s"]["oracle seed 1504"]
+    assert held_out["parent"] == {"runs": 1, "q25": 0.2, "median": 0.2,
+                                  "q75": 0.2}
+    assert held_out["change_wins"] == "1 of 1"
+    assert held_out["median_ratio"] == 0.5
+
+
+def test_bench_pairs_summary_reproduces_a_committed_report():
+    """The summary of ``BENCH_28.json``'s run records is its summary."""
+    import json
+
+    report = json.loads((ROOT / "BENCH_28.json").read_text())
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]
+    assert _bench_pairs().summarize(report["runs"],
+                                    end_to_end) == report["summary"]
