@@ -49,7 +49,7 @@ from .linalg import (
     vstack,
 )
 from .plane import PlaneADHM
-from .xn import _check_chart, sigma
+from .xn import _check_chart, _check_n, sigma
 
 
 def _blocks(i):
@@ -70,7 +70,8 @@ class MonadCoeffs:
     constructor checks and stacks tuples of Matrices and keeps them as the
     tuple fields; on data built from stacks (``build_jm``,
     ``reexpand_chart``) the tuple fields are made from the stacks when
-    first read."""
+    first read.  n < 1 raises ``IndexOutOfRange`` before any other
+    check."""
     n: int
     c: int
     m: int
@@ -81,6 +82,7 @@ class MonadCoeffs:
     xi: Matrix         # (k2 + k4) x 1
 
     def __init__(self, n, c, m, alpha1, alpha2, beta1, beta2, xi):
+        _check_n(n)
         lists = [tuple(blocks) for blocks in (alpha1, alpha2, beta1, beta2)]
         alpha1, alpha2, beta1, beta2 = lists
         k4 = c + 1
@@ -272,7 +274,9 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
     """Monad coefficients of the standard embedding of a plane triple in
     chart m: alpha = (y2^n s_E + t(b2) s_inf ; y1 + t(b1) y2 ; 0),
     beta = (y1 + t(b1) y2, -(y2^n s_E + t(b2) s_inf), t(e) s_inf),
-    xi = (0, ..., 0, 1), written straight into the coefficient stacks."""
+    xi = (0, ..., 0, 1), written straight into the coefficient stacks.
+    n < 1 raises ``IndexOutOfRange`` first."""
+    _check_n(n)
     c, bk = d.c, d.backend
     _check_chart(c, m)
     ident = _diagonal([bk.one] * c, bk)

@@ -249,6 +249,12 @@ def project_rep(r: FramedRep, tol=None) -> XnADHM:
 # ---------------------------------------------------------------------------
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of GF(p)^n, 0 for k outside
+    0..n; a p below 2 raises ``InvalidInput``."""
+    if p < 2:
+        raise InvalidInput(f"gaussian_binomial needs p >= 2, got {p}")
+    if not 0 <= k <= n:
+        return 0
     num, den = 1, 1
     for i in range(k):
         num *= p ** (n - i) - 1
@@ -262,6 +268,10 @@ SUBSPACE_BUDGET = 200_000
 
 
 def count_subspaces(d: int, p: int) -> int:
+    """The number of subspaces of GF(p)^d.  A p that is not prime raises
+    ``UnsupportedBackend`` (``linalg.GF``), then a negative d
+    ``ShapeMismatch``."""
+    linalg.GF(p)
     linalg._check_dims(d)
     return sum(gaussian_binomial(d, k, p) for k in range(d + 1))
 
@@ -282,7 +292,6 @@ def subspace_bases(d: int, p: int):
     streamed and never kept.  A negative d raises ``ShapeMismatch`` and a
     p that is not prime ``UnsupportedBackend``, before any lookup.
     """
-    linalg.GF(p)
     if count_subspaces(d, p) > SUBSPACE_BUDGET:
         return _enumerate_subspaces(d, p)
     return iter(_subspace_lattice(d, p))

@@ -20,6 +20,14 @@ arrays: one array core per computation (``_rotation``, ``_chart_entries``,
 ``_chart_reading``, ``_chain_defects``, ``_transition``), which the public
 functions wrap into ``Matrix``, ``ChartData`` or ``XnADHM`` only where they
 return them.
+
+A configuration keeps what it has computed about itself: on floats its node
+conditioning (one batched SVD of the c+1 matrices A2m), and on every backend
+each chart reading (B_m, E_m; A2m) it has taken.  Neither depends on
+``tol``: every read applies the caller's ``tol`` to the kept values, so
+``check_P2``, ``check_P3_direct``, ``cover_chart``, ``zeta``,
+``check_P3_via_chart``, ``to_xn_points`` and ``spectral_witness`` share
+them.
 """
 
 from __future__ import annotations
@@ -57,6 +65,13 @@ from .plane import (PlaneADHM, _costable, _observable, _unit,
 
 @dataclass(frozen=True)
 class XnADHM:
+    """Configuration data (A1, A2; C1..Cn; e) of length c on one backend.
+
+    The data is immutable, and a configuration keeps two things it computes
+    about itself, neither of which depends on ``tol``: its node
+    conditioning (``_pencil_conditioning``, floats only) and the chart
+    readings taken so far (``_chart_readings``).  ``dataclasses.replace``
+    gives a copy that keeps neither."""
     n: int
     c: int
     A1: Matrix
@@ -93,6 +108,16 @@ class XnADHM:
         if self.backend.exact:
             return None
         return _float_conditioning(self.A1, self.A2)
+
+    @functools.cached_property
+    def _chart_readings(self):
+        """The chart readings taken so far, chart index -> read-only entry
+        arrays (b, em, a2m), filled by ``_chart_reading``: ``zeta``,
+        ``check_P3_via_chart``, ``to_xn_points`` and ``spectral_witness``
+        read each chart once per configuration.  A reading depends on
+        neither ``tol`` nor e; the chart test that applies ``tol`` runs on
+        every read."""
+        return {}
 
     def cast(self, backend):
         return XnADHM(self.n, self.c, self.A1.cast(backend),
@@ -139,6 +164,11 @@ class ChartData:
 def _check_chart(c: int, m: int):
     if not 0 <= m <= c:
         raise IndexOutOfRange(f"chart index {m} outside 0..{c}")
+
+
+def _check_n(n: int):
+    if n < 1:
+        raise IndexOutOfRange(f"n = {n} must be >= 1")
 
 
 def chart_constants(c: int, m: int):
@@ -231,20 +261,28 @@ def _binomial_combination(blocks, cm, sm, backend):
     entry arrays ``blocks`` = (X_1, ..., X_k) and constants (c, s) = (cm,
     sm) of ``backend``: the chart's free parameter D_m (over the C blocks)
     and the framing combination u_m (over the f blocks, one degree lower)."""
-    k = len(blocks)
-    # without the products by a zero or unit coefficient, as in
-    # linalg._node_entries: at chart 0 (cm = 1, sm = 0) only X_1 is left;
-    # cm and sm are never both 0, so the X_1 or the X_k term always is
-    terms = []
-    for q, X in enumerate(blocks, 1):
-        coef = backend.coerce(
-            math.comb(k - 1, q - 1) * (cm ** (k - q) * sm ** (q - 1)))
-        if coef != 0:
-            terms.append(X if coef == 1 else backend.reduce(coef * X))
+    terms = [blocks[i] if w is None else backend.reduce(w * blocks[i])
+             for i, w in _binomial_weights(len(blocks), cm, sm, backend)]
     out = terms[0]
     for X in terms[1:]:
         out = backend.reduce(out + X)
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _binomial_weights(k: int, cm, sm, backend):
+    """The nonzero weights of ``_binomial_combination`` as (q - 1, weight)
+    pairs, weight None for a unit: without the products by a zero or unit
+    coefficient, as in ``linalg._node_entries``.  At chart 0 (cm = 1,
+    sm = 0) only X_1 is left; cm and sm are never both 0, so the X_1 or the
+    X_k term always is.  Cached, as it is pure in its arguments."""
+    weights = []
+    for q in range(1, k + 1):
+        coef = backend.coerce(
+            math.comb(k - 1, q - 1) * (cm ** (k - q) * sm ** (q - 1)))
+        if coef != 0:
+            weights.append((q - 1, None if coef == 1 else coef))
+    return tuple(weights)
 
 
 def chart_matrices(d: XnADHM, m: int):
@@ -404,37 +442,50 @@ def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
     """``check_P3_direct`` at the roots of a regular pencil; prime-field
     data raises ``UnsupportedBackend`` (it cannot be cast to floats).
 
-    At each root ``_observable`` grows the rows [P; e; N] by M1 and M2 at
-    ``10 * _tol(tol)``, since a root is only as accurate as the pencil's
-    eigenvalues; N = -l1^n M1 + (-1)^n l2^n M2.  P is divided by
-    max(1, max-norm) of A1 and A2, N by that of M1 and M2, and e, M1 and M2
-    each by their own.  The k roots' rows are one (k, 2c+1, c) stack whose
-    ranks come from one batched SVD; only a root whose rows stay short of
-    rank c goes on to ``_observable``'s growth loop.
+    At each root ``_observable`` grows the rows [P; e; N] of
+    ``_p3_root_stack`` by M1 and M2 at ``10 * _tol(tol)``, since a root is
+    only as accurate as the pencil's eigenvalues.  The ranks of the k
+    roots' rows come from one batched SVD; only a root whose rows stay
+    short of rank c goes on to ``_observable``'s growth loop.
+    """
+    rows, mats = _p3_root_stack(d, roots)
+    thr = 10 * linalg._tol(tol)
+    rank = (np.linalg.svd(rows, compute_uv=False) > thr).sum(axis=1)
+    return all(_observable(rows[i], mats, thr)
+               for i in np.flatnonzero(rank < d.c))
+
+
+def _p3_root_stack(d: XnADHM, roots):
+    """(rows, (M1, M2) scaled) for ``_p3_at_roots``: rows is the
+    (k, 2c+1, c) stack of the k roots' [P; e; N], with
+    P = l2 A1 + l1 A2 and N = -l1^n M1 + (-1)^n l2^n M2 at the root
+    [l2 : l1] = [nu1 : nu2], M1 = C1 A2 and M2 = Cn A1.  P is divided by
+    max(1, max-norm) of A1 and A2, N by that of M1 and M2, and e, M1 and
+    M2 each by their own.
+
+    The stack is filled in place from one product of the (k, 4) weight
+    array (l2, l1, -l1^n, (-1)^n l2^n) with the blocks (A1, A2, M1, M2);
+    the powers are Python complex powers, so that each root's rows are
+    those of the per-root expression, bit for bit.
     """
     A1, A2 = d.A1.to_numpy(), d.A2.to_numpy()
     M1 = d.C[0].to_numpy() @ A2
     M2 = d.C[d.n - 1].to_numpy() @ A1
     s_A = max(1.0, np.abs(A1).max(), np.abs(A2).max())
     s_M1, s_M2 = (max(1.0, float(np.abs(M).max())) for M in (M1, M2))
-    s_M = max(s_M1, s_M2)
-    e = _unit(d.e.to_numpy())
-    mats = (M1 / s_M1, M2 / s_M2)
-    thr = 10 * linalg._tol(tol)
-    c = d.c
-    sign = (-1) ** d.n
-    # l1 = nu2 and l2 = nu1 at each root; the powers are Python complex
-    # powers, so that each root's rows are those of the per-root expression
-    pts = [pt for pt, _ in roots]
-    l2, l1 = np.array(pts).T[:, :, None, None]
-    w1 = np.array([-nu2 ** d.n for _, nu2 in pts])[:, None, None]
-    w2 = np.array([sign * nu1 ** d.n for nu1, _ in pts])[:, None, None]
-    rows = np.concatenate(((l2 * A1 + l1 * A2) / s_A,
-                           np.broadcast_to(e, (len(roots), 1, c)),
-                           (w1 * M1 + w2 * M2) / s_M), axis=1)
-    rank = (np.linalg.svd(rows, compute_uv=False) > thr).sum(axis=1)
-    return all(_observable(rows[i], mats, thr)
-               for i in np.flatnonzero(rank < c))
+    n, c = d.n, d.c
+    sign = (-1) ** n
+    w = np.array([(nu1, nu2, -nu2 ** n, sign * nu1 ** n)
+                  for (nu1, nu2), _ in roots], dtype=complex)
+    terms = w[:, :, None, None] * np.array((A1, A2, M1, M2))
+    rows = np.empty((len(roots), 2 * c + 1, c), dtype=complex)
+    P, N = rows[:, :c], rows[:, c + 1:]
+    np.add(terms[:, 0], terms[:, 1], out=P)
+    P /= s_A
+    rows[:, c] = _unit(d.e.to_numpy())
+    np.add(terms[:, 2], terms[:, 3], out=N)
+    N /= max(s_M1, s_M2)
+    return rows, (M1 / s_M1, M2 / s_M2)
 
 
 def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
@@ -458,20 +509,31 @@ def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
 
 
 def _chart_reading(d: XnADHM, m: int, tol=None):
-    """``zeta`` as entry arrays (b, em, a2m); raises ``NotInChart`` when
-    A2m fails the invertibility test.  On float data that test reads the
-    configuration's node conditioning (``XnADHM._pencil_conditioning``), not
-    another SVD."""
-    a1m, a2m, em, _ = _chart_entries(d, m)
+    """``zeta`` as read-only entry arrays (b, em, a2m); raises
+    ``NotInChart`` when A2m fails the invertibility test.  On float data
+    that test reads the configuration's node conditioning
+    (``XnADHM._pencil_conditioning``), not another SVD.  The reading is
+    taken once per configuration and chart and kept in
+    ``XnADHM._chart_readings``; the float test runs on every read, at the
+    caller's ``tol``."""
     bk = d.backend
+    kept = d._chart_readings.get(m)
+    if kept is None:
+        a1m, a2m, em, _ = _chart_entries(d, m)
     if bk.exact:
-        invertible = linalg._is_invertible(a2m, bk, tol)
+        # the exact test does not depend on tol, and a kept reading passed it
+        invertible = kept is not None or linalg._is_invertible(a2m, bk, tol)
     else:
         _, s_min, scale = d._pencil_conditioning
         invertible = s_min[m] > linalg._tol(tol) * scale[m]
     if not invertible:
         raise NotInChart(f"det A2m = 0 in chart {m}")
-    return linalg._matmul(linalg._inverse(a2m, bk), a1m, bk), em, a2m
+    if kept is None:
+        kept = (linalg._matmul(linalg._inverse(a2m, bk), a1m, bk), em, a2m)
+        for a in kept:
+            a.setflags(write=False)
+        d._chart_readings[m] = kept
+    return kept
 
 
 def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
@@ -483,8 +545,10 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
 
     (A1, A2) = A2m (R1, R2) for the rotation (R1, R2) of (B, 1) by -m, and
     C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1, the n blocks
-    one stacked product; all on entry arrays, the guard included.
+    one stacked product; all on entry arrays, the guard included.  n < 1
+    raises ``IndexOutOfRange`` first.
     """
+    _check_n(n)
     c, bk = cd.c, cd.backend
     b = cd.B.entries
     eye = linalg._diagonal([bk.one] * c, bk)
@@ -577,8 +641,7 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     with a shift whose chart constants are irrational raises
     ``UnsupportedBackend``, and n < 1 raises ``IndexOutOfRange``.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"n = {n} must be >= 1")
+    _check_n(n)
     bk = backend
     angles = {k: _backend_angles(bk, c, k) for k in set(shifts)}
     ck, sk = np.array([angles[k] for k in shifts],

@@ -12,6 +12,7 @@ import pytest
 
 from xnadhm import linalg, monad
 from xnadhm.errors import (
+    IndexOutOfRange,
     InvalidInput,
     NotInOverlap,
     NotNormalizable,
@@ -159,6 +160,22 @@ def test_compose_residual_zero_data():
 # ---------------------------------------------------------------------------
 # the standard immersion
 # ---------------------------------------------------------------------------
+
+def test_monad_coeffs_reject_n_below_one():
+    """n <= 0 raises before any other check, with blocks of the n+2 slots
+    that n would ask for."""
+    rng = rng_from_seed(45)
+    for n in (0, -1):
+        with pytest.raises(IndexOutOfRange, match=rf"^n = {n} must be >= 1$"):
+            random_monad_coeffs(rng, n, 2)
+
+
+def test_build_jm_rejects_n_below_one():
+    plane = random_costable_triple(rng_from_seed(46), 2)
+    for n in (0, -1):
+        with pytest.raises(IndexOutOfRange, match=rf"^n = {n} must be >= 1$"):
+            build_jm(plane, n, 0)
+
 
 def test_build_jm_scalar_blocks():
     d = PlaneADHM(1, Matrix.from_rows([[0.3]]), Matrix.from_rows([[1.7]]),

@@ -390,6 +390,25 @@ def test_gaussian_binomial_counts():
     assert count_subspaces(3, 5) == 64
 
 
+def test_gaussian_binomial_outside_the_range_of_k_is_zero():
+    for n, k in ((3, -1), (3, 4), (0, 1), (-2, 0)):
+        assert gaussian_binomial(n, k, 5) == 0
+    assert gaussian_binomial(0, 0, 5) == 1
+
+
+def test_gaussian_binomial_rejects_p_below_two():
+    for p in (1, 0, -3):
+        with pytest.raises(InvalidInput, match="p >= 2"):
+            gaussian_binomial(2, 1, p)
+
+
+def test_count_subspaces_over_a_non_prime_raises_unsupported_backend():
+    # p = 1 used to divide by zero; 0, 4 and -3 returned 3, 7 and 0
+    for p in (1, 0, 4, -3):
+        with pytest.raises(UnsupportedBackend, match="not prime"):
+            count_subspaces(2, p)
+
+
 def _point_set(S, p):
     """The vectors of the span of S over GF(p), as a frozenset of tuples."""
     return frozenset(

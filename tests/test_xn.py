@@ -460,6 +460,13 @@ def test_zeta_inverse_guards():
     assert not check_P3_direct(d)
 
 
+def test_zeta_inverse_rejects_n_below_one():
+    cd = zeta(from_xn_points(1, 0, [(0, 0), (1, 2)]), 0)
+    for n in (0, -1):
+        with pytest.raises(IndexOutOfRange, match=rf"^n = {n} must be >= 1$"):
+            zeta_inverse(cd, n)
+
+
 def test_zeta_equivariance():
     rng = rng_from_seed(24)
     d = random_xn(rng, 2, 3)
@@ -1578,9 +1585,9 @@ def test_one_node_svd_per_float_configuration(monkeypatch):
     assert flips > 0
 
 
-def _p3_at_roots_reference(d, roots, tol=None):
-    """``xn._p3_at_roots`` as one ``_observable`` call per root, each on
-    its own rows [P; e; N]."""
+def _p3_rows_reference(d, roots):
+    """The rows [P; e; N] of ``xn._p3_at_roots`` root by root, each its own
+    ``np.vstack``, and the scaled (M1, M2)."""
     dd = d.cast(COMPLEX) if d.backend.exact else d
     A1, A2 = dd.A1.to_numpy(), dd.A2.to_numpy()
     M1 = dd.C[0].to_numpy() @ A2
@@ -1588,16 +1595,22 @@ def _p3_at_roots_reference(d, roots, tol=None):
     s_A = linalg.scale_of(dd.A1, dd.A2)
     s_M = max(1.0, np.abs(M1).max(), np.abs(M2).max())
     e = _unit(dd.e.to_numpy())
-    mats = (_unit(M1), _unit(M2))
-    thr = 10 * linalg._tol(tol)
     sign = (-1) ** d.n
+    rows = []
     for (nu1, nu2), _ in roots:
         l1, l2 = nu2, nu1
         P = (l2 * A1 + l1 * A2) / s_A
         N = (-l1 ** d.n * M1 + sign * l2 ** d.n * M2) / s_M
-        if not _observable(np.vstack((P, e, N)), mats, thr):
-            return False
-    return True
+        rows.append(np.vstack((P, e, N)))
+    return rows, (_unit(M1), _unit(M2))
+
+
+def _p3_at_roots_reference(d, roots, tol=None):
+    """``xn._p3_at_roots`` as one ``_observable`` call per root, each on
+    its own rows [P; e; N]."""
+    rows, mats = _p3_rows_reference(d, roots)
+    thr = 10 * linalg._tol(tol)
+    return all(_observable(r, mats, thr) for r in rows)
 
 
 def jordan_xn(rng, n, c, violate):
@@ -1619,6 +1632,11 @@ def jordan_xn(rng, n, c, violate):
 
 
 def test_batched_rank_at_the_roots_matches_the_per_root_loop():
+    """``xn._p3_root_stack`` fills every root's rows in one pass: each
+    root's rows and the scaled (M1, M2) are those of the per-root
+    expressions byte for byte, and the verdicts agree, on valid data, both
+    roundtrip violator kinds, Jordan data and rational point data at the
+    charts of the oracle workload, with and without the frame."""
     rng = rng_from_seed(93)
     seen = set()
     for c in range(2, 7):
@@ -1631,11 +1649,19 @@ def test_batched_rank_at_the_roots_matches_the_per_root_loop():
             if c <= 4 and n <= 3:
                 pts = [(int(z), int(z) - 2 * q) for q, z in
                        enumerate(rng.permutation(9)[:c] - 4)]
-                x = from_xn_points(n, 0, pts, RATIONAL)
+                m = (c + 1) // 2 if c % 2 and n % 2 == 0 else 0
+                x = from_xn_points(n, m, pts, RATIONAL)
                 cases += [(x, True), (replace(x, e=Matrix.zeros(1, c, RATIONAL)),
                                       False)]
             for d, want in cases:
                 roots = analyze_pencil(d.A1, d.A2).eigenvalues
+                rows, mats = xn._p3_root_stack(d, roots)
+                want_rows, want_mats = _p3_rows_reference(d, roots)
+                assert rows.shape == (len(roots), 2 * c + 1, c)
+                assert [r.tobytes() for r in rows] == \
+                    [r.tobytes() for r in want_rows]
+                assert [M.tobytes() for M in mats] == \
+                    [M.tobytes() for M in want_mats]
                 for tol in (None, 1e-6):
                     got = xn._p3_at_roots(d, roots, tol)
                     assert got == _p3_at_roots_reference(d, roots, tol)
@@ -1777,6 +1803,84 @@ def test_chart_entries_are_chart_matrices_and_zeta():
                 assert _bytes(got) == _bytes(M.entries) == _bytes(R.entries)
             seen.add(d.backend.kind)
     assert seen == {"complex", "rational", "gf"}
+
+
+def test_kept_chart_reading_equals_a_fresh_reading():
+    """The reading a configuration keeps for chart m is the one that
+    ``chart_matrices`` and ``zeta`` compute on a fresh copy of it, byte for
+    byte, at every chart of c = 1..5 on COMPLEX and at the integer charts
+    on RATIONAL and GF(5); a second read returns the kept arrays."""
+    seen = set()
+    for d in _wrapper_cases():
+        for m in range(d.c + 1):
+            if d.backend.exact and not xn._integer_chart(d.c, m):
+                continue
+            try:
+                zeta(d, m)
+            except NotInChart:
+                assert m not in d._chart_readings
+                continue
+            kept = d._chart_readings[m]
+            assert xn._chart_reading(d, m) is kept
+            fresh = replace(d)
+            assert not fresh._chart_readings
+            cd = zeta(fresh, m)
+            _, A2m, Em, _ = chart_matrices(fresh, m)
+            for got, want in ((kept[0], cd.B), (kept[1], Em), (kept[1], cd.E),
+                              (kept[2], A2m), (kept[2], cd.A2m)):
+                assert _bytes(got) == _bytes(want.entries)
+            seen.add(d.backend.kind)
+    assert seen == {"complex", "rational", "gf"}
+
+
+def test_kept_chart_reading_still_applies_tol():
+    """A chart read at the default tol is kept, yet a read at tol = 10
+    raises ``NotInChart`` on every route; the kept reading serves the
+    default tol again afterwards."""
+    rng = rng_from_seed(302)
+    for c in range(1, 5):
+        d = random_xn(rng, 2, c)
+        m = cover_chart(d)
+        cd = zeta(d, m)
+        kept = d._chart_readings[m]
+        for read in (zeta, xn._chart_reading, to_xn_points):
+            with pytest.raises(NotInChart):
+                read(d, m, tol=10)
+        assert xn._chart_reading(d, m) is kept
+        assert zeta(d, m) == cd
+
+
+def test_chart_P3_after_zeta_reads_the_chart_once(monkeypatch):
+    """``zeta`` at the covering chart, then ``check_P3_via_chart``,
+    ``to_xn_points`` and ``spectral_witness`` compute the chart matrices
+    once: each later route reads the kept reading."""
+    calls = []
+    chart_entries = xn._chart_entries
+
+    def counting(d, m):
+        calls.append(m)
+        return chart_entries(d, m)
+
+    monkeypatch.setattr(xn, "_chart_entries", counting)
+    d = from_xn_points(2, 0, [(0.5, 1.0), (-1.0, 2.0), (2.0, -0.5)])
+    m = cover_chart(d)
+    zeta(d, m)
+    assert check_P3_via_chart(d)
+    to_xn_points(d)
+    spectral_witness(d)
+    assert calls == [m]
+
+
+def test_kept_chart_arrays_are_read_only():
+    """Frozen by ``_chart_reading`` itself, not only when ``zeta`` wraps
+    them."""
+    rng = rng_from_seed(303)
+    for d in (random_xn(rng, 2, 3), from_xn_points(2, 0, [(1, 2), (3, -1)],
+                                                   RATIONAL)):
+        assert check_P3_via_chart(d)
+        for a in d._chart_readings[cover_chart(d)]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = a[0, 0]
 
 
 def test_chart_P3_equals_T2_of_the_zeta_reading():
