@@ -33,7 +33,10 @@ float image are array primitives on entries (``_matmul``, ``_inverse``,
 operations and ``residual`` wrap; kernels on small blocks (the chart
 dictionary and the chart (P3) test, the (P1)/(Q1) defects on stacks of C
 blocks, chart transitions, monad gauge normalization) call them on arrays
-and wrap their results once, where a public function returns them.
+and wrap their results once, where a public function returns them.  The
+identity of each size and backend is built once, by ``_identity``, and kept
+read-only, so that every caller shares it; ``_zeros`` gives a fresh
+writable array on each call.
 
 A backend is ``kind``, ``exact``, ``dtype``, ``zero``, ``one`` and three
 maps: ``coerce`` validates a value from outside and brings it into the
@@ -288,7 +291,7 @@ class Matrix:
     @classmethod
     def identity(cls, n, backend=COMPLEX):
         _check_dims(n)
-        return _wrap(_diagonal([backend.one] * n, backend), backend)
+        return _wrap(_identity(n, backend), backend)
 
     @classmethod
     def diagonal(cls, values, backend=COMPLEX):
@@ -518,6 +521,10 @@ def _check_dims(rows, cols=0):
 
 
 def _zeros(shape, backend):
+    """A fresh writable array of the backend's zeros: +0j on floats, and
+    ``Fraction(0)`` or residue 0 on the exact backends."""
+    if not backend.exact:
+        return np.zeros(shape, dtype=backend.dtype)
     arr = np.empty(shape, dtype=backend.dtype)
     arr.fill(backend.zero)      # np.zeros would fill an object array with int 0
     return arr
@@ -527,6 +534,16 @@ def _diagonal(values, backend):
     n = len(values)
     arr = _zeros((n, n), backend)
     arr.flat[::n + 1] = values
+    return arr
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(n, backend):
+    """The n x n identity entry array of ``backend``, built once per
+    (n, backend) and read-only, so that every caller shares it; a caller
+    that writes into an identity takes ``_diagonal`` or a copy."""
+    arr = _diagonal([backend.one] * n, backend)
+    arr.setflags(write=False)
     return arr
 
 
@@ -732,8 +749,8 @@ def _inverse(a, backend):
             out[i] = _inverse(x, backend)
         return out
     n = len(a)
-    eye = _diagonal([backend.one] * n, backend)
-    rows, pivots = _rref(np.concatenate((a, eye), axis=1), backend)
+    rows, pivots = _rref(np.concatenate((a, _identity(n, backend)), axis=1),
+                         backend)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular over the exact backend")
     return np.array([r[n:] for r in rows], dtype=object).reshape(n, n)

@@ -39,6 +39,7 @@ from .errors import InvalidInput, NotNormalizable, ShapeMismatch, SingularGauge
 from .linalg import (
     Matrix,
     _diagonal,
+    _identity,
     _inverse,
     _is_invertible,
     _matmul,
@@ -279,7 +280,7 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
     _check_n(n)
     c, bk = d.c, d.backend
     _check_chart(c, m)
-    ident = _diagonal([bk.one] * c, bk)
+    ident = _identity(c, bk)
     tb1, tb2 = d.b1.entries.T, d.b2.entries.T
     a1 = _zeros((n + 2, c, c), bk)
     a1[n], a1[n + 1] = ident, tb2
@@ -339,16 +340,21 @@ def _check_gauge_block(a, backend, name: str, tol):
         raise SingularGauge(f"gauge block {name} is singular")
 
 
-def _check_gauge_block_from(lo, hi, a, backend, name: str, tol):
-    """``_check_gauge_block`` of a float block a from its smallest and
-    largest singular values lo and hi as read off another matrix (chi =
-    b10^-1, phi = T and diag(T, 1) off b10, diag(1, ..., 1, 1/omega) off
-    its stored entry).  The two routes round apart by O(k eps hi) in lo - tol hi, k
-    the size of a, so within 1e3 k eps hi of the tie a's own SVD decides,
-    as in ``_check_gauge_block``."""
-    gap = lo - linalg._tol(tol) * hi
-    if not abs(gap) > 1e3 * len(a) * np.finfo(float).eps * hi:
-        _check_gauge_block(a, backend, name, tol)
+#: machine epsilon of the float backend
+_EPS = float(np.finfo(float).eps)
+
+
+def _check_gauge_block_from(lo, hi, a, backend, name: str, t: float):
+    """``_check_gauge_block`` of a float block a at the float tolerance t
+    (``linalg._tol`` of the caller's tol) from its smallest and largest
+    singular values lo and hi as read off another matrix (chi = b10^-1,
+    phi = T and diag(T, 1) off b10, diag(1, ..., 1, 1/omega) off its
+    stored entry).  The two routes round apart by O(k eps hi) in
+    lo - t hi, k the size of a, so within 1e3 k eps hi of the tie a's own
+    SVD decides, as in ``_check_gauge_block``."""
+    gap = lo - t * hi
+    if not abs(gap) > 1e3 * len(a) * _EPS * hi:
+        _check_gauge_block(a, backend, name, t)
     elif gap < 0:
         raise SingularGauge(f"gauge block {name} is singular")
 
@@ -470,18 +476,17 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     bk = mc.backend
     exact = bk.exact
     t = 0.0 if exact else linalg._tol(tol)
-    # floats: the residual against the squared size of the data
-    scale = 1.0 if exact else max(
-        1.0, *(_size(S, exact) for S in mc.stacks)) ** 2
+    # floats: the residual against the squared size of the data, read in
+    # one max-norm pass over the four stacks
+    scale = 1.0 if exact else max(1.0, _size(np.concatenate(
+        [S.ravel() for S in mc.stacks]), exact)) ** 2
     if _size(_compose_stack(*mc.stacks, bk), exact) > scale * 1e3 * t:
         raise InvalidInput("not a monad point: beta o alpha != 0")
     mc0 = reexpand_chart(mc, l)
     n, c = mc0.n, mc0.c
     red = bk.reduce
+    mul = functools.partial(_matmul, backend=bk)
     a1, a2, b1, b2 = mc0.stacks
-
-    def prod(*arrays):
-        return functools.reduce(lambda x, y: _matmul(x, y, bk), arrays)
 
     # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0; P_q = -Q_q.  On
     # floats the SVD of b10 that the absolute test reads (``_is_invertible``)
@@ -501,33 +506,33 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     # the base change that closes the loop
     T = _inverse(b10_inv, bk)
     if not exact:
-        _check_gauge_block_from(s_b[-1], s_b[0], b10_inv, bk, "chi", tol)
+        _check_gauge_block_from(s_b[-1], s_b[0], b10_inv, bk, "chi", t)
     Ps = _zeros((n, c, c + 1), bk)
     prev = _zeros((c, c + 1), bk)
     for q in range(n):
-        Ps[q] = prod(b10_inv, red(b2[q] + prod(b1[1], prev)))
+        Ps[q] = mul(b10_inv, red(b2[q] + mul(b1[1], prev)))
         prev = red(-Ps[q])
 
     # step 2: alpha1 top s_E slot -> 1; after step 1 it is
     # alpha1[n] - Q_(n-1) alpha2[1]
-    a1n = red(a1[n] - prod(prev, a2[1]))
-    _require(_is_invertible(a1n, bk, tol, rel=True), 2,
+    a1n = red(a1[n] - mul(prev, a2[1]))
+    _require(_is_invertible(a1n, bk, t, rel=True), 2,
              "top alpha1 coefficient is singular")
 
     # step 3: alpha2 y1-slot -> (1; 0), beta2 top slot -> (-1, 0); after
     # step 2 the first is alpha2[0] a1n^-1, after step 1 the second is
     # b10^-1 (beta2[n] + beta1[1] Q_(n-1))
     a1n_inv = _inverse(a1n, bk)
-    r = _left_null_row(prod(a2[0], a1n_inv), bk, tol)
-    top = prod(b10_inv, red(b2[n] + prod(b1[1], prev)))
+    r = _left_null_row(mul(a2[0], a1n_inv), bk, t)
+    top = mul(b10_inv, red(b2[n] + mul(b1[1], prev)))
     psi22_3 = np.concatenate((red(-top), r))
     # (the pivot tests of steps 2 and 3 are the gauge block tests)
-    _require(_is_invertible(psi22_3, bk, tol, rel=True), 3,
+    _require(_is_invertible(psi22_3, bk, t, rel=True), 3,
              "pivot block is singular")
 
     # step 4: framing vector -> (0, ..., 0, 1); only step 3 moved it
     xi = mc0.xi.entries
-    xi1, xi2 = xi[:c], prod(psi22_3, xi[c:])
+    xi1, xi2 = xi[:c], mul(psi22_3, xi[c:])
     omega = xi2.item(c, 0)
     off = max(_size(xi1, exact), _size(xi2[:c], exact))
     frame = _size(xi2[c:], exact)
@@ -547,23 +552,23 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
         # it is invertible, as are phi and diag(T, 1))
         w = abs(psi22_4.item(c, c))
         _check_gauge_block_from(min(w, 1.0), max(w, 1.0), psi22_4, bk,
-                                "psi22", tol)
-        _check_gauge_block_from(s_b[-1], s_b[0], T, bk, "phi", tol)
+                                "psi22", t)
+        _check_gauge_block_from(s_b[-1], s_b[0], T, bk, "phi", t)
         _check_gauge_block_from(min(s_b[-1], 1.0), max(s_b[0], 1.0), diag_T,
-                                bk, "psi22", tol)
-    chi = prod(T, b10_inv)
+                                bk, "psi22", t)
+    chi = mul(T, b10_inv)
     g_total = GaugeElement(
-        phi=_wrap(prod(T, a1n), bk), psi11=_wrap(T, bk),
-        psi12=[_wrap(P, bk) for P in prod(T, Ps)],
-        psi22=_wrap(prod(diag_T, prod(psi22_4, psi22_3)), bk),
+        phi=_wrap(mul(T, a1n), bk), psi11=_wrap(T, bk),
+        psi12=[_wrap(P, bk) for P in mul(T, Ps)],
+        psi22=_wrap(mul(diag_T, mul(psi22_4, psi22_3)), bk),
         chi=_wrap(chi, bk))
 
     # chi beta1[1] psi11^-1, psi11 alpha1[n+1] phi^-1, chi beta2[n+1]
     # psi22^-1, inverting factor by factor as acting step by step would:
     # psi11 = T, phi = T a1n, psi22^-1 e_c = omega psi22_3^-1 e_c
     T_inv = _inverse(T, bk)
-    b1_out = prod(chi, b1[1], T_inv)
-    b2_out = prod(T, a1[n + 1], a1n_inv, T_inv)
-    e = red(omega * prod(chi, b2[n + 1], _inverse(psi22_3, bk))[:, c:])
+    b1_out = mul(mul(chi, b1[1]), T_inv)
+    b2_out = mul(mul(mul(T, a1[n + 1]), a1n_inv), T_inv)
+    e = red(omega * mul(mul(chi, b2[n + 1]), _inverse(psi22_3, bk))[:, c:])
     return PlaneADHM(c, _wrap(b1_out.T, bk), _wrap(b2_out.T, bk),
                      _wrap(e.T, bk)), g_total

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Matrix, angle_constants
+from .linalg import COMPLEX, Matrix
 from .plane import PlaneADHM
 from .quiver import FramedRep, embed_xn_as_rep
-from .xn import ChartData, XnADHM, zeta_inverse
+from .xn import (ChartData, XnADHM, _leg_constants, _overlap_pivot,
+                 zeta_inverse)
 
 #: resample thresholds: condition numbers of random invertible blocks and
 #: the chart-overlap pivot of random chart pairs
@@ -181,9 +182,10 @@ def integer_points(rng, c, p):
 def overlap_margin(b1: Matrix, c_count: int, m: int, l: int) -> float:
     """Smallest singular value of the chart-overlap pivot
     c_(m-l) - s_(m-l) b1; zero exactly on the divisor where charts m and l
-    fail to overlap: ``xn._rotate``'s denominator, on the entry array."""
-    ck, sk = angle_constants(c_count, l - m)
-    T = complex(sk) * b1.to_numpy() + complex(ck) * np.eye(b1.rows)
+    fail to overlap: ``xn._overlap_pivot`` of the leg m -> l, from the kept
+    ``xn._leg_constants``."""
+    ck, sk = _leg_constants(COMPLEX, c_count, (l - m,))
+    T = _overlap_pivot(b1.to_numpy(), ck[0], sk[0], COMPLEX)
     return float(np.linalg.svd(T, compute_uv=False)[-1])
 
 

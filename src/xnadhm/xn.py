@@ -19,7 +19,8 @@ The chart dictionary, the three conditions and the transitions run on entry
 arrays: one array core per computation (``_rotation``, ``_chart_entries``,
 ``_chart_reading``, ``_chain_defects``, ``_transition``), which the public
 functions wrap into ``Matrix``, ``ChartData`` or ``XnADHM`` only where they
-return them.
+return them.  The transitions' per-leg chart constants are built once per
+(backend, c, shifts) by ``_leg_constants`` and kept as read-only arrays.
 
 A configuration keeps what it has computed about itself: on floats its node
 conditioning (one batched SVD of the c+1 matrices A2m), and on every backend
@@ -80,8 +81,9 @@ class XnADHM:
     e: Matrix
 
     def __post_init__(self):
-        if self.n < 1 or self.c < 1:
-            raise ShapeMismatch("n and c must be >= 1")
+        _check_n(self.n)
+        if self.c < 1:
+            raise ShapeMismatch("c must be >= 1")
         object.__setattr__(self, "C", tuple(self.C))
         if len(self.C) != self.n:
             raise ShapeMismatch(f"expected {self.n} C-blocks, got {len(self.C)}")
@@ -551,7 +553,7 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     _check_n(n)
     c, bk = cd.c, cd.backend
     b = cd.B.entries
-    eye = linalg._diagonal([bk.one] * c, bk)
+    eye = linalg._identity(c, bk)
     r1, r2 = _rotation(b, eye, -cd.m, c, bk)
     a = cd.A2m.entries
     if not linalg._is_invertible(a, bk, tol):
@@ -620,6 +622,29 @@ def _one_leg(d: PlaneADHM, n: int, m: int, l: int, A2m, tol=None):
     return b1[0], b2[0], None if a2 is None else a2[0]
 
 
+@functools.lru_cache(maxsize=1024)
+def _leg_constants(backend, c: int, shifts: tuple):
+    """(c_k, s_k) of each leg's shift k as two read-only (legs, 1, 1) arrays
+    of ``backend``'s dtype, built once per (backend, c, shifts).  Exact data
+    at a shift whose constants are irrational raise ``UnsupportedBackend``
+    on every call: the cache keeps no call that raised."""
+    angles = {k: _backend_angles(backend, c, k) for k in set(shifts)}
+    ck, sk = np.array([angles[k] for k in shifts],
+                      dtype=backend.dtype).T[:, :, None, None]
+    for a in (ck, sk):
+        a.setflags(write=False)
+    return ck, sk
+
+
+def _overlap_pivot(b1, ck, sk, backend):
+    """The overlap pivot T = s_k b1 + c_k of each leg, from the
+    ``_leg_constants`` (ck, sk) and a (legs, c, c) stack or one c x c
+    array b1: the denominator of ``_transition``'s Moebius map, whose
+    smallest singular value is ``sampling.overlap_margin``."""
+    return backend.reduce(sk * b1 + ck * linalg._identity(b1.shape[-1],
+                                                          backend))
+
+
 def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
                 floor=0.0):
     """Chart transitions of a stack of legs on (legs, c, c) entry arrays of
@@ -628,7 +653,8 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
 
     The Moebius map's numerator c_k b1 - s_k = s_{m-l} + c_{m-l} b1 and
     denominator T = s_k b1 + c_k = c_{m-l} - s_{m-l} b1, at k = l - m, are
-    one broadcast over (legs, 1, 1) arrays of per-leg chart constants.  A
+    one broadcast over the kept (legs, 1, 1) arrays of per-leg chart
+    constants (``_leg_constants``) and the kept identity.  A
     leg is kept when T passes ``_is_invertible``'s test and, on floats, its
     smallest singular value is at least ``floor``; one batched SVD gives
     both.  On the kept legs b1 -> T^-1 num, b2 -> T^n b2 with T^n
@@ -643,12 +669,9 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     """
     _check_n(n)
     bk = backend
-    angles = {k: _backend_angles(bk, c, k) for k in set(shifts)}
-    ck, sk = np.array([angles[k] for k in shifts],
-                      dtype=bk.dtype).T[:, :, None, None]
-    eye = linalg._diagonal([bk.one] * c, bk)
-    num = bk.reduce(ck * b1 - sk * eye)
-    den = bk.reduce(sk * b1 + ck * eye)
+    ck, sk = _leg_constants(bk, c, tuple(shifts))
+    num = bk.reduce(ck * b1 - sk * linalg._identity(c, bk))
+    den = _overlap_pivot(b1, ck, sk, bk)
     if bk.exact:
         keep = np.array([linalg._is_invertible(t, bk, tol) for t in den],
                         dtype=bool)
@@ -723,7 +746,8 @@ def cover_chart(d: XnADHM, tol=None) -> int:
     (``pencil._float_witness``), the smallest index maximizing
     s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests;
     over an exact backend, the first invertible chart among those whose
-    constants are integers, judged exactly.  Raises ``NoChart`` exactly when
+    constants are integers, judged exactly by ``_chart_reading``, which
+    keeps the reading of the chart it finds.  Raises ``NoChart`` exactly when
     ``check_P2`` fails, on every backend; exact data whose pencil is regular
     but singular at every integer chart raise ``UnsupportedBackend``, since
     only a cast to COMPLEX reaches the other charts.
@@ -733,8 +757,7 @@ def cover_chart(d: XnADHM, tol=None) -> int:
     """
     if d.backend.exact:
         best = next((m for m in range(d.c + 1) if _integer_chart(d.c, m)
-                     and is_invertible(_rotate(d.A1, d.A2, m, d.c)[1], tol)),
-                    None)
+                     and _in_chart(d, m, tol)), None)
         if best is None and check_P2(d, tol):
             raise UnsupportedBackend(
                 "no integer-constant chart is invertible; cast to COMPLEX "
@@ -744,6 +767,17 @@ def cover_chart(d: XnADHM, tol=None) -> int:
     if best is None:
         raise NoChart("singular pencil: no invertible chart")
     return best
+
+
+def _in_chart(d: XnADHM, m: int, tol=None) -> bool:
+    """Whether chart m reads ``d``, by ``_chart_reading``: a reading taken
+    here is kept, so the exact chart scan of ``cover_chart`` takes each
+    determinant once per configuration and chart that passes it."""
+    try:
+        _chart_reading(d, m, tol)
+    except NotInChart:
+        return False
+    return True
 
 
 def from_xn_points(n: int, m: int, points, backend=linalg.COMPLEX) -> XnADHM:

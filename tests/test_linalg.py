@@ -1106,3 +1106,50 @@ def test_residual_subtracts_entry_arrays_with_the_checks_of_a_minus_b():
     g = Matrix.from_rows([[1, 2]], GF(5))
     with pytest.raises(UnsupportedBackend):
         residual(g, Matrix.from_rows([[3, 4]], GF(5)))
+
+
+# ---------------------------------------------------------------------------
+# kept identities and fresh zeros
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=repr)
+def test_identity_is_kept_read_only_and_equals_the_diagonal(backend):
+    """``_identity(c, bk)`` is one read-only array per (c, backend), the one
+    ``Matrix.identity`` wraps, with the entries, scalar types and dtype of
+    a fresh ``_diagonal`` of ones."""
+    for c in range(7):
+        eye = linalg._identity(c, backend)
+        assert linalg._identity(c, backend) is eye
+        assert Matrix.identity(c, backend).entries is eye
+        assert not eye.flags.writeable
+        want = linalg._diagonal([backend.one] * c, backend)
+        assert eye.dtype == want.dtype and eye.shape == want.shape == (c, c)
+        assert eye.tolist() == want.tolist()
+        assert [type(x) for x in eye.flat] == [type(x) for x in want.flat]
+        if not backend.exact:
+            assert eye.tobytes() == want.tobytes()
+        if c:
+            with pytest.raises(ValueError, match="read-only"):
+                eye[0, 0] = backend.zero
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=repr)
+def test_zeros_are_fresh_writable_field_zeros(backend):
+    """Two ``_zeros`` calls share no memory and are writable; they hold
+    +0j on floats, ``Fraction(0)`` on the rationals and the residue 0 over
+    GF(p)."""
+    for shape in ((2, 3), (3, 2, 4), (0, 2)):
+        a, b = linalg._zeros(shape, backend), linalg._zeros(shape, backend)
+        assert a.shape == b.shape == shape
+        assert a.dtype == backend.dtype
+        assert not np.shares_memory(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        if backend.exact:
+            kind = Fraction if backend is RATIONAL else int
+            assert all(type(x) is kind and x == 0 for x in a.flat)
+        else:
+            assert not a.any()
+            assert not (np.signbit(a.real).any() or np.signbit(a.imag).any())
+        if a.size:
+            a[(0,) * len(shape)] = backend.one
+            assert b[(0,) * len(shape)] == backend.zero

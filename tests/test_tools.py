@@ -75,6 +75,54 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert held_out["median_ratio"] == 0.5
 
 
+def test_bench_pairs_verdict_on_fixed_numbers():
+    """``gain`` takes 9 of 10 pairs and a median gap past the parent's
+    interquartile spread; otherwise a median worse by no more than the
+    bound is ``within bound``, and a larger loss ``worse``."""
+    tool = _bench_pairs()
+    end_to_end = [{"name": "samples_per_s", "better": "higher",
+                   "bound": 0.12},
+                  {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+    def pairs(parent, change, seed):
+        return [run for k, (p, c) in enumerate(zip(parent, change))
+                for run in (_run("parent", k, *p, seed=seed),
+                            _run("change", k, *c, seed=seed))]
+
+    base = [(100.0 + k % 3, 0.10) for k in range(10)]
+    runs = (
+        # seed 0: 10 of 10 rate wins by 5 against a spread of 2: a gain;
+        # setup 0.1 -> 0.125 is 25 % worse, at the bound
+        pairs(base, [(p + 5.0, 0.125) for p, _ in base], 0)
+        # seed 1: 9 of 10 rate wins by 3 (one pair lost): a gain; setup
+        # 0.1 -> 0.09 on 10 of 10, by more than the spread 0: a gain
+        + pairs(base, [(p + 3.0, 0.09) for p, _ in base[:9]]
+                + [(90.0, 0.09)], 1)
+        # seed 2: 8 of 10 rate wins by 5: within bound; setup 0.1 -> 0.13
+        # is 30 % worse
+        + pairs(base, [(p + 5.0, 0.13) for p, _ in base[:8]]
+                + [(90.0, 0.13)] * 2, 2)
+        # seed 3: 10 of 10 rate wins by 1, inside the spread 2: within
+        # bound; rate -12 % is at the bound, -13 % past it (seeds 4, 5)
+        + pairs(base, [(p + 1.0, 0.1) for p, _ in base], 3)
+        + pairs([(100.0, 0.1)], [(88.0, 0.1)], 4)
+        + pairs([(100.0, 0.1)], [(87.0, 0.1)], 5))
+    got = tool.verdict(runs, end_to_end)
+    assert got == {
+        "samples_per_s": {
+            "oracle seed 0": "gain", "oracle seed 1": "gain",
+            "oracle seed 2": "within bound", "oracle seed 3": "within bound",
+            "oracle seed 4": "within bound", "oracle seed 5": "worse"},
+        "setup_s": {
+            "oracle seed 0": "within bound", "oracle seed 1": "gain",
+            "oracle seed 2": "worse", "oracle seed 3": "within bound",
+            "oracle seed 4": "within bound", "oracle seed 5": "within bound"}}
+    # the summary of the same runs is unchanged by the verdict
+    summary = tool.summarize(runs, end_to_end)
+    assert summary["samples_per_s"]["oracle seed 1"]["change_wins"] == \
+        "9 of 10"
+
+
 def test_bench_pairs_summary_reproduces_a_committed_report():
     """The summary of ``BENCH_28.json``'s run records is its summary."""
     import json

@@ -467,6 +467,21 @@ def test_zeta_inverse_rejects_n_below_one():
             zeta_inverse(cd, n)
 
 
+def test_xn_data_reject_n_below_one_before_any_shape_check():
+    """``XnADHM`` refuses n <= 0 with the ``IndexOutOfRange`` of
+    ``zeta_inverse``, the chart legs and the monad layer, before looking at
+    the blocks; c = 0 stays ``ShapeMismatch``."""
+    d = from_xn_points(1, 0, [(0, 0), (1, 2)])
+    for n in (0, -1):
+        with pytest.raises(IndexOutOfRange, match=rf"^n = {n} must be >= 1$"):
+            replace(d, n=n)
+        with pytest.raises(IndexOutOfRange, match=rf"^n = {n} must be >= 1$"):
+            XnADHM(n, 0, d.A1, d.A2, (), d.e)
+    Z = Matrix.zeros(0, 0)
+    with pytest.raises(ShapeMismatch, match=r"^c must be >= 1$"):
+        XnADHM(1, 0, Z, Z, (Z,), Matrix.zeros(1, 0))
+
+
 def test_zeta_equivariance():
     rng = rng_from_seed(24)
     d = random_xn(rng, 2, 3)
@@ -751,6 +766,50 @@ def test_overlap_margin_is_the_rotated_pivot():
                 want = float(np.linalg.svd(T.to_numpy(),
                                            compute_uv=False)[-1])
                 assert overlap_margin(b1, c, m, l) == want
+
+
+def test_leg_constants_are_kept_read_only_and_equal_a_fresh_build():
+    """``_leg_constants`` is one pair of read-only (legs, 1, 1) arrays per
+    (backend, c, shifts), byte-equal to the array of the float chart
+    constants built afresh, and on the rationals the integer constants."""
+    rng = rng_from_seed(36)
+    for c in range(1, 7):
+        for _ in range(6):
+            shifts = tuple(int(k) for k in rng.integers(
+                -c, c + 1, size=int(rng.integers(1, 9))))
+            ck, sk = xn._leg_constants(COMPLEX, c, shifts)
+            assert xn._leg_constants(COMPLEX, c, shifts)[0] is ck
+            want = np.array([angle_constants(c, k) for k in shifts],
+                            dtype=complex).T[:, :, None, None]
+            for got, w in zip((ck, sk), want):
+                assert got.dtype == complex
+                assert got.shape == (len(shifts), 1, 1)
+                assert got.tobytes() == w.tobytes()
+                assert not got.flags.writeable
+        integer = tuple(k for k in range(-c, c + 1) if xn._integer_chart(c, k))
+        ck, sk = xn._leg_constants(RATIONAL, c, integer)
+        assert [ck.ravel().tolist(), sk.ravel().tolist()] == [
+            [Fraction(int(x)) for x in v] for v in zip(
+                *(angle_constants(c, k) for k in integer))]
+        assert not (ck.flags.writeable or sk.flags.writeable)
+
+
+def test_irrational_leg_on_exact_data_raises_on_every_call():
+    """Nothing is kept for a shift whose constants are irrational: exact
+    legs at such a shift raise ``UnsupportedBackend`` on every call, also
+    after the integer legs of the same c were kept."""
+    from xnadhm.plane import from_plane_points
+
+    d = from_plane_points([(1, 2), (3, -1), (0, 4)], RATIONAL)
+    b = np.stack([d.b1.entries, d.b1.entries])
+    xn._transition(b, b, None, 2, [0, 2], 3, RATIONAL)
+    for _ in range(3):
+        with pytest.raises(UnsupportedBackend):
+            xn._leg_constants(RATIONAL, 3, (0, 1))
+        with pytest.raises(UnsupportedBackend):
+            xn._transition(b, b, None, 2, [0, 1], 3, RATIONAL)
+        with pytest.raises(UnsupportedBackend):
+            transition_phi(d, 2, 0, 1)
 
 
 def _stacked_legs(legs, n, c, backend, floor=0.0):
@@ -1869,6 +1928,27 @@ def test_chart_P3_after_zeta_reads_the_chart_once(monkeypatch):
     to_xn_points(d)
     spectral_witness(d)
     assert calls == [m]
+
+
+def test_exact_chart_scan_keeps_its_reading(monkeypatch):
+    """On exact data ``cover_chart`` scans the integer charts through the
+    kept chart readings: the first ``check_P3_via_chart`` takes one
+    determinant, that of the covering chart's A2m, and a later call none;
+    the verdict is unchanged."""
+    d = from_xn_points(2, 0, [(1, 2), (3, -1), (0, 4)], RATIONAL)
+    calls = []
+    exact_det = linalg._exact_det
+
+    def counting(a, backend):
+        calls.append(a.shape)
+        return exact_det(a, backend)
+
+    monkeypatch.setattr(linalg, "_exact_det", counting)
+    for want in (1, 0, 0):
+        calls.clear()
+        assert check_P3_via_chart(d)
+        assert len(calls) == want
+    assert cover_chart(d) == 0 and calls == []
 
 
 def test_kept_chart_arrays_are_read_only():

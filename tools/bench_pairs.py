@@ -19,8 +19,19 @@ The summary has one entry per end-to-end metric of ``BENCHMARK.json`` and
 per ``"<workload> seed <seed>"``: the runs, lower quartile, median and
 upper quartile of each side, ``change_wins`` (the pairs where the change is
 strictly better, in the metric's ``better`` direction) and
-``median_ratio`` (change median over parent median).  The runs themselves
-are left untouched: nothing under ``benches/`` is written.
+``median_ratio`` (change median over parent median).  Beside it, the
+verdict gives for the same metrics and keys one of three words:
+
+* ``gain``: the change wins at least 9 of every 10 pairs, and its median
+  is better than the parent's by more than the parent's interquartile
+  spread;
+* ``within bound``: otherwise, the change's median is worse than the
+  parent's by no more than the metric's ``bound`` in ``BENCHMARK.json``
+  (a fraction of the parent's median);
+* ``worse``: otherwise.
+
+The runs themselves are left untouched: nothing under ``benches/`` is
+written.
 """
 
 import argparse
@@ -35,15 +46,41 @@ ROOT = Path(__file__).resolve().parent.parent
 ORDER = "pairs alternate which commit runs first (even pairs: parent first)"
 
 
-def _quartiles(values):
+def _raw_quartiles(values):
+    """(lower quartile, median, upper quartile), inclusive method."""
     values = sorted(values)
     if len(values) == 1:
-        q25 = median = q75 = values[0]
-    else:
-        q25, median, q75 = statistics.quantiles(values, n=4,
-                                                method="inclusive")
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def _quartiles(values):
+    q25, median, q75 = _raw_quartiles(values)
     return {"runs": len(values), "q25": round(q25, 4),
             "median": round(median, 4), "q75": round(q75, 4)}
+
+
+def _compared(runs, metric):
+    """(key, parent values, change values, wins, pairs) per
+    ``"<workload> seed <seed>"`` for one metric ``{"name", "better"}``;
+    wins counts the pairs where the change is strictly better."""
+    groups = {}
+    for run in runs:
+        key = f"{run['workload']} seed {run['seed']}"
+        groups.setdefault(key, {"parent": {}, "change": {}})
+        groups[key][run["commit"]][run["pair"]] = run["result"]["metrics"]
+    name, sign = metric["name"], _sign(metric)
+    for key, sides in groups.items():
+        parent = {k: m[name]["value"] for k, m in sides["parent"].items()}
+        change = {k: m[name]["value"] for k, m in sides["change"].items()}
+        pairs = sorted(parent.keys() & change.keys())
+        wins = sum(sign * (change[k] - parent[k]) > 0 for k in pairs)
+        yield (key, list(parent.values()), list(change.values()), wins,
+               len(pairs))
+
+
+def _sign(metric):
+    return 1 if metric["better"] == "higher" else -1
 
 
 def summarize(runs, end_to_end):
@@ -51,28 +88,36 @@ def summarize(runs, end_to_end):
     "workload", "seed", "pair", "result": {"metrics": {name: {"value"}}}}``,
     for the metrics ``end_to_end`` (``BENCHMARK.json``'s list of
     ``{"name", "better"}``).  A pair where both sides are equal is no win."""
-    groups = {}
-    for run in runs:
-        key = f"{run['workload']} seed {run['seed']}"
-        groups.setdefault(key, {"parent": {}, "change": {}})
-        groups[key][run["commit"]][run["pair"]] = run["result"]["metrics"]
     summary = {}
     for metric in end_to_end:
-        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-        summary[name] = {}
-        for key, sides in groups.items():
-            parent = {k: m[name]["value"] for k, m in sides["parent"].items()}
-            change = {k: m[name]["value"] for k, m in sides["change"].items()}
-            pairs = sorted(parent.keys() & change.keys())
-            wins = sum(sign * (change[k] - parent[k]) > 0 for k in pairs)
-            p, c = _quartiles(parent.values()), _quartiles(change.values())
-            summary[name][key] = {
-                "parent": p, "change": c,
-                "change_wins": f"{wins} of {len(pairs)}",
-                "median_ratio": round(statistics.median(change.values())
-                                      / statistics.median(parent.values()),
-                                      4)}
+        summary[metric["name"]] = {
+            key: {"parent": _quartiles(parent), "change": _quartiles(change),
+                  "change_wins": f"{wins} of {pairs}",
+                  "median_ratio": round(statistics.median(change)
+                                        / statistics.median(parent), 4)}
+            for key, parent, change, wins, pairs in _compared(runs, metric)}
     return summary
+
+
+def verdict(runs, end_to_end):
+    """``gain``, ``within bound`` or ``worse`` per metric of ``end_to_end``
+    (each ``{"name", "better", "bound"}``) and per workload and seed of the
+    run records: the rules of the module docstring, on the unrounded
+    quartiles."""
+    out = {}
+    for metric in end_to_end:
+        sign = _sign(metric)
+        out[metric["name"]] = verdicts = {}
+        for key, parent, change, wins, pairs in _compared(runs, metric):
+            p25, p50, p75 = _raw_quartiles(parent)
+            c50 = statistics.median(change)
+            if 10 * wins >= 9 * pairs > 0 and sign * (c50 - p50) > p75 - p25:
+                verdicts[key] = "gain"
+            elif sign * (c50 - p50) >= -metric["bound"] * abs(p50):
+                verdicts[key] = "within bound"
+            else:
+                verdicts[key] = "worse"
+    return out
 
 
 def _end_to_end():
@@ -146,6 +191,7 @@ def main(argv=None):
     runs = report.pop("runs")
     report["correct"] = all(run["result"]["correct"] for run in runs)
     report["summary"] = summarize(runs, _end_to_end())
+    report["verdict"] = verdict(runs, _end_to_end())
     report["runs"] = runs
     text = json.dumps(report, indent=1)
     if args.out:
