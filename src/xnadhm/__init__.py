@@ -40,8 +40,6 @@ from .plane import (
     common_eigenvectors,
     from_plane_points,
     gl_action,
-    joint_spectrum,
-    transpose_triple,
 )
 from .quiver import (
     FramedRep,
@@ -60,7 +58,6 @@ from .quiver import (
 from .xn import (
     ChartData,
     XnADHM,
-    chart_constants,
     chart_matrices,
     check_P1,
     check_P2,

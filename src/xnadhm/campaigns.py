@@ -130,7 +130,7 @@ def _cocycle(item, samples, tol):
     keep, *direct = _transition(
         *(np.repeat(M.entries[None], c + 1, axis=0)
           for M in (cd.B, cd.E, cd.A2m)),
-        n, [k - m for k in range(c + 1)], c, COMPLEX, floor=margin)
+        n, [k - m for k in range(c + 1)], c, COMPLEX, tol, floor=margin)
     charts = np.flatnonzero(keep).tolist()
     legs = len(charts)
     tested = 0
@@ -146,7 +146,7 @@ def _cocycle(item, samples, tol):
         scale = _leg_scales(ends)
         keep, b1, b2, a2 = _transition(
             *(np.repeat(block, legs, axis=0) for block in ends),
-            n, [k - l for l in charts for k in charts], c, COMPLEX,
+            n, [k - l for l in charts for k in charts], c, COMPLEX, tol,
             floor=margin)
         tested = int(keep.sum())
         # leg (l, k) is compared with the direct leg k, over k's scale
@@ -163,13 +163,15 @@ def _cocycle(item, samples, tol):
     g1 = sampling.random_invertible(rng, c)
     g2 = sampling.random_invertible(rng, c)
     if charts:
+        # the gauge is a random draw, not a verdict on the sample, so its
+        # invertibility is tested at the default tolerance whatever tol is
         act = partial(_chart_action, g1.entries, g2.entries,
                       _gauge_inverse(g1, g2), backend=COMPLEX)
         moved = act(cd.B.entries, cd.E.entries, cd.e.entries,
                     cd.A2m.entries)
         keep, b1, b2, a2 = _transition(
             *(np.broadcast_to(M, (legs, c, c)) for M in moved[:2] + moved[3:]),
-            n, [l - m for l in charts], c, COMPLEX, floor=margin)
+            n, [l - m for l in charts], c, COMPLEX, tol, floor=margin)
         if keep.any():
             B, E, A2m = (block[keep] for block in direct)
             ends = act(B, E, np.repeat(cd.e.entries[None], len(B), axis=0),

@@ -316,15 +316,9 @@ class Matrix:
 
     # -- access --------------------------------------------------------------
 
-    def at(self, i, j):
-        return self.entries.item(i, j)
-
     def __getitem__(self, ij):
         i, j = ij
-        return self.at(i, j)
-
-    def row_list(self):
-        return self.entries.tolist()
+        return self.entries.item(i, j)
 
     def column(self, j):
         return _wrap(self.entries[:, [j]], self.backend)
@@ -373,16 +367,6 @@ class Matrix:
 
     def transpose(self):
         return _wrap(self.entries.T, self.backend)
-
-    def power(self, k):
-        if self.rows != self.cols:
-            raise ShapeMismatch("power of a non-square matrix")
-        if k < 0:
-            raise InvalidInput(f"negative matrix power {k}")
-        out = Matrix.identity(self.rows, self.backend)
-        for _ in range(k):
-            out = out @ self
-        return out
 
     # -- conversions / norms -------------------------------------------------
 

@@ -123,12 +123,6 @@ class MonadCoeffs:
     def backend(self):
         return self.xi.backend
 
-    def xi_blocks(self):
-        c = self.c
-        xi1 = self.xi.submatrix(range(c), [0])
-        xi2 = self.xi.submatrix(range(c, 2 * c + 1), [0])
-        return xi1, xi2
-
 
 _FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
 
@@ -206,7 +200,7 @@ def embed_gl_gauge(phi0: Matrix, n: int) -> GaugeElement:
     tinv = inverse(phi0.transpose())
     psi22_rows = []
     for i in range(c):
-        psi22_rows.append([tinv.at(i, j) for j in range(c)] + [bk.zero])
+        psi22_rows.append([tinv[i, j] for j in range(c)] + [bk.zero])
     psi22_rows.append([bk.zero] * c + [bk.one])
     return GaugeElement(phi=tinv, psi11=tinv,
                         psi12=[Matrix.zeros(c, c + 1, bk) for _ in range(n)],
@@ -399,8 +393,8 @@ def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
         b2.append(g.chi @ (mc.beta2[q] @ psi22_inv
                            + mc.beta1[0] @ q12(q) + mc.beta1[1] @ q12(q - 1)))
     b2.append(g.chi @ mc.beta2[n + 1] @ psi22_inv)
-    xi1, xi2 = mc.xi_blocks()
-    xi = vstack(g.psi11 @ xi1, g.psi22 @ xi2)
+    x = mc.xi.entries
+    xi = vstack(g.psi11 @ _wrap(x[:mc.c], bk), g.psi22 @ _wrap(x[mc.c:], bk))
     return MonadCoeffs(n, mc.c, mc.m, a1, a2, b1, b2, xi)
 
 

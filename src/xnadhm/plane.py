@@ -25,8 +25,8 @@ joint spectrum from the eigenvalues of one generic combination b1 + t b2
 (Jennrich's simultaneous diagonalization), so that points whose b1
 coordinates are close stay apart when their b2 coordinates differ.
 
-The transpose triple satisfies the usual stability condition instead; see
-``transpose_triple``.
+The transposed triple satisfies the usual stability condition instead; see
+``check_T2``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def check_T2(d: PlaneADHM, tol=None) -> bool:
     eigenvector, so the rows spanning C^c is equivalent to no joint
     eigenvector lying in ker e (the dual of C[B1, B2] i(W) = V).  On a
     non-commuting pair the test means that no nonzero (b1, b2)-invariant
-    subspace lies in ker e.
+    subspace lies in ker e.  The transposed triple (b1^T, b2^T, e^T) is
+    stable in the usual convention exactly when (b1, b2, e) is co-stable.
 
     The rank is ``_observable`` of e, b1 and b2, each divided by max(1, its
     max-norm), at ``_tol(tol)``.  Rational data is cast to complex;
@@ -253,21 +254,9 @@ def from_plane_points(points, backend=linalg.COMPLEX) -> PlaneADHM:
     return PlaneADHM(c, b1, b2, e)
 
 
-def joint_spectrum(d: PlaneADHM, tol=None):
-    """Sorted (z, w) pairs with multiplicities, read off the joint
-    eigenspaces of (b1, b2)."""
-    return [(z, w, V.cols) for z, w, V in common_eigenvectors(d.b1, d.b2, tol)]
-
-
 def gl_action(phi: Matrix, d: PlaneADHM, tol=None) -> PlaneADHM:
     """Base change (b1, b2, e) -> (phi b1 phi^-1, phi b2 phi^-1, e phi^-1)."""
     if not is_invertible(phi, tol):
         raise SingularGauge("gauge matrix is singular")
     inv = inverse(phi)
     return PlaneADHM(d.c, phi @ d.b1 @ inv, phi @ d.b2 @ inv, d.e @ inv)
-
-
-def transpose_triple(d: PlaneADHM) -> tuple[Matrix, Matrix, Matrix]:
-    """Bridge to the stability convention: the transposed triple
-    (b1^T, b2^T, e^T) is stable iff d is co-stable."""
-    return d.b1.transpose(), d.b2.transpose(), d.e.transpose()

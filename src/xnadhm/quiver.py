@@ -38,7 +38,7 @@ from .errors import (
 # rank is not called here; benches/tracing.py traces it as quiver.rank
 from .linalg import Matrix, nullspace, rank, vstack  # noqa: F401
 from .xn import (XnADHM, _backend_angles, _binomial_combination,
-                 _chain_defects, _chain_holds, _pencil_step, _rotate, _stack,
+                 _chain_defects, _chain_holds, _pencil_step, _rotation, _stack,
                  check_P1, check_P2)
 
 
@@ -201,10 +201,10 @@ def u_m_residual(r: FramedRep, m: int, tol=None):
         raise InvalidInput("u_m needs n >= 2")
     if r.v0 != r.v1:
         raise ShapeMismatch("u_m needs v0 = v1")
-    A2m = _rotate(r.A1, r.A2, m, r.v0)[1]
-    if not linalg.is_invertible(A2m, tol):
+    bk = r.backend
+    a2m = _rotation(r.A1.entries, r.A2.entries, m, r.v0, bk)[1]
+    if not linalg._is_invertible(a2m, bk, tol):
         raise NotInChart(f"det A2m = 0 in chart {m}")
-    bk = A2m.backend
     cm, sm = _backend_angles(bk, r.v0, m)
     return linalg._wrap(_binomial_combination(
         [f.entries for f in r.f], cm, sm, bk), bk)
@@ -262,8 +262,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-#: the most subspaces of V0 that ``brute_force_semistable`` enumerates by
-#: default, and the largest lattice that ``subspace_bases`` keeps
+#: the most subspaces of V0 that ``brute_force_semistable`` enumerates, and
+#: the largest lattice that ``subspace_bases`` keeps
 SUBSPACE_BUDGET = 200_000
 
 
@@ -363,8 +363,7 @@ def _preimage(Cs, S0: Matrix) -> Matrix:
                  S0.backend)
 
 
-def brute_force_semistable(r: FramedRep, theta=None,
-                           budget=SUBSPACE_BUDGET) -> bool:
+def brute_force_semistable(r: FramedRep, theta=None) -> bool:
     """Definitional semistability by exhausting the subspaces S0 of V0, at
     the weight ``theta`` (default ``standard_theta(v0)``).
 
@@ -388,17 +387,16 @@ def brute_force_semistable(r: FramedRep, theta=None,
     so the lattice of V0 is built on the first call for (v0, p) and read
     from its cache after that.
 
-    ``budget`` (default ``SUBSPACE_BUDGET``) bounds the number of subspaces
-    S0 enumerated; more raises ``TooLarge`` before any is built.  A larger
-    budget lets a lattice beyond ``SUBSPACE_BUDGET`` through, streamed
-    and not kept.
+    A lattice of more than ``SUBSPACE_BUDGET`` subspaces S0 raises
+    ``TooLarge`` before any is built.
     """
     if r.backend.kind != "gf":
         raise UnsupportedBackend("the exhaustive check runs over prime fields")
     p = r.backend.p
     total = count_subspaces(r.v0, p)
-    if total > budget:
-        raise TooLarge(f"{total} subspaces of V0 exceed the budget {budget}")
+    if total > SUBSPACE_BUDGET:
+        raise TooLarge(
+            f"{total} subspaces of V0 exceed the budget {SUBSPACE_BUDGET}")
     if theta is None:
         theta = standard_theta(r.v0)
     full = theta_slope(theta, (r.v0, r.v1))

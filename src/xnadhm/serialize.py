@@ -54,7 +54,7 @@ def matrix_to_json(M: Matrix) -> dict:
         "cols": M.cols,
         "backend": repr(M.backend),
         "entries": [_entry_to_json(x, M.backend)
-                    for row in M.row_list() for x in row],
+                    for row in M.entries.tolist() for x in row],
     }
 
 

@@ -57,7 +57,7 @@ from .errors import (
 from .linalg import Matrix, angle_constants, inverse, is_invertible
 from .pencil import _float_conditioning, _float_witness, _regularity, _spectrum
 from .plane import (PlaneADHM, _costable, _observable, _unit,
-                    common_eigenvectors, from_plane_points, joint_spectrum)
+                    common_eigenvectors, from_plane_points)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +173,6 @@ def _check_n(n: int):
         raise IndexOutOfRange(f"n = {n} must be >= 1")
 
 
-def chart_constants(c: int, m: int):
-    """(cos, sin)(pi m / (c+1)) for a chart index 0 <= m <= c."""
-    _check_chart(c, m)
-    return angle_constants(c, m)
-
-
 def _integer_chart(c_count: int, k: int) -> bool:
     """Whether both chart constants of k are integers (0 or +-1), so that
     they lie in every field."""
@@ -249,13 +243,6 @@ def _rotation(x, y, k: int, c_count: int, backend):
     ck, sk = _backend_angles(backend, c_count, k)
     return (linalg._node_entries(x, y, ck, backend.reduce(-sk), backend),
             linalg._node_entries(x, y, sk, ck, backend))
-
-
-def _rotate(X: Matrix, Y: Matrix, k: int, c_count: int):
-    """``_rotation`` of two Matrices of one backend, as Matrices."""
-    bk = X.backend
-    return tuple(linalg._wrap(a, bk)
-                 for a in _rotation(X.entries, Y.entries, k, c_count, bk))
 
 
 def _binomial_combination(blocks, cm, sm, backend):
@@ -805,11 +792,11 @@ def to_xn_points(d: XnADHM, m: int | None = None, tol=None):
     if m is None:
         m = cover_chart(d, tol)
     cd = zeta(d, m, tol)
-    pairs = joint_spectrum(cd.plane(), tol)
+    pairs = [(z, w, V.cols)
+             for z, w, V in common_eigenvectors(cd.B, cd.E, tol)]
     if sum(mult for _, _, mult in pairs) != d.c or any(
             mult > 1 for _, _, mult in pairs):
-        raise NonSimpleSpectrum(
-            f"joint spectrum not simple: {[(z, w, k) for z, w, k in pairs]}")
+        raise NonSimpleSpectrum(f"joint spectrum not simple: {pairs}")
     return m, [(z, w) for z, w, _ in pairs]
 
 

@@ -127,6 +127,23 @@ def test_cocycle_stacks_the_chain_and_moved_legs(monkeypatch):
     assert tested > 0
 
 
+def test_cocycle_tol_reaches_the_overlap_test():
+    # a leg is kept when its overlap pivot passes the invertibility test at
+    # the campaign tol; at tol = 1 its smallest singular value must exceed
+    # max(1, its max-norm), which fewer legs do
+    coarse = run_campaign("cocycle", 8, 0, tol=1.0)["pairs"]["tested"]
+    assert coarse < run_campaign("cocycle", 8, 0)["pairs"]["tested"]
+
+
+@pytest.mark.parametrize("run", [run_campaign,
+                                 partial(replay_sample, index=0)],
+                         ids=["run_campaign", "replay_sample"])
+def test_unknown_suites_are_refused(run):
+    with pytest.raises(ValueError) as raised:
+        run("nope")
+    assert str(raised.value) == "unknown suite 'nope'"
+
+
 def test_cocycle_pairs_sit_beside_the_tallies():
     report = run_campaign("cocycle", 3, 0)
     assert set(report) == {"suite", "seed", "samples", "tallies",

@@ -338,7 +338,7 @@ def test_check_monad_is_literal_on_exact_backends(tmp_path, capsys):
                          Matrix.row_vector([1, 1], bk))
 
     mc = build_jm(triple(RATIONAL), 2, 0)
-    rows = mc.alpha1[3].row_list()
+    rows = mc.alpha1[3].entries.tolist()
     rows[0][0] += Fraction(1, 10**14)
     off = replace(mc, alpha1=mc.alpha1[:3]
                   + (Matrix.from_rows(rows, RATIONAL),))

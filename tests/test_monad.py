@@ -182,12 +182,12 @@ def test_build_jm_scalar_blocks():
                   Matrix.row_vector([1.0]))
     mc = build_jm(d, 2, 0)
     assert mc.alpha1[0].is_zero() and mc.alpha1[1].is_zero()
-    assert abs(mc.alpha1[2].at(0, 0) - 1) < 1e-15
-    assert abs(mc.alpha1[3].at(0, 0) - 1.7) < 1e-15
-    assert abs(mc.beta1[1].at(0, 0) - 0.3) < 1e-15
-    assert [mc.beta2[2].at(0, j) for j in range(2)] == [-1, 0]
-    assert [mc.beta2[3].at(0, j) for j in range(2)] == [-1.7, 1.0]
-    assert [mc.xi.at(i, 0) for i in range(3)] == [0, 0, 1]
+    assert abs(mc.alpha1[2][0, 0] - 1) < 1e-15
+    assert abs(mc.alpha1[3][0, 0] - 1.7) < 1e-15
+    assert abs(mc.beta1[1][0, 0] - 0.3) < 1e-15
+    assert [mc.beta2[2][0, j] for j in range(2)] == [-1, 0]
+    assert [mc.beta2[3][0, j] for j in range(2)] == [-1.7, 1.0]
+    assert [mc.xi[i, 0] for i in range(3)] == [0, 0, 1]
 
 
 def test_build_jm_composes_to_zero_iff_T1():
@@ -245,12 +245,12 @@ def test_reexpand_residual_covariance():
         for q in range(n + 2):
             want = Matrix.zeros(c, c)
             for p in range(n + 2):
-                want = want + before[p].scale(sig.at(p, q))
+                want = want + before[p].scale(sig[p, q])
             assert residual(after[q], want) < 1e-9
         rot = sigma(1, l - mc.m, c)
         for i in range(2):
-            want = before[n + 2].scale(rot.at(0, i)) + before[n + 3].scale(
-                rot.at(1, i))
+            want = before[n + 2].scale(rot[0, i]) + before[n + 3].scale(
+                rot[1, i])
             assert residual(after[n + 2 + i], want) < 1e-9
 
 
@@ -477,21 +477,25 @@ def test_normalize_gauge_matches_closed_form():
         cd, sd = angle_constants(c, m - l)
         tb1 = d.b1.transpose()
         ident = Matrix.identity(c)
+
+        def power(M, k):
+            return functools.reduce(Matrix.__matmul__, [M] * k, ident)
+
         d1 = ident.scale(cd) - tb1.scale(sd)
         d2 = ident.scale(sd) + tb1.scale(cd)
         sig = sigma(n, l - m, c)
         core = -(d2 @ inverse(d1))
-        assert residual(gauge.phi, inverse(d1.power(n - 1))) < 1e-9
+        assert residual(gauge.phi, inverse(power(d1, n - 1))) < 1e-9
         assert residual(gauge.psi11, d1) < 1e-9
-        top = inverse(d1.power(n))
+        top = inverse(power(d1, n))
         psi22 = Matrix.from_rows(
-            [[top.at(i, j) for j in range(c)] + [0] for i in range(c)]
+            [[top[i, j] for j in range(c)] + [0] for i in range(c)]
             + [[0] * c + [1]])
         assert residual(gauge.psi22, psi22) < 1e-8
         for q in range(n):
             acc = Matrix.zeros(c, c)
             for p in range(q + 1):
-                acc = acc + core.power(p).scale(sig.at(n, q - p))
+                acc = acc + power(core, p).scale(sig[n, q - p])
             want = hstack(-acc, Matrix.zeros(c, 1))
             assert residual(gauge.psi12[q], want) / max(
                 1.0, want.maxnorm()) < 1e-8
@@ -518,9 +522,9 @@ def test_normalize_scalar_hand_pipeline():
                   Matrix.row_vector([ev]))
     got, _ = gauge_normalize(reexpand_chart(build_jm(d, n, m), l), l)
     cd, sd = angle_constants(1, m - l)
-    assert abs(got.b1.at(0, 0) - (sd + cd * z) / (cd - sd * z)) < 1e-12
-    assert abs(got.b2.at(0, 0) - (cd - sd * z) ** n * w) < 1e-12
-    assert abs(got.e.at(0, 0) - ev) < 1e-12
+    assert abs(got.b1[0, 0] - (sd + cd * z) / (cd - sd * z)) < 1e-12
+    assert abs(got.b2[0, 0] - (cd - sd * z) ** n * w) < 1e-12
+    assert abs(got.e[0, 0] - ev) < 1e-12
 
 
 def test_normalize_rejects_non_monad_points():
@@ -576,15 +580,16 @@ def reference_gauge_normalize(mc, l):
     a20 = mc0.alpha2[0] @ a1n_inv
     if bk.exact:
         r = nullspace(a20.transpose()).column(0).transpose()
-        pivot = max(range(a20.rows), key=lambda j: abs(complex(r.at(0, j))))
-        r = r.scale(bk.inv(r.at(0, pivot)))
+        pivot = max(range(a20.rows), key=lambda j: abs(complex(r[0, j])))
+        r = r.scale(bk.inv(r[0, pivot]))
     else:
         vec = np.linalg.svd(a20.to_numpy())[0][:, -1].conj()
         r = Matrix.from_numpy(
             (vec / vec[np.argmax(np.abs(vec))]).reshape(1, -1))
     top = b10_inv @ (mc0.beta2[n] + mc0.beta1[1] @ prev)
     psi22_3 = vstack(-top, r)
-    omega = (psi22_3 @ mc0.xi_blocks()[1]).at(c, 0)
+    xi2 = mc0.xi.submatrix(range(c, 2 * c + 1), [0])
+    omega = (psi22_3 @ xi2)[c, 0]
     psi22_4 = Matrix.diagonal([bk.one] * c + [bk.inv(omega)], bk)
     g_raw = (gauge(psi22=psi22_4).compose(gauge(psi22=psi22_3))
              .compose(g2).compose(g1))
@@ -679,7 +684,7 @@ def _rational_jm():
 
 
 def _shift_entry(M, i, j, delta):
-    rows = M.row_list()
+    rows = M.entries.tolist()
     rows[i][j] += delta
     return Matrix.from_rows(rows, M.backend)
 
@@ -1203,3 +1208,40 @@ def test_monad_coeffs_refuses_blocks_on_different_backends():
     # one backend throughout is a monad datum
     blocks = [[M.cast(GF(5)) for M in getattr(mc, f)] for f in fields]
     MonadCoeffs(mc.n, mc.c, mc.m, *blocks, mc.xi.cast(GF(5)))
+
+
+def _first_replaced(blocks, M):
+    return (M, *blocks[1:])
+
+
+#: one malformed field of the n = 2, c = 2 rational monad of
+#: ``_rational_jm``, and the refusal it meets
+_MALFORMED_MONADS = {
+    "alpha1 slots": (lambda mc: {"alpha1": mc.alpha1[:-1]},
+                     "alpha1/beta2 need n+2 coefficient slots"),
+    "beta1 pair": (lambda mc: {"beta1": mc.beta1 + mc.beta1[:1]},
+                   "alpha2/beta1 are coefficient pairs"),
+    "alpha1 block": (lambda mc: {"alpha1": _first_replaced(
+        mc.alpha1, Matrix.zeros(2, 3, RATIONAL))},
+        "alpha1 blocks must be k2 x k1"),
+    "alpha2 block": (lambda mc: {"alpha2": _first_replaced(
+        mc.alpha2, Matrix.zeros(2, 2, RATIONAL))},
+        "alpha2 blocks must be k4 x k1"),
+    "beta1 block": (lambda mc: {"beta1": _first_replaced(
+        mc.beta1, Matrix.zeros(2, 3, RATIONAL))},
+        "beta1 blocks must be k3 x k2"),
+    "beta2 block": (lambda mc: {"beta2": _first_replaced(
+        mc.beta2, Matrix.zeros(2, 2, RATIONAL))},
+        "beta2 blocks must be k3 x k4"),
+    "xi": (lambda mc: {"xi": Matrix.zeros(4, 1, RATIONAL)},
+           "xi must have length k2 + k4"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_MONADS))
+def test_monad_coeffs_refuse_a_malformed_field(case):
+    field, message = _MALFORMED_MONADS[case]
+    mc = _rational_jm()
+    with pytest.raises(ShapeMismatch) as raised:
+        replace(mc, **field(mc))
+    assert str(raised.value) == message

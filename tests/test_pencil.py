@@ -82,10 +82,10 @@ def test_singular_embedded_block():
     v0, v1 = an.minimal_solution
     assert chain_residual(A1, A2, [v0, v1]) < 1e-12
     # the chain is spanned by v0 = (0, 1), v1 = (1, 0) up to one scale
-    t = v1.at(0, 0)
+    t = v1[0, 0]
     assert abs(t) > 0.1
-    assert abs(v0.at(0, 0)) < 1e-12 and abs(v0.at(1, 0) - t) < 1e-12
-    assert abs(v1.at(1, 0)) < 1e-12
+    assert abs(v0[0, 0]) < 1e-12 and abs(v0[1, 0] - t) < 1e-12
+    assert abs(v1[1, 0]) < 1e-12
 
 
 def test_singular_common_kernel():
@@ -94,7 +94,7 @@ def test_singular_common_kernel():
     assert not an.regular and an.minimal_index == 0
     v0 = an.minimal_solution[0]
     assert (A @ v0).maxnorm() < 1e-12
-    assert abs(v0.at(0, 0)) < 1e-12 and abs(v0.at(1, 0)) > 0.1
+    assert abs(v0[0, 0]) < 1e-12 and abs(v0[1, 0]) > 0.1
 
 
 def test_exact_backends_agree():
@@ -258,7 +258,7 @@ def solved_det_poly(A1, A2):
                           for n1, n2 in nodes], RATIONAL)
     values = [det(A1.scale(n1) + A2.scale(n2)) for n1, n2 in nodes]
     return tuple(sum((w * v for w, v in zip(row, values)), Fraction(0))
-                 for row in inverse(V).row_list())
+                 for row in inverse(V).entries.tolist())
 
 
 @pytest.mark.parametrize("c", range(7))
@@ -383,7 +383,7 @@ def _leibniz_det(M):
     """Determinant of an exact Matrix by the Leibniz formula on its
     ``Fraction`` or residue entries."""
     bk = M.backend
-    rows = M.row_list()
+    rows = M.entries.tolist()
     n = len(rows)
     total = bk.zero
     for perm in permutations(range(n)):

@@ -1,10 +1,13 @@
 """Plane ADHM triples: commutation, co-stability, point data, base change."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xnadhm import plane
-from xnadhm.errors import DuplicatePoint, SingularGauge, UnsupportedBackend
+from xnadhm.errors import (DuplicatePoint, ShapeMismatch, SingularGauge,
+                           UnsupportedBackend)
 from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, is_invertible, rank, residual
 from xnadhm.plane import (
     PlaneADHM,
@@ -13,8 +16,6 @@ from xnadhm.plane import (
     common_eigenvectors,
     from_plane_points,
     gl_action,
-    joint_spectrum,
-    transpose_triple,
 )
 from xnadhm.sampling import (
     _separated_values,
@@ -51,10 +52,9 @@ def test_T1_scalar_always():
 
 
 def test_common_eigenvectors_diagonal():
-    pairs = joint_spectrum(PlaneADHM(2, Matrix.diagonal([1, 2]),
-                                     Matrix.diagonal([3, 4]),
-                                     Matrix.row_vector([1, 1])))
-    assert [(round(z.real), round(w.real), k) for z, w, k in pairs] == [
+    pairs = common_eigenvectors(Matrix.diagonal([1, 2]),
+                                Matrix.diagonal([3, 4]))
+    assert [(round(z.real), round(w.real), V.cols) for z, w, V in pairs] == [
         (1, 3, 1), (2, 4, 1)]
 
 
@@ -71,8 +71,6 @@ def test_common_eigenvectors_honour_tol():
     b1, b2 = Matrix.diagonal([0, 1e-7]), Matrix.zeros(2, 2)
     [(z, w, V)] = common_eigenvectors(b1, b2, 1e-6)
     assert abs(z) < 1e-6 and abs(w) < 1e-12 and V.cols == 2
-    d = PlaneADHM(2, b1, b2, Matrix.row_vector([1, 1]))
-    assert [k for _, _, k in joint_spectrum(d, 1e-6)] == [2]
 
 
 def test_common_eigenvectors_keep_close_points_apart():
@@ -96,8 +94,6 @@ def test_common_eigenvectors_sorted_by_both_coordinates():
     pairs = common_eigenvectors(b1, b2)
     assert [(round(z.real), round(w.real)) for z, w, _ in pairs] == [
         (0, 4), (1, 3), (1, 5)]
-    d = PlaneADHM(3, b1, b2, Matrix.row_vector([1, 1, 1]))
-    assert [(z, w, V.cols) for z, w, V in pairs] == joint_spectrum(d)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -570,10 +566,29 @@ def test_T2_rejects_prime_field():
         check_T2(d)
 
 
+#: one malformed block of a c = 2 triple, and the refusal it meets
+_MALFORMED_TRIPLES = {
+    "b1": ({"b1": Matrix.zeros(2, 3)}, "b1 must be c x c"),
+    "b2": ({"b2": Matrix.zeros(3, 2)}, "b2 must be c x c"),
+    "e": ({"e": Matrix.col_vector([1, 1])}, "e must be a row c-vector"),
+    "backend": ({"e": Matrix.row_vector([1, 1], RATIONAL)},
+                "blocks on different backends"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_TRIPLES))
+def test_plane_refuses_a_malformed_block(case):
+    blocks, message = _MALFORMED_TRIPLES[case]
+    d = from_plane_points([(1, 2), (3, 4)])
+    with pytest.raises(ShapeMismatch) as raised:
+        replace(d, **blocks)
+    assert str(raised.value) == message
+
+
 def test_from_plane_points_single():
     d = from_plane_points([(0, 0)])
     assert d.c == 1 and d.b1.is_zero() and d.b2.is_zero()
-    assert d.e.at(0, 0) == 1
+    assert d.e[0, 0] == 1
 
 
 def test_from_plane_points_costable():
@@ -589,7 +604,7 @@ def test_from_plane_points_duplicate():
 def test_points_spectrum_roundtrip():
     pts = [(0.5 + 0.2j, -1.0 + 0j), (1.5 - 0.4j, 2.0 + 1j), (-2.0 + 0j, 0.25 + 0j)]
     d = from_plane_points(pts)
-    got = [(z, w) for z, w, _ in joint_spectrum(d)]
+    got = [(z, w) for z, w, _ in common_eigenvectors(d.b1, d.b2)]
     for (gz, gw), (pz, pw) in zip(got, sorted(pts, key=lambda p: (p[0].real, p[0].imag))):
         assert abs(gz - pz) < 1e-8 and abs(gw - pw) < 1e-8
 
@@ -624,11 +639,12 @@ def test_gl_action_preserves_spectrum_and_verdicts():
         phi = random_invertible(rng, c)
         moved = gl_action(phi, d)
         if trial % 3 == 0:
-            before = joint_spectrum(d)
-            after = joint_spectrum(moved)
+            before = common_eigenvectors(d.b1, d.b2)
+            after = common_eigenvectors(moved.b1, moved.b2)
             assert len(before) == len(after)
-            for (z0, w0, k0), (z1, w1, k1) in zip(before, after):
-                assert abs(z0 - z1) < 1e-8 and abs(w0 - w1) < 1e-8 and k0 == k1
+            for (z0, w0, V0), (z1, w1, V1) in zip(before, after):
+                assert abs(z0 - z1) < 1e-8 and abs(w0 - w1) < 1e-8
+                assert V0.cols == V1.cols
         assert check_T1(moved) == check_T1(d)
         assert check_T2(moved) == check_T2(d)
 
@@ -646,10 +662,3 @@ def test_gl_action_composition_law():
         assert residual(lhs.b1, rhs.b1) / s < 1e-10
         assert residual(lhs.b2, rhs.b2) / s < 1e-10
         assert residual(lhs.e, rhs.e) / s < 1e-10
-
-
-def test_transpose_bridge_shapes():
-    d = from_plane_points([(1, 2), (3, 4)])
-    tb1, tb2, te = transpose_triple(d)
-    assert te.rows == 2 and te.cols == 1
-    assert residual(tb1, d.b1.transpose()) == 0

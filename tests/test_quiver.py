@@ -3,6 +3,7 @@ framing residuals and the moment comparison."""
 
 import gc
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -48,6 +49,34 @@ def zero_rep(n, c, e_val=1, backend=COMPLEX):
     e = Matrix.from_rows([[e_val] + [0] * (c - 1)], backend)
     f = tuple(Matrix.zeros(c, 1, backend) for _ in range(n - 1))
     return FramedRep(n, c, c, 1, Z, Z, (Z,) * n, e, f)
+
+
+#: one malformed block of the zero representation of n = 2, v0 = 2, v1 = 3,
+#: w = 1 (``test_framed_rep_refuses_a_malformed_block``), and the refusal it
+#: meets
+_MALFORMED_REPS = {
+    "backend": ({"e": Matrix.zeros(1, 2, RATIONAL)},
+                "blocks on different backends"),
+    "C count": ({"C": (Matrix.zeros(2, 3),)}, "expected 2 C-blocks"),
+    "f count": ({"f": ()}, "expected 1 f-blocks"),
+    "A1": ({"A1": Matrix.zeros(2, 3)}, "A1 must be v1 x v0"),
+    "A2": ({"A2": Matrix.zeros(2, 3)}, "A2 must be v1 x v0"),
+    "C block": ({"C": (Matrix.zeros(2, 3), Matrix.zeros(3, 2))},
+                "C blocks must be v0 x v1"),
+    "e": ({"e": Matrix.zeros(1, 3)}, "e must be w x v0"),
+    "f block": ({"f": (Matrix.zeros(1, 2),)}, "f blocks must be v0 x w"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_REPS))
+def test_framed_rep_refuses_a_malformed_block(case):
+    blocks, message = _MALFORMED_REPS[case]
+    A, C = Matrix.zeros(3, 2), Matrix.zeros(2, 3)
+    r = FramedRep(2, 2, 3, 1, A, A, (C, C), Matrix.zeros(1, 2),
+                  (Matrix.zeros(2, 1),))
+    with pytest.raises(ShapeMismatch) as raised:
+        replace(r, **blocks)
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +178,6 @@ def test_spectral_valid_embedding():
 def test_spectral_reads_framing_within_tol_as_zero():
     # f = 1e-12 is inside the default tolerance but not zero: (P1) and the
     # pencil decide, as they do for the same data at f = 0
-    from dataclasses import replace
-
     d = random_xn(rng_from_seed(2), 3, 2)
     r = embed_xn_as_rep(d)
     small = replace(r, f=(Matrix.zeros(2, 1),
@@ -249,8 +276,6 @@ def test_spectral_verdict_equals_the_check_P1_route(tol):
     tol: (P1) read from the (Q1) defects decides as ``check_P1`` did,
     including where (Q1) holds at the scale of e and (P1) fails at its
     own."""
-    from dataclasses import replace
-
     rng = rng_from_seed(2029)
     seen = set()
     p1_alone_fails = 0
@@ -413,7 +438,7 @@ def _point_set(S, p):
     """The vectors of the span of S over GF(p), as a frozenset of tuples."""
     return frozenset(
         tuple(sum(a * x for a, x in zip(coeffs, row)) % p
-              for row in S.row_list())
+              for row in S.entries.tolist())
         for coeffs in product(range(p), repeat=S.cols))
 
 
@@ -427,7 +452,7 @@ def _is_reduced_column_echelon(S):
             return False
         pivots.append(nonzero[0])
     return (pivots == sorted(set(pivots))
-            and all(S.at(i, j) == (j == k) for k, i in enumerate(pivots)
+            and all(S[i, j] == (j == k) for k, i in enumerate(pivots)
                     for j in range(S.cols)))
 
 
@@ -478,10 +503,12 @@ def test_lattice_above_the_budget_is_streamed_and_not_cached():
     assert quiver._subspace_lattice.cache_info() == info
 
 
-def test_bruteforce_raises_too_large_before_caching():
+def test_bruteforce_raises_too_large_before_caching(monkeypatch):
     info = quiver._subspace_lattice.cache_info()
-    with pytest.raises(TooLarge):
-        brute_force_semistable(zero_rep(1, 3, backend=GF(7)), budget=100)
+    with monkeypatch.context() as patch:
+        patch.setattr(quiver, "SUBSPACE_BUDGET", 100)
+        with pytest.raises(TooLarge):
+            brute_force_semistable(zero_rep(1, 3, backend=GF(7)))
     with pytest.raises(TooLarge):
         brute_force_semistable(zero_rep(1, 12, backend=GF(2)))
     assert quiver._subspace_lattice.cache_info() == info
@@ -583,9 +610,12 @@ def test_bruteforce_requires_prime_field():
         brute_force_semistable(zero_rep(1, 1))
 
 
-def test_bruteforce_budget():
-    with pytest.raises(TooLarge):
-        brute_force_semistable(zero_rep(1, 4, backend=GF(5)), budget=10)
+def test_bruteforce_budget(monkeypatch):
+    # the budget is read when the check runs
+    monkeypatch.setattr(quiver, "SUBSPACE_BUDGET", 10)
+    with pytest.raises(TooLarge, match="^1120 subspaces of V0 exceed the "
+                       "budget 10$"):
+        brute_force_semistable(zero_rep(1, 4, backend=GF(5)))
 
 
 def test_casts_hold_no_tuple_blocks():

@@ -24,6 +24,25 @@ def test_outcome_records_prints_one_digest_per_workload_and_seed():
                for line in lines)
 
 
+def test_reach_scan_lists_the_unreached_functions():
+    """``tools/reach_scan.py``, cut down to one round per workload and two
+    samples per suite, lists ``analyze_pencil``, which no workload or suite
+    calls, leaves out ``zeta``, which the workloads reach, and ends on the
+    count."""
+    out = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                              "reach_scan.py"),
+                          "--rounds", "1", "--samples", "2"],
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    *unreached, closing = out.splitlines()
+    assert "xnadhm.pencil.analyze_pencil" in unreached
+    assert "xnadhm.xn.zeta" not in unreached
+    assert unreached == sorted(unreached)
+    reached, total = map(int, re.fullmatch(
+        r"reached (\d+) of (\d+) functions", closing).groups())
+    assert reached + len(unreached) == total
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "tools" / "bench_pairs.py")

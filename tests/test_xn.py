@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from xnadhm.errors import (
+    BackendMismatch,
     IndexOutOfRange,
     InvalidInput,
     NoChart,
@@ -17,6 +18,7 @@ from xnadhm.errors import (
     NotNormalizable,
     ShapeMismatch,
     SingularA2m,
+    SingularGauge,
     UnsupportedBackend,
 )
 from xnadhm import linalg, xn
@@ -50,8 +52,6 @@ from xnadhm.sampling import (
 from xnadhm.xn import (
     ChartData,
     XnADHM,
-    _rotate,
-    chart_constants,
     chart_matrices,
     check_P1,
     check_P2,
@@ -91,14 +91,6 @@ def scalar_xn(n, z, w, e=1.0):
 # chart constants and sigma
 # ---------------------------------------------------------------------------
 
-def test_chart_constants_examples():
-    assert chart_constants(5, 0) == (1.0, 0.0)
-    assert chart_constants(1, 1) == (0.0, 1.0)
-    assert chart_constants(3, 2) == (0.0, 1.0)
-    with pytest.raises(IndexOutOfRange):
-        chart_constants(3, 4)
-
-
 def test_sigma_zero_is_identity():
     for h in range(5):
         assert sigma(h, 0, 4) == Matrix.identity(h + 1)
@@ -111,7 +103,7 @@ def test_sigma_is_cached():
 
 
 def test_sigma_h1_rotation():
-    cm, sm = chart_constants(4, 2)
+    cm, sm = angle_constants(4, 2)
     S = sigma(1, 2, 4)
     expect = Matrix.from_rows([[cm, -sm], [sm, cm]])
     assert residual(S, expect) < 1e-12
@@ -126,6 +118,12 @@ def test_sigma_group_law_example():
 def test_sigma_negative_index_inverse():
     S = sigma(3, 2, 5) @ sigma(3, -2, 5)
     assert residual(S, Matrix.identity(4)) < 1e-10
+
+
+def test_sigma_refuses_a_negative_degree():
+    with pytest.raises(IndexOutOfRange) as raised:
+        sigma(-1, 0, 2)
+    assert str(raised.value) == "h must be >= 0"
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +150,29 @@ def test_chart_matrices_n1_free_parameter_is_C1():
 def test_chart_matrices_scalar_hand_expansion():
     d = scalar_xn(2, 0.7, -0.3)
     m = 1
-    cm, sm = chart_constants(1, m)
+    cm, sm = angle_constants(1, m)
     A1m, A2m, Em, Dm = chart_matrices(d, m)
     z, w = 0.7, -0.3
-    assert abs(A1m.at(0, 0) - (cm * z - sm)) < 1e-14
-    assert abs(A2m.at(0, 0) - (sm * z + cm)) < 1e-14
+    assert abs(A1m[0, 0] - (cm * z - sm)) < 1e-14
+    assert abs(A2m[0, 0] - (sm * z + cm)) < 1e-14
     # D = binom(1,0) c^1 s^0 C1 + binom(1,1) c^0 s^1 C2, here C=(w, z w)
-    assert abs(Dm.at(0, 0) - (cm * w + sm * z * w)) < 1e-14
-    assert abs(Em.at(0, 0) - Dm.at(0, 0) * A2m.at(0, 0)) < 1e-14
+    assert abs(Dm[0, 0] - (cm * w + sm * z * w)) < 1e-14
+    assert abs(Em[0, 0] - Dm[0, 0] * A2m[0, 0]) < 1e-14
+
+
+def _rotate(X, Y, k, c):
+    """``xn._rotation`` of two Matrices of one backend, as Matrices."""
+    bk = X.backend
+    return tuple(linalg._wrap(a, bk)
+                 for a in xn._rotation(X.entries, Y.entries, k, c, bk))
+
+
+def _power(M, k):
+    """M^k as k products onto the identity."""
+    out = Matrix.identity(M.rows, M.backend)
+    for _ in range(k):
+        out = out @ M
+    return out
 
 
 def random_pair(rng, c, backend=COMPLEX):
@@ -276,8 +289,8 @@ def test_P3_scalar_zero_frame_violation(n):
     lam = (-z, 1.0)
     mu = (-w, (-1) ** n * z ** n * w)
     assert abs(lam[0] ** n * mu[0] + lam[1] ** n * mu[1]) < 1e-12
-    assert abs(d.C[0].at(0, 0) * d.A2.at(0, 0) + mu[0]) < 1e-12
-    assert abs(d.C[n - 1].at(0, 0) * d.A1.at(0, 0) - (-1) ** n * mu[1]) < 1e-12
+    assert abs(d.C[0][0, 0] * d.A2[0, 0] + mu[0]) < 1e-12
+    assert abs(d.C[n - 1][0, 0] * d.A1[0, 0] - (-1) ** n * mu[1]) < 1e-12
     assert abs(lam[1] * z + lam[0] * 1.0) < 1e-12
     assert not check_P3_direct(d)
     assert not check_P3_via_chart(d)
@@ -290,6 +303,13 @@ def test_P3_direct_requires_regular_pencil():
         check_P3_direct(d)
     with pytest.raises(NoChart):
         check_P3_via_chart(d)
+
+
+def test_P3_direct_refuses_prime_field_data():
+    d = from_xn_points(1, 0, [(0, 1), (2, 3)], GF(5))
+    with pytest.raises(UnsupportedBackend,
+                       match=r"^\(P3\) needs root finding; use the quiver"):
+        check_P3_direct(d)
 
 
 def eigenvector_p3(d, tol=None):
@@ -391,18 +411,18 @@ def test_commutation_transport():
 def test_zeta_scalar_point():
     d = scalar_xn(2, 0.9, -1.4)
     cd = zeta(d, 0)
-    assert abs(cd.B.at(0, 0) - 0.9) < 1e-14
-    assert abs(cd.E.at(0, 0) + 1.4) < 1e-14
-    assert abs(cd.A2m.at(0, 0) - 1) < 1e-14
+    assert abs(cd.B[0, 0] - 0.9) < 1e-14
+    assert abs(cd.E[0, 0] + 1.4) < 1e-14
+    assert abs(cd.A2m[0, 0] - 1) < 1e-14
 
 
 def test_zeta_inverse_scalar_n3():
     cd = ChartData(0, Matrix.from_rows([[0.5]]), Matrix.from_rows([[2.0]]),
                    Matrix.row_vector([1.0]), Matrix.identity(1))
     d = zeta_inverse(cd, 3)
-    assert abs(d.A1.at(0, 0) - 0.5) < 1e-14
-    assert abs(d.A2.at(0, 0) - 1.0) < 1e-14
-    got = [C.at(0, 0) for C in d.C]
+    assert abs(d.A1[0, 0] - 0.5) < 1e-14
+    assert abs(d.A2[0, 0] - 1.0) < 1e-14
+    got = [C[0, 0] for C in d.C]
     assert np.allclose(got, [2.0, 1.0, 0.5])     # (w, z w, z^2 w)
 
 
@@ -480,6 +500,46 @@ def test_xn_data_reject_n_below_one_before_any_shape_check():
     Z = Matrix.zeros(0, 0)
     with pytest.raises(ShapeMismatch, match=r"^c must be >= 1$"):
         XnADHM(1, 0, Z, Z, (Z,), Matrix.zeros(1, 0))
+
+
+_Z2 = Matrix.zeros(2, 2)
+
+#: one malformed block of n = 2, c = 2 configuration data, and the refusal
+#: it meets
+_MALFORMED_XN = {
+    "C count": ({"C": (_Z2,)}, "expected 2 C-blocks, got 1"),
+    "C block": ({"C": (_Z2, Matrix.zeros(3, 3))},
+                "A and C blocks must be c x c"),
+    "e": ({"e": Matrix.row_vector([1, 1, 1])}, "e must be a row c-vector"),
+    "backend": ({"C": (_Z2, Matrix.zeros(2, 2, RATIONAL))},
+                "blocks on different backends"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_XN))
+def test_xn_data_refuse_a_malformed_block(case):
+    blocks, message = _MALFORMED_XN[case]
+    d = XnADHM(2, 2, _Z2, _Z2, (_Z2, _Z2), Matrix.row_vector([1, 1]))
+    with pytest.raises(ShapeMismatch) as raised:
+        replace(d, **blocks)
+    assert str(raised.value) == message
+
+
+#: one malformed block of a c = 2 chart reading, and the refusal it meets
+_MALFORMED_CHART = {
+    "E": ({"E": Matrix.zeros(2, 3)},
+          "chart blocks must be square of equal size"),
+    "e": ({"e": Matrix.row_vector([1])}, "e must be a row c-vector"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_CHART))
+def test_chart_data_refuse_a_malformed_block(case):
+    blocks, message = _MALFORMED_CHART[case]
+    cd = ChartData(0, _Z2, _Z2, Matrix.row_vector([1, 1]), Matrix.identity(2))
+    with pytest.raises(ShapeMismatch) as raised:
+        replace(cd, **blocks)
+    assert str(raised.value) == message
 
 
 def test_zeta_equivariance():
@@ -598,8 +658,8 @@ def test_transition_phi_scalar_moebius():
                   Matrix.row_vector([1.0]))
     moved = transition_phi(d, n, m, l)
     cm, sm = angle_constants(c, m - l)
-    assert abs(moved.b1.at(0, 0) - (sm + cm * z) / (cm - sm * z)) < 1e-12
-    assert abs(moved.b2.at(0, 0) - (cm - sm * z) ** n * w) < 1e-12
+    assert abs(moved.b1[0, 0] - (sm + cm * z) / (cm - sm * z)) < 1e-12
+    assert abs(moved.b2[0, 0] - (cm - sm * z) ** n * w) < 1e-12
 
 
 def test_transition_phi_not_in_overlap():
@@ -697,11 +757,12 @@ def test_transition_omega_moves_the_plane_part_once(monkeypatch):
 def _transition_reference(d, n, m, l):
     """transition_phi and the denominator as Matrix expressions: the
     rotation's numerator and denominator, then inverse(T) @ num and
-    T.power(n) @ b2."""
+    T^n @ b2."""
     num, T = _rotate(d.b1, Matrix.identity(d.c, d.backend), l - m, d.c)
     if not linalg.is_invertible(T):
         raise NotInOverlap
-    return PlaneADHM(d.c, linalg.inverse(T) @ num, T.power(n) @ d.b2, d.e), T
+    return (PlaneADHM(d.c, linalg.inverse(T) @ num, _power(T, n) @ d.b2, d.e),
+            T)
 
 
 def _same_bits(A, B):
@@ -934,7 +995,7 @@ def test_zeta_checks_the_chart_index_first():
 
 
 def test_rotation_and_sigma_take_relative_angles():
-    # _rotate and sigma take differences of chart indices, which may lie
+    # the rotation and sigma take differences of chart indices, which may lie
     # outside 0..c
     rng = rng_from_seed(37)
     d = random_xn(rng, 1, 2)
@@ -969,6 +1030,25 @@ def test_gl2_preserves_verdicts():
         phi2 = random_invertible(rng, c)
         moved = gl2_action(phi1, phi2, d)
         assert check_P1(moved) and check_P2(moved) and check_P3_direct(moved)
+
+
+def test_gl2_action_refuses_a_singular_gauge():
+    d = random_xn(rng_from_seed(42), 2, 2)
+    with pytest.raises(SingularGauge) as raised:
+        gl2_action(Matrix.identity(2), Matrix.zeros(2, 2), d)
+    assert str(raised.value) == "both gauge matrices must be invertible"
+
+
+def test_gl2_action_chart_refuses_a_foreign_or_misshapen_gauge():
+    d = random_xn(rng_from_seed(43), 2, 2)
+    cd = zeta(d, cover_chart(d))
+    one = Matrix.identity(2)
+    with pytest.raises(BackendMismatch) as raised:
+        gl2_action_chart(one, Matrix.identity(2, RATIONAL), cd)
+    assert str(raised.value) == "gauge and chart data on different backends"
+    with pytest.raises(ShapeMismatch) as raised:
+        gl2_action_chart(one, Matrix.identity(3), cd)
+    assert str(raised.value) == "gauge matrices must be c x c"
 
 
 # ---------------------------------------------------------------------------
@@ -1034,8 +1114,8 @@ def test_one_rule_picks_the_chart_and_decides_P2():
 def test_from_xn_points_single_origin(n, m):
     d = from_xn_points(n, m, [(0, 0)])
     cm, sm = angle_constants(1, m)
-    assert abs(d.A1.at(0, 0) - sm) < 1e-14
-    assert abs(d.A2.at(0, 0) - cm) < 1e-14
+    assert abs(d.A1[0, 0] - sm) < 1e-14
+    assert abs(d.A2[0, 0] - cm) < 1e-14
     assert all(C.is_zero() for C in d.C)
     assert check_P1(d) and check_P2(d) and check_P3_direct(d)
 
@@ -1329,7 +1409,7 @@ def _zeta_inverse_reference(cd, n):
     for q in range(n):
         Cq = Matrix.zeros(c, c, bk)
         for p in range(n):
-            Cq = Cq + powers[p].scale(sig.at(q, p))
+            Cq = Cq + powers[p].scale(sig[q, p])
         Cs.append(Cq @ EAinv)
     return XnADHM(n, c, A @ R1, A @ R2, tuple(Cs), e)
 
@@ -1762,7 +1842,7 @@ def _zeta_inverse_expression(cd, n):
     for q in range(n):
         S = Matrix.zeros(c, c, bk)
         for p in range(n):
-            S = S + cd.B.power(p).scale(sig.at(q, p))
+            S = S + _power(cd.B, p).scale(sig[q, p])
         C.append(S @ tail)
     return xn.XnADHM(n, c, cd.A2m @ R1, cd.A2m @ R2, C, cd.e)
 
