@@ -91,6 +91,19 @@ def scalar_xn(n, z, w, e=1.0):
 # chart constants and sigma
 # ---------------------------------------------------------------------------
 
+def test_chart_constants_examples():
+    """The chart constants (cos, sin)(pi m / (c+1)) are linalg's
+    angle_constants; a chart index above c is refused by the chart maps."""
+    assert angle_constants(5, 0) == (1.0, 0.0)
+    assert angle_constants(1, 1) == (0.0, 1.0)
+    assert angle_constants(3, 2) == (0.0, 1.0)
+    d = random_xn(rng_from_seed(5), 2, 3)
+    with pytest.raises(IndexOutOfRange):
+        zeta(d, 4)
+    with pytest.raises(IndexOutOfRange):
+        chart_matrices(d, 4)
+
+
 def test_sigma_zero_is_identity():
     for h in range(5):
         assert sigma(h, 0, 4) == Matrix.identity(h + 1)
