@@ -14,7 +14,11 @@ pass/fail per tally, takes the largest residual and sums the counts.  Only
 max/sum reductions are used, so the order in which samples run cannot
 change the report, and ``replay_sample`` reruns sample ``i`` of a report
 alone as ``sample((i, _sample_seeds(seed, samples)[i]), samples, tol)``.  A
-run that tallies no verdict is not ``ok``.
+run that tallies no verdict is not ``ok``, and a sample tallies only the
+verdicts it tested.  A generated sample that raises an ``XnAdhmError``
+fails every tally of its suite, and the report then lists it under
+``"errors"`` as {"index", "error", "message"} (the key is absent when no
+sample raised); the fixtures are not guarded and still raise.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sampling
-from .errors import InvalidInput, NotInChart
+from .errors import InvalidInput, NotInChart, XnAdhmError
 from .linalg import COMPLEX, GF, RATIONAL, Matrix, _tol, residual, scale_of
 from .monad import build_jm, gauge_normalize, reexpand_chart
 from .quiver import (
@@ -73,8 +77,18 @@ def run_campaign(suite, samples=100, seed=0, tol=None, jobs=1) -> dict:
         raise ValueError(f"unknown suite {suite!r}")
     start = time.perf_counter()
     spec = SUITES[suite]
+    errors = []
+
+    def guarded(item):
+        try:
+            return spec.sample(item, samples, tol)
+        except XnAdhmError as exc:
+            errors.append({"index": item[0], "error": type(exc).__name__,
+                           "message": str(exc)})
+            return {name: False for name in spec.tallies}, 0.0, {}
+
     outcomes = spec.fixtures() if spec.fixtures else []
-    outcomes += _run_samples(partial(spec.sample, samples=samples, tol=tol),
+    outcomes += _run_samples(guarded,
                              list(enumerate(_sample_seeds(seed, samples))),
                              jobs)
     tallies = {name: {"pass": 0, "fail": 0} for name in spec.tallies}
@@ -89,8 +103,11 @@ def run_campaign(suite, samples=100, seed=0, tol=None, jobs=1) -> dict:
                 counts[key][kind] += count
     tested = sum(t["pass"] + t["fail"] for t in tallies.values())
     ok = tested > 0 and all(t["fail"] == 0 for t in tallies.values())
-    return {"suite": suite, "seed": seed, "samples": samples,
-            "tallies": tallies, "max_residual": worst, **counts,
+    report = {"suite": suite, "seed": seed, "samples": samples,
+              "tallies": tallies, "max_residual": worst, **counts}
+    if errors:
+        report["errors"] = errors
+    return {**report,
             "elapsed_seconds": round(time.perf_counter() - start, 3),
             "ok": ok}
 
@@ -123,7 +140,8 @@ def _cocycle(item, samples, tol):
     cd = sampling.random_chart_data(rng, c)
     d = cd.plane()
     worst = 0.0
-    phi_ok = omega_ok = True
+    # a verdict is tallied only when some leg tested it
+    verdicts = {}
     m = cd.m
     # the direct legs m -> k, one stack over all c+1 charts; a leg is kept
     # when its overlap pivot clears the margin
@@ -155,7 +173,7 @@ def _cocycle(item, samples, tol):
                                (b1, b2, a2))) / scale[want]
         if r.size:
             worst = max(worst, float(r.max()))
-            phi_ok = not (r > 10 * t).any()
+            verdicts["phi_cocycle"] = not (r > 10 * t).any()
     # equivariance of the chart transition under both gauge factors: the
     # moved legs m -> l are one stack, compared with the gauge action on
     # the stacked direct legs; the gauge is tested and g1 inverted once for
@@ -179,10 +197,9 @@ def _cocycle(item, samples, tol):
             scale = _leg_scales(ends[:2] + ends[3:])
             r = _leg_residuals(zip(ends, (b1, b2, moved[2], a2))) / scale
             worst = max(worst, float(r.max()))
-            omega_ok = not (r > t).any()
+            verdicts["omega_equivariance"] = not (r > t).any()
     pairs = {"tested": tested, "skipped": (c + 1) ** 2 - tested}
-    return ({"phi_cocycle": phi_ok, "omega_equivariance": omega_ok}, worst,
-            {"pairs": pairs})
+    return verdicts, worst, {"pairs": pairs}
 
 
 def _stacks(rows):

@@ -721,7 +721,7 @@ def inverse(M: Matrix) -> Matrix:
 
 def _inverse(a, backend):
     """Inverse of a square entry array, or of each matrix of a stack:
-    LAPACK, or on exact backends [a | 1] reduced to echelon form."""
+    LAPACK, or on exact backends ``_exact_inverse``."""
     if not backend.exact:
         try:
             return np.linalg.inv(a)
@@ -732,11 +732,21 @@ def _inverse(a, backend):
         for i, x in enumerate(a):
             out[i] = _inverse(x, backend)
         return out
-    n = len(a)
-    rows, pivots = _rref(np.concatenate((a, _identity(n, backend)), axis=1),
-                         backend)
-    if pivots != list(range(n)):
+    inv = _exact_inverse(a, backend)
+    if inv is None:
         raise SingularMatrix("matrix is singular over the exact backend")
+    return inv
+
+
+def _exact_inverse(a, bk):
+    """Inverse of a square entry array over an exact backend, from one
+    ``_rref`` of [a | 1], or None when a is singular: the pivots then miss
+    some column of a, so one elimination both decides invertibility and
+    gives the inverse."""
+    n = len(a)
+    rows, pivots = _rref(np.concatenate((a, _identity(n, bk)), axis=1), bk)
+    if pivots != list(range(n)):
+        return None
     return np.array([r[n:] for r in rows], dtype=object).reshape(n, n)
 
 

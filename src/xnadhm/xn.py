@@ -641,13 +641,14 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     The Moebius map's numerator c_k b1 - s_k = s_{m-l} + c_{m-l} b1 and
     denominator T = s_k b1 + c_k = c_{m-l} - s_{m-l} b1, at k = l - m, are
     one broadcast over the kept (legs, 1, 1) arrays of per-leg chart
-    constants (``_leg_constants``) and the kept identity.  A
-    leg is kept when T passes ``_is_invertible``'s test and, on floats, its
-    smallest singular value is at least ``floor``; one batched SVD gives
-    both.  On the kept legs b1 -> T^-1 num, b2 -> T^n b2 with T^n
-    multiplied up from T, and A2m -> A2m T: one batched product per
-    factor on every backend, T^-1 by LAPACK on floats and matrix by matrix
-    (by elimination) on the exact backends.
+    constants (``_leg_constants``) and the kept identity.  On floats a
+    leg is kept when T passes ``_is_invertible``'s test and its smallest
+    singular value is at least ``floor``; one batched SVD gives both.  On
+    the exact backends a leg is kept when T is invertible, decided leg by
+    leg by the one elimination that gives T^-1 (``_exact_inverse``).  On
+    the kept legs b1 -> T^-1 num, b2 -> T^n b2 with T^n multiplied up from
+    T, and A2m -> A2m T: one batched product per factor on every backend,
+    T^-1 by LAPACK on floats.
 
     Returns (keep mask, moved b1, moved b2, moved A2m or None) on
     ``backend``, the moved stacks holding the kept legs only.  Exact data
@@ -660,8 +661,8 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     num = bk.reduce(ck * b1 - sk * linalg._identity(c, bk))
     den = _overlap_pivot(b1, ck, sk, bk)
     if bk.exact:
-        keep = np.array([linalg._is_invertible(t, bk, tol) for t in den],
-                        dtype=bool)
+        inv = [linalg._exact_inverse(t, bk) for t in den]
+        keep = np.array([x is not None for x in inv], dtype=bool)
     else:
         s_min, scale = linalg._conditioning(den)
         keep = (s_min >= floor) & (s_min > linalg._tol(tol) * scale)
@@ -671,7 +672,12 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     tn = den
     for _ in range(n - 1):
         tn = linalg._matmul(tn, den, bk)
-    moved_b1 = linalg._matmul(linalg._inverse(den, bk), num, bk)
+    if bk.exact:
+        den_inv = np.array([x for x in inv if x is not None],
+                           dtype=object).reshape(den.shape)
+    else:
+        den_inv = linalg._inverse(den, bk)
+    moved_b1 = linalg._matmul(den_inv, num, bk)
     moved_b2 = linalg._matmul(tn, b2, bk)
     moved_a2 = None if a2m is None else linalg._matmul(a2m, den, bk)
     return keep, moved_b1, moved_b2, moved_a2

@@ -11,7 +11,7 @@ import pytest
 
 from xnadhm import sampling
 from xnadhm.campaigns import SUITES, _sample_seeds, replay_sample, run_campaign
-from xnadhm.errors import NotInOverlap
+from xnadhm.errors import NotInOverlap, XnAdhmError
 from xnadhm.linalg import residual, scale_of
 from xnadhm.xn import gl2_action_chart, transition_omega, transition_phi
 
@@ -34,6 +34,7 @@ def nested_cocycle(samples, seed, margin=0.05, tol=1e-9):
         d = cd.plane()
         m = cd.m
         phi_ok = omega_ok = True
+        phi_tested = omega_tested = False
         for l in range(c + 1):
             for k in range(c + 1):
                 try:
@@ -52,6 +53,7 @@ def nested_cocycle(samples, seed, margin=0.05, tol=1e-9):
                     pairs["skipped"] += 1
                     continue
                 pairs["tested"] += 1
+                phi_tested = True
                 s = scale_of(dk_direct.b1, dk_direct.b2, cdk_direct.A2m)
                 r = max(residual(dk_direct.b1, dk_chain.b1),
                         residual(dk_direct.b2, dk_chain.b2),
@@ -78,8 +80,12 @@ def nested_cocycle(samples, seed, margin=0.05, tol=1e-9):
                     residual(lhs.e, rhs.e), residual(lhs.A2m, rhs.A2m)) / s
             worst = max(worst, r)
             omega_ok = omega_ok and r <= tol
-        tallies["phi_cocycle"]["pass" if phi_ok else "fail"] += 1
-        tallies["omega_equivariance"]["pass" if omega_ok else "fail"] += 1
+            omega_tested = True
+        # a sample tallies only the verdicts it tested
+        if phi_tested:
+            tallies["phi_cocycle"]["pass" if phi_ok else "fail"] += 1
+        if omega_tested:
+            tallies["omega_equivariance"]["pass" if omega_ok else "fail"] += 1
     return tallies, worst, pairs
 
 
@@ -125,6 +131,42 @@ def test_cocycle_stacks_the_chain_and_moved_legs(monkeypatch):
         assert calls["overlap_margin"] == calls["transition_omega"] == 0
         assert calls["transition_phi"] <= c + 1
     assert tested > 0
+
+
+def test_cocycle_that_tests_no_pair_tallies_nothing():
+    # at tol = 1 no overlap pivot passes, so no sample tests a leg: the
+    # run tallies no verdict and is not ok
+    report = run_campaign("cocycle", 8, 0, tol=1.0)
+    assert report["pairs"] == {"tested": 0, "skipped": 141}
+    assert report["tallies"] == {name: {"pass": 0, "fail": 0} for name in
+                                 ("phi_cocycle", "omega_equivariance")}
+    assert not report["ok"]
+    for item in enumerate(_sample_seeds(0, 8)):
+        assert SUITES["cocycle"].sample(item, 8, 1.0)[0] == {}
+
+
+@pytest.mark.parametrize("suite, tol, raised", [
+    ("monad-transition", 0.01, {1: "NotNormalizable", 3: "SingularGauge"}),
+    ("lmp3", 1.0, dict.fromkeys(range(8), "InvalidInput")),
+    ("bruteforce", 1.0, dict.fromkeys(range(8), "ZeroPolynomial")),
+])
+def test_a_sample_that_raises_fails_its_tallies(suite, tol, raised):
+    """A library error in a generated sample fails every tally of the
+    suite for that sample and is listed under "errors"; the run goes on,
+    and replaying the listed index raises the same error."""
+    report = run_campaign(suite, 8, 0, tol=tol)
+    errors = report["errors"]
+    assert {e["index"]: e["error"] for e in errors} == raised
+    assert not report["ok"]
+    for name in SUITES[suite].tallies:
+        assert report["tallies"][name]["fail"] >= len(raised)
+    for e in errors:
+        with pytest.raises(XnAdhmError) as exc:
+            replay_sample(suite, e["index"], 8, 0, tol)
+        assert type(exc.value).__name__ == e["error"]
+        assert str(exc.value) == e["message"]
+    # the key appears only when some sample raised
+    assert "errors" not in run_campaign(suite, 8, 0)
 
 
 def test_cocycle_tol_reaches_the_overlap_test():

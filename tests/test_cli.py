@@ -378,6 +378,19 @@ def test_campaign_that_tests_nothing_fails(suite, capsys):
                for t in report["tallies"].values())
 
 
+def test_campaign_sample_that_raises_is_reported_not_a_traceback(capsys):
+    # samples 1 and 3 raise in gauge_normalize at this tol; the campaign
+    # used to end in their traceback
+    code, out = run_cli(["campaign", "--suite", "monad-transition",
+                         "--samples", "8", "--seed", "0", "--tol", "0.01"],
+                        capsys)
+    report = json.loads(out)
+    assert code == 1 and not report["ok"]
+    assert [(e["index"], e["error"]) for e in report["errors"]] == [
+        (1, "NotNormalizable"), (3, "SingularGauge")]
+    assert report["tallies"]["normalize_vs_transition"]["fail"] >= 2
+
+
 def test_campaign_bruteforce_without_samples_passes_on_fixtures(capsys):
     code, out = run_cli(["campaign", "--suite", "bruteforce", "--samples",
                          "0"], capsys)

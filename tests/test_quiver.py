@@ -694,9 +694,12 @@ def _maps_columns_into(A, S0, S1):
     return all(_vector_in_span(S1, A @ S0.column(j)) for j in range(S0.cols))
 
 
-def pair_enumeration_semistable(r, theta):
+def pair_enumeration_semistable(r, theta, ties=None):
     """Reference oracle: test every subspace pair (S0, S1) for closedness,
-    one column at a time."""
+    one column at a time.  With a set ``ties``, add "zero" for each closed
+    pair of slope exactly 0 other than (0, 0), and "full" for each of slope
+    exactly theta.(v0, v1) other than (V0, V1): the pairs at the edge of
+    ``brute_force_semistable``'s slope bound."""
     p = r.backend.p
     full = theta_slope(theta, (r.v0, r.v1))
     subs1 = list(subspace_bases(r.v1, p))
@@ -712,6 +715,11 @@ def pair_enumeration_semistable(r, theta):
             if not all(_maps_columns_into(C, S1, S0) for C in r.C):
                 continue
             slope = theta_slope(theta, (S0.cols, S1.cols))
+            if ties is not None:
+                if slope == 0 and (S0.cols, S1.cols) != (0, 0):
+                    ties.add("zero")
+                if slope == full and (S0.cols, S1.cols) != (r.v0, r.v1):
+                    ties.add("full")
             if e_kills and slope > 0:
                 return False
             if (contains_f or r.n == 1) and slope > full:
@@ -744,6 +752,8 @@ def test_bruteforce_matches_pair_enumeration():
     cases = list(product((2, 3, 5), (1, 2, 3)))
     verdicts = set()
     signs = set()
+    # the ties met, by whether theta_1 <= 0 (the default theta_c among them)
+    ties = {True: set(), False: set()}
     for trial in range(270):
         p, n = cases[trial % len(cases)]
         v0 = int(rng.integers(1, 4))
@@ -752,14 +762,15 @@ def test_bruteforce_matches_pair_enumeration():
         density = (0.2, 0.5, 0.9)[trial % 3]
         r = random_gf_rep(rng, p, v0, v1, w, n, density)
         theta = CROSS_CHECK_THETAS[(trial // 3) % len(CROSS_CHECK_THETAS)]
-        want = pair_enumeration_semistable(
-            r, theta or standard_theta(v0))
+        weight = theta or standard_theta(v0)
+        want = pair_enumeration_semistable(r, weight, ties[weight[1] <= 0])
         assert brute_force_semistable(r, theta) == want, (trial, p, theta)
         verdicts.add(want)
         if theta:
             signs.add((theta[1] > 0) - (theta[1] < 0))
     assert verdicts == {True, False}
     assert signs == {-1, 0, 1}
+    assert ties == {True: {"zero", "full"}, False: {"zero", "full"}}
 
 
 def test_bruteforce_c4_points_within_default_budget():
@@ -770,6 +781,30 @@ def test_bruteforce_c4_points_within_default_budget():
     assert brute_force_semistable(embed_xn_as_rep(d).cast(GF(5)))
     d0 = XnADHM(d.n, d.c, d.A1, d.A2, d.C, Matrix.zeros(1, 4, RATIONAL))
     assert not brute_force_semistable(embed_xn_as_rep(d0).cast(GF(5)))
+
+
+def test_bruteforce_skips_subspaces_at_or_below_the_slope_bound(monkeypatch):
+    """On the semistable c = 4 points case, only an S0 whose candidate
+    S1 = A1 S0 + A2 S0 has slope above min(0, theta_c.(v0, v1)) reaches a
+    closure test, and each such S0 starts with one A1 test."""
+    pts = [(0, 0), (1, 2), (2, -1), (-1, 1)]
+    r = embed_xn_as_rep(from_xn_points(2, 0, pts, RATIONAL)).cast(GF(5))
+    theta = standard_theta(4)
+    bound = min(0, theta_slope(theta, (4, 4)))
+    above = sum(
+        theta_slope(theta, (S0.cols, rank(hstack(r.A1 @ S0, r.A2 @ S0))))
+        > bound for S0 in subspace_bases(4, 5))
+    a1_tests = []
+    maps_into = quiver._maps_into
+
+    def counted(A, S0, S1):
+        if A is r.A1:
+            a1_tests.append(S0)
+        return maps_into(A, S0, S1)
+
+    monkeypatch.setattr(quiver, "_maps_into", counted)
+    assert brute_force_semistable(r)
+    assert len(a1_tests) == above == 15
 
 
 def _fraction_block(rng, rows, cols):

@@ -965,6 +965,38 @@ def test_stacked_transition_is_exact_at_integer_charts(backend):
         _stacked_legs(legs + [(charts[0], 1)], 2, c, backend)
 
 
+def test_exact_transition_takes_one_elimination_per_leg(monkeypatch):
+    """Each exact leg's pivot T is reduced once, as [T | 1]: the pivots
+    decide whether the leg is kept and give T^-1, and no determinant is
+    taken.  Four RATIONAL legs at c = 3, two of them singular (at the
+    right-angle shifts +-2, T = +-b1, and b1 has an eigenvalue 0)."""
+    c, n = 3, 2
+    regular = np.array(Matrix.from_rows(
+        [[1, 2, 0], [0, 2, 1], [Fraction(1, 3), 0, -1]], RATIONAL).entries)
+    singular = np.array(Matrix.diagonal([0, 1, 2], RATIONAL).entries)
+    b1 = np.stack([regular, singular, regular, singular])
+    b2 = np.stack([regular.T, regular, singular, regular])
+    shifts = [2, 2, -2, -2]
+    calls = {"_rref": 0, "_exact_det": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(linalg, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    keep, moved_b1, moved_b2, _ = xn._transition(b1, b2, None, n, shifts, c,
+                                                 RATIONAL)
+    assert calls == {"_rref": 4, "_exact_det": 0}
+    assert keep.tolist() == [True, False, True, False]
+    for i, leg in enumerate((0, 2)):
+        sign = shifts[leg] // 2
+        T = Matrix.from_rows(sign * b1[leg], RATIONAL)
+        num = Matrix.from_rows(-sign * np.eye(c, dtype=int), RATIONAL)
+        want_b1 = Matrix.from_rows(moved_b1[i], RATIONAL)
+        assert T @ want_b1 == num
+        assert (Matrix.from_rows(moved_b2[i], RATIONAL)
+                == T @ T @ Matrix.from_rows(b2[leg], RATIONAL))
+
+
 #: calls with a chart index outside 0..c = 2, on (d, its chart-0 reading
 #: cd, the monad of cd's plane part in chart 0)
 _OUT_OF_RANGE = {
