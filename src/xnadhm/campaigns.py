@@ -16,7 +16,8 @@ change the report, and ``replay_sample`` reruns sample ``i`` of a report
 alone as ``sample((i, _sample_seeds(seed, samples)[i]), samples, tol)``.  A
 run that tallies no verdict is not ``ok``, and a sample tallies only the
 verdicts it tested.  A generated sample that raises an ``XnAdhmError``
-fails every tally of its suite, and the report then lists it under
+fails every tally of its suite that the samples feed (not those that only
+the fixtures feed), and the report then lists it under
 ``"errors"`` as {"index", "error", "message"} (the key is absent when no
 sample raised); the fixtures are not guarded and still raise.
 """
@@ -85,7 +86,8 @@ def run_campaign(suite, samples=100, seed=0, tol=None, jobs=1) -> dict:
         except XnAdhmError as exc:
             errors.append({"index": item[0], "error": type(exc).__name__,
                            "message": str(exc)})
-            return {name: False for name in spec.tallies}, 0.0, {}
+            return {name: False for name in spec.tallies
+                    if name not in spec.fixture_tallies}, 0.0, {}
 
     outcomes = spec.fixtures() if spec.fixtures else []
     outcomes += _run_samples(guarded,
@@ -350,8 +352,10 @@ class Suite(NamedTuple):
     tallies: tuple
     sample: Callable
     counts: tuple = ()
-    #: outcomes that run before the samples, independent of seed and tol
+    #: outcomes that run before the samples, independent of seed and tol,
+    #: and the tallies that only they feed
     fixtures: Callable | None = None
+    fixture_tallies: tuple = ()
 
 
 SUITES = {
@@ -361,6 +365,7 @@ SUITES = {
     "moment": Suite(("moment_equals_defect",), _moment),
     "um": Suite(("um_vanishing",), _um, counts=("charts",)),
     "bruteforce": Suite(("fixture_agreement", "generated_agreement"),
-                        _bruteforce, fixtures=_bruteforce_fixtures),
+                        _bruteforce, fixtures=_bruteforce_fixtures,
+                        fixture_tallies=("fixture_agreement",)),
     "monad-transition": Suite(("normalize_vs_transition",), _monad_transition),
 }

