@@ -23,9 +23,11 @@ determinant is one call of it, on the integer form of rationals over the
 common denominator to the power c, on residues reduced modulo p, and on
 the integer matrix of a pencil node (``_node_det``); rational rank,
 nullspace and inverse run it on rows over their own common denominators
-and make one ``Fraction`` per result entry.  ``_rref`` over GF(p) is
-Gauss-Jordan elimination modulo p, with ``% p`` and ``pow(x, p - 2, p)``
-inline, since its pivots differ from those over the integers.
+and make one ``Fraction`` per nonzero result entry.  ``_rref`` over GF(p)
+is Gauss-Jordan elimination modulo p, with ``% p`` and ``pow(x, p - 2, p)``
+inline, since its pivots differ from those over the integers.  Exact
+invertibility and the inverse are one ``_rref`` of [a | 1]
+(``_checked_inverse``): its pivots decide and its right block is a^-1.
 
 The product, the inverse, the invertibility tests, the max-norm and the
 float image are array primitives on entries (``_matmul``, ``_inverse``,
@@ -482,9 +484,10 @@ def _rational_product(a, b):
 
 def _fractions(num, d):
     """Object array of the canonical ``Fraction(v, d)`` for each Python int
-    v of the integer array ``num``: one ``Fraction`` per entry."""
-    return np.fromiter((Fraction(v, d) for v in num.flat), dtype=object,
-                       count=num.size).reshape(num.shape)
+    v != 0 of the integer array ``num``, the shared ``RATIONAL.zero`` else."""
+    zero = RATIONAL.zero
+    return np.fromiter((Fraction(v, d) if v else zero for v in num.flat),
+                       dtype=object, count=num.size).reshape(num.shape)
 
 
 def _matmul(a, b, backend):
@@ -574,17 +577,18 @@ def _rref(a, bk):
     Returns (rows, pivot_columns) where ``rows`` is a list of row lists.
     Rationals bring each row over its own common denominator, run
     ``_fraction_free`` on the integer rows and divide every pivot row by the
-    last pivot, which each pivot entry then equals; the zero rows below the
-    rank are ``Fraction(0)``.  Residues take Gauss-Jordan elimination modulo
-    p, whose pivots differ from those over the integers.
+    last pivot, which each pivot entry then equals; every zero entry is the
+    shared ``bk.zero``.  Residues take Gauss-Jordan elimination modulo p,
+    whose pivots differ from those over the integers.
     """
     if bk.kind == "rational":
         rows = [_numerators(row)[0] for row in a.tolist()]
         pivots = _fraction_free(rows)[0]
         r = len(pivots)
         last = rows[r - 1][pivots[-1]] if r else 1
-        zero = Fraction(0)
-        return ([[Fraction(x, last) for x in row] for row in rows[:r]]
+        zero = bk.zero
+        return ([[Fraction(x, last) if x else zero for x in row]
+                 for row in rows[:r]]
                 + [[zero] * a.shape[1] for _ in rows[r:]]), pivots
     p = bk.p
     rows = a.tolist()
@@ -720,31 +724,33 @@ def inverse(M: Matrix) -> Matrix:
 
 
 def _inverse(a, backend):
-    """Inverse of a square entry array, or of each matrix of a stack:
-    LAPACK, or on exact backends ``_exact_inverse``."""
+    """Inverse of a square entry array, or on floats of each matrix of a
+    stack: LAPACK, or on exact backends ``_checked_inverse``."""
     if not backend.exact:
         try:
             return np.linalg.inv(a)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from None
-    if a.ndim == 3:
-        out = np.empty(a.shape, dtype=object)
-        for i, x in enumerate(a):
-            out[i] = _inverse(x, backend)
-        return out
-    inv = _exact_inverse(a, backend)
+    inv = _checked_inverse(a, backend)
     if inv is None:
         raise SingularMatrix("matrix is singular over the exact backend")
     return inv
 
 
-def _exact_inverse(a, bk):
-    """Inverse of a square entry array over an exact backend, from one
-    ``_rref`` of [a | 1], or None when a is singular: the pivots then miss
-    some column of a, so one elimination both decides invertibility and
-    gives the inverse."""
-    n = len(a)
-    rows, pivots = _rref(np.concatenate((a, _identity(n, bk)), axis=1), bk)
+def _checked_inverse(a, backend, tol=None, rel=False):
+    """Inverse of an entry array, or None unless it is square and
+    invertible.  On the exact backends one ``_rref`` of [a | 1] both decides
+    and inverts: a is invertible exactly when the pivots are the columns of
+    a, and the right block is then a^-1.  On floats ``_is_invertible``'s
+    test at ``tol`` (``rel``) decides, and LAPACK inverts."""
+    n, cols = a.shape
+    if n != cols:
+        return None
+    if not backend.exact:
+        ok = _is_invertible(a, backend, tol, rel)
+        return _inverse(a, backend) if ok else None
+    rows, pivots = _rref(np.concatenate((a, _identity(n, backend)), axis=1),
+                         backend)
     if pivots != list(range(n)):
         return None
     return np.array([r[n:] for r in rows], dtype=object).reshape(n, n)
@@ -755,14 +761,14 @@ def is_invertible(M: Matrix, tol=None) -> bool:
 
 
 def _is_invertible(a, backend, tol=None, rel=False) -> bool:
-    """Whether an entry array is square and invertible: a nonzero determinant
-    on the exact backends; on floats, smallest singular value above ``tol``
-    times max(1, max-norm), or with ``rel`` times the largest one."""
+    """Whether an entry array is square and invertible: on the exact
+    backends, whether ``_checked_inverse`` inverts it; on floats, s_min
+    above ``tol`` times max(1, max-norm), or with ``rel`` times s_max."""
     rows, cols = a.shape
     if rows != cols:
         return False
     if backend.exact or rows == 0:
-        return _exact_det(a, backend) != 0
+        return rows == 0 or _checked_inverse(a, backend) is not None
     s = np.linalg.svd(a, compute_uv=False)
     if rel:
         return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])

@@ -38,6 +38,7 @@ from . import linalg
 from .errors import InvalidInput, NotNormalizable, ShapeMismatch, SingularGauge
 from .linalg import (
     Matrix,
+    _checked_inverse,
     _diagonal,
     _identity,
     _inverse,
@@ -362,14 +363,16 @@ def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
     beta1-data into the beta2 s_E slots.  In both, the y2 coefficient moves
     one slot up, from multiplying by (y1, y2).
     """
-    for M, name in ((g.phi, "phi"), (g.psi11, "psi11"),
-                    (g.psi22, "psi22"), (g.chi, "chi")):
-        _check_gauge_block(M.entries, M.backend, name, tol)
+    invs = []
+    for M, name in ((g.phi, "phi"), (g.psi11, "psi11"), (g.psi22, "psi22")):
+        inv = _checked_inverse(M.entries, M.backend, tol, rel=True)
+        if inv is None:
+            raise SingularGauge(f"gauge block {name} is singular")
+        invs.append(_wrap(inv, M.backend))
+    _check_gauge_block(g.chi.entries, g.chi.backend, "chi", tol)
+    phi_inv, psi11_inv, psi22_inv = invs
     n = mc.n
     bk = mc.backend
-    phi_inv = inverse(g.phi)
-    psi11_inv = inverse(g.psi11)
-    psi22_inv = inverse(g.psi22)
     Zq = Matrix.zeros(mc.c, mc.c + 1, bk)
 
     def p12(q):
@@ -488,15 +491,14 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     # kappa(b10)), of phi = T, which is b10 up to roundoff, and of
     # psi22 = diag(T, 1), whose singular values are those of T and 1, each
     # in its old place.  On exact backends step 1 makes all three
-    # invertible.
+    # invertible, and the one elimination that inverts b10 decides.
     if exact:
-        _require(_is_invertible(b1[0], bk, tol), 1,
-                 "beta1 y1-coefficient is singular")
+        b10_inv = _checked_inverse(b1[0], bk)
     else:
         s_b = np.linalg.svd(b1[0], compute_uv=False)
-        _require(s_b[-1] > t * max(1.0, _size(b1[0], exact)), 1,
-                 "beta1 y1-coefficient is singular")
-    b10_inv = _inverse(b1[0], bk)
+        ok = s_b[-1] > t * max(1.0, _size(b1[0], exact))
+        b10_inv = _inverse(b1[0], bk) if ok else None
+    _require(b10_inv is not None, 1, "beta1 y1-coefficient is singular")
     # the base change that closes the loop
     T = _inverse(b10_inv, bk)
     if not exact:
@@ -510,19 +512,18 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     # step 2: alpha1 top s_E slot -> 1; after step 1 it is
     # alpha1[n] - Q_(n-1) alpha2[1]
     a1n = red(a1[n] - mul(prev, a2[1]))
-    _require(_is_invertible(a1n, bk, t, rel=True), 2,
-             "top alpha1 coefficient is singular")
+    a1n_inv = _checked_inverse(a1n, bk, t, rel=True)
+    _require(a1n_inv is not None, 2, "top alpha1 coefficient is singular")
 
     # step 3: alpha2 y1-slot -> (1; 0), beta2 top slot -> (-1, 0); after
     # step 2 the first is alpha2[0] a1n^-1, after step 1 the second is
     # b10^-1 (beta2[n] + beta1[1] Q_(n-1))
-    a1n_inv = _inverse(a1n, bk)
     r = _left_null_row(mul(a2[0], a1n_inv), bk, t)
     top = mul(b10_inv, red(b2[n] + mul(b1[1], prev)))
     psi22_3 = np.concatenate((red(-top), r))
     # (the pivot tests of steps 2 and 3 are the gauge block tests)
-    _require(_is_invertible(psi22_3, bk, t, rel=True), 3,
-             "pivot block is singular")
+    psi22_3_inv = _checked_inverse(psi22_3, bk, t, rel=True)
+    _require(psi22_3_inv is not None, 3, "pivot block is singular")
 
     # step 4: framing vector -> (0, ..., 0, 1); only step 3 moved it
     xi = mc0.xi.entries
@@ -563,6 +564,6 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     T_inv = _inverse(T, bk)
     b1_out = mul(mul(chi, b1[1]), T_inv)
     b2_out = mul(mul(mul(T, a1[n + 1]), a1n_inv), T_inv)
-    e = red(omega * mul(mul(chi, b2[n + 1]), _inverse(psi22_3, bk))[:, c:])
+    e = red(omega * mul(mul(chi, b2[n + 1]), psi22_3_inv)[:, c:])
     return PlaneADHM(c, _wrap(b1_out.T, bk), _wrap(b2_out.T, bk),
                      _wrap(e.T, bk)), g_total

@@ -43,7 +43,7 @@ from .errors import (
     SingularGauge,
     UnsupportedBackend,
 )
-from .linalg import Matrix, eigenvalues, inverse, is_invertible, nullspace, vstack
+from .linalg import Matrix, eigenvalues, nullspace, vstack
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,8 @@ def from_plane_points(points, backend=linalg.COMPLEX) -> PlaneADHM:
 
 def gl_action(phi: Matrix, d: PlaneADHM, tol=None) -> PlaneADHM:
     """Base change (b1, b2, e) -> (phi b1 phi^-1, phi b2 phi^-1, e phi^-1)."""
-    if not is_invertible(phi, tol):
+    inv = linalg._checked_inverse(phi.entries, phi.backend, tol)
+    if inv is None:
         raise SingularGauge("gauge matrix is singular")
-    inv = inverse(phi)
+    inv = linalg._wrap(inv, phi.backend)
     return PlaneADHM(d.c, phi @ d.b1 @ inv, phi @ d.b2 @ inv, d.e @ inv)

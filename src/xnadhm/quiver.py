@@ -346,13 +346,6 @@ def _maps_into(A: Matrix, S0: Matrix, S1: Matrix) -> bool:
                      bk)
 
 
-def _span(m, bk) -> Matrix:
-    """Column basis of the column span of the entry array m, in reduced
-    column echelon form: the nonzero rows of the reduced row echelon form
-    of m^T, as columns."""
-    return _echelon_basis(*linalg._rref(m.T, bk), m.shape[0], bk)
-
-
 def _echelon_basis(rows, pivots, d: int, bk) -> Matrix:
     """The d x len(pivots) column basis in reduced column echelon form
     whose columns are the nonzero ``rows`` of a ``linalg._rref`` result."""
@@ -362,10 +355,12 @@ def _echelon_basis(rows, pivots, d: int, bk) -> Matrix:
 
 def _preimage(Cs, S0: Matrix) -> Matrix:
     """Column basis of the largest S1 with C S1 inside S0 for every C, in
-    reduced column echelon form."""
+    reduced column echelon form: the nonzero rows of the reduced row
+    echelon form of K^T, as columns, for a kernel basis K."""
     ann = nullspace(S0.transpose()).transpose()
-    return _span(nullspace(vstack(*(ann @ C for C in Cs))).entries,
-                 S0.backend)
+    k = nullspace(vstack(*(ann @ C for C in Cs))).entries
+    bk = S0.backend
+    return _echelon_basis(*linalg._rref(k.T, bk), k.shape[0], bk)
 
 
 def _least_node_nullity(a1, a2, v0: int, bk) -> int:
@@ -420,8 +415,8 @@ def brute_force_semistable(r: FramedRep, theta=None) -> bool:
     the threshold.
 
     Every basis is in reduced column echelon form (``subspace_bases``,
-    ``_span``), so each subspace test is one product and one reduction on
-    entry arrays (``_contains``).  The bases S0 come from
+    ``_echelon_basis``), so each subspace test is one product and one
+    reduction on entry arrays (``_contains``).  The bases S0 come from
     ``subspace_bases``, so the lattice of V0 is built on the first call for
     (v0, p) and read from its cache after that.
 

@@ -54,7 +54,9 @@ from .errors import (
     SingularGauge,
     UnsupportedBackend,
 )
-from .linalg import Matrix, angle_constants, inverse, is_invertible
+# inverse is not called here; benches/tracing.py traces it as xn.inverse
+from .linalg import (Matrix, angle_constants, inverse,  # noqa: F401
+                     is_invertible)
 from .pencil import _float_conditioning, _float_witness, _regularity, _spectrum
 from .plane import (PlaneADHM, _costable, _observable, _unit,
                     common_eigenvectors, from_plane_points)
@@ -70,10 +72,10 @@ class XnADHM:
 
     The data is immutable, and a configuration keeps what it computes
     about itself that does not depend on ``tol``: its node conditioning
-    (``_pencil_conditioning``, floats only), the chart readings taken so
-    far (``_chart_readings``) and, on exact data, the charts found singular
-    (``_singular_charts``).  ``dataclasses.replace`` gives a copy that keeps
-    none of them."""
+    (``_pencil_conditioning``, floats only) and the chart readings taken so
+    far (``_chart_readings``), where on exact data a chart found singular
+    reads None.  ``dataclasses.replace`` gives a copy that keeps none of
+    them."""
     n: int
     c: int
     A1: Matrix
@@ -114,20 +116,13 @@ class XnADHM:
 
     @functools.cached_property
     def _chart_readings(self):
-        """The chart readings taken so far, chart index -> read-only entry
-        arrays (b, em, a2m), filled by ``_chart_reading``: ``zeta``,
-        ``check_P3_via_chart``, ``to_xn_points`` and ``spectral_witness``
-        read each chart once per configuration.  A reading depends on
-        neither ``tol`` nor e; the chart test that applies ``tol`` runs on
-        every read."""
+        """The chart readings taken so far by ``_chart_reading``, chart
+        index -> read-only entry arrays (b, em, a2m), or None for an exact
+        chart whose A2m is singular: ``zeta``, ``check_P3_via_chart``,
+        ``to_xn_points`` and ``spectral_witness`` read each chart once per
+        configuration.  A reading depends on neither ``tol`` nor e; the
+        float chart test, which applies ``tol``, runs on every read."""
         return {}
-
-    @functools.cached_property
-    def _singular_charts(self):
-        """The charts whose A2m ``_chart_reading`` found singular on exact
-        data, where that verdict does not depend on ``tol``: a later read
-        raises ``NotInChart`` with no rotation and no determinant."""
-        return set()
 
     def cast(self, backend):
         return XnADHM(self.n, self.c, self.A1.cast(backend),
@@ -507,35 +502,31 @@ def zeta(d: XnADHM, m: int, tol=None) -> ChartData:
 
 def _chart_reading(d: XnADHM, m: int, tol=None):
     """``zeta`` as read-only entry arrays (b, em, a2m); raises
-    ``NotInChart`` when A2m fails the invertibility test.  On float data
-    that test reads the configuration's node conditioning
-    (``XnADHM._pencil_conditioning``), not another SVD.  The reading is
+    ``NotInChart`` when A2m fails the invertibility test.  The reading is
     taken once per configuration and chart and kept in
-    ``XnADHM._chart_readings``; the float test runs on every read, at the
-    caller's ``tol``.  An exact chart that fails is kept in
-    ``XnADHM._singular_charts`` and refused again on sight."""
+    ``XnADHM._chart_readings``.  On exact data one
+    ``linalg._checked_inverse`` of A2m decides and gives A2m^-1, and a
+    singular chart is kept as None.  On float data the test reads the
+    configuration's node conditioning (``XnADHM._pencil_conditioning``),
+    not another SVD, on every read, at the caller's ``tol``."""
     bk = d.backend
-    if bk.exact and m in d._singular_charts:
-        raise NotInChart(f"det A2m = 0 in chart {m}")
-    kept = d._chart_readings.get(m)
-    if kept is None:
-        a1m, a2m, em, _ = _chart_entries(d, m)
-    if bk.exact:
-        # the exact test does not depend on tol, and a kept reading passed it
-        invertible = kept is not None or linalg._is_invertible(a2m, bk, tol)
-    else:
+    if not bk.exact:
+        _check_chart(d.c, m)
         _, s_min, scale = d._pencil_conditioning
-        invertible = s_min[m] > linalg._tol(tol) * scale[m]
-    if not invertible:
-        if bk.exact:
-            d._singular_charts.add(m)
-        raise NotInChart(f"det A2m = 0 in chart {m}")
-    if kept is None:
-        kept = (linalg._matmul(linalg._inverse(a2m, bk), a1m, bk), em, a2m)
-        for a in kept:
+        if not s_min[m] > linalg._tol(tol) * scale[m]:
+            raise NotInChart(f"det A2m = 0 in chart {m}")
+    readings = d._chart_readings
+    if m not in readings:
+        a1m, a2m, em, _ = _chart_entries(d, m)
+        inv = (linalg._checked_inverse(a2m, bk) if bk.exact
+               else linalg._inverse(a2m, bk))
+        readings[m] = None if inv is None else (
+            linalg._matmul(inv, a1m, bk), em, a2m)
+        for a in readings[m] or ():
             a.setflags(write=False)
-        d._chart_readings[m] = kept
-    return kept
+    if readings[m] is None:
+        raise NotInChart(f"det A2m = 0 in chart {m}")
+    return readings[m]
 
 
 def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
@@ -556,7 +547,8 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     eye = linalg._identity(c, bk)
     r1, r2 = _rotation(b, eye, -cd.m, c, bk)
     a = cd.A2m.entries
-    if not linalg._is_invertible(a, bk, tol):
+    a_inv = linalg._checked_inverse(a, bk, tol)
+    if a_inv is None:
         raise SingularA2m("A2m block must be invertible")
     if check and not _costable(b, cd.E.entries, cd.e.entries, bk, tol):
         raise NotCostable("chart triple violates co-stability")
@@ -579,7 +571,7 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
         cs = linalg._zeros((n, c, c), bk)
         for p, power in enumerate(powers):
             cs = cs + sig[:, p, None, None] * power
-    cs = mul(cs, mul(cd.E.entries, linalg._inverse(a, bk)))
+    cs = mul(cs, mul(cd.E.entries, a_inv))
     # C as a list: tuple(generator) leaves a block per call in CPython's
     # tuple free lists until a full collection, which raised peak RSS
     return XnADHM(n, c, linalg._wrap(mul(a, r1), bk),
@@ -658,7 +650,7 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     leg is kept when T passes ``_is_invertible``'s test and its smallest
     singular value is at least ``floor``; one batched SVD gives both.  On
     the exact backends a leg is kept when T is invertible, decided leg by
-    leg by the one elimination that gives T^-1 (``_exact_inverse``).  On
+    leg by the one elimination that gives T^-1 (``_checked_inverse``).  On
     the kept legs b1 -> T^-1 num, b2 -> T^n b2 with T^n multiplied up from
     T, and A2m -> A2m T: one batched product per factor on every backend,
     T^-1 by LAPACK on floats.
@@ -674,7 +666,7 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
     num = bk.reduce(ck * b1 - sk * linalg._identity(c, bk))
     den = _overlap_pivot(b1, ck, sk, bk)
     if bk.exact:
-        inv = [linalg._exact_inverse(t, bk) for t in den]
+        inv = [linalg._checked_inverse(t, bk) for t in den]
         keep = np.array([x is not None for x in inv], dtype=bool)
     else:
         s_min, scale = linalg._conditioning(den)
@@ -698,10 +690,12 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
 
 def gl2_action(phi1: Matrix, phi2: Matrix, d: XnADHM, tol=None) -> XnADHM:
     """(A_i, C_j, e) -> (phi2 A_i phi1^-1, phi1 C_j phi2^-1, e phi1^-1)."""
-    if not (is_invertible(phi1, tol) and is_invertible(phi2, tol)):
+    inv1, inv2 = (linalg._checked_inverse(phi.entries, phi.backend, tol)
+                  for phi in (phi1, phi2))
+    if inv1 is None or inv2 is None:
         raise SingularGauge("both gauge matrices must be invertible")
-    inv1 = inverse(phi1)
-    inv2 = inverse(phi2)
+    inv1 = linalg._wrap(inv1, phi1.backend)
+    inv2 = linalg._wrap(inv2, phi2.backend)
     return XnADHM(d.n, d.c,
                   phi2 @ d.A1 @ inv1,
                   phi2 @ d.A2 @ inv1,
@@ -726,10 +720,11 @@ def gl2_action_chart(phi1: Matrix, phi2: Matrix, cd: ChartData, tol=None) -> Cha
 def _gauge_inverse(phi1: Matrix, phi2: Matrix, tol=None):
     """Entries of phi1^-1, once both gauge matrices pass the invertibility
     test: the part of ``gl2_action_chart`` that does not depend on the
-    chart data."""
-    if not (is_invertible(phi1, tol) and is_invertible(phi2, tol)):
+    chart data.  phi2 is tested, not inverted."""
+    inv1 = linalg._checked_inverse(phi1.entries, phi1.backend, tol)
+    if inv1 is None or not is_invertible(phi2, tol):
         raise SingularGauge("both gauge matrices must be invertible")
-    return inverse(phi1).entries
+    return inv1
 
 
 def _chart_action(g1, g2, inv1, B, E, e, A2m, backend):

@@ -858,7 +858,12 @@ def test_array_primitives_match_matrix_operations(backend):
     """``_matmul``, ``_inverse`` and ``_is_invertible`` (absolute and
     relative) on entry arrays give the Matrix operations' results, the
     schoolbook product and the determinant's verdict, empty shapes
-    included."""
+    included.  ``_checked_inverse`` is None exactly when the determinant
+    is 0 on the exact backends, sizes 0..5 with planted singular matrices,
+    and a two-sided inverse otherwise; on floats it is ``_inverse``'s
+    result byte for byte exactly when ``_is_invertible`` passes, absolute
+    and relative, and None otherwise.  A non-square input is None, also
+    where the pivots of [a | 1] alone would pass a wrong inverse."""
     from xnadhm.linalg import is_invertible
 
     bk = backend
@@ -890,14 +895,49 @@ def test_array_primitives_match_matrix_operations(backend):
     wide = Matrix.zeros(2, 3, bk).entries
     assert not linalg._is_invertible(wide, bk)
     assert not linalg._is_invertible(wide, bk, rel=True)
+    verdicts = set()
+    for n in range(6):
+        for planted in (False, True)[:n + 1]:
+            rows = rng.integers(-4, 5, size=(n, n)).tolist()
+            if planted:     # the last row is the sum of the others
+                rows[-1] = [sum(col) for col in zip(*rows[:-1])] or [0]
+            M = Matrix.from_rows(rows, bk) if n else Matrix.zeros(0, 0, bk)
+            if bk.exact:
+                inv = linalg._checked_inverse(M.entries, bk)
+                assert (inv is None) is (det(M) == 0)
+                verdicts.add(inv is None)
+                if inv is not None:
+                    inv = linalg._wrap(inv, bk)
+                    eye = Matrix.identity(n, bk)
+                    assert inv @ M == eye == M @ inv
+                    assert _scalars_canonical(inv)
+                continue
+            for a in (M.entries, 1e-12 * M.entries):
+                for rel in (False, True):
+                    inv = linalg._checked_inverse(a, bk, rel=rel)
+                    ok = linalg._is_invertible(a, bk, rel=rel)
+                    verdicts.add((ok, rel))
+                    assert (inv is None) is not ok
+                    if ok:
+                        assert inv.tobytes() == \
+                            linalg._inverse(a, bk).tobytes()
+    assert verdicts == ({False, True} if bk.exact else
+                        {(ok, rel) for ok in (False, True)
+                         for rel in (False, True)})
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 0]]):
+        a = Matrix.from_rows(rows, bk).entries
+        if bk.exact:
+            ext = np.concatenate((a, linalg._identity(len(a), bk)), axis=1)
+            assert linalg._rref(ext, bk)[1][:len(a)] == list(range(len(a)))
+        assert linalg._checked_inverse(a, bk) is None
+        assert linalg._checked_inverse(a, bk, rel=True) is None
 
 
 @pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
 def test_exact_stack_products_equal_per_matrix_products(backend):
     """One ``_matmul`` of exact stacks, 3-D x 2-D, 2-D x 3-D and 3-D x 3-D,
     equals the product of each matrix pair entry for entry, with canonical
-    scalars, for an empty stack and a zero inner dimension too; an exact
-    stack inverse, empty included, is the inverse of each matrix."""
+    scalars, for an empty stack and a zero inner dimension too."""
     bk = backend
     rng = np.random.default_rng(17)
 
@@ -923,16 +963,6 @@ def test_exact_stack_products_equal_per_matrix_products(backend):
                 want = linalg._wrap(x.copy(), bk) @ linalg._wrap(y.copy(), bk)
                 M = linalg._wrap(g.copy(), bk)
                 assert M == want and _scalars_canonical(M)
-    for k in (0, 3):
-        a = np.empty((k, 3, 3), dtype=object)
-        for i in range(k):
-            while not linalg._is_invertible(x := stack(1, 3, 3)[0], bk):
-                pass
-            a[i] = x
-        inv = linalg._inverse(a, bk)
-        assert inv.shape == (k, 3, 3)
-        assert all(np.array_equal(y, linalg._inverse(x, bk))
-                   for x, y in zip(a, inv))
 
 
 # ---------------------------------------------------------------------------

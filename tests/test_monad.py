@@ -50,7 +50,7 @@ from xnadhm.monad import (
     max_residual,
     reexpand_chart,
 )
-from xnadhm.plane import PlaneADHM, check_T1
+from xnadhm.plane import PlaneADHM, check_T1, from_plane_points
 from xnadhm.serialize import monad_from_json, monad_to_json
 from xnadhm.sampling import (
     random_costable_triple,
@@ -1189,6 +1189,22 @@ def test_one_float_normalization_runs_four_svds_and_five_inverses(
             calls.clear()
             normalize(mc, l)
             assert (calls.count("svd"), calls.count("inv")) == (svds, 5)
+
+
+def test_one_exact_normalization_runs_six_eliminations(monkeypatch):
+    """On exact data each pivot test is the elimination that inverts the
+    pivot: one ``_rref`` each for b10, T = (b10^-1)^-1, a1n, the left null
+    row, psi22_3 and T^-1, and no determinant."""
+    mc = build_jm(from_plane_points([(1, 2), (3, -1), (0, 4)], RATIONAL),
+                  2, 0)
+    calls = []
+    for name in ("_rref", "_exact_det"):
+        def counted(*args, _fn=getattr(linalg, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    gauge_normalize(mc, 0)
+    assert calls == ["_rref"] * 6
 
 
 def test_monad_coeffs_refuses_blocks_on_different_backends():

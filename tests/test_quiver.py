@@ -546,7 +546,8 @@ def test_span_and_preimage_bases_are_reduced_column_echelon():
         p = (2, 3, 5)[trial % 3]
         d = int(rng.integers(1, 4))
         M = _random_gf(rng, p, d, int(rng.integers(0, 5)))
-        S = quiver._span(M.entries, GF(p))
+        S = quiver._echelon_basis(*linalg._rref(M.entries.T, GF(p)), d,
+                                  GF(p))
         assert _is_reduced_column_echelon(S)
         assert S.rows == d and S.cols == rank(M) == rank(hstack(S, M))
         S0 = list(subspace_bases(d, p))[int(rng.integers(count_subspaces(d, p)))]

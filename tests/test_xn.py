@@ -610,24 +610,34 @@ def test_zeta_refuses_exactly_the_charts_is_invertible_refuses():
     assert sum(verdicts.values()) > len(verdicts) // 2
 
 
+def _count_calls(monkeypatch, *names):
+    """The list to which every later call of one of the named ``linalg``
+    functions appends its name."""
+    calls = []
+    for name in names:
+        def counted(*args, _fn=getattr(linalg, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
 def test_float_zeta_runs_no_invertibility_svd(monkeypatch):
     """On float data zeta reads the cached node conditioning and calls
-    ``_is_invertible`` never; exact data still calls it once per zeta."""
+    ``_is_invertible`` never; exact data take one ``_rref`` per zeta, the
+    elimination that decides invertibility and inverts A2m."""
     rng = rng_from_seed(27)
     floats = [random_xn(rng, n, c) for n, c in ((1, 1), (2, 3), (3, 4))]
     exact = [from_xn_points(2, 0, [(1, 2), (3, -1)], bk)
              for bk in (RATIONAL, GF(5))]
-    calls = []
-    is_invertible_ = linalg._is_invertible
-    monkeypatch.setattr(linalg, "_is_invertible",
-                        lambda *a: calls.append(a) or is_invertible_(*a))
+    calls = _count_calls(monkeypatch, "_is_invertible", "_rref")
     for d in floats:
         for m in range(d.c + 1):
             zeta(d, m)
     assert calls == []
     for d in exact:
         zeta(d, 0)
-    assert len(calls) == len(exact)
+    assert calls == ["_rref"] * len(exact)
 
 
 def test_float_zeta_blocks_are_the_chart_matrices_bytes():
@@ -977,15 +987,10 @@ def test_exact_transition_takes_one_elimination_per_leg(monkeypatch):
     b1 = np.stack([regular, singular, regular, singular])
     b2 = np.stack([regular.T, regular, singular, regular])
     shifts = [2, 2, -2, -2]
-    calls = {"_rref": 0, "_exact_det": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(linalg, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(linalg, name, counted)
+    calls = _count_calls(monkeypatch, "_rref", "_exact_det")
     keep, moved_b1, moved_b2, _ = xn._transition(b1, b2, None, n, shifts, c,
                                                  RATIONAL)
-    assert calls == {"_rref": 4, "_exact_det": 0}
+    assert calls == ["_rref"] * 4
     assert keep.tolist() == [True, False, True, False]
     for i, leg in enumerate((0, 2)):
         sign = shifts[leg] // 2
@@ -1993,7 +1998,9 @@ def test_kept_chart_reading_equals_a_fresh_reading():
     """The reading a configuration keeps for chart m is the one that
     ``chart_matrices`` and ``zeta`` compute on a fresh copy of it, byte for
     byte, at every chart of c = 1..5 on COMPLEX and at the integer charts
-    on RATIONAL and GF(5); a second read returns the kept arrays."""
+    on RATIONAL and GF(5); a second read returns the kept arrays.  A
+    singular exact chart reads None, and a float chart that fails its test
+    is not kept."""
     seen = set()
     for d in _wrapper_cases():
         for m in range(d.c + 1):
@@ -2002,7 +2009,10 @@ def test_kept_chart_reading_equals_a_fresh_reading():
             try:
                 zeta(d, m)
             except NotInChart:
-                assert m not in d._chart_readings
+                if d.backend.exact:
+                    assert d._chart_readings[m] is None
+                else:
+                    assert m not in d._chart_readings
                 continue
             kept = d._chart_readings[m]
             assert xn._chart_reading(d, m) is kept
@@ -2056,49 +2066,41 @@ def test_chart_P3_after_zeta_reads_the_chart_once(monkeypatch):
 
 
 def test_exact_chart_scan_keeps_its_reading(monkeypatch):
-    """On exact data ``cover_chart`` scans the integer charts through the
-    kept chart readings: the first ``check_P3_via_chart`` takes one
-    determinant, that of the covering chart's A2m, and a later call none;
-    the verdict is unchanged."""
+    """On exact data one elimination decides a chart and inverts its A2m:
+    ``from_xn_points`` takes one ``_rref`` and no determinant, and
+    ``cover_chart`` scans the integer charts through the kept chart
+    readings, so the first ``check_P3_via_chart`` takes one ``_rref``, that
+    of the covering chart's [A2m | 1], and a later call none; the verdict
+    is unchanged."""
+    calls = _count_calls(monkeypatch, "_rref", "_exact_det")
     d = from_xn_points(2, 0, [(1, 2), (3, -1), (0, 4)], RATIONAL)
-    calls = []
-    exact_det = linalg._exact_det
-
-    def counting(a, backend):
-        calls.append(a.shape)
-        return exact_det(a, backend)
-
-    monkeypatch.setattr(linalg, "_exact_det", counting)
+    assert calls == ["_rref"]
     for want in (1, 0, 0):
         calls.clear()
         assert check_P3_via_chart(d)
-        assert len(calls) == want
+        assert calls == ["_rref"] * want
     assert cover_chart(d) == 0 and calls == []
 
 
 def test_exact_chart_scan_keeps_a_singular_chart(monkeypatch):
     """A singular integer chart ahead of the covering one is judged once:
     for c = 3 with det A2 = 0, the first ``check_P3_via_chart`` reads
-    charts 0 and 2, and every later call makes no ``_chart_entries`` and no
-    ``_exact_det`` call.  Float data keep no such verdict, since their
-    test depends on ``tol``."""
+    charts 0 and 2 with one ``_rref`` each, keeps chart 0 as None, and
+    every later call makes no ``_chart_entries`` and no elimination.
+    Float data keep no such verdict, since their test depends on
+    ``tol``."""
     d = from_xn_points(2, 2, [(0, 1), (2, 2), (3, 5)], RATIONAL)
-    calls = []
-    chart_entries, exact_det = xn._chart_entries, linalg._exact_det
+    calls = _count_calls(monkeypatch, "_rref", "_exact_det")
+    chart_entries = xn._chart_entries
 
     def counting_entries(d, m):
-        calls.append(("entries", m))
+        calls.append(m)
         return chart_entries(d, m)
 
-    def counting_det(a, backend):
-        calls.append(("det", a.shape))
-        return exact_det(a, backend)
-
     monkeypatch.setattr(xn, "_chart_entries", counting_entries)
-    monkeypatch.setattr(linalg, "_exact_det", counting_det)
     assert check_P3_via_chart(d)
-    assert [m for kind, m in calls if kind == "entries"] == [0, 2]
-    assert d._singular_charts == {0} and set(d._chart_readings) == {2}
+    assert calls == [0, "_rref", 2, "_rref"]
+    assert d._chart_readings[0] is None and set(d._chart_readings) == {0, 2}
     for _ in range(3):
         calls.clear()
         assert check_P3_via_chart(d) and cover_chart(d) == 2
@@ -2111,7 +2113,7 @@ def test_exact_chart_scan_keeps_a_singular_chart(monkeypatch):
     for tol in (None, 1e-3):
         with pytest.raises(NotInChart):
             zeta(f, 0, tol)
-    assert not f._singular_charts
+    assert 0 not in f._chart_readings
 
 
 def test_kept_chart_arrays_are_read_only():
