@@ -27,7 +27,9 @@ and make one ``Fraction`` per nonzero result entry.  ``_rref`` over GF(p)
 is Gauss-Jordan elimination modulo p, with ``% p`` and ``pow(x, p - 2, p)``
 inline, since its pivots differ from those over the integers.  Exact
 invertibility and the inverse are one ``_rref`` of [a | 1]
-(``_checked_inverse``): its pivots decide and its right block is a^-1.
+(``_checked_inverse``): its pivots decide and its right block is a^-1; a
+test that needs no inverse (``_is_invertible``) reads the pivots of
+``_rref(a)`` alone.
 
 The product, the inverse, the invertibility tests, the max-norm and the
 float image are array primitives on entries (``_matmul``, ``_inverse``,
@@ -762,13 +764,14 @@ def is_invertible(M: Matrix, tol=None) -> bool:
 
 def _is_invertible(a, backend, tol=None, rel=False) -> bool:
     """Whether an entry array is square and invertible: on the exact
-    backends, whether ``_checked_inverse`` inverts it; on floats, s_min
-    above ``tol`` times max(1, max-norm), or with ``rel`` times s_max."""
+    backends, whether the pivots of ``_rref(a)`` are all its columns, with
+    no inverse built; on floats, s_min above ``tol`` times max(1,
+    max-norm), or with ``rel`` times s_max."""
     rows, cols = a.shape
     if rows != cols:
         return False
     if backend.exact or rows == 0:
-        return rows == 0 or _checked_inverse(a, backend) is not None
+        return rows == 0 or len(_rref(a, backend)[1]) == rows
     s = np.linalg.svd(a, compute_uv=False)
     if rel:
         return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])

@@ -462,9 +462,12 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     With T = (b10^-1)^-1, the step gauges' blocks (b10^-1, the step-1 slots
     Q_q, the step-2 pivot a1n, psi22_3 and psi22_4) give the composite in
     closed form: phi = T a1n, psi11 = T, psi12_q = -T Q_q,
-    psi22 = diag(T, 1) psi22_4 psi22_3 and chi = T b10^-1.  All of it runs
-    on entry arrays.  Exact backends test beta o alpha = 0 and the framing
-    support literally; floats test them against ``tol``.
+    psi22 = diag(T, 1) psi22_4 psi22_3 and chi = T b10^-1.  Exact backends
+    read T = b10 and T^-1 = b10^-1, so an exact normalization takes four
+    eliminations (b10, a1n, the left null row, psi22_3); floats keep
+    LAPACK's T and T^-1.  All of it runs on entry arrays.  Exact backends
+    test beta o alpha = 0 and the framing support literally; floats test
+    them against ``tol``.
 
     Raises NotNormalizable at the first singular pivot; for re-expanded
     images of ``build_jm`` this happens exactly on the locus
@@ -499,8 +502,9 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
         ok = s_b[-1] > t * max(1.0, _size(b1[0], exact))
         b10_inv = _inverse(b1[0], bk) if ok else None
     _require(b10_inv is not None, 1, "beta1 y1-coefficient is singular")
-    # the base change that closes the loop
-    T = _inverse(b10_inv, bk)
+    # the base change that closes the loop: b10 itself on exact backends,
+    # LAPACK's inverse of b10^-1 on floats
+    T = b1[0] if exact else _inverse(b10_inv, bk)
     if not exact:
         _check_gauge_block_from(s_b[-1], s_b[0], b10_inv, bk, "chi", t)
     Ps = _zeros((n, c, c + 1), bk)
@@ -561,7 +565,7 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     # chi beta1[1] psi11^-1, psi11 alpha1[n+1] phi^-1, chi beta2[n+1]
     # psi22^-1, inverting factor by factor as acting step by step would:
     # psi11 = T, phi = T a1n, psi22^-1 e_c = omega psi22_3^-1 e_c
-    T_inv = _inverse(T, bk)
+    T_inv = b10_inv if exact else _inverse(T, bk)
     b1_out = mul(mul(chi, b1[1]), T_inv)
     b2_out = mul(mul(mul(T, a1[n + 1]), a1n_inv), T_inv)
     e = red(omega * mul(mul(chi, b2[n + 1]), psi22_3_inv)[:, c:])

@@ -9,17 +9,21 @@ For a commuting pair every nonzero invariant subspace holds a joint
 eigenvector, so (T2) is equivalent to the rows e b1^a b2^b spanning C^c:
 the dual of Nakajima's C[B1, B2] i(W) = V.  ``check_T2`` tests that rank
 and searches no eigenvectors; on a non-commuting pair it tests that no
-nonzero invariant subspace lies in ker e.  Its threshold is ``_tol(tol)``
-on singular values of unit rows: a frame that sees one unit eigenvector v
-only by |e v| = 10^-k is co-stable at k <= 6, mostly up to k = 8, and not
-from k = 11 (see ``check_T2``).  The rank is ``_observable``, which the
-direct (P3) test of ``xn`` shares; ``check_T2`` is ``_costable`` on the
-triple's entry arrays, which ``xn`` calls on its chart readings (the chart
-(P3) test and ``zeta_inverse``'s guard).  The rank's verdict is that of a
-growth loop over an orthonormal row basis; with fewer than c rows
-(``check_T2``'s one row e) one SVD of the stacked words first certifies the
-accepts that its smallest singular value proves, against a bound on how far
-the loop can have discarded, and every other case goes to the loop.
+nonzero invariant subspace lies in ker e.  ``check_T2`` is ``_costable`` on
+the triple's entry arrays, which ``xn`` calls on its chart readings (the
+chart (P3) test and ``zeta_inverse``'s guard).  On the exact backends the
+rank is exact (``_exact_observable``): an echelon basis grown by
+``linalg._fraction_free`` on integer rows over the rationals and by
+``linalg._rref`` modulo p, with no tolerance and no float.  On floats its
+threshold is ``_tol(tol)`` on singular values of unit rows: a frame that
+sees one unit eigenvector v only by |e v| = 10^-k is co-stable at k <= 6,
+mostly up to k = 8, and not from k = 11 (see ``check_T2``).  The float rank
+is ``_observable``, which the direct (P3) test of ``xn`` shares.  Its
+verdict is that of a growth loop over an orthonormal row basis; with fewer
+than c rows (``check_T2``'s one row e) one SVD of the stacked words first
+certifies the accepts that its smallest singular value proves, against a
+bound on how far the loop can have discarded, and every other case goes to
+the loop.
 ``common_eigenvectors`` reads the
 joint spectrum from the eigenvalues of one generic combination b1 + t b2
 (Jennrich's simultaneous diagonalization), so that points whose b1
@@ -129,14 +133,13 @@ def check_T2(d: PlaneADHM, tol=None) -> bool:
     subspace lies in ker e.  The transposed triple (b1^T, b2^T, e^T) is
     stable in the usual convention exactly when (b1, b2, e) is co-stable.
 
-    The rank is ``_observable`` of e, b1 and b2, each divided by max(1, its
-    max-norm), at ``_tol(tol)``.  Rational data is cast to complex;
-    prime-field data raises ``UnsupportedBackend``.
-
-    The last singular value scales like |e v| / |e| times the separation of
-    the joint spectrum relative to the pair's max-norm, not like |e v|
-    itself; where the verdict flips is measured in the README
-    ("Co-stability tolerance").
+    On floats the rank is ``_observable`` of e, b1 and b2, each divided by
+    max(1, its max-norm), at ``_tol(tol)``.  The last singular value scales
+    like |e v| / |e| times the separation of the joint spectrum relative to
+    the pair's max-norm, not like |e v| itself; where the verdict flips is
+    measured in the README ("Co-stability tolerance").  Rational and
+    prime-field data take the exact rank ``_exact_observable``, which
+    ignores ``tol``.
     """
     return _costable(d.b1.entries, d.b2.entries, d.e.entries, d.backend, tol)
 
@@ -144,12 +147,61 @@ def check_T2(d: PlaneADHM, tol=None) -> bool:
 def _costable(b1, b2, e, backend, tol=None) -> bool:
     """``check_T2`` on the entry arrays of (b1, b2, e) over ``backend``:
     the one co-stability decision, which ``xn``'s chart (P3) test and
-    ``zeta_inverse``'s guard make on their chart readings too."""
-    if backend.kind == "gf":
-        raise UnsupportedBackend(
-            "use the quiver module's exhaustive check over prime fields")
+    ``zeta_inverse``'s guard make on their chart readings too.  Floats take
+    ``_observable`` at ``_tol(tol)``, the exact backends
+    ``_exact_observable``, which takes no tolerance."""
+    if backend.exact:
+        return _exact_observable(e, (b1, b2), backend)
     b1, b2, e = (linalg._complex_entries(x, backend) for x in (b1, b2, e))
     return _observable(_unit(e), (_unit(b1), _unit(b2)), linalg._tol(tol))
+
+
+def _exact_observable(rows, mats, backend) -> bool:
+    """``_observable`` on exact entry arrays: Kalman's rank, with no
+    tolerance.  An echelon basis of ``rows`` is grown as the float loop
+    grows its orthonormal one: each step multiplies the rows added last by
+    every matrix and eliminates them together with the basis, until the
+    basis has c rows or a step adds none.  The rows that a step added are
+    those of the new echelon basis whose pivot column is new: the pivot
+    columns of a subspace are the leading positions of its vectors, so they
+    grow with it, and those rows are independent of the old span.
+
+    Scaling a row or a matrix by a nonzero constant changes no span, so
+    the rationals run ``linalg._fraction_free`` on the integer numerators of
+    each row and of each matrix over its common denominator, and make no
+    ``Fraction``; each echelon row is divided by the gcd of its entries, so
+    that the integers do not compound from step to step.  Residues take
+    ``linalg._rref`` modulo p."""
+    if backend.kind == "rational":
+        mats = [linalg._integer_form(M)[0] for M in mats]
+        rows = [linalg._numerators(row)[0] for row in rows.tolist()]
+
+        def echelon(rows):
+            pivots = linalg._fraction_free(rows)[0]
+            basis = []
+            for row in rows[:len(pivots)]:
+                g = math.gcd(*row)
+                basis.append([x // g for x in row])
+            return basis, pivots
+    else:
+        rows = rows.tolist()
+
+        def echelon(rows):
+            rows, pivots = linalg._rref(np.array(rows, dtype=object),
+                                        backend)
+            return rows[:len(pivots)], pivots
+    c = len(mats[0])
+    basis, pivots = echelon(rows)
+    last = basis
+    while last and len(basis) < c:
+        step = np.array(last, dtype=object)
+        grown = [row for M in mats
+                 for row in backend.reduce(step @ M).tolist()]
+        new_basis, new_pivots = echelon(basis + grown)
+        last = [row for row, col in zip(new_basis, new_pivots)
+                if col not in pivots]
+        basis, pivots = new_basis, new_pivots
+    return len(basis) >= c
 
 
 def _unit(a):

@@ -482,7 +482,8 @@ def _p3_root_stack(d: XnADHM, roots):
 
 def check_P3_via_chart(d: XnADHM, tol=None) -> bool:
     """Equivalent co-stability test through the covering chart: ``check_T2``
-    of the chart reading (B, E, e), decided on its entry arrays."""
+    of the chart reading (B, E, e), decided on its entry arrays, by the
+    exact rank on RATIONAL and GF(p) data."""
     b, em, _ = _chart_reading(d, cover_chart(d, tol), tol)
     return _costable(b, em, d.e.entries, d.backend, tol)
 
@@ -540,6 +541,14 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     C_q = (sum over p of sigma(n-1, m)[q, p] B^p) E A2m^-1, the n blocks
     one stacked product; all on entry arrays, the guard included.  n < 1
     raises ``IndexOutOfRange`` first.
+
+    No product is taken by a unit block.  An A2m whose entries are the
+    shared ``linalg._identity`` (as ``from_xn_points`` passes) is its own
+    inverse: the exact backends take no elimination, floats still run
+    ``_is_invertible``'s test at ``tol``, and the products by A2m and
+    A2m^-1 are skipped.  The powers of B start from (1, B), and at chart 0,
+    where sigma(n-1, 0) is the identity, the C blocks are the stacked
+    powers times E A2m^-1.
     """
     _check_n(n)
     c, bk = cd.c, cd.backend
@@ -547,7 +556,13 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     eye = linalg._identity(c, bk)
     r1, r2 = _rotation(b, eye, -cd.m, c, bk)
     a = cd.A2m.entries
-    a_inv = linalg._checked_inverse(a, bk, tol)
+    unit = a is eye
+    if not unit:
+        a_inv = linalg._checked_inverse(a, bk, tol)
+    elif bk.exact or linalg._is_invertible(a, bk, tol):
+        a_inv = a
+    else:
+        a_inv = None
     if a_inv is None:
         raise SingularA2m("A2m block must be invertible")
     if check and not _costable(b, cd.E.entries, cd.e.entries, bk, tol):
@@ -556,26 +571,32 @@ def zeta_inverse(cd: ChartData, n: int, tol=None, check=True) -> XnADHM:
     def mul(x, y):
         return linalg._matmul(x, y, bk)
 
-    sig = sigma(n - 1, cd.m, c, bk).entries
-    powers = [eye]
-    for _ in range(n - 1):
+    powers = [eye, b][:n]
+    for _ in range(n - 2):
         powers.append(mul(powers[-1], b))
-    if bk.exact:
-        # the n sums over p as one product sig @ [B^0; ...; B^(n-1)]: on
-        # the rationals one integer matmul, not n Fraction multiply-adds
-        flat = np.stack(powers).reshape(n, c * c)
-        cs = mul(sig, flat).reshape(n, c, c)
+    if cd.m == 0:
+        cs = np.array(powers)       # sigma(n-1, 0) is the identity
     else:
-        # the n sums over p, one (n, c, c) stack, term by term in p; one
-        # BLAS product would round the float sums in another order
-        cs = linalg._zeros((n, c, c), bk)
-        for p, power in enumerate(powers):
-            cs = cs + sig[:, p, None, None] * power
-    cs = mul(cs, mul(cd.E.entries, a_inv))
+        sig = sigma(n - 1, cd.m, c, bk).entries
+        if bk.exact:
+            # the n sums over p as one product sig @ [B^0; ...; B^(n-1)]:
+            # on the rationals one integer matmul, not n Fraction
+            # multiply-adds
+            flat = np.stack(powers).reshape(n, c * c)
+            cs = mul(sig, flat).reshape(n, c, c)
+        else:
+            # the n sums over p, one (n, c, c) stack, term by term in p;
+            # one BLAS product would round the float sums in another order
+            cs = linalg._zeros((n, c, c), bk)
+            for p, power in enumerate(powers):
+                cs = cs + sig[:, p, None, None] * power
+    em = cd.E.entries
+    cs = mul(cs, em if unit else mul(em, a_inv))
+    if not unit:
+        r1, r2 = mul(a, r1), mul(a, r2)
     # C as a list: tuple(generator) leaves a block per call in CPython's
     # tuple free lists until a full collection, which raised peak RSS
-    return XnADHM(n, c, linalg._wrap(mul(a, r1), bk),
-                  linalg._wrap(mul(a, r2), bk),
+    return XnADHM(n, c, linalg._wrap(r1, bk), linalg._wrap(r2, bk),
                   [linalg._wrap(cq, bk) for cq in cs], cd.e)
 
 
@@ -720,7 +741,8 @@ def gl2_action_chart(phi1: Matrix, phi2: Matrix, cd: ChartData, tol=None) -> Cha
 def _gauge_inverse(phi1: Matrix, phi2: Matrix, tol=None):
     """Entries of phi1^-1, once both gauge matrices pass the invertibility
     test: the part of ``gl2_action_chart`` that does not depend on the
-    chart data.  phi2 is tested, not inverted."""
+    chart data.  phi2 is tested, not inverted: on exact data by the pivots
+    of ``_rref(phi2)`` (``is_invertible``), with no inverse to discard."""
     inv1 = linalg._checked_inverse(phi1.entries, phi1.backend, tol)
     if inv1 is None or not is_invertible(phi2, tol):
         raise SingularGauge("both gauge matrices must be invertible")
@@ -787,15 +809,14 @@ def from_xn_points(n: int, m: int, points, backend=linalg.COMPLEX) -> XnADHM:
     """Configuration of distinct points given in chart-m coordinates.
 
     Realized as diagonal chart data (B, E) = (diag z, diag w) with unit
-    framing and unit gauge block, then rebuilt through the chart.  The
-    co-stability guard of ``zeta_inverse`` has no prime-field route, so
-    GF(p) data is built from the residues over the rationals and reduced.
-    On an exact backend the chart must have integer constants, or
-    ``UnsupportedBackend`` is raised.
+    framing and the shared unit gauge block, then rebuilt through the
+    chart by ``zeta_inverse``, which multiplies by no unit block.  GF(p)
+    data is built over GF(p) itself, from the residues of the points, which
+    must be distinct (else ``DuplicatePoint``).  On an exact backend the
+    chart must have integer constants, or ``UnsupportedBackend`` is raised.
     """
     if backend.kind == "gf":
-        residues = [(backend.coerce(z), backend.coerce(w)) for z, w in points]
-        return from_xn_points(n, m, residues, linalg.RATIONAL).cast(backend)
+        points = [(backend.coerce(z), backend.coerce(w)) for z, w in points]
     plane = from_plane_points(points, backend)
     cd = ChartData(m, plane.b1, plane.b2, plane.e,
                    Matrix.identity(plane.c, backend))

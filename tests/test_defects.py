@@ -235,8 +235,5 @@ def test_spectral_verdict_ignores_tol_on_the_small_gap_family():
     assert _tol_dependent(_spectral) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP items 12 and 2: check_T2 ranks the chart reading's rational "
-    "words by a float SVD; 66 of 108 verdicts change with tol"))
 def test_P3_via_chart_ignores_tol_on_the_small_gap_family():
     assert _tol_dependent(check_P3_via_chart) == []

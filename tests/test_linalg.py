@@ -933,6 +933,17 @@ def test_array_primitives_match_matrix_operations(backend):
         assert linalg._checked_inverse(a, bk, rel=True) is None
 
 
+def test_float_invertibility_at_tol_zero():
+    """At ``tol = 0`` an exactly singular float diagonal reads singular,
+    absolute and relative, since its smallest singular value is an exact
+    0, and a nonsingular one and the empty matrix read invertible."""
+    for entries, want in (([1, 0], False), ([0, 0], False), ([1, 2], True),
+                          ([], True)):
+        a = Matrix.diagonal(entries).entries
+        for rel in (False, True):
+            assert linalg._is_invertible(a, COMPLEX, 0, rel=rel) is want
+
+
 @pytest.mark.parametrize("backend", [RATIONAL, GF(5)], ids=repr)
 def test_exact_stack_products_equal_per_matrix_products(backend):
     """One ``_matmul`` of exact stacks, 3-D x 2-D, 2-D x 3-D and 3-D x 3-D,

@@ -1191,10 +1191,11 @@ def test_one_float_normalization_runs_four_svds_and_five_inverses(
             assert (calls.count("svd"), calls.count("inv")) == (svds, 5)
 
 
-def test_one_exact_normalization_runs_six_eliminations(monkeypatch):
+def test_one_exact_normalization_runs_four_eliminations(monkeypatch):
     """On exact data each pivot test is the elimination that inverts the
-    pivot: one ``_rref`` each for b10, T = (b10^-1)^-1, a1n, the left null
-    row, psi22_3 and T^-1, and no determinant."""
+    pivot: one ``_rref`` each for b10, a1n, the left null row and psi22_3,
+    and no determinant; T = b10 and T^-1 = b10^-1 are read off, not
+    eliminated."""
     mc = build_jm(from_plane_points([(1, 2), (3, -1), (0, 4)], RATIONAL),
                   2, 0)
     calls = []
@@ -1204,7 +1205,21 @@ def test_one_exact_normalization_runs_six_eliminations(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(linalg, name, counted)
     gauge_normalize(mc, 0)
-    assert calls == ["_rref"] * 6
+    assert calls == ["_rref"] * 4
+
+
+def test_float_frame_tests_at_tol_zero():
+    """Step 4 on float data at ``tol = 0``: a framing vector exactly on the
+    frame slot normalizes, since its off-slot size 0 passes the threshold
+    0, and a frame slot that is exactly 0 fails as a vanishing frame slot
+    before the support test."""
+    mc = build_jm(from_plane_points([(1, 2), (3, -1), (0, 4)]), 2, 0)
+    plane, _ = gauge_normalize(mc, 0, tol=0)
+    assert plane.e == Matrix.row_vector([1, 1, 1])
+    xi = [0] * (2 * 3 + 1)
+    xi[0] = 1
+    with pytest.raises(NotNormalizable, match="frame slot vanishes"):
+        gauge_normalize(replace(mc, xi=Matrix.col_vector(xi)), 0, tol=0)
 
 
 def test_monad_coeffs_refuses_blocks_on_different_backends():

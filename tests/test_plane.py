@@ -8,7 +8,8 @@ import pytest
 from xnadhm import plane
 from xnadhm.errors import (DuplicatePoint, ShapeMismatch, SingularGauge,
                            UnsupportedBackend)
-from xnadhm.linalg import COMPLEX, GF, RATIONAL, Matrix, is_invertible, rank, residual
+from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, is_invertible, rank,
+                           residual, vstack)
 from xnadhm.plane import (
     PlaneADHM,
     check_T1,
@@ -40,7 +41,9 @@ def triple(b1_rows, b2_rows, e_row):
 
 
 def test_T1_diagonal():
-    assert check_T1(triple([[1, 0], [0, 2]], [[3, 0], [0, 4]], [1, 1]))
+    d = triple([[1, 0], [0, 2]], [[3, 0], [0, 4]], [1, 1])
+    # the commutator is exactly 0, which passes the threshold 0 too
+    assert check_T1(d) and check_T1(d, tol=0)
 
 
 def test_T1_noncommuting():
@@ -558,12 +561,88 @@ def test_cover_chart_is_the_pencil_witness_on_the_sweep_cells():
                 assert np.array_equal(P, chart_matrices(x, chart)[1].to_numpy())
 
 
-def test_T2_rejects_prime_field():
+def test_T2_decides_prime_field_exactly():
+    """Over GF(p) ``check_T2`` is the exact Kalman rank: a nonzero frame of
+    a 1 x 1 triple is co-stable and a zero one is not, and two points that
+    are distinct over the integers but equal modulo p leave a joint
+    eigenvector in ker e, so their residues are not co-stable where the
+    integers are.  No verdict depends on ``tol``."""
     gf = GF(5)
-    d = PlaneADHM(1, Matrix.zeros(1, 1, gf), Matrix.zeros(1, 1, gf),
-                  Matrix.from_rows([[1]], gf))
-    with pytest.raises(UnsupportedBackend):
-        check_T2(d)
+    zero = Matrix.zeros(1, 1, gf)
+    rational = from_plane_points([(1, 2), (6, 7)], RATIONAL)
+    residues = PlaneADHM(2, *(M.cast(gf) for M in (rational.b1, rational.b2,
+                                                    rational.e)))
+    for d, want in (
+            (PlaneADHM(1, zero, zero, Matrix.from_rows([[1]], gf)), True),
+            (PlaneADHM(1, zero, zero, Matrix.from_rows([[0]], gf)), False),
+            (rational, True), (residues, False)):
+        for tol in (0, 1e-9, 10):
+            assert check_T2(d, tol) is want
+
+
+def _word_stack_rank(d):
+    """Reference for the exact rank: ``rank`` of every row e w(b1, b2)
+    for the words w of degree below c, stacked."""
+    level, rows = [d.e], [d.e]
+    for _ in range(d.c - 1):
+        level = [r @ b for r in level for b in (d.b1, d.b2)]
+        rows += level
+    return rank(vstack(*rows))
+
+
+def test_exact_T2_takes_no_float_and_no_fraction(monkeypatch):
+    """On RATIONAL and GF(p) ``check_T2`` is the exact Kalman rank alone:
+    it calls no ``np.linalg`` function and no ``_complex_entries``, makes no
+    ``Fraction``, gives one verdict at ``tol`` 0, 1e-9 and 10, and that
+    verdict is whether the word stack reaches rank c.  The triples are
+    commuting and non-commuting, with fractional entries on the rationals,
+    with zero, partial and generic frames."""
+    from fractions import Fraction
+
+    from xnadhm import linalg
+
+    rng = rng_from_seed(36)
+    triples = []
+    for bk in (RATIONAL, GF(2), GF(5), GF(7)):
+        for c in (1, 2, 3, 4):
+            for trial in range(6):
+                def draw():
+                    nums = rng.integers(-2, 3, (c, c))
+                    dens = (rng.integers(1, 4, (c, c)) if bk is RATIONAL
+                            else np.ones((c, c), dtype=int))
+                    return Matrix.from_rows(
+                        [[Fraction(int(x), int(q)) for x, q in zip(*pair)]
+                         for pair in zip(nums, dens)], bk)
+                b1 = draw()
+                b2 = b1 @ b1 if trial % 2 else draw()
+                e = [int(x) for x in rng.integers(-1, 2, c)]
+                if trial == 4:
+                    e = [0] * c
+                triples.append(PlaneADHM(c, b1, b2, Matrix.row_vector(e, bk)))
+    want = [_word_stack_rank(d) == d.c for d in triples]
+    assert 0 < sum(want) < len(want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact data reached a float kernel")
+
+    for name in ("svd", "inv", "eigvals", "qr", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(linalg, "_complex_entries", refuse)
+    made = []
+    new = vars(Fraction)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    try:
+        Fraction.__new__ = staticmethod(counted)
+        verdicts = [[check_T2(d, tol) for tol in (0, 1e-9, 10)]
+                    for d in triples]
+    finally:
+        Fraction.__new__ = new
+    assert made == []
+    assert verdicts == [[w] * 3 for w in want]
 
 
 #: one malformed block of a c = 2 triple, and the refusal it meets

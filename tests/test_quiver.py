@@ -16,7 +16,7 @@ from xnadhm.errors import (InvalidInput, NonzeroFraming, ShapeMismatch,
                            TooLarge, UnsupportedBackend)
 from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, inverse,
                            rank, residual, vstack)
-from xnadhm.xn import XnADHM, check_P1, from_xn_points
+from xnadhm.xn import XnADHM, check_P1, check_P3_via_chart, from_xn_points
 from xnadhm.quiver import (
     FramedRep,
     Verdict,
@@ -512,6 +512,41 @@ def test_bruteforce_raises_too_large_before_caching(monkeypatch):
     with pytest.raises(TooLarge):
         brute_force_semistable(zero_rep(1, 12, backend=GF(2)))
     assert quiver._subspace_lattice.cache_info() == info
+
+
+def test_bruteforce_runs_at_exactly_the_budget(monkeypatch):
+    """A lattice of exactly ``SUBSPACE_BUDGET`` subspaces is enumerated;
+    one more than the budget raises ``TooLarge``."""
+    r = zero_rep(1, 2, backend=GF(5))
+    monkeypatch.setattr(quiver, "SUBSPACE_BUDGET", count_subspaces(2, 5))
+    assert brute_force_semistable(r) is False
+    monkeypatch.setattr(quiver, "SUBSPACE_BUDGET", count_subspaces(2, 5) - 1)
+    with pytest.raises(TooLarge):
+        brute_force_semistable(r)
+
+
+def test_exact_chart_P3_agrees_with_enumeration_over_prime_fields():
+    """Over GF(3), GF(5) and GF(7), ``check_P3_via_chart`` of native
+    ``from_xn_points`` data at every integer chart, c = 1..3 and n = 1..3,
+    equals ``brute_force_semistable`` of the embedded representation: every
+    configuration of distinct points is semistable and its e = 0 violator
+    is not."""
+    rng = rng_from_seed(36)
+    verdicts = []
+    for p in (3, 5, 7):
+        bk = GF(p)
+        for c in (1, 2, 3):
+            for n in (1, 2, 3):
+                for m in (0, (c + 1) // 2) if c % 2 else (0,):
+                    for _ in range(2):
+                        cells = rng.choice(p * p, size=c, replace=False)
+                        d = from_xn_points(n, m, [(int(k) // p, int(k) % p)
+                                                  for k in cells], bk)
+                        for data in (d, replace(d, e=Matrix.zeros(1, c, bk))):
+                            want = brute_force_semistable(embed_xn_as_rep(data))
+                            assert check_P3_via_chart(data) is want
+                            verdicts.append(want)
+    assert verdicts == [True, False] * 90
 
 
 def test_subspace_bases_of_negative_dimension_raise_shape_mismatch():

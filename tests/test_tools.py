@@ -24,6 +24,31 @@ def test_outcome_records_prints_one_digest_per_workload_and_seed():
                for line in lines)
 
 
+def test_call_ledger_counts_the_kernels_of_one_round():
+    """``tools/call_ledger.py --rounds 1`` prints one line per (workload,
+    seed) with the eight counts in a fixed order; the float workload
+    ``roundtrip`` makes no exact elimination and no ``Fraction``, and the
+    exact workload ``oracle`` makes both."""
+    out = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                              "call_ledger.py"),
+                          "--rounds", "1"],
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    lines = [line.split() for line in out.splitlines()]
+    assert [" ".join(line[:2]) for line in lines] == [
+        f"{name} seed={seed}" for name in ("roundtrip", "transitions",
+                                           "oracle") for seed in (0, 1504)]
+    counts = [dict(field.split("=") for field in line[2:]) for line in lines]
+    labels = ["_rref", "_fraction_free", "_matmul", "np.roots", "svd", "inv",
+              "eigvals", "Fraction"]
+    assert all(list(c) == labels and all(v.isdigit() for v in c.values())
+               for c in counts)
+    for c in counts[:2]:
+        assert c["_rref"] == c["_fraction_free"] == c["Fraction"] == "0"
+    for c in counts[4:]:
+        assert int(c["_rref"]) > 0 and int(c["Fraction"]) > 0
+
+
 def test_reach_scan_lists_the_unreached_functions():
     """``tools/reach_scan.py``, cut down to one round per workload and two
     samples per suite, lists ``analyze_pencil``, which no workload or suite

@@ -9,6 +9,7 @@ import pytest
 
 from xnadhm.errors import (
     BackendMismatch,
+    DuplicatePoint,
     IndexOutOfRange,
     InvalidInput,
     NoChart,
@@ -278,6 +279,18 @@ def test_P1_violated():
     d = XnADHM(2, 2, ident, ident, (ident, Matrix.zeros(2, 2)),
                Matrix.row_vector([1, 1]))
     assert not check_P1(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_P1_holds_at_tol_zero_on_exactly_satisfied_float_data(n):
+    """Integer points give float data whose chain defects are exactly 0,
+    and an exact 0 passes the threshold 0 (the quadratic n = 1 relation
+    and the chains of n >= 2 alike)."""
+    d = from_xn_points(n, 0, [(1, 2), (3, -1), (0, 4)], COMPLEX)
+    defects = xn._chain_defects(d.A1.entries, d.A2.entries, xn._stack(d.C),
+                                COMPLEX)
+    assert not any(D.any() for D in defects)
+    assert check_P1(d, tol=0)
 
 
 def test_P2_examples():
@@ -1101,6 +1114,29 @@ def test_gl2_action_chart_refuses_a_foreign_or_misshapen_gauge():
     assert str(raised.value) == "gauge matrices must be c x c"
 
 
+def test_gl2_action_chart_tests_phi2_without_inverting_it(monkeypatch):
+    """On exact data phi1 is inverted by one ``_rref`` of [phi1 | 1] and
+    phi2, which the action never inverts, is tested by the pivots of one
+    ``_rref`` of phi2 alone."""
+    cd = zeta(from_xn_points(2, 0, [(1, 2), (3, -1), (0, 4)], RATIONAL), 0)
+    phi1 = Matrix.from_rows([[1, 2, 0], [0, 1, 0], [1, 0, 1]], RATIONAL)
+    phi2 = Matrix.from_rows([[2, 0, 1], [0, 1, 0], [0, 3, 1]], RATIONAL)
+    shapes = []
+    rref = linalg._rref
+
+    def recorded(a, bk):
+        shapes.append(a.shape)
+        return rref(a, bk)
+
+    monkeypatch.setattr(linalg, "_rref", recorded)
+    moved = gl2_action_chart(phi1, phi2, cd)
+    assert shapes == [(3, 6), (3, 3)]
+    monkeypatch.undo()
+    assert moved.A2m == phi2 @ cd.A2m @ linalg.inverse(phi1)
+    with pytest.raises(SingularGauge):
+        gl2_action_chart(phi1, Matrix.zeros(3, 3, RATIONAL), cd)
+
+
 # ---------------------------------------------------------------------------
 # covering chart and point dictionaries
 # ---------------------------------------------------------------------------
@@ -1362,12 +1398,16 @@ def test_cover_chart_on_rational_data(m, points, chart):
 
 def test_cover_chart_over_a_prime_field_takes_an_integer_chart():
     """Over GF(p) a singular A2 sends the chart search past chart 1 of
-    c = 3, whose constants are irrational, to the integer chart 2; the
-    readings that need floats still raise ``UnsupportedBackend``."""
+    c = 3, whose constants are irrational, to the integer chart 2, where
+    ``check_P3_via_chart`` takes the exact co-stability rank of the
+    reading: co-stable, and not co-stable with e = 0.  The readings that
+    need floats still raise ``UnsupportedBackend``."""
     d = from_xn_points(2, 2, [(0, 1), (2, 2), (3, 5)], GF(7))
     assert det(d.A2) == 0
     assert cover_chart(d) == 2
-    for read in (check_P3_via_chart, to_xn_points, spectral_witness):
+    assert check_P3_via_chart(d)
+    assert not check_P3_via_chart(replace(d, e=Matrix.zeros(1, 3, GF(7))))
+    for read in (to_xn_points, spectral_witness):
         with pytest.raises(UnsupportedBackend):
             read(d)
 
@@ -1490,17 +1530,24 @@ def _rational_matrix(rng, rows, cols):
 
 def _chart_cases(rng):
     """(data, chart data) on floats and rationals, c = 1..4, n = 1..4: the
-    chart kernels do not need the conditions to hold."""
+    chart kernels do not need the conditions to hold.  Each chart datum
+    comes once more with the shared unit gauge block, which
+    ``zeta_inverse`` multiplies by nowhere."""
     for c in range(1, 5):
         for n in range(1, 5):
             cd = random_chart_data(rng, c)
-            yield zeta_inverse(cd, n), cd
+            floats = zeta_inverse(cd, n)
+            yield floats, cd
             square = [_rational_matrix(rng, c, c) for _ in range(n + 5)]
             d = XnADHM(n, c, square[0], square[1], tuple(square[5:]),
                        _rational_matrix(rng, 1, c))
             m = int(rng.integers(0, c + 1))
-            yield d, ChartData(m, square[2], square[3],
-                               _rational_matrix(rng, 1, c), square[4])
+            rational = ChartData(m, square[2], square[3],
+                                 _rational_matrix(rng, 1, c), square[4])
+            yield d, rational
+            for data, chart in ((floats, cd), (d, rational)):
+                yield data, replace(chart,
+                                    A2m=Matrix.identity(c, chart.backend))
 
 
 def test_chart_kernels_equal_their_matrix_expressions():
@@ -2067,19 +2114,84 @@ def test_chart_P3_after_zeta_reads_the_chart_once(monkeypatch):
 
 def test_exact_chart_scan_keeps_its_reading(monkeypatch):
     """On exact data one elimination decides a chart and inverts its A2m:
-    ``from_xn_points`` takes one ``_rref`` and no determinant, and
-    ``cover_chart`` scans the integer charts through the kept chart
-    readings, so the first ``check_P3_via_chart`` takes one ``_rref``, that
-    of the covering chart's [A2m | 1], and a later call none; the verdict
-    is unchanged."""
+    ``from_xn_points`` passes the unit gauge block and takes no ``_rref``
+    and no determinant, and ``cover_chart`` scans the integer charts
+    through the kept chart readings, so the first ``check_P3_via_chart``
+    takes one ``_rref``, that of the covering chart's [A2m | 1], and a later
+    call none; the verdict is unchanged.  The rational co-stability rank
+    runs ``_fraction_free`` itself and takes no ``_rref``."""
     calls = _count_calls(monkeypatch, "_rref", "_exact_det")
     d = from_xn_points(2, 0, [(1, 2), (3, -1), (0, 4)], RATIONAL)
-    assert calls == ["_rref"]
+    assert calls == []
     for want in (1, 0, 0):
         calls.clear()
         assert check_P3_via_chart(d)
         assert calls == ["_rref"] * want
     assert cover_chart(d) == 0 and calls == []
+
+
+def test_from_xn_points_multiplies_by_no_unit_block(monkeypatch):
+    """``from_xn_points`` passes the shared unit gauge block, which
+    ``zeta_inverse`` neither inverts nor multiplies by: no backend takes
+    ``_checked_inverse`` or a determinant, the rationals no ``_rref`` at
+    all (GF(p) takes its co-stability rank by ``_rref``), at chart 0 and
+    n = 2 the one product is the stack (1, B) times E, and no operand of
+    any product is an identity.  Float data still test the unit block at
+    ``tol``, so ``tol = 1`` raises ``SingularA2m``."""
+    products = []
+    matmul = linalg._matmul
+
+    def recorded(a, b, backend):
+        products.append((a, b))
+        return matmul(a, b, backend)
+
+    monkeypatch.setattr(linalg, "_matmul", recorded)
+    calls = _count_calls(monkeypatch, "_checked_inverse", "_rref",
+                         "_exact_det")
+    points = [(1, 2), (3, -1), (0, 4)]
+    for bk in (RATIONAL, GF(5), COMPLEX):
+        products.clear()
+        calls.clear()
+        d = from_xn_points(2, 0, points, bk)
+        assert set(calls) <= ({"_rref"} if bk.kind == "gf" else set())
+        assert [(a.shape, b.shape) for a, b in products] == [((2, 3, 3),
+                                                             (3, 3))]
+        eye = np.eye(3)
+        assert not any(x.ndim == 2 and np.array_equal(x.astype(complex), eye)
+                       for pair in products for x in pair)
+        assert check_P1(d) and check_P2(d) and check_P3_via_chart(d)
+    cd = ChartData(0, Matrix.diagonal([1, 3, 0]), Matrix.diagonal([2, -1, 4]),
+                   Matrix.row_vector([1, 1, 1]), Matrix.identity(3))
+    with pytest.raises(SingularA2m):
+        zeta_inverse(cd, 2, tol=1)
+    assert zeta_inverse(cd, 2, tol=0.5, check=False).A2 == Matrix.identity(3)
+
+
+def test_native_prime_field_build_equals_the_rational_detour():
+    """``from_xn_points`` over GF(p) builds from the residues directly; on
+    a small grid (p = 2, 3, 5, 7; c = 1..3; n = 1..3; every integer chart)
+    it equals the build of the same residues over the rationals, reduced
+    modulo p, entry for entry."""
+    rng = rng_from_seed(36)
+    compared = 0
+    for p in (2, 3, 5, 7):
+        for c in range(1, 4):
+            for n in range(1, 4):
+                for m in range(c + 1):
+                    if not xn._integer_chart(c, m):
+                        continue
+                    cells = rng.choice(p * p, size=c, replace=False)
+                    points = [(int(k) // p + p * int(rng.integers(-1, 2)),
+                               int(k) % p) for k in cells]
+                    residues = [(z % p, w % p) for z, w in points]
+                    native = from_xn_points(n, m, points, GF(p))
+                    detour = from_xn_points(n, m, residues,
+                                            RATIONAL).cast(GF(p))
+                    assert native == detour
+                    compared += 1
+    assert compared == 4 * 3 * 5
+    with pytest.raises(DuplicatePoint):
+        from_xn_points(2, 0, [(1, 2), (6, 7)], GF(5))
 
 
 def test_exact_chart_scan_keeps_a_singular_chart(monkeypatch):
@@ -2131,7 +2243,8 @@ def test_kept_chart_arrays_are_read_only():
 def test_chart_P3_equals_T2_of_the_zeta_reading():
     """``check_P3_via_chart`` is ``check_T2`` of the covering chart's
     ``zeta`` reading, on valid data and on both roundtrip violator kinds, at
-    three tolerances; prime-field data raise on both routes."""
+    three tolerances; on prime-field data both routes give the exact
+    verdict at every tolerance."""
     rng = rng_from_seed(281)
     verdicts = []
     for c in range(1, 7):
@@ -2146,10 +2259,11 @@ def test_chart_P3_equals_T2_of_the_zeta_reading():
                     verdicts.append(want)
     assert verdicts.count(True) == verdicts.count(False) // 2 > 0
     d = from_xn_points(2, 0, [(1, 2), (3, -1)], GF(5))
-    for check in (check_P3_via_chart,
-                  lambda d: check_T2(zeta(d, cover_chart(d)).plane())):
-        with pytest.raises(UnsupportedBackend):
-            check(d)
+    for data, want in ((d, True), (replace(d, e=Matrix.zeros(1, 2, GF(5))),
+                                   False)):
+        for tol in (0, 1e-9, 10):
+            assert check_P3_via_chart(data, tol) is want
+            assert check_T2(zeta(data, cover_chart(data)).plane(), tol) is want
 
 
 def _chain_defects_reference(d, f=(), e=None):
