@@ -16,16 +16,16 @@ product brings each factor over its least common denominator and multiplies
 the integer numerators, so that no intermediate ``Fraction`` is made.  Only
 rank, nullspace, determinant and inverse take a different algorithm on the
 exact backends (elimination by hand instead of LAPACK), and it runs on
-Python ints as well.  There are two elimination loops.  ``_fraction_free``
-is Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22, 1968)
-on integer rows, whose last pivot is the determinant: every exact
-determinant is one call of it, on the integer form of rationals over the
-common denominator to the power c, on residues reduced modulo p, and on
-the integer matrix of a pencil node (``_node_det``); rational rank,
-nullspace and inverse run it on rows over their own common denominators
-and make one ``Fraction`` per nonzero result entry.  ``_rref`` over GF(p)
-is Gauss-Jordan elimination modulo p, with ``% p`` and ``pow(x, p - 2, p)``
-inline, since its pivots differ from those over the integers.  Exact
+Python ints as well.  There is one elimination loop, ``_fraction_free``:
+Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22, 1968) on
+integer rows, or on residues modulo p, where the division by the previous
+pivot is a product with its inverse.  Its last pivot is the determinant:
+every exact determinant is one call of it over the integers, on the
+integer form of rationals over the common denominator to the power c, on
+residues, reduced modulo p afterwards, and on the integer matrix of a
+pencil node (``_node_det``).  Rank, nullspace and inverse (``_rref``) run
+it on rational rows over their own common denominators, making one
+``Fraction`` per nonzero result entry, or on residues modulo p.  Exact
 invertibility and the inverse are one ``_rref`` of [a | 1]
 (``_checked_inverse``): its pivots decide and its right block is a^-1; a
 test that needs no inverse (``_is_invertible``) reads the pivots of
@@ -577,57 +577,45 @@ def _rref(a, bk):
     """Reduced row echelon form of an entry array over an exact backend.
 
     Returns (rows, pivot_columns) where ``rows`` is a list of row lists.
-    Rationals bring each row over its own common denominator, run
-    ``_fraction_free`` on the integer rows and divide every pivot row by the
-    last pivot, which each pivot entry then equals; every zero entry is the
-    shared ``bk.zero``.  Residues take Gauss-Jordan elimination modulo p,
-    whose pivots differ from those over the integers.
+    Rationals bring each row over its own common denominator and residues
+    stay as they are; ``_fraction_free`` eliminates the rows over the
+    integers or modulo p, and every pivot row is then divided by the last
+    pivot, which each pivot entry equals.  Every zero entry below the rank
+    is the shared ``bk.zero``.
     """
     if bk.kind == "rational":
+        p = None
         rows = [_numerators(row)[0] for row in a.tolist()]
-        pivots = _fraction_free(rows)[0]
-        r = len(pivots)
-        last = rows[r - 1][pivots[-1]] if r else 1
-        zero = bk.zero
-        return ([[Fraction(x, last) if x else zero for x in row]
-                 for row in rows[:r]]
-                + [[zero] * a.shape[1] for _ in rows[r:]]), pivots
-    p = bk.p
-    rows = a.tolist()
-    nr, nc = a.shape
-    pivots = []
-    r = 0
-    for c in range(nc):
-        for i in range(r, nr):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = top = [inv * x % p for x in rows[r]]
-        for i in range(nr):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
+    else:
+        p = bk.p
+        rows = a.tolist()
+    pivots = _fraction_free(rows, p)[0]
+    r = len(pivots)
+    last = rows[r - 1][pivots[-1]] if r else 1
+    zero = bk.zero
+    if p is None:
+        top = [[Fraction(x, last) if x else zero for x in row]
+               for row in rows[:r]]
+    else:
+        inv = pow(last, p - 2, p)
+        top = [[x * inv % p for x in row] for row in rows[:r]]
+    return top + [[zero] * a.shape[1] for _ in rows[r:]], pivots
 
 
-def _fraction_free(rows):
+def _fraction_free(rows, p=None):
     """Fraction-free Gauss-Jordan elimination, in place, on a list of
-    Python-int row lists; returns (pivot columns, determinant).
+    Python-int row lists, over the integers or, given a prime ``p``, on
+    residues modulo p; returns (pivot columns, determinant).
 
     Each step moves a row with a nonzero entry pk in the next column to the
     pivot position and replaces every other row by (pk * row - f * pivot
-    row) // previous pivot, a division that is exact because every entry
-    stays a minor of the input (Bareiss, Math. Comp. 22, 1968); afterwards
-    each pivot entry equals the last pivot.  The determinant is the sign of
-    the row swaps times the last pivot when the rows are square and of full
-    rank (1 for no rows), and 0 otherwise."""
+    row) / previous pivot (Bareiss, Math. Comp. 22, 1968).  Over the
+    integers the division is exact, because every entry stays a minor of
+    the input; modulo p it is a product with the inverse of the previous
+    pivot, so every entry stays a residue.  Afterwards each pivot entry
+    equals the last pivot.  The determinant is the sign of the row swaps
+    times the last pivot when the rows are square and of full rank (1 for
+    no rows), and 0 otherwise (modulo p, a residue up to its sign)."""
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
@@ -644,11 +632,19 @@ def _fraction_free(rows):
             sign = -sign
         top = rows[r]
         pk = top[c]
+        if p is not None:
+            q = pow(prev, p - 2, p)
+            pq = pk * q % p
         for i in range(nr):
             if i != r:
                 f = rows[i][c]
-                rows[i] = [(pk * x - f * y) // prev
-                           for x, y in zip(rows[i], top)]
+                if p is None:
+                    rows[i] = [(pk * x - f * y) // prev
+                               for x, y in zip(rows[i], top)]
+                else:
+                    fq = f * q % p
+                    rows[i] = [(pq * x - fq * y) % p
+                               for x, y in zip(rows[i], top)]
         prev = pk
         pivots.append(c)
         r += 1

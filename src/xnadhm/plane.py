@@ -13,8 +13,8 @@ nonzero invariant subspace lies in ker e.  ``check_T2`` is ``_costable`` on
 the triple's entry arrays, which ``xn`` calls on its chart readings (the
 chart (P3) test and ``zeta_inverse``'s guard).  On the exact backends the
 rank is exact (``_exact_observable``): an echelon basis grown by
-``linalg._fraction_free`` on integer rows over the rationals and by
-``linalg._rref`` modulo p, with no tolerance and no float.  On floats its
+``linalg._fraction_free`` on integer rows over the rationals and on
+residues modulo p, with no tolerance and no float.  On floats its
 threshold is ``_tol(tol)`` on singular values of unit rows: a frame that
 sees one unit eigenvector v only by |e v| = 10^-k is co-stable at k <= 6,
 mostly up to k = 8, and not from k = 11 (see ``check_T2``).  The float rank
@@ -166,30 +166,29 @@ def _exact_observable(rows, mats, backend) -> bool:
     columns of a subspace are the leading positions of its vectors, so they
     grow with it, and those rows are independent of the old span.
 
-    Scaling a row or a matrix by a nonzero constant changes no span, so
-    the rationals run ``linalg._fraction_free`` on the integer numerators of
+    The echelon basis is ``linalg._fraction_free`` of the rows, over the
+    integers or modulo p.  Scaling a row or a matrix by a nonzero constant
+    changes no span, so the rationals run it on the integer numerators of
     each row and of each matrix over its common denominator, and make no
-    ``Fraction``; each echelon row is divided by the gcd of its entries, so
-    that the integers do not compound from step to step.  Residues take
-    ``linalg._rref`` modulo p."""
+    ``Fraction``; each of their echelon rows is divided by the gcd of its
+    entries, so that the integers do not compound from step to step."""
     if backend.kind == "rational":
+        p = None
         mats = [linalg._integer_form(M)[0] for M in mats]
         rows = [linalg._numerators(row)[0] for row in rows.tolist()]
-
-        def echelon(rows):
-            pivots = linalg._fraction_free(rows)[0]
-            basis = []
-            for row in rows[:len(pivots)]:
-                g = math.gcd(*row)
-                basis.append([x // g for x in row])
-            return basis, pivots
     else:
+        p = backend.p
         rows = rows.tolist()
 
-        def echelon(rows):
-            rows, pivots = linalg._rref(np.array(rows, dtype=object),
-                                        backend)
-            return rows[:len(pivots)], pivots
+    def echelon(rows):
+        pivots = linalg._fraction_free(rows, p)[0]
+        basis = rows[:len(pivots)]
+        if p is None:
+            for k, row in enumerate(basis):
+                g = math.gcd(*row)
+                basis[k] = [x // g for x in row]
+        return basis, pivots
+
     c = len(mats[0])
     basis, pivots = echelon(rows)
     last = basis

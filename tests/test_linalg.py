@@ -1097,12 +1097,13 @@ def _sweep_matrix(rng, bk):
 @pytest.mark.parametrize("backend", [RATIONAL, GF(2), GF(5), GF(7)],
                          ids=repr)
 def test_exact_kernels_match_fraction_and_residue_references(backend):
-    """Elimination on integer numerators (rationals) and inline residues
-    (GF(p)) gives the references' canonical scalars: the pivots and pivot
-    rows of the reduced echelon form, the rank, the kernel basis, the
-    determinant and the inverse, ``SingularMatrix`` on singular input, and
-    a rational matrix cast to GF(p) equals per-entry ``coerce``, including
-    ``UnsupportedBackend`` when p divides a denominator."""
+    """Bareiss elimination on integer numerators (rationals) and on
+    residues modulo p (GF(p)) gives the references' canonical scalars: the
+    pivots and pivot rows of the reduced echelon form, the rank, the kernel
+    basis, the determinant and the inverse, ``SingularMatrix`` on singular
+    input, and a rational matrix cast to GF(p) equals per-entry
+    ``coerce``, including ``UnsupportedBackend`` when p divides a
+    denominator."""
     from xnadhm.errors import SingularMatrix
 
     bk = backend

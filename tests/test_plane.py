@@ -233,7 +233,7 @@ def test_T2_needs_both_matrices():
         assert check_T2(d) and eigenvector_costable(d)
 
 
-def test_T2_casts_rational_data():
+def test_T2_decides_rational_data_exactly():
     b1 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]], RATIONAL)
     b2 = b1 @ b1
     assert check_T2(PlaneADHM(3, b1, b2, Matrix.row_vector([1, 0, 1], RATIONAL)))

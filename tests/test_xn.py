@@ -293,6 +293,28 @@ def test_P1_holds_at_tol_zero_on_exactly_satisfied_float_data(n):
     assert check_P1(d, tol=0)
 
 
+@pytest.mark.parametrize("n, holds", [(1, True), (2, False)])
+def test_P1_threshold_is_quadratic_in_A_only_for_n_1(n, holds):
+    """At tol = 1e-6, |A| = 10 and |C| = 1 (max-norms), the quadratic
+    n = 1 relation is tested against tol |A|^2 |C| = 1e-4 and the chains of
+    n >= 2 against tol |A| |C| = 1e-5, so one defect of about 50 tol holds
+    for n = 1 and fails for n = 2."""
+    tol = 1e-6
+    bump = Matrix.from_rows([[1, 5e-6], [0, 1]])
+    if n == 1:
+        A1, A2 = Matrix.diagonal([10, 10]), Matrix.diagonal([1, 2])
+        C = (bump,)
+    else:
+        A1 = A2 = Matrix.diagonal([10, 10])
+        C = (bump, Matrix.identity(2))
+    d = XnADHM(n, 2, A1, A2, C, Matrix.row_vector([1, 1]))
+    defects = xn._chain_defects(A1.entries, A2.entries, xn._stack(d.C),
+                                COMPLEX)
+    worst = max(float(np.abs(D).max()) for D in defects)
+    assert 40 * tol < worst < 60 * tol
+    assert check_P1(d, tol=tol) is holds
+
+
 def test_P2_examples():
     ident = Matrix.identity(2)
     Z = Matrix.zeros(2, 2)
@@ -2133,8 +2155,8 @@ def test_exact_chart_scan_keeps_its_reading(monkeypatch):
 def test_from_xn_points_multiplies_by_no_unit_block(monkeypatch):
     """``from_xn_points`` passes the shared unit gauge block, which
     ``zeta_inverse`` neither inverts nor multiplies by: no backend takes
-    ``_checked_inverse`` or a determinant, the rationals no ``_rref`` at
-    all (GF(p) takes its co-stability rank by ``_rref``), at chart 0 and
+    ``_checked_inverse``, ``_rref`` or a determinant (the exact
+    co-stability rank runs ``_fraction_free`` itself), at chart 0 and
     n = 2 the one product is the stack (1, B) times E, and no operand of
     any product is an identity.  Float data still test the unit block at
     ``tol``, so ``tol = 1`` raises ``SingularA2m``."""
@@ -2153,7 +2175,7 @@ def test_from_xn_points_multiplies_by_no_unit_block(monkeypatch):
         products.clear()
         calls.clear()
         d = from_xn_points(2, 0, points, bk)
-        assert set(calls) <= ({"_rref"} if bk.kind == "gf" else set())
+        assert calls == []
         assert [(a.shape, b.shape) for a, b in products] == [((2, 3, 3),
                                                              (3, 3))]
         eye = np.eye(3)

@@ -7,11 +7,12 @@ For each workload of ``benches/workloads.py`` at the default seed 0 and the
 held-out seed 1504, it runs rounds 0 to ``--rounds`` - 1 untimed and
 untraced and prints one line
 
-    <workload> seed=<seed> _rref=.. _fraction_free=.. _matmul=.. np.roots=..
-    svd=.. inv=.. eigvals=.. Fraction=..
+    <workload> seed=<seed> _rref=.. _fraction_free=.. _checked_inverse=..
+    _matmul=.. np.roots=.. svd=.. inv=.. eigvals=.. Fraction=..
 
 counting the calls of the exact eliminations ``linalg._rref`` and
-``linalg._fraction_free``, of the product ``linalg._matmul``, of
+``linalg._fraction_free``, of the guarded inverse
+``linalg._checked_inverse``, of the product ``linalg._matmul``, of
 ``np.roots``, ``np.linalg.svd``, ``np.linalg.inv`` and
 ``np.linalg.eigvals``, and the ``Fraction`` constructions (calls of
 ``Fraction.__new__``).  Each count is taken by a wrapper installed under
@@ -41,6 +42,7 @@ SEEDS = (0, 1504)
 #: module that imported the same function
 KERNELS = (("_rref", "linalg", "_rref"),
            ("_fraction_free", "linalg", "_fraction_free"),
+           ("_checked_inverse", "linalg", "_checked_inverse"),
            ("_matmul", "linalg", "_matmul"),
            ("np.roots", np, "roots"),
            ("svd", np.linalg, "svd"),
