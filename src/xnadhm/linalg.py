@@ -18,14 +18,15 @@ rank, nullspace, determinant and inverse take a different algorithm on the
 exact backends (elimination by hand instead of LAPACK), and it runs on
 Python ints as well.  There is one elimination loop, ``_fraction_free``:
 Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22, 1968) on
-integer rows, or on residues modulo p, where the division by the previous
-pivot is a product with its inverse.  Its last pivot is the determinant:
-every exact determinant is one call of it over the integers, on the
-integer form of rationals over the common denominator to the power c, on
-residues, reduced modulo p afterwards, and on the integer matrix of a
-pencil node (``_node_det``).  Rank, nullspace and inverse (``_rref``) run
-it on rational rows over their own common denominators, making one
-``Fraction`` per nonzero result entry, or on residues modulo p.  Exact
+integer rows, or on residues modulo p, where it scales each pivot row to 1
+and updates only the rows with a nonzero entry in the pivot column.  Its
+last pivot is the determinant: every exact determinant is one call of it
+over the integers, on the integer form of rationals over the common
+denominator to the power c, on residues, reduced modulo p afterwards, and
+on the integer matrix of a pencil node (``_node_det``).  Rank, nullspace
+and inverse (``_rref``) run it on rational rows over their own common
+denominators, making one ``Fraction`` per nonzero result entry, or on
+residues modulo p, whose result needs no further pass.  Exact
 invertibility and the inverse are one ``_rref`` of [a | 1]
 (``_checked_inverse``): its pivots decide and its right block is a^-1; a
 test that needs no inverse (``_is_invertible``) reads the pivots of
@@ -392,11 +393,21 @@ class Matrix:
     def cast(self, backend):
         """Re-express the entries in another backend (rational -> complex or
         GF(p), integers -> anything).  Lossy directions raise; residues have
-        no canonical lift, so a prime-field matrix cannot leave its field."""
+        no canonical lift, so a prime-field matrix cannot leave its field.
+
+        A rational matrix goes to GF(p) through its integer form N / d: the
+        residues of N times the one inverse of d modulo p.  When p divides
+        d, some entry's denominator vanishes modulo p, and the per-entry
+        ``coerce`` raises its ``UnsupportedBackend``."""
         if backend == self.backend:
             return self
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field residues cannot be lifted")
+        if self.backend.kind == "rational" and backend.kind == "gf":
+            num, d = _integer_form(self.entries)
+            if d % backend.p:
+                return _wrap(backend.reduce(
+                    num * pow(d, backend.p - 2, backend.p)), backend)
         return Matrix(self.rows, self.cols, self.entries.ravel().tolist(),
                       backend)
 
@@ -577,45 +588,41 @@ def _rref(a, bk):
     """Reduced row echelon form of an entry array over an exact backend.
 
     Returns (rows, pivot_columns) where ``rows`` is a list of row lists.
-    Rationals bring each row over its own common denominator and residues
-    stay as they are; ``_fraction_free`` eliminates the rows over the
-    integers or modulo p, and every pivot row is then divided by the last
-    pivot, which each pivot entry equals.  Every zero entry below the rank
-    is the shared ``bk.zero``.
+    Rationals bring each row over its own common denominator, are
+    eliminated over the integers by ``_fraction_free``, and every pivot row
+    is then divided by the last pivot, which each pivot entry equals.
+    Residues are eliminated modulo p as they are, which leaves every pivot
+    entry 1 and every row below the rank 0.  Every zero entry below the
+    rank is the shared ``bk.zero``.
     """
-    if bk.kind == "rational":
-        p = None
-        rows = [_numerators(row)[0] for row in a.tolist()]
-    else:
-        p = bk.p
+    if bk.kind != "rational":
         rows = a.tolist()
-    pivots = _fraction_free(rows, p)[0]
+        return rows, _fraction_free(rows, bk.p)[0]
+    rows = [_numerators(row)[0] for row in a.tolist()]
+    pivots = _fraction_free(rows)[0]
     r = len(pivots)
     last = rows[r - 1][pivots[-1]] if r else 1
     zero = bk.zero
-    if p is None:
-        top = [[Fraction(x, last) if x else zero for x in row]
-               for row in rows[:r]]
-    else:
-        inv = pow(last, p - 2, p)
-        top = [[x * inv % p for x in row] for row in rows[:r]]
+    top = [[Fraction(x, last) if x else zero for x in row] for row in rows[:r]]
     return top + [[zero] * a.shape[1] for _ in rows[r:]], pivots
 
 
 def _fraction_free(rows, p=None):
-    """Fraction-free Gauss-Jordan elimination, in place, on a list of
-    Python-int row lists, over the integers or, given a prime ``p``, on
+    """Gauss-Jordan elimination, in place, on a list of Python-int row
+    lists: fraction-free over the integers or, given a prime ``p``, on
     residues modulo p; returns (pivot columns, determinant).
 
     Each step moves a row with a nonzero entry pk in the next column to the
-    pivot position and replaces every other row by (pk * row - f * pivot
-    row) / previous pivot (Bareiss, Math. Comp. 22, 1968).  Over the
-    integers the division is exact, because every entry stays a minor of
-    the input; modulo p it is a product with the inverse of the previous
-    pivot, so every entry stays a residue.  Afterwards each pivot entry
-    equals the last pivot.  The determinant is the sign of the row swaps
-    times the last pivot when the rows are square and of full rank (1 for
-    no rows), and 0 otherwise (modulo p, a residue up to its sign)."""
+    pivot position.  Over the integers every other row is replaced by
+    (pk * row - f * pivot row) / previous pivot (Bareiss, Math. Comp. 22,
+    1968); the division is exact, because every entry stays a minor of the
+    input, and afterwards each pivot entry equals the last pivot.  Modulo p
+    the pivot row is scaled to 1 and f * pivot row is taken from each row
+    whose entry f in the pivot column is nonzero, so every pivot entry ends
+    equal to 1.  The determinant, when the rows are square and of full rank
+    (1 for no rows), is the sign of the row swaps times the last pivot over
+    the integers and times the product of the pivots modulo p (a residue up
+    to its sign); it is 0 otherwise."""
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
@@ -632,20 +639,22 @@ def _fraction_free(rows, p=None):
             sign = -sign
         top = rows[r]
         pk = top[c]
-        if p is not None:
-            q = pow(prev, p - 2, p)
-            pq = pk * q % p
-        for i in range(nr):
-            if i != r:
-                f = rows[i][c]
-                if p is None:
+        if p is None:
+            for i in range(nr):
+                if i != r:
+                    f = rows[i][c]
                     rows[i] = [(pk * x - f * y) // prev
                                for x, y in zip(rows[i], top)]
-                else:
-                    fq = f * q % p
-                    rows[i] = [(pq * x - fq * y) % p
-                               for x, y in zip(rows[i], top)]
-        prev = pk
+            prev = pk
+        else:
+            if pk != 1:
+                q = pow(pk, p - 2, p)
+                rows[r] = top = [x * q % p for x in top]
+                prev = prev * pk % p    # the product of the pivots
+            for i in range(nr):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -949,11 +958,18 @@ def _vandermonde_inverse(c: int, backend) -> Matrix:
 def _interpolate_form(values, backend) -> HomogPoly:
     """The binary form of degree c = len(values) - 1 that takes ``values``
     at ``_pencil_nodes(c, backend)``, by one product with the cached inverse
-    Vandermonde matrix."""
+    Vandermonde matrix.  On the rationals that product is one integer
+    product of the matrix's integer form with the numerators of the values
+    over their common denominator, and one ``Fraction`` per coefficient."""
     c = len(values) - 1
-    values = Matrix.col_vector(values, backend)
-    coeffs = _vandermonde_inverse(c, backend) @ values
-    return HomogPoly(c, coeffs.entries.ravel().tolist(), backend)
+    inv = _vandermonde_inverse(c, backend)
+    if backend.kind == "rational":
+        w, dw = _integer_form(inv.entries)
+        nums, d = _numerators(values)
+        coeffs = _fractions(w @ np.array(nums, dtype=object), dw * d)
+    else:
+        coeffs = (inv @ Matrix.col_vector(values, backend)).entries
+    return HomogPoly(c, coeffs.ravel().tolist(), backend)
 
 
 def pencil_det_poly(A1: Matrix, A2: Matrix) -> HomogPoly:

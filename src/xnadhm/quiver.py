@@ -171,11 +171,13 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
     if not _chain_holds(defects, a1, a2, blocks, r.backend, tol):
         raise InvalidInput("relations (Q1) fail; not a representation")
     d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
-    if not any(fs.any() for fs in blocks[2:]):
+    if not any(any(fs.flat) for fs in blocks[2:]):
         # every f is exactly 0 (blocks[2:] is the f stack, none for n = 1),
-        # so the (Q1) defects are the (P1) defects; (P1) reads them at its
-        # own scale, that of the C stack alone
-        p1 = _chain_holds(defects, a1, a2, blocks[:1], r.backend, tol)
+        # so the (Q1) defects are the (P1) defects: exact ones are all 0
+        # already, and float ones are read at (P1)'s own scale, that of the
+        # C stack alone
+        p1 = r.backend.exact or _chain_holds(defects, a1, a2, blocks[:1],
+                                             r.backend, tol)
     elif all(f.is_zero(tol) for f in r.f):
         p1 = check_P1(d, tol)
     elif check_P2(d, tol):
@@ -439,7 +441,7 @@ def brute_force_semistable(r: FramedRep, theta=None) -> bool:
     a12 = np.concatenate((r.A1.entries, r.A2.entries))
     e = r.e.entries
     fs = [f.entries for f in r.f]
-    f_zero = not any(f.any() for f in fs)
+    f_zero = not any(any(f.flat) for f in fs)
     # the largest slope of a closed pair whose S0 has dimension k, written
     # out rather than taken from theta_slope: the benchmark's tracer counts
     # each theta_slope call inside this function as a closed pair, and each
@@ -455,7 +457,7 @@ def brute_force_semistable(r: FramedRep, theta=None) -> bool:
         k = S0.cols
         if top[k] <= bound:         # at or below every threshold: no product
             continue
-        kills = not linalg._matmul(e, s0, bk).any()
+        kills = not any(linalg._matmul(e, s0, bk).flat)
         if kills and full >= 0:
             threshold = 0           # min(0, full), whatever Im f does
         elif f_zero or all(_contains(s0, f, bk) for f in fs):

@@ -312,10 +312,10 @@ def _chain_defects(a1, a2, cs, backend, fs=None, e=None):
     blocks and e.  For n = 1 the one defect (A1 C1 A2 - A2 C1 A1,); for
     n >= 2 two (n-1, ., .) stacks, A1 Cq - A2 C(q+1) and
     Cq A1 - C(q+1) A2, the latter summed as the (Q1) relation
-    Cq A1 + fq e - C(q+1) A2 when ``fs`` is given.  Off the rationals each
-    stack comes from one product of (A1, A2) with the C stack on each side,
-    and (Q1) adds the product of the f stack with e; rational blocks take
-    ``_integer_chain_defects``."""
+    Cq A1 + fq e - C(q+1) A2 when ``fs`` is given.  Each stack comes from
+    one product of (A1, A2) with the C stack on each side, and (Q1) adds
+    the product of the f stack with e; rational blocks take the same
+    products on their integer forms in ``_integer_chain_defects``."""
     if backend.kind == "rational":
         return _integer_chain_defects(a1, a2, cs, fs, e)
 
@@ -335,35 +335,30 @@ def _chain_defects(a1, a2, cs, backend, fs=None, e=None):
 
 
 def _integer_chain_defects(a1, a2, cs, fs=None, e=None):
-    """``_chain_defects`` on rational blocks: A1, A2, each C, e and each f
-    are brought to integer form (N, d) once, so a product of blocks is the
-    integer product of their numerators over the product of their
-    denominators, and each defect is one integer expression over the least
-    common denominator of its terms, with one ``Fraction`` per entry."""
+    """``_chain_defects`` on rational blocks, stacked as on the other
+    backends.  With (N1, d1), (N2, d2) and (NC, dC) the integer forms of
+    A1, A2 and the whole C stack, the A sides are the pair
+    (d2 N1, d1 N2) = d1 d2 (A1, A2), so each side of the n >= 2 relations is
+    one integer product of the pair with NC over d1 d2 dC, and (Q1) adds
+    the product NF Ne of the integer forms of the f stack and e over the
+    least common denominator of the two.  Each defect stack takes one
+    ``Fraction`` per entry."""
     (n1, d1), (n2, d2) = map(linalg._integer_form, (a1, a2))
-    cs = [linalg._integer_form(x) for x in cs]
-
-    def defect(*terms):
-        d = math.lcm(*(den for _, den in terms))
-        return linalg._fractions(sum(num * (d // den) for num, den in terms),
-                                 d)
-
+    nc, dc = linalg._integer_form(cs)
+    den = d1 * d2 * dc
     if len(cs) == 1:
-        nc, dc = cs[0]
-        return (defect((n1 @ nc @ n2, d1 * dc * d2),
-                       (-(n2 @ nc @ n1), d2 * dc * d1)),)
-    fe = []
+        return (linalg._fractions(n1 @ nc[0] @ n2 - n2 @ nc[0] @ n1, den),)
+    pair = np.array((d2 * n1, d1 * n2))[:, None]
+    left, right = pair @ nc, nc @ pair
+    c_side = right[0, :-1] - right[1, 1:]
+    c_den = den
     if fs is not None:
+        nf, df = linalg._integer_form(fs)
         ne, de = linalg._integer_form(e)
-        fe = [(nf @ ne, df * de)
-              for nf, df in (linalg._integer_form(g) for g in fs)]
-    a_side, c_side = [], []
-    for q in range(len(cs) - 1):
-        (nq, dq), (nr, dr) = cs[q], cs[q + 1]
-        a_side.append(defect((n1 @ nq, d1 * dq), (-(n2 @ nr), d2 * dr)))
-        c_side.append(defect((nq @ n1, dq * d1), *fe[q:q + 1],
-                             (-(nr @ n2), dr * d2)))
-    return np.array(a_side), np.array(c_side)
+        c_den = math.lcm(den, df * de)
+        c_side = c_side * (c_den // den) + (nf @ ne) * (c_den // (df * de))
+    return (linalg._fractions(left[0, :-1] - left[1, 1:], den),
+            linalg._fractions(c_side, c_den))
 
 
 def check_P1(d: XnADHM, tol=None) -> bool:

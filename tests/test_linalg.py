@@ -1135,7 +1135,7 @@ def test_exact_kernels_match_fraction_and_residue_references(backend):
             else:
                 assert inverse(M).entries.tolist() == want
         if bk.kind == "rational":
-            for p in (2, 5, 7):
+            for p in (2, 3, 5, 7, 13):
                 try:
                     want = [[GF(p).coerce(x) for x in row]
                             for row in M.entries.tolist()]
@@ -1150,6 +1150,57 @@ def test_exact_kernels_match_fraction_and_residue_references(backend):
                     assert _scalars_canonical(cast)
     assert square > 50 and singular > 5
     assert refused > 0 or bk.kind == "gf"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_prime_field_fraction_free_gives_the_reference_echelon_and_det(p):
+    """``_fraction_free(rows, p)`` leaves the reduced echelon form of
+    ``_reference_rref``, with its pivots, every pivot entry 1 and the rows
+    below the rank 0, and its determinant is that of ``_exact_det`` (the
+    integer loop on the residues) and of ``_reference_det``, modulo p."""
+    bk = GF(p)
+    rng = np.random.default_rng(1968 + p)
+    square = singular = 0
+    for _ in range(400):
+        a = _sweep_matrix(rng, bk).entries
+        rows = a.tolist()
+        pivots, d = linalg._fraction_free(rows, p)
+        want_rows, want_pivots = _reference_rref(a, bk)
+        assert pivots == want_pivots
+        r = len(pivots)
+        assert rows[:r] == want_rows[:r]
+        assert all(rows[k][c] == 1 for k, c in enumerate(pivots))
+        assert all(x == 0 for row in rows[r:] for x in row)
+        if a.shape[0] == a.shape[1]:
+            square += 1
+            singular += d % p == 0
+            assert d % p == linalg._exact_det(a, bk) == _reference_det(a, bk)
+        else:
+            assert d == 0
+    assert square > 50 and singular > 5
+    assert linalg._fraction_free([], p) == ([], 1)
+
+
+def test_rational_interpolation_equals_the_matrix_route():
+    """The rational ``_interpolate_form``, one integer product with the
+    integer form of the inverse Vandermonde matrix, gives the coefficients
+    of that matrix times the column of values as a ``Matrix`` product, and
+    the form takes the values at the pencil nodes."""
+    rng = np.random.default_rng(1504)
+    for c in range(6):
+        nodes = linalg._pencil_nodes(c, RATIONAL)
+        W = linalg._vandermonde_inverse(c, RATIONAL)
+        for _ in range(20):
+            values = [Fraction(int(rng.integers(-10**6, 10**6)),
+                               int(rng.integers(1, 50)) ** c)
+                      if rng.random() < 0.8 else Fraction(0)
+                      for _ in range(c + 1)]
+            form = linalg._interpolate_form(values, RATIONAL)
+            want = (W @ Matrix.col_vector(values, RATIONAL)).entries
+            assert form.degree == c and form.backend == RATIONAL
+            assert list(form.coeffs) == want.ravel().tolist()
+            assert all(type(x) is Fraction for x in form.coeffs)
+            assert [form.evaluate(n1, n2) for n1, n2 in nodes] == values
 
 
 def test_residual_subtracts_entry_arrays_with_the_checks_of_a_minus_b():

@@ -244,6 +244,32 @@ def test_spectral_verdict_at_zero_framing_forms_the_defects_once(monkeypatch):
         assert len(calls) == 1, n
 
 
+def test_exact_spectral_verdict_at_zero_framing_tests_the_defects_once(
+        monkeypatch):
+    """With every f exactly 0, an exact verdict takes (P1) from the (Q1)
+    test of the same defects, which are all 0: one ``_chain_holds`` call
+    on the rationals; floats read (P1) again at the C stack's scale, a
+    second call.  The verdicts are those of the data."""
+    calls = []
+    holds = quiver._chain_holds
+
+    def counted(*args):
+        calls.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(quiver, "_chain_holds", counted)
+    for backend, want in ((RATIONAL, 1), (COMPLEX, 2)):
+        for n in (1, 3):
+            d = from_xn_points(n, 0, [(0, 1), (2, -1)], backend)
+            for data, verdict in ((d, Verdict.SEMISTABLE),
+                                  (replace(d, e=Matrix.zeros(1, 2, backend)),
+                                   Verdict.UNSTABLE)):
+                calls.clear()
+                assert check_semistable_spectral(
+                    embed_xn_as_rep(data)) is verdict
+                assert len(calls) == want, (backend, n)
+
+
 def _spectral_by_check_P1(r, tol):
     """``check_semistable_spectral`` as it decided before the f = 0 branch
     read (P1) from the (Q1) defects: ``check_relations``, then

@@ -26,7 +26,7 @@ def test_outcome_records_prints_one_digest_per_workload_and_seed():
 
 def test_call_ledger_counts_the_kernels_of_one_round():
     """``tools/call_ledger.py --rounds 1`` prints one line per (workload,
-    seed) with the nine counts in a fixed order; the float workload
+    seed) with the ten counts in a fixed order; the float workload
     ``roundtrip`` makes no exact elimination and no ``Fraction``, and the
     exact workload ``oracle`` makes both."""
     out = subprocess.run([sys.executable, str(ROOT / "tools" /
@@ -40,7 +40,7 @@ def test_call_ledger_counts_the_kernels_of_one_round():
                                            "oracle") for seed in (0, 1504)]
     counts = [dict(field.split("=") for field in line[2:]) for line in lines]
     labels = ["_rref", "_fraction_free", "_checked_inverse", "_matmul",
-              "np.roots", "svd", "inv", "eigvals", "Fraction"]
+              "np.roots", "svd", "inv", "eigvals", "Matrix()", "Fraction"]
     assert all(list(c) == labels and all(v.isdigit() for v in c.values())
                for c in counts)
     for c in counts[:2]:

@@ -2304,11 +2304,13 @@ def _chain_defects_reference(d, f=(), e=None):
     return out
 
 
-@pytest.mark.parametrize("backend", [COMPLEX, GF(5)])
+@pytest.mark.parametrize("backend", [COMPLEX, GF(5), RATIONAL])
 def test_stacked_chain_defects_equal_the_per_q_reference(backend):
     """The two stacked (P1) products, and for (Q1) the f stack times e,
     give the per-q defects byte for byte, unstacked in the order of the
-    relations, with and without f and e."""
+    relations, with and without f and e; on the rationals the stacked
+    products run on integer forms, and the reference on ``Fraction``
+    entries."""
     from xnadhm.quiver import FramedRep, relation_defects
     from xnadhm.sampling import random_matrix
 
@@ -2317,6 +2319,10 @@ def test_stacked_chain_defects_equal_the_per_q_reference(backend):
     def block(rows, cols):
         if backend is COMPLEX:
             return random_matrix(rng, rows, cols)
+        if backend is RATIONAL:
+            return Matrix.from_rows(
+                [[Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 8)))
+                  for _ in range(cols)] for _ in range(rows)], backend)
         return Matrix.from_rows(rng.integers(0, 5, (rows, cols)).tolist(),
                                 backend)
 
@@ -2340,3 +2346,4 @@ def test_stacked_chain_defects_equal_the_per_q_reference(backend):
             want = _chain_defects_reference(d, f, d.e)
             assert [_bytes(D.entries) for D in relation_defects(r)] == \
                 [_bytes(W.entries) for W in want]
+

@@ -8,14 +8,17 @@ held-out seed 1504, it runs rounds 0 to ``--rounds`` - 1 untimed and
 untraced and prints one line
 
     <workload> seed=<seed> _rref=.. _fraction_free=.. _checked_inverse=..
-    _matmul=.. np.roots=.. svd=.. inv=.. eigvals=.. Fraction=..
+    _matmul=.. np.roots=.. svd=.. inv=.. eigvals=.. Matrix()=.. Fraction=..
 
 counting the calls of the exact eliminations ``linalg._rref`` and
 ``linalg._fraction_free``, of the guarded inverse
 ``linalg._checked_inverse``, of the product ``linalg._matmul``, of
 ``np.roots``, ``np.linalg.svd``, ``np.linalg.inv`` and
-``np.linalg.eigvals``, and the ``Fraction`` constructions (calls of
-``Fraction.__new__``).  Each count is taken by a wrapper installed under
+``np.linalg.eigvals``, the calls of the coercing constructor
+``Matrix.__init__`` (one per matrix built from outside values or cast
+entry by entry; ``_wrap`` makes the other matrices without it), and the
+``Fraction`` constructions (calls of ``Fraction.__new__``).  Each count of
+a function is taken by a wrapper installed under
 the name that callers look up, in every library module that holds it, so a
 kernel that calls another inside numpy (``np.roots`` calls ``eigvals``)
 counts once.  The counts are deterministic: run the tool on two checkouts
@@ -58,9 +61,10 @@ def _counting(fn, counts, label):
 
 
 def install(counts):
-    """Wrap every counted kernel and ``Fraction.__new__`` so that each call
-    adds 1 to ``counts[label]``."""
+    """Wrap every counted kernel, ``Matrix.__init__`` and
+    ``Fraction.__new__`` so that each call adds 1 to ``counts[label]``."""
     import xnadhm
+    from xnadhm.linalg import Matrix
 
     modules = [importlib.import_module(f"xnadhm.{info.name}")
                for info in pkgutil.iter_modules(xnadhm.__path__)]
@@ -75,6 +79,14 @@ def install(counts):
         else:
             setattr(owner, attr, _counting(getattr(owner, attr), counts,
                                            label))
+    counts["Matrix()"] = 0
+    init = Matrix.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["Matrix()"] += 1
+        init(self, *args, **kwargs)
+
+    Matrix.__init__ = counted_init
     counts["Fraction"] = 0
     new = vars(Fraction)["__new__"].__func__
 
