@@ -367,6 +367,20 @@ def test_campaign_smoke(capsys):
     assert report["max_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--suite", "cocycle", "--samples", "1"],
+    ["gen", "--kind", "points", "--n", "1", "--c", "2", "--points", "0,1;x,3"],
+], ids=["campaign", "usage-error"])
+def test_main_leaves_the_floating_point_error_state_alone(argv, capsys):
+    """``main`` silences numpy's floating-point warnings for its own run
+    only: it used to call ``np.seterr(all="ignore")``, which stayed on in
+    the calling process."""
+    before = np.geterr()
+    main(argv)
+    capsys.readouterr()
+    assert np.geterr() == before
+
+
 @pytest.mark.parametrize("suite", ["cocycle", "lmp3", "moment", "um",
                                    "monad-transition"])
 def test_campaign_that_tests_nothing_fails(suite, capsys):
