@@ -97,6 +97,115 @@ def _tol(tol):
 
 
 # ---------------------------------------------------------------------------
+# LAPACK kernels (float backend)
+# ---------------------------------------------------------------------------
+#
+# Every float LAPACK question of the library is one of the five kernels
+# below: singular values, the SVD with vectors, the inverse of a matrix
+# already decided invertible, eigenvalues and solve.  Each calls numpy's own
+# gufunc from ``numpy.linalg._umath_linalg``, bound here once, with the
+# signature and under the error state that np.linalg uses for complex128
+# input, so a result is np.linalg's bit for bit and a LAPACK failure raises
+# np.linalg's ``LinAlgError``.  What it skips is np.linalg's per-call
+# wrapper (array conversion, type resolution, a fresh ``np.errstate``),
+# which on the c <= 6 matrices of the chart dictionary costs about as much
+# as LAPACK itself.  Input of any other dtype, and every call on a numpy
+# that lacks the gufunc or the error-state context variable (numpy < 2),
+# goes to the public np.linalg function.  ``inverse`` and ``det`` keep
+# np.linalg: they decide nothing before LAPACK runs.  Other modules call the
+# kernels as attributes of this module (``linalg._svd``), so one patch here
+# reaches every call.
+
+try:
+    from numpy._core.umath import _extobj_contextvar, _make_extobj
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
+
+_CDOUBLE = np.dtype(complex)
+
+
+def _lapack_gufunc(name, message):
+    """(gufunc, error state) of ``numpy.linalg._umath_linalg.<name>``, or
+    None where this numpy lacks it.  The error state is np.linalg's: a
+    LAPACK failure, which the gufunc flags as an invalid value, raises
+    ``np.linalg.LinAlgError(message)``, and the other floating-point flags
+    are ignored."""
+    gufunc = getattr(_umath_linalg, name, None)
+    if gufunc is None:
+        return None
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return gufunc, _make_extobj(call=fail, invalid="call", over="ignore",
+                                divide="ignore", under="ignore")
+
+
+_SVDVALS = _lapack_gufunc("svd", "SVD did not converge")
+_SVD_FULL = _lapack_gufunc("svd_f", "SVD did not converge")
+_SVD_REDUCED = _lapack_gufunc("svd_s", "SVD did not converge")
+_INV = _lapack_gufunc("inv", "Singular matrix")
+_EIGVALS = _lapack_gufunc("eigvals", "Eigenvalues did not converge")
+_SOLVE = _lapack_gufunc("solve", "Singular matrix")
+
+
+def _lapack(bound, signature, *arrays):
+    """The bound gufunc of ``_lapack_gufunc`` on ``arrays`` under its error
+    state."""
+    gufunc, state = bound
+    token = _extobj_contextvar.set(state)
+    try:
+        return gufunc(*arrays, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
+
+
+def _svdvals(a):
+    """Singular values, in descending order, of a matrix or of each matrix
+    of a stack: ``np.linalg.svd(a, compute_uv=False)``."""
+    if _SVDVALS is None or a.dtype is not _CDOUBLE:
+        return np.linalg.svd(a, compute_uv=False)
+    return _lapack(_SVDVALS, "D->d", a)
+
+
+def _svd(a, full_matrices=True):
+    """(u, s, vh) of a matrix or of each matrix of a stack:
+    ``np.linalg.svd(a, full_matrices)``."""
+    bound = _SVD_FULL if full_matrices else _SVD_REDUCED
+    if bound is None or a.dtype is not _CDOUBLE:
+        return np.linalg.svd(a, full_matrices=full_matrices)
+    return _lapack(bound, "D->DdD", a)
+
+
+def _inv(a):
+    """Inverse of a square matrix, or of each matrix of a stack, that a test
+    has already found invertible: ``np.linalg.inv(a)``."""
+    if _INV is None or a.dtype is not _CDOUBLE:
+        return np.linalg.inv(a)
+    return _lapack(_INV, "D->D", a)
+
+
+def _eigvals(a):
+    """Eigenvalues of a square matrix, or of each matrix of a stack:
+    ``np.linalg.eigvals(a)``, which refuses non-finite entries before LAPACK
+    sees them."""
+    if (_EIGVALS is None or a.dtype is not _CDOUBLE
+            or not np.isfinite(a).all()):
+        return np.linalg.eigvals(a)
+    return _lapack(_EIGVALS, "D->D", a)
+
+
+def _solve(a, b):
+    """x with a x = b for a square a and a matrix b, or for each pair of a
+    stack: ``np.linalg.solve(a, b)``."""
+    if (_SOLVE is None or a.dtype is not _CDOUBLE
+            or b.dtype is not _CDOUBLE or b.ndim == 1):
+        return np.linalg.solve(a, b)
+    return _lapack(_SOLVE, "DD->D", a, b)
+
+
+# ---------------------------------------------------------------------------
 # scalar backends
 # ---------------------------------------------------------------------------
 
@@ -669,7 +778,7 @@ def rank(M: Matrix, tol=None) -> int:
         return 0
     if M.backend.exact:
         return len(_rref(M.entries, M.backend)[1])
-    s = np.linalg.svd(M.to_numpy(), compute_uv=False)
+    s = _svdvals(M.to_numpy())
     thr = _tol(tol) * max(1.0, M.maxnorm())
     return int(np.sum(s > thr))
 
@@ -694,7 +803,7 @@ def nullspace(M: Matrix, tol=None) -> Matrix:
             basis[pc] = [-rows[r][fc] for fc in free]
         return _wrap(bk.reduce(basis), bk)
     a = M.to_numpy()
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = _svd(a)
     thr = _tol(tol) * max(1.0, M.maxnorm())
     r = int(np.sum(s > thr))
     return _wrap(vh[r:].conj().T)
@@ -754,8 +863,7 @@ def _checked_inverse(a, backend, tol=None, rel=False):
     if n != cols:
         return None
     if not backend.exact:
-        ok = _is_invertible(a, backend, tol, rel)
-        return _inverse(a, backend) if ok else None
+        return _inv(a) if _is_invertible(a, backend, tol, rel) else None
     rows, pivots = _rref(np.concatenate((a, _identity(n, backend)), axis=1),
                          backend)
     if pivots != list(range(n)):
@@ -777,7 +885,7 @@ def _is_invertible(a, backend, tol=None, rel=False) -> bool:
         return False
     if backend.exact or rows == 0:
         return rows == 0 or len(_rref(a, backend)[1]) == rows
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _svdvals(a)
     if rel:
         return bool(s[0] > 0 and s[-1] > _tol(tol) * s[0])
     return bool(s[-1] > _tol(tol) * max(1.0, float(np.abs(a).max())))
@@ -840,7 +948,7 @@ def _conditioning(stack):
     ``is_invertible``'s test.  An empty matrix is invertible (s_min = inf)."""
     if stack.shape[-1] == 0:
         return np.full(len(stack), np.inf), np.ones(len(stack))
-    s_min = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    s_min = _svdvals(stack)[:, -1]
     return s_min, np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
 
 
@@ -860,7 +968,7 @@ def eigenvalues(M: Matrix):
         raise ShapeMismatch("eigenvalues of a non-square matrix")
     if M.rows == 0:
         return []
-    vals = sorted(np.linalg.eigvals(M.to_numpy()).tolist(),
+    vals = sorted(_eigvals(M.to_numpy()).tolist(),
                   key=lambda z: (z.real, z.imag))
     clusters = []
     for z in vals:

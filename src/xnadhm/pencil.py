@@ -215,7 +215,7 @@ def _float_spectrum(A1, A2, witness, P):
     """
     n1, n2 = witness[0].real, witness[1].real
     Q = -n2 * A1.to_numpy() + n1 * A2.to_numpy()
-    mus = np.linalg.eigvals(np.linalg.solve(P, Q)).tolist()
+    mus = linalg._eigvals(linalg._solve(P, Q)).tolist()
     roots = linalg._merge_roots([((-mu * n1 - n2, -mu * n2 + n1), 1)
                                  for mu in mus])
     # + 0j turns a -0.0 part into 0.0, so that a root on an axis reads

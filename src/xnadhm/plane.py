@@ -250,13 +250,13 @@ def _observable(rows, mats, thr) -> bool:
             return False
         if _word_stack_accepts(rows, mats, thr):
             return True
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    _, s, vh = linalg._svd(rows, full_matrices=False)
     basis = last = vh[s > thr]
     while len(last) and len(basis) < c:
         grown = np.vstack([last @ M for M in mats])
         for _ in range(2):
             grown = grown - (grown @ basis.conj().T) @ basis
-        _, s, vh = np.linalg.svd(grown, full_matrices=False)
+        _, s, vh = linalg._svd(grown, full_matrices=False)
         last = vh[s > thr]
         basis = np.vstack((basis, last))
     return len(basis) >= c
@@ -275,7 +275,7 @@ def _word_stack_accepts(rows, mats, thr) -> bool:
     while count < c:
         levels.append((levels[-1] @ side_by_side).reshape(-1, c))
         count += len(levels[-1])
-    s = np.linalg.svd(np.concatenate(levels), compute_uv=False)
+    s = linalg._svdvals(np.concatenate(levels))
     R = math.sqrt(np.square(np.abs(rows)).sum(axis=1).max())
     rho = max(1.0, c * float(np.abs(side_by_side).max()))
     return bool(s[c - 1] > _certificate_bound(count, len(levels) - 1, c, R,

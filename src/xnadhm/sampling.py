@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .linalg import COMPLEX, Matrix
 from .plane import PlaneADHM
 from .quiver import FramedRep, embed_xn_as_rep
@@ -34,11 +35,11 @@ def random_matrix(rng, rows, cols) -> Matrix:
 
 def random_invertible(rng, n) -> Matrix:
     """A complex Gaussian n x n draw, redrawn until its condition number,
-    s_max / s_min of one SVD (the value ``np.linalg.cond`` computes), is at
+    s_max / s_min of one SVD (the value numpy's ``cond`` computes), is at
     most ``MAX_COND``."""
     while True:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        s = np.linalg.svd(a, compute_uv=False)
+        s = linalg._svdvals(a)
         if s[0] / s[-1] <= MAX_COND:
             return Matrix.from_numpy(a)
 
@@ -57,7 +58,7 @@ def random_costable_triple(rng, c) -> PlaneADHM:
     """Commuting pair with simple joint spectrum and a generic frame."""
     V = random_invertible(rng, c)
     Vn = V.to_numpy()
-    Vi = np.linalg.inv(Vn)
+    Vi = linalg._inv(Vn)
     b1 = Matrix.from_numpy(Vn @ np.diag(_separated_values(rng, c)) @ Vi)
     b2 = Matrix.from_numpy(Vn @ np.diag(_separated_values(rng, c)) @ Vi)
     while True:
@@ -146,8 +147,8 @@ def random_framed_rep(rng, n, c) -> FramedRep:
     rep = FramedRep(n, c, c, 1, A1, A2, Cs, e, fs)
     phi1 = random_invertible(rng, c)
     phi2 = random_invertible(rng, c)
-    inv1 = Matrix.from_numpy(np.linalg.inv(phi1.to_numpy()))
-    inv2 = Matrix.from_numpy(np.linalg.inv(phi2.to_numpy()))
+    inv1 = Matrix.from_numpy(linalg._inv(phi1.to_numpy()))
+    inv2 = Matrix.from_numpy(linalg._inv(phi2.to_numpy()))
     return FramedRep(n, c, c, 1, phi2 @ rep.A1 @ inv1, phi2 @ rep.A2 @ inv1,
                      [phi1 @ C @ inv2 for C in rep.C], rep.e @ inv1,
                      [phi1 @ fq for fq in rep.f])
@@ -186,7 +187,7 @@ def overlap_margin(b1: Matrix, c_count: int, m: int, l: int) -> float:
     ``xn._leg_constants``."""
     ck, sk = _leg_constants(COMPLEX, c_count, (l - m,))
     T = _overlap_pivot(b1.to_numpy(), ck[0], sk[0], COMPLEX)
-    return float(np.linalg.svd(T, compute_uv=False)[-1])
+    return float(linalg._svdvals(T)[-1])
 
 
 def random_overlap_charts(rng, b1: Matrix, c_count: int):

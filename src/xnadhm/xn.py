@@ -437,7 +437,7 @@ def _p3_at_roots(d: XnADHM, roots, tol=None) -> bool:
     """
     rows, mats = _p3_root_stack(d, roots)
     thr = 10 * linalg._tol(tol)
-    rank = (np.linalg.svd(rows, compute_uv=False) > thr).sum(axis=1)
+    rank = (linalg._svdvals(rows) > thr).sum(axis=1)
     return all(_observable(rows[i], mats, thr)
                for i in np.flatnonzero(rank < d.c))
 
@@ -515,7 +515,7 @@ def _chart_reading(d: XnADHM, m: int, tol=None):
     if m not in readings:
         a1m, a2m, em, _ = _chart_entries(d, m)
         inv = (linalg._checked_inverse(a2m, bk) if bk.exact
-               else linalg._inverse(a2m, bk))
+               else linalg._inv(a2m))
         readings[m] = None if inv is None else (
             linalg._matmul(inv, a1m, bk), em, a2m)
         for a in readings[m] or ():
@@ -697,7 +697,7 @@ def _transition(b1, b2, a2m, n: int, shifts, c: int, backend, tol=None,
         den_inv = np.array([x for x in inv if x is not None],
                            dtype=object).reshape(den.shape)
     else:
-        den_inv = linalg._inverse(den, bk)
+        den_inv = linalg._inv(den)
     moved_b1 = linalg._matmul(den_inv, num, bk)
     moved_b2 = linalg._matmul(tn, b2, bk)
     moved_a2 = None if a2m is None else linalg._matmul(a2m, den, bk)

@@ -1273,3 +1273,120 @@ def test_zeros_are_fresh_writable_field_zeros(backend):
         if a.size:
             a[(0,) * len(shape)] = backend.one
             assert b[(0,) * len(shape)] == backend.zero
+
+
+# ---------------------------------------------------------------------------
+# LAPACK kernels
+# ---------------------------------------------------------------------------
+
+#: (kernel, its binding in ``linalg``, the np.linalg call it stands for,
+#: whether it takes square matrices only)
+_KERNELS = {
+    "_svdvals": ("_SVDVALS", lambda a: np.linalg.svd(a, compute_uv=False),
+                 False),
+    "_svd": ("_SVD_FULL", np.linalg.svd, False),
+    "_svd reduced": ("_SVD_REDUCED",
+                     lambda a: np.linalg.svd(a, full_matrices=False), False),
+    "_inv": ("_INV", np.linalg.inv, True),
+    "_eigvals": ("_EIGVALS", np.linalg.eigvals, True),
+    "_solve": ("_SOLVE", lambda a: np.linalg.solve(a, a[..., :2]), True),
+}
+
+
+def _call_kernel(name, a):
+    if name == "_svd reduced":
+        return linalg._svd(a, full_matrices=False)
+    if name == "_solve":
+        return linalg._solve(a, a[..., :2])
+    return getattr(linalg, name)(a)
+
+
+def _kernel_inputs(square):
+    rng = np.random.default_rng(39)
+    shapes = [(1, 1), (3, 3), (6, 6), (4, 3, 3), (2, 2, 5, 5), (0, 0),
+              (2, 0, 0), (0, 3, 3)]
+    if not square:
+        shapes += [(2, 5), (5, 2), (3, 2, 5), (3, 5, 2), (1, 4), (3, 0),
+                   (0, 3), (2, 3, 0), (0, 2, 3)]
+    for shape in shapes:
+        real = rng.standard_normal(shape)
+        yield real
+        yield real + 1j * rng.standard_normal(shape)
+
+
+def _same_bytes(got, want):
+    got, want = ((r,) if isinstance(r, np.ndarray) else tuple(r)
+                 for r in (got, want))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def test_the_kernels_bind_every_gufunc_on_numpy_2():
+    """On numpy >= 2 each kernel runs its ``_umath_linalg`` gufunc, so the
+    byte comparisons below compare it with np.linalg and not np.linalg with
+    itself."""
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        pytest.skip("numpy < 2 takes the public np.linalg functions")
+    assert all(getattr(linalg, binding) is not None
+               for binding, _, _ in _KERNELS.values())
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["gufunc", "fallback"])
+@pytest.mark.parametrize("name", list(_KERNELS))
+def test_kernels_match_np_linalg_byte_for_byte(name, bound, monkeypatch):
+    """Each LAPACK kernel gives np.linalg's arrays, dtype, shape and bytes,
+    on complex and real matrices and stacks, square, wide, tall and empty;
+    and so does the public function it falls back to when its gufunc is
+    not bound."""
+    binding, reference, square = _KERNELS[name]
+    if not bound:
+        monkeypatch.setattr(linalg, binding, None)
+    for a in _kernel_inputs(square):
+        _same_bytes(_call_kernel(name, a), reference(a))
+
+
+@pytest.mark.parametrize("silenced", [False, True], ids=["default", "ignore"])
+def test_kernel_failures_raise_np_linalg_errors(silenced):
+    """A LAPACK failure in a kernel raises np.linalg's ``LinAlgError`` with
+    np.linalg's message and no warning, also when the caller has silenced
+    numpy's floating-point errors: an SVD of a NaN matrix, an exactly
+    singular inverse or solve, and eigenvalues of a matrix with an infinite
+    entry, which np.linalg refuses before LAPACK sees it."""
+    nan = np.array([[np.nan, 1], [1, 1]], dtype=complex)
+    singular = np.array([[1, 2], [2, 4]], dtype=complex)
+    inf = np.array([[np.inf, 1], [1, 1]], dtype=complex)
+    cases = [
+        (lambda: linalg._svdvals(nan),
+         lambda: np.linalg.svd(nan, compute_uv=False)),
+        (lambda: linalg._svd(nan), lambda: np.linalg.svd(nan)),
+        (lambda: linalg._inv(singular), lambda: np.linalg.inv(singular)),
+        (lambda: linalg._solve(singular, singular),
+         lambda: np.linalg.solve(singular, singular)),
+        (lambda: linalg._eigvals(inf), lambda: np.linalg.eigvals(inf)),
+    ]
+    with np.errstate(all="ignore" if silenced else "warn"):
+        for kernel, reference in cases:
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                reference()
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                kernel()
+            assert str(got.value) == str(want.value)
+        assert np.geterr()["invalid"] == ("ignore" if silenced else "warn")
+
+
+def test_a_nan_entry_raises_lapack_error_at_the_public_entry_points():
+    """A NaN entry makes LAPACK fail, and the public entry points raise
+    ``LinAlgError`` as np.linalg did before the kernels: ``rank``,
+    ``nullspace``, ``is_invertible``, ``eigenvalues`` and ``check_T2``."""
+    from xnadhm.linalg import is_invertible
+    from xnadhm.plane import PlaneADHM, check_T2
+
+    M = Matrix.from_numpy(np.array([[np.nan, 1], [0, 1]], dtype=complex))
+    e = Matrix.row_vector([1, 1])
+    for call in (lambda: rank(M), lambda: nullspace(M),
+                 lambda: is_invertible(M), lambda: eigenvalues(M),
+                 lambda: check_T2(PlaneADHM(2, M, M, e))):
+        with pytest.raises(np.linalg.LinAlgError):
+            call()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xnadhm import plane
+from xnadhm import linalg, plane
 from xnadhm.errors import (DuplicatePoint, ShapeMismatch, SingularGauge,
                            UnsupportedBackend)
 from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, is_invertible, rank,
@@ -253,8 +253,6 @@ def test_T2_on_a_non_commuting_pair_tests_invariant_subspaces():
 
 
 def test_T2_needs_no_eigenvectors(monkeypatch):
-    from xnadhm import linalg, plane
-
     def refuse(*args, **kwargs):
         raise AssertionError("check_T2 searched eigenvectors")
 
@@ -324,13 +322,13 @@ def observable_reference(rows, mats, thr):
     """``plane._observable`` without the word-stack certificate: the growth
     loop alone, which decides every verdict."""
     c = rows.shape[1]
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    _, s, vh = linalg._svd(rows, full_matrices=False)
     basis = last = vh[s > thr]
     while len(last) and len(basis) < c:
         grown = np.vstack([last @ M for M in mats])
         for _ in range(2):
             grown = grown - (grown @ basis.conj().T) @ basis
-        _, s, vh = np.linalg.svd(grown, full_matrices=False)
+        _, s, vh = linalg._svd(grown, full_matrices=False)
         last = vh[s > thr]
         basis = np.vstack((basis, last))
     return len(basis) >= c
@@ -455,14 +453,18 @@ def test_a_weakened_certificate_fails_the_agreement_test(monkeypatch):
 
 
 def count_svds(monkeypatch):
+    """A list that gains an entry at each call of the SVD kernels
+    ``linalg._svdvals`` and ``linalg._svd``."""
     calls = []
-    svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    for name in ("_svdvals", "_svd"):
+        monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
     return calls
 
 
@@ -592,14 +594,14 @@ def _word_stack_rank(d):
 
 def test_exact_T2_takes_no_float_and_no_fraction(monkeypatch):
     """On RATIONAL and GF(p) ``check_T2`` is the exact Kalman rank alone:
-    it calls no ``np.linalg`` function and no ``_complex_entries``, makes no
+    it calls no LAPACK kernel, neither ``np.linalg.inv`` nor
+    ``np.linalg.det`` (the two float calls outside the kernels) and no
+    ``_complex_entries``, makes no
     ``Fraction``, gives one verdict at ``tol`` 0, 1e-9 and 10, and that
     verdict is whether the word stack reaches rank c.  The triples are
     commuting and non-commuting, with fractional entries on the rationals,
     with zero, partial and generic frames."""
     from fractions import Fraction
-
-    from xnadhm import linalg
 
     rng = rng_from_seed(36)
     triples = []
@@ -625,9 +627,11 @@ def test_exact_T2_takes_no_float_and_no_fraction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exact data reached a float kernel")
 
-    for name in ("svd", "inv", "eigvals", "qr", "det"):
+    for name in ("_svdvals", "_svd", "_inv", "_eigvals", "_solve",
+                 "_complex_entries"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for name in ("inv", "det"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    monkeypatch.setattr(linalg, "_complex_entries", refuse)
     made = []
     new = vars(Fraction)["__new__"]
 

@@ -24,29 +24,53 @@ def test_outcome_records_prints_one_digest_per_workload_and_seed():
                for line in lines)
 
 
+def _ledger(prelude=""):
+    """The lines of ``tools/call_ledger.py --rounds 1``, split into the
+    (workload, seed) key and the {label: count} fields, after ``prelude``
+    has run in the tool's process with ``call_ledger`` and ``linalg``
+    imported."""
+    path = [str(ROOT / "tools"), str(ROOT / "src")]
+    code = (f"import sys; sys.path[:0] = {path!r}\n"
+            "import call_ledger\nfrom xnadhm import linalg\n"
+            f"{prelude}\ncall_ledger.main(['--rounds', '1'])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    lines = [line.split() for line in out.splitlines()]
+    return [(" ".join(line[:2]), dict(field.split("=") for field in line[2:]))
+            for line in lines]
+
+
 def test_call_ledger_counts_the_kernels_of_one_round():
     """``tools/call_ledger.py --rounds 1`` prints one line per (workload,
-    seed) with the ten counts in a fixed order; the float workload
+    seed) with the eleven counts in a fixed order; the float workload
     ``roundtrip`` makes no exact elimination and no ``Fraction``, and the
     exact workload ``oracle`` makes both."""
-    out = subprocess.run([sys.executable, str(ROOT / "tools" /
-                                              "call_ledger.py"),
-                          "--rounds", "1"],
-                         capture_output=True, text=True, check=True,
-                         timeout=300).stdout
-    lines = [line.split() for line in out.splitlines()]
-    assert [" ".join(line[:2]) for line in lines] == [
+    lines = _ledger()
+    assert [key for key, _ in lines] == [
         f"{name} seed={seed}" for name in ("roundtrip", "transitions",
                                            "oracle") for seed in (0, 1504)]
-    counts = [dict(field.split("=") for field in line[2:]) for line in lines]
+    counts = [c for _, c in lines]
     labels = ["_rref", "_fraction_free", "_checked_inverse", "_matmul",
-              "np.roots", "svd", "inv", "eigvals", "Matrix()", "Fraction"]
+              "np.roots", "svd", "inv", "eigvals", "solve", "Matrix()",
+              "Fraction"]
     assert all(list(c) == labels and all(v.isdigit() for v in c.values())
                for c in counts)
     for c in counts[:2]:
         assert c["_rref"] == c["_fraction_free"] == c["Fraction"] == "0"
+        assert int(c["svd"]) > 0 and c["eigvals"] == c["solve"] != "0"
     for c in counts[4:]:
         assert int(c["_rref"]) > 0 and int(c["Fraction"]) > 0
+
+
+def test_call_ledger_counts_np_linalg_on_a_checkout_without_kernels():
+    """On a checkout whose ``linalg`` has no LAPACK kernels, the ledger
+    counts the np.linalg functions instead: with the kernels hidden from
+    the tool and sent to np.linalg, every count is the kernels' own."""
+    hide = ("call_ledger.LAPACK = tuple((label, tuple(n + '_gone' for n in "
+            "names), public) for label, names, public in call_ledger.LAPACK)\n"
+            "for name in ('_SVDVALS', '_SVD_FULL', '_SVD_REDUCED', '_INV', "
+            "'_EIGVALS', '_SOLVE'):\n    setattr(linalg, name, None)")
+    assert _ledger(hide) == _ledger()
 
 
 def test_reach_scan_lists_the_unreached_functions():

@@ -800,14 +800,14 @@ def test_transition_omega_moves_the_plane_part_once(monkeypatch):
 
     # T is built once: one overlap test and one inverse of it
     calls = []
-    for name in ("_conditioning", "_inverse"):
+    for name in ("_conditioning", "_inv"):
         monkeypatch.setattr(linalg, name, lambda *a, name=name, fn=getattr(
             linalg, name): calls.append(name) or fn(*a))
     monkeypatch.setattr(xn, "transition_phi", refuse)
     for cd, n, l, T, phi in cases:
         del calls[:]
         om = transition_omega(cd, n, l)
-        assert calls == ["_conditioning", "_inverse"]
+        assert calls == ["_conditioning", "_inv"]
         assert (om.m, om.B, om.E, om.e) == (l, phi.b1, phi.b2, phi.e)
         assert om.A2m == cd.A2m @ T
 

@@ -8,23 +8,28 @@ held-out seed 1504, it runs rounds 0 to ``--rounds`` - 1 untimed and
 untraced and prints one line
 
     <workload> seed=<seed> _rref=.. _fraction_free=.. _checked_inverse=..
-    _matmul=.. np.roots=.. svd=.. inv=.. eigvals=.. Matrix()=.. Fraction=..
+    _matmul=.. np.roots=.. svd=.. inv=.. eigvals=.. solve=.. Matrix()=..
+    Fraction=..
 
 counting the calls of the exact eliminations ``linalg._rref`` and
 ``linalg._fraction_free``, of the guarded inverse
 ``linalg._checked_inverse``, of the product ``linalg._matmul``, of
-``np.roots``, ``np.linalg.svd``, ``np.linalg.inv`` and
-``np.linalg.eigvals``, the calls of the coercing constructor
-``Matrix.__init__`` (one per matrix built from outside values or cast
-entry by entry; ``_wrap`` makes the other matrices without it), and the
-``Fraction`` constructions (calls of ``Fraction.__new__``).  Each count of
-a function is taken by a wrapper installed under
-the name that callers look up, in every library module that holds it, so a
-kernel that calls another inside numpy (``np.roots`` calls ``eigvals``)
-counts once.  The counts are deterministic: run the tool on two checkouts
-and compare the lines.  The library and the workloads are imported from
-``src/`` and ``benches/`` under ``--root``, by default the checkout that
-holds this tool, so one copy of the tool can count an older checkout.
+``np.roots``, of the LAPACK kernels of ``linalg`` (``svd`` counts
+``_svdvals`` and ``_svd``, ``inv`` counts ``_inv``, ``eigvals``
+``_eigvals`` and ``solve`` ``_solve``; on a checkout without the kernels,
+the np.linalg functions of the same names), the calls of the coercing
+constructor ``Matrix.__init__`` (one per matrix built from outside values
+or cast entry by entry; ``_wrap`` makes the other matrices without it),
+and the ``Fraction`` constructions (calls of ``Fraction.__new__``).  Each
+count of a function is taken by a wrapper installed under the name that
+callers look up, in every library module that holds it, so a kernel that
+calls another inside numpy (``np.roots`` calls ``eigvals``) counts once.
+The np.linalg calls outside the kernels, of the unguarded
+``linalg.inverse`` and ``linalg.det``, are not counted.  The counts are
+deterministic: run the tool on two checkouts and compare the lines.  The
+library and the workloads are imported from ``src/`` and ``benches/`` under
+``--root``, by default the checkout that holds this tool, so one copy of
+the tool can count an older checkout.
 """
 
 import argparse
@@ -47,10 +52,14 @@ KERNELS = (("_rref", "linalg", "_rref"),
            ("_fraction_free", "linalg", "_fraction_free"),
            ("_checked_inverse", "linalg", "_checked_inverse"),
            ("_matmul", "linalg", "_matmul"),
-           ("np.roots", np, "roots"),
-           ("svd", np.linalg, "svd"),
-           ("inv", np.linalg, "inv"),
-           ("eigvals", np.linalg, "eigvals"))
+           ("np.roots", np, "roots"))
+
+#: (label, LAPACK kernels of ``linalg``, the np.linalg function that a
+#: checkout without the kernels calls instead)
+LAPACK = (("svd", ("_svdvals", "_svd"), "svd"),
+          ("inv", ("_inv",), "inv"),
+          ("eigvals", ("_eigvals",), "eigvals"),
+          ("solve", ("_solve",), "solve"))
 
 
 def _counting(fn, counts, label):
@@ -64,11 +73,18 @@ def install(counts):
     """Wrap every counted kernel, ``Matrix.__init__`` and
     ``Fraction.__new__`` so that each call adds 1 to ``counts[label]``."""
     import xnadhm
+    from xnadhm import linalg
     from xnadhm.linalg import Matrix
 
     modules = [importlib.import_module(f"xnadhm.{info.name}")
                for info in pkgutil.iter_modules(xnadhm.__path__)]
-    for label, owner, attr in KERNELS:
+    kernels = list(KERNELS)
+    for label, names, public in LAPACK:
+        if all(hasattr(linalg, name) for name in names):
+            kernels += [(label, "linalg", name) for name in names]
+        else:
+            kernels.append((label, np.linalg, public))
+    for label, owner, attr in kernels:
         counts[label] = 0
         if isinstance(owner, str):
             fn = getattr(importlib.import_module(f"xnadhm.{owner}"), attr)
