@@ -38,7 +38,9 @@ float image are array primitives on entries (``_matmul``, ``_inverse``,
 operations and ``residual`` wrap; kernels on small blocks (the chart
 dictionary and the chart (P3) test, the (P1)/(Q1) defects on stacks of C
 blocks, chart transitions, monad gauge normalization) call them on arrays
-and wrap their results once, where a public function returns them.  The
+and wrap their results once, where a public function returns them.  Every
+float LAPACK call but those of ``inverse`` and ``det`` is one of the
+kernels ``_svdvals``, ``_svd``, ``_inv``, ``_eigvals`` and ``_solve``.  The
 identity of each size and backend is built once, by ``_identity``, and kept
 read-only, so that every caller shares it; ``_zeros`` gives a fresh
 writable array on each call.
@@ -197,10 +199,9 @@ def _eigvals(a):
 
 
 def _solve(a, b):
-    """x with a x = b for a square a and a matrix b, or for each pair of a
-    stack: ``np.linalg.solve(a, b)``."""
-    if (_SOLVE is None or a.dtype is not _CDOUBLE
-            or b.dtype is not _CDOUBLE or b.ndim == 1):
+    """x with a x = b for a square matrix a and a matrix b, or for each pair
+    of a stack: ``np.linalg.solve(a, b)``."""
+    if _SOLVE is None or a.dtype is not _CDOUBLE or b.dtype is not _CDOUBLE:
         return np.linalg.solve(a, b)
     return _lapack(_SOLVE, "DD->D", a, b)
 
@@ -840,8 +841,9 @@ def inverse(M: Matrix) -> Matrix:
 
 
 def _inverse(a, backend):
-    """Inverse of a square entry array, or on floats of each matrix of a
-    stack: LAPACK, or on exact backends ``_checked_inverse``."""
+    """Inverse of a square entry array that no test has found invertible
+    (``inverse``): np.linalg's, with LAPACK's error on a singular matrix as
+    ``SingularMatrix``, or on exact backends ``_checked_inverse``'s."""
     if not backend.exact:
         try:
             return np.linalg.inv(a)
