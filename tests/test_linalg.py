@@ -1279,26 +1279,20 @@ def test_zeros_are_fresh_writable_field_zeros(backend):
 # LAPACK kernels
 # ---------------------------------------------------------------------------
 
-#: (kernel, its binding in ``linalg``, the np.linalg call it stands for,
-#: whether it takes square matrices only)
+#: per kernel: its gufunc binding in ``linalg``, the kernel call, the
+#: np.linalg call it stands for, and whether it takes square matrices only
 _KERNELS = {
-    "_svdvals": ("_SVDVALS", lambda a: np.linalg.svd(a, compute_uv=False),
-                 False),
-    "_svd": ("_SVD_FULL", np.linalg.svd, False),
+    "_svdvals": ("_SVDVALS", linalg._svdvals,
+                 lambda a: np.linalg.svd(a, compute_uv=False), False),
+    "_svd": ("_SVD_FULL", linalg._svd, np.linalg.svd, False),
     "_svd reduced": ("_SVD_REDUCED",
+                     lambda a: linalg._svd(a, full_matrices=False),
                      lambda a: np.linalg.svd(a, full_matrices=False), False),
-    "_inv": ("_INV", np.linalg.inv, True),
-    "_eigvals": ("_EIGVALS", np.linalg.eigvals, True),
-    "_solve": ("_SOLVE", lambda a: np.linalg.solve(a, a[..., :2]), True),
+    "_inv": ("_INV", linalg._inv, np.linalg.inv, True),
+    "_eigvals": ("_EIGVALS", linalg._eigvals, np.linalg.eigvals, True),
+    "_solve": ("_SOLVE", lambda a: linalg._solve(a, a[..., :2]),
+               lambda a: np.linalg.solve(a, a[..., :2]), True),
 }
-
-
-def _call_kernel(name, a):
-    if name == "_svd reduced":
-        return linalg._svd(a, full_matrices=False)
-    if name == "_solve":
-        return linalg._solve(a, a[..., :2])
-    return getattr(linalg, name)(a)
 
 
 def _kernel_inputs(square):
@@ -1330,7 +1324,7 @@ def test_the_kernels_bind_every_gufunc_on_numpy_2():
     if np.lib.NumpyVersion(np.__version__) < "2.0.0":
         pytest.skip("numpy < 2 takes the public np.linalg functions")
     assert all(getattr(linalg, binding) is not None
-               for binding, _, _ in _KERNELS.values())
+               for binding, *_ in _KERNELS.values())
 
 
 @pytest.mark.parametrize("bound", [True, False], ids=["gufunc", "fallback"])
@@ -1340,11 +1334,11 @@ def test_kernels_match_np_linalg_byte_for_byte(name, bound, monkeypatch):
     on complex and real matrices and stacks, square, wide, tall and empty;
     and so does the public function it falls back to when its gufunc is
     not bound."""
-    binding, reference, square = _KERNELS[name]
+    binding, kernel, reference, square = _KERNELS[name]
     if not bound:
         monkeypatch.setattr(linalg, binding, None)
     for a in _kernel_inputs(square):
-        _same_bytes(_call_kernel(name, a), reference(a))
+        _same_bytes(kernel(a), reference(a))
 
 
 @pytest.mark.parametrize("silenced", [False, True], ids=["default", "ignore"])
