@@ -596,11 +596,11 @@ def test_exact_T2_takes_no_float_and_no_fraction(monkeypatch):
     """On RATIONAL and GF(p) ``check_T2`` is the exact Kalman rank alone:
     it calls no LAPACK kernel, neither ``np.linalg.inv`` nor
     ``np.linalg.det`` (the two float calls outside the kernels) and no
-    ``_complex_entries``, makes no
-    ``Fraction``, gives one verdict at ``tol`` 0, 1e-9 and 10, and that
-    verdict is whether the word stack reaches rank c.  The triples are
-    commuting and non-commuting, with fractional entries on the rationals,
-    with zero, partial and generic frames."""
+    ``_complex_entries``, makes no ``Fraction``, gives one verdict at
+    ``tol`` 0, 1e-9 and 10, and that verdict is whether the word stack
+    reaches rank c.  The triples are commuting and non-commuting, with
+    fractional entries on the rationals, with zero, partial and generic
+    frames."""
     from fractions import Fraction
 
     rng = rng_from_seed(36)
