@@ -13,7 +13,9 @@ of its backend's ``dtype``: complex128, or an object array holding the
 exact backends' Python ``Fraction`` and ``int`` scalars.  Matrix arithmetic
 is a single numpy operation on any backend, with one exception: a rational
 product brings each factor over its least common denominator and multiplies
-the integer numerators, so that no intermediate ``Fraction`` is made.  Only
+the integer numerators, so that no intermediate ``Fraction`` is made; a
+rational ``Matrix`` keeps that integer form once it is taken
+(``_kept_form``), and a rational product keeps the form of its result.  Only
 rank, nullspace, determinant and inverse take a different algorithm on the
 exact backends (elimination by hand instead of LAPACK), and it runs on
 Python ints as well.  There is one elimination loop, ``_fraction_free``:
@@ -372,9 +374,17 @@ class Matrix:
     ``Fraction`` or ``int`` residues for the exact backends.  Only the
     constructor coerces; every result of matrix arithmetic is built by
     ``_wrap`` from an array that is already in canonical form.
+
+    A rational matrix also keeps its integer form (N, d), d the least
+    common denominator of the entries and N the read-only array of Python
+    ints d * entries, in the slot ``_form``: ``_kept_form`` fills it on
+    first request, and a rational product stores the form it was computed
+    from.  The cast to GF(p), the pencil's node forms and the stacked chain
+    defects read the kept form, so each matrix's form is computed at most
+    once.  Complex and prime-field matrices never fill the slot.
     """
 
-    __slots__ = ("rows", "cols", "backend", "entries")
+    __slots__ = ("rows", "cols", "backend", "entries", "_form")
 
     def __init__(self, rows, cols, entries, backend=COMPLEX):
         _check_dims(rows, cols)
@@ -478,6 +488,12 @@ class Matrix:
             raise ShapeMismatch(
                 f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         bk = self.backend
+        if bk.kind == "rational":
+            form = _form_product(_kept_form(self), _kept_form(other))
+            form[0].setflags(write=False)
+            M = _wrap(_fractions(*form), bk)
+            _set_form(M, form)
+            return M
         return _wrap(_matmul(self.entries, other.entries, bk), bk)
 
     def transpose(self):
@@ -505,16 +521,17 @@ class Matrix:
         GF(p), integers -> anything).  Lossy directions raise; residues have
         no canonical lift, so a prime-field matrix cannot leave its field.
 
-        A rational matrix goes to GF(p) through its integer form N / d: the
-        residues of N times the one inverse of d modulo p.  When p divides
-        d, some entry's denominator vanishes modulo p, and the per-entry
-        ``coerce`` raises its ``UnsupportedBackend``."""
+        A rational matrix goes to GF(p) through its kept integer form N / d
+        (``_kept_form``): the residues of N times the one inverse of d
+        modulo p.  When p divides d, some entry's denominator vanishes
+        modulo p, and the per-entry ``coerce`` raises its
+        ``UnsupportedBackend``."""
         if backend == self.backend:
             return self
         if self.backend.kind == "gf":
             raise UnsupportedBackend("prime-field residues cannot be lifted")
         if self.backend.kind == "rational" and backend.kind == "gf":
-            num, d = _integer_form(self.entries)
+            num, d = _kept_form(self)
             if d % backend.p:
                 return _wrap(backend.reduce(
                     num * pow(d, backend.p - 2, backend.p)), backend)
@@ -537,6 +554,7 @@ _set_rows = Matrix.rows.__set__
 _set_cols = Matrix.cols.__set__
 _set_backend = Matrix.backend.__set__
 _set_entries = Matrix.entries.__set__
+_set_form = Matrix._form.__set__
 
 
 def _store(M, arr, backend):
@@ -595,14 +613,44 @@ def _numerators(values):
     return [p * (d // q) for p, q in pairs], d
 
 
+def _kept_form(M):
+    """The integer form (N, d) of a rational Matrix, as ``_integer_form``
+    of its entries, computed on the first request and kept in its slot
+    ``_form`` with N read-only."""
+    try:
+        return M._form
+    except AttributeError:
+        if M.backend.kind != "rational":
+            raise UnsupportedBackend(
+                f"only rational matrices have an integer form, not {M.backend}"
+            ) from None
+        form = _integer_form(M.entries)
+        form[0].setflags(write=False)
+        _set_form(M, form)
+        return form
+
+
+def _form_product(fa, fb):
+    """The integer form of a @ b from the integer forms (Na, da) and
+    (Nb, db) of two rational arrays: with N = Na @ Nb, D = da db and
+    g = gcd(D, every entry of N), the pair (N / g, D / g).  D / g is the
+    least common denominator of the entries N / D, so the pair is
+    ``_integer_form`` of the product, with no ``as_integer_ratio`` pass."""
+    (na, da), (nb, db) = fa, fb
+    num, d = na @ nb, da * db
+    g = math.gcd(d, *num.flat)
+    if g != 1:
+        num, d = num // g, d // g
+    return num, d
+
+
 def _rational_product(a, b):
     """a @ b for object arrays of rationals, as one integer matmul of the
-    numerators over the product of the two common denominators: the
-    canonical ``Fraction`` of each result entry is made once, not once per
-    term.  Exact, so the entries equal those of ``a @ b``."""
-    na, da = _integer_form(a)
-    nb, db = _integer_form(b)
-    return _fractions(na @ nb, da * db)
+    numerators over the product of the two common denominators
+    (``_form_product``): the canonical ``Fraction`` of each result entry is
+    made once, not once per term.  Exact, so the entries equal those of
+    ``a @ b``."""
+    return _fractions(*_form_product(_integer_form(a), _integer_form(b)))
 
 
 def _fractions(num, d):
@@ -905,15 +953,15 @@ def _node_entries(a1, a2, n1, n2, backend):
 
 def _node_forms(A1: Matrix, A2: Matrix):
     """(a1, a2, den) from which ``_node_det`` takes a pencil's node
-    determinants: on the rationals, with (N1, d1) and (N2, d2) the integer
-    forms of A1 and A2, the integer row lists d2 N1 and d1 N2 and
+    determinants: on the rationals, with (N1, d1) and (N2, d2) the kept
+    integer forms of A1 and A2, the integer row lists d2 N1 and d1 N2 and
     den = (d1 d2)^c, so that n1 A1 + n2 A2 = (n1 d2 N1 + n2 d1 N2) / (d1 d2);
     over GF(p) the residue row lists and 1; on floats the entry arrays and
     1."""
     bk = A1.backend
     if bk.kind == "rational":
-        n1, d1 = _integer_form(A1.entries)
-        n2, d2 = _integer_form(A2.entries)
+        n1, d1 = _kept_form(A1)
+        n2, d2 = _kept_form(A2)
         return (d2 * n1).tolist(), (d1 * n2).tolist(), (d1 * d2) ** A1.rows
     if bk.exact:
         return A1.entries.tolist(), A2.entries.tolist(), 1
@@ -1069,12 +1117,13 @@ def _interpolate_form(values, backend) -> HomogPoly:
     """The binary form of degree c = len(values) - 1 that takes ``values``
     at ``_pencil_nodes(c, backend)``, by one product with the cached inverse
     Vandermonde matrix.  On the rationals that product is one integer
-    product of the matrix's integer form with the numerators of the values
-    over their common denominator, and one ``Fraction`` per coefficient."""
+    product of the matrix's kept integer form with the numerators of the
+    values over their common denominator, and one ``Fraction`` per
+    coefficient."""
     c = len(values) - 1
     inv = _vandermonde_inverse(c, backend)
     if backend.kind == "rational":
-        w, dw = _integer_form(inv.entries)
+        w, dw = _kept_form(inv)
         nums, d = _numerators(values)
         coeffs = _fractions(w @ np.array(nums, dtype=object), dw * d)
     else:

@@ -38,8 +38,8 @@ from .errors import (
 # rank is not called here; benches/tracing.py traces it as quiver.rank
 from .linalg import Matrix, nullspace, rank, vstack  # noqa: F401
 from .xn import (XnADHM, _backend_angles, _binomial_combination,
-                 _chain_defects, _chain_holds, _pencil_step, _rotation, _stack,
-                 check_P1, check_P2)
+                 _chain_defects, _chain_holds, _integer_chain_defects,
+                 _pencil_step, _rotation, _stack, check_P1, check_P2)
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,8 @@ def _relations(r: FramedRep):
     fs = _stack(r.f) if r.f else None
     e = r.e.entries
     blocks = (cs, e) if fs is None else (cs, e, fs)
+    if r.backend.kind == "rational":
+        return _integer_chain_defects(r.A1, r.A2, r.C, r.f, r.e), blocks
     return (_chain_defects(r.A1.entries, r.A2.entries, cs, r.backend, fs, e),
             blocks)
 

@@ -315,9 +315,8 @@ def _chain_defects(a1, a2, cs, backend, fs=None, e=None):
     Cq A1 + fq e - C(q+1) A2 when ``fs`` is given.  Each stack comes from
     one product of (A1, A2) with the C stack on each side, and (Q1) adds
     the product of the f stack with e; rational blocks take the same
-    products on their integer forms in ``_integer_chain_defects``."""
-    if backend.kind == "rational":
-        return _integer_chain_defects(a1, a2, cs, fs, e)
+    products on the integer forms that their Matrices keep, in
+    ``_integer_chain_defects``."""
 
     def mul(x, y):
         return linalg._matmul(x, y, backend)
@@ -334,38 +333,53 @@ def _chain_defects(a1, a2, cs, backend, fs=None, e=None):
     return a_side, backend.reduce(c_side - right[1, 1:])
 
 
-def _integer_chain_defects(a1, a2, cs, fs=None, e=None):
-    """``_chain_defects`` on rational blocks, stacked as on the other
-    backends.  With (N1, d1), (N2, d2) and (NC, dC) the integer forms of
-    A1, A2 and the whole C stack, the A sides are the pair
-    (d2 N1, d1 N2) = d1 d2 (A1, A2), so each side of the n >= 2 relations is
-    one integer product of the pair with NC over d1 d2 dC, and (Q1) adds
-    the product NF Ne of the integer forms of the f stack and e over the
-    least common denominator of the two.  Each defect stack takes one
-    ``Fraction`` per entry."""
-    (n1, d1), (n2, d2) = map(linalg._integer_form, (a1, a2))
-    nc, dc = linalg._integer_form(cs)
+def _integer_chain_defects(A1, A2, C, f=(), e=None):
+    """``_chain_defects`` of rational Matrices A1, A2, the C blocks and,
+    for (Q1), the f blocks and e, stacked as on the other backends.  With
+    (N1, d1), (N2, d2) and (NC, dC) the integer forms of A1, A2 and the
+    whole C stack, the A sides are the pair (d2 N1, d1 N2) = d1 d2 (A1, A2),
+    so each side of the n >= 2 relations is one integer product of the pair
+    with NC over d1 d2 dC, and (Q1) adds the product NF Ne of the integer
+    forms of the f stack and e over the least common denominator of the
+    two.  Every form comes from the forms that the blocks keep
+    (``_stack_form``).  Each defect stack takes one ``Fraction`` per
+    entry."""
+    (n1, d1), (n2, d2) = map(linalg._kept_form, (A1, A2))
+    nc, dc = _stack_form(C)
     den = d1 * d2 * dc
-    if len(cs) == 1:
+    if len(C) == 1:
         return (linalg._fractions(n1 @ nc[0] @ n2 - n2 @ nc[0] @ n1, den),)
     pair = np.array((d2 * n1, d1 * n2))[:, None]
     left, right = pair @ nc, nc @ pair
     c_side = right[0, :-1] - right[1, 1:]
     c_den = den
-    if fs is not None:
-        nf, df = linalg._integer_form(fs)
-        ne, de = linalg._integer_form(e)
+    if f:
+        nf, df = _stack_form(f)
+        ne, de = linalg._kept_form(e)
         c_den = math.lcm(den, df * de)
         c_side = c_side * (c_den // den) + (nf @ ne) * (c_den // (df * de))
     return (linalg._fractions(left[0, :-1] - left[1, 1:], den),
             linalg._fractions(c_side, c_den))
 
 
+def _stack_form(mats):
+    """The integer form (N, d) of the stack of rational Matrices ``mats``
+    from the forms that they keep: d is the least common multiple of their
+    d_q, and N the stack of their N_q d / d_q."""
+    forms = [linalg._kept_form(M) for M in mats]
+    d = math.lcm(*[dq for _, dq in forms])
+    return np.array([nq if dq == d else nq * (d // dq)
+                     for nq, dq in forms]), d
+
+
 def check_P1(d: XnADHM, tol=None) -> bool:
     """Chain condition on (A1, A2, C); literal on the exact backends."""
     a1, a2, cs = d.A1.entries, d.A2.entries, _stack(d.C)
-    return _chain_holds(_chain_defects(a1, a2, cs, d.backend), a1, a2, (cs,),
-                        d.backend, tol)
+    if d.backend.kind == "rational":
+        defects = _integer_chain_defects(d.A1, d.A2, d.C)
+    else:
+        defects = _chain_defects(a1, a2, cs, d.backend)
+    return _chain_holds(defects, a1, a2, (cs,), d.backend, tol)
 
 
 def _chain_holds(defects, a1, a2, blocks, backend, tol=None) -> bool:

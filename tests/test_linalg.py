@@ -821,6 +821,125 @@ def test_rational_product_property(rows, inner, cols, data):
 
 
 # ---------------------------------------------------------------------------
+# the integer form that a rational matrix keeps
+# ---------------------------------------------------------------------------
+
+def _assert_kept_form(M):
+    """M keeps its integer form, equal to ``_integer_form`` of its entries:
+    the same Python ints over the least common denominator, read-only."""
+    num, d = linalg._kept_form(M)
+    want, want_d = linalg._integer_form(M.entries)
+    assert (num.shape, num.tolist(), d) == (want.shape, want.tolist(), want_d)
+    assert all(type(x) is int for x in num.flat) and type(d) is int
+    assert d == math.lcm(*[x.denominator for x in M.entries.flat])
+    assert not num.flags.writeable
+    assert linalg._kept_form(M) is M._form
+
+
+def test_built_rational_matrices_keep_their_integer_form():
+    """A rational matrix built from outside values takes its form on the
+    first request and keeps it; empty shapes have d = 1."""
+    rng = np.random.default_rng(40)
+    built = [Matrix.identity(3, RATIONAL), Matrix.zeros(2, 3, RATIONAL),
+             Matrix.diagonal([Fraction(1, 2), 3, Fraction(-2, 9)], RATIONAL),
+             Matrix.row_vector([Fraction(5, 6), 0], RATIONAL),
+             Matrix.zeros(0, 0, RATIONAL), Matrix.zeros(0, 3, RATIONAL),
+             Matrix.zeros(3, 0, RATIONAL)]
+    for kind in ("integers", "negative", "big denominators", "sparse"):
+        built.append(Matrix(3, 4, _rational_entries(rng, kind, 12), RATIONAL))
+    for M in built:
+        assert not hasattr(M, "_form")
+        _assert_kept_form(M)
+    assert [linalg._kept_form(M)[1] for M in built[4:7]] == [1, 1, 1]
+
+
+def test_rational_products_keep_the_least_common_denominator_form():
+    """Each rational product stores the form it was computed from: chained
+    products as in ``phi2 @ J @ inv1``, products that cancel to integers
+    or to zero, and empty shapes, whose product form is (0, 1)."""
+    rng = np.random.default_rng(41)
+    J = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]], RATIONAL)
+    phi = Matrix.from_rows([[1, -2, 1], [0, 1, 2], [0, 0, 1]], RATIONAL)
+    psi = Matrix.from_rows([[2, 0, 1], [0, 3, 0], [1, 0, 1]], RATIONAL)
+    inv_phi, inv_psi = inverse(phi), inverse(psi)
+    B = Matrix(3, 3, _rational_entries(rng, "negative", 9), RATIONAL)
+    products = [psi @ J @ inv_phi, phi @ J @ inv_psi, J @ J @ J,
+                inv_psi @ B @ psi, B @ inv_psi @ psi,        # back to B
+                psi @ inv_psi, inv_psi.scale(6) @ psi,       # integers
+                Matrix.diagonal([Fraction(1, 6), 0, Fraction(5, 3)],
+                                RATIONAL) @ Matrix.zeros(3, 3, RATIONAL),
+                Matrix.from_rows([[Fraction(1, 2), Fraction(-1, 2)]],
+                                 RATIONAL)
+                @ Matrix.col_vector([Fraction(1, 3), Fraction(1, 3)],
+                                    RATIONAL),                # zero
+                Matrix.zeros(0, 3, RATIONAL) @ B,
+                Matrix.zeros(2, 0, RATIONAL) @ Matrix.zeros(0, 3, RATIONAL),
+                B @ Matrix.zeros(3, 0, RATIONAL)]
+    for M in products:
+        assert hasattr(M, "_form")
+        _assert_kept_form(M)
+    assert products[4] == B
+    assert [products[k].entries.tolist() for k in (5, 6)] == \
+        [Matrix.identity(3, RATIONAL).entries.tolist(),
+         Matrix.identity(3, RATIONAL).scale(6).entries.tolist()]
+    assert [linalg._kept_form(M)[1] for M in products[5:]] == [1] * 7
+    assert products[10].entries.tolist() == [[Fraction(0)] * 3] * 2
+    for rows, inner, cols in ((2, 3, 4), (1, 1, 1), (4, 2, 3)):
+        for kind in ("integers", "big denominators", "sparse"):
+            A = Matrix(rows, inner, _rational_entries(rng, kind, rows * inner),
+                       RATIONAL)
+            C = Matrix(inner, cols, _rational_entries(rng, kind, inner * cols),
+                       RATIONAL)
+            M = A @ C
+            assert hasattr(M, "_form")
+            _assert_kept_form(M)
+
+
+def test_cast_through_the_kept_form_refuses_a_vanishing_denominator():
+    """A rational matrix, built or a product, whose least common
+    denominator p divides raises the per-entry ``coerce``'s
+    ``UnsupportedBackend`` from ``cast(GF(p))``; one whose product cancels
+    p casts to the residues of its entries."""
+    third = Matrix.diagonal([Fraction(1, 3), 1], RATIONAL)
+    for M in (Matrix.from_rows([[1, Fraction(2, 15)]], RATIONAL),
+              Matrix.row_vector([1, 1], RATIONAL) @ third):
+        for p in (3, 5):
+            want = [[GF(p).coerce(x) for x in row]
+                    for row in M.entries.tolist()] if (
+                        linalg._kept_form(M)[1] % p) else None
+            if want is None:
+                bad = next(x for x in M.entries.flat if x.denominator % p == 0)
+                with pytest.raises(UnsupportedBackend) as raised:
+                    M.cast(GF(p))
+                with pytest.raises(UnsupportedBackend) as coerced:
+                    GF(p).coerce(bad)
+                assert str(raised.value) == str(coerced.value)
+            else:
+                assert M.cast(GF(p)).entries.tolist() == want
+    three = Matrix.diagonal([3, 3], RATIONAL) @ third
+    assert linalg._kept_form(three)[1] == 1
+    assert three.cast(GF(3)).entries.tolist() == [[1, 0], [0, 0]]
+
+
+def test_complex_and_prime_field_matrices_keep_no_form():
+    """Only rational matrices have an integer form: complex and GF(p)
+    matrices, built, multiplied, cast or inverted, never fill the slot,
+    and asking them for a form raises ``UnsupportedBackend``."""
+    R = Matrix.from_rows([[Fraction(1, 2), 2], [3, Fraction(-1, 4)]],
+                         RATIONAL)
+    Z = Matrix.from_rows([[1 + 2j, 0.5], [3, -1j]])
+    G = Matrix.from_rows([[1, 2], [3, 4]], GF(5))
+    made = [Z, Z @ Z, Z + Z, inverse(Z), Z.transpose(), R.cast(COMPLEX),
+            G, G @ G, inverse(G), R.cast(GF(5)), R.cast(GF(5)) @ G]
+    for M in made:
+        assert not hasattr(M, "_form")
+        with pytest.raises(UnsupportedBackend):
+            linalg._kept_form(M)
+        assert not hasattr(M, "_form")
+    assert hasattr(R, "_form")      # the casts read it
+
+
+# ---------------------------------------------------------------------------
 # pencil nodes and their inverse Vandermonde matrix
 # ---------------------------------------------------------------------------
 

@@ -706,6 +706,62 @@ def test_fixture_list_agreement():
         assert enumerated == spectral == fx["expected"], fx["name"]
 
 
+def _integer_framed_rep(n, c):
+    """An integer framed representation with f1 = e_(c-1) != 0 and a
+    regular pencil, so unstable (``sampling.random_framed_rep`` with a = 0,
+    b = 1), moved by two unit upper triangular integer base changes."""
+    J = Matrix.from_rows([[int(j == i + 1) for j in range(c)]
+                          for i in range(c)], RATIONAL)
+    Cs = [Matrix.diagonal([0] * (c - 1) + [1], RATIONAL)]
+    fs = [Matrix.col_vector([0] * (c - 2) + [1, 0], RATIONAL)]
+    for _ in range(n - 1):
+        Cs.append(J @ Cs[-1])
+    for _ in range(n - 2):
+        fs.append(J @ fs[-1])
+    phi1, phi2 = (Matrix.from_rows([[1 if i == j else (i + s * j) % 3 - 1
+                                     if j > i else 0 for j in range(c)]
+                                    for i in range(c)], RATIONAL)
+                  for s in (1, 2))
+    inv1, inv2 = inverse(phi1), inverse(phi2)
+    e = Matrix.row_vector([0] * (c - 1) + [1], RATIONAL)
+    return FramedRep(n, c, c, 1, phi2 @ J @ inv1, phi2 @ inv1,
+                     tuple(phi1 @ C @ inv2 for C in Cs), e @ inv1,
+                     tuple(phi1 @ f for f in fs))
+
+
+def test_cast_and_spectral_verdict_take_each_integer_form_once(monkeypatch):
+    """A rational sample cast to GF(5) for the enumeration and then decided
+    spectrally takes the integer form of no array twice: each block keeps
+    the form that the cast took, and the (Q1) defects and the pencil's node
+    forms read it.  Points data (semistable, and unstable with e = 0) and
+    integer framed representations (unstable) alike; the blocks of the
+    latter are products, which keep their forms from the start."""
+    taken = []
+    form = linalg._integer_form
+
+    def counted(arr):
+        taken.append(arr)       # held, so no id is reused
+        return form(arr)
+
+    monkeypatch.setattr(linalg, "_integer_form", counted)
+    points = [(1, 2), (-2, 3), (0, -1)]
+    d = from_xn_points(2, 0, points, RATIONAL)
+    cases = [(embed_xn_as_rep(d), Verdict.SEMISTABLE),
+             (embed_xn_as_rep(XnADHM(d.n, d.c, d.A1, d.A2, d.C,
+                                     Matrix.zeros(1, 3, RATIONAL))),
+              Verdict.UNSTABLE),
+             (embed_xn_as_rep(from_xn_points(1, 0, points, RATIONAL)),
+              Verdict.SEMISTABLE)]
+    cases += [(_integer_framed_rep(n, c), Verdict.UNSTABLE)
+              for n in (2, 3) for c in (2, 3)]
+    for k, (r, want) in enumerate(cases):
+        taken.clear()
+        r.cast(GF(5))
+        assert check_semistable_spectral(r) is want
+        assert len({id(a) for a in taken}) == len(taken)
+        assert (len(taken) > 0) is (k < 3)
+
+
 def test_spectral_verdict_analyzes_the_pencil_once(monkeypatch):
     from xnadhm import quiver, xn
     from xnadhm.xn import check_P1

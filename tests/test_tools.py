@@ -42,24 +42,26 @@ def _ledger(prelude=""):
 
 def test_call_ledger_counts_the_kernels_of_one_round():
     """``tools/call_ledger.py --rounds 1`` prints one line per (workload,
-    seed) with the eleven counts in a fixed order; the float workload
-    ``roundtrip`` makes no exact elimination and no ``Fraction``, and the
-    exact workload ``oracle`` makes both."""
+    seed) with the twelve counts in a fixed order; the float workloads
+    make no exact elimination, no integer form and no ``Fraction``, and the
+    exact workload ``oracle`` makes all three."""
     lines = _ledger()
     assert [key for key, _ in lines] == [
         f"{name} seed={seed}" for name in ("roundtrip", "transitions",
                                            "oracle") for seed in (0, 1504)]
     counts = [c for _, c in lines]
     labels = ["_rref", "_fraction_free", "_checked_inverse", "_matmul",
-              "np.roots", "svd", "inv", "eigvals", "solve", "Matrix()",
-              "Fraction"]
+              "_integer_form", "np.roots", "svd", "inv", "eigvals", "solve",
+              "Matrix()", "Fraction"]
     assert all(list(c) == labels and all(v.isdigit() for v in c.values())
                for c in counts)
     for c in counts[:2]:
         assert c["_rref"] == c["_fraction_free"] == c["Fraction"] == "0"
+        assert c["_integer_form"] == "0"
         assert int(c["svd"]) > 0 and c["eigvals"] == c["solve"] != "0"
     for c in counts[4:]:
         assert int(c["_rref"]) > 0 and int(c["Fraction"]) > 0
+        assert int(c["_integer_form"]) > 0
 
 
 def test_call_ledger_counts_np_linalg_on_a_checkout_without_kernels():

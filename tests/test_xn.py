@@ -2309,8 +2309,9 @@ def test_stacked_chain_defects_equal_the_per_q_reference(backend):
     """The two stacked (P1) products, and for (Q1) the f stack times e,
     give the per-q defects byte for byte, unstacked in the order of the
     relations, with and without f and e; on the rationals the stacked
-    products run on integer forms, and the reference on ``Fraction``
-    entries."""
+    products run on the integer forms that the blocks keep
+    (``_integer_chain_defects`` of the Matrices), and the reference on
+    ``Fraction`` entries."""
     from xnadhm.quiver import FramedRep, relation_defects
     from xnadhm.sampling import random_matrix
 
@@ -2332,10 +2333,15 @@ def test_stacked_chain_defects_equal_the_per_q_reference(backend):
                        [block(c, c) for _ in range(n)], block(1, c))
             f = tuple(block(c, 1) for _ in range(n - 1))
             a1, a2, cs = d.A1.entries, d.A2.entries, xn._stack(d.C)
-            plain = xn._chain_defects(a1, a2, cs, backend)
+            if backend is RATIONAL:
+                plain = xn._integer_chain_defects(d.A1, d.A2, d.C)
+                framed = plain if n == 1 else xn._integer_chain_defects(
+                    d.A1, d.A2, d.C, f, d.e)
+            else:
+                plain = xn._chain_defects(a1, a2, cs, backend)
+                framed = plain if n == 1 else xn._chain_defects(
+                    a1, a2, cs, backend, xn._stack(f), d.e.entries)
             assert len(plain) == (1 if n == 1 else 2)
-            framed = plain if n == 1 else xn._chain_defects(
-                a1, a2, cs, backend, xn._stack(f), d.e.entries)
             for got, want in ((plain, _chain_defects_reference(d)),
                               (framed, _chain_defects_reference(d, f, d.e))):
                 if n > 1:

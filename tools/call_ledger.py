@@ -8,12 +8,14 @@ held-out seed 1504, it runs rounds 0 to ``--rounds`` - 1 untimed and
 untraced and prints one line
 
     <workload> seed=<seed> _rref=.. _fraction_free=.. _checked_inverse=..
-    _matmul=.. np.roots=.. svd=.. inv=.. eigvals=.. solve=.. Matrix()=..
-    Fraction=..
+    _matmul=.. _integer_form=.. np.roots=.. svd=.. inv=.. eigvals=..
+    solve=.. Matrix()=.. Fraction=..
 
 counting the calls of the exact eliminations ``linalg._rref`` and
 ``linalg._fraction_free``, of the guarded inverse
 ``linalg._checked_inverse``, of the product ``linalg._matmul``, of
+``linalg._integer_form`` (one per integer form N / d computed from a
+rational array; a form that a ``Matrix`` keeps is computed once), of
 ``np.roots``, of the LAPACK kernels of ``linalg`` (``svd`` counts
 ``_svdvals`` and ``_svd``, ``inv`` counts ``_inv``, ``eigvals``
 ``_eigvals`` and ``solve`` ``_solve``; on a checkout without the kernels,
@@ -52,6 +54,7 @@ KERNELS = (("_rref", "linalg", "_rref"),
            ("_fraction_free", "linalg", "_fraction_free"),
            ("_checked_inverse", "linalg", "_checked_inverse"),
            ("_matmul", "linalg", "_matmul"),
+           ("_integer_form", "linalg", "_integer_form"),
            ("np.roots", np, "roots"))
 
 #: (label, LAPACK kernels of ``linalg``, the np.linalg function that a
