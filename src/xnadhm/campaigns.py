@@ -49,6 +49,7 @@ from .xn import (
     XnADHM,
     _chart_action,
     _gauge_inverse,
+    _stack,
     _transition,
     check_P3_direct,
     check_P3_via_chart,
@@ -206,7 +207,7 @@ def _cocycle(item, samples, tol):
 
 def _stacks(rows):
     """One entry stack per column of rows of Matrices, one row per leg."""
-    return [np.stack([M.entries for M in column]) for column in zip(*rows)]
+    return [_stack(column) for column in zip(*rows)]
 
 
 def _leg_scales(blocks):

@@ -227,6 +227,9 @@ class _NativeField:
     def __repr__(self):
         return self.kind
 
+    def __reduce__(self):
+        return backend_from_name, (repr(self),)
+
     def __eq__(self, other):
         return type(other) is type(self)
 
@@ -328,6 +331,9 @@ class PrimeField:
     def __repr__(self):
         return f"gf({self.p})"
 
+    def __reduce__(self):
+        return backend_from_name, (repr(self),)
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -397,6 +403,11 @@ class Matrix:
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        # the slots cannot be restored through __setattr__; a rational
+        # matrix computes its integer form again on request
+        return _wrap, (self.entries, self.backend)
 
     # -- constructors -------------------------------------------------------
 
@@ -870,7 +881,7 @@ def _exact_det(a, bk):
     """Determinant of a square entry array by ``_fraction_free`` (exact
     backends; 1 for an empty array on any backend): of the integer form of
     rationals over its common denominator to the power c, and of the
-    residues as integers, reduced modulo p."""
+    residues by the elimination modulo p."""
     n = len(a)
     if n == 0:
         return bk.one
@@ -879,7 +890,7 @@ def _exact_det(a, bk):
         return Fraction(
             _fraction_free([nums[i:i + n] for i in range(0, n * n, n)])[1],
             d ** n)
-    return _fraction_free(a.tolist())[1] % bk.p
+    return _fraction_free(a.tolist(), bk.p)[1] % bk.p
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -972,16 +983,19 @@ def _node_det(forms, n1, n2, backend):
     """det(n1 A1 + n2 A2) at a pencil node from ``_node_forms``.  The exact
     nodes are integers (residues over GF(p)), so the node matrix of the
     integer row lists is an integer matrix: its ``_fraction_free``
-    determinant over den on the rationals, reduced modulo p over GF(p), with
-    no ``Fraction`` or residue node matrix; on floats ``det`` of the node
-    matrix."""
+    determinant over den on the rationals, and over GF(p) the determinant
+    of its residues by the elimination modulo p, with no ``Fraction`` or
+    residue node matrix; on floats ``det`` of the node matrix."""
     a1, a2, den = forms
     if not backend.exact:
         return det(_wrap(_node_entries(a1, a2, n1, n2, backend), backend))
     n1, n2 = int(n1), int(n2)
-    v = _fraction_free([[n1 * x + n2 * y for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(a1, a2)])[1]
-    return Fraction(v, den) if backend.kind == "rational" else v % backend.p
+    node = [[n1 * x + n2 * y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(a1, a2)]
+    if backend.kind == "rational":
+        return Fraction(_fraction_free(node)[1], den)
+    p = backend.p
+    return _fraction_free([[x % p for x in row] for row in node], p)[1] % p
 
 
 def _node_stack(A1: Matrix, A2: Matrix, nodes):

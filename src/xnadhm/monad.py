@@ -145,12 +145,16 @@ def _of_stacks(n, c, m, stacks, xi) -> MonadCoeffs:
     return mc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaugeElement:
     """(phi, psi, chi) with psi = [[psi11, psi12(y)], [0, psi22]].
 
     ``psi12`` lists the n coefficient matrices of the polynomial block over
-    y2^q y1^(n-1-q) s_E, q = 0..n-1.
+    y2^q y1^(n-1-q) s_E, q = 0..n-1.  The constructor keeps the five blocks
+    as given.  The composite gauge that ``gauge_normalize`` returns holds
+    chi and the factors of the other four blocks, and makes phi = T a1n,
+    psi11 = T, psi12 = T Ps and psi22 = diag(T, 1) psi22_4 psi22_3 on first
+    read, then keeps them (``_composite``).
     """
     phi: Matrix
     psi11: Matrix
@@ -158,8 +162,31 @@ class GaugeElement:
     psi22: Matrix
     chi: Matrix
 
-    def __post_init__(self):
-        object.__setattr__(self, "psi12", tuple(self.psi12))
+    def __init__(self, phi, psi11, psi12, psi22, chi):
+        self.__dict__.update(phi=phi, psi11=psi11, psi12=tuple(psi12),
+                             psi22=psi22, chi=chi)
+
+    # the blocks of a composite, from its factors (T, a1n, Ps, diag_T,
+    # psi22_4, psi22_3, backend)
+    @functools.cached_property
+    def phi(self):
+        T, a1n, *_, bk = self._factors
+        return _wrap(_matmul(T, a1n, bk), bk)
+
+    @functools.cached_property
+    def psi11(self):
+        T, *_, bk = self._factors
+        return _wrap(T, bk)
+
+    @functools.cached_property
+    def psi12(self):
+        T, _, Ps, *_, bk = self._factors
+        return tuple([_wrap(P, bk) for P in _matmul(T, Ps, bk)])
+
+    @functools.cached_property
+    def psi22(self):
+        *_, diag_T, psi22_4, psi22_3, bk = self._factors
+        return _wrap(_matmul(diag_T, _matmul(psi22_4, psi22_3, bk), bk), bk)
 
     @classmethod
     def identity(cls, n: int, c: int, backend=linalg.COMPLEX) -> "GaugeElement":
@@ -188,6 +215,14 @@ class GaugeElement:
         psi12 = [-(psi11 @ q @ psi22) for q in self.psi12]
         return GaugeElement(phi=phi, psi11=psi11, psi12=psi12,
                             psi22=psi22, chi=inverse(self.chi))
+
+
+def _composite(chi, factors) -> GaugeElement:
+    """The gauge with the entry array chi as its chi block and the other
+    four blocks made from ``factors`` on first read."""
+    g = object.__new__(GaugeElement)
+    g.__dict__.update(chi=_wrap(chi, factors[-1]), _factors=factors)
+    return g
 
 
 def embed_gl_gauge(phi0: Matrix, n: int) -> GaugeElement:
@@ -286,7 +321,7 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
     b2[n + 1, :, c:] = d.e.entries.T
     xi = _zeros((2 * c + 1, 1), bk)
     xi[2 * c, 0] = bk.one
-    return _of_stacks(n, c, m, [a1, a2, np.stack((ident, tb1)), b2],
+    return _of_stacks(n, c, m, [a1, a2, np.array((ident, tb1)), b2],
                       _wrap(xi, bk))
 
 
@@ -294,18 +329,21 @@ def build_jm(d: PlaneADHM, n: int, m: int) -> MonadCoeffs:
 # chart re-expansion
 # ---------------------------------------------------------------------------
 
+#: the start of every float sum: x + (-0 - 0j) is x, signed zeros included
+_NEG_ZERO = complex(-0.0, -0.0)
+
+
 def _sigma_mix(coeffs, shift: int, c_count: int, backend):
     """Re-express a stack of h+1 coefficient arrays over the degree-h
     monomial basis of one chart in the basis of another, as one stack:
-    G_q = sum_p sigma^h_{shift; p q} F_p, summed in the order p = 0..h, one
-    broadcast multiply-add per p over all q."""
-    h = len(coeffs) - 1
-    sig = sigma(h, shift, c_count, backend).entries
-    red = backend.reduce
-    acc = red(sig[0, :, None, None] * coeffs[0])
-    for p in range(1, h + 1):
-        acc = red(acc + red(sig[p, :, None, None] * coeffs[p]))
-    return acc
+    G_q = sum_p sigma^h_{shift; p q} F_p.  Every term comes from one
+    broadcast product, and the terms are added in the order p = 0..h onto
+    -0 - 0j on floats (``np.sum`` starts from +0, which turns a sum of -0
+    terms into +0) and onto the backend zero on exact data."""
+    sig = sigma(len(coeffs) - 1, shift, c_count, backend).entries
+    start = backend.zero if backend.exact else _NEG_ZERO
+    return backend.reduce(np.add.reduce(
+        sig[:, :, None, None] * coeffs[:, None], axis=0, initial=start))
 
 
 def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
@@ -461,12 +499,14 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     With T = (b10^-1)^-1, the step gauges' blocks (b10^-1, the step-1 slots
     Q_q, the step-2 pivot a1n, psi22_3 and psi22_4) give the composite in
     closed form: phi = T a1n, psi11 = T, psi12_q = -T Q_q,
-    psi22 = diag(T, 1) psi22_4 psi22_3 and chi = T b10^-1.  Exact backends
-    read T = b10 and T^-1 = b10^-1, so an exact normalization takes four
-    eliminations (b10, a1n, the left null row, psi22_3); floats keep
-    LAPACK's T and T^-1.  All of it runs on entry arrays.  Exact backends
-    test beta o alpha = 0 and the framing support literally; floats test
-    them against ``tol``.
+    psi22 = diag(T, 1) psi22_4 psi22_3 and chi = T b10^-1.  Only chi is
+    computed here: the composite keeps the factors and makes phi, psi11,
+    psi12 and psi22 on first read, every block test having passed before
+    it is returned.  Exact backends read T = b10 and T^-1 = b10^-1, so an
+    exact normalization takes four eliminations (b10, a1n, the left null
+    row, psi22_3); floats keep LAPACK's T and T^-1.  All of it runs on
+    entry arrays.  Exact backends test beta o alpha = 0 and the framing
+    support literally; floats test them against ``tol``.
 
     Raises NotNormalizable at the first singular pivot; for re-expanded
     images of ``build_jm`` this happens exactly on the locus
@@ -555,11 +595,7 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
         _check_gauge_block_from(min(s_b[-1], 1.0), max(s_b[0], 1.0), diag_T,
                                 bk, "psi22", t)
     chi = mul(T, b10_inv)
-    g_total = GaugeElement(
-        phi=_wrap(mul(T, a1n), bk), psi11=_wrap(T, bk),
-        psi12=[_wrap(P, bk) for P in mul(T, Ps)],
-        psi22=_wrap(mul(diag_T, mul(psi22_4, psi22_3)), bk),
-        chi=_wrap(chi, bk))
+    g_total = _composite(chi, (T, a1n, Ps, diag_T, psi22_4, psi22_3, bk))
 
     # chi beta1[1] psi11^-1, psi11 alpha1[n+1] phi^-1, chi beta2[n+1]
     # psi22^-1, inverting factor by factor as acting step by step would:

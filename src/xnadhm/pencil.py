@@ -15,7 +15,7 @@ elimination of an integer matrix (``linalg._fraction_free``), with no
 ``Fraction`` or residue node matrix: a rational pencil is brought to
 integer form once, A_i = N_i / d_i, and its node determinant is that of
 n1 d2 N1 + n2 d1 N2 over (d1 d2)^c; over GF(p) it is that of n1 A1 + n2 A2
-on the residues as integers, reduced modulo p.
+on the residues, by the elimination modulo p.
 
 A singular pencil admits a polynomial vector solution
 v(t) = v0 - t v1 + ... + (-t)^eps v_eps of (A1 + t A2) v(t) = 0; equating

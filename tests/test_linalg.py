@@ -1275,8 +1275,8 @@ def test_exact_kernels_match_fraction_and_residue_references(backend):
 def test_prime_field_fraction_free_gives_the_reference_echelon_and_det(p):
     """``_fraction_free(rows, p)`` leaves the reduced echelon form of
     ``_reference_rref``, with its pivots, every pivot entry 1 and the rows
-    below the rank 0, and its determinant is that of ``_exact_det`` (the
-    integer loop on the residues) and of ``_reference_det``, modulo p."""
+    below the rank 0, and its determinant is that of ``_reference_det``,
+    modulo p, which ``_exact_det`` reads."""
     bk = GF(p)
     rng = np.random.default_rng(1968 + p)
     square = singular = 0

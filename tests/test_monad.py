@@ -3,6 +3,7 @@ re-expansion, gauge action and normalization."""
 
 import functools
 import gc
+import pickle
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -836,6 +837,48 @@ def test_sigma_mix_broadcast_matches_the_per_q_loop():
     assert errors[0] == errors[1]
 
 
+def _signed_zeros(rng, shape):
+    """Complex entries of which about half are zeros, each zero's real and
+    imaginary part +0.0 or -0.0 at random."""
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zero = rng.random(shape) < 0.5
+    a[zero] = 0.0
+    a.real[zero & (rng.random(shape) < 0.5)] = -0.0
+    a.imag[zero & (rng.random(shape) < 0.5)] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("backend", [COMPLEX, RATIONAL, GF(5)], ids=repr)
+def test_sigma_mix_keeps_the_sign_of_zero(backend):
+    """The one-pass ``_sigma_mix`` equals the per-term loop on stacks whose
+    entries are mostly zeros, of both signs on floats, and at sigma
+    matrices with zero entries: byte for byte on floats, entry for entry
+    with the entry types on the exact backends.  A sum that starts from
+    +0 (``np.sum``) turns a sum of -0 terms into +0 and fails here."""
+    rng = rng_from_seed(48)
+    charts = ([(c, 0, l) for c in range(1, 5) for l in range(c + 1)]
+              if backend is COMPLEX else INTEGER_CHARTS)
+    zero_weights = 0
+    for c, m, l in charts:
+        for h in range(5):
+            zero_weights += not sigma(h, l - m, c, backend).entries.all()
+            for rows, cols in ((c, c), (c + 1, c), (c, c + 1)):
+                shape = (h + 1, rows, cols)
+                if backend is COMPLEX:
+                    coeffs = _signed_zeros(rng, shape)
+                else:
+                    ints = rng.integers(-2, 3, size=shape)
+                    ints[rng.random(shape) < 0.5] = 0
+                    coeffs = np.array(
+                        [Matrix(rows, cols, F.ravel().tolist(),
+                                backend).entries for F in ints])
+                got = monad._sigma_mix(coeffs, l - m, c, backend)
+                want = per_q_sigma_mix(coeffs, l - m, c, backend)
+                assert [_entry_image(G) for G in got] == [
+                    _entry_image(W.entries) for W in want]
+    assert zero_weights > 0
+
+
 # ---------------------------------------------------------------------------
 # the coefficient stacks against the per-Matrix build_jm and reexpand_chart
 # ---------------------------------------------------------------------------
@@ -957,17 +1000,92 @@ def test_stacks_match_the_per_matrix_build_and_reexpansion(backend):
 
 def test_the_normalization_chain_leaves_the_matrix_fields_unmade():
     """build_jm, reexpand_chart and gauge_normalize read and write only the
-    stacks: no tuple of Matrices is made on the way."""
+    stacks: no tuple of Matrices is made on the way, and of the composite
+    gauge only chi is made."""
     rng = rng_from_seed(47)
     for c in (1, 2, 3):
         d = random_costable_triple(rng, c)
         m, l = random_overlap_charts(rng, d.b1, c)
         mc = build_jm(d, 2, m)
         moved = reexpand_chart(mc, l)
-        gauge_normalize(moved, l)
+        _, gauge = gauge_normalize(moved, l)
         for point in (mc, moved):
             assert not {"alpha1", "alpha2", "beta1", "beta2"} & set(
                 vars(point))
+        assert not MADE_ON_READ & set(vars(gauge))
+
+
+#: the blocks of a composite gauge from gauge_normalize made on first read
+MADE_ON_READ = {"phi", "psi11", "psi12", "psi22"}
+
+GAUGE_FIELDS = ("phi", "psi11", "psi12", "psi22", "chi")
+
+
+def _normalizable(backend):
+    """A monad point off chart l that normalizes into chart l, and l: a
+    gauge-moved image of build_jm on every backend."""
+    if backend is COMPLEX:
+        rng = rng_from_seed(49)
+        d = random_costable_triple(rng, 3)
+        m, l = random_overlap_charts(rng, d.b1, 3)
+        return gauge_action(random_gauge(rng, 2, 3), build_jm(d, 2, m)), l
+    return integer_monad(3, 2, 0, backend, rng_from_seed(49), True)[1], 2
+
+
+@pytest.mark.parametrize("backend", [COMPLEX, RATIONAL, GF(5)], ids=repr)
+def test_the_composite_made_on_read_is_a_gauge_value(backend):
+    """Before any of its blocks is read, a composite from
+    ``gauge_normalize`` gives under ``==``, ``hash``, ``repr``,
+    ``dataclasses.replace``, a pickle round trip and ``gauge_action`` what
+    the ``GaugeElement`` built from its five blocks gives; the pickled copy
+    makes its blocks on read too."""
+    mc, l = _normalizable(backend)
+
+    def fresh():
+        g = gauge_normalize(mc, l)[1]
+        assert not MADE_ON_READ & set(vars(g))
+        return g
+
+    built = fresh()
+    eager = GaugeElement(*(getattr(built, f) for f in GAUGE_FIELDS))
+    assert built == eager and MADE_ON_READ <= set(vars(built))
+    assert fresh() == eager and eager == fresh() and fresh() != replace(
+        eager, chi=eager.chi.scale(2))
+    assert hash(fresh()) == hash(eager)
+    assert repr(fresh()) == repr(eager)
+    chi = eager.chi.scale(3)
+    assert replace(fresh(), chi=chi) == replace(eager, chi=chi)
+    copy = pickle.loads(pickle.dumps(fresh()))
+    assert not MADE_ON_READ & set(vars(copy))
+    assert copy == eager and hash(copy) == hash(eager)
+    assert all(getattr(copy, f).backend is backend
+               for f in ("phi", "psi11", "psi22", "chi"))
+    assert pickle.loads(pickle.dumps(eager)) == eager
+    point = reexpand_chart(mc, l)
+    assert gauge_action(fresh(), point) == gauge_action(eager, point)
+
+
+def test_the_composite_makes_each_product_on_first_read(monkeypatch):
+    """With ``_matmul`` counted, reading chi or psi11 of a composite makes
+    no product, reading phi one (T a1n), psi12 one (T Ps, all slots at
+    once) and psi22 two (diag(T, 1) psi22_4 psi22_3), and a second read
+    none: ``gauge_normalize`` itself makes none of them."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _matmul(*args, **kwargs)
+
+    monkeypatch.setattr(monad, "_matmul", counted)
+    for backend in (COMPLEX, RATIONAL, GF(5)):
+        mc, l = _normalizable(backend)
+        _, g = gauge_normalize(mc, l)
+        made = []
+        for field in ("chi", "psi11", "phi", "psi12", "psi22", *GAUGE_FIELDS):
+            calls.clear()
+            getattr(g, field)
+            made.append(len(calls))
+        assert made == [0, 0, 1, 1, 2, 0, 0, 0, 0, 0]
 
 
 def per_block_gauge_normalize(mc, l, tol=None):
