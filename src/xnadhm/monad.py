@@ -13,9 +13,9 @@ matrices of the two structure maps over explicit section bases:
 Each coefficient list is stored as one read-only entry stack of the data's
 backend (complex128, or an object array on the exact backends), and every
 kernel here (``build_jm``, ``reexpand_chart``, ``compose_residual``,
-``gauge_normalize``) reads and writes those stacks.  The tuples of
-``Matrix`` blocks above are made from the stacks only when a caller reads
-them.
+``gauge_action``, ``gauge_normalize``) reads and writes those stacks.  The
+tuples of ``Matrix`` blocks above are made from the stacks only when a
+caller reads them.
 
 In the rank-one case k1 = k2 = k3 = c and k4 = c + 1.  The composition
 beta o alpha expands over the degree-(1,1) basis
@@ -35,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, NotNormalizable, ShapeMismatch, SingularGauge
+from .errors import (
+    BackendMismatch,
+    InvalidInput,
+    NotNormalizable,
+    ShapeMismatch,
+    SingularGauge,
+)
 from .linalg import (
     Matrix,
     _checked_inverse,
@@ -47,7 +53,6 @@ from .linalg import (
     _zeros,
     inverse,
     nullspace,
-    vstack,
 )
 from .plane import PlaneADHM
 from .xn import _check_chart, _check_n, sigma
@@ -70,9 +75,9 @@ class MonadCoeffs:
     (2, c, c) and beta2 (n+2, c, c+1), over the backend of ``xi``.  The
     constructor checks and stacks tuples of Matrices and keeps them as the
     tuple fields; on data built from stacks (``build_jm``,
-    ``reexpand_chart``) the tuple fields are made from the stacks when
-    first read.  n < 1 raises ``IndexOutOfRange`` before any other
-    check."""
+    ``reexpand_chart``, ``gauge_action``) the tuple fields are made from
+    the stacks when first read.  n < 1 raises ``IndexOutOfRange`` before
+    any other check."""
     n: int
     c: int
     m: int
@@ -92,18 +97,13 @@ class MonadCoeffs:
             raise ShapeMismatch("alpha1/beta2 need n+2 coefficient slots")
         if len(alpha2) != 2 or len(beta1) != 2:
             raise ShapeMismatch("alpha2/beta1 are coefficient pairs")
-        for M in alpha1:
-            if (M.rows, M.cols) != (c, c):
-                raise ShapeMismatch("alpha1 blocks must be k2 x k1")
-        for M in alpha2:
-            if (M.rows, M.cols) != (k4, c):
-                raise ShapeMismatch("alpha2 blocks must be k4 x k1")
-        for M in beta1:
-            if (M.rows, M.cols) != (c, c):
-                raise ShapeMismatch("beta1 blocks must be k3 x k2")
-        for M in beta2:
-            if (M.rows, M.cols) != (c, k4):
-                raise ShapeMismatch("beta2 blocks must be k3 x k4")
+        for name, blocks, shape, dims in (
+                ("alpha1", alpha1, (c, c), "k2 x k1"),
+                ("alpha2", alpha2, (k4, c), "k4 x k1"),
+                ("beta1", beta1, (c, c), "k3 x k2"),
+                ("beta2", beta2, (c, k4), "k3 x k4")):
+            if any((M.rows, M.cols) != shape for M in blocks):
+                raise ShapeMismatch(f"{name} blocks must be {dims}")
         if (xi.rows, xi.cols) != (c + k4, 1):
             raise ShapeMismatch("xi must have length k2 + k4")
         if any(M.backend != xi.backend
@@ -199,7 +199,10 @@ class GaugeElement:
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         """self after other: acting with the result equals acting with
         ``other`` first and ``self`` second.  Public API: the group law of
-        the gauge group, for building composite gauge transformations."""
+        the gauge group, for building composite gauge transformations;
+        gauges with different numbers of psi12 blocks do not compose."""
+        if len(self.psi12) != len(other.psi12):
+            raise ShapeMismatch("psi12 block counts differ")
         psi12 = [self.psi11 @ q2 + q1 @ other.psi22
                  for q1, q2 in zip(self.psi12, other.psi12)]
         return GaugeElement(phi=self.phi @ other.phi,
@@ -233,13 +236,11 @@ def embed_gl_gauge(phi0: Matrix, n: int) -> GaugeElement:
     c = phi0.rows
     bk = phi0.backend
     tinv = inverse(phi0.transpose())
-    psi22_rows = []
-    for i in range(c):
-        psi22_rows.append([tinv[i, j] for j in range(c)] + [bk.zero])
-    psi22_rows.append([bk.zero] * c + [bk.one])
+    psi22 = _diagonal([bk.one] * (c + 1), bk)
+    psi22[:c, :c] = tinv.entries
     return GaugeElement(phi=tinv, psi11=tinv,
                         psi12=[Matrix.zeros(c, c + 1, bk) for _ in range(n)],
-                        psi22=Matrix.from_rows(psi22_rows, bk), chi=tinv)
+                        psi22=_wrap(psi22, bk), chi=tinv)
 
 
 # ---------------------------------------------------------------------------
@@ -393,49 +394,47 @@ def _check_gauge_block_from(lo, hi, a, backend, name: str, t: float):
 
 def gauge_action(g: GaugeElement, mc: MonadCoeffs, tol=None) -> MonadCoeffs:
     """alpha -> psi alpha phi^-1 and beta -> chi beta psi^-1, expanded over
-    the section bases.
+    the section bases, on the coefficient stacks.
 
     The polynomial block psi12 of psi feeds alpha2-data into the alpha1 s_E
     slots; the polynomial block -psi11^-1 psi12 psi22^-1 of psi^-1 feeds
     beta1-data into the beta2 s_E slots.  In both, the y2 coefficient moves
-    one slot up, from multiplying by (y1, y2).
+    one slot up, from multiplying by (y1, y2): padded with a zero block at
+    each end into the stack P, psi12 reaches s_E slot q as P[q+1] and P[q].
+    A gauge that does not fit mc raises ``ShapeMismatch`` (psi12 without n
+    blocks, or a block of the wrong shape) or ``BackendMismatch``.
     """
-    invs = []
-    for M, name in ((g.phi, "phi"), (g.psi11, "psi11"), (g.psi22, "psi22")):
-        inv = _checked_inverse(M.entries, M.backend, tol, rel=True)
+    n, c, bk = mc.n, mc.c, mc.backend
+    blocks = (g.phi, g.psi11, g.psi22, g.chi, *g.psi12)
+    shapes = [(c, c), (c, c), (c + 1, c + 1), (c, c)] + [(c, c + 1)] * n
+    if len(blocks) != len(shapes) or any(
+            (M.rows, M.cols) != shape for M, shape in zip(blocks, shapes)):
+        raise ShapeMismatch(f"gauge does not fit a monad of n={n}, c={c}")
+    if any(M.backend != bk for M in blocks):
+        raise BackendMismatch("gauge and monad on different backends")
+    phi, psi11, psi22, chi, *psi12 = [M.entries for M in blocks]
+    invs = [_checked_inverse(a, bk, tol, rel=True)
+            for a in (phi, psi11, psi22)]
+    for inv, name in zip(invs, ("phi", "psi11", "psi22")):
         if inv is None:
             raise SingularGauge(f"gauge block {name} is singular")
-        invs.append(_wrap(inv, M.backend))
-    _check_gauge_block(g.chi.entries, g.chi.backend, "chi", tol)
+    _check_gauge_block(chi, bk, "chi", tol)
     phi_inv, psi11_inv, psi22_inv = invs
-    n = mc.n
-    bk = mc.backend
-    Zq = Matrix.zeros(mc.c, mc.c + 1, bk)
-
-    def p12(q):
-        return g.psi12[q] if 0 <= q <= n - 1 else Zq
-
-    a1 = []
-    for q in range(n + 1):
-        a1.append((g.psi11 @ mc.alpha1[q] + p12(q) @ mc.alpha2[0]
-                   + p12(q - 1) @ mc.alpha2[1]) @ phi_inv)
-    a1.append(g.psi11 @ mc.alpha1[n + 1] @ phi_inv)
-    a2 = [g.psi22 @ A @ phi_inv for A in mc.alpha2]
-    b1 = [g.chi @ B @ psi11_inv for B in mc.beta1]
-
-    def q12(q):
-        if 0 <= q <= n - 1:
-            return -(psi11_inv @ g.psi12[q] @ psi22_inv)
-        return Zq
-
-    b2 = []
-    for q in range(n + 1):
-        b2.append(g.chi @ (mc.beta2[q] @ psi22_inv
-                           + mc.beta1[0] @ q12(q) + mc.beta1[1] @ q12(q - 1)))
-    b2.append(g.chi @ mc.beta2[n + 1] @ psi22_inv)
+    P = _zeros((n + 2, c, c + 1), bk)
+    P[1:n + 1] = psi12
+    red = bk.reduce
+    mul = functools.partial(_matmul, backend=bk)
+    a1, a2, b1, b2 = mc.stacks
+    s = mul(psi11, a1)
+    s[:n + 1] = red(s[:n + 1] + mul(P[1:], a2[0]) + mul(P[:n + 1], a2[1]))
+    Q = red(-mul(mul(psi11_inv, P), psi22_inv))
+    t = mul(b2, psi22_inv)
+    t[:n + 1] = red(t[:n + 1] + mul(b1[0], Q[1:]) + mul(b1[1], Q[:n + 1]))
     x = mc.xi.entries
-    xi = vstack(g.psi11 @ _wrap(x[:mc.c], bk), g.psi22 @ _wrap(x[mc.c:], bk))
-    return MonadCoeffs(n, mc.c, mc.m, a1, a2, b1, b2, xi)
+    xi = np.concatenate((mul(psi11, x[:c]), mul(psi22, x[c:])))
+    return _of_stacks(n, c, mc.m, [
+        mul(s, phi_inv), mul(mul(psi22, a2), phi_inv),
+        mul(mul(chi, b1), psi11_inv), mul(chi, t)], _wrap(xi, bk))
 
 
 # ---------------------------------------------------------------------------

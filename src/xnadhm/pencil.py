@@ -67,22 +67,18 @@ def _staircase(A1: Matrix, A2: Matrix, eps: int) -> Matrix:
 
 
 def _pick_chain(basis: Matrix):
-    """Deterministic representative from a nullspace basis: normalize each
-    column to max-coordinate 1 and keep the lexicographically largest."""
+    """Deterministic representative from a nullspace basis, which has no
+    zero column: normalize each column to max-coordinate 1 and keep the
+    lexicographically largest."""
     bk = basis.backend
     best = best_key = None
     for col in basis.entries.T.tolist():
         if bk.exact:
-            lead = next((x for x in col if x != 0), None)
-            if lead is None:
-                continue
-            inv = bk.inv(lead)
+            inv = bk.inv(next(x for x in col if x != 0))
             col = [bk.reduce(x * inv) for x in col]
             key = tuple((float(x), 0.0) for x in col)
         else:
             pivot = max(col, key=abs)
-            if abs(pivot) == 0:
-                continue
             col = [x / pivot for x in col]
             key = tuple((x.real, x.imag) for x in col)
         if best_key is None or key > best_key:

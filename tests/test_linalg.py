@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xnadhm import linalg
-from xnadhm.errors import ShapeMismatch, UnsupportedBackend, ZeroPolynomial
+from xnadhm.errors import (
+    BackendMismatch,
+    ShapeMismatch,
+    SingularMatrix,
+    UnsupportedBackend,
+    ZeroPolynomial,
+)
 from xnadhm.linalg import (
     COMPLEX,
     GF,
@@ -398,6 +404,61 @@ def test_malformed_shapes_raise_shape_mismatch(case):
     with pytest.raises(ShapeMismatch) as raised:
         call()
     assert str(raised.value) == message
+
+
+#: a call on a malformed argument, the error it raises and its message
+_KERNEL_REFUSALS = {
+    "complex inverse of 0": (lambda: COMPLEX.inv(0j), SingularMatrix,
+                             "division by zero"),
+    "rational inverse of 0": (lambda: RATIONAL.inv(RATIONAL.zero),
+                              SingularMatrix, "division by zero"),
+    "prime-field inverse of 0": (lambda: GF(5).inv(10), SingularMatrix,
+                                 "division by zero"),
+    "sum of unequal shapes": (
+        lambda: Matrix.zeros(2, 2) + Matrix.zeros(2, 3), ShapeMismatch,
+        "addition shape mismatch"),
+    "difference of unequal shapes": (
+        lambda: Matrix.zeros(2, 2) - Matrix.zeros(3, 2), ShapeMismatch,
+        "subtraction shape mismatch"),
+    "eigenvalues over a prime field": (
+        lambda: eigenvalues(Matrix.identity(2, GF(5))), UnsupportedBackend,
+        "no eigenvalues over a prime field"),
+    "eigenvalues of a non-square matrix": (
+        lambda: eigenvalues(Matrix.zeros(2, 3)), ShapeMismatch,
+        "eigenvalues of a non-square matrix"),
+    "form with too few coefficients": (
+        lambda: HomogPoly(2, [1, 2]), ShapeMismatch,
+        "coefficient array length must be degree+1"),
+    "assignment to a form": (
+        lambda: setattr(HomogPoly(1, [1, 2]), "degree", 3), AttributeError,
+        "HomogPoly is immutable"),
+    "det form of unequal sizes": (
+        lambda: pencil_det_poly(Matrix.zeros(2, 2), Matrix.zeros(3, 3)),
+        ShapeMismatch, "pencil matrices must be square of equal size"),
+    "det form across backends": (
+        lambda: pencil_det_poly(Matrix.identity(2),
+                                Matrix.identity(2, RATIONAL)),
+        BackendMismatch, "pencil matrices on different backends"),
+}
+
+
+@pytest.mark.parametrize("case", list(_KERNEL_REFUSALS))
+def test_kernels_refuse_malformed_arguments(case):
+    call, error, message = _KERNEL_REFUSALS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_empty_spectrum_and_form_identity():
+    assert eigenvalues(Matrix.zeros(0, 0)) == []
+    form = HomogPoly(1, [1, 2], RATIONAL)
+    assert form == HomogPoly(1, [Fraction(1), Fraction(2)], RATIONAL)
+    assert form != HomogPoly(1, [1, 2])
+    assert form != HomogPoly(2, [1, 2, 0], RATIONAL)
+    assert form != (1, 2)
+    assert repr(form) == "HomogPoly(deg=1, (Fraction(1, 1), Fraction(2, 1)))"
+    assert repr(HomogPoly(0, [3])) == "HomogPoly(deg=0, ((3+0j),))"
 
 
 def test_zeros_with_negative_rows_raise_shape_mismatch():

@@ -13,6 +13,7 @@ import pytest
 
 from xnadhm import linalg, monad
 from xnadhm.errors import (
+    BackendMismatch,
     IndexOutOfRange,
     InvalidInput,
     NotInOverlap,
@@ -322,6 +323,66 @@ def test_gauge_rejects_singular_blocks():
                        psi22=g.psi22, chi=g.chi)
     with pytest.raises(SingularGauge):
         gauge_action(bad, mc)
+
+
+#: a gauge that does not fit the n = 2, c = 2 rational monad of
+#: ``_rational_jm``, made from the identity gauge g that fits it, and the
+#: error ``gauge_action`` raises, with its message in ``_MISFIT_MESSAGES``
+_MISFIT_GAUGES = {
+    "short psi12": (lambda g: GaugeElement.identity(1, 2, RATIONAL),
+                    ShapeMismatch),
+    "long psi12": (lambda g: GaugeElement.identity(3, 2, RATIONAL),
+                   ShapeMismatch),
+    "phi block": (lambda g: replace(g, phi=Matrix.identity(3, RATIONAL)),
+                  ShapeMismatch),
+    "psi12 block": (lambda g: replace(g, psi12=(
+        g.psi12[0], Matrix.zeros(2, 2, RATIONAL))), ShapeMismatch),
+    "psi22 block": (lambda g: replace(g, psi22=Matrix.identity(2, RATIONAL)),
+                    ShapeMismatch),
+    "gauge backend": (lambda g: GaugeElement.identity(2, 2), BackendMismatch),
+    "chi backend": (lambda g: replace(g, chi=Matrix.identity(2, GF(5))),
+                    BackendMismatch),
+}
+
+_MISFIT_MESSAGES = {ShapeMismatch: "gauge does not fit a monad of n=2, c=2",
+                    BackendMismatch: "gauge and monad on different backends"}
+
+
+@pytest.mark.parametrize("case", list(_MISFIT_GAUGES))
+def test_gauge_action_refuses_a_gauge_that_does_not_fit(case):
+    make, error = _MISFIT_GAUGES[case]
+    mc = _rational_jm()
+    with pytest.raises(error) as raised:
+        gauge_action(make(GaugeElement.identity(2, 2, RATIONAL)), mc)
+    assert str(raised.value) == _MISFIT_MESSAGES[error]
+
+
+def test_gauges_with_different_psi12_counts_do_not_compose():
+    with pytest.raises(ShapeMismatch, match="^psi12 block counts differ$"):
+        GaugeElement.identity(2, 2).compose(GaugeElement.identity(1, 2))
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(7)])
+def test_gauge_group_law_is_exact(backend):
+    """On exact data acting with g after h equals acting with g.compose(h),
+    and g.inverse() undoes g, entry for entry."""
+    rng = rng_from_seed(11)
+    n, c = 3, 2
+    mc = build_jm(_exact_triple(c, backend), n, 0)
+
+    def gauge():
+        phi, psi11, chi = (integer_unipotent(rng, c).cast(backend)
+                           for _ in range(3))
+        psi12 = [Matrix.from_rows(rng.integers(-3, 4, (c, c + 1)).tolist(),
+                                  backend) for _ in range(n)]
+        psi22 = integer_unipotent(rng, c + 1).cast(backend)
+        return GaugeElement(phi, psi11, psi12, psi22, chi.transpose())
+
+    g, h = gauge(), gauge()
+    moved = gauge_action(g, gauge_action(h, mc))
+    assert moved == gauge_action(g.compose(h), mc)
+    assert gauge_action(g.inverse(), gauge_action(g, mc)) == mc
+    assert all(R.is_zero() for R in compose_residual(moved))
 
 
 # ---------------------------------------------------------------------------

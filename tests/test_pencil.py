@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from xnadhm import linalg, pencil
-from xnadhm.errors import UnsupportedBackend
+from xnadhm.errors import BackendMismatch, ShapeMismatch, UnsupportedBackend
 from xnadhm.linalg import (
     COMPLEX,
     GF,
@@ -422,3 +422,31 @@ def test_node_determinants_equal_det_of_node_matrices(backend):
                 assert got == want and type(got) is type(want)
                 zero += got == 0
     assert zero > 0
+
+
+#: a pencil that is not a pair of square matrices of one size over one
+#: backend, the error ``analyze_pencil`` raises and its message
+_PENCIL_REFUSALS = {
+    "unequal sizes": ((Matrix.zeros(2, 2), Matrix.zeros(3, 3)), ShapeMismatch,
+                      "pencil matrices must be square of equal size"),
+    "non-square pair": ((Matrix.zeros(2, 3), Matrix.zeros(2, 3)),
+                        ShapeMismatch,
+                        "pencil matrices must be square of equal size"),
+    "two backends": ((Matrix.identity(2), Matrix.identity(2, RATIONAL)),
+                     BackendMismatch, "pencil matrices on different backends"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PENCIL_REFUSALS))
+def test_analyze_pencil_refuses_a_malformed_pencil(case):
+    pair, error, message = _PENCIL_REFUSALS[case]
+    with pytest.raises(error) as raised:
+        analyze_pencil(*pair)
+    assert str(raised.value) == message
+
+
+def test_q3star_holds_on_the_zero_subspace():
+    # even for the zero pencil, the most singular one
+    for bk in (COMPLEX, RATIONAL, GF(3)):
+        Z = Matrix.zeros(2, 2, bk)
+        assert check_Q3star(Z, Z, Matrix.zeros(2, 0, bk))

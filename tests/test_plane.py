@@ -668,6 +668,29 @@ def test_plane_refuses_a_malformed_block(case):
     assert str(raised.value) == message
 
 
+#: a pair that is not two square matrices of one size, and the message of
+#: the ``ShapeMismatch`` that ``common_eigenvectors`` raises
+_JOINT_SPECTRUM_REFUSALS = {
+    "non-square pair": (Matrix.zeros(2, 3), Matrix.zeros(2, 3)),
+    "unequal sizes": (Matrix.zeros(2, 2), Matrix.zeros(3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_JOINT_SPECTRUM_REFUSALS))
+def test_common_eigenvectors_refuse_a_malformed_pair(case):
+    with pytest.raises(ShapeMismatch) as raised:
+        common_eigenvectors(*_JOINT_SPECTRUM_REFUSALS[case])
+    assert str(raised.value) == "expected two square matrices of equal size"
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, GF(5)])
+def test_check_T1_is_literal_on_exact_backends(backend):
+    d = from_plane_points([(1, 2), (3, 4)], backend)
+    assert check_T1(d)
+    unit = Matrix.from_rows([[0, 1], [0, 0]], backend)
+    assert not check_T1(replace(d, b1=unit, b2=unit.transpose()))
+
+
 def test_from_plane_points_single():
     d = from_plane_points([(0, 0)])
     assert d.c == 1 and d.b1.is_zero() and d.b2.is_zero()

@@ -51,9 +51,14 @@ def zero_rep(n, c, e_val=1, backend=COMPLEX):
     return FramedRep(n, c, c, 1, Z, Z, (Z,) * n, e, f)
 
 
-#: one malformed block of the zero representation of n = 2, v0 = 2, v1 = 3,
-#: w = 1 (``test_framed_rep_refuses_a_malformed_block``), and the refusal it
-#: meets
+def _unequal_rep():
+    """The zero representation of n = 2, v0 = 2, v1 = 3, w = 1."""
+    A, C = Matrix.zeros(3, 2), Matrix.zeros(2, 3)
+    return FramedRep(2, 2, 3, 1, A, A, (C, C), Matrix.zeros(1, 2),
+                     (Matrix.zeros(2, 1),))
+
+
+#: one malformed block of ``_unequal_rep`` and the refusal it meets
 _MALFORMED_REPS = {
     "backend": ({"e": Matrix.zeros(1, 2, RATIONAL)},
                 "blocks on different backends"),
@@ -71,11 +76,31 @@ _MALFORMED_REPS = {
 @pytest.mark.parametrize("case", list(_MALFORMED_REPS))
 def test_framed_rep_refuses_a_malformed_block(case):
     blocks, message = _MALFORMED_REPS[case]
-    A, C = Matrix.zeros(3, 2), Matrix.zeros(2, 3)
-    r = FramedRep(2, 2, 3, 1, A, A, (C, C), Matrix.zeros(1, 2),
-                  (Matrix.zeros(2, 1),))
     with pytest.raises(ShapeMismatch) as raised:
-        replace(r, **blocks)
+        replace(_unequal_rep(), **blocks)
+    assert str(raised.value) == message
+
+
+#: a routine that needs dimensions its representation lacks, and the
+#: message of the ``ShapeMismatch`` it raises
+_DIMENSION_REFUSALS = {
+    "spectral check at v0 != v1": (
+        lambda: check_semistable_spectral(_unequal_rep()),
+        "spectral check needs v0 = v1 and w = 1"),
+    "u_m at v0 != v1": (lambda: u_m_residual(_unequal_rep(), 0),
+                        "u_m needs v0 = v1"),
+    "moment residual at n = 3": (lambda: moment_residual_n2(zero_rep(3, 2)),
+                                 "moment comparison is specific to n = 2"),
+    "projection at v0 != v1": (lambda: project_rep(_unequal_rep()),
+                               "projection needs v0 = v1 and w = 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIMENSION_REFUSALS))
+def test_routines_refuse_representations_of_other_dimensions(case):
+    call, message = _DIMENSION_REFUSALS[case]
+    with pytest.raises(ShapeMismatch) as raised:
+        call()
     assert str(raised.value) == message
 
 

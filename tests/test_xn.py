@@ -1327,6 +1327,19 @@ def test_spectral_witness_identities():
                 - v.scale((-1) ** n * mu2)).maxnorm() <= 1e-9 * s2
 
 
+def test_spectral_witness_refuses_data_without_a_joint_eigenvector():
+    """(P1) fails on these data, as C1 A2 = [[0, 1], [0, 0]] and
+    C1 A1 = [[3, 4], [0, 0]] do not commute, and the chart pair that
+    ``zeta`` reads has no joint eigenvector."""
+    d = XnADHM(1, 2, Matrix.from_rows([[1, 2], [3, 4]]), Matrix.identity(2),
+               (Matrix.from_rows([[0, 1], [0, 0]]),),
+               Matrix.row_vector([1, 0]))
+    with pytest.raises(InvalidInput) as raised:
+        spectral_witness(d)
+    assert str(raised.value) == (
+        "no joint eigenvector; does the data satisfy (P1)?")
+
+
 # ---------------------------------------------------------------------------
 # exact backends through the charts
 # ---------------------------------------------------------------------------
