@@ -15,7 +15,10 @@ is a single numpy operation on any backend, with one exception: a rational
 product brings each factor over its least common denominator and multiplies
 the integer numerators, so that no intermediate ``Fraction`` is made; a
 rational ``Matrix`` keeps that integer form once it is taken
-(``_kept_form``), and a rational product keeps the form of its result.  Only
+(``_kept_form``), and a rational product keeps the form of its result.
+Several rational blocks go over one denominator through ``_common_form``,
+which reads the forms they keep: the pencil's node forms and the
+(P1)/(Q1) chain defects take their products on its numerators.  Only
 rank, nullspace, determinant and inverse take a different algorithm on the
 exact backends (elimination by hand instead of LAPACK), and it runs on
 Python ints as well.  There is one elimination loop, ``_fraction_free``:
@@ -41,11 +44,11 @@ operations and ``residual`` wrap; kernels on small blocks (the chart
 dictionary and the chart (P3) test, the (P1)/(Q1) defects on stacks of C
 blocks, chart transitions, monad gauge normalization) call them on arrays
 and wrap their results once, where a public function returns them.  Every
-float LAPACK call but those of ``inverse`` and ``det`` is one of the
-kernels ``_svdvals``, ``_svd``, ``_inv``, ``_eigvals`` and ``_solve``.  The
-identity of each size and backend is built once, by ``_identity``, and kept
-read-only, so that every caller shares it; ``_zeros`` gives a fresh
-writable array on each call.
+float LAPACK call but that of ``det`` is one of the kernels ``_svdvals``,
+``_svd``, ``_inv``, ``_eigvals`` and ``_solve``.  The identity of each size
+and backend is built once, by ``_identity``, and kept read-only, so that
+every caller shares it; ``_zeros`` gives a fresh writable array on each
+call.
 
 A backend is ``kind``, ``exact``, ``dtype``, ``zero``, ``one`` and three
 maps: ``coerce`` validates a value from outside and brings it into the
@@ -105,20 +108,19 @@ def _tol(tol):
 # ---------------------------------------------------------------------------
 #
 # Every float LAPACK question of the library is one of the five kernels
-# below: singular values, the SVD with vectors, the inverse of a matrix
-# already decided invertible, eigenvalues and solve.  Each calls numpy's own
-# gufunc from ``numpy.linalg._umath_linalg``, bound here once, with the
-# signature and under the error state that np.linalg uses for complex128
-# input, so a result is np.linalg's bit for bit and a LAPACK failure raises
-# np.linalg's ``LinAlgError``.  What it skips is np.linalg's per-call
-# wrapper (array conversion, type resolution, a fresh ``np.errstate``),
-# which on the c <= 6 matrices of the chart dictionary costs about as much
-# as LAPACK itself.  Input of any other dtype, and every call on a numpy
-# that lacks the gufunc or the error-state context variable (numpy < 2),
-# goes to the public np.linalg function.  ``inverse`` and ``det`` keep
-# np.linalg: they decide nothing before LAPACK runs.  Other modules call the
-# kernels as attributes of this module (``linalg._svd``), so one patch here
-# reaches every call.
+# below: singular values, the SVD with vectors, the inverse, eigenvalues
+# and solve.  Each calls numpy's own gufunc from
+# ``numpy.linalg._umath_linalg``, bound here once, with the signature and
+# under the error state that np.linalg uses for complex128 input, so a
+# result is np.linalg's bit for bit and a LAPACK failure raises np.linalg's
+# ``LinAlgError``.  What it skips is np.linalg's per-call wrapper (array
+# conversion, type resolution, a fresh ``np.errstate``), which on the
+# c <= 6 matrices of the chart dictionary costs about as much as LAPACK
+# itself.  Input of any other dtype, and every call on a numpy that lacks
+# the gufunc or the error-state context variable (numpy < 2), goes to the
+# public np.linalg function.  ``det`` keeps np.linalg: it decides nothing
+# before LAPACK runs.  Other modules call the kernels as attributes of this
+# module (``linalg._svd``), so one patch here reaches every call.
 
 try:
     from numpy._core.umath import _extobj_contextvar, _make_extobj
@@ -183,8 +185,9 @@ def _svd(a, full_matrices=True):
 
 
 def _inv(a):
-    """Inverse of a square matrix, or of each matrix of a stack, that a test
-    has already found invertible: ``np.linalg.inv(a)``."""
+    """Inverse of a square matrix, or of each matrix of a stack:
+    ``np.linalg.inv(a)``, which raises ``LinAlgError`` on a singular
+    one."""
     if _INV is None or a.dtype is not _CDOUBLE:
         return np.linalg.inv(a)
     return _lapack(_INV, "D->D", a)
@@ -385,9 +388,9 @@ class Matrix:
     common denominator of the entries and N the read-only array of Python
     ints d * entries, in the slot ``_form``: ``_kept_form`` fills it on
     first request, and a rational product stores the form it was computed
-    from.  The cast to GF(p), the pencil's node forms and the stacked chain
-    defects read the kept form, so each matrix's form is computed at most
-    once.  Complex and prime-field matrices never fill the slot.
+    from.  The cast to GF(p) and ``_common_form`` read the kept form, so
+    each matrix's form is computed at most once.  Complex and prime-field
+    matrices never fill the slot.
     """
 
     __slots__ = ("rows", "cols", "backend", "entries", "_form")
@@ -639,6 +642,15 @@ def _kept_form(M):
         form[0].setflags(write=False)
         _set_form(M, form)
         return form
+
+
+def _common_form(mats):
+    """The integer forms of rational Matrices over one denominator, from
+    the forms that they keep: ([N_1, ...], d), d the least common multiple
+    of their d_i and N_i = d A_i the array of Python ints N_i d / d_i."""
+    forms = [_kept_form(M) for M in mats]
+    d = math.lcm(*[dq for _, dq in forms])
+    return [nq if dq == d else nq * (d // dq) for nq, dq in forms], d
 
 
 def _form_product(fa, fb):
@@ -901,11 +913,11 @@ def inverse(M: Matrix) -> Matrix:
 
 def _inverse(a, backend):
     """Inverse of a square entry array that no test has found invertible
-    (``inverse``): np.linalg's, with LAPACK's error on a singular matrix as
+    (``inverse``): ``_inv``'s, with LAPACK's error on a singular matrix as
     ``SingularMatrix``, or on exact backends ``_checked_inverse``'s."""
     if not backend.exact:
         try:
-            return np.linalg.inv(a)
+            return _inv(a)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from None
     inv = _checked_inverse(a, backend)
@@ -964,16 +976,14 @@ def _node_entries(a1, a2, n1, n2, backend):
 
 def _node_forms(A1: Matrix, A2: Matrix):
     """(a1, a2, den) from which ``_node_det`` takes a pencil's node
-    determinants: on the rationals, with (N1, d1) and (N2, d2) the kept
-    integer forms of A1 and A2, the integer row lists d2 N1 and d1 N2 and
-    den = (d1 d2)^c, so that n1 A1 + n2 A2 = (n1 d2 N1 + n2 d1 N2) / (d1 d2);
-    over GF(p) the residue row lists and 1; on floats the entry arrays and
-    1."""
+    determinants: on the rationals, with ([N1, N2], d) the ``_common_form``
+    of A1 and A2, the integer row lists N1 and N2 and den = d^c, so that
+    n1 A1 + n2 A2 = (n1 N1 + n2 N2) / d; over GF(p) the residue row lists
+    and 1; on floats the entry arrays and 1."""
     bk = A1.backend
     if bk.kind == "rational":
-        n1, d1 = _kept_form(A1)
-        n2, d2 = _kept_form(A2)
-        return (d2 * n1).tolist(), (d1 * n2).tolist(), (d1 * d2) ** A1.rows
+        (n1, n2), d = _common_form((A1, A2))
+        return n1.tolist(), n2.tolist(), d ** A1.rows
     if bk.exact:
         return A1.entries.tolist(), A2.entries.tolist(), 1
     return A1.entries, A2.entries, 1

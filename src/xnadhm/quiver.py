@@ -38,8 +38,8 @@ from .errors import (
 # rank is not called here; benches/tracing.py traces it as quiver.rank
 from .linalg import Matrix, nullspace, rank, vstack  # noqa: F401
 from .xn import (XnADHM, _backend_angles, _binomial_combination,
-                 _chain_defects, _chain_holds, _integer_chain_defects,
-                 _pencil_step, _rotation, _stack, check_P1, check_P2)
+                 _chain_defects, _chain_holds, _check_n, _pencil_step,
+                 _rotation, check_P1, check_P2)
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class FramedRep:
     def __post_init__(self):
         object.__setattr__(self, "C", tuple(self.C))
         object.__setattr__(self, "f", tuple(self.f))
+        _check_n(self.n)
         bk = self.A1.backend
         if any(M.backend != bk for M in (self.A2, *self.C, self.e, *self.f)):
             raise ShapeMismatch("blocks on different backends")
@@ -122,28 +123,14 @@ class Verdict(enum.Enum):
 def relation_defects(r: FramedRep):
     """Left-hand-minus-right-hand sides of every (Q1) relation: for n >= 2
     A1 Cq - A2 C(q+1) and then Cq A1 + fq e - C(q+1) A2, for each q."""
-    defects = _relations(r)[0]
+    defects = _chain_defects(r.A1, r.A2, r.C, r.f, r.e)[0]
     if len(defects) == 2:       # the two (n-1, ., .) stacks, interleaved
         defects = [D for pair in zip(*defects) for D in pair]
     return [linalg._wrap(D, r.backend) for D in defects]
 
 
-def _relations(r: FramedRep):
-    """(``_chain_defects`` of the (Q1) relations, the blocks that scale
-    them) on entry arrays: ``_chain_holds`` of the two is
-    ``check_relations``."""
-    cs = _stack(r.C)
-    fs = _stack(r.f) if r.f else None
-    e = r.e.entries
-    blocks = (cs, e) if fs is None else (cs, e, fs)
-    if r.backend.kind == "rational":
-        return _integer_chain_defects(r.A1, r.A2, r.C, r.f, r.e), blocks
-    return (_chain_defects(r.A1.entries, r.A2.entries, cs, r.backend, fs, e),
-            blocks)
-
-
 def check_relations(r: FramedRep, tol=None) -> bool:
-    defects, blocks = _relations(r)
+    defects, blocks = _chain_defects(r.A1, r.A2, r.C, r.f, r.e)
     return _chain_holds(defects, r.A1.entries, r.A2.entries, blocks,
                         r.backend, tol)
 
@@ -168,16 +155,15 @@ def check_semistable_spectral(r: FramedRep, tol=None) -> Verdict:
     """
     if r.v0 != r.v1 or r.w != 1:
         raise ShapeMismatch("spectral check needs v0 = v1 and w = 1")
-    defects, blocks = _relations(r)
+    defects, blocks = _chain_defects(r.A1, r.A2, r.C, r.f, r.e)
     a1, a2 = r.A1.entries, r.A2.entries
     if not _chain_holds(defects, a1, a2, blocks, r.backend, tol):
         raise InvalidInput("relations (Q1) fail; not a representation")
     d = XnADHM(r.n, r.v0, r.A1, r.A2, r.C, r.e)
-    if not any(any(fs.flat) for fs in blocks[2:]):
-        # every f is exactly 0 (blocks[2:] is the f stack, none for n = 1),
-        # so the (Q1) defects are the (P1) defects: exact ones are all 0
-        # already, and float ones are read at (P1)'s own scale, that of the
-        # C stack alone
+    if not any(any(f.entries.flat) for f in r.f):
+        # every f is exactly 0, so the (Q1) defects are the (P1) defects:
+        # exact ones are all 0 already, and float ones are read at (P1)'s
+        # own scale, that of the C stack alone
         p1 = r.backend.exact or _chain_holds(defects, a1, a2, blocks[:1],
                                              r.backend, tol)
     elif all(f.is_zero(tol) for f in r.f):

@@ -17,10 +17,13 @@ charts are glued by a Moebius transformation in B and a power factor in E.
 
 The chart dictionary, the three conditions and the transitions run on entry
 arrays: one array core per computation (``_rotation``, ``_chart_entries``,
-``_chart_reading``, ``_chain_defects``, ``_transition``), which the public
-functions wrap into ``Matrix``, ``ChartData`` or ``XnADHM`` only where they
-return them.  The transitions' per-leg chart constants are built once per
-(backend, c, shifts) by ``_leg_constants`` and kept as read-only arrays.
+``_chart_reading``, ``_transition``), which the public functions wrap into
+``Matrix``, ``ChartData`` or ``XnADHM`` only where they return them.  The
+(P1) and (Q1) defects are one kernel on every backend, ``_chain_defects``:
+batched products on the stacked entries, or on the rationals on the
+integer numerators of all blocks over one common denominator.  The
+transitions' per-leg chart constants are built once per (backend, c,
+shifts) by ``_leg_constants`` and kept as read-only arrays.
 
 A configuration keeps what it has computed about itself: on floats its node
 conditioning (one batched SVD of the c+1 matrices A2m), and on every backend
@@ -306,80 +309,63 @@ def _stack(mats):
     return np.array([M.entries for M in mats])
 
 
-def _chain_defects(a1, a2, cs, backend, fs=None, e=None):
-    """(P1) defects on entry arrays: a1, a2 and the (n, rows, cols) stack
-    ``cs`` of C blocks, and for (Q1) the (n-1, rows, w) stack ``fs`` of f
-    blocks and e.  For n = 1 the one defect (A1 C1 A2 - A2 C1 A1,); for
-    n >= 2 two (n-1, ., .) stacks, A1 Cq - A2 C(q+1) and
-    Cq A1 - C(q+1) A2, the latter summed as the (Q1) relation
-    Cq A1 + fq e - C(q+1) A2 when ``fs`` is given.  Each stack comes from
-    one product of (A1, A2) with the C stack on each side, and (Q1) adds
-    the product of the f stack with e; rational blocks take the same
-    products on the integer forms that their Matrices keep, in
-    ``_integer_chain_defects``."""
+def _chain_defects(A1, A2, C, f=(), e=None):
+    """(defects, blocks) of the (P1) chain conditions on the Matrices A1,
+    A2 and the C blocks, or with e of the (Q1) relations, whose f blocks
+    come with n >= 2.  For n = 1 the one defect (A1 C1 A2 - A2 C1 A1,); for
+    n >= 2 two (n-1, ., .) stacks, A1 Cq - A2 C(q+1) and Cq A1 - C(q+1) A2,
+    the latter summed as the (Q1) relation Cq A1 + fq e - C(q+1) A2 when f
+    is given.  Each stack comes from one product of (A1, A2) with the C
+    stack on each side, and (Q1) adds the product of the f stack with e.
 
-    def mul(x, y):
-        return linalg._matmul(x, y, backend)
+    Rational blocks go over one denominator d (``_common_form``) and the
+    same products run on their integer numerators, so that no
+    intermediate ``Fraction`` is made: each defect stack is its numerator
+    over d^2 (d^3 for n = 1).  ``blocks`` are the entry arrays that
+    ``_chain_holds`` scales float defects by, the C stack and for (Q1) e
+    and the f stack; none on the rationals, whose defects it tests
+    literally."""
+    bk = A1.backend
+    rational = bk.kind == "rational"
+    if rational:
+        nums, d = linalg._common_form((A1, A2, *C, *f, e) if f
+                                      else (A1, A2, *C))
+        a1, a2, cs = nums[0], nums[1], np.array(nums[2:2 + len(C)])
+        if f:
+            fs, e = np.array(nums[2 + len(C):-1]), nums[-1]
+        mul = np.matmul
+    else:
+        a1, a2, cs = A1.entries, A2.entries, _stack(C)
+        if f:
+            fs = _stack(f)
+        if e is not None:
+            e = e.entries
+
+        def mul(x, y):
+            return linalg._matmul(x, y, bk)
 
     if len(cs) == 1:
-        return (backend.reduce(mul(mul(a1, cs[0]), a2)
-                               - mul(mul(a2, cs[0]), a1)),)
-    pair = np.array((a1, a2))[:, None]
-    left, right = mul(pair, cs), mul(cs, pair)    # A_i Cq and Cq A_i
-    a_side = backend.reduce(left[0, :-1] - left[1, 1:])
-    c_side = right[0, :-1]
-    if fs is not None:
-        c_side = backend.reduce(c_side + mul(fs, e))
-    return a_side, backend.reduce(c_side - right[1, 1:])
-
-
-def _integer_chain_defects(A1, A2, C, f=(), e=None):
-    """``_chain_defects`` of rational Matrices A1, A2, the C blocks and,
-    for (Q1), the f blocks and e, stacked as on the other backends.  With
-    (N1, d1), (N2, d2) and (NC, dC) the integer forms of A1, A2 and the
-    whole C stack, the A sides are the pair (d2 N1, d1 N2) = d1 d2 (A1, A2),
-    so each side of the n >= 2 relations is one integer product of the pair
-    with NC over d1 d2 dC, and (Q1) adds the product NF Ne of the integer
-    forms of the f stack and e over the least common denominator of the
-    two.  Every form comes from the forms that the blocks keep
-    (``_stack_form``).  Each defect stack takes one ``Fraction`` per
-    entry."""
-    (n1, d1), (n2, d2) = map(linalg._kept_form, (A1, A2))
-    nc, dc = _stack_form(C)
-    den = d1 * d2 * dc
-    if len(C) == 1:
-        return (linalg._fractions(n1 @ nc[0] @ n2 - n2 @ nc[0] @ n1, den),)
-    pair = np.array((d2 * n1, d1 * n2))[:, None]
-    left, right = pair @ nc, nc @ pair
-    c_side = right[0, :-1] - right[1, 1:]
-    c_den = den
-    if f:
-        nf, df = _stack_form(f)
-        ne, de = linalg._kept_form(e)
-        c_den = math.lcm(den, df * de)
-        c_side = c_side * (c_den // den) + (nf @ ne) * (c_den // (df * de))
-    return (linalg._fractions(left[0, :-1] - left[1, 1:], den),
-            linalg._fractions(c_side, c_den))
-
-
-def _stack_form(mats):
-    """The integer form (N, d) of the stack of rational Matrices ``mats``
-    from the forms that they keep: d is the least common multiple of their
-    d_q, and N the stack of their N_q d / d_q."""
-    forms = [linalg._kept_form(M) for M in mats]
-    d = math.lcm(*[dq for _, dq in forms])
-    return np.array([nq if dq == d else nq * (d // dq)
-                     for nq, dq in forms]), d
+        defects = (bk.reduce(mul(mul(a1, cs[0]), a2)
+                             - mul(mul(a2, cs[0]), a1)),)
+    else:
+        pair = np.array((a1, a2))[:, None]
+        left, right = mul(pair, cs), mul(cs, pair)    # A_i Cq and Cq A_i
+        c_side = right[0, :-1]
+        if f:
+            c_side = bk.reduce(c_side + mul(fs, e))
+        defects = (bk.reduce(left[0, :-1] - left[1, 1:]),
+                   bk.reduce(c_side - right[1, 1:]))
+    if rational:
+        den = d ** (3 if len(cs) == 1 else 2)
+        return tuple(linalg._fractions(D, den) for D in defects), ()
+    return defects, (cs,) if e is None else (cs, e, fs) if f else (cs, e)
 
 
 def check_P1(d: XnADHM, tol=None) -> bool:
     """Chain condition on (A1, A2, C); literal on the exact backends."""
-    a1, a2, cs = d.A1.entries, d.A2.entries, _stack(d.C)
-    if d.backend.kind == "rational":
-        defects = _integer_chain_defects(d.A1, d.A2, d.C)
-    else:
-        defects = _chain_defects(a1, a2, cs, d.backend)
-    return _chain_holds(defects, a1, a2, (cs,), d.backend, tol)
+    defects, blocks = _chain_defects(d.A1, d.A2, d.C)
+    return _chain_holds(defects, d.A1.entries, d.A2.entries, blocks,
+                        d.backend, tol)
 
 
 def _chain_holds(defects, a1, a2, blocks, backend, tol=None) -> bool:

@@ -270,6 +270,21 @@ def test_check_zero_rep_relations_pass_stability_fail(tmp_path, capsys):
     assert report["results"]["semistable"] == "fail"
 
 
+def test_check_refuses_a_representation_of_n_zero(tmp_path, capsys):
+    """n = 0 is a usage error with one ``error:`` line; it used to load
+    and end ``check --which Q`` in a numpy ``ValueError`` traceback."""
+    Z = Matrix.zeros(1, 1)
+    obj = rep_to_json(FramedRep(1, 1, 1, 1, Z, Z, (Z,),
+                                Matrix.row_vector([1.0]), ()))
+    obj.update(n=0, C=[])
+    path = tmp_path / "r.json"
+    path.write_text(dumps(obj))
+    code = main(["check", str(path), "--which", "Q"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: n = 0 must be >= 1\n"
+
+
 def test_check_monad_computes_each_residual_once(tmp_path, capsys,
                                                 monkeypatch):
     from xnadhm import cli

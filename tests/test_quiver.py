@@ -12,8 +12,8 @@ import pytest
 
 from xnadhm import linalg, quiver
 from xnadhm.campaigns import load_bruteforce_fixtures
-from xnadhm.errors import (InvalidInput, NonzeroFraming, ShapeMismatch,
-                           TooLarge, UnsupportedBackend)
+from xnadhm.errors import (IndexOutOfRange, InvalidInput, NonzeroFraming,
+                           ShapeMismatch, TooLarge, UnsupportedBackend)
 from xnadhm.linalg import (COMPLEX, GF, RATIONAL, Matrix, hstack, inverse,
                            rank, residual, vstack)
 from xnadhm.xn import XnADHM, check_P1, check_P3_via_chart, from_xn_points
@@ -79,6 +79,15 @@ def test_framed_rep_refuses_a_malformed_block(case):
     with pytest.raises(ShapeMismatch) as raised:
         replace(_unequal_rep(), **blocks)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_framed_rep_refuses_n_below_one(n):
+    """As ``XnADHM`` and ``MonadCoeffs`` do: an n = 0 representation used to
+    be built and then fail in numpy, with a ``ValueError``."""
+    Z = Matrix.zeros(1, 1)
+    with pytest.raises(IndexOutOfRange, match=f"n = {n} must be >= 1"):
+        FramedRep(n, 1, 1, 1, Z, Z, (), Matrix.row_vector([1.0]), ())
 
 
 #: a routine that needs dimensions its representation lacks, and the
@@ -249,7 +258,9 @@ def test_spectral_rejects_relation_violation():
 def test_spectral_verdict_at_zero_framing_forms_the_defects_once(monkeypatch):
     """With every f exactly 0, (P1) reads the (Q1) defects: one
     ``_chain_defects`` call per verdict, through ``xn`` and ``quiver``
-    alike, for n = 1 and n >= 2."""
+    alike, for n = 1 and n >= 2, on every backend; over GF(5), where the
+    spectral route decides only a singular pencil, at the zero
+    representation."""
     from xnadhm import xn
 
     calls = []
@@ -262,11 +273,19 @@ def test_spectral_verdict_at_zero_framing_forms_the_defects_once(monkeypatch):
     monkeypatch.setattr(xn, "_chain_defects", counted)
     monkeypatch.setattr(quiver, "_chain_defects", counted)
     rng = rng_from_seed(29)
-    for n in (1, 3):
-        r = random_rep(rng, n, 3)
-        calls.clear()
-        assert check_semistable_spectral(r) is Verdict.SEMISTABLE
-        assert len(calls) == 1, n
+    points = [(1, 2), (3, -1), (Fraction(1, 3), 4)]
+    for backend in (COMPLEX, RATIONAL, GF(5)):
+        for n in (1, 3):
+            want = Verdict.SEMISTABLE
+            if backend is COMPLEX:
+                r = random_rep(rng, n, 3)
+            elif backend is RATIONAL:
+                r = embed_xn_as_rep(from_xn_points(n, 0, points, backend))
+            else:
+                r, want = zero_rep(n, 3, backend=backend), Verdict.UNSTABLE
+            calls.clear()
+            assert check_semistable_spectral(r) is want
+            assert len(calls) == 1, (backend, n)
 
 
 def test_exact_spectral_verdict_at_zero_framing_tests_the_defects_once(

@@ -287,8 +287,7 @@ def test_P1_holds_at_tol_zero_on_exactly_satisfied_float_data(n):
     and an exact 0 passes the threshold 0 (the quadratic n = 1 relation
     and the chains of n >= 2 alike)."""
     d = from_xn_points(n, 0, [(1, 2), (3, -1), (0, 4)], COMPLEX)
-    defects = xn._chain_defects(d.A1.entries, d.A2.entries, xn._stack(d.C),
-                                COMPLEX)
+    defects = xn._chain_defects(d.A1, d.A2, d.C)[0]
     assert not any(D.any() for D in defects)
     assert check_P1(d, tol=0)
 
@@ -308,8 +307,7 @@ def test_P1_threshold_is_quadratic_in_A_only_for_n_1(n, holds):
         A1 = A2 = Matrix.diagonal([10, 10])
         C = (bump, Matrix.identity(2))
     d = XnADHM(n, 2, A1, A2, C, Matrix.row_vector([1, 1]))
-    defects = xn._chain_defects(A1.entries, A2.entries, xn._stack(d.C),
-                                COMPLEX)
+    defects = xn._chain_defects(A1, A2, d.C)[0]
     worst = max(float(np.abs(D).max()) for D in defects)
     assert 40 * tol < worst < 60 * tol
     assert check_P1(d, tol=tol) is holds
@@ -2322,9 +2320,8 @@ def test_stacked_chain_defects_equal_the_per_q_reference(backend):
     """The two stacked (P1) products, and for (Q1) the f stack times e,
     give the per-q defects byte for byte, unstacked in the order of the
     relations, with and without f and e; on the rationals the stacked
-    products run on the integer forms that the blocks keep
-    (``_integer_chain_defects`` of the Matrices), and the reference on
-    ``Fraction`` entries."""
+    products run on the integer numerators of the blocks over one
+    denominator, and the reference on ``Fraction`` entries."""
     from xnadhm.quiver import FramedRep, relation_defects
     from xnadhm.sampling import random_matrix
 
@@ -2345,15 +2342,9 @@ def test_stacked_chain_defects_equal_the_per_q_reference(backend):
             d = XnADHM(n, c, block(c, c), block(c, c),
                        [block(c, c) for _ in range(n)], block(1, c))
             f = tuple(block(c, 1) for _ in range(n - 1))
-            a1, a2, cs = d.A1.entries, d.A2.entries, xn._stack(d.C)
-            if backend is RATIONAL:
-                plain = xn._integer_chain_defects(d.A1, d.A2, d.C)
-                framed = plain if n == 1 else xn._integer_chain_defects(
-                    d.A1, d.A2, d.C, f, d.e)
-            else:
-                plain = xn._chain_defects(a1, a2, cs, backend)
-                framed = plain if n == 1 else xn._chain_defects(
-                    a1, a2, cs, backend, xn._stack(f), d.e.entries)
+            plain = xn._chain_defects(d.A1, d.A2, d.C)[0]
+            framed = plain if n == 1 else xn._chain_defects(
+                d.A1, d.A2, d.C, f, d.e)[0]
             assert len(plain) == (1 if n == 1 else 2)
             for got, want in ((plain, _chain_defects_reference(d)),
                               (framed, _chain_defects_reference(d, f, d.e))):

@@ -26,8 +26,8 @@ and the ``Fraction`` constructions (calls of ``Fraction.__new__``).  Each
 count of a function is taken by a wrapper installed under the name that
 callers look up, in every library module that holds it, so a kernel that
 calls another inside numpy (``np.roots`` calls ``eigvals``) counts once.
-The np.linalg calls outside the kernels, of the unguarded
-``linalg.inverse`` and ``linalg.det``, are not counted.  The counts are
+The np.linalg call outside the kernels, of the unguarded ``linalg.det``,
+is not counted.  The counts are
 deterministic: run the tool on two checkouts and compare the lines.  The
 library and the workloads are imported from ``src/`` and ``benches/`` under
 ``--root``, by default the checkout that holds this tool, so one copy of
