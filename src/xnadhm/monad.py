@@ -15,7 +15,10 @@ backend (complex128, or an object array on the exact backends), and every
 kernel here (``build_jm``, ``reexpand_chart``, ``compose_residual``,
 ``gauge_action``, ``gauge_normalize``) reads and writes those stacks.  The
 tuples of ``Matrix`` blocks above are made from the stacks only when a
-caller reads them.
+caller reads them.  ``reexpand_chart`` mixes the stacks in two passes, one
+per binomial chart matrix.  ``gauge_normalize`` closes with the base change
+T = beta1[0] on every backend and returns a composite gauge that makes its
+blocks from kept factors on first read.
 
 In the rank-one case k1 = k2 = k3 = c and k4 = c + 1.  The composition
 beta o alpha expands over the degree-(1,1) basis
@@ -153,8 +156,9 @@ class GaugeElement:
     y2^q y1^(n-1-q) s_E, q = 0..n-1.  The constructor keeps the five blocks
     as given.  The composite gauge that ``gauge_normalize`` returns holds
     chi and the factors of the other four blocks, and makes phi = T a1n,
-    psi11 = T, psi12 = T Ps and psi22 = diag(T, 1) psi22_4 psi22_3 on first
-    read, then keeps them (``_composite``).
+    psi11 = T, psi12 = T Ps and psi22 = diag(T, 1) psi22_4 psi22_3, with
+    psi22_4 = diag(1, ..., 1, 1/omega), on first read, then keeps them
+    (``_composite``).
     """
     phi: Matrix
     psi11: Matrix
@@ -166,8 +170,8 @@ class GaugeElement:
         self.__dict__.update(phi=phi, psi11=psi11, psi12=tuple(psi12),
                              psi22=psi22, chi=chi)
 
-    # the blocks of a composite, from its factors (T, a1n, Ps, diag_T,
-    # psi22_4, psi22_3, backend)
+    # the blocks of a composite, from its factors (T, a1n, Ps, 1/omega,
+    # psi22_3, backend)
     @functools.cached_property
     def phi(self):
         T, a1n, *_, bk = self._factors
@@ -185,8 +189,9 @@ class GaugeElement:
 
     @functools.cached_property
     def psi22(self):
-        *_, diag_T, psi22_4, psi22_3, bk = self._factors
-        return _wrap(_matmul(diag_T, _matmul(psi22_4, psi22_3, bk), bk), bk)
+        T, _, _, w, psi22_3, bk = self._factors
+        return _wrap(_matmul(_diag_T(T, bk), _matmul(
+            _psi22_4(w, len(T), bk), psi22_3, bk), bk), bk)
 
     @classmethod
     def identity(cls, n: int, c: int, backend=linalg.COMPLEX) -> "GaugeElement":
@@ -228,6 +233,19 @@ def _composite(chi, factors) -> GaugeElement:
     return g
 
 
+def _diag_T(T, bk):
+    """The entry array diag(T, 1)."""
+    c = len(T)
+    arr = _diagonal([bk.one] * (c + 1), bk)
+    arr[:c, :c] = T
+    return arr
+
+
+def _psi22_4(w, c, bk):
+    """The entry array diag(1, ..., 1, w) of size c + 1."""
+    return _diagonal([bk.one] * c + [w], bk)
+
+
 def embed_gl_gauge(phi0: Matrix, n: int) -> GaugeElement:
     """The base-change subgroup inside the gauge group: conjugating the plane
     triple by phi0 corresponds to the gauge element with components
@@ -236,11 +254,9 @@ def embed_gl_gauge(phi0: Matrix, n: int) -> GaugeElement:
     c = phi0.rows
     bk = phi0.backend
     tinv = inverse(phi0.transpose())
-    psi22 = _diagonal([bk.one] * (c + 1), bk)
-    psi22[:c, :c] = tinv.entries
     return GaugeElement(phi=tinv, psi11=tinv,
                         psi12=[Matrix.zeros(c, c + 1, bk) for _ in range(n)],
-                        psi22=_wrap(psi22, bk), chi=tinv)
+                        psi22=_wrap(_diag_T(tinv.entries, bk), bk), chi=tinv)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +372,18 @@ def reexpand_chart(mc: MonadCoeffs, l: int) -> MonadCoeffs:
         return mc
     n = mc.n
     _check_chart(mc.c, l)
-    mix = functools.partial(_sigma_mix, shift=l - mc.m, c_count=mc.c,
+    c = mc.c
+    mix = functools.partial(_sigma_mix, shift=l - mc.m, c_count=c,
                             backend=mc.backend)
     a1, a2, b1, b2 = mc.stacks
-    return _of_stacks(n, mc.c, l, [
-        np.concatenate((mix(a1[:n + 1]), a1[n + 1:])), mix(a2), mix(b1),
-        np.concatenate((mix(b2[:n + 1]), b2[n + 1:]))], mc.xi)
+    # one pass per sigma: the s_E slots of alpha1 and beta2 (sigma(n)) side
+    # by side on the column axis, alpha2 and beta1 (sigma(1)) on the row
+    # axis; each entry is the sum it would be in a pass of its own
+    s_e = mix(np.concatenate((a1[:n + 1], b2[:n + 1]), axis=2))
+    y = mix(np.concatenate((a2, b1), axis=1))
+    return _of_stacks(n, c, l, [
+        np.concatenate((s_e[:, :, :c], a1[n + 1:])), y[:, :c + 1],
+        y[:, c + 1:], np.concatenate((s_e[:, :, c:], b2[n + 1:]))], mc.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +399,18 @@ def _check_gauge_block(a, backend, name: str, tol):
 _EPS = float(np.finfo(float).eps)
 
 
-def _check_gauge_block_from(lo, hi, a, backend, name: str, t: float):
-    """``_check_gauge_block`` of a float block a at the float tolerance t
-    (``linalg._tol`` of the caller's tol) from its smallest and largest
-    singular values lo and hi as read off another matrix (chi = b10^-1,
-    phi = T and diag(T, 1) off b10, diag(1, ..., 1, 1/omega) off its
-    stored entry).  The two routes round apart by O(k eps hi) in
-    lo - t hi, k the size of a, so within 1e3 k eps hi of the tie a's own
-    SVD decides, as in ``_check_gauge_block``."""
+def _check_gauge_block_from(lo, hi, k, make, backend, name: str, t: float):
+    """``_check_gauge_block`` of a float k x k block at the float tolerance
+    t (``linalg._tol`` of the caller's tol) from its smallest and largest
+    singular values lo and hi as read off another matrix (chi = b10^-1 and
+    diag(T, 1) off T = b10, diag(1, ..., 1, 1/omega) off 1/omega).  The
+    two routes round apart by O(k eps hi) in lo - t hi, so within
+    1e3 k eps hi of the tie the block, made there by ``make()`` and
+    nowhere else, is decided by its own SVD, as in
+    ``_check_gauge_block``."""
     gap = lo - t * hi
-    if not abs(gap) > 1e3 * len(a) * _EPS * hi:
-        _check_gauge_block(a, backend, name, t)
+    if not abs(gap) > 1e3 * k * _EPS * hi:
+        _check_gauge_block(make(), backend, name, t)
     elif gap < 0:
         raise SingularGauge(f"gauge block {name} is singular")
 
@@ -489,23 +512,25 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     terms.  Returns that triple and the composite, the unique gauge with
     chi = 1.  Each block a step introduces passes the relative test of
     ``gauge_action``: on floats the one SVD of beta1's y1-slot b10 that
-    step 1's absolute test reads also decides chi = b10^-1, phi = T and
-    diag(T, 1), and psi22_4 = diag(1, ..., 1, 1/omega) is decided in closed
-    form; within roundoff of a tie, where two SVD routes could round apart,
-    each block's own SVD decides.  The composite is not tested as one
-    gauge, as its condition number can exceed every factor's.
+    step 1's absolute test reads is that of phi = T = b10 and also decides
+    chi = b10^-1 and diag(T, 1), and psi22_4 = diag(1, ..., 1, 1/omega) is
+    decided in closed form; within roundoff of a tie, where two SVD routes
+    could round apart, the block is made and its own SVD decides.  The
+    composite is not tested as one gauge, as its condition number can
+    exceed every factor's.
 
-    With T = (b10^-1)^-1, the step gauges' blocks (b10^-1, the step-1 slots
-    Q_q, the step-2 pivot a1n, psi22_3 and psi22_4) give the composite in
-    closed form: phi = T a1n, psi11 = T, psi12_q = -T Q_q,
-    psi22 = diag(T, 1) psi22_4 psi22_3 and chi = T b10^-1.  Only chi is
-    computed here: the composite keeps the factors and makes phi, psi11,
-    psi12 and psi22 on first read, every block test having passed before
-    it is returned.  Exact backends read T = b10 and T^-1 = b10^-1, so an
-    exact normalization takes four eliminations (b10, a1n, the left null
-    row, psi22_3); floats keep LAPACK's T and T^-1.  All of it runs on
-    entry arrays.  Exact backends test beta o alpha = 0 and the framing
-    support literally; floats test them against ``tol``.
+    With T = b10 and T^-1 = b10^-1 on every backend, the step gauges'
+    blocks (b10^-1, the step-1 slots Q_q, the step-2 pivot a1n, psi22_3
+    and psi22_4) give the composite in closed form: phi = T a1n,
+    psi11 = T, psi12_q = -T Q_q, psi22 = diag(T, 1) psi22_4 psi22_3 and
+    chi = T b10^-1.  Only chi is computed here: the composite keeps
+    (T, a1n, the P_q = -Q_q, 1/omega, psi22_3) and makes phi, psi11, psi12
+    and psi22 on first read, every block test having passed before it is
+    returned.  So a normalization inverts three pivots (b10, a1n,
+    psi22_3): by four SVDs (those three and the left null row's) and three
+    LAPACK inverses on floats, by four eliminations on exact backends.  All
+    of it runs on entry arrays.  Exact backends test beta o alpha = 0 and
+    the framing support literally; floats test them against ``tol``.
 
     Raises NotNormalizable at the first singular pivot; for re-expanded
     images of ``build_jm`` this happens exactly on the locus
@@ -526,48 +551,49 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     mul = functools.partial(_matmul, backend=bk)
     a1, a2, b1, b2 = mc0.stacks
 
-    # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0; P_q = -Q_q.  On
-    # floats the SVD of b10 that the absolute test reads (``_is_invertible``)
-    # also decides the block tests of chi = b10^-1 (kappa(b10^-1) =
-    # kappa(b10)), of phi = T, which is b10 up to roundoff, and of
-    # psi22 = diag(T, 1), whose singular values are those of T and 1, each
-    # in its old place.  On exact backends step 1 makes all three
-    # invertible, and the one elimination that inverts b10 decides.
+    # step 1: beta1 y1-slot -> 1, beta2 slots 0..n-1 -> 0.  The base change
+    # that closes the loop is T = b10 on every backend.  On floats the SVD
+    # of b10 that the absolute test reads (``_is_invertible``) is T's own,
+    # so it decides phi = T, and it decides the block tests of
+    # chi = b10^-1 (kappa(b10^-1) = kappa(b10)) and of psi22 = diag(T, 1),
+    # whose singular values are those of T and 1, each in its old place.
+    # On exact backends step 1 makes all three invertible, and the one
+    # elimination that inverts b10 decides.
+    T = b1[0]
     if exact:
-        b10_inv = _checked_inverse(b1[0], bk)
+        b10_inv = _checked_inverse(T, bk)
     else:
-        s_b = linalg._svdvals(b1[0])
-        ok = s_b[-1] > t * max(1.0, _size(b1[0], exact))
-        b10_inv = linalg._inv(b1[0]) if ok else None
+        s_b = linalg._svdvals(T)
+        ok = s_b[-1] > t * max(1.0, _size(T, exact))
+        b10_inv = linalg._inv(T) if ok else None
     _require(b10_inv is not None, 1, "beta1 y1-coefficient is singular")
-    # the base change that closes the loop: b10 itself on exact backends,
-    # LAPACK's inverse of b10^-1 on floats
-    T = b1[0] if exact else linalg._inv(b10_inv)
     if not exact:
-        _check_gauge_block_from(s_b[-1], s_b[0], b10_inv, bk, "chi", t)
-    Ps = _zeros((n, c, c + 1), bk)
-    prev = _zeros((c, c + 1), bk)
-    for q in range(n):
-        Ps[q] = mul(b10_inv, red(b2[q] + mul(b1[1], prev)))
-        prev = red(-Ps[q])
+        _check_gauge_block_from(s_b[-1], s_b[0], c, lambda: b10_inv, bk,
+                                "chi", t)
+    # P_q = -Q_q = b10^-1 (beta2[q] - beta1[1] P_(q-1)) from
+    # P_0 = b10^-1 beta2[0]; the slot P_n is step 3's top block
+    Ps = np.empty((n + 1, c, c + 1), dtype=bk.dtype)
+    Ps[0] = mul(b10_inv, b2[0])
+    for q in range(1, n + 1):
+        Ps[q] = mul(b10_inv, red(b2[q] - mul(b1[1], Ps[q - 1])))
 
     # step 2: alpha1 top s_E slot -> 1; after step 1 it is
-    # alpha1[n] - Q_(n-1) alpha2[1]
-    a1n = red(a1[n] - mul(prev, a2[1]))
+    # alpha1[n] - Q_(n-1) alpha2[1] = alpha1[n] + P_(n-1) alpha2[1]
+    a1n = red(a1[n] + mul(Ps[n - 1], a2[1]))
     a1n_inv = _checked_inverse(a1n, bk, t, rel=True)
     _require(a1n_inv is not None, 2, "top alpha1 coefficient is singular")
 
     # step 3: alpha2 y1-slot -> (1; 0), beta2 top slot -> (-1, 0); after
     # step 2 the first is alpha2[0] a1n^-1, after step 1 the second is
-    # b10^-1 (beta2[n] + beta1[1] Q_(n-1))
+    # b10^-1 (beta2[n] + beta1[1] Q_(n-1)) = P_n
     r = _left_null_row(mul(a2[0], a1n_inv), bk, t)
-    top = mul(b10_inv, red(b2[n] + mul(b1[1], prev)))
-    psi22_3 = np.concatenate((red(-top), r))
+    psi22_3 = np.concatenate((red(-Ps[n]), r))
     # (the pivot tests of steps 2 and 3 are the gauge block tests)
     psi22_3_inv = _checked_inverse(psi22_3, bk, t, rel=True)
     _require(psi22_3_inv is not None, 3, "pivot block is singular")
 
-    # step 4: framing vector -> (0, ..., 0, 1); only step 3 moved it
+    # step 4: framing vector -> (0, ..., 0, 1) by psi22_4 =
+    # diag(1, ..., 1, 1/omega); only step 3 moved it
     xi = mc0.xi.entries
     xi1, xi2 = xi[:c], mul(psi22_3, xi[c:])
     omega = xi2.item(c, 0)
@@ -578,30 +604,27 @@ def gauge_normalize(mc: MonadCoeffs, l: int, tol=None):
     _require(frame > t * scale, 4, "frame slot vanishes")
     _require(off <= 1e3 * t * scale, 4,
              "framing vector is not supported on the frame slot")
-    psi22_4 = _diagonal([bk.one] * c + [bk.inv(omega)], bk)
+    w = bk.inv(omega)
 
-    # close the loop: the base change by T makes the composite's chi = 1
-    diag_T = _diagonal([bk.one] * (c + 1), bk)
-    diag_T[:c, :c] = T
     if not exact:
-        # psi22_4 = diag(1, ..., 1, 1/omega) has singular values 1 and the
-        # stored |1/omega| (step 4 made omega nonzero, so on exact backends
-        # it is invertible, as are phi and diag(T, 1))
-        w = abs(psi22_4.item(c, c))
-        _check_gauge_block_from(min(w, 1.0), max(w, 1.0), psi22_4, bk,
-                                "psi22", t)
-        _check_gauge_block_from(s_b[-1], s_b[0], T, bk, "phi", t)
-        _check_gauge_block_from(min(s_b[-1], 1.0), max(s_b[0], 1.0), diag_T,
+        # psi22_4 has singular values 1 and |1/omega| (step 4 made omega
+        # nonzero, so on exact backends it is invertible, as are phi and
+        # diag(T, 1)); phi = T reads its own SVD, taken in step 1
+        lo, hi = sorted((abs(w), 1.0))
+        _check_gauge_block_from(lo, hi, c + 1, lambda: _psi22_4(w, c, bk),
                                 bk, "psi22", t)
+        if not s_b[-1] > t * s_b[0]:
+            raise SingularGauge("gauge block phi is singular")
+        _check_gauge_block_from(min(s_b[-1], 1.0), max(s_b[0], 1.0), c + 1,
+                                lambda: _diag_T(T, bk), bk, "psi22", t)
     chi = mul(T, b10_inv)
-    g_total = _composite(chi, (T, a1n, Ps, diag_T, psi22_4, psi22_3, bk))
+    g_total = _composite(chi, (T, a1n, Ps[:n], w, psi22_3, bk))
 
     # chi beta1[1] psi11^-1, psi11 alpha1[n+1] phi^-1, chi beta2[n+1]
     # psi22^-1, inverting factor by factor as acting step by step would:
-    # psi11 = T, phi = T a1n, psi22^-1 e_c = omega psi22_3^-1 e_c
-    T_inv = b10_inv if exact else linalg._inv(T)
-    b1_out = mul(mul(chi, b1[1]), T_inv)
-    b2_out = mul(mul(mul(T, a1[n + 1]), a1n_inv), T_inv)
+    # psi11^-1 = b10^-1, phi = T a1n, psi22^-1 e_c = omega psi22_3^-1 e_c
+    b1_out = mul(mul(chi, b1[1]), b10_inv)
+    b2_out = mul(mul(mul(T, a1[n + 1]), a1n_inv), b10_inv)
     e = red(omega * mul(mul(chi, b2[n + 1]), psi22_3_inv)[:, c:])
     return PlaneADHM(c, _wrap(b1_out.T, bk), _wrap(b2_out.T, bk),
                      _wrap(e.T, bk)), g_total

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .linalg import COMPLEX, Matrix
+from .linalg import COMPLEX, Matrix, _wrap
 from .plane import PlaneADHM
 from .quiver import FramedRep, embed_xn_as_rep
 from .xn import (ChartData, XnADHM, _leg_constants, _overlap_pivot,
@@ -36,36 +36,37 @@ def random_matrix(rng, rows, cols) -> Matrix:
 def random_invertible(rng, n) -> Matrix:
     """A complex Gaussian n x n draw, redrawn until its condition number,
     s_max / s_min of one SVD (the value numpy's ``cond`` computes), is at
-    most ``MAX_COND``."""
+    most ``MAX_COND``.  The matrix holds the drawn array itself."""
     while True:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         s = linalg._svdvals(a)
         if s[0] / s[-1] <= MAX_COND:
-            return Matrix.from_numpy(a)
+            return _wrap(a)
 
 
 def _separated_values(rng, c, min_gap=0.15):
-    """c complex values with pairwise gaps bounded below."""
+    """c complex values with pairwise gaps bounded below, tested on the
+    values as Python complex numbers."""
     while True:
         vals = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-        ok = all(abs(vals[i] - vals[j]) > min_gap
-                 for i in range(c) for j in range(i + 1, c))
-        if ok:
+        v = vals.tolist()
+        if all(abs(v[i] - v[j]) > min_gap
+               for i in range(c) for j in range(i + 1, c)):
             return vals
 
 
 def random_costable_triple(rng, c) -> PlaneADHM:
-    """Commuting pair with simple joint spectrum and a generic frame."""
-    V = random_invertible(rng, c)
-    Vn = V.to_numpy()
+    """Commuting pair with simple joint spectrum and a generic frame; the
+    three matrices hold the arrays just computed, uncopied."""
+    Vn = random_invertible(rng, c).entries
     Vi = linalg._inv(Vn)
-    b1 = Matrix.from_numpy(Vn @ np.diag(_separated_values(rng, c)) @ Vi)
-    b2 = Matrix.from_numpy(Vn @ np.diag(_separated_values(rng, c)) @ Vi)
+    b1 = _wrap(Vn @ np.diag(_separated_values(rng, c)) @ Vi)
+    b2 = _wrap(Vn @ np.diag(_separated_values(rng, c)) @ Vi)
     while True:
         e = rng.standard_normal(c) + 1j * rng.standard_normal(c)
         if np.all(np.abs(e @ Vn) > 0.05):   # frame sees every eigenvector
             break
-    return PlaneADHM(c, b1, b2, Matrix.from_numpy(e[None]))
+    return PlaneADHM(c, b1, b2, _wrap(e[None]))
 
 
 def random_chart_data(rng, c) -> ChartData:

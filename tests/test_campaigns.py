@@ -12,7 +12,7 @@ import pytest
 from xnadhm import sampling
 from xnadhm.campaigns import SUITES, _sample_seeds, replay_sample, run_campaign
 from xnadhm.errors import NotInOverlap, XnAdhmError
-from xnadhm.linalg import residual, scale_of
+from xnadhm.linalg import Matrix, residual, scale_of
 from xnadhm.xn import gl2_action_chart, transition_omega, transition_phi
 
 
@@ -374,7 +374,10 @@ def test_sample_index_picks_the_kind(monkeypatch):
 
 def test_random_invertible_draws_are_those_of_np_linalg_cond():
     """The condition number is read from one SVD; the draws, and so the
-    random stream, are those of a ``np.linalg.cond`` loop."""
+    random stream, are those of a ``np.linalg.cond`` loop.  The gap test of
+    ``_separated_values`` on Python complex numbers and the uncopied
+    matrices of ``random_costable_triple`` give, byte for byte, what a gap
+    test on numpy scalars and ``Matrix.from_numpy`` copies give."""
     def reference(rng, n):
         while True:
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -386,6 +389,34 @@ def test_random_invertible_draws_are_those_of_np_linalg_cond():
         assert np.array_equal(sampling.random_invertible(got, n).to_numpy(),
                               reference(want, n))
     assert got.random() == want.random()
+
+    def separated(rng, c, min_gap=0.15):
+        while True:
+            vals = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+            if all(abs(vals[i] - vals[j]) > min_gap
+                   for i in range(c) for j in range(i + 1, c)):
+                return vals
+
+    def costable(rng, c):
+        Vn = Matrix.from_numpy(reference(rng, c)).to_numpy()
+        Vi = np.linalg.inv(Vn)
+        b1 = Matrix.from_numpy(Vn @ np.diag(separated(rng, c)) @ Vi)
+        b2 = Matrix.from_numpy(Vn @ np.diag(separated(rng, c)) @ Vi)
+        while True:
+            e = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+            if np.all(np.abs(e @ Vn) > 0.05):
+                return b1, b2, Matrix.from_numpy(e[None])
+
+    for seed in range(8):
+        got, want = sampling.rng_from_seed(seed), sampling.rng_from_seed(seed)
+        for c in range(1, 7):
+            for gap in (0.15, 0.2, 1.0):
+                assert (sampling._separated_values(got, c, gap).tobytes()
+                        == separated(want, c, gap).tobytes())
+            d = sampling.random_costable_triple(got, c)
+            assert [M.entries.tobytes() for M in (d.b1, d.b2, d.e)] == [
+                M.entries.tobytes() for M in costable(want, c)]
+        assert got.random() == want.random()
 
 
 def test_import_leaves_the_thread_pool_unloaded():

@@ -615,10 +615,18 @@ def test_embed_gl_gauge_tracks_base_change():
 # the array kernel against the Matrix-level composition of the step gauges
 # ---------------------------------------------------------------------------
 
+def diag_one(T):
+    """The Matrix diag(T, 1)."""
+    c, bk = T.rows, T.backend
+    return vstack(hstack(T, Matrix.zeros(c, 1, bk)),
+                  hstack(Matrix.zeros(1, c, bk), Matrix.identity(1, bk)))
+
+
 def reference_gauge_normalize(mc, l):
     """``gauge_normalize`` on valid data, written with Matrix operations:
     the four step gauges composed by ``GaugeElement.compose`` and closed by
-    ``embed_gl_gauge``."""
+    the base-change gauge (T, diag(T, T, 1), T) of T = beta1[0], the gauge
+    that ``embed_gl_gauge`` gives for the transpose of T^-1."""
     mc0 = reexpand_chart(mc, l)
     n, c, bk = mc0.n, mc0.c, mc0.backend
     ident = Matrix.identity(c, bk)
@@ -655,10 +663,11 @@ def reference_gauge_normalize(mc, l):
     psi22_4 = Matrix.diagonal([bk.one] * c + [bk.inv(omega)], bk)
     g_raw = (gauge(psi22=psi22_4).compose(gauge(psi22=psi22_3))
              .compose(g2).compose(g1))
-    g5 = embed_gl_gauge(g_raw.chi.transpose(), n)
+    T = mc0.beta1[0]
+    g5 = GaugeElement(phi=T, psi11=T, psi12=no_psi12, psi22=diag_one(T),
+                      chi=T)
     g_total = g5.compose(g_raw)
-    T = g5.phi
-    T_inv = inverse(T)
+    T_inv = b10_inv
     b1 = g_total.chi @ mc0.beta1[1] @ T_inv
     b2 = T @ mc0.alpha1[n + 1] @ a1n_inv @ T_inv
     e = (g_total.chi @ mc0.beta2[n + 1] @ inverse(psi22_3)).column(c)
@@ -914,8 +923,10 @@ def test_sigma_mix_keeps_the_sign_of_zero(backend):
     """The one-pass ``_sigma_mix`` equals the per-term loop on stacks whose
     entries are mostly zeros, of both signs on floats, and at sigma
     matrices with zero entries: byte for byte on floats, entry for entry
-    with the entry types on the exact backends.  A sum that starts from
-    +0 (``np.sum``) turns a sum of -0 terms into +0 and fails here."""
+    with the entry types on the exact backends.  The shapes include the
+    paired stacks (c, 2c + 1) and (2c + 1, c) that ``reexpand_chart`` mixes
+    in one pass.  A sum that starts from +0 (``np.sum``) turns a sum of -0
+    terms into +0 and fails here."""
     rng = rng_from_seed(48)
     charts = ([(c, 0, l) for c in range(1, 5) for l in range(c + 1)]
               if backend is COMPLEX else INTEGER_CHARTS)
@@ -923,7 +934,8 @@ def test_sigma_mix_keeps_the_sign_of_zero(backend):
     for c, m, l in charts:
         for h in range(5):
             zero_weights += not sigma(h, l - m, c, backend).entries.all()
-            for rows, cols in ((c, c), (c + 1, c), (c, c + 1)):
+            for rows, cols in ((c, c), (c + 1, c), (c, c + 1),
+                               (c, 2 * c + 1), (2 * c + 1, c)):
                 shape = (h + 1, rows, cols)
                 if backend is COMPLEX:
                     coeffs = _signed_zeros(rng, shape)
@@ -1149,11 +1161,39 @@ def test_the_composite_makes_each_product_on_first_read(monkeypatch):
         assert made == [0, 0, 1, 1, 2, 0, 0, 0, 0, 0]
 
 
+def test_the_composite_makes_psi22_from_t_one_over_omega_and_psi22_3(
+        monkeypatch):
+    """The composite keeps T, 1/omega and psi22_3, not diag(T, 1) and
+    psi22_4 = diag(1, ..., 1, 1/omega): with ``_diagonal`` counted, a
+    normalization whose block tests are all away from their ties makes no
+    diagonal array, and reading psi22 makes the two and gives
+    diag(T, 1) psi22_4 psi22_3 of the Matrices built from the factors."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _diagonal(*args, **kwargs)
+
+    monkeypatch.setattr(monad, "_diagonal", counted)
+    for backend in (COMPLEX, RATIONAL, GF(5)):
+        mc, l = _normalizable(backend)
+        calls.clear()
+        _, g = gauge_normalize(mc, l)
+        assert calls == []
+        T, _, _, w, psi22_3, bk = g._factors
+        c = len(T)
+        psi22_4 = Matrix.diagonal([bk.one] * c + [w], bk)
+        want = diag_one(_wrap(T.copy(), bk)) @ (
+            psi22_4 @ _wrap(psi22_3.copy(), bk))
+        assert g.psi22 == want and len(calls) == 2
+
+
 def per_block_gauge_normalize(mc, l, tol=None):
     """``gauge_normalize`` with one relative ``_is_invertible`` test per
     gauge block that a step introduces, on every backend: chi = b10^-1,
     psi22_4, phi = T and psi22 = diag(T, 1), each in the step that makes it,
-    and the guard from the per-slot residual."""
+    and the guard from the per-slot residual.  T = b10 and T^-1 = b10^-1,
+    as in the kernel."""
     bk = mc.backend
     exact = bk.exact
     t = 0.0 if exact else linalg._tol(tol)
@@ -1204,7 +1244,7 @@ def per_block_gauge_normalize(mc, l, tol=None):
                    "framing vector is not supported on the frame slot")
     psi22_4 = _diagonal([bk.one] * c + [bk.inv(omega)], bk)
     check(psi22_4, name="psi22")
-    T = inv(b10_inv)
+    T = b1[0]
     check(T, name="phi")
     diag_T = _diagonal([bk.one] * (c + 1), bk)
     diag_T[:c, :c] = T
@@ -1215,7 +1255,7 @@ def per_block_gauge_normalize(mc, l, tol=None):
         psi12=[_wrap(prod(T, P), bk) for P in Ps],
         psi22=_wrap(prod(diag_T, prod(psi22_4, psi22_3)), bk),
         chi=_wrap(chi, bk))
-    T_inv = inv(T)
+    T_inv = b10_inv
     b1_out = prod(chi, b1[1], T_inv)
     b2_out = prod(T, a1[n + 1], a1n_inv, T_inv)
     e = red(omega * prod(chi, b2[n + 1], inv(psi22_3))[:, [c]])
@@ -1244,7 +1284,9 @@ def test_merged_block_tests_keep_the_per_block_verdicts():
     give each case the per-block route's exception and message, or its
     output: chi = 10^k 1 for k = -12..12, and the frame slot of xi at 10^k
     for k = -14..14 in steps of 0.5, in the chart of the point and in
-    another.  The ties chi = 1e9 1 and omega = 1e-9 pass."""
+    another.  At the tie omega = 1e-9 the point normalizes; at chi = 1e9 1
+    it is refused, since T = b10 = 1e9 1 exactly and diag(T, 1), of
+    condition number exactly 1 / tol, fails the strict relative test."""
     rng = rng_from_seed(43)
     failures = set()
     for c, n in ((2, 2), (3, 1)):
@@ -1261,9 +1303,10 @@ def test_merged_block_tests_keep_the_per_block_verdicts():
             assert got == _outcome(per_block_gauge_normalize, *case)
             if isinstance(got, tuple):
                 failures.add(got)
-        for tie in (_scaled_chi(mc, 9),
-                    replace(mc, xi=Matrix.col_vector(frame).scale(1e-9))):
-            gauge_normalize(tie, m)
+        gauge_normalize(replace(mc, xi=Matrix.col_vector(frame).scale(1e-9)),
+                        m)
+        with pytest.raises(SingularGauge, match="psi22"):
+            gauge_normalize(_scaled_chi(mc, 9), m)
     assert failures == {
         (NotNormalizable, "step 1: beta1 y1-coefficient is singular"),
         (SingularGauge, "gauge block psi22 is singular")}
@@ -1305,10 +1348,12 @@ def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
     where step 1 passes, for |j| <= 60; the same at 1e9 (1 + j 5e-10),
     where chi passes and phi = T may not; T = 1e9 (1 + j eps) 1 and the
     frame slot at 1e-9 (1 + j eps) for |j| <= 40, and a coarse chi sweep in
-    two charts.  Each of the step 1, chi, phi and psi22 refusals occurs."""
+    two charts.  Each of the step 1, chi, phi and psi22 refusals occurs;
+    phi, which reads step 1's SVD of T = b10, refuses only where chi's own
+    SVD passes, which the third sweep reaches at c = 3."""
     rng = rng_from_seed(45)
     eps = np.finfo(float).eps
-    outcomes = set()
+    outcomes, third = set(), set()
     for c, n in ((2, 2), (3, 1)):
         d = random_costable_triple(rng, c)
         m, l = random_overlap_charts(rng, d.b1, c)
@@ -1334,9 +1379,9 @@ def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
         assert set(results[:121]) == {
             (NotNormalizable, "step 1: beta1 y1-coefficient is singular"),
             (SingularGauge, "gauge block chi is singular")}
-        assert (SingularGauge, "gauge block phi is singular") in set(
-            results[242:363])
+        third.update(results[242:363])
         outcomes.update(results)
+    assert (SingularGauge, "gauge block phi is singular") in third
     assert outcomes == {
         "normalized",
         (NotNormalizable, "step 1: beta1 y1-coefficient is singular"),
@@ -1345,10 +1390,11 @@ def test_block_tests_near_their_ties_keep_the_per_block_verdicts():
         (SingularGauge, "gauge block psi22 is singular")}
 
 
-def test_one_float_normalization_runs_four_svds_and_five_inverses(
+def test_one_float_normalization_runs_four_svds_and_three_inverses(
         monkeypatch):
-    """The SVDs of b10, a1n, the left null row and psi22_3; the per-block
-    route runs 8 SVDs and 5 inverses.  The calls are counted at the LAPACK
+    """The SVDs of b10, a1n, the left null row and psi22_3, and the
+    inverses of b10, a1n and psi22_3: T = b10 and T^-1 = b10^-1 are read
+    off, not inverted; the per-block route runs 8 SVDs and 3 inverses.  The calls are counted at the LAPACK
     kernels: ``_svdvals`` and ``_svd`` are SVDs, ``_inv`` inverses."""
     calls = []
 
@@ -1372,7 +1418,7 @@ def test_one_float_normalization_runs_four_svds_and_five_inverses(
                                 (per_block_gauge_normalize, 8)):
             calls.clear()
             normalize(mc, l)
-            assert (calls.count("svd"), calls.count("inv")) == (svds, 5)
+            assert (calls.count("svd"), calls.count("inv")) == (svds, 3)
 
 
 def test_one_exact_normalization_runs_four_eliminations(monkeypatch):

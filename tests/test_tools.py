@@ -24,6 +24,42 @@ def test_outcome_records_prints_one_digest_per_workload_and_seed():
                for line in lines)
 
 
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outcome_records_compare_reads_verdicts_and_residuals_apart():
+    """``--compare`` on this checkout itself finds every verdict the same
+    and no residual change; on fixed records, a moved verdict, tally or
+    record shape reads ``moved`` and a float reads as a residual change,
+    relative to max(1, |old|)."""
+    out = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                              "outcome_records.py"),
+                          "--compare", str(ROOT)],
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    assert out.splitlines() == [
+        f"{name} seed={seed} verdicts=same residual_change=0"
+        for name in ("roundtrip", "transitions", "oracle")
+        for seed in (0, 1504)]
+    tool = _tool("outcome_records")
+    old = tool._leaves([[("monad", 1, 2, 1e-16, True), ("cocycle", 3.0)]])
+    cases = [([[("monad", 1, 2, 3e-16, True), ("cocycle", 3.0)]], 2e-16),
+             ([[("monad", 1, 2, 1e-16, True), ("cocycle", 3.3)]], 0.1)]
+    for new, change in cases:
+        same, got = tool.compare(old, tool._leaves(new))
+        assert same and abs(got - change) < 1e-12 * change
+    for new in ([[("monad", 1, 2, 1e-16, False), ("cocycle", 3.0)]],
+                [[("monad", 1, 3, 1e-16, True), ("cocycle", 3.0)]],
+                [[("monad", 1, 2, 1e-16, True), ("cocycle", 3.0, 1)]],
+                [[("monad", 1, 2, 1e-16, True)]]):
+        assert not tool.compare(old, tool._leaves(new))[0]
+
+
 def _ledger(prelude=""):
     """The lines of ``tools/call_ledger.py --rounds 1``, split into the
     (workload, seed) key and the {label: count} fields, after ``prelude``
@@ -94,14 +130,6 @@ def test_reach_scan_lists_the_unreached_functions():
     assert reached + len(unreached) == total
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _run(commit, pair, rate, setup, seed=0):
     return {"commit": commit, "workload": "oracle", "seed": seed,
             "pair": pair, "result": {"correct": True, "metrics": {
@@ -112,7 +140,7 @@ def _run(commit, pair, rate, setup, seed=0):
 def test_bench_pairs_summary_on_fixed_numbers():
     """Quartiles (inclusive method), wins in each metric's direction with a
     tie counted as no win, and the median ratio, per workload and seed."""
-    summarize = _bench_pairs().summarize
+    summarize = _tool("bench_pairs").summarize
     end_to_end = [{"name": "samples_per_s", "better": "higher"},
                   {"name": "setup_s", "better": "lower"}]
     runs = [_run("parent", 0, 100.0, 0.10), _run("change", 0, 110.0, 0.10),
@@ -149,7 +177,7 @@ def test_bench_pairs_verdict_on_fixed_numbers():
     """``gain`` takes 9 of 10 pairs and a median gap past the parent's
     interquartile spread; otherwise a median worse by no more than the
     bound is ``within bound``, and a larger loss ``worse``."""
-    tool = _bench_pairs()
+    tool = _tool("bench_pairs")
     end_to_end = [{"name": "samples_per_s", "better": "higher",
                    "bound": 0.12},
                   {"name": "setup_s", "better": "lower", "bound": 0.25}]
@@ -200,5 +228,5 @@ def test_bench_pairs_summary_reproduces_a_committed_report():
     report = json.loads((ROOT / "BENCH_28.json").read_text())
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())[
         "end_to_end"]
-    assert _bench_pairs().summarize(report["runs"],
-                                    end_to_end) == report["summary"]
+    assert _tool("bench_pairs").summarize(
+        report["runs"], end_to_end) == report["summary"]
